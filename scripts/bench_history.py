@@ -20,7 +20,7 @@ only a change in the *shape* of the curve does.
 Records are self-describing::
 
     {"timestamp": "...", "run_id": "...", "python": "3.12.x",
-     "metrics": {"engine_trace_calibrated": 12.3, "fusion_speedup": 3.0, ...}}
+     "metrics": {"engine_trace_calibrated": 12.3, "warm_cache_speedup": 3.0, ...}}
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ DRIFT_FACTOR = 2.0
 
 #: metric name -> direction ("lower" = lower is better, "higher" = higher is
 #: better).  Only metrics present in both the history and tonight's record
-#: are compared, so adding a metric never breaks an existing history file.
+#: are compared, so adding a metric never breaks an existing history file,
+#: and keys of retired metrics in older lines are ignored.
 METRIC_DIRECTIONS = {
     # engine serving trace, in calibration units (seconds / calibration job
     # seconds — machine-independent).
@@ -53,7 +54,6 @@ METRIC_DIRECTIONS = {
     # live ratios — already machine-independent.
     "warm_cache_speedup": "higher",
     "outcome_warm_speedup": "higher",
-    "fusion_speedup": "higher",
     "engine_speedup_4_workers": "higher",
 }
 
@@ -84,7 +84,6 @@ def build_record() -> dict:
         for name, path in (
             ("warm_cache_speedup", ("warm_cache_table2_reduced", "speedup_warm_vs_cold")),
             ("outcome_warm_speedup", ("outcome_store_warm_path", "speedup_warm_vs_cold")),
-            ("fusion_speedup", ("cross_job_fusion", "speedup_fused_vs_unfused")),
             ("engine_speedup_4_workers", ("speedup_at_4_workers_vs_sequential",)),
         ):
             value = _get(engine, *path)

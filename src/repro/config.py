@@ -129,9 +129,6 @@ class AnalysisConfig:
             unique set with the batched SDP kernel before the derivation is
             replayed from the solved table.  Requires the SDP cache; ignored
             when ``sdp.cache`` is off.
-        scheduler_workers: worker threads for the scheduler's solve phase
-            (1 = solve the whole batch in one vectorised run; >1 additionally
-            splits the batch across a thread pool).
         tape_memo: let the scheduler reuse memoised replay-tape prefixes —
             near-duplicate programs (shared circuit prefixes, parameter
             sweeps) resume the recorded walk from the last shared step
@@ -147,14 +144,11 @@ class AnalysisConfig:
     collect_derivation: bool = True
     noise_after_gate: bool = True
     scheduler: bool = True
-    scheduler_workers: int = 1
     tape_memo: bool = True
 
     def validate(self) -> None:
         if self.mps_width < 1:
             raise ValueError("mps_width must be at least 1")
-        if self.scheduler_workers < 1:
-            raise ValueError("scheduler_workers must be at least 1")
         self.sdp.validate()
 
     def replace(self, **kwargs) -> "AnalysisConfig":

@@ -190,11 +190,9 @@ class AnalysisResult:
         timings: structured per-phase wall-clock breakdown — always present:
             ``total_seconds``, ``prefill_walk_seconds``,
             ``prefill_solve_seconds``, ``replay_seconds``, and
-            ``solve_classes`` (one ``{"solve_class", "count", "seconds",
-            "worker", "chunk", "predicted_seconds"}`` event per batched SDP
-            template group — the worker-slot attribution and cost-model
-            prediction ride along with the measurement).  Pure observation:
-            the clocks never influence the derivation.
+            ``solve_classes`` (one ``{"solve_class", "count", "seconds"}``
+            event per batched SDP template group).  Pure observation: the
+            clocks never influence the derivation.
     """
 
     error_bound: float

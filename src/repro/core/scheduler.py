@@ -16,8 +16,7 @@ program order.  This module amortises that cost across the whole derivation:
    predicate dominance, or from the persistent store) are solved through the
    *batched* SDP kernel — same-shaped problems advance in lock-step inside
    one vectorised ADMM run, and all their dual certificates are verified in
-   one fused batch certification pass — optionally split across a thread
-   pool;
+   one fused batch certification pass;
 4. the solved bounds are inserted into the cache, and the analyzer replays
    the derivation from the solved table *and the tape*, so the MPS phase
    runs exactly once per input.
@@ -38,7 +37,6 @@ import dataclasses
 import hashlib
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,12 +47,7 @@ from ..mps.approximator import MPSApproximator
 from ..noise.model import NoiseModel
 from ..obs import metrics as obs_metrics
 from ..obs.trace import span
-from ..sdp.diamond import (
-    GateBoundCache,
-    gate_error_bounds_batch,
-    reduced_problem_dim,
-    solve_class_label,
-)
+from ..sdp.diamond import GateBoundCache, gate_error_bounds_batch
 from .analyzer import vacuous_branch_approximator
 from .derivation import ReplayTape, TapeGate, TapeMeasure, TapeSkip
 
@@ -159,12 +152,8 @@ class SchedulerReport:
     tape: ReplayTape | None = None
     tape_steps_reused: int = 0
     #: Wall-clock seconds of the MPS collection walk and the batched solve
-    #: phase, plus one ``{"solve_class", "count", "seconds", "worker",
-    #: "chunk", "predicted_seconds"}`` event per SDP template group — the
-    #: per-solve-class cost data persisted with results.  ``worker``/``chunk``
-    #: name the worker slot that solved the group (chunks are packed one per
-    #: slot), so overlapping shapes across chunks stay attributable;
-    #: ``predicted_seconds`` is the cost model's estimate before solving.
+    #: phase, plus one ``{"solve_class", "count", "seconds"}`` event per SDP
+    #: template group — the per-solve-class cost data persisted with results.
     walk_seconds: float = 0.0
     solve_seconds: float = 0.0
     solve_timings: list = dataclasses.field(default_factory=list)
@@ -189,30 +178,6 @@ class BoundScheduler:
         self._instances = 0
 
     # -- public entry --------------------------------------------------------
-    def collect_classes(
-        self, program: Program, initial_bits: list[int]
-    ) -> list[SolveClass]:
-        """Collection-only pre-pass: the classes the cache cannot yet answer.
-
-        Runs the same memoised MPS walk as :meth:`prefill` but stops before
-        the solve phase, returning the pending :class:`SolveClass` list.  The
-        engine's cross-job fusion stage uses this to gather solve classes
-        from several jobs and dispatch them as one batch; any memo steps the
-        walk records are reused verbatim by the subsequent full analysis.
-        """
-        approximator = MPSApproximator.from_product_state(
-            initial_bits, width=self.config.mps_width
-        )
-        self._classes.clear()
-        self._instances = 0
-        tape = ReplayTape()
-        with span("scheduler.collect", "scheduler"):
-            if getattr(self.config, "tape_memo", True):
-                self._collect_memoised(program, initial_bits, approximator, tape)
-            else:
-                self._collect(program, approximator, tape)
-        return self._pending_classes()
-
     def _pending_classes(self) -> list[SolveClass]:
         """The collected classes the cache cannot answer (exact/persistent/dominance)."""
         return [
@@ -267,88 +232,20 @@ class BoundScheduler:
             return report
 
         solve_start = time.perf_counter()
-        workers = min(self.config.scheduler_workers, len(pending))
-        with span("scheduler.solve", "scheduler", pending=len(pending), workers=workers):
-            if workers <= 1:
-                report.solve_timings.extend(self._solve_chunk(pending))
-            else:
-                # Cost-aware chunks: each pending class gets a predicted cost
-                # from the process-wide solve cost model (dim³ prior when a
-                # class was never observed) and LPT bin-packing assigns the
-                # classes to worker slots so predicted chunk costs — not
-                # chunk *lengths* — balance.  The packing is deterministic
-                # under fixed model state, and per-element bounds do not
-                # depend on batch composition, so any packing yields the same
-                # certified bounds as a single sequential solve.
-                from ..engine import costmodel
-
-                model = costmodel.global_model()
-                costs = [
-                    model.predict(self._predicted_label(solve_class), 1)
-                    for solve_class in pending
-                ]
-                chunks = [
-                    [pending[index] for index in chunk_indices]
-                    for chunk_indices in costmodel.lpt_pack(costs, workers)
-                    if chunk_indices
-                ]
-                with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                    for events in pool.map(
-                        self._solve_chunk, chunks, range(len(chunks))
-                    ):
-                        report.solve_timings.extend(events)
+        with span("scheduler.solve", "scheduler", pending=len(pending)):
+            bounds = gate_error_bounds_batch(
+                [
+                    (c.gate_matrix, c.noise_channel, c.rho_rounded, c.delta_effective)
+                    for c in pending
+                ],
+                noise_after_gate=self.config.noise_after_gate,
+                config=self.config.sdp,
+                timing_events=report.solve_timings,
+            )
+        for solve_class, bound in zip(pending, bounds):
+            self.cache.insert(solve_class.key, bound, fingerprint=solve_class.fingerprint)
         report.solve_seconds = time.perf_counter() - solve_start
         return report
-
-    def _predicted_label(self, solve_class: SolveClass) -> str:
-        """The solve-class label this instance is expected to instantiate.
-
-        Mirrors the batch kernel's grouping: the reduced problem dimension
-        fixes the template's block size ``big = dim²``, and the Eq. (2)
-        constraint is active when ``‖ρ̂‖_F(‖ρ̂‖_F − δ) > 0``.  The reduction
-        may shrink ρ̂ before the kernel re-evaluates that bound, so this is a
-        *prediction* (used only for cost packing), not ground truth.
-        """
-        dim = max(1, reduced_problem_dim(solve_class.noise_channel))
-        norm = float(np.linalg.norm(solve_class.rho_rounded))
-        constrained = norm * (norm - solve_class.delta_effective) > 0.0
-        return solve_class_label(dim * dim, constrained)
-
-    def _solve_chunk(self, chunk: list[SolveClass], chunk_index: int = 0) -> list:
-        """Solve one chunk; returns its attributed per-solve-class timing events."""
-        from ..engine import costmodel
-
-        instances = [
-            (c.gate_matrix, c.noise_channel, c.rho_rounded, c.delta_effective)
-            for c in chunk
-        ]
-        timing_events: list = []
-        bounds = gate_error_bounds_batch(
-            instances,
-            noise_after_gate=self.config.noise_after_gate,
-            config=self.config.sdp,
-            timing_events=timing_events,
-        )
-        for solve_class, bound in zip(chunk, bounds):
-            self.cache.insert(
-                solve_class.key, bound, fingerprint=solve_class.fingerprint
-            )
-        model = costmodel.global_model()
-        error_histogram = obs_metrics.histogram(
-            "repro_costmodel_prediction_error_ratio",
-            "Relative error |predicted - actual| / actual of the solve cost "
-            "model, one sample per solved template group.",
-            buckets=costmodel.PREDICTION_ERROR_BUCKETS,
-        )
-        for event in timing_events:
-            predicted = model.predict(event["solve_class"], event["count"])
-            event["worker"] = chunk_index
-            event["chunk"] = chunk_index
-            event["predicted_seconds"] = predicted
-            actual = float(event["seconds"])
-            error_histogram.observe(abs(predicted - actual) / max(actual, 1e-9))
-        model.observe_events(timing_events)
-        return timing_events
 
     # -- prefix memoisation ---------------------------------------------------
     def _memo_env_key(self, initial_bits: list[int]) -> str | None:

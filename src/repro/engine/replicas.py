@@ -508,8 +508,6 @@ def build_child_args(args, index: int) -> list[str]:
         "--batch-window", str(args.batch_window),
         "--max-batch", str(args.max_batch),
         "--max-submit", str(args.max_submit),
-        "--batch-window-ms", str(args.batch_window_ms),
-        "--batch-window-max-classes", str(args.batch_window_max_classes),
     ]
     return argv
 

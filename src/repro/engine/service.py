@@ -27,8 +27,7 @@ under ``/v1/`` and is what :class:`repro.api.Client` speaks:
 * ``GET /v1/capabilities`` — service discovery: API versions, job schema
   version, server limits (batch sizes, wait window), worker count.
 * ``GET /v1/healthz`` — liveness: version, uptime, queue depth, workers,
-  result/outcome store sizes.  The legacy unversioned ``/healthz`` serves
-  the same payload with a ``Deprecation`` header.
+  result/outcome store sizes.
 * ``GET /v1/metrics`` — Prometheus text exposition of the process-wide
   :mod:`repro.obs.metrics` registry: per-endpoint latency histograms,
   in-flight/parked-coroutine gauges, engine/outcome/cache/tape/backend
@@ -393,19 +392,6 @@ class AnalysisService:
                 "Tracked job status entries, by status.",
                 {"status": status},
             ).set(count)
-        coefficients = (stats["engine"].get("costmodel") or {}).get("coefficients") or {}
-        for solve_class, fitted in coefficients.items():
-            labels = {"solve_class": solve_class, "source": fitted["source"]}
-            registry.gauge(
-                "repro_costmodel_per_instance_seconds",
-                "Fitted marginal seconds per SDP instance, by solve class.",
-                labels,
-            ).set(fitted["per_instance_seconds"])
-            registry.gauge(
-                "repro_costmodel_setup_seconds",
-                "Fitted per-group setup seconds, by solve class.",
-                labels,
-            ).set(fitted["setup_seconds"])
         return registry.render_prometheus()
 
     # -- waiting -----------------------------------------------------------
@@ -564,18 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-submit", type=int, default=1024, help="max jobs in one POST /v1/batches"
     )
     parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=0.0,
-        help="cross-job SDP fusion window in milliseconds (0 disables fusion)",
-    )
-    parser.add_argument(
-        "--batch-window-max-classes",
-        type=int,
-        default=4096,
-        help="max solve classes pooled by one fusion window",
-    )
-    parser.add_argument(
         "--replicas",
         type=int,
         default=0,
@@ -623,8 +597,6 @@ def main(argv: list[str] | None = None) -> int:
                 if args.outcomes
                 else None
             ),
-            batch_window_ms=args.batch_window_ms,
-            batch_window_max_classes=args.batch_window_max_classes,
         )
     except StorageBackendError as exc:
         # A typo'd --store/--outcomes scheme (redis://...) is an operator

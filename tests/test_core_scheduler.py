@@ -76,19 +76,6 @@ class TestSchedulerEquivalence:
             sequential.error_bound, rel=1e-9, abs=1e-12
         )
 
-    def test_parallel_workers_sound(self, bit_flip_model):
-        """Thread-parallel solving yields the same certified bounds."""
-        circuit = random_circuit(4, 24, seed=5)
-        serial = GleipnirAnalyzer(
-            bit_flip_model, _config(scheduler=True, scheduler_workers=1)
-        ).analyze(circuit)
-        parallel = GleipnirAnalyzer(
-            bit_flip_model, _config(scheduler=True, scheduler_workers=4)
-        ).analyze(circuit)
-        assert parallel.error_bound == pytest.approx(
-            serial.error_bound, rel=1e-9, abs=1e-12
-        )
-
     def test_derivation_verifies(self, bit_flip_model):
         """Every certificate in a scheduled derivation re-verifies."""
         circuit = random_circuit(3, 12, seed=9)

@@ -218,6 +218,22 @@ class TestWallClockBudget:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous_handler)
 
+    def test_swallowed_expiry_still_raises(self):
+        """A job that catches the alarm's exception is still a timeout."""
+        import time
+
+        from repro.engine.pool import _wall_clock_budget
+        from repro.errors import ResourceLimitExceeded
+
+        swallowed = []
+        with pytest.raises(ResourceLimitExceeded):
+            with _wall_clock_budget(0.01):
+                try:
+                    time.sleep(5.0)
+                except Exception as exc:
+                    swallowed.append(exc)
+        assert swallowed and isinstance(swallowed[0], ResourceLimitExceeded)
+
     def test_budget_disarms_when_no_outer_timer(self):
         import signal
 

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import RETIRED_CONFIG_KEY
+
 from repro.circuits import Circuit
 from repro.circuits.serialize import (
     gate_from_json_dict,
@@ -121,6 +123,13 @@ class TestConfigSerialization:
         with pytest.raises(EngineError):
             config_from_json_dict({"mps_width": 4, "nonsense": True})
 
+    def test_retired_thread_split_knob_rejected(self):
+        """Payloads written before the thread-split solve knob was retired."""
+        payload = config_to_json_dict(AnalysisConfig())
+        payload[RETIRED_CONFIG_KEY] = 2
+        with pytest.raises(EngineError, match="malformed config payload"):
+            config_from_json_dict(payload)
+
 
 def _fast_job(name="job") -> AnalysisJob:
     return AnalysisJob.from_circuit(
@@ -161,7 +170,6 @@ class TestAnalysisJob:
             noise_model=job.noise_model,
             config=job.config.replace(
                 scheduler=False,
-                scheduler_workers=3,
                 collect_derivation=False,
                 guard=ResourceGuard(max_seconds=0.5),
             ),

@@ -78,6 +78,14 @@ class TestMetricAxioms:
         backward = metric.compute(channel_b, channel_a, config=FAST_SDP).value
         assert math.isclose(forward, backward, rel_tol=1e-4, abs_tol=1e-7)
 
+    def test_process_fidelity_symmetric_on_rank_deficient_choi_states(self):
+        """Amplitude damping has rank-2 Choi states of dimension 4."""
+        metric = get_metric("process_fidelity")
+        channel_a, channel_b = amplitude_damping(0.25), amplitude_damping(0.253906)
+        forward = metric.compute(channel_a, channel_b).value
+        backward = metric.compute(channel_b, channel_a).value
+        assert abs(forward - backward) <= 1e-12
+
     def test_arity_mismatch_is_structured(self):
         with pytest.raises(MetricError):
             get_metric("trace_norm").compute(bit_flip(0.1), identity_noise(2))

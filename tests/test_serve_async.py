@@ -4,8 +4,8 @@ The headline claim of the async front end is capacity: one process holds
 hundreds of concurrently parked ``?wait=`` long polls (each a coroutine, not
 a thread) and releases every one of them with the same bit-identical result
 when the job lands.  The test makes that deterministic by *not* starting the
-service's batcher until the parked-waiter gauge proves all waiters are
-actually parked — no timing assumptions.
+service's batcher until a probe on the parked-waiter gauge proves all
+waiters are actually parked — no timing assumptions, no sleep-polling.
 
 The WebSocket tests speak raw RFC 6455 (masked client frames, stdlib only)
 against ``GET /v1/stream``: handshake digest, subscribe→push, submit→push,
@@ -23,12 +23,11 @@ import pytest
 
 from repro.circuits import Circuit
 from repro.config import AnalysisConfig, SDPConfig
+from repro.engine import aserve
 from repro.engine.pool import AnalysisEngine
 from repro.engine.service import AnalysisService, make_server
 from repro.engine.spec import AnalysisJob
 from repro.noise import NoiseModel
-from repro.obs import metrics as obs_metrics
-
 FAST = AnalysisConfig(mps_width=4, sdp=SDPConfig(max_iterations=200, tolerance=1e-4))
 MODEL = NoiseModel.uniform_bit_flip(1e-3)
 
@@ -65,6 +64,44 @@ def cold_server(tmp_path):
     service.stop()
 
 
+class ParkedProbe:
+    """Stands in for the parked-waiter gauge and counts parks from zero.
+
+    Every ``inc``/``dec`` is forwarded to the real gauge and notifies a
+    condition, so a test blocks until the server has parked N coroutines
+    instead of polling a process-global value it would have to baseline.
+    """
+
+    def __init__(self, gauge):
+        self._gauge = gauge
+        self.parked = 0
+        self._changed = threading.Condition()
+
+    def inc(self, amount: float = 1.0) -> None:
+        self._gauge.inc(amount)
+        with self._changed:
+            self.parked += 1
+            self._changed.notify_all()
+
+    def dec(self, amount: float = 1.0) -> None:
+        self._gauge.dec(amount)
+        with self._changed:
+            self.parked -= 1
+            self._changed.notify_all()
+
+    def wait_parked(self, count: int, timeout: float = 120.0) -> bool:
+        with self._changed:
+            return self._changed.wait_for(lambda: self.parked >= count, timeout)
+
+
+@pytest.fixture
+def parked(monkeypatch):
+    """A :class:`ParkedProbe` installed before any request is sent."""
+    probe = ParkedProbe(aserve._parked_gauge())
+    monkeypatch.setattr(aserve, "_parked_gauge", lambda: probe)
+    return probe
+
+
 @pytest.fixture
 def server(cold_server):
     port, service = cold_server
@@ -87,15 +124,13 @@ def _http_response(sock: socket.socket) -> tuple[int, dict]:
 
 
 class TestParkedLongPolls:
-    def test_500_concurrent_parked_waiters_one_process(self, cold_server):
+    def test_500_concurrent_parked_waiters_one_process(self, cold_server, parked):
         port, service = cold_server
         _raise_fd_limit(4096)
         entry = service.submit_payload(_job().to_json_dict())
         fingerprint = entry["fingerprint"]
         assert entry["status"] == "queued"  # batcher not running yet
 
-        gauge = obs_metrics.gauge("repro_async_parked_waiters")
-        baseline = gauge.value
         request = (
             f"GET /v1/jobs/{fingerprint}?wait=60 HTTP/1.1\r\n"
             f"Host: 127.0.0.1\r\nConnection: close\r\n\r\n"
@@ -108,12 +143,7 @@ class TestParkedLongPolls:
                 sock.sendall(request)
                 sockets.append(sock)
             # Deterministic barrier: every waiter visibly parked at once.
-            deadline = threading.Event()
-            for _ in range(1200):
-                if gauge.value - baseline >= WAITERS:
-                    break
-                deadline.wait(0.05)
-            assert gauge.value - baseline >= WAITERS
+            assert parked.wait_parked(WAITERS)
 
             service.start()  # run the job; the batcher wakes all waiters
             answers = [_http_response(sock) for sock in sockets]
@@ -127,9 +157,9 @@ class TestParkedLongPolls:
             assert payload["status"] == "done"
             bounds.add(payload["result"]["error_bound"])
         assert len(bounds) == 1  # every waiter saw the same bit-identical result
-        assert gauge.value - baseline == 0  # everything unparked
+        assert parked.parked == 0  # everything unparked
 
-    def test_stop_releases_parked_waiters(self, cold_server):
+    def test_stop_releases_parked_waiters(self, cold_server, parked):
         port, service = cold_server
         entry = service.submit_payload(_job().to_json_dict())
         sock = socket.create_connection(("127.0.0.1", port), timeout=60)
@@ -140,12 +170,7 @@ class TestParkedLongPolls:
                 f"Host: 127.0.0.1\r\nConnection: close\r\n\r\n"
             ).encode()
         )
-        gauge = obs_metrics.gauge("repro_async_parked_waiters")
-        baseline = gauge.value
-        for _ in range(600):
-            if gauge.value > baseline:
-                break
-            threading.Event().wait(0.05)
+        assert parked.wait_parked(1)
         service.stop()  # no batcher ran: waiter must still be released now
         status, payload = _http_response(sock)
         sock.close()
