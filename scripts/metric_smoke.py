@@ -20,7 +20,7 @@ The script
    server.
 
 Exit code 0 means comparison jobs travel the ``/v1`` wire (serialization,
-fingerprinting, shard routing, result push) without perturbing a single bit
+fingerprinting, worker sharding, result push) without perturbing a single bit
 of the arithmetic.
 """
 

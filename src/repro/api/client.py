@@ -13,19 +13,6 @@ The client speaks exactly the wire format documented in
   deadline passes;
 * ``capabilities()`` performs ``GET /v1/capabilities`` discovery.
 
-**Shard-aware routing**: handed a *list* of base URLs (one per replica of a
-``--replicas N`` deployment, in shard order), the client computes the same
-``int(fingerprint, 16) % N`` function the router and supervisor use —
-``submit()`` splits a batch into per-shard sub-batches and splices the
-entries back into submission order; ``status()``/``wait()`` go straight to
-the owning replica.  With one URL nothing changes, so pointing a sharded
-client at the router (which re-shards internally) also works.
-
-**Retries**: ``Client(retries=k)`` re-attempts *transient connection
-failures* (refused/reset/unreachable — never HTTP error responses, which are
-authoritative answers) up to ``k`` extra times with exponential backoff plus
-jitter.  Off by default; every attempt counts in ``requests_sent``.
-
 Errors come back as structured envelopes and are re-raised as the exact
 :class:`~repro.errors.ReproError` subclass the server recorded
 (:func:`repro.errors.error_from_envelope`), so remote and in-process callers
@@ -37,13 +24,12 @@ polling.
 from __future__ import annotations
 
 import json
-import random
 import time
 import urllib.error
 import urllib.request
 from collections.abc import Sequence
 
-from ..engine.spec import AnalysisJob, ComparisonJob, job_from_json_dict
+from ..engine.spec import AnalysisJob, ComparisonJob
 from ..errors import EngineError, error_from_envelope
 
 __all__ = ["Client"]
@@ -58,107 +44,48 @@ class Client:
     """HTTP access to a running ``gleipnir-serve`` (the ``/v1`` wire format).
 
     Args:
-        base_url: service root (``"http://127.0.0.1:8780"``) or a list of
-            replica roots **in shard order** for fingerprint-sharded routing.
+        base_url: service root (``"http://127.0.0.1:8780"``).
         timeout: socket timeout for plain (non-waiting) requests.
         max_wait: largest single long-poll window requested from the server
             (the server additionally clamps to its own advertised limit).
-        retries: extra attempts after a transient connection failure
-            (0 = fail fast, the default).  Exponential backoff with jitter;
-            HTTP error responses are never retried.
-        retry_base_delay: first backoff delay in seconds; attempt ``k``
-            sleeps ``retry_base_delay * 2**k`` plus up to 50% jitter.
     """
 
-    def __init__(
-        self,
-        base_url: str | Sequence[str],
-        *,
-        timeout: float = 30.0,
-        max_wait: float = 60.0,
-        retries: int = 0,
-        retry_base_delay: float = 0.1,
-    ):
-        if isinstance(base_url, str):
-            urls = [base_url]
-        else:
-            urls = list(base_url)
-        if not urls:
-            raise EngineError("Client needs at least one base URL")
-        #: Replica roots in shard order; one entry means no sharding.
-        self.base_urls = [str(url).rstrip("/") for url in urls]
-        self.base_url = self.base_urls[0]
+    def __init__(self, base_url: str, *, timeout: float = 30.0, max_wait: float = 60.0):
+        self.base_url = str(base_url).rstrip("/")
         self.timeout = float(timeout)
         self.max_wait = float(max_wait)
-        if int(retries) < 0:
-            raise EngineError("retries must be >= 0")
-        self.retries = int(retries)
-        self.retry_base_delay = float(retry_base_delay)
-        #: HTTP round trips performed by this client, counting every retry
-        #: attempt (diagnostics/tests).
+        #: HTTP round trips performed by this client (diagnostics/tests).
         self.requests_sent = 0
-
-    # -- sharding ------------------------------------------------------------
-    def shard_of(self, fingerprint: str) -> int:
-        """The replica index owning ``fingerprint`` (0 when unsharded)."""
-        if len(self.base_urls) == 1:
-            return 0
-        try:
-            return int(fingerprint, 16) % len(self.base_urls)
-        except ValueError:
-            return 0  # let the first replica answer with its canonical 404
-
-    def _url_for(self, fingerprint: str) -> str:
-        return self.base_urls[self.shard_of(fingerprint)]
 
     # -- transport ---------------------------------------------------------
     def _request(
-        self,
-        method: str,
-        path: str,
-        payload: dict | None = None,
-        *,
-        timeout: float | None = None,
-        base_url: str | None = None,
+        self, method: str, path: str, payload: dict | None = None, *, timeout: float | None = None
     ) -> dict:
-        base = base_url or self.base_url
-        data = json.dumps(payload).encode() if payload is not None else None
-        attempt = 0
-        while True:
-            request = urllib.request.Request(
-                base + path,
-                data=data,
-                headers={"Content-Type": "application/json"},
-                method=method,
-            )
-            self.requests_sent += 1
+        request = urllib.request.Request(
+            self.base_url + path,
+            data=json.dumps(payload).encode() if payload is not None else None,
+            headers={"Content-Type": "application/json"},
+            method=method,
+        )
+        self.requests_sent += 1
+        try:
+            with urllib.request.urlopen(request, timeout=timeout or self.timeout) as response:
+                return json.loads(response.read() or b"null")
+        except urllib.error.HTTPError as error:
             try:
-                with urllib.request.urlopen(
-                    request, timeout=timeout or self.timeout
-                ) as response:
-                    return json.loads(response.read() or b"null")
-            except urllib.error.HTTPError as error:
-                # An HTTP response is an authoritative answer — never retried.
-                try:
-                    envelope = json.loads(error.read() or b"null")
-                except (json.JSONDecodeError, ValueError):
-                    envelope = None
-                raise error_from_envelope(envelope, status=error.code) from None
-            except (urllib.error.URLError, ConnectionError, TimeoutError) as exc:
-                reason = getattr(exc, "reason", exc)
-                if attempt >= self.retries:
-                    raise EngineError(
-                        f"cannot reach analysis service at {base}: {reason}"
-                    ) from exc
-                # Exponential backoff with jitter: 2**attempt spreads load,
-                # the random half-share prevents synchronized retry storms.
-                delay = self.retry_base_delay * (2**attempt)
-                time.sleep(delay * (1.0 + 0.5 * random.random()))
-                attempt += 1
+                envelope = json.loads(error.read() or b"null")
+            except (json.JSONDecodeError, ValueError):
+                envelope = None
+            raise error_from_envelope(envelope, status=error.code) from None
+        except (urllib.error.URLError, ConnectionError, TimeoutError) as exc:
+            reason = getattr(exc, "reason", exc)
+            raise EngineError(
+                f"cannot reach analysis service at {self.base_url}: {reason}"
+            ) from exc
 
     # -- API ---------------------------------------------------------------
     def capabilities(self) -> dict:
-        """Service discovery (``GET /v1/capabilities``) from the first replica."""
+        """Service discovery (``GET /v1/capabilities``)."""
         return self._request("GET", "/v1/capabilities")
 
     def submit(self, jobs: Sequence[AnalysisJob | ComparisonJob | dict]) -> list[dict]:
@@ -167,58 +94,26 @@ class Client:
         ``jobs`` may hold :class:`AnalysisJob` / :class:`ComparisonJob`
         values or raw job payload dicts (any registered ``kind``).
         Validation is all-or-nothing on the server: a rejected batch
-        executes nothing.  Against multiple replicas the batch is split by
-        fingerprint shard and the entries re-assembled in submission order
-        (validation then happens client-side first, preserving
-        all-or-nothing across shards).
+        executes nothing.
         """
         payloads = [
             job.to_json_dict() if hasattr(job, "to_json_dict") else dict(job)
             for job in jobs
         ]
-        if len(self.base_urls) == 1:
-            return self._request("POST", "/v1/batches", {"jobs": payloads})["jobs"]
-        # Fingerprint client-side with the jobs' own content addressing — the
-        # same function the replica supervisor shards stores by — so a job
-        # always reaches the replica that owns (and may have cached) it.
-        fingerprints = [
-            job.fingerprint()
-            if hasattr(job, "fingerprint")
-            else job_from_json_dict(payload).fingerprint()
-            for job, payload in zip(jobs, payloads)
-        ]
-        by_shard: dict[int, list[int]] = {}
-        for position, fingerprint in enumerate(fingerprints):
-            by_shard.setdefault(self.shard_of(fingerprint), []).append(position)
-        entries: list[dict | None] = [None] * len(payloads)
-        for shard in sorted(by_shard):
-            positions = by_shard[shard]
-            shard_entries = self._request(
-                "POST",
-                "/v1/batches",
-                {"jobs": [payloads[position] for position in positions]},
-                base_url=self.base_urls[shard],
-            )["jobs"]
-            for position, entry in zip(positions, shard_entries):
-                entry["shard"] = shard
-                entries[position] = entry
-        return entries
+        return self._request("POST", "/v1/batches", {"jobs": payloads})["jobs"]
 
     def status(self, fingerprint: str, *, wait: float | None = None) -> dict:
         """One job's status entry; ``wait`` long-polls up to that many seconds.
 
         Raises :class:`~repro.errors.JobNotFoundError` for unknown
-        fingerprints.  Routed to the owning replica when sharded.
+        fingerprints.
         """
-        base = self._url_for(fingerprint)
         path = f"/v1/jobs/{fingerprint}"
         if wait is None:
-            return self._request("GET", path, base_url=base)
+            return self._request("GET", path)
         window = min(max(float(wait), 0.0), self.max_wait)
         # The socket must stay open longer than the server-side wait.
-        return self._request(
-            "GET", f"{path}?wait={window:g}", timeout=window + self.timeout, base_url=base
-        )
+        return self._request("GET", f"{path}?wait={window:g}", timeout=window + self.timeout)
 
     def wait(self, fingerprint: str, *, timeout: float | None = None) -> dict:
         """Block until the job finishes, chaining long-poll windows.

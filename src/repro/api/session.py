@@ -275,10 +275,6 @@ class AnalysisSession:
                     "remote sessions delegate workers/store/cache_dir/outcomes "
                     "to the server; configure those on gleipnir-serve instead"
                 )
-            if isinstance(remote, str) and "," in remote:
-                # A comma-separated list names a sharded replica deployment
-                # (in shard order); the Client routes by fingerprint.
-                remote = [url.strip() for url in remote.split(",") if url.strip()]
             self._client: Client | None = client or Client(remote)
             self._engine: AnalysisEngine | None = None
         else:
@@ -749,9 +745,7 @@ def add_session_arguments(parser: argparse.ArgumentParser) -> None:
         "--remote",
         type=str,
         default=None,
-        help="submit to a running gleipnir-serve at this URL instead of running "
-        "locally; a comma-separated list of replica URLs (in shard order) "
-        "enables client-side fingerprint sharding",
+        help="submit to a running gleipnir-serve at this URL instead of running locally",
     )
     group.add_argument(
         "--trace",

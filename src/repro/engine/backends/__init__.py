@@ -11,7 +11,7 @@ JSONL — see :func:`parse_storage_url` for the full table):
 * :mod:`~repro.engine.backends.sqlite` — WAL-journaled SQLite, point queries
   instead of load-everything-at-init, concurrent readers;
 * :mod:`~repro.engine.backends.memory` — process-local dicts for tests and
-  ephemeral serving replicas (``memory://name`` shares by name).
+  warm-only caches (``memory://name`` shares by name).
 """
 
 from ...errors import EngineError

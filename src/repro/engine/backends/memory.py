@@ -1,11 +1,10 @@
-"""The in-memory backends: tests, ephemeral replicas, and warm-only caches.
+"""The in-memory backends: tests and warm-only caches.
 
 ``memory://`` opens a fresh private backend (nothing survives the instance);
 ``memory://<name>`` opens a process-wide **shared** backend under that name,
 so two facades — say a service's engine and a test asserting against it —
 observe the same entries, and "reopening" the same URL behaves like reloading
-a file.  Nothing ever touches disk; a process exit discards everything,
-which is exactly what an ephemeral serving replica wants.
+a file.  Nothing ever touches disk; a process exit discards everything.
 """
 
 from __future__ import annotations

@@ -33,17 +33,12 @@ under ``/v1/`` and is what :class:`repro.api.Client` speaks:
   in-flight/parked-coroutine gauges, engine/outcome/cache/tape/backend
   counters, and per-solve-class SDP solve histograms (see
   ``docs/observability.md``).
-* ``GET /v1/stream`` — a WebSocket (RFC 6455, stdlib implementation) for
-  multi-job workloads: subscribe to fingerprints and/or submit batches, and
-  results are **pushed** as each job finishes — see
-  :mod:`repro.engine.aserve` for the frame protocol.
 
 The HTTP front end is a single-threaded **asyncio** server
-(:class:`~repro.engine.aserve.AsyncAnalysisServer`): a parked long poll or
-WebSocket subscription is a coroutine awaiting a future, bridged to the
-engine's ``threading.Condition`` world through result listeners and
-``call_soon_threadsafe``, so one replica holds thousands of concurrent
-waiters without one thread each.
+(:class:`~repro.engine.aserve.AsyncAnalysisServer`): a parked long poll is a
+coroutine awaiting a future, bridged to the engine's ``threading.Condition``
+world through result listeners and ``call_soon_threadsafe``, so one process
+holds thousands of concurrent waiters without one thread each.
 
 Errors on ``/v1`` are **structured envelopes** mapped from the
 :class:`~repro.errors.ReproError` hierarchy::
@@ -53,13 +48,8 @@ Errors on ``/v1`` are **structured envelopes** mapped from the
 
 so :class:`repro.api.Client` re-raises the exact exception class.
 
-The historical unversioned endpoints (``POST /jobs``, ``GET /jobs/<fp>``,
-``/healthz``) are **retired**: they answer ``410 Gone`` with a structured
-envelope naming the ``/v1`` successor.
-
-For horizontal scale, ``gleipnir-serve --replicas N`` starts N replica
-processes behind a fingerprint-sharding router — see
-:mod:`repro.engine.replicas`.
+Any path outside ``/v1`` answers the same 404 envelope as an unknown
+``/v1`` path.
 
 Duplicate submissions (same fingerprint) — including re-submissions of jobs
 already completed in the attached result store — are answered without
@@ -247,9 +237,9 @@ class AnalysisService:
                     entry = self._track(
                         self._entry(fingerprint, job.name, "done", cached)
                     )
-                    # A WebSocket client may have subscribed to this
-                    # fingerprint before submitting it; warm hits must reach
-                    # those listeners like any other terminal transition.
+                    # A long poll may already be parked on this fingerprint;
+                    # warm hits must wake it like any other terminal
+                    # transition.
                     self._notify_finished([fingerprint])
                     return dict(entry)
             store = self.engine.store
@@ -325,12 +315,10 @@ class AnalysisService:
                 "submit": f"POST /{API_VERSION}/batches",
                 "job": f"GET /{API_VERSION}/jobs/<fingerprint>",
                 "wait": f"GET /{API_VERSION}/jobs/<fingerprint>?wait=<seconds>",
-                "stream": f"GET /{API_VERSION}/stream (WebSocket)",
                 "capabilities": f"GET /{API_VERSION}/capabilities",
                 "healthz": f"GET /{API_VERSION}/healthz",
                 "metrics": f"GET /{API_VERSION}/metrics",
             },
-            "retired_endpoints": ["POST /jobs", "GET /jobs/<fingerprint>", "GET /healthz"],
         }
 
     def stats(self) -> dict:
@@ -549,44 +537,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-submit", type=int, default=1024, help="max jobs in one POST /v1/batches"
     )
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=0,
-        help="run N sharded replica processes behind a fingerprint router "
-        "(0 = single process)",
-    )
-    parser.add_argument(
-        "--shard-index",
-        type=int,
-        default=None,
-        help="this replica's shard index (set by the --replicas supervisor)",
-    )
-    parser.add_argument(
-        "--shard-count",
-        type=int,
-        default=None,
-        help="total shard count (set by the --replicas supervisor)",
-    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.replicas and args.replicas > 1:
-        from .replicas import serve_replicas
-
-        return serve_replicas(args)
-    if args.shard_index is not None:
-        # Visible on this replica's /v1/metrics so a smoke test (or an
-        # operator) can confirm which shard answered.
-        obs_metrics.gauge(
-            "repro_replica_shard", "This replica's shard index."
-        ).set(args.shard_index)
-        if args.shard_count is not None:
-            obs_metrics.gauge(
-                "repro_replica_shard_count", "Total replica count of this deployment."
-            ).set(args.shard_count)
     try:
         engine = AnalysisEngine(
             workers=args.workers,

@@ -236,8 +236,8 @@ class ComparisonJob:
 
     Like :class:`AnalysisJob`, a job is content-addressed by the SHA-256 of
     its canonical JSON (``kind`` included, so the two families can never
-    collide), which is what lets dedupe, the outcome cache, sharding, and
-    replicas treat comparisons exactly like analyses.
+    collide), which is what lets dedupe, the outcome cache and worker
+    sharding treat comparisons exactly like analyses.
     """
 
     metric: str = "diamond_norm"

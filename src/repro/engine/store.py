@@ -6,7 +6,7 @@ drivers) has always used — ``get``/``completed``/``results``/``missing``/
 :class:`~repro.engine.backends.base.ResultBackend` selected by URL
 (``results.jsonl`` or ``jsonl://…`` for the historical append-only line log,
 ``sqlite:///…`` for WAL-journaled SQLite, ``memory://…`` for tests and
-ephemeral replicas — see :mod:`repro.engine.backends`).
+warm-only caches — see :mod:`repro.engine.backends`).
 
 ``resume`` semantics (used by the engine and the ``--resume`` experiment
 flag): a job whose fingerprint maps to an ``ok`` record is not re-executed;

@@ -4,8 +4,8 @@ Covers the versioned wire format end to end: batch submit, long-poll result
 push (asserting a completed result costs **one** request — no client-side
 polling), capability discovery, structured error envelopes (unknown
 fingerprint, malformed payload, oversized batch), the remote
-:class:`~repro.api.AnalysisSession` transport, and the retired unversioned
-surface answering 410 Gone with a pointer at its /v1 successor.
+:class:`~repro.api.AnalysisSession` transport, and the unversioned paths
+answering the same 404 envelope as any unknown path.
 """
 
 import json
@@ -176,6 +176,12 @@ class TestErrorEnvelopes:
         assert "malformed config payload" in error["message"]
         assert service.stats()["jobs"] == {}
 
+    def test_unreachable_server_fails_fast(self):
+        client = Client("http://127.0.0.1:9")  # port 9: nothing listens
+        with pytest.raises(EngineError, match="cannot reach"):
+            client.capabilities()
+        assert client.requests_sent == 1
+
     def test_invalid_wait_parameter(self, server):
         base, _service = server
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -184,7 +190,7 @@ class TestErrorEnvelopes:
 
 
 class TestRetiredSurface:
-    """The unversioned endpoints answer 410 Gone, pointing at /v1."""
+    """The unversioned endpoints are gone: they answer the 404 envelope."""
 
     @pytest.mark.parametrize(
         "method, path",
@@ -205,11 +211,10 @@ class TestRetiredSurface:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         response = excinfo.value
-        assert response.code == 410
+        assert response.code == 404
         envelope = json.loads(response.read())["error"]
-        assert envelope["status"] == 410
-        assert "/v1" in envelope["message"]  # the envelope names the successor
-        assert "/v1" in (response.headers.get("Link") or "")
+        assert envelope["type"] == "EngineError"
+        assert envelope["status"] == 404
 
 
 class TestServiceWait:

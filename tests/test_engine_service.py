@@ -1,6 +1,9 @@
 """Tests for the serving front-end: submission, batching, polling, HTTP."""
 
+import asyncio
 import json
+import logging
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -9,6 +12,7 @@ import pytest
 
 from repro.circuits import Circuit
 from repro.config import AnalysisConfig, SDPConfig
+from repro.engine import aserve
 from repro.engine.pool import AnalysisEngine
 from repro.engine.service import AnalysisService, make_server
 from repro.engine.spec import AnalysisJob
@@ -145,9 +149,54 @@ class TestHTTPAPI:
 
     def test_retired_unversioned_surface_is_gone(self, server):
         base, _ = server
-        assert _post(base, "/jobs", {"jobs": [_payload()]})[0] == 410
-        assert _get(base, "/jobs/deadbeef")[0] == 410
-        assert _get(base, "/healthz")[0] == 410
+        for status, body in (
+            _post(base, "/jobs", {"jobs": [_payload()]}),
+            _get(base, "/jobs/deadbeef"),
+            _get(base, "/healthz"),
+        ):
+            assert status == 404
+            assert body["error"]["type"] == "EngineError"
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"POST /v1/batches HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+            (b"POST /v1/batches HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"POST /v1/batches HTTP/1.1\r\nContent-Length: 999999999999\r\n\r\n", 413),
+        ],
+        ids=["content-length-abc", "content-length-negative", "garbage-line", "oversize"],
+    )
+    def test_malformed_request_gets_structured_error(
+        self, server, caplog, request_bytes, status
+    ):
+        base, _ = server
+        port = int(base.rsplit(":", 1)[1])
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(request_bytes)
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} ")
+        assert "Connection: close" in lines
+        envelope = json.loads(body)["error"]
+        assert envelope["type"] == "EngineError"
+        assert envelope["status"] == status
+        assert not [record for record in caplog.records if record.name == "asyncio"]
+
+    def test_overlong_header_line_is_a_bad_request(self):
+        async def read():
+            reader = asyncio.StreamReader(limit=64)
+            reader.feed_data(b"GET /v1/healthz HTTP/1.1\r\nX-Long: " + b"a" * 100 + b"\r\n\r\n")
+            reader.feed_eof()
+            return await aserve._read_http_request(reader)
+
+        with pytest.raises(aserve._BadRequest) as excinfo:
+            asyncio.run(read())
+        assert excinfo.value.status == 400
 
     def test_malformed_matrix_payload_returns_400(self, server):
         base, _ = server

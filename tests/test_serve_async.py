@@ -1,4 +1,4 @@
-"""The asyncio serving surface under load: parked coroutines, WebSocket push.
+"""The asyncio serving surface under load: parked long-poll coroutines.
 
 The headline claim of the async front end is capacity: one process holds
 hundreds of concurrently parked ``?wait=`` long polls (each a coroutine, not
@@ -6,14 +6,8 @@ a thread) and releases every one of them with the same bit-identical result
 when the job lands.  The test makes that deterministic by *not* starting the
 service's batcher until a probe on the parked-waiter gauge proves all
 waiters are actually parked — no timing assumptions, no sleep-polling.
-
-The WebSocket tests speak raw RFC 6455 (masked client frames, stdlib only)
-against ``GET /v1/stream``: handshake digest, subscribe→push, submit→push,
-ping/pong, and the unknown-op error envelope.
 """
 
-import base64
-import hashlib
 import json
 import resource
 import socket
@@ -102,13 +96,6 @@ def parked(monkeypatch):
     return probe
 
 
-@pytest.fixture
-def server(cold_server):
-    port, service = cold_server
-    service.start()
-    return port, service
-
-
 def _http_response(sock: socket.socket) -> tuple[int, dict]:
     """Read one ``Connection: close`` response off a raw socket."""
     chunks = []
@@ -177,146 +164,3 @@ class TestParkedLongPolls:
         assert status == 200
         assert payload["status"] == "queued"  # current view, not a timeout
 
-
-# -- WebSocket plumbing ------------------------------------------------------
-
-_WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
-
-
-class WsClient:
-    """A minimal RFC 6455 client: masked frames over a blocking socket."""
-
-    def __init__(self, port: int, timeout: float = 120.0):
-        self.sock = socket.create_connection(("127.0.0.1", port), timeout=timeout)
-        key = base64.b64encode(b"0123456789abcdef").decode()
-        self.sock.sendall(
-            (
-                "GET /v1/stream HTTP/1.1\r\n"
-                "Host: 127.0.0.1\r\n"
-                "Upgrade: websocket\r\n"
-                "Connection: Upgrade\r\n"
-                f"Sec-WebSocket-Key: {key}\r\n"
-                "Sec-WebSocket-Version: 13\r\n\r\n"
-            ).encode()
-        )
-        head = b""
-        while b"\r\n\r\n" not in head:
-            head += self.sock.recv(4096)
-        assert b"101" in head.split(b"\r\n", 1)[0]
-        expected = base64.b64encode(
-            hashlib.sha1((key + _WS_GUID).encode()).digest()
-        ).decode()
-        assert f"Sec-WebSocket-Accept: {expected}".encode() in head
-        self._buffer = head.split(b"\r\n\r\n", 1)[1]
-
-    def _read_exact(self, count: int) -> bytes:
-        while len(self._buffer) < count:
-            chunk = self.sock.recv(65536)
-            if not chunk:
-                raise ConnectionError("WebSocket closed")
-            self._buffer += chunk
-        data, self._buffer = self._buffer[:count], self._buffer[count:]
-        return data
-
-    def send(self, opcode: int, payload: bytes) -> None:
-        mask = b"\xaa\xbb\xcc\xdd"
-        header = bytearray([0x80 | opcode])
-        if len(payload) < 126:
-            header.append(0x80 | len(payload))
-        else:
-            header.append(0x80 | 126)
-            header += len(payload).to_bytes(2, "big")
-        masked = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
-        self.sock.sendall(bytes(header) + mask + masked)
-
-    def send_json(self, message: dict) -> None:
-        self.send(0x1, json.dumps(message).encode())
-
-    def recv_frame(self) -> tuple[int, bytes]:
-        first = self._read_exact(2)
-        opcode = first[0] & 0x0F
-        length = first[1] & 0x7F
-        if length == 126:
-            length = int.from_bytes(self._read_exact(2), "big")
-        elif length == 127:
-            length = int.from_bytes(self._read_exact(8), "big")
-        return opcode, self._read_exact(length)
-
-    def recv_json(self) -> dict:
-        opcode, payload = self.recv_frame()
-        assert opcode == 0x1, f"expected text frame, got opcode {opcode}"
-        return json.loads(payload)
-
-    def close(self) -> None:
-        self.sock.close()
-
-
-class TestWebSocketStream:
-    def test_submit_pushes_results_for_multi_job_batch(self, server):
-        port, _service = server
-        ws = WsClient(port)
-        try:
-            jobs = [_job().to_json_dict(), _job("ghz3", num_qubits=3).to_json_dict()]
-            ws.send_json({"op": "submit", "jobs": jobs})
-            submitted = ws.recv_json()
-            assert submitted["type"] == "submitted"
-            fingerprints = {entry["fingerprint"] for entry in submitted["jobs"]}
-            assert len(fingerprints) == 2
-
-            seen = {}
-            while len(seen) < 2:
-                event = ws.recv_json()
-                assert event["type"] == "result"
-                job = event["job"]
-                assert job["status"] == "done"
-                assert job["result"]["error_bound"] > 0
-                assert job["fingerprint"] not in seen  # at most one push per job
-                seen[job["fingerprint"]] = job
-            assert set(seen) == fingerprints
-        finally:
-            ws.close()
-
-    def test_subscribe_before_submit_and_warm_resubmit(self, server):
-        port, service = server
-        fingerprint = _job().fingerprint()
-        ws = WsClient(port)
-        try:
-            # Subscribing to a never-seen fingerprint is an error envelope...
-            ws.send_json({"op": "subscribe", "fingerprints": [fingerprint]})
-            event = ws.recv_json()
-            assert event["type"] == "error"
-            assert event["error"]["error"]["type"] == "JobNotFoundError"
-
-            # ...but once submitted (even out-of-band), subscribe pushes the
-            # result — including instantly for already-terminal jobs.
-            service.submit_payload(_job().to_json_dict())
-            service.wait(fingerprint, timeout=120)
-            ws.send_json({"op": "subscribe", "fingerprints": [fingerprint]})
-            event = ws.recv_json()
-            assert event["type"] == "result"
-            assert event["job"]["fingerprint"] == fingerprint
-            assert event["job"]["status"] == "done"
-        finally:
-            ws.close()
-
-    def test_ping_pong_and_unknown_op(self, server):
-        port, _service = server
-        ws = WsClient(port)
-        try:
-            ws.send(0x9, b"marco")  # ping
-            opcode, payload = ws.recv_frame()
-            assert (opcode, payload) == (0xA, b"marco")
-            ws.send_json({"op": "frobnicate"})
-            event = ws.recv_json()
-            assert event["type"] == "error"
-            assert "frobnicate" in event["error"]["error"]["message"]
-        finally:
-            ws.close()
-
-    def test_close_handshake(self, server):
-        port, _service = server
-        ws = WsClient(port)
-        ws.send(0x8, b"")  # close
-        opcode, _payload = ws.recv_frame()
-        assert opcode == 0x8  # echoed close
-        ws.close()
