@@ -22,6 +22,7 @@ committed baseline file.
 from __future__ import annotations
 
 import json
+import math
 import platform
 import sys
 import time
@@ -39,6 +40,7 @@ from helpers import random_circuit  # noqa: E402
 from repro.config import AnalysisConfig  # noqa: E402
 from repro.core.analyzer import analyze_program  # noqa: E402
 from repro.linalg.decompositions import positive_part  # noqa: E402
+from repro.linalg.hermitian import hunvec  # noqa: E402
 from repro.noise import NoiseModel  # noqa: E402
 from repro.sdp import get_layout  # noqa: E402
 
@@ -51,6 +53,11 @@ SEED_BASELINE_SECONDS = 5.44
 REFERENCE_QUBITS = 5
 REFERENCE_GATES = 65
 REFERENCE_SEED = 7
+
+#: Relative tolerance on the reference workload's bound against the committed
+#: baseline: a change that moves the certified bound further than this is a
+#: behaviour change, not a refactor.
+BOUND_RELATIVE_TOLERANCE = 1e-6
 
 
 def _reference_circuit():
@@ -99,7 +106,13 @@ def measure_kernel_microbench(*, batch: int = 64, repeats: int = 50) -> dict:
         layout.project_psd(vectors)
     batched_seconds = time.perf_counter() - start
 
-    blocks = [layout.unpack_blocks(vector) for vector in vectors]
+    blocks = [
+        [
+            hunvec(vector[offset : offset + d * d], d)
+            for offset, d in zip(layout.offsets, layout.dims)
+        ]
+        for vector in vectors
+    ]
     start = time.perf_counter()
     for _ in range(repeats):
         for block_list in blocks:
@@ -357,6 +370,13 @@ def test_reference_workload_smoke():
     baseline = load_baseline()
     if baseline is None:
         return
+    baseline_bound = baseline["phases"]["analyze_scheduled"]["error_bound"]
+    assert math.isclose(
+        scheduled["error_bound"], baseline_bound, rel_tol=BOUND_RELATIVE_TOLERANCE
+    ), (
+        f"reference bound {scheduled['error_bound']!r} moved from the committed "
+        f"baseline {baseline_bound!r}"
+    )
     sequential = measure_reference_workload(scheduler=False)
     budget = regression_budget_seconds(baseline, sequential["seconds"])
     assert scheduled["seconds"] < budget, (

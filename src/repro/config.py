@@ -29,9 +29,7 @@ class SDPConfig:
     Attributes:
         mode: ``"certified"`` runs the ADMM solver and repairs its dual into a
             feasible certificate (tight, default); ``"fast"`` optimises a
-            restricted dual family analytically (looser but much cheaper);
-            ``"auto"`` uses the certified mode for 1- and 2-qubit channels and
-            falls back to fast mode above that.
+            restricted dual family analytically (looser but much cheaper).
         max_iterations: ADMM iteration cap per solve.
         tolerance: relative primal/dual residual tolerance for ADMM.
         cache: reuse SDP results for repeated (channel, predicate) pairs.
@@ -42,16 +40,6 @@ class SDPConfig:
         dominance_cache: let the bound cache answer a lookup with a bound
             certified for a *weaker* predicate (same rounded ρ̂, larger δ),
             which is sound by the Weaken rule.
-        cache_max_entries: size cap of the in-memory bound cache (None =
-            unbounded).  Beyond the cap the least-recently-used entries are
-            compacted away (whole predicate groups, so the dominance layer
-            can never substitute a looser sibling for an evicted exact
-            entry), which keeps long-running services (many noise models,
-            many predicates) memory-bounded; evicted bounds are simply
-            recomputed — or reloaded from the persistent store — on the next
-            request.  An execution knob: not part of job fingerprints; every
-            answer remains a certified sound bound and, in exact arithmetic,
-            is never looser than the unbounded cache's.
         persistent_cache_path: directory for an on-disk bound store shared
             across runs (None disables).  Entries carry their full dual
             certificate and are re-verified before use.
@@ -63,18 +51,15 @@ class SDPConfig:
     cache: bool = True
     cache_decimals: int = 6
     dominance_cache: bool = True
-    cache_max_entries: int | None = None
     persistent_cache_path: str | None = None
 
     def validate(self) -> None:
-        if self.mode not in ("certified", "fast", "auto"):
+        if self.mode not in ("certified", "fast"):
             raise ValueError(f"unknown SDP mode {self.mode!r}")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
         if not 0 < self.tolerance < 1:
             raise ValueError("tolerance must lie in (0, 1)")
-        if self.cache_max_entries is not None and self.cache_max_entries < 1:
-            raise ValueError("cache_max_entries must be at least 1 (or None)")
 
 
 @dataclasses.dataclass

@@ -237,7 +237,6 @@ class GleipnirAnalyzer:
             decimals=self.config.sdp.cache_decimals,
             dominance=self.config.sdp.dominance_cache,
             store_path=self.config.sdp.persistent_cache_path,
-            max_entries=self.config.sdp.cache_max_entries,
         )
 
     # -- public API -----------------------------------------------------------

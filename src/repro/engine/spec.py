@@ -57,14 +57,24 @@ def config_to_json_dict(config: AnalysisConfig) -> dict:
 
 
 def config_from_json_dict(payload: dict) -> AnalysisConfig:
-    """Inverse of :func:`config_to_json_dict`."""
+    """Inverse of :func:`config_to_json_dict`.
+
+    Unknown fields and out-of-range values (:meth:`AnalysisConfig.validate`)
+    both raise :class:`EngineError`, so a bad job is refused when it is
+    decoded rather than failing later inside a worker.
+    """
     try:
         data = dict(payload)
         sdp = SDPConfig(**data.pop("sdp", {}))
         guard = ResourceGuard(**data.pop("guard", {}))
-        return AnalysisConfig(sdp=sdp, guard=guard, **data)
+        config = AnalysisConfig(sdp=sdp, guard=guard, **data)
     except TypeError as exc:
         raise EngineError(f"malformed config payload: {exc}") from exc
+    try:
+        config.validate()
+    except (TypeError, ValueError) as exc:
+        raise EngineError(f"invalid config payload: {exc}") from exc
+    return config
 
 
 def _semantic_config_dict(config: AnalysisConfig) -> dict:

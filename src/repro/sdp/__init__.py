@@ -1,12 +1,17 @@
-"""Semidefinite programming engine for constrained diamond norms (Section 6)."""
+"""Semidefinite programming engine for constrained diamond norms (Section 6).
 
-from .problem import BlockVector, Constraint, SDPProblem
-from .admm import ADMMResult, ADMMSolver, solve_sdp
+There is one solver surface: each (ρ̂, δ)-constrained diamond norm of Eq. (2)
+is instantiated from a cached shape template (:mod:`repro.sdp.diamond`),
+solved in lock-step with the other problems of its shape by
+:func:`admm_solve_packed_batch` (:mod:`repro.sdp.kernel`), and the ADMM dual
+point is repaired into a verified certificate (:mod:`repro.sdp.certificates`)
+whose value is the reported bound.
+"""
+
 from .kernel import (
     BlockLayout,
     PackedADMMResult,
     PackedSDP,
-    admm_solve_packed,
     admm_solve_packed_batch,
     get_layout,
     positive_part_stack,
@@ -23,7 +28,6 @@ from .certificates import (
 from .diamond import (
     DiamondNormBound,
     GateBoundCache,
-    build_constrained_diamond_sdp,
     constrained_diamond_norm,
     constrained_diamond_norms_batch,
     diamond_distance,

@@ -65,11 +65,9 @@ from .kernel import (
     positive_part_stack,
     unpack_hermitian_stack,
 )
-from .problem import BlockVector, SDPProblem
 
 __all__ = [
     "DiamondNormBound",
-    "build_constrained_diamond_sdp",
     "constrained_diamond_norm",
     "constrained_diamond_norms_batch",
     "diamond_distance",
@@ -92,8 +90,10 @@ class DiamondNormBound:
         certificate: the verified dual-feasible point establishing the bound.
         primal_estimate: the (approximate, not certified) primal value from
             ADMM; ``value - primal_estimate`` estimates the slack.
-        method: ``"certified"`` (ADMM + certificate) or ``"fast"``
-            (analytic J₊ candidate only).
+        method: how the bound was obtained — ``"certified"`` (ADMM +
+            certificate), ``"fast"`` (analytic J₊ candidate only),
+            ``"exact-zero"`` (the difference map is zero, so the bound is 0
+            without a solve) or ``"noiseless"`` (no noise acts on the gate).
         iterations: ADMM iterations spent (0 in fast mode).
         converged: whether ADMM hit its tolerance.
     """
@@ -112,89 +112,28 @@ class DiamondNormBound:
 
 
 # ---------------------------------------------------------------------------
-# SDP construction (Theorem 6.1 / Eq. 2)
-# ---------------------------------------------------------------------------
-
-def build_constrained_diamond_sdp(
-    choi: np.ndarray,
-    constraint_operator: np.ndarray | None,
-    constraint_bound: float,
-) -> SDPProblem:
-    """Assemble Eq. (2) in the standard primal form used by the ADMM solver.
-
-    Variable blocks: ``W`` (dim_out*dim_in square), the slack ``S`` of the
-    operator inequality ``I ⊗ rho >= W``, ``rho`` (dim_in square), and — when
-    the linear constraint is active — a scalar slack ``t >= 0`` for
-    ``tr(Q rho) - t = c``.  The objective is ``min <-J, W>`` so the SDP's
-    optimal value is the negative of the diamond distance.
-    """
-    choi = np.asarray(choi, dtype=np.complex128)
-    big = choi.shape[0]
-    dim = int(round(np.sqrt(big)))
-    if dim * dim != big:
-        raise SDPError(f"Choi matrix dimension {big} is not a perfect square")
-
-    use_constraint = constraint_operator is not None and constraint_bound > 0.0
-    dims = [big, big, dim] + ([1] if use_constraint else [])
-
-    objective_blocks = [
-        -choi,
-        np.zeros((big, big), dtype=np.complex128),
-        np.zeros((dim, dim), dtype=np.complex128),
-    ]
-    if use_constraint:
-        objective_blocks.append(np.zeros((1, 1), dtype=np.complex128))
-    problem = SDPProblem(dims, BlockVector(objective_blocks))
-
-    zero_big = np.zeros((big, big), dtype=np.complex128)
-    zero_small = np.zeros((dim, dim), dtype=np.complex128)
-    zero_scalar = np.zeros((1, 1), dtype=np.complex128)
-
-    # (E1)  <B_m, I ⊗ rho> - <B_m, W> - <B_m, S> = 0 for a Hermitian basis B_m.
-    # Ordered like hvec so the dual multipliers reassemble into Z directly.
-    for index, basis_element in enumerate(hermitian_basis(big)):
-        reduced = choi_output_trace_map(basis_element)
-        blocks = [-basis_element, -basis_element, reduced]
-        if use_constraint:
-            blocks.append(zero_scalar)
-        problem.add_constraint(blocks, 0.0, label=f"coupling[{index}]")
-
-    # (E2)  tr(rho) = 1.
-    blocks = [zero_big, zero_big, np.eye(dim, dtype=np.complex128)]
-    if use_constraint:
-        blocks.append(zero_scalar)
-    problem.add_constraint(blocks, 1.0, label="trace")
-
-    # (E3)  tr(Q rho) - t = c.
-    if use_constraint:
-        operator = np.asarray(constraint_operator, dtype=np.complex128)
-        if operator.shape != (dim, dim):
-            raise SDPError(
-                f"constraint operator shape {operator.shape} does not match input dim {dim}"
-            )
-        problem.add_constraint(
-            [zero_big, zero_big, operator, -np.eye(1, dtype=np.complex128)],
-            float(constraint_bound),
-            label="predicate",
-        )
-    return problem
-
-
-# ---------------------------------------------------------------------------
 # Problem templates: amortise assembly + factorisation across solves
 # ---------------------------------------------------------------------------
 
 class _ShapeTemplate:
     """Everything about Eq. (2) that depends only on the problem *shape*.
 
+    Eq. (2) in the standard primal form the ADMM solver iterates on has the
+    variable blocks ``W`` (dim_out*dim_in square), the slack ``S`` of the
+    operator inequality ``I ⊗ rho >= W``, ``rho`` (dim_in square) and — when
+    the predicate constraint is active — a scalar slack ``t >= 0`` for
+    ``tr(Q rho) - t = c``.  The objective is ``min <-J, W>``, so the SDP's
+    optimal value is the negative of the diamond distance.
+
     For a fixed Choi dimension ``big`` (and whether a predicate constraint is
     present) the coupling constraints (E1), the trace constraint (E2), the
     packed layout, and the shape part of the normal matrix ``A A*`` — plus
     its Cholesky factor — are all data-independent.  A template assembles
-    them once; :meth:`instantiate` then produces a ready-to-iterate
-    :class:`PackedSDP` for a concrete (Choi, predicate) pair by writing the
-    data vectors and, when constrained, appending the single predicate row
-    with a rank-one block-Cholesky update instead of refactorising.
+    them once; :meth:`instantiate_batch` then produces ready-to-iterate
+    :class:`PackedSDP` problems for concrete (Choi, predicate) pairs by
+    writing the data vectors and, when constrained, appending the single
+    predicate row with a rank-one block-Cholesky update instead of
+    refactorising.
 
     Templates are immutable shape data, so solves stay deterministic and
     independent of call order.
@@ -237,17 +176,6 @@ class _ShapeTemplate:
             lower=True,
             check_finite=False,
         )
-
-    def instantiate(
-        self,
-        scaled_choi: np.ndarray,
-        operator: np.ndarray | None,
-        bound_c: float,
-    ) -> PackedSDP:
-        """A ready-to-iterate packed problem for one (Choi, predicate) pair."""
-        return self.instantiate_batch(
-            [scaled_choi], [operator], [bound_c]
-        )[0]
 
     def instantiate_batch(
         self,
@@ -558,7 +486,7 @@ def constrained_diamond_norms_batch(
     ]
     bounds: list[DiamondNormBound | None] = [None] * len(prepared)
 
-    solve = config.mode in ("certified", "auto")
+    solve = config.mode == "certified"
     # In fast mode nothing is batch-solved: the groups below are certified
     # from the analytic J₊ candidate only.
     groups: dict[tuple[int, bool], list[int]] = {}
@@ -982,17 +910,6 @@ class GateBoundCache:
       warm.  Loaded entries carry their full dual certificate and are
       re-verified with :func:`repro.sdp.certificates.verify_certificate`
       before being trusted.
-
-    With ``max_entries`` set the in-memory map is **size-capped**: every hit
-    refreshes its entry's recency, and inserting past the cap compacts the
-    least-recently-used entries away (``evictions`` counts them).  Compaction
-    evicts the LRU entry's whole predicate group (every δ of the same rounded
-    ρ̂), so a surviving weaker-δ sibling can never shadow an evicted exact
-    entry through the dominance layer.  Eviction therefore only forgets
-    memoised work: a later request recomputes its bound exactly (or reloads
-    it from the persistent store) — in exact arithmetic a capped cache never
-    reports a *looser* bound than the unbounded one, and every answer stays
-    a certified sound bound.
     """
 
     def __init__(
@@ -1001,16 +918,10 @@ class GateBoundCache:
         *,
         dominance: bool = True,
         store_path: str | None = None,
-        max_entries: int | None = None,
     ):
         self.decimals = int(decimals)
         self.dominance = bool(dominance)
         self.store_path = store_path
-        if max_entries is not None and int(max_entries) < 1:
-            raise ValueError("max_entries must be at least 1 (or None)")
-        self.max_entries = int(max_entries) if max_entries is not None else None
-        # Insertion order doubles as recency order: hits re-insert their key
-        # at the end (dicts preserve order), so compaction pops the front.
         self._store: dict[tuple, DiamondNormBound] = {}
         # partial key (everything but δ) -> sorted list of (δ, full key)
         self._by_predicate: dict[tuple, list[tuple[float, tuple]]] = {}
@@ -1019,38 +930,8 @@ class GateBoundCache:
         self.misses = 0
         self.dominance_hits = 0
         self.persistent_hits = 0
-        self.evictions = 0
         if store_path is not None:
             os.makedirs(store_path, exist_ok=True)
-
-    # -- LRU bookkeeping -----------------------------------------------------
-    def _touch(self, key: tuple) -> None:
-        """Move a hit to the recency tail (no-op when the cache is unbounded)."""
-        if self.max_entries is None:
-            return
-        with self._lock:
-            bound = self._store.pop(key, None)
-            if bound is not None:
-                self._store[key] = bound
-
-    def _compact(self) -> None:
-        """Evict LRU entries down to ``max_entries``.  Callers hold ``self._lock``.
-
-        The LRU victim's whole predicate group goes with it: leaving a
-        weaker-δ sibling behind would let the dominance layer answer the
-        evicted key's next request with that looser (still sound) bound
-        instead of the exact recompute an unbounded cache would have served.
-        """
-        if self.max_entries is None:
-            return
-        while len(self._store) > self.max_entries:
-            oldest = next(iter(self._store))
-            partial = oldest[:-1]
-            group = [key for _delta, key in self._by_predicate.get(partial, ())]
-            for key in group or [oldest]:
-                if self._store.pop(key, None) is not None:
-                    self.evictions += 1
-            self._by_predicate.pop(partial, None)
 
     def _quantise(
         self, rho_local: np.ndarray, delta: float
@@ -1073,7 +954,7 @@ class GateBoundCache:
         return key_parts + (rho_bytes, delta_key), rounded_rho, effective_delta
 
     def bounds_snapshot(self) -> list[DiamondNormBound]:
-        """Every cached bound, in insertion (recency) order.
+        """Every cached bound, in insertion order.
 
         Used by the engine to harvest the dual certificates of a finished
         job for the whole-outcome store; the returned list is a copy, so
@@ -1109,7 +990,6 @@ class GateBoundCache:
         """
         cached = self._store.get(key)
         if cached is not None:
-            self._touch(key)
             return cached
         if fingerprint is not None and expected_problem is not None:
             # Persistent hits ARE counted here: loading promotes the entry
@@ -1139,7 +1019,6 @@ class GateBoundCache:
             if stored_delta >= delta_key:
                 found = self._store.get(stored_key)
                 if found is not None:
-                    self._touch(stored_key)
                     if count:
                         self.dominance_hits += 1
                     return found
@@ -1280,7 +1159,6 @@ class GateBoundCache:
         with self._lock:
             self._store[key] = bound
             self._index_key(key)
-            self._compact()
         if count:
             self.persistent_hits += 1
         return bound
@@ -1339,7 +1217,6 @@ class GateBoundCache:
         with self._lock:
             self._store[key] = bound
             self._index_key(key)
-            self._compact()
             if count_as_solve:
                 self.misses += 1
         self._persistent_save(key, bound, fingerprint)
@@ -1364,7 +1241,6 @@ class GateBoundCache:
         key = key_parts + (rho_bytes, delta_key)
         cached = self._store.get(key)
         if cached is not None:
-            self._touch(key)
             self.hits += 1
             return cached
         # Persistent exact entries are consulted before dominance: a
@@ -1406,7 +1282,6 @@ class GateBoundCache:
         with self._lock:
             self._store[key] = bound
             self._index_key(key)
-            self._compact()
         self._persistent_save(key, bound, fingerprint)
         return bound
 
@@ -1421,4 +1296,4 @@ class GateBoundCache:
             self.misses = 0
             self.dominance_hits = 0
             self.persistent_hits = 0
-            self.evictions = 0
+    

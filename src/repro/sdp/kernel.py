@@ -1,29 +1,22 @@
-"""Vectorized packed-real kernel for the block-diagonal SDP engine.
+"""Vectorized packed-real kernel of the diamond-norm SDP solver.
 
-The ADMM solver of :mod:`repro.sdp.admm` spends essentially all of its time
-in two structural operations per iteration:
-
-* packing/unpacking block-diagonal Hermitian variables to flat real vectors
-  (previously one Python-level :func:`repro.linalg.hermitian.hvec` /
-  ``hunvec`` call per block per iteration), and
-* projecting each block onto the PSD cone (previously one ``eigh`` per block
-  per iteration).
-
-This module precomputes, per block *structure* (the tuple of block side
-lengths), the index maps needed to do both operations with whole-array numpy
-work:
+The batched ADMM iteration spends essentially all of its time in two
+structural operations per iteration: moving between the flat packed-real
+variable and its Hermitian blocks, and projecting each block onto the PSD
+cone.  This module precomputes, per block *structure* (the tuple of block
+side lengths), the index maps needed to do both with whole-array numpy work:
 
 * :class:`BlockLayout` — gather/scatter maps between the flat packed-real
   vector and stacked ``(k, d, d)`` complex arrays, one stack per distinct
-  block size, so same-sized blocks are packed, unpacked and eigendecomposed
+  block size, so same-sized blocks are unpacked, eigendecomposed and repacked
   together in single batched calls;
 * :func:`BlockLayout.project_psd` — the fused flat→blocks→eigh→clip→flat
   PSD projection used inside the ADMM iteration (one batched ``eigh`` per
   distinct block size, scalars clipped directly on the flat vector);
-* :class:`PackedSDP` / :func:`admm_solve_packed` — the allocation-light ADMM
-  iteration core operating purely on flat real vectors, shared by the
-  object-level :class:`repro.sdp.admm.ADMMSolver` and the template fast path
-  of :mod:`repro.sdp.diamond`.
+* :class:`PackedSDP` / :func:`admm_solve_packed_batch` — a standard-form SDP
+  in dense packed-real form and the lock-step ADMM iteration over many
+  same-shaped ones, which the shape templates of :mod:`repro.sdp.diamond`
+  instantiate and solve.
 
 Layouts are cached per dims-tuple (:func:`get_layout`), so the maps are built
 once per problem shape for the lifetime of the process.
@@ -48,7 +41,6 @@ __all__ = [
     "BlockLayout",
     "PackedSDP",
     "PackedADMMResult",
-    "admm_solve_packed",
     "admm_solve_packed_batch",
     "get_layout",
     "pack_hermitian_stack",
@@ -65,7 +57,6 @@ class _BlockGroup:
 
     Attributes:
         dim: block side length (``> 1``; scalars are handled separately).
-        block_indices: positions of these blocks in the original dims tuple.
         gather: int array of shape ``(k, dim*dim)`` mapping the group's
             packed-real coordinates to flat-vector positions, ordered
             ``[diag | sqrt2*Re upper | sqrt2*Im upper]`` per block.
@@ -73,7 +64,6 @@ class _BlockGroup:
     """
 
     dim: int
-    block_indices: tuple[int, ...]
     gather: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
@@ -105,15 +95,7 @@ class BlockLayout:
             for row, block_index in enumerate(indices):
                 gather[row] = self.offsets[block_index] + np.arange(d * d)
             rows, cols = np.triu_indices(d, k=1)
-            self.groups.append(
-                _BlockGroup(
-                    dim=d,
-                    block_indices=tuple(indices),
-                    gather=gather,
-                    rows=rows,
-                    cols=cols,
-                )
-            )
+            self.groups.append(_BlockGroup(dim=d, gather=gather, rows=rows, cols=cols))
 
     # -- packing -----------------------------------------------------------------
     # All three structural operations are leading-dimension agnostic: a vector
@@ -149,47 +131,6 @@ class BlockLayout:
             seg[..., d : d + m] = _SQRT2 * upper.real
             seg[..., d + m :] = _SQRT2 * upper.imag
         out[..., group.gather] = seg
-
-    def pack_blocks(self, blocks: list[np.ndarray]) -> np.ndarray:
-        """Flat packed-real vector of a full list of Hermitian blocks."""
-        if len(blocks) != len(self.dims):
-            raise ValueError(
-                f"expected {len(self.dims)} blocks, got {len(blocks)}"
-            )
-        out = np.empty(self.total_real_dim, dtype=float)
-        for position, block in zip(self.scalar_positions, self._scalar_blocks(blocks)):
-            out[position] = block.real
-        for group in self.groups:
-            stack = np.stack(
-                [
-                    np.asarray(blocks[i], dtype=np.complex128)
-                    for i in group.block_indices
-                ]
-            )
-            stack = (stack + stack.conj().transpose(0, 2, 1)) / 2
-            self.pack_group(stack, group, out)
-        return out
-
-    def _scalar_blocks(self, blocks: list[np.ndarray]) -> list[np.complex128]:
-        values = []
-        for index, d in enumerate(self.dims):
-            if d == 1:
-                values.append(np.asarray(blocks[index]).reshape(1)[0])
-        return values
-
-    def unpack_blocks(self, vector: np.ndarray) -> list[np.ndarray]:
-        """Inverse of :meth:`pack_blocks`: per-block Hermitian matrices."""
-        blocks: list[np.ndarray | None] = [None] * len(self.dims)
-        for position, index in zip(
-            self.scalar_positions,
-            [i for i, d in enumerate(self.dims) if d == 1],
-        ):
-            blocks[index] = np.array([[vector[position]]], dtype=np.complex128)
-        for group in self.groups:
-            stack = self.unpack_group(vector, group)
-            for row, index in enumerate(group.block_indices):
-                blocks[index] = stack[row]
-        return blocks  # type: ignore[return-value]
 
     # -- the fused hot-path operation --------------------------------------------
     def project_psd(self, vector: np.ndarray) -> np.ndarray:
@@ -306,6 +247,14 @@ def get_layout(dims: tuple[int, ...] | list[int]) -> BlockLayout:
 # Packed ADMM core
 # ---------------------------------------------------------------------------
 
+#: Initial ADMM penalty parameter of every problem in a batch.
+_INITIAL_MU = 1.0
+
+#: Iterations between penalty rebalancing steps: a problem whose primal
+#: residual exceeds its dual residual tenfold grows its penalty by 1.5x, and
+#: the reverse shrinks it (clipped to [1e-6, 1e6]).
+_MU_ADAPT_EVERY = 60
+
 @dataclasses.dataclass
 class PackedSDP:
     """A standard-form SDP in dense packed-real form, ready to iterate.
@@ -321,22 +270,6 @@ class PackedSDP:
     c: np.ndarray
     layout: BlockLayout
     factor: tuple[np.ndarray, bool]
-
-    @classmethod
-    def assemble(
-        cls,
-        a: np.ndarray,
-        b: np.ndarray,
-        c: np.ndarray,
-        layout: BlockLayout,
-    ) -> "PackedSDP":
-        """Build a packed problem, factorising the normal matrix."""
-        normal = a @ a.T
-        ridge = 1e-12 * max(1.0, float(np.trace(normal)) / normal.shape[0])
-        factor = scipy.linalg.cho_factor(
-            normal + ridge * np.eye(normal.shape[0]), check_finite=False
-        )
-        return cls(a=a, b=b, c=c, layout=layout, factor=factor)
 
 
 @dataclasses.dataclass
@@ -354,103 +287,11 @@ class PackedADMMResult:
     converged: bool
 
 
-def admm_solve_packed(
-    packed: PackedSDP,
-    *,
-    max_iterations: int = 4000,
-    tolerance: float = 1e-7,
-    mu: float = 1.0,
-    adapt_mu: bool = True,
-    x0: np.ndarray | None = None,
-    y0: np.ndarray | None = None,
-    s0: np.ndarray | None = None,
-) -> PackedADMMResult:
-    """Dual-ascent ADMM (Wen–Goldfarb–Yin) on a packed problem.
-
-    Identical algorithm to the historic :meth:`ADMMSolver.solve`, but every
-    structural operation runs through the vectorized :class:`BlockLayout`,
-    so the per-iteration Python cost is a handful of dense matvecs plus one
-    batched ``eigh`` per distinct block size.
-    """
-    a, b, c = packed.a, packed.b, packed.c
-    layout, factor = packed.layout, packed.factor
-    n = layout.total_real_dim
-
-    x_vec = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    s_vec = np.zeros(n) if s0 is None else np.asarray(s0, dtype=float).copy()
-    y = np.zeros(a.shape[0]) if y0 is None else np.asarray(y0, dtype=float).copy()
-
-    b_scale = 1.0 + np.linalg.norm(b)
-    c_scale = 1.0 + np.linalg.norm(c)
-
-    primal_residual = np.inf
-    dual_residual = np.inf
-    iteration = 0
-    converged = False
-    check_every = 20
-    plateau_checks = 0
-    previous_dual = -np.inf
-
-    for iteration in range(1, max_iterations + 1):
-        # y-update: (A A*) y = mu * (b - A(X)) + A(C - S)
-        rhs = mu * (b - a @ x_vec) + a @ (c - s_vec)
-        y = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-
-        # S-update: project V = C - A*(y) - mu X onto the PSD cone.
-        v_vec = c - a.T @ y - mu * x_vec
-        s_vec = layout.project_psd(v_vec)
-
-        # X-update: X = (S - V) / mu  (automatically PSD).
-        x_vec = (s_vec - v_vec) / mu
-
-        if iteration % check_every == 0 or iteration == max_iterations:
-            primal_residual = np.linalg.norm(a @ x_vec - b) / b_scale
-            dual_residual = np.linalg.norm(a.T @ y + s_vec - c) / c_scale
-            gap = abs(float(c @ x_vec) - float(b @ y)) / (
-                1.0 + abs(float(c @ x_vec)) + abs(float(b @ y))
-            )
-            if max(primal_residual, dual_residual, gap) < tolerance:
-                converged = True
-                break
-            # Plateau detection: the caller only needs a good dual candidate
-            # (the bound is certified separately), so give up once the dual
-            # objective stops moving.
-            dual_objective = float(b @ y)
-            if abs(dual_objective - previous_dual) < 0.02 * tolerance * (
-                1.0 + abs(dual_objective)
-            ):
-                plateau_checks += 1
-                if plateau_checks >= 5:
-                    break
-            else:
-                plateau_checks = 0
-            previous_dual = dual_objective
-            if adapt_mu and iteration % 60 == 0:
-                if primal_residual > 10 * dual_residual:
-                    mu = min(mu * 1.5, 1e6)
-                elif dual_residual > 10 * primal_residual:
-                    mu = max(mu / 1.5, 1e-6)
-
-    return PackedADMMResult(
-        x_vec=x_vec,
-        y=y,
-        s_vec=s_vec,
-        primal_objective=float(c @ x_vec),
-        dual_objective=float(b @ y),
-        primal_residual=float(primal_residual),
-        dual_residual=float(dual_residual),
-        iterations=iteration,
-        converged=converged,
-    )
-
-
 def admm_solve_packed_batch(
     problems: list[PackedSDP],
     *,
     max_iterations: int = 4000,
     tolerance: float = 1e-7,
-    mu: float = 1.0,
-    adapt_mu: bool = True,
 ) -> list[PackedADMMResult]:
     """Run ADMM on many same-shaped SDPs simultaneously.
 
@@ -494,7 +335,7 @@ def admm_solve_packed_batch(
     x = np.zeros((count, n))
     s = np.zeros((count, n))
     y = np.zeros((count, m))
-    mus = np.full(count, float(mu))
+    mus = np.full(count, _INITIAL_MU)
     b_scale = 1.0 + np.linalg.norm(b, axis=1)
     c_scale = 1.0 + np.linalg.norm(c, axis=1)
 
@@ -560,7 +401,7 @@ def admm_solve_packed_batch(
                 previous_dual = previous_dual[keep]
                 pr, dr = pr[keep], dr[keep]
 
-            if adapt_mu and iteration % 60 == 0 and active.size:
+            if iteration % _MU_ADAPT_EVERY == 0 and active.size:
                 grow = pr > 10 * dr
                 shrink = dr > 10 * pr
                 mus = np.where(grow, np.minimum(mus * 1.5, 1e6), mus)

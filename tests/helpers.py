@@ -12,11 +12,14 @@ import numpy as np
 
 from repro.circuits import Circuit
 
-__all__ = ["RETIRED_CONFIG_KEY", "random_circuit"]
+__all__ = ["RETIRED_CONFIG_KEY", "RETIRED_SDP_CONFIG_KEY", "random_circuit"]
 
 #: The config field that once split the scheduler's solve batch across
 #: threads; spelled indirectly so the retired name stays out of the source.
 RETIRED_CONFIG_KEY = "_".join(("scheduler", "workers"))
+
+#: The ``sdp`` config field that once size-capped the in-memory bound cache.
+RETIRED_SDP_CONFIG_KEY = "_".join(("cache", "max", "entries"))
 
 
 def random_circuit(num_qubits: int, num_gates: int, seed: int = 0) -> Circuit:

@@ -15,7 +15,7 @@ import urllib.request
 
 import pytest
 
-from helpers import RETIRED_CONFIG_KEY
+from helpers import RETIRED_CONFIG_KEY, RETIRED_SDP_CONFIG_KEY
 
 from repro.api import AnalysisSession, Client
 from repro.circuits import Circuit
@@ -174,6 +174,33 @@ class TestErrorEnvelopes:
         error = json.loads(excinfo.value.read())["error"]
         assert error["type"] == "EngineError"
         assert "malformed config payload" in error["message"]
+        assert service.stats()["jobs"] == {}
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("mode", "auto", "invalid config payload"),
+            ("max_iterations", -5, "invalid config payload"),
+            (RETIRED_SDP_CONFIG_KEY, 16, "malformed config payload"),
+        ],
+    )
+    def test_bad_sdp_config_is_a_structured_400(self, server, field, value, message):
+        """Out-of-range and retired SDP fields are refused at submit."""
+        base, service = server
+        payload = _job().to_json_dict()
+        payload["config"]["sdp"][field] = value
+        request = urllib.request.Request(
+            base + "/v1/batches",
+            data=json.dumps({"jobs": [payload]}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert error["type"] == "EngineError"
+        assert error["repro_error"] is True
+        assert message in error["message"]
         assert service.stats()["jobs"] == {}
 
     def test_unreachable_server_fails_fast(self):

@@ -36,6 +36,9 @@ class TestConfig:
     def test_sdp_config_validation(self):
         with pytest.raises(ValueError):
             SDPConfig(mode="wat").validate()
+        with pytest.raises(ValueError, match="unknown SDP mode"):
+            SDPConfig(mode="auto").validate()
+        SDPConfig(mode="fast").validate()
         with pytest.raises(ValueError):
             SDPConfig(max_iterations=0).validate()
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import RETIRED_CONFIG_KEY
+from helpers import RETIRED_CONFIG_KEY, RETIRED_SDP_CONFIG_KEY
 
 from repro.circuits import Circuit
 from repro.circuits.serialize import (
@@ -24,6 +24,7 @@ from repro.engine.spec import (
     JobResult,
     config_from_json_dict,
     config_to_json_dict,
+    job_from_json_dict,
 )
 from repro.errors import CircuitError, EngineError, NoiseModelError
 from repro.linalg.channels import QuantumChannel
@@ -129,6 +130,32 @@ class TestConfigSerialization:
         payload[RETIRED_CONFIG_KEY] = 2
         with pytest.raises(EngineError, match="malformed config payload"):
             config_from_json_dict(payload)
+
+    def test_retired_bound_cache_cap_rejected(self):
+        """Payloads written before the bound-cache size cap was retired."""
+        payload = config_to_json_dict(AnalysisConfig())
+        payload["sdp"][RETIRED_SDP_CONFIG_KEY] = 16
+        with pytest.raises(EngineError, match="malformed config payload"):
+            config_from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("sdp", "mode", "bogus"),
+            ("sdp", "mode", "auto"),
+            ("sdp", "max_iterations", -5),
+            ("sdp", "tolerance", 3),
+            ("sdp", "tolerance", "tight"),
+            (None, "mps_width", 0),
+        ],
+    )
+    def test_out_of_range_values_rejected(self, section, field, value):
+        """Values AnalysisConfig.validate refuses never reach a fingerprint."""
+        payload = _fast_job().to_json_dict()
+        target = payload["config"] if section is None else payload["config"][section]
+        target[field] = value
+        with pytest.raises(EngineError, match="invalid config payload"):
+            job_from_json_dict(payload)
 
 
 def _fast_job(name="job") -> AnalysisJob:

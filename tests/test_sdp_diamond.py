@@ -219,100 +219,3 @@ class TestCache:
         assert len(cache) == 1
         cache.clear()
         assert len(cache) == 0 and cache.hits == 0
-
-
-class TestCacheEviction:
-    """Size-capped LRU compaction of the in-memory bound cache."""
-
-    @staticmethod
-    def _bound():
-        from repro.sdp.certificates import DualCertificate
-        from repro.sdp.diamond import DiamondNormBound
-
-        certificate = DualCertificate(0.0, np.zeros((2, 2)), 0.0, None, 0.0)
-        return DiamondNormBound(0.0, certificate, 0.0, method="test")
-
-    @staticmethod
-    def _key(index: int, delta: float = 0.5) -> tuple:
-        return ("gate", f"noise{index}", b"rho", delta)
-
-    def test_insert_past_cap_evicts_oldest(self):
-        cache = GateBoundCache(max_entries=3)
-        for index in range(5):
-            cache.insert(self._key(index), self._bound(), count_as_solve=False)
-        assert len(cache) == 3
-        assert cache.evictions == 2
-        # The two oldest inserts are gone; the newest three remain.
-        assert cache._store.get(self._key(0)) is None
-        assert cache._store.get(self._key(1)) is None
-        assert cache._store.get(self._key(4)) is not None
-
-    def test_hit_refreshes_recency(self):
-        cache = GateBoundCache(max_entries=2)
-        rho = maximally_mixed(1)
-        first = cache.lookup_or_compute(
-            ("x",), PAULI_X, bit_flip(0.1), rho, 0.0, config=CFG
-        )
-        cache.lookup_or_compute(("h",), HADAMARD, bit_flip(0.1), rho, 0.0, config=CFG)
-        # Touch the first entry, then insert a third: the *untouched* second
-        # entry is the LRU victim.
-        again = cache.lookup_or_compute(
-            ("x",), PAULI_X, bit_flip(0.1), rho, 0.0, config=CFG
-        )
-        assert again.value == first.value and cache.hits == 1
-        cache.lookup_or_compute(("x2",), PAULI_X, bit_flip(0.2), rho, 0.0, config=CFG)
-        assert len(cache) == 2 and cache.evictions == 1
-        hits_before = cache.hits
-        cache.lookup_or_compute(("x",), PAULI_X, bit_flip(0.1), rho, 0.0, config=CFG)
-        assert cache.hits == hits_before + 1  # survivor still answers
-
-    def test_eviction_takes_whole_predicate_groups(self):
-        cache = GateBoundCache(max_entries=1, dominance=True)
-        partial = ("gate", "noise", b"rho")
-        cache.insert(partial + (0.75,), self._bound(), count_as_solve=False)
-        cache.insert(partial + (0.25,), self._bound(), count_as_solve=False)
-        # Compaction evicts the LRU key's whole predicate group: a surviving
-        # weaker-delta sibling could otherwise shadow the evicted exact entry
-        # through the dominance layer with a looser bound.
-        assert len(cache) == 0 and cache.evictions == 2
-        assert cache._dominance_lookup(partial + (0.5,)) is None
-        assert partial not in cache._by_predicate
-
-    def test_no_dominance_shadowing_after_eviction(self):
-        """A capped run never answers an evicted exact key with a looser sibling."""
-        rho = maximally_mixed(1)
-        capped = GateBoundCache(max_entries=2, dominance=True)
-        unbounded = GateBoundCache(dominance=True)
-        sequence = [
-            (("x",), PAULI_X, bit_flip(0.1), 0.0),   # exact entry, partial P
-            (("x",), PAULI_X, bit_flip(0.1), 0.5),   # weaker sibling, partial P
-            (("h",), HADAMARD, bit_flip(0.1), 0.0),  # evicts: P would be split
-            (("x",), PAULI_X, bit_flip(0.1), 0.0),   # must recompute exactly
-        ]
-        for key, gate, channel, delta in sequence:
-            a = capped.lookup_or_compute(key, gate, channel, rho, delta, config=CFG)
-            b = unbounded.lookup_or_compute(key, gate, channel, rho, delta, config=CFG)
-            assert a.value == b.value
-        assert capped.evictions >= 1
-
-    def test_eviction_never_changes_values(self):
-        rho = maximally_mixed(1)
-        capped = GateBoundCache(max_entries=1)
-        unbounded = GateBoundCache()
-        for key, gate, channel in [
-            (("x",), PAULI_X, bit_flip(0.1)),
-            (("h",), HADAMARD, bit_flip(0.1)),
-            (("x",), PAULI_X, bit_flip(0.1)),  # recompute after eviction
-        ]:
-            a = capped.lookup_or_compute(key, gate, channel, rho, 0.0, config=CFG)
-            b = unbounded.lookup_or_compute(key, gate, channel, rho, 0.0, config=CFG)
-            assert a.value == b.value
-        assert capped.evictions >= 1
-
-    def test_config_knob_validates(self):
-        with pytest.raises(ValueError):
-            GateBoundCache(max_entries=0)
-        cfg = SDPConfig(cache_max_entries=0)
-        with pytest.raises(ValueError):
-            cfg.validate()
-        SDPConfig(cache_max_entries=16).validate()

@@ -5,25 +5,46 @@ import pytest
 
 from repro.config import SDPConfig
 from repro.linalg import identity_channel, maximally_mixed, pure_density, plus_state
+from repro.linalg.channels import choi_output_trace_map
 from repro.linalg.decompositions import positive_part
-from repro.linalg.hermitian import hunvec, hvec, random_hermitian
+from repro.linalg.hermitian import hermitian_basis, hunvec, hvec, random_hermitian
 from repro.noise import amplitude_damping, bit_flip, depolarizing
 from repro.sdp import (
-    ADMMSolver,
-    BlockVector,
-    SDPProblem,
-    admm_solve_packed,
     admm_solve_packed_batch,
     constrained_diamond_norm,
     constrained_diamond_norms_batch,
     get_layout,
     verify_certificate,
 )
-from repro.sdp.diamond import _get_template, build_constrained_diamond_sdp
+from repro.sdp.diamond import _get_template
 from repro.sdp.kernel import BlockLayout
 
 
 DIMS_CASES = [(2,), (1,), (3, 1), (4, 4, 2, 1), (2, 3, 2, 1, 1, 5)]
+
+
+def _hunvec_blocks(layout, vector):
+    """Reference unpacking: ``hunvec`` of every block's slice of the vector."""
+    return [
+        hunvec(vector[offset : offset + d * d], d)
+        for offset, d in zip(layout.offsets, layout.dims)
+    ]
+
+
+def _group_stack(layout, blocks, dim):
+    """The blocks of one side length, in dims order (a group's stack order)."""
+    return np.stack([block for d, block in zip(layout.dims, blocks) if d == dim])
+
+
+def _pack(layout, blocks):
+    """Flat vector of Hermitian blocks through the layout's group scatter."""
+    out = np.zeros(layout.total_real_dim)
+    for offset, d, block in zip(layout.offsets, layout.dims, blocks):
+        if d == 1:
+            out[offset] = block[0, 0].real
+    for group in layout.groups:
+        layout.pack_group(_group_stack(layout, blocks, group.dim), group, out)
+    return out
 
 
 class TestBlockLayout:
@@ -32,11 +53,9 @@ class TestBlockLayout:
         """The packed-real embedding is exactly the concatenated hvec map."""
         blocks = [random_hermitian(d, rng=rng) for d in dims]
         layout = get_layout(dims)
-        packed = layout.pack_blocks(blocks)
+        packed = _pack(layout, blocks)
         reference = np.concatenate([hvec(b) for b in blocks])
-        assert np.array_equal(packed, reference) or np.allclose(
-            packed, reference, atol=0, rtol=0
-        )
+        assert np.array_equal(packed, reference)
 
     @pytest.mark.parametrize("dims", DIMS_CASES)
     def test_roundtrip_exact(self, dims, rng):
@@ -47,28 +66,34 @@ class TestBlockLayout:
         """
         blocks = [random_hermitian(d, rng=rng) for d in dims]
         layout = get_layout(dims)
-        rebuilt = layout.unpack_blocks(layout.pack_blocks(blocks))
-        for original, back in zip(blocks, rebuilt):
+        packed = _pack(layout, blocks)
+        for group in layout.groups:
+            original = _group_stack(layout, blocks, group.dim)
+            back = layout.unpack_group(packed, group)
             assert np.allclose(back, original, atol=1e-15, rtol=1e-15)
-            assert np.array_equal(np.diagonal(back), np.diagonal(original).real)
+            assert np.array_equal(
+                np.diagonal(back, axis1=-2, axis2=-1),
+                np.diagonal(original, axis1=-2, axis2=-1).real,
+            )
 
     @pytest.mark.parametrize("dims", DIMS_CASES)
     def test_unpack_matches_hunvec(self, dims, rng):
         layout = get_layout(dims)
         vector = rng.normal(size=layout.total_real_dim)
-        blocks = layout.unpack_blocks(vector)
-        offset = 0
-        for d, block in zip(dims, blocks):
-            assert np.allclose(block, hunvec(vector[offset : offset + d * d], d))
-            offset += d * d
+        reference = _hunvec_blocks(layout, vector)
+        for group in layout.groups:
+            assert np.allclose(
+                layout.unpack_group(vector, group),
+                _group_stack(layout, reference, group.dim),
+            )
 
     @pytest.mark.parametrize("dims", DIMS_CASES)
     def test_project_psd_matches_positive_part(self, dims, rng):
         """The fused batched projection equals per-block positive_part."""
         layout = get_layout(dims)
         vector = rng.normal(size=layout.total_real_dim)
-        projected = layout.unpack_blocks(layout.project_psd(vector))
-        for block, reference_input in zip(projected, layout.unpack_blocks(vector)):
+        projected = _hunvec_blocks(layout, layout.project_psd(vector))
+        for block, reference_input in zip(projected, _hunvec_blocks(layout, vector)):
             if reference_input.shape == (1, 1):
                 expected = np.array([[max(0.0, reference_input[0, 0].real)]])
             else:
@@ -85,10 +110,11 @@ class TestBlockLayout:
 
     def test_inner_product_preserved(self, rng):
         """The packed embedding is an isometry for the trace inner product."""
-        dims = (3, 2)
-        a = BlockVector([random_hermitian(d, rng=rng) for d in dims])
-        b = BlockVector([random_hermitian(d, rng=rng) for d in dims])
-        assert np.isclose(a.to_real() @ b.to_real(), a.inner(b), atol=1e-10)
+        layout = get_layout((3, 2))
+        a = [random_hermitian(d, rng=rng) for d in layout.dims]
+        b = [random_hermitian(d, rng=rng) for d in layout.dims]
+        trace_inner = sum(np.trace(x @ y).real for x, y in zip(a, b))
+        assert np.isclose(_pack(layout, a) @ _pack(layout, b), trace_inner, atol=1e-10)
 
     def test_layout_cache_identity(self):
         assert get_layout((4, 4, 2, 1)) is get_layout([4, 4, 2, 1])
@@ -154,8 +180,8 @@ class TestBatchedADMM:
         template_1q_free = _get_template(4, False)
         rho = maximally_mixed(1)
         choi = bit_flip(0.01).choi() - identity_channel(1).choi()
-        constrained = template_1q.instantiate(choi, rho, 0.4)
-        unconstrained = template_1q_free.instantiate(choi, None, 0.0)
+        constrained = template_1q.instantiate_batch([choi], [rho], [0.4])[0]
+        unconstrained = template_1q_free.instantiate_batch([choi], [None], [0.0])[0]
         with pytest.raises(ValueError):
             admm_solve_packed_batch([constrained, unconstrained])
 
@@ -163,6 +189,42 @@ class TestBatchedADMM:
         bounds = constrained_diamond_norms_batch([(np.zeros((4, 4)), None, 0.0)])
         assert bounds[0].value == 0.0
         assert bounds[0].method == "exact-zero"
+
+
+def _explicit_eq2(choi, operator, bound_c):
+    """Eq. (2) in packed standard form, assembled row by row.
+
+    An independent reference for the shape templates: every coupling row is
+    built from ``hvec`` of a Hermitian basis element and its image under the
+    Choi output-trace map, where the template instead writes the W/S parts
+    as ``-I`` and caches the shape rows.
+    """
+    big = choi.shape[0]
+    dim = int(round(np.sqrt(big)))
+    use_constraint = operator is not None
+    zero_big = np.zeros(big * big)
+    zero_small = np.zeros(dim * dim)
+    scalar = [np.zeros(1)] if use_constraint else []
+    rows, values = [], []
+    for basis_element in hermitian_basis(big):
+        rows.append(
+            np.concatenate(
+                [
+                    hvec(-basis_element),
+                    hvec(-basis_element),
+                    hvec(choi_output_trace_map(basis_element)),
+                    *scalar,
+                ]
+            )
+        )
+        values.append(0.0)
+    rows.append(np.concatenate([zero_big, zero_big, hvec(np.eye(dim)), *scalar]))
+    values.append(1.0)
+    if use_constraint:
+        rows.append(np.concatenate([zero_big, zero_big, hvec(operator), [-1.0]]))
+        values.append(bound_c)
+    objective = np.concatenate([hvec(-choi), zero_big, zero_small, *scalar])
+    return np.array(rows), np.array(values), objective
 
 
 class TestTemplates:
@@ -174,13 +236,13 @@ class TestTemplates:
         operator = maximally_mixed(1) if use_constraint else None
         bound_c = 0.45 if use_constraint else 0.0
 
-        problem = build_constrained_diamond_sdp(choi, operator, bound_c)
+        a, b, c = _explicit_eq2(choi, operator, bound_c)
         template = _get_template(choi.shape[0], use_constraint)
-        packed = template.instantiate(choi, operator, bound_c)
+        packed = template.instantiate_batch([choi], [operator], [bound_c])[0]
 
-        assert np.allclose(packed.a, problem.constraint_matrix(), atol=1e-12)
-        assert np.allclose(packed.b, problem.constraint_values(), atol=1e-12)
-        assert np.allclose(packed.c, problem.objective_vector(), atol=1e-12)
+        assert np.allclose(packed.a, a, atol=1e-12)
+        assert np.allclose(packed.b, b, atol=1e-12)
+        assert np.allclose(packed.c, c, atol=1e-12)
 
     def test_mismatched_operator_shape_rejected(self):
         """The template path keeps the explicit builder's shape validation."""
@@ -202,29 +264,10 @@ class TestTemplates:
         choi = depolarizing(0.01).choi() - identity_channel(1).choi()
         operator = pure_density(plus_state(1))
         template = _get_template(4, True)
-        packed = template.instantiate((choi + choi.conj().T) / 2, operator, 0.8)
+        packed = template.instantiate_batch(
+            [(choi + choi.conj().T) / 2], [operator], [0.8]
+        )[0]
         normal = packed.a @ packed.a.T
         rhs = np.arange(1.0, normal.shape[0] + 1)
         solved = scipy.linalg.cho_solve(packed.factor, rhs)
         assert np.allclose(normal @ solved, rhs, atol=1e-6)
-
-    def test_packed_solver_agrees_with_object_solver(self):
-        """admm_solve_packed and ADMMSolver produce the same iterates."""
-        c = np.diag([3.0, 1.0, 2.0]).astype(complex)
-        problem = SDPProblem([3], BlockVector([c]))
-        problem.add_constraint([np.eye(3, dtype=complex)], 1.0, label="trace")
-        object_result = ADMMSolver(
-            problem, max_iterations=2000, tolerance=1e-8
-        ).solve()
-        from repro.sdp import PackedSDP
-
-        packed = PackedSDP.assemble(
-            problem.constraint_matrix(),
-            problem.constraint_values(),
-            problem.objective_vector(),
-            get_layout(problem.block_dims),
-        )
-        raw = admm_solve_packed(packed, max_iterations=2000, tolerance=1e-8)
-        assert raw.iterations == object_result.iterations
-        assert np.isclose(raw.primal_objective, object_result.primal_objective)
-        assert np.isclose(raw.dual_objective, object_result.dual_objective)
