@@ -37,6 +37,7 @@ import dataclasses
 import hashlib
 import threading
 import time
+from collections import OrderedDict
 
 import numpy as np
 
@@ -75,12 +76,16 @@ __all__ = [
 # downstream float is identical to a cold walk's.  Steps containing
 # measurements are never memoised: their traversal forks on branch
 # probabilities, so a snapshot would not capture the walk state.
+#
+# Both caps are least-recently-used: a store or a hit moves the steps it
+# touched to the recency tail, and eviction and snapshot stripping take from
+# the head, each in O(1).
 
-#: Total memoised steps kept (oldest evicted beyond this).
+#: Total memoised steps kept (least recently used evicted beyond this).
 TAPE_MEMO_MAX_STEPS = 1024
 
-#: Steps that retain their MPS snapshot (older snapshots are stripped first;
-#: a stripped step can still be replayed but not resumed from).
+#: Steps that retain their MPS snapshot (least recently used snapshots are
+#: stripped first; a stripped step can still be replayed but not resumed from).
 TAPE_MEMO_MAX_SNAPSHOTS = 64
 
 
@@ -94,7 +99,9 @@ class _MemoStep:
     snapshot: MPSApproximator | None
 
 
-_TAPE_MEMO: dict[str, _MemoStep] = {}
+_TAPE_MEMO: OrderedDict[str, _MemoStep] = OrderedDict()
+#: Keys of the entries that still hold a snapshot, in recency order.
+_TAPE_MEMO_SNAPSHOTS: OrderedDict[str, None] = OrderedDict()
 _TAPE_MEMO_LOCK = threading.Lock()
 _TAPE_MEMO_STATS = {"hits": 0, "misses": 0, "steps_reused": 0}
 
@@ -103,6 +110,7 @@ def clear_tape_memo() -> None:
     """Drop every memoised tape prefix and reset the counters."""
     with _TAPE_MEMO_LOCK:
         _TAPE_MEMO.clear()
+        _TAPE_MEMO_SNAPSHOTS.clear()
         for key in _TAPE_MEMO_STATS:
             _TAPE_MEMO_STATS[key] = 0
 
@@ -327,6 +335,10 @@ class BoundScheduler:
             if resume_index >= 0:
                 _TAPE_MEMO_STATS["hits"] += 1
                 _TAPE_MEMO_STATS["steps_reused"] += resume_index + 1
+                for chain in chains[: resume_index + 1]:
+                    _TAPE_MEMO.move_to_end(chain)
+                    if chain in _TAPE_MEMO_SNAPSHOTS:
+                        _TAPE_MEMO_SNAPSHOTS.move_to_end(chain)
             else:
                 _TAPE_MEMO_STATS["misses"] += 1
         outcome = "hit" if resume_index >= 0 else "miss"
@@ -372,19 +384,18 @@ class BoundScheduler:
     @staticmethod
     def _memo_store(chain: str, node: _MemoStep) -> None:
         with _TAPE_MEMO_LOCK:
-            _TAPE_MEMO.pop(chain, None)  # re-insert at the recency tail
             _TAPE_MEMO[chain] = node
+            _TAPE_MEMO.move_to_end(chain)
+            _TAPE_MEMO_SNAPSHOTS[chain] = None
+            _TAPE_MEMO_SNAPSHOTS.move_to_end(chain)
             while len(_TAPE_MEMO) > TAPE_MEMO_MAX_STEPS:
-                _TAPE_MEMO.pop(next(iter(_TAPE_MEMO)))
-            snapshots = [
-                key
-                for key, entry in _TAPE_MEMO.items()
-                if entry.snapshot is not None
-            ]
-            # Strip the oldest snapshots beyond the cap; the stripped steps
-            # remain replayable, they just cannot seed a resume any more.
-            for key in snapshots[: max(0, len(snapshots) - TAPE_MEMO_MAX_SNAPSHOTS)]:
-                _TAPE_MEMO[key].snapshot = None
+                evicted, _ = _TAPE_MEMO.popitem(last=False)
+                _TAPE_MEMO_SNAPSHOTS.pop(evicted, None)
+            # Strip the least recently used snapshots beyond the cap; the
+            # stripped steps remain replayable, they just cannot seed a resume.
+            while len(_TAPE_MEMO_SNAPSHOTS) > TAPE_MEMO_MAX_SNAPSHOTS:
+                stripped, _ = _TAPE_MEMO_SNAPSHOTS.popitem(last=False)
+                _TAPE_MEMO[stripped].snapshot = None
 
     # -- collection traversal (mirrors GleipnirAnalyzer._analyze_node) -------
     def _collect(

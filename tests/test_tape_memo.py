@@ -7,6 +7,9 @@ knob (``AnalysisConfig.tape_memo``); it never changes fingerprints or
 results, only how the tape is produced.
 """
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from helpers import random_circuit
 
 from repro.circuits import Circuit
 from repro.config import AnalysisConfig, SDPConfig
+from repro.core import scheduler
 from repro.core.analyzer import analyze_program
 from repro.core.scheduler import clear_tape_memo, tape_memo_stats
 from repro.noise import NoiseModel
@@ -144,6 +148,78 @@ class TestKnobsAndStats:
         assert warm.tape_steps_reused == 0
         cold = analyze_program(circuit, MODEL, config=wider.replace(tape_memo=False))
         assert warm.error_bound == cold.error_bound
+
+
+def _chain(first: str, depth: int) -> Circuit:
+    """A 3-qubit circuit of ``depth`` top-level steps opening with gate ``first``.
+
+    Distinct openings give distinct memo chains, so no two of these circuits
+    share an entry.
+    """
+    circuit = getattr(Circuit(3, name=f"chain_{first}"), first)(0)
+    for step in range(1, depth):
+        circuit = circuit.rx(0.1 * step, step % 3) if step % 2 else circuit.cx(step % 3, 0)
+    return circuit
+
+
+class TestRecency:
+    DEPTH = 4
+
+    def test_hit_refreshes_recency(self, monkeypatch):
+        """A is re-read after B fills the memo, so C's store evicts B, not A."""
+        monkeypatch.setattr(scheduler, "TAPE_MEMO_MAX_STEPS", 2 * self.DEPTH)
+        monkeypatch.setattr(scheduler, "TAPE_MEMO_MAX_SNAPSHOTS", 2 * self.DEPTH)
+        a, b, c = (_chain(first, self.DEPTH) for first in ("h", "x", "z"))
+        _analyze(a)
+        _analyze(b)
+        assert tape_memo_stats()["entries"] == 2 * self.DEPTH
+        assert _analyze(a).tape_steps_reused == self.DEPTH
+        _analyze(c)
+        assert _analyze(a).tape_steps_reused == self.DEPTH
+        assert _analyze(b).tape_steps_reused == 0
+
+    def test_only_the_newest_entries_keep_a_snapshot(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "TAPE_MEMO_MAX_SNAPSHOTS", 3)
+        for first in ("h", "x", "z"):
+            _analyze(_chain(first, self.DEPTH))
+        keys = list(scheduler._TAPE_MEMO)
+        assert len(keys) == 3 * self.DEPTH
+        holding = [key for key in keys if scheduler._TAPE_MEMO[key].snapshot is not None]
+        assert holding == keys[-3:]
+        assert list(scheduler._TAPE_MEMO_SNAPSHOTS) == holding
+
+    def test_concurrent_hits_and_stores_keep_the_memo_consistent(self, monkeypatch):
+        """Threads racing hits against evicting stores: every analysis stays
+        bit-identical to its memo-off reference, and the snapshot tracker
+        names exactly the entries that still hold a snapshot."""
+        monkeypatch.setattr(scheduler, "TAPE_MEMO_MAX_STEPS", 3 * self.DEPTH)
+        monkeypatch.setattr(scheduler, "TAPE_MEMO_MAX_SNAPSHOTS", 2)
+        circuits = [_chain(first, self.DEPTH) for first in ("h", "x", "z", "s", "t")]
+        expected = [_analyze(circuit, NO_MEMO).error_bound for circuit in circuits]
+        failures = []
+
+        def worker(offset: int) -> None:
+            for step in range(6):
+                index = (offset + step) % len(circuits)
+                if _analyze(circuits[index]).error_bound != expected[index]:
+                    failures.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        holding = [key for key, entry in scheduler._TAPE_MEMO.items() if entry.snapshot is not None]
+        assert sorted(scheduler._TAPE_MEMO_SNAPSHOTS) == sorted(holding)
+        assert len(holding) <= 2
+        assert len(scheduler._TAPE_MEMO) <= 3 * self.DEPTH
 
 
 class TestMeasurementBoundary:
