@@ -59,7 +59,7 @@ _RESULTS: dict[str, dict[str, float]] = {}
 @pytest.mark.parametrize("case", sorted(_CASES), ids=sorted(_CASES))
 def test_gate_bound_modes(benchmark, case, mode):
     gate, noise, rho, delta = _CASES[case]
-    config = SDPConfig(mode=mode, max_iterations=1500, tolerance=3e-6)
+    config = SDPConfig(mode=mode)
 
     def run():
         return gate_error_bound(gate, noise, rho, delta, config=config)

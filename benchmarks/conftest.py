@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import AnalysisConfig, SDPConfig, full_scale_requested
+from repro.config import AnalysisConfig, full_scale_requested
 
 
 def experiment_scale() -> str:
@@ -24,10 +24,8 @@ def experiment_mps_width() -> int:
 
 
 def experiment_config() -> AnalysisConfig:
-    return AnalysisConfig(
-        mps_width=experiment_mps_width(),
-        sdp=SDPConfig(max_iterations=1500, tolerance=3e-6),
-    )
+    """The shipped SDP defaults at the experiment's MPS width."""
+    return AnalysisConfig(mps_width=experiment_mps_width())
 
 
 @pytest.fixture(scope="session")

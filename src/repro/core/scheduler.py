@@ -203,6 +203,7 @@ class BoundScheduler:
                 )
                 if solve_class.fingerprint is not None
                 else None,
+                config=self.config.sdp,
             )
             is None
         ]
@@ -251,7 +252,12 @@ class BoundScheduler:
                 timing_events=report.solve_timings,
             )
         for solve_class, bound in zip(pending, bounds):
-            self.cache.insert(solve_class.key, bound, fingerprint=solve_class.fingerprint)
+            self.cache.insert(
+                solve_class.key,
+                bound,
+                fingerprint=solve_class.fingerprint,
+                config=self.config.sdp,
+            )
         report.solve_seconds = time.perf_counter() - solve_start
         return report
 

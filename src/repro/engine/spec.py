@@ -30,6 +30,7 @@ from ..config import AnalysisConfig, ResourceGuard, SDPConfig
 from ..errors import EngineError, MetricError
 from ..linalg.channels import QuantumChannel
 from ..noise.model import NoiseModel
+from ..sdp.kernel import ADMM_RULE_VERSION
 
 __all__ = [
     "AnalysisJob",
@@ -81,12 +82,13 @@ def _semantic_config_dict(config: AnalysisConfig) -> dict:
     """The subset of the configuration that can change the certified bound.
 
     The MPS width changes the predicate strength; the SDP mode, iteration
-    cap, tolerance, and cache quantisation change which dual certificate is
-    found; the noise convention changes the analysed channel.  Everything
-    else — scheduler on/off, the tape memo, cache paths, derivation
-    collection, resource budgets — changes *when or whether* the same bound
-    is computed, never its value, and is excluded so fingerprints survive
-    re-runs under different execution settings.
+    cap, tolerance, cache quantisation and the kernel's ADMM step rule
+    (:data:`repro.sdp.kernel.ADMM_RULE_VERSION`) change which dual
+    certificate is found; the noise convention changes the analysed
+    channel.  Everything else — scheduler on/off, the tape memo, cache
+    paths, derivation collection, resource budgets — changes *when or
+    whether* the same bound is computed, never its value, and is excluded
+    so fingerprints survive re-runs under different execution settings.
     """
     return {
         "mps_width": config.mps_width,
@@ -98,6 +100,7 @@ def _semantic_config_dict(config: AnalysisConfig) -> dict:
             "cache": config.sdp.cache,
             "cache_decimals": config.sdp.cache_decimals,
             "dominance_cache": config.sdp.dominance_cache,
+            "admm_rule": ADMM_RULE_VERSION,
         },
     }
 

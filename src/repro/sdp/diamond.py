@@ -58,6 +58,7 @@ from .certificates import (
     verify_certificate,
 )
 from .kernel import (
+    ADMM_RULE_VERSION,
     PackedSDP,
     admm_solve_packed_batch,
     get_layout,
@@ -906,10 +907,12 @@ class GateBoundCache:
       Eq. (2)), so it soundly upper-bounds the stronger request, again by the
       Weaken rule.  Dominance answers are counted in ``dominance_hits``;
     * an optional *persistent on-disk store* (``store_path``), keyed by a
-      content hash of the quantised key, so repeated experiment runs start
-      warm.  Loaded entries carry their full dual certificate and are
-      re-verified with :func:`repro.sdp.certificates.verify_certificate`
-      before being trusted.
+      content hash of the quantised key, the problem data and the solver
+      (:meth:`solver_identity`), so repeated experiment runs start warm but
+      a store filled by a looser solver never answers for a tighter one.
+      Loaded entries carry their full dual certificate and are re-verified
+      with :func:`repro.sdp.certificates.verify_certificate` before being
+      trusted.
     """
 
     def __init__(
@@ -969,6 +972,8 @@ class GateBoundCache:
         key: tuple,
         fingerprint: str | None = None,
         expected_problem=None,
+        *,
+        config: SDPConfig | None = None,
     ) -> DiamondNormBound | None:
         """Exact / persistent / dominance lookup for the scheduler's pre-pass.
 
@@ -976,7 +981,8 @@ class GateBoundCache:
         replay's :meth:`lookup_or_compute` records those, so counting here
         as well would double every statistic.  The persistent layer is only
         consulted when the caller supplies both the problem ``fingerprint``
-        that disk entries are keyed by and the ``expected_problem`` callable
+        that disk entries are keyed by (together with the solver ``config``,
+        see :meth:`solver_identity`) and the ``expected_problem`` callable
         used to validate them; disk hits *are* counted here, because loading
         promotes the entry into memory and the replay can then only see a
         plain hit.
@@ -996,7 +1002,9 @@ class GateBoundCache:
             # into the in-memory map, so the replay's lookup_or_compute can
             # only ever record it as a plain hit — without counting now,
             # persistent_hits would always read 0 under the scheduled path.
-            cached = self._persistent_lookup(key, fingerprint, expected_problem)
+            cached = self._persistent_lookup(
+                key, fingerprint, self.solver_identity(config), expected_problem
+            )
             if cached is not None:
                 return cached
         return self._dominance_lookup(key, count=False)
@@ -1053,9 +1061,25 @@ class GateBoundCache:
         digest.update(b"1" if noise_after_gate else b"0")
         return digest.hexdigest()
 
-    def _hash_key(self, key: tuple, fingerprint: str) -> str:
+    @staticmethod
+    def solver_identity(config: SDPConfig | None) -> str:
+        """The solver settings a persisted bound was certified under.
+
+        Every bound is sound, but how tight it is depends on the SDP mode,
+        the iteration cap, the tolerance and the ADMM step rule.  The
+        persistent store binds this string into its key and checks it on
+        load, so a store filled by a looser solver (``mode="fast"``, a lower
+        cap, an older rule) is never served as a tighter solver's answer.
+        """
+        config = config or SDPConfig()
+        return (
+            f"{config.mode}|{config.max_iterations}|{config.tolerance!r}"
+            f"|{ADMM_RULE_VERSION}"
+        )
+
+    def _hash_key(self, key: tuple, fingerprint: str, solver: str) -> str:
         return hashlib.sha256(
-            repr(key).encode() + fingerprint.encode()
+            repr(key).encode() + fingerprint.encode() + solver.encode()
         ).hexdigest()
 
     @staticmethod
@@ -1091,6 +1115,7 @@ class GateBoundCache:
         self,
         key: tuple,
         fingerprint: str,
+        solver: str,
         expected_problem,
         *,
         count: bool = True,
@@ -1106,7 +1131,9 @@ class GateBoundCache:
         """
         if self.store_path is None:
             return None
-        path = os.path.join(self.store_path, self._hash_key(key, fingerprint) + ".npz")
+        path = os.path.join(
+            self.store_path, self._hash_key(key, fingerprint, solver) + ".npz"
+        )
         if not os.path.exists(path):
             return None
         try:
@@ -1114,6 +1141,8 @@ class GateBoundCache:
                 if str(data["key_repr"]) != repr(key):
                     return None
                 if str(data["fingerprint"]) != fingerprint:
+                    return None
+                if str(data["solver"]) != solver:
                     return None
                 operator = data["constraint_operator"]
                 certificate = DualCertificate(
@@ -1164,12 +1193,18 @@ class GateBoundCache:
         return bound
 
     def _persistent_save(
-        self, key: tuple, bound: DiamondNormBound, fingerprint: str | None
+        self,
+        key: tuple,
+        bound: DiamondNormBound,
+        fingerprint: str | None,
+        solver: str,
     ) -> None:
         if self.store_path is None or bound.choi is None or fingerprint is None:
             return
         operator = bound.certificate.constraint_operator
-        path = os.path.join(self.store_path, self._hash_key(key, fingerprint) + ".npz")
+        path = os.path.join(
+            self.store_path, self._hash_key(key, fingerprint, solver) + ".npz"
+        )
         # Unique tmp name: concurrent processes sharing the store directory
         # must not interleave writes before the atomic publish below.
         tmp_path = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
@@ -1178,6 +1213,7 @@ class GateBoundCache:
                 tmp_path,
                 key_repr=np.str_(repr(key)),
                 fingerprint=np.str_(fingerprint),
+                solver=np.str_(solver),
                 value=bound.certificate.value,
                 z=bound.certificate.z,
                 y=bound.certificate.y,
@@ -1212,14 +1248,15 @@ class GateBoundCache:
         *,
         count_as_solve: bool = True,
         fingerprint: str | None = None,
+        config: SDPConfig | None = None,
     ) -> None:
-        """Record a freshly computed bound (used by the bound scheduler)."""
+        """Record a bound the scheduler solved under ``config``."""
         with self._lock:
             self._store[key] = bound
             self._index_key(key)
             if count_as_solve:
                 self.misses += 1
-        self._persistent_save(key, bound, fingerprint)
+        self._persistent_save(key, bound, fingerprint, self.solver_identity(config))
 
     def lookup_or_compute(
         self,
@@ -1248,6 +1285,7 @@ class GateBoundCache:
         # exact disk entry would make warm-cache runs report different
         # bounds than the cold run that filled the store (see peek()).
         fingerprint = None
+        solver = self.solver_identity(config)
         if self.store_path is not None and noise_channel is not None:
             fingerprint = self.problem_fingerprint(
                 gate_matrix, noise_channel, noise_after_gate
@@ -1255,6 +1293,7 @@ class GateBoundCache:
             cached = self._persistent_lookup(
                 key,
                 fingerprint,
+                solver,
                 self.expected_problem(
                     gate_matrix,
                     noise_channel,
@@ -1282,7 +1321,7 @@ class GateBoundCache:
         with self._lock:
             self._store[key] = bound
             self._index_key(key)
-        self._persistent_save(key, bound, fingerprint)
+        self._persistent_save(key, bound, fingerprint, solver)
         return bound
 
     def __len__(self) -> int:

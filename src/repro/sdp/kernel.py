@@ -38,6 +38,7 @@ import numpy as np
 import scipy.linalg
 
 __all__ = [
+    "ADMM_RULE_VERSION",
     "BlockLayout",
     "PackedSDP",
     "PackedADMMResult",
@@ -55,18 +56,75 @@ _SQRT2 = np.sqrt(2.0)
 class _BlockGroup:
     """All blocks of one side length, packed together.
 
+    Both directions work on the float64 view of the ``(k, dim, dim)`` complex
+    stack, whose row-major layout interleaves real and imaginary parts:
+    float ``2*(r*dim + c)`` is ``Re M[r, c]`` and the next one ``Im M[r, c]``.
+
     Attributes:
         dim: block side length (``> 1``; scalars are handled separately).
         gather: int array of shape ``(k, dim*dim)`` mapping the group's
             packed-real coordinates to flat-vector positions, ordered
             ``[diag | sqrt2*Re upper | sqrt2*Im upper]`` per block.
-        rows / cols: strict upper-triangle index pair for ``dim``.
+        unpack_source: int array of shape ``(k, 2*dim*dim)``: the flat-vector
+            position each float of the complex stack is read from (a
+            diagonal entry's imaginary float reads its real coordinate).
+        unpack_scale: ``(2*dim*dim,)`` factors applied to those reads — 1 on
+            the diagonal, ``fl(1/sqrt2)`` off it (negated for the imaginary
+            parts below the diagonal), 0 for the diagonal's imaginary parts.
+        unpack_imag_zero / unpack_diag_zero: ``(2*dim*dim,)`` additive
+            zeros, ``+0.0`` on the off-diagonal imaginary floats (before
+            scaling) and on the diagonal imaginary floats (after), ``-0.0``
+            (the identity) elsewhere; see :meth:`BlockLayout.unpack_group`.
+        pack_source: ``(dim*dim,)`` float-view positions of one block's
+            packed-real coordinates, in ``gather`` order.
+        pack_scale: ``(dim*dim,)`` factors 1 (diagonal) and sqrt2 (upper).
     """
 
     dim: int
     gather: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
+    unpack_source: np.ndarray
+    unpack_scale: np.ndarray
+    unpack_imag_zero: np.ndarray
+    unpack_diag_zero: np.ndarray
+    pack_source: np.ndarray
+    pack_scale: np.ndarray
+
+    @classmethod
+    def build(cls, dim: int, gather: np.ndarray) -> "_BlockGroup":
+        d = dim
+        rows, cols = np.triu_indices(d, k=1)
+        m = rows.size
+        diag = np.arange(d)
+        upper = d + np.arange(m)
+        inv_sqrt2 = 1.0 / _SQRT2
+        # Per float of one block: packed coordinate, factor and zeros.
+        coordinate = np.zeros((d, d, 2), dtype=np.intp)
+        scale = np.zeros((d, d, 2))
+        imag_zero = np.full((d, d, 2), -0.0)
+        diag_zero = np.full((d, d, 2), -0.0)
+        coordinate[diag, diag, :] = diag[:, None]
+        scale[diag, diag, 0] = 1.0
+        diag_zero[diag, diag, 1] = 0.0
+        for r, c in ((rows, cols), (cols, rows)):
+            coordinate[r, c, 0] = upper
+            coordinate[r, c, 1] = upper + m
+            scale[r, c, 0] = inv_sqrt2
+            imag_zero[r, c, 1] = 0.0
+        scale[rows, cols, 1] = inv_sqrt2
+        scale[cols, rows, 1] = -inv_sqrt2
+        float_position = 2 * (rows * d + cols)
+        return cls(
+            dim=d,
+            gather=gather,
+            unpack_source=gather[:, coordinate.reshape(-1)],
+            unpack_scale=scale.reshape(-1),
+            unpack_imag_zero=imag_zero.reshape(-1),
+            unpack_diag_zero=diag_zero.reshape(-1),
+            pack_source=np.concatenate(
+                [2 * (diag * d + diag), float_position, float_position + 1]
+            ),
+            pack_scale=np.concatenate([np.ones(d), np.full(2 * m, _SQRT2)]),
+        )
 
 
 class BlockLayout:
@@ -94,8 +152,7 @@ class BlockLayout:
             gather = np.empty((len(indices), d * d), dtype=np.intp)
             for row, block_index in enumerate(indices):
                 gather[row] = self.offsets[block_index] + np.arange(d * d)
-            rows, cols = np.triu_indices(d, k=1)
-            self.groups.append(_BlockGroup(dim=d, gather=gather, rows=rows, cols=cols))
+            self.groups.append(_BlockGroup.build(d, gather))
 
     # -- packing -----------------------------------------------------------------
     # All three structural operations are leading-dimension agnostic: a vector
@@ -104,33 +161,38 @@ class BlockLayout:
     # same code (and a single batched eigh) as a single one.
 
     def unpack_group(self, vector: np.ndarray, group: _BlockGroup) -> np.ndarray:
-        """Stacked ``(..., k, d, d)`` Hermitian matrices of one group."""
+        """Stacked ``(..., k, d, d)`` Hermitian matrices of one group.
+
+        Bit-identical to ``hunvec`` of each block, signed zeros included
+        (LAPACK's Householder reflections branch on the sign of a zero, so
+        ``eigh`` can tell them apart).  ``hunvec`` computes the upper entry
+        as ``(re + 1j*im) / sqrt2``; in IEEE arithmetic that is exactly
+        ``(re*s + 0*t, t*s)`` with ``s = fl(1/sqrt2)`` and ``t = im + 0.0``,
+        its conjugate is ``(re*s + 0*t, -(t*s))``, and every diagonal
+        imaginary part is ``+0.0``.
+        """
         d = group.dim
-        m = group.rows.size
-        seg = vector[..., group.gather]
-        matrices = np.zeros(seg.shape[:-1] + (d, d), dtype=np.complex128)
-        diag_idx = np.arange(d)
-        matrices[..., diag_idx, diag_idx] = seg[..., :d]
-        if m:
-            upper = (seg[..., d : d + m] + 1j * seg[..., d + m :]) / _SQRT2
-            matrices[..., group.rows, group.cols] = upper
-            matrices[..., group.cols, group.rows] = upper.conj()
-        return matrices
+        # np.take allocates its result C-ordered (fancy indexing after an
+        # ellipsis may not), which the complex view of the last axis needs.
+        read = np.take(vector, group.unpack_source, axis=-1)
+        read += group.unpack_imag_zero
+        floats = read * group.unpack_scale
+        imag = read[..., 1::2]
+        imag *= 0.0
+        floats[..., 0::2] += imag
+        floats += group.unpack_diag_zero
+        return floats.view(np.complex128).reshape(floats.shape[:-1] + (d, d))
 
     def pack_group(
         self, matrices: np.ndarray, group: _BlockGroup, out: np.ndarray
     ) -> None:
         """Scatter stacked Hermitian matrices back into the flat vector(s)."""
         d = group.dim
-        m = group.rows.size
-        seg = np.empty(matrices.shape[:-2] + (d * d,), dtype=float)
-        diag_idx = np.arange(d)
-        seg[..., :d] = matrices[..., diag_idx, diag_idx].real
-        if m:
-            upper = matrices[..., group.rows, group.cols]
-            seg[..., d : d + m] = _SQRT2 * upper.real
-            seg[..., d + m :] = _SQRT2 * upper.imag
-        out[..., group.gather] = seg
+        floats = np.ascontiguousarray(matrices, dtype=np.complex128).view(np.float64)
+        floats = floats.reshape(matrices.shape[:-2] + (2 * d * d,))
+        out[..., group.gather] = (
+            np.take(floats, group.pack_source, axis=-1) * group.pack_scale
+        )
 
     # -- the fused hot-path operation --------------------------------------------
     def project_psd(self, vector: np.ndarray) -> np.ndarray:
@@ -247,13 +309,25 @@ def get_layout(dims: tuple[int, ...] | list[int]) -> BlockLayout:
 # Packed ADMM core
 # ---------------------------------------------------------------------------
 
+#: Identity of the iteration rule below.  Any change that moves the iterates
+#: (step length, penalty schedule, stopping test) must change this string:
+#: persistent bound caches and job fingerprints bind it, so answers found by
+#: an older rule are never served as this rule's answers.
+ADMM_RULE_VERSION = "wgy-step-1.6/balance-2x-every-20"
+
 #: Initial ADMM penalty parameter of every problem in a batch.
 _INITIAL_MU = 1.0
 
-#: Iterations between penalty rebalancing steps: a problem whose primal
-#: residual exceeds its dual residual tenfold grows its penalty by 1.5x, and
-#: the reverse shrinks it (clipped to [1e-6, 1e6]).
-_MU_ADAPT_EVERY = 60
+#: Step length of the multiplier update, ``x <- x + γ((s - v)/μ - x)``.  Wen,
+#: Goldfarb & Yin (Math. Prog. Comp. 2, 2010) prove convergence for
+#: γ in (0, (1 + √5)/2); 1.6 over-relaxes close to the top of that range.
+_STEP_LENGTH = 1.6
+
+#: Iterations between residual checks.  Every check also rebalances the
+#: penalty: a problem whose primal residual exceeds twice its dual residual
+#: doubles μ, the reverse halves it (clipped to [1e-6, 1e6]).
+_CHECK_EVERY = 20
+_BALANCE_RATIO = 2.0
 
 @dataclasses.dataclass
 class PackedSDP:
@@ -308,6 +382,11 @@ def admm_solve_packed_batch(
     that converge (or plateau) are frozen and compacted out of the batch, so
     a single slow instance does not keep the others iterating.
 
+    Each iteration is the Wen–Goldfarb–Yin update with the over-relaxed
+    multiplier step ``_STEP_LENGTH``; every ``_CHECK_EVERY`` iterations the
+    residuals are checked, finished problems are frozen and the rest have
+    their penalty rebalanced (see the constants above).
+
     Results are bit-for-bit independent across batch compositions only up to
     floating-point reduction order; every returned dual candidate is still
     certified independently by the caller.
@@ -343,7 +422,6 @@ def admm_solve_packed_batch(
     plateau_checks = np.zeros(count, dtype=int)
     previous_dual = np.full(count, -np.inf)
     results: list[PackedADMMResult | None] = [None] * count
-    check_every = 20
 
     def freeze(local_indices: np.ndarray, converged_mask: np.ndarray, iteration: int,
                pr: np.ndarray, dr: np.ndarray) -> None:
@@ -370,9 +448,9 @@ def admm_solve_packed_batch(
 
         v = c - (at @ y[..., None])[..., 0] - mus[:, None] * x
         s = layout.project_psd(v)
-        x = (s - v) / mus[:, None]
+        x += _STEP_LENGTH * ((s - v) / mus[:, None] - x)
 
-        if iteration % check_every == 0 or iteration == max_iterations:
+        if iteration % _CHECK_EVERY == 0 or iteration == max_iterations:
             pr = np.linalg.norm((a @ x[..., None])[..., 0] - b, axis=1) / b_scale
             dr = np.linalg.norm((at @ y[..., None])[..., 0] + s - c, axis=1) / c_scale
             cx = np.einsum("ij,ij->i", c, x)
@@ -401,11 +479,10 @@ def admm_solve_packed_batch(
                 previous_dual = previous_dual[keep]
                 pr, dr = pr[keep], dr[keep]
 
-            if iteration % _MU_ADAPT_EVERY == 0 and active.size:
-                grow = pr > 10 * dr
-                shrink = dr > 10 * pr
-                mus = np.where(grow, np.minimum(mus * 1.5, 1e6), mus)
-                mus = np.where(shrink, np.maximum(mus / 1.5, 1e-6), mus)
+            grow = pr > _BALANCE_RATIO * dr
+            shrink = dr > _BALANCE_RATIO * pr
+            mus = np.where(grow, np.minimum(mus * 2.0, 1e6), mus)
+            mus = np.where(shrink, np.maximum(mus / 2.0, 1e-6), mus)
 
     # Every problem is frozen inside the loop: the final iteration always
     # runs a check (`iteration == max_iterations`) whose `done` mask includes

@@ -1,5 +1,7 @@
 """Tests for the program-level bound scheduler and the cache's new layers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from repro.config import AnalysisConfig, SDPConfig
 from repro.core.analyzer import GleipnirAnalyzer
 from repro.linalg import HADAMARD, pure_density, zero_state
 from repro.noise import bit_flip
-from repro.sdp import GateBoundCache, gate_error_bound
+from repro.sdp import GateBoundCache, diamond, gate_error_bound
 
 
 FAST_SDP = SDPConfig(max_iterations=400, tolerance=1e-5)
@@ -187,6 +189,42 @@ class TestPersistentCache:
         second = GleipnirAnalyzer(bit_flip_model, config).analyze(circuit)
         assert second.sdp_solves == 0
         assert second.error_bound == first.error_bound
+
+    @pytest.mark.parametrize(
+        "filler",
+        [SDPConfig(mode="fast"), SDPConfig(max_iterations=50, tolerance=1e-5)],
+        ids=["fast-mode", "low-cap"],
+    )
+    def test_store_never_answers_for_a_different_solver(
+        self, tmp_path, bit_flip_model, filler
+    ):
+        """A store filled under looser solver settings must not answer the
+        default certified analysis: the warm run reports the cold bound."""
+        circuit = random_circuit(4, 16, seed=3)
+        cold = GleipnirAnalyzer(bit_flip_model, _config(sdp=SDPConfig())).analyze(circuit)
+        filler = dataclasses.replace(filler, persistent_cache_path=str(tmp_path))
+        filled = GleipnirAnalyzer(bit_flip_model, _config(sdp=filler)).analyze(circuit)
+        assert filled.error_bound > cold.error_bound
+        target = SDPConfig(persistent_cache_path=str(tmp_path))
+        warm = GleipnirAnalyzer(bit_flip_model, _config(sdp=target)).analyze(circuit)
+        assert warm.sdp_solves == cold.sdp_solves
+        assert warm.error_bound == cold.error_bound
+
+    def test_store_binds_admm_rule(self, tmp_path, monkeypatch):
+        """Entries certified by another ADMM step rule are not served."""
+        rho = pure_density(zero_state(1))
+        key_parts = ("h", "model", "noise", ())
+        first = GateBoundCache(decimals=6, store_path=str(tmp_path))
+        first.lookup_or_compute(
+            key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
+        )
+        monkeypatch.setattr(diamond, "ADMM_RULE_VERSION", "some-other-rule")
+        second = GateBoundCache(decimals=6, store_path=str(tmp_path))
+        second.lookup_or_compute(
+            key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
+        )
+        assert second.persistent_hits == 0
+        assert second.misses == 1
 
     def test_corrupt_entries_are_ignored(self, tmp_path, bit_flip_model):
         circuit = random_circuit(3, 8, seed=4)

@@ -19,6 +19,7 @@ from repro.circuits.serialize import (
     program_to_json_dict,
 )
 from repro.config import AnalysisConfig, ResourceGuard, SDPConfig
+from repro.engine import spec
 from repro.engine.spec import (
     AnalysisJob,
     JobResult,
@@ -221,6 +222,13 @@ class TestAnalysisJob:
                 name=job.name,
             )
             assert other.fingerprint() != job.fingerprint(), change
+
+    def test_fingerprint_binds_admm_rule(self, monkeypatch):
+        """Outcomes certified by another ADMM step rule are other answers."""
+        job = _fast_job()
+        before = job.fingerprint()
+        monkeypatch.setattr(spec, "ADMM_RULE_VERSION", "some-other-rule")
+        assert _fast_job().fingerprint() != before
 
     def test_fingerprint_stable_across_processes(self):
         job = _fast_job()

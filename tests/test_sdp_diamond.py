@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import SDPConfig
+from helpers import random_circuit
+
+from repro.config import AnalysisConfig, SDPConfig
+from repro.core.analyzer import analyze_program
 from repro.errors import SDPError
 from repro.linalg import (
     CNOT,
@@ -20,6 +23,7 @@ from repro.linalg import (
     zero_state,
 )
 from repro.noise import (
+    NoiseModel,
     amplitude_damping,
     bit_flip,
     depolarizing,
@@ -172,6 +176,33 @@ class TestGateErrorBound:
             gate_error_bound(CNOT, bit_flip(0.1), maximally_mixed(2), 0.0, config=CFG)
         with pytest.raises(SDPError):
             gate_error_bound(HADAMARD, bit_flip(0.1), maximally_mixed(2), 0.0, config=CFG)
+
+
+class TestStepRule:
+    """The shipped ADMM step rule certifies at least as tightly as the
+    previous rule (unit step, 1.5x penalty steps every 60 iterations, cap
+    1500) did; the pinned figures are that rule's certified values."""
+
+    def test_degenerate_pure_predicate(self):
+        """A pure ρ̂ with δ = 0 has no Slater point and never converges; the
+        true value is 0 (|+> is a fixed point of X)."""
+        config = SDPConfig()
+        bound = gate_error_bound(
+            HADAMARD, bit_flip(1e-3), pure_density(zero_state(1)), 0.0, config=config
+        )
+        assert bound.method == "certified"
+        assert bound.iterations <= config.max_iterations <= 600
+        assert bound.value <= 3.241920962547161e-05
+        assert verify_certificate(bound.certificate, bound.choi)
+
+    def test_reference_bound_no_looser(self):
+        """The seed-7 reference workload (5 qubits, 65 gates, bit flip 1e-3,
+        MPS width 16) with the default SDP configuration."""
+        circuit = random_circuit(5, 65, seed=7)
+        result = analyze_program(
+            circuit, NoiseModel.uniform_bit_flip(1e-3), config=AnalysisConfig(mps_width=16)
+        )
+        assert result.error_bound <= 0.05731386725331127
 
 
 class TestSoundnessAgainstBruteForce:
