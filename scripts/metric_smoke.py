@@ -80,14 +80,13 @@ def start_server() -> tuple[subprocess.Popen, str]:
 
 
 def check_capabilities(capabilities: dict) -> None:
-    """Capability discovery: job kinds, the metric registry, storage schemes."""
+    """Capability discovery: job kinds and the metric registry."""
     assert "comparison_job" in capabilities["job_kinds"], capabilities
     metrics = {entry["name"]: entry for entry in capabilities["metrics"]}
     assert len(metrics) >= 3, f"capabilities lists {len(metrics)} metrics"
     assert "bound_drift" in metrics, sorted(metrics)
     assert metrics["diamond_norm"]["tier"] == "certified", metrics["diamond_norm"]
     assert metrics["bound_drift"]["kind"] == "program", metrics["bound_drift"]
-    assert "jsonl" in capabilities["storage_schemes"], capabilities
 
 
 def check_metric_counter(base_url: str) -> None:

@@ -10,17 +10,17 @@ feasibility against its stored Choi matrix (the cheap half of the original
 work — never the SDP solve) and refuses to answer from a record whose
 certificates no longer verify.
 
-Storage is delegated to a pluggable
-:class:`~repro.engine.backends.base.OutcomeBackend` selected by URL on the
-``path`` argument (bare paths and ``jsonl://`` keep the historical JSONL
-line log with its healing discipline; ``sqlite:///`` opens a WAL-journaled
-database that never loads fully into memory; ``memory://`` is ephemeral —
-see :mod:`repro.engine.backends`).  The facade owns policy on top: the
-size-capped LRU (``max_entries``), in-flight **pinning** (entries pinned by
-a running engine batch are never evicted), certificate verification, and the
-hit/miss/eviction accounting.  Certificates ride as base64-encoded
-``complex128`` arrays decoded lazily, so the hot ``get()`` path never
-touches base64.
+Outcomes live in a JSONL line log (the same healing, one-fsync append and
+atomic rewrite as :class:`~repro.engine.store.ResultStore`), one
+:func:`outcome_record_line` per put; later lines win and file order is
+recency order.  On top of the log the store keeps the size-capped LRU
+(``max_entries``), in-flight **pinning** (entries pinned by a running engine
+batch are never evicted), certificate verification, and the
+hit/miss/eviction accounting.  The log is compacted (atomic rewrite of the
+live entries) once dead lines outnumber live entries 2:1, and a record that
+fails re-verification is dropped from the file as well, so it never comes
+back after a restart.  Certificates ride as base64-encoded ``complex128``
+arrays decoded lazily, so the hot ``get()`` path never touches base64.
 """
 
 from __future__ import annotations
@@ -36,11 +36,13 @@ import numpy as np
 from ..errors import EngineError
 from ..obs import metrics as obs_metrics
 from ..sdp.certificates import DualCertificate, verify_certificate
-from .backends import OutcomeBackend, count_backend_op, open_outcome_backend
-from .backends.jsonl import OUTCOME_SCHEMA_VERSION
-from .spec import JobResult
+from .spec import JobResult, canonical_json
+from .store import _JsonlLog, count_store_op
 
 __all__ = ["OutcomeStore", "OutcomeCertificate", "OUTCOME_SCHEMA_VERSION"]
+
+#: Schema version of one outcome record; bump on incompatible format changes.
+OUTCOME_SCHEMA_VERSION = 1
 
 #: Tolerance of the on-demand certificate re-check.  Matches the derivation
 #: checker's floor (max(tolerance, 1e-6) in Derivation._check_gate): the
@@ -158,27 +160,60 @@ class OutcomeCertificate:
             raise EngineError(f"malformed certificate payload: {exc}") from exc
 
 
+def outcome_record_line(result: JobResult, certificates: list[dict]) -> str:
+    """One serialized outcome record (shared by append and rewrite)."""
+    return canonical_json(
+        {
+            "version": OUTCOME_SCHEMA_VERSION,
+            "kind": "analysis_outcome",
+            "result": result.to_json_dict(),
+            "certificates": certificates,
+        }
+    )
+
+
+def entry_from_outcome_record(record: dict) -> dict:
+    """Validate one parsed outcome record into a live entry."""
+    if not isinstance(record, dict):
+        raise EngineError("outcome record must be a dict")
+    if record.get("kind") != "analysis_outcome":
+        raise EngineError(f"not an outcome record: kind={record.get('kind')!r}")
+    if record.get("version") != OUTCOME_SCHEMA_VERSION:
+        raise EngineError(f"unsupported outcome schema {record.get('version')!r}")
+    result = JobResult.from_json_dict(record.get("result") or {})
+    if not result.ok or not result.fingerprint:
+        raise EngineError("outcome records must carry a successful result")
+    certificates = record.get("certificates") or []
+    if not isinstance(certificates, list):
+        raise EngineError("certificates must be a list")
+    return {"result": result, "certificates": certificates}
+
+
 class OutcomeStore:
     """LRU-capped map from job fingerprint to its whole outcome.
 
     Args:
-        path: a storage URL (``jsonl://``, ``sqlite:///``, ``memory://``), a
-            bare JSONL file path, or an already-open
-            :class:`~repro.engine.backends.base.OutcomeBackend`.
+        path: the JSONL log file (created with its directory on first write).
         max_entries: live-entry cap; the least-recently-used unpinned entries
             are evicted beyond it (None = unbounded).
     """
 
-    def __init__(self, path: str | OutcomeBackend, *, max_entries: int | None = None):
+    def __init__(self, path: str, *, max_entries: int | None = None):
         if max_entries is not None and int(max_entries) < 1:
             raise ValueError("max_entries must be at least 1 (or None)")
         self.max_entries = int(max_entries) if max_entries is not None else None
-        if isinstance(path, OutcomeBackend):
-            self._backend = path
-        else:
-            self._backend = open_outcome_backend(path)
-        self.path = self._backend.location
+        self._log = _JsonlLog(path)
+        self.path = self._log.path
         self._lock = threading.Lock()
+        # fingerprint -> {"result": JobResult, "certificates": [raw dict, ...]}
+        # — certificates stay in wire form so the blind-lookup hot path never
+        # pays base64 decoding.  Insertion order doubles as recency order
+        # (hits and later lines re-insert at the end).
+        self._entries: dict[str, dict] = {}
+        for entry in self._log.load(entry_from_outcome_record):
+            fingerprint = entry["result"].fingerprint
+            self._entries.pop(fingerprint, None)
+            self._entries[fingerprint] = entry
         self._pins: dict[str, int] = {}
         self._hits = 0
         self._misses = 0
@@ -187,43 +222,43 @@ class OutcomeStore:
         with self._lock:
             self._evict_over_cap()
 
-    @property
-    def backend(self) -> OutcomeBackend:
-        """The storage engine behind this facade."""
-        return self._backend
-
     def close(self) -> None:
-        """Release backend resources (idempotent)."""
-        with self._lock:
-            self._backend.close()
+        """Nothing to release: every write is already durable on return."""
 
     # -- queries -------------------------------------------------------------
     def __len__(self) -> int:
         with self._lock:
-            return self._backend.count()
+            return len(self._entries)
 
     def __contains__(self, fingerprint: str) -> bool:
         with self._lock:
-            return self._backend.contains(fingerprint)
+            return fingerprint in self._entries
 
     @property
     def skipped_lines(self) -> int:
         """Records the loader could not parse (diagnostics only)."""
-        return self._backend.skipped_lines
+        return self._log.skipped_lines
+
+    def _touch(self, fingerprint: str) -> dict | None:
+        """The entry for ``fingerprint``, made most-recent.  Callers hold the lock."""
+        entry = self._entries.pop(fingerprint, None)
+        if entry is not None:
+            self._entries[fingerprint] = entry
+        return entry
 
     def get(self, fingerprint: str, *, verify: bool = False) -> JobResult | None:
         """The stored outcome for ``fingerprint``, or None.
 
         With ``verify=True`` every stored certificate is re-checked against
         its stored Choi matrix first; a record that fails re-verification is
-        dropped from the store (counted in ``verification_failures``) and the
-        lookup reports a miss — the caller recomputes, it never gets a
-        tampered answer.
+        dropped from the store and its log (counted in
+        ``verification_failures``) and the lookup reports a miss — the caller
+        recomputes, it never gets a tampered answer, not even after a restart.
         """
-        count_backend_op(self._backend.name, "outcome_get")
+        count_store_op("outcome_get")
         with self._lock:
             if not verify:
-                entry = self._backend.get_entry(fingerprint, touch=True)
+                entry = self._touch(fingerprint)
                 if entry is None:
                     self._misses += 1
                     self._count("miss")
@@ -231,7 +266,7 @@ class OutcomeStore:
                 self._hits += 1
                 self._count("hit")
                 return entry["result"]
-            entry = self._backend.get_entry(fingerprint, touch=False)
+            entry = self._entries.get(fingerprint)
             if entry is None:
                 self._misses += 1
                 self._count("miss")
@@ -247,12 +282,15 @@ class OutcomeStore:
             verified = False
         with self._lock:
             if not verified:
-                self._backend.delete(fingerprint)
+                if self._entries.pop(fingerprint, None) is not None:
+                    # A rare path, so a whole rewrite is affordable: the
+                    # dropped record must not reload from the log.
+                    self._rewrite()
                 self._verification_failures += 1
                 self._misses += 1
                 self._count("verification_failure")
                 return None
-            current = self._backend.get_entry(fingerprint, touch=True)
+            current = self._touch(fingerprint)
             if current is None:
                 self._misses += 1
                 self._count("miss")
@@ -273,7 +311,7 @@ class OutcomeStore:
     def certificates(self, fingerprint: str) -> list[OutcomeCertificate]:
         """The decoded dual certificates stored with an outcome."""
         with self._lock:
-            entry = self._backend.get_entry(fingerprint, touch=False)
+            entry = self._entries.get(fingerprint)
             raw = list(entry["certificates"]) if entry is not None else []
         return [OutcomeCertificate.from_json_dict(payload) for payload in raw]
 
@@ -281,14 +319,13 @@ class OutcomeStore:
         with self._lock:
             return {
                 "path": self.path,
-                "backend": self._backend.name,
-                "entries": self._backend.count(),
+                "entries": len(self._entries),
                 "max_entries": self.max_entries,
                 "hits": self._hits,
                 "misses": self._misses,
                 "evictions": self._evictions,
                 "verification_failures": self._verification_failures,
-                "skipped_lines": self._backend.skipped_lines,
+                "skipped_lines": self._log.skipped_lines,
             }
 
     # -- pinning -------------------------------------------------------------
@@ -332,11 +369,27 @@ class OutcomeStore:
             cert.to_json_dict() if isinstance(cert, OutcomeCertificate) else dict(cert)
             for cert in certificates
         ]
-        count_backend_op(self._backend.name, "outcome_put")
+        line = outcome_record_line(result, payloads)
+        count_store_op("outcome_put")
         with self._lock:
-            self._backend.put_entry(result.fingerprint, result, payloads)
+            self._log.append([line])
+            self._entries.pop(result.fingerprint, None)
+            self._entries[result.fingerprint] = {
+                "result": result,
+                "certificates": payloads,
+            }
             self._evict_over_cap()
-            self._backend.compact()
+            # Compact once dead lines outnumber live entries 2:1.
+            live = len(self._entries)
+            if self._log.file_lines > max(2 * live, live + 64):
+                self._rewrite()
+
+    def _rewrite(self) -> None:
+        """Replace the log with the live entries in recency order.  Callers hold the lock."""
+        self._log.rewrite(
+            outcome_record_line(entry["result"], entry["certificates"])
+            for entry in self._entries.values()
+        )
 
     def _evict_over_cap(self) -> None:
         """Drop LRU unpinned entries beyond ``max_entries``.  Callers hold the lock.
@@ -347,7 +400,13 @@ class OutcomeStore:
         """
         if self.max_entries is None:
             return
-        evicted = self._backend.evict_lru(self.max_entries, frozenset(self._pins))
+        evicted = 0
+        for fingerprint in list(self._entries):
+            if len(self._entries) <= self.max_entries:
+                break
+            if fingerprint not in self._pins:
+                del self._entries[fingerprint]
+                evicted += 1
         if evicted:
             self._evictions += evicted
             obs_metrics.counter(

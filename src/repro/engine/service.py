@@ -30,7 +30,7 @@ under ``/v1/`` and is what :class:`repro.api.Client` speaks:
   result/outcome store sizes.
 * ``GET /v1/metrics`` — Prometheus text exposition of the process-wide
   :mod:`repro.obs.metrics` registry: per-endpoint latency histograms,
-  in-flight/parked-coroutine gauges, engine/outcome/cache/tape/backend
+  in-flight/parked-coroutine gauges, engine/outcome/cache/tape/store
   counters, and per-solve-class SDP solve histograms (see
   ``docs/observability.md``).
 
@@ -68,7 +68,6 @@ from ..errors import BatchLimitExceeded, StorageBackendError
 from ..metrics import metric_capabilities
 from ..obs import metrics as obs_metrics
 from ..version import __version__
-from .backends import SUPPORTED_SCHEMES
 from .outcomes import OutcomeStore
 from .pool import AnalysisEngine
 from .spec import (
@@ -304,7 +303,6 @@ class AnalysisService:
             "engine": self.engine.stats(),
             "job_kinds": ["analysis_job", "comparison_job"],
             "metrics": metric_capabilities(),
-            "storage_schemes": list(SUPPORTED_SCHEMES),
             "limits": {
                 "max_batch_jobs": self.max_submit,
                 "engine_batch_jobs": self.max_batch,
@@ -514,15 +512,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--store",
         default=None,
-        help="result store path or URL (jsonl path, sqlite:///..., memory://); "
-        "enables resume",
+        help="result store JSONL path; enables resume",
     )
     parser.add_argument("--cache-dir", default=None, help="shared on-disk bound cache directory")
     parser.add_argument(
         "--outcomes",
         default=None,
-        help="whole-outcome store path or URL (jsonl path, sqlite:///..., "
-        "memory://); warm hits answer without the pool",
+        help="whole-outcome store JSONL path; warm hits answer without the pool",
     )
     parser.add_argument(
         "--outcomes-max-entries",
@@ -554,8 +550,8 @@ def main(argv: list[str] | None = None) -> int:
             ),
         )
     except StorageBackendError as exc:
-        # A typo'd --store/--outcomes scheme (redis://...) is an operator
-        # error, not a crash: one line naming what would work, exit 2.
+        # A URL-style --store/--outcomes argument (redis://...) is an
+        # operator error, not a crash: one line naming the problem, exit 2.
         print(f"gleipnir-serve: {exc}", file=sys.stderr)
         return 2
     service = AnalysisService(

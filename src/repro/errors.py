@@ -89,18 +89,16 @@ class EngineError(ReproError):
 
 
 class StorageBackendError(EngineError):
-    """Raised when a storage URL names an unknown or unusable backend scheme.
+    """Raised when a store argument is a URL (``scheme://…``), not a file path.
 
-    Carries the supported scheme list so operators see what *would* work
-    (``redis://`` is a popular guess); surfaces as a 400 envelope over
+    Stores are JSONL files; the error names the rejected scheme
+    (``redis://`` is a popular guess) and surfaces as a 400 envelope over
     ``/v1`` and as a clean one-line error from the ``gleipnir-serve`` CLI.
     """
 
-    def __init__(self, message: str, *, scheme: str | None = None,
-                 supported: tuple[str, ...] = ()):
+    def __init__(self, message: str, *, scheme: str | None = None):
         super().__init__(message)
         self.scheme = scheme
-        self.supported = tuple(supported)
 
 
 class JobNotFoundError(EngineError):

@@ -1,16 +1,29 @@
 """Tests for the whole-outcome cache: store semantics, corruption paths,
 engine/session/service wiring, and on-demand certificate re-verification."""
 
+import itertools
 import json
+import os
+import shutil
+import stat
+import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_circuit
 
 from repro.api import AnalysisSession
 from repro.circuits import Circuit
 from repro.config import AnalysisConfig, SDPConfig
-from repro.engine.outcomes import OutcomeCertificate, OutcomeStore
+from repro.engine.outcomes import (
+    OUTCOME_SCHEMA_VERSION,
+    OutcomeCertificate,
+    OutcomeStore,
+    outcome_record_line,
+)
 from repro.engine.pool import AnalysisEngine, execute_job_record
 from repro.engine.service import AnalysisService
 from repro.engine.spec import AnalysisJob, JobResult
@@ -18,6 +31,7 @@ from repro.noise import NoiseModel
 
 FAST = AnalysisConfig(mps_width=4, sdp=SDPConfig(max_iterations=200, tolerance=1e-4))
 MODEL = NoiseModel.uniform_bit_flip(1e-3)
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def _job(circuit: Circuit, name: str | None = None) -> AnalysisJob:
@@ -30,6 +44,10 @@ def _small_jobs() -> list[AnalysisJob]:
         _job(Circuit(3, name="ghz3").h(0).cx(0, 1).cx(1, 2)),
         _job(random_circuit(3, 12, seed=5), name="random3x12"),
     ]
+
+
+def _result(fingerprint: str, name: str = "job") -> JobResult:
+    return JobResult(fingerprint=fingerprint, name=name, status="ok", error_bound=0.25)
 
 
 def _executed(job: AnalysisJob):
@@ -58,6 +76,28 @@ class TestStoreBasics:
         store = OutcomeStore(str(tmp_path / "outcomes.jsonl"))
         store.put(JobResult(fingerprint="f" * 8, name="boom", status="timeout"))
         assert len(store) == 0
+
+    def test_roundtrip_reload_and_verified_get(self, tmp_path):
+        path = str(tmp_path / "outcomes.jsonl")
+        result, certificates = _executed(_small_jobs()[0])
+        store = OutcomeStore(path)
+        store.put(result, certificates)
+        store.close()
+
+        reloaded = OutcomeStore(path)
+        assert reloaded.get(result.fingerprint, verify=True) == result
+        assert reloaded.stats()["verification_failures"] == 0
+        assert len(reloaded.certificates(result.fingerprint)) == len(certificates)
+        assert all(cert.verify() for cert in reloaded.certificates(result.fingerprint))
+        reloaded.close()
+
+    def test_failed_results_leave_the_log_empty(self, tmp_path):
+        path = tmp_path / "outcomes.jsonl"
+        store = OutcomeStore(str(path))
+        store.put(JobResult(fingerprint="f" * 8, name="boom", status="timeout"))
+        store.close()
+        assert not path.exists() or path.read_text(encoding="utf-8") == ""
+        assert len(OutcomeStore(str(path))) == 0
 
     def test_verify_on_demand_passes_for_genuine_records(self, tmp_path):
         path = str(tmp_path / "outcomes.jsonl")
@@ -118,6 +158,48 @@ class TestCorruptionPaths:
         assert stats["verification_failures"] == 1
         assert store.get(result.fingerprint) is None  # entry is gone
 
+    def test_dropped_record_stays_dropped_after_reopen(self, tmp_path):
+        """A record rejected by verify=True must not reload from the log,
+        where a blind get() would serve it again."""
+        path = str(tmp_path / "outcomes.jsonl")
+        tampered, certificates = _executed(_small_jobs()[0])
+        genuine, genuine_certs = _executed(_small_jobs()[1])
+        store = OutcomeStore(path)
+        store.put(tampered, certificates)
+        store.put(genuine, genuine_certs)
+        records = [json.loads(line) for line in Path(path).read_text().splitlines()]
+        for certificate in records[0]["certificates"]:
+            certificate["value"] = certificate["value"] * 1e-3
+        Path(path).write_text("".join(json.dumps(r) + "\n" for r in records))
+
+        store = OutcomeStore(path)
+        assert store.get(tampered.fingerprint, verify=True) is None
+        assert store.stats()["verification_failures"] == 1
+
+        reopened = OutcomeStore(path)
+        assert reopened.get(tampered.fingerprint) is None
+        assert len(reopened) == 1
+        assert reopened.get(genuine.fingerprint, verify=True) == genuine
+        # The log stays appendable after the rewrite.
+        reopened.put(tampered, certificates)
+        assert OutcomeStore(path).get(tampered.fingerprint, verify=True) == tampered
+
+    def test_torn_tail_keeps_certificates_verifiable(self, tmp_path):
+        path = str(tmp_path / "outcomes.jsonl")
+        result, certificates = _executed(_small_jobs()[0])
+        store = OutcomeStore(path)
+        store.put(result, certificates)
+        store.close()
+        # A kill mid-append leaves a torn trailing line after a good record.
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"version": 1, "kind": "analysis_outc')
+
+        reloaded = OutcomeStore(path)
+        assert reloaded.skipped_lines == 1
+        assert reloaded.get(result.fingerprint, verify=True) == result
+        assert reloaded.stats()["verification_failures"] == 0
+        reloaded.close()
+
     def test_garbage_certificate_payload_fails_verification(self, tmp_path):
         path = str(tmp_path / "outcomes.jsonl")
         job = _small_jobs()[0]
@@ -155,6 +237,30 @@ class TestEvictionAndPinning:
         assert store.get(first.fingerprint) is not None
         assert store.get(second.fingerprint) is None  # evicted instead
 
+    def test_lru_eviction_order_and_touch(self, tmp_path):
+        store = OutcomeStore(str(tmp_path / "outcomes.jsonl"), max_entries=2)
+        for i in range(2):
+            store.put(_result(f"fp{i}"))
+        assert store.get("fp0") is not None  # touch: fp1 is now the LRU
+        store.put(_result("fp2"))
+        assert len(store) == 2
+        assert "fp1" not in store  # the untouched entry was evicted
+        assert "fp0" in store and "fp2" in store
+        assert store.stats()["evictions"] == 1
+        store.close()
+
+    def test_pinning_overrides_recency(self, tmp_path):
+        store = OutcomeStore(str(tmp_path / "outcomes.jsonl"), max_entries=2)
+        store.put(_result("fp0"))
+        store.put(_result("fp1"))
+        with store.pinned(["fp0"]):  # fp0 is the LRU, but pinned
+            store.put(_result("fp2"))
+            assert "fp0" in store  # the pin overrides recency order
+            assert "fp1" not in store  # the unpinned entry paid the eviction
+            assert "fp2" in store
+        assert len(store) == 2
+        store.close()
+
     def test_eviction_never_drops_a_pinned_entry(self, tmp_path):
         store = OutcomeStore(str(tmp_path / "outcomes.jsonl"), max_entries=1)
         jobs = _small_jobs()
@@ -169,6 +275,43 @@ class TestEvictionAndPinning:
             assert store.get(first.fingerprint) is not None
         # Pins released: the deferred eviction brings the store back to cap.
         assert len(store) == 1
+
+    def test_pins_allow_transient_overshoot(self, tmp_path):
+        store = OutcomeStore(str(tmp_path / "outcomes.jsonl"), max_entries=1)
+        store.put(_result("fp0"))
+        with store.pinned(["fp0"]):
+            # A concurrent batch keeps inserting past the cap; the pinned
+            # entry survives even though everything else is reclaimable.
+            for i in range(1, 4):
+                store.put(_result(f"fp{i}"))
+            assert "fp0" in store
+        # Pins released: deferred eviction restores the cap.
+        assert len(store) == 1
+
+    def test_concurrent_access(self, tmp_path):
+        """Six threads putting, reading and pinning under the one store lock."""
+        store = OutcomeStore(str(tmp_path / "outcomes.jsonl"), max_entries=64)
+        errors = []
+
+        def worker(base: int) -> None:
+            try:
+                for i in range(20):
+                    fingerprint = f"fp{base:02d}{i:02d}"
+                    store.put(_result(fingerprint))
+                    store.get(fingerprint)
+                    with store.pinned([fingerprint]):
+                        len(store)
+            except Exception as exc:  # pragma: no cover - only on regression
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors
+        assert len(store) == 64  # capped by LRU, never above
+        assert len(OutcomeStore(store.path, max_entries=64)) == 64
 
     def test_compaction_preserves_live_entries(self, tmp_path):
         path = str(tmp_path / "outcomes.jsonl")
@@ -185,6 +328,67 @@ class TestEvictionAndPinning:
         assert len(lines) < 70  # the log was rewritten
         assert store.get(results[-1].fingerprint) == results[-1]
         assert OutcomeStore(path).get(results[-1].fingerprint) == results[-1]
+
+    def test_compaction_bounds_the_log_under_rewrites(self, tmp_path):
+        path = str(tmp_path / "outcomes.jsonl")
+        store = OutcomeStore(path)
+        # Rewrite the same fingerprints many times: dead records pile up in
+        # the append-only log and must be reclaimed without losing state.
+        for round_ in range(40):
+            for i in range(3):
+                store.put(_result(f"fp{i}", name=f"round{round_}"))
+        assert len(store) == 3
+        with open(path, encoding="utf-8") as handle:
+            file_lines = sum(1 for _ in handle)
+        # The 2:1 amortized rule: the log stays within a constant factor of
+        # the live set instead of growing with write volume.
+        assert file_lines <= max(2 * 3, 3 + 64)
+        store.close()
+        reloaded = OutcomeStore(path)
+        assert len(reloaded) == 3
+        for i in range(3):
+            entry = reloaded.get(f"fp{i}")
+            assert entry is not None and entry.name == "round39"
+        reloaded.close()
+
+
+class TestOnDiskFormat:
+    def test_earlier_log_reloads_identically(self, tmp_path):
+        """An outcomes.jsonl written by an earlier release of the store loads
+        with the same entries, and a rewrite reproduces it byte for byte."""
+        path = tmp_path / "outcomes.jsonl"
+        shutil.copy(FIXTURES / "outcomes_v1.jsonl", path)
+        original = path.read_text(encoding="utf-8")
+        records = [json.loads(line) for line in original.splitlines()]
+        assert {record["version"] for record in records} == {OUTCOME_SCHEMA_VERSION}
+
+        store = OutcomeStore(str(path))
+        assert store.skipped_lines == 0 and len(store) == len(records)
+        for line, record in zip(original.splitlines(), records):
+            fingerprint = record["result"]["fingerprint"]
+            result = store.get(fingerprint, verify=True)
+            assert result == JobResult.from_json_dict(record["result"])
+            raw = [c.to_json_dict() for c in store.certificates(fingerprint)]
+            assert outcome_record_line(result, raw) == line
+        assert store.stats()["verification_failures"] == 0
+        assert path.read_text(encoding="utf-8") == original
+
+    def test_rewrite_fsyncs_the_directory(self, tmp_path, monkeypatch):
+        """Compaction's rename is made durable by a directory fsync."""
+        store = OutcomeStore(str(tmp_path / "outcomes.jsonl"), max_entries=1)
+        synced_directories = []
+        real_fsync = os.fsync
+
+        def spy(fd):
+            synced_directories.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        for index in range(66):  # past the dead-lines > live + 64 rule
+            store.put(_result(f"fp{index:02d}"))
+        assert synced_directories.count(True) == 1
+        assert synced_directories.count(False) == 67  # 66 appends + the temp file
+        assert OutcomeStore(store.path).get("fp65") is not None
 
 
 class TestEngineIntegration:
@@ -233,6 +437,44 @@ class TestEngineIntegration:
             clone = OutcomeCertificate.from_json_dict(certificate.to_json_dict())
             assert clone.verify()
             assert clone.value == certificate.value
+
+
+class TestWarmColdProperty:
+    _paths = itertools.count()
+
+    @settings(
+        max_examples=3,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        p=st.floats(min_value=1e-5, max_value=5e-3, allow_nan=False),
+        num_qubits=st.sampled_from([2, 3]),
+    )
+    def test_warm_analysis_bit_identical_to_cold(self, tmp_path, p, num_qubits):
+        """A warm answer equals the cold run, with its certificates intact."""
+        path = str(tmp_path / f"outcomes{next(self._paths)}.jsonl")
+        circuit = Circuit(num_qubits, name=f"ghz{num_qubits}").h(0)
+        for q in range(1, num_qubits):
+            circuit.cx(q - 1, q)
+        job = AnalysisJob.from_circuit(
+            circuit, NoiseModel.uniform_bit_flip(p), config=FAST
+        )
+        cold_report = AnalysisEngine(workers=1, outcomes=path).run([job])
+        assert cold_report.ok and cold_report.outcome_hits == 0
+        cold = cold_report.results[0]
+
+        # A fresh store over the persisted log answers verified and
+        # bit-identical — and the engine's warm path never re-executes.
+        warm_store = OutcomeStore(path)
+        verified = warm_store.get(job.fingerprint(), verify=True)
+        assert verified is not None
+        assert verified.error_bound == cold.error_bound
+        assert warm_store.stats()["verification_failures"] == 0
+
+        warm_report = AnalysisEngine(workers=1, outcomes=warm_store).run([job])
+        assert warm_report.executed == 0 and warm_report.outcome_hits == 1
+        assert warm_report.results[0] == cold
 
 
 class TestSessionAndServiceIntegration:

@@ -1,7 +1,33 @@
-"""Tests for the JSONL result store: persistence, resume filtering, robustness."""
+"""Tests for the JSONL result store: persistence, resume filtering, robustness,
+the on-disk format, and the rejection of URL-style store arguments."""
 
-from repro.engine.spec import JobResult
+import json
+import os
+import shutil
+import threading
+from pathlib import Path
+
+import pytest
+
+from repro.engine.outcomes import OutcomeStore
+from repro.engine.spec import JobResult, canonical_json
 from repro.engine.store import ResultStore
+from repro.errors import StorageBackendError, error_envelope, error_from_envelope
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+#: Store arguments that name a URL scheme rather than a JSONL file.
+URL_ARGUMENTS = pytest.mark.parametrize(
+    "url, scheme",
+    [
+        ("redis://localhost:6379/0", "redis"),
+        ("sqlite:///x.db", "sqlite"),
+        ("memory://", "memory"),
+        ("memory://name", "memory"),
+        ("jsonl://x.jsonl", "jsonl"),
+    ],
+    ids=["redis", "sqlite", "memory", "memory-name", "jsonl"],
+)
 
 
 def _result(fp: str, status: str = "ok", bound: float = 0.1) -> JobResult:
@@ -21,6 +47,22 @@ class TestResultStore:
         assert reloaded.completed("aa")
         assert not reloaded.completed("bb")  # errors re-run under resume
         assert not reloaded.completed("cc")
+
+    def test_put_get_reload_roundtrip(self, tmp_path):
+        path = str(tmp_path / "results.jsonl")
+        store = ResultStore(path)
+        assert len(store) == 0
+        results = [_result(f"fp{i:02d}") for i in range(8)]
+        store.put_many(results)
+        assert len(store) == 8
+        assert "fp03" in store
+        assert store.get("fp03") == results[3]
+        assert store.completed("fp03")
+        assert store.missing(["fp00", "fpXX"]) == ["fpXX"]
+
+        reloaded = ResultStore(path)  # a "new process" over the same file
+        assert len(reloaded) == 8
+        assert reloaded.results() == {r.fingerprint: r for r in results}
 
     def test_later_lines_win(self, tmp_path):
         path = tmp_path / "results.jsonl"
@@ -49,6 +91,16 @@ class TestResultStore:
         # The store stays appendable after the bad line.
         reloaded.put(_result("cc"))
         assert ResultStore(str(path)).completed("cc")
+
+    def test_later_writes_supersede(self, tmp_path):
+        path = str(tmp_path / "results.jsonl")
+        store = ResultStore(path)
+        store.put(_result("fp", status="timeout", bound=None))
+        assert not store.completed("fp")
+        store.put(_result("fp"))  # a bigger budget succeeded later
+        assert store.completed("fp")
+        reloaded = ResultStore(path)
+        assert reloaded.completed("fp") and len(reloaded) == 1
 
     def test_nested_directory_created(self, tmp_path):
         path = tmp_path / "deep" / "dir" / "results.jsonl"
@@ -100,18 +152,38 @@ class TestResultStoreConcurrency:
         assert len(store) == total
         assert store.completed("fp0000") and store.completed(f"fp{total - 1:04d}")
 
+    def test_concurrent_access(self, tmp_path):
+        """Eight threads writing and reading through the one store lock."""
+        store = ResultStore(str(tmp_path / "results.jsonl"))
+        errors = []
+
+        def worker(base: int) -> None:
+            try:
+                for i in range(25):
+                    store.put(_result(f"fp{base:02d}{i:02d}"))
+                    assert store.get(f"fp{base:02d}{i:02d}") is not None
+                    len(store)
+                    store.results()
+            except Exception as exc:  # pragma: no cover - only on regression
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors
+        assert len(store) == 8 * 25
+        assert len(ResultStore(store.path)) == 8 * 25
+
     def test_put_many_single_append(self, tmp_path, monkeypatch):
         """put_many writes one payload with one fsync, and stays loadable."""
-        import os as os_module
-
-        import repro.engine.backends.jsonl as jsonl_module
-
         path = tmp_path / "results.jsonl"
         store = ResultStore(str(path))
         fsyncs = []
-        real_fsync = os_module.fsync
+        real_fsync = os.fsync
         monkeypatch.setattr(
-            jsonl_module.os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))
+            os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))
         )
         store.put_many([_result(f"fp{i}") for i in range(25)])
         assert len(fsyncs) == 1
@@ -135,3 +207,77 @@ class TestResultStoreConcurrency:
         store = ResultStore(str(path))
         store.put_many([])
         assert not path.exists() or path.read_text() == ""
+
+
+class TestOnDiskFormat:
+    def test_earlier_log_reloads_identically(self, tmp_path):
+        """A results.jsonl written by an earlier release of the store loads
+        with the same records, and re-serializes to the same bytes."""
+        path = tmp_path / "results.jsonl"
+        shutil.copy(FIXTURES / "results_v1.jsonl", path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        store = ResultStore(str(path))
+        assert store.skipped_lines == 0
+        assert len(store) == 3
+        latest = {}
+        for line in lines:  # later lines win
+            record = json.loads(line)
+            latest[record["fingerprint"]] = line
+        assert sorted(store.results()) == sorted(latest)
+        for fingerprint, line in latest.items():
+            assert canonical_json(store.get(fingerprint).to_json_dict()) == line
+        assert store.completed("aa11") and store.get("aa11").error_bound == 0.125
+        assert not store.completed("bb22")
+        assert path.read_text(encoding="utf-8").splitlines() == lines
+
+
+class TestStorageBackendError:
+    """Store arguments are file paths; every URL scheme is outside input."""
+
+    @URL_ARGUMENTS
+    def test_error_carries_the_scheme(self, url, scheme):
+        with pytest.raises(StorageBackendError) as excinfo:
+            ResultStore(url)
+        assert excinfo.value.scheme == scheme
+        assert "JSONL" in str(excinfo.value)
+
+    def test_envelope_roundtrip_preserves_the_class(self):
+        """The /v1 400 envelope reconstructs as StorageBackendError."""
+        try:
+            ResultStore("redis://localhost:6379/0")
+        except StorageBackendError as exc:
+            envelope = error_envelope(exc, status=400)
+        entry = envelope["error"]
+        assert entry["type"] == "StorageBackendError"
+        assert entry["status"] == 400
+        assert entry["repro_error"] is True
+        assert "redis" in entry["message"]
+        rebuilt = error_from_envelope(envelope, status=400)
+        assert isinstance(rebuilt, StorageBackendError)
+        assert "redis" in str(rebuilt)
+
+    @URL_ARGUMENTS
+    def test_facades_reject_unknown_schemes(self, url, scheme, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(StorageBackendError):
+            ResultStore(url)
+        with pytest.raises(StorageBackendError):
+            OutcomeStore(url)
+        assert os.listdir(tmp_path) == []  # nothing was created
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(StorageBackendError, match="postgres"):
+            ResultStore("postgres://nope")
+        with pytest.raises(StorageBackendError, match="postgres"):
+            OutcomeStore("postgres://nope")
+
+    @URL_ARGUMENTS
+    def test_gleipnir_serve_exits_2_with_one_line(self, url, scheme, capsys):
+        """A URL-style --store is an operator error, not a traceback."""
+        from repro.engine.service import main
+
+        assert main(["--store", url, "--port", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("gleipnir-serve: ")
+        assert f"{scheme}://" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
