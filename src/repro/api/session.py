@@ -82,8 +82,8 @@ class AnalysisOutcome:
             pipeline).
         mps_width: bond dimension used.
         noise_model: name of the noise model.
-        tape_steps_reused: top-level program steps the scheduler answered
-            from the replay-tape prefix memo instead of re-walking.
+        tape_steps_reused: always 0; kept so stored records and
+            ``perfbench`` keep their format.
         error: failure message when ``status != "ok"``.
         derivation: the derivation tree (only from
             ``AnalysisSession.analyze(..., derivation=True)`` on a local

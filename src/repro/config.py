@@ -121,13 +121,6 @@ class AnalysisConfig:
             unique set with the batched SDP kernel before the derivation is
             replayed from the solved table.  Requires the SDP cache; ignored
             when ``sdp.cache`` is off.
-        tape_memo: let the scheduler reuse memoised replay-tape prefixes —
-            near-duplicate programs (shared circuit prefixes, parameter
-            sweeps) resume the recorded walk from the last shared step
-            instead of re-walking from scratch.  An execution knob: not part
-            of job fingerprints, and memoised analyses are bit-identical to
-            cold ones (the MPS snapshot is an exact copy, so every downstream
-            operation sees the same floats).
     """
 
     mps_width: int = DEFAULT_MPS_WIDTH
@@ -136,7 +129,6 @@ class AnalysisConfig:
     collect_derivation: bool = True
     noise_after_gate: bool = True
     scheduler: bool = True
-    tape_memo: bool = True
 
     def validate(self) -> None:
         if self.mps_width < 1:

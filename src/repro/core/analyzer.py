@@ -184,9 +184,6 @@ class AnalysisResult:
             for this analysis.  The single-pass pipeline keeps this at 1:
             either the scheduler's pre-pass (whose ReplayTape the derivation
             replays) or the live sequential traversal, never both.
-        tape_steps_reused: top-level program steps the pre-pass answered
-            from the replay-tape prefix memo instead of re-walking (0 with
-            the memo disabled or on a cold walk).
         timings: structured per-phase wall-clock breakdown — always present:
             ``total_seconds``, ``prefill_walk_seconds``,
             ``prefill_solve_seconds``, ``replay_seconds``, and
@@ -209,6 +206,7 @@ class AnalysisResult:
     sdp_dominance_hits: int = 0
     scheduled_solves: int = 0
     mps_walks: int = 1
+    #: Always 0: kept because ``perfbench/layers.py`` reads it.
     tape_steps_reused: int = 0
     timings: dict = dataclasses.field(default_factory=dict)
 
@@ -280,7 +278,6 @@ class GleipnirAnalyzer:
         dominance_before = self._cache.dominance_hits
 
         scheduled_solves = 0
-        tape_steps_reused = 0
         tape = None
         prefill_report = None
         if self.config.scheduler and self.config.sdp.cache:
@@ -297,7 +294,6 @@ class GleipnirAnalyzer:
             with span("scheduler.prefill", "analysis", program=name):
                 prefill_report = scheduler.prefill(normalised, bits)
             scheduled_solves = prefill_report.num_solved
-            tape_steps_reused = prefill_report.tape_steps_reused
             tape = prefill_report.tape
 
         if tape is not None:
@@ -364,7 +360,6 @@ class GleipnirAnalyzer:
             sdp_dominance_hits=self._cache.dominance_hits - dominance_before,
             scheduled_solves=scheduled_solves,
             mps_walks=1,
-            tape_steps_reused=tape_steps_reused,
             timings=timings,
         )
 

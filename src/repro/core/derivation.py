@@ -97,23 +97,6 @@ class ReplayTape:
     def record(self, entry: TapeSkip | TapeGate | TapeMeasure) -> None:
         self._records.append(entry)
 
-    def mark(self) -> int:
-        """The current record count — a cursor for :meth:`records_since`."""
-        return len(self._records)
-
-    def records_since(self, mark: int) -> tuple:
-        """The records appended after ``mark`` (frozen entries, safe to share).
-
-        The scheduler's prefix memo snapshots each top-level step's tape
-        segment this way, so a later walk of a program sharing the prefix can
-        :meth:`extend` with the recorded segment instead of re-walking.
-        """
-        return tuple(self._records[mark:])
-
-    def extend(self, records) -> None:
-        """Append a previously recorded segment (a memoised prefix replay)."""
-        self._records.extend(records)
-
     def __len__(self) -> int:
         return len(self._records)
 

@@ -227,7 +227,6 @@ def job_result_from_analysis(fingerprint: str, name: str, analysis) -> JobResult
         mps_walks=analysis.mps_walks,
         mps_width=analysis.mps_width,
         noise_model=analysis.noise_model,
-        tape_steps_reused=getattr(analysis, "tape_steps_reused", 0),
         timings=dict(getattr(analysis, "timings", {}) or {}),
     )
 

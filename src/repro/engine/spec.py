@@ -85,8 +85,8 @@ def _semantic_config_dict(config: AnalysisConfig) -> dict:
     cap, tolerance, cache quantisation and the kernel's ADMM step rule
     (:data:`repro.sdp.kernel.ADMM_RULE_VERSION`) change which dual
     certificate is found; the noise convention changes the analysed
-    channel.  Everything else — scheduler on/off, the tape memo, cache
-    paths, derivation collection, resource budgets — changes *when or
+    channel.  Everything else — scheduler on/off, cache paths,
+    derivation collection, resource budgets — changes *when or
     whether* the same bound is computed, never its value, and is excluded
     so fingerprints survive re-runs under different execution settings.
     """
@@ -516,6 +516,7 @@ class JobResult:
     mps_walks: int = 0
     mps_width: int = 0
     noise_model: str = ""
+    #: Always 0: kept so stored records keep their format.
     tape_steps_reused: int = 0
     #: Comparison-job fields: the metric name and certification tier, plus the
     #: per-side bounds of a noise-model A/B diff (``error_bound`` then holds

@@ -936,25 +936,17 @@ class GateBoundCache:
         if store_path is not None:
             os.makedirs(store_path, exist_ok=True)
 
-    def _quantise(
-        self, rho_local: np.ndarray, delta: float
-    ) -> tuple[np.ndarray, float, bytes, float]:
-        rounded = np.round(rho_local, self.decimals)
-        rounded = (rounded + rounded.conj().T) / 2
-        rounding_error = trace_norm(rho_local - rounded)
-        step = 10.0 ** (-self.decimals)
-        effective_delta = delta + rounding_error
-        effective_delta = np.ceil(effective_delta / step) * step
-        return rounded, float(effective_delta), rounded.tobytes(), float(effective_delta)
-
     def quantise_key(
         self, key_parts: tuple, rho_local: np.ndarray, delta: float
     ) -> tuple[tuple, np.ndarray, float]:
         """The full cache key plus the weakened (ρ̂, δ) it stands for."""
-        rounded_rho, effective_delta, rho_bytes, delta_key = self._quantise(
-            rho_local, delta
-        )
-        return key_parts + (rho_bytes, delta_key), rounded_rho, effective_delta
+        rounded = np.round(rho_local, self.decimals)
+        rounded = (rounded + rounded.conj().T) / 2
+        weakened = float(delta + trace_norm(rho_local - rounded))
+        step = 10.0 ** (-self.decimals)
+        # ceil(x / step) * step can land one ulp below x; never round δ down.
+        effective_delta = max(float(np.ceil(weakened / step) * step), weakened)
+        return key_parts + (rounded.tobytes(), effective_delta), rounded, effective_delta
 
     def bounds_snapshot(self) -> list[DiamondNormBound]:
         """Every cached bound, in insertion order.
@@ -1274,8 +1266,7 @@ class GateBoundCache:
         ``key_parts`` should identify the gate and noise channel (e.g. the
         gate's structural key and the noise model's rule identity).
         """
-        rounded_rho, effective_delta, rho_bytes, delta_key = self._quantise(rho_local, delta)
-        key = key_parts + (rho_bytes, delta_key)
+        key, rounded_rho, effective_delta = self.quantise_key(key_parts, rho_local, delta)
         cached = self._store.get(key)
         if cached is not None:
             self.hits += 1

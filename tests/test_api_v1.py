@@ -15,7 +15,7 @@ import urllib.request
 
 import pytest
 
-from helpers import RETIRED_CONFIG_KEY, RETIRED_SDP_CONFIG_KEY
+from helpers import RETIRED_CONFIG_KEY, RETIRED_SDP_CONFIG_KEY, RETIRED_TAPE_MEMO_KEY
 
 from repro.api import AnalysisSession, Client
 from repro.circuits import Circuit
@@ -158,11 +158,16 @@ class TestErrorEnvelopes:
         assert body["error"]["status"] == 400
         assert body["error"]["repro_error"] is True
 
-    def test_retired_config_key_is_a_structured_400(self, server):
-        """A job config carrying the retired thread-split solve knob."""
+    @pytest.mark.parametrize(
+        "key, value",
+        [(RETIRED_CONFIG_KEY, 2), (RETIRED_TAPE_MEMO_KEY, True)],
+        ids=["thread-split", "prefix-memo"],
+    )
+    def test_retired_config_key_is_a_structured_400(self, server, key, value):
+        """A job config carrying a retired top-level knob."""
         base, service = server
         payload = _job().to_json_dict()
-        payload["config"][RETIRED_CONFIG_KEY] = 2
+        payload["config"][key] = value
         request = urllib.request.Request(
             base + "/v1/batches",
             data=json.dumps({"jobs": [payload]}).encode(),

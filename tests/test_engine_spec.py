@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import RETIRED_CONFIG_KEY, RETIRED_SDP_CONFIG_KEY
+from helpers import RETIRED_CONFIG_KEY, RETIRED_SDP_CONFIG_KEY, RETIRED_TAPE_MEMO_KEY
 
 from repro.circuits import Circuit
 from repro.circuits.serialize import (
@@ -125,17 +125,19 @@ class TestConfigSerialization:
         with pytest.raises(EngineError):
             config_from_json_dict({"mps_width": 4, "nonsense": True})
 
-    def test_retired_thread_split_knob_rejected(self):
-        """Payloads written before the thread-split solve knob was retired."""
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, RETIRED_CONFIG_KEY, 2),
+            ("sdp", RETIRED_SDP_CONFIG_KEY, 16),
+            (None, RETIRED_TAPE_MEMO_KEY, True),
+        ],
+        ids=["thread-split", "bound-cache-cap", "prefix-memo"],
+    )
+    def test_retired_config_key_rejected(self, section, key, value):
+        """Payloads written before a config field was retired are refused."""
         payload = config_to_json_dict(AnalysisConfig())
-        payload[RETIRED_CONFIG_KEY] = 2
-        with pytest.raises(EngineError, match="malformed config payload"):
-            config_from_json_dict(payload)
-
-    def test_retired_bound_cache_cap_rejected(self):
-        """Payloads written before the bound-cache size cap was retired."""
-        payload = config_to_json_dict(AnalysisConfig())
-        payload["sdp"][RETIRED_SDP_CONFIG_KEY] = 16
+        (payload[section] if section else payload)[key] = value
         with pytest.raises(EngineError, match="malformed config payload"):
             config_from_json_dict(payload)
 

@@ -244,6 +244,19 @@ class TestCache:
         direct = gate_error_bound(HADAMARD, bit_flip(0.1), perturbed, 0.0, config=CFG)
         assert bound.value >= direct.value - 1e-6
 
+    def test_quantised_delta_never_rounds_down(self):
+        """The δ grid only weakens a predicate: ceil(x / step) * step can land
+        one ulp below x, which would certify a bound for a stronger one."""
+        cache = GateBoundCache(decimals=6)
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        rng = np.random.default_rng(0)
+        on_grid = [1.235848] + list(rng.integers(0, 2_000_000, size=2000) * 1e-6)
+        for delta in on_grid:
+            key, _rounded, effective = cache.quantise_key(("x",), rho, delta)
+            assert effective >= delta
+            assert effective - delta <= 1e-6 * (1 + 1e-9)  # at most one grid step
+            assert key[-1] == effective
+
     def test_clear(self):
         cache = GateBoundCache()
         cache.lookup_or_compute(("x",), PAULI_X, bit_flip(0.1), maximally_mixed(1), 0.0, config=CFG)

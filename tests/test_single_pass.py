@@ -8,10 +8,13 @@ derivation from the tape without a second MPS walk.  These tests verify
   once per analysed input, scheduled or sequential (the counter test of the
   acceptance criteria);
 * that replayed analyses are *bit-identical* to live sequential ones;
+* that a bound does not depend on what the process analysed before it;
 * the tape's defensive alignment checks.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_circuit
 
@@ -24,6 +27,7 @@ from repro.engine.pool import execute_job
 from repro.engine.spec import AnalysisJob
 from repro.errors import LogicError
 from repro.mps.approximator import MPSApproximator
+from repro.noise import NoiseModel
 
 FAST_SDP = SDPConfig(max_iterations=400, tolerance=1e-5)
 
@@ -121,6 +125,60 @@ class TestReplayBitIdentity:
             bit_flip_model, _config(scheduler=False)
         ).analyze(program, num_qubits=1)
         assert scheduled.error_bound == sequential.error_bound
+
+
+# A small gate vocabulary for generated suffixes.
+_GATE_NAMES = ["h", "x", "rx", "rz", "cx"]
+
+
+def _apply(circuit: Circuit, gate: tuple[str, int, int, float]) -> Circuit:
+    name, qubit, other, angle = gate
+    if name in ("rx", "rz"):
+        return getattr(circuit, name)(angle, qubit)
+    if name == "cx":
+        return circuit.cx(qubit, other)
+    return getattr(circuit, name)(qubit)
+
+
+def _gate_strategy(num_qubits: int):
+    return st.tuples(
+        st.sampled_from(_GATE_NAMES),
+        st.integers(min_value=0, max_value=num_qubits - 1),
+        st.integers(min_value=0, max_value=num_qubits - 1),
+        st.floats(min_value=0.05, max_value=1.5, allow_nan=False),
+    ).filter(lambda gate: gate[0] != "cx" or gate[1] != gate[2])
+
+
+class TestOrderIndependence:
+    CONFIG = AnalysisConfig(mps_width=4, sdp=SDPConfig(max_iterations=200, tolerance=1e-4))
+    MODEL = NoiseModel.uniform_bit_flip(1e-3)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        prefix_depth=st.integers(min_value=2, max_value=8),
+        suffix=st.lists(_gate_strategy(3), min_size=1, max_size=4),
+    )
+    def test_earlier_analyses_leave_bounds_bit_identical(self, seed, prefix_depth, suffix):
+        """Property: analysing a program's prefix and an unrelated program
+        first leaves the extended program's bound and δ bit-identical to its
+        first analysis."""
+        # Circuit builders mutate in place: build the shared prefix twice
+        # (same seed => identical program) instead of aliasing it.
+        prefix = random_circuit(3, prefix_depth, seed=seed)
+        extended = random_circuit(3, prefix_depth, seed=seed)
+        for gate in suffix:
+            extended = _apply(extended, gate)
+
+        def analyze(circuit):
+            return GleipnirAnalyzer(self.MODEL, self.CONFIG).analyze(circuit)
+
+        first = analyze(extended)
+        analyze(prefix)
+        analyze(random_circuit(3, prefix_depth + 2, seed=seed + 1))
+        again = analyze(extended)
+        assert again.error_bound == first.error_bound
+        assert again.final_delta == first.final_delta
 
 
 class TestReplayTapeAlignment:
