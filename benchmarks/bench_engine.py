@@ -104,13 +104,13 @@ def measure_engine(trace: list[AnalysisJob], *, workers: int) -> dict:
         outcomes = session.analyze_batch(trace)
         seconds = time.perf_counter() - start
         assert all(outcome.ok for outcome in outcomes)
-        shards = session.engine.stats()["last_batch_shards"]
+        executed = session.engine.stats()["last_batch_executed"]
     unique = len({outcome.fingerprint for outcome in outcomes})
     return {
         "workers": workers,
         "seconds": seconds,
         "jobs_per_minute": 60.0 * len(trace) / seconds,
-        "analyses_executed": shards["pending_jobs"] if shards else unique,
+        "analyses_executed": unique if executed is None else executed,
         "deduplicated_submissions": len(trace) - unique,
         "bounds": [outcome.bound for outcome in outcomes],
     }
@@ -393,9 +393,9 @@ def test_engine_sweep_smoke():
         inline = session.analyze_batch(trace)
     with AnalysisSession(workers=2) as session:
         sharded = session.analyze_batch(trace)
-        shards = session.engine.stats()["last_batch_shards"]
+        executed = session.engine.stats()["last_batch_executed"]
     assert all(o.ok for o in inline) and all(o.ok for o in sharded)
-    assert shards["pending_jobs"] == 3  # dedupe: 6 submissions, 3 executions
+    assert executed == 3  # dedupe: 6 submissions, 3 executions
     assert [o.bound for o in sharded] == [o.bound for o in inline]
 
 

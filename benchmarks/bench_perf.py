@@ -11,7 +11,7 @@ Measures the pieces the perf trajectory tracks:
 * **batched certification** — solving and certifying the workload's unique
   solve classes in one fused batch versus one gate at a time (the two paths
   must produce bit-identical bounds);
-* SDP workload statistics (solves, cache/dominance hits, MPS walks).
+* SDP workload statistics (solves, cache hits, MPS walks).
 
 ``scripts/run_bench.py`` calls :func:`collect_all` and writes the result to
 ``BENCH_perf.json`` at the repository root; the pytest entry points below run
@@ -78,7 +78,6 @@ def measure_reference_workload(*, scheduler: bool, mps_width: int = 16) -> dict:
         "num_gates": result.num_gates,
         "sdp_solves": result.sdp_solves,
         "sdp_cache_hits": result.sdp_cache_hits,
-        "sdp_dominance_hits": result.sdp_dominance_hits,
         "scheduled_solves": result.scheduled_solves,
         "mps_walks": result.mps_walks,
     }

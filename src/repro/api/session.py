@@ -7,8 +7,8 @@ remote transport to a running ``gleipnir-serve``.  All surfaces return the
 same typed, frozen :class:`AnalysisOutcome`.
 
 Local sessions execute through the :class:`~repro.engine.pool.AnalysisEngine`
-(content-addressed dedupe, process-pool sharding, family-ordered warm
-starts); remote sessions speak the ``/v1`` wire format through
+(content-addressed dedupe, process-pool sharding, an optional shared
+bound cache); remote sessions speak the ``/v1`` wire format through
 :class:`repro.api.Client` (batch submit + long-poll result push).  The two
 transports are bit-identical for the same jobs: the engine executes both.
 """
@@ -76,7 +76,7 @@ class AnalysisOutcome:
             (``total_seconds``, ``prefill_walk_seconds``,
             ``prefill_solve_seconds``, ``replay_seconds``, ``solve_classes``);
             empty on legacy records.
-        sdp_solves / sdp_cache_hits / sdp_dominance_hits / scheduled_solves:
+        sdp_solves / sdp_cache_hits / scheduled_solves:
             SDP workload statistics.
         mps_walks: MPS evolutions through the program (1 on the single-pass
             pipeline).
@@ -100,7 +100,6 @@ class AnalysisOutcome:
     elapsed_seconds: float
     sdp_solves: int
     sdp_cache_hits: int
-    sdp_dominance_hits: int
     scheduled_solves: int
     mps_walks: int
     mps_width: int
@@ -165,7 +164,6 @@ class AnalysisOutcome:
             elapsed_seconds=result.elapsed_seconds,
             sdp_solves=result.sdp_solves,
             sdp_cache_hits=result.sdp_cache_hits,
-            sdp_dominance_hits=result.sdp_dominance_hits,
             scheduled_solves=result.scheduled_solves,
             mps_walks=result.mps_walks,
             mps_width=result.mps_width,

@@ -39,14 +39,10 @@ class SDPConfig:
             δ ≈ 0 has no Slater point), and their repaired dual certificate
             is still a sound bound (see docs/performance.md).
         tolerance: relative primal/dual residual tolerance for ADMM.
-        cache: reuse SDP results for repeated (channel, predicate) pairs.
         cache_decimals: number of decimals used when fingerprinting the
             predicate for the cache key.  Coarser keys give more cache hits at
             the price of slightly looser (but still sound) bounds, because the
             cached predicate distance is rounded *up*.
-        dominance_cache: let the bound cache answer a lookup with a bound
-            certified for a *weaker* predicate (same rounded ρ̂, larger δ),
-            which is sound by the Weaken rule.
         persistent_cache_path: directory for an on-disk bound store shared
             across runs (None disables).  Entries carry their full dual
             certificate and are re-verified before use.
@@ -55,9 +51,7 @@ class SDPConfig:
     mode: str = "certified"
     max_iterations: int = 600
     tolerance: float = 3e-6
-    cache: bool = True
     cache_decimals: int = 6
-    dominance_cache: bool = True
     persistent_cache_path: str | None = None
 
     def validate(self) -> None:
@@ -119,8 +113,9 @@ class AnalysisConfig:
             collects every quantised (gate, noise, ρ̂, δ) instance of the
             program, dedupes them into unique solve classes, and solves the
             unique set with the batched SDP kernel before the derivation is
-            replayed from the solved table.  Requires the SDP cache; ignored
-            when ``sdp.cache`` is off.
+            replayed from the solved table.  ``False`` walks and solves
+            gate by gate: the sequential reference path, which solves the
+            same classes.
     """
 
     mps_width: int = DEFAULT_MPS_WIDTH

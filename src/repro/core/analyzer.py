@@ -176,8 +176,6 @@ class AnalysisResult:
         sdp_solves / sdp_cache_hits: SDP workload statistics.
         mps_width: bond dimension used by the approximator.
         noise_model: name of the noise model.
-        sdp_dominance_hits: lookups answered by a dominating (weaker)
-            cached predicate instead of a fresh solve.
         scheduled_solves: unique solve classes the bound scheduler solved
             up front (0 when the scheduler is disabled).
         mps_walks: how many times an MPS evolved through the whole program
@@ -203,7 +201,6 @@ class AnalysisResult:
     mps_width: int
     noise_model: str
     program_name: str = ""
-    sdp_dominance_hits: int = 0
     scheduled_solves: int = 0
     mps_walks: int = 1
     #: Always 0: kept because ``perfbench/layers.py`` reads it.
@@ -233,7 +230,6 @@ class GleipnirAnalyzer:
         self.config.validate()
         self._cache = GateBoundCache(
             decimals=self.config.sdp.cache_decimals,
-            dominance=self.config.sdp.dominance_cache,
             store_path=self.config.sdp.persistent_cache_path,
         )
 
@@ -271,16 +267,13 @@ class GleipnirAnalyzer:
 
         normalised = absorb_continuations(ast)
 
-        if not self.config.sdp.cache:
-            self._cache.clear()
         solves_before = self._cache.misses
         hits_before = self._cache.hits
-        dominance_before = self._cache.dominance_hits
 
         scheduled_solves = 0
         tape = None
         prefill_report = None
-        if self.config.scheduler and self.config.sdp.cache:
+        if self.config.scheduler:
             # Program-level pre-pass: collect every quantised solve class,
             # dedupe, and batch-solve the unique set before the derivation
             # replay below — which then hits the cache for every gate and
@@ -335,7 +328,6 @@ class GleipnirAnalyzer:
         self._publish_metrics(
             solves=self._cache.misses - solves_before,
             hits=self._cache.hits - hits_before,
-            dominance_hits=self._cache.dominance_hits - dominance_before,
         )
 
         derivation = None
@@ -357,25 +349,19 @@ class GleipnirAnalyzer:
             mps_width=self.config.mps_width,
             noise_model=self.noise_model.name,
             program_name=name,
-            sdp_dominance_hits=self._cache.dominance_hits - dominance_before,
             scheduled_solves=scheduled_solves,
             mps_walks=1,
             timings=timings,
         )
 
     @staticmethod
-    def _publish_metrics(*, solves: int, hits: int, dominance_hits: int) -> None:
+    def _publish_metrics(*, solves: int, hits: int) -> None:
         """Fold this analysis's bound-cache deltas into the metric registry.
 
         The cache keeps its own counters on the per-gate hot path; publishing
         the per-analysis deltas once keeps lookups free of registry work.
         """
-        pairs = (
-            ("miss", solves),
-            ("hit", hits),
-            ("dominance_hit", dominance_hits),
-        )
-        for outcome, amount in pairs:
+        for outcome, amount in (("miss", solves), ("hit", hits)):
             if amount:
                 obs_metrics.counter(
                     "repro_gate_bound_lookups_total",

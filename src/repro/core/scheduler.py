@@ -12,23 +12,18 @@ program order.  This module amortises that cost across the whole derivation:
 2. the instances are *deduped* into unique solve classes (the same key the
    :class:`repro.sdp.diamond.GateBoundCache` would use, so the replay pass
    hits the cache for every gate);
-3. the unique classes that the cache cannot already answer (exactly, by
-   predicate dominance, or from the persistent store) are solved through the
-   *batched* SDP kernel — same-shaped problems advance in lock-step inside
-   one vectorised ADMM run, and all their dual certificates are verified in
-   one fused batch certification pass;
+3. the unique classes that the cache cannot already answer (from memory or
+   from the persistent store) are solved through the *batched* SDP kernel —
+   same-shaped problems advance in lock-step inside one vectorised ADMM run,
+   and all their dual certificates are verified in one fused batch
+   certification pass;
 4. the solved bounds are inserted into the cache, and the analyzer replays
    the derivation from the solved table *and the tape*, so the MPS phase
    runs exactly once per input.
 
-Every bound still carries its independently verified dual certificate, and
-on workloads where δ grows monotonically along each branch (the common
-case — truncation error only accumulates) the replayed derivation is
-exactly the one the sequential path would have built.  The one intentional
-divergence: when the *dominance* layer could answer a later gate from an
-earlier same-ρ̂/larger-δ solve of the same run, the scheduler instead
-pre-solves both classes, giving an equal-or-tighter (never looser, still
-sound) bound at the cost of an extra batched solve.
+Every bound still carries its independently verified dual certificate.
+The sequential path solves exactly the same classes, one at a time; the
+equivalence tests hold the two bounds to 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -114,7 +109,7 @@ class BoundScheduler:
 
     # -- public entry --------------------------------------------------------
     def _pending_classes(self) -> list[SolveClass]:
-        """The collected classes the cache cannot answer (exact/persistent/dominance)."""
+        """The collected classes the cache cannot answer (memory or disk)."""
         return [
             solve_class
             for key, solve_class in self._classes.items()

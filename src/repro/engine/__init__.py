@@ -23,7 +23,7 @@ into first-class, addressable requests:
 from .spec import AnalysisJob, ComparisonJob, JobResult, job_from_json_dict
 from .store import ResultStore
 from .outcomes import OutcomeCertificate, OutcomeStore
-from .pool import AnalysisEngine, BatchReport, execute_job, job_family
+from .pool import AnalysisEngine, BatchReport, execute_job
 from .comparisons import execute_comparison
 from .service import AnalysisService
 
@@ -38,7 +38,6 @@ __all__ = [
     "BatchReport",
     "execute_comparison",
     "execute_job",
-    "job_family",
     "job_from_json_dict",
     "AnalysisService",
 ]

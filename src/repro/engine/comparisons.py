@@ -199,7 +199,6 @@ def _run_ab(
         elapsed_seconds=time.perf_counter() - started,
         sdp_solves=base_a.sdp_solves + base_b.sdp_solves,
         sdp_cache_hits=base_a.sdp_cache_hits + base_b.sdp_cache_hits,
-        sdp_dominance_hits=base_a.sdp_dominance_hits + base_b.sdp_dominance_hits,
         scheduled_solves=base_a.scheduled_solves + base_b.scheduled_solves,
         mps_walks=base_a.mps_walks + base_b.mps_walks,
         mps_width=base_a.mps_width,

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
 import os
 import signal
 import threading
@@ -45,7 +44,6 @@ import time
 from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-from ..circuits.program import GateOp, IfMeasure, Program, Seq
 from ..config import AnalysisConfig
 from ..core.analyzer import GleipnirAnalyzer
 from ..errors import ResourceLimitExceeded
@@ -65,57 +63,8 @@ __all__ = [
     "BatchReport",
     "execute_job",
     "execute_job_record",
-    "job_family",
     "job_result_from_analysis",
 ]
-
-
-def _gate_signature(program: Program) -> tuple:
-    """The sorted set of structural gate keys a program applies.
-
-    Two programs with the same signature under the same noise model request
-    bounds for the same (gate, channel) classes, so their SDP cache entries
-    overlap — which is exactly what the warm-start ordering shards on.
-    """
-    keys = set()
-    pending = [program]
-    while pending:
-        node = pending.pop()
-        if isinstance(node, GateOp):
-            keys.add(node.gate.key())
-        elif isinstance(node, Seq):
-            pending.extend(node.parts)
-        elif isinstance(node, IfMeasure):
-            pending.append(node.then_branch)
-            pending.append(node.else_branch)
-    return tuple(sorted(map(repr, keys)))
-
-
-def job_family(job: AnalysisJob | ComparisonJob) -> str:
-    """Cache-overlap shard key of a job (digest of gates + noise + width).
-
-    Jobs of one family share gate-bound cache entries (same gate set, same
-    noise model, same predicate quantisation width), so executing them in the
-    same worker window lets one job's certified bounds warm the next job's
-    persistent-cache lookups instead of being scattered across the pool.
-    Channel-pair comparisons have no program; they shard on the metric and
-    the channel identities instead, so identical pairs stay contiguous.
-    """
-    digest = hashlib.sha256()
-    if isinstance(job, ComparisonJob):
-        digest.update(job.metric.encode())
-        if job.mode == "channels":
-            digest.update((job.channel_a.name or "?").encode())
-            digest.update((job.channel_b.name or "?").encode())
-        else:
-            digest.update(repr(_gate_signature(job.program)).encode())
-            digest.update(job.noise_model_a.name.encode())
-            digest.update(job.noise_model_b.name.encode())
-    else:
-        digest.update(repr(_gate_signature(job.program)).encode())
-        digest.update(job.noise_model.name.encode())
-    digest.update(str(job.config.mps_width).encode())
-    return digest.hexdigest()[:16]
 
 
 @contextlib.contextmanager
@@ -222,7 +171,6 @@ def job_result_from_analysis(fingerprint: str, name: str, analysis) -> JobResult
         elapsed_seconds=analysis.elapsed_seconds,
         sdp_solves=analysis.sdp_solves,
         sdp_cache_hits=analysis.sdp_cache_hits,
-        sdp_dominance_hits=analysis.sdp_dominance_hits,
         scheduled_solves=analysis.scheduled_solves,
         mps_walks=analysis.mps_walks,
         mps_width=analysis.mps_width,
@@ -446,47 +394,22 @@ class AnalysisEngine:
             if isinstance(outcomes, (str, os.PathLike))
             else outcomes
         )
-        self._last_shards: dict | None = None
+        self._last_executed: int | None = None
 
     def stats(self) -> dict:
-        """Execution statistics: configuration plus the last batch's sharding."""
+        """Execution statistics: configuration plus the last batch's work.
+
+        ``last_batch_executed`` counts the jobs the last :meth:`run` had to
+        execute (None before the first batch).
+        """
         return {
             "workers": self.workers,
             "requested_workers": self.requested_workers,
             "cache_dir": self.cache_dir,
             "store_results": len(self.store) if self.store is not None else None,
             "outcomes": self.outcomes.stats() if self.outcomes is not None else None,
-            "last_batch_shards": dict(self._last_shards) if self._last_shards else None,
+            "last_batch_executed": self._last_executed,
         }
-
-    def _shard_pending(
-        self, pending: list[tuple[str, AnalysisJob]]
-    ) -> list[tuple[str, AnalysisJob]]:
-        """Warm-start ordering: group pending jobs by program family.
-
-        Same-family jobs (overlapping gate-bound cache entries — see
-        :func:`job_family`) are made contiguous in submission order, so with a
-        shared ``cache_dir`` the bounds certified by one job land in the same
-        worker window as the lookups that want them, instead of every worker
-        paying its own cold start.  Within a family, jobs keep fingerprint
-        order so the schedule is deterministic; results stay aligned with the
-        submitted job list regardless of execution order, and the bounds are
-        bit-identical either way (the persistent cache answers exact keys
-        before the dominance layer).
-        """
-        families: dict[str, int] = {}
-        keyed = []
-        for fingerprint, job in pending:
-            family = job_family(job)
-            families[family] = families.get(family, 0) + 1
-            keyed.append((family, fingerprint, job))
-        keyed.sort(key=lambda item: (item[0], item[1]))
-        self._last_shards = {
-            "pending_jobs": len(pending),
-            "families": len(families),
-            "largest_family": max(families.values(), default=0),
-        }
-        return [(fingerprint, job) for _family, fingerprint, job in keyed]
 
     def run(
         self,
@@ -527,13 +450,12 @@ class AnalysisEngine:
                             results[fingerprint] = self.store.get(fingerprint)
                             resumed += 1
 
-            pending = self._shard_pending(
-                [
-                    (fingerprint, job)
-                    for fingerprint, job in unique.items()
-                    if fingerprint not in results
-                ]
-            )
+            pending = [
+                (fingerprint, job)
+                for fingerprint, job in unique.items()
+                if fingerprint not in results
+            ]
+            self._last_executed = len(pending)
             if pending:
                 with span("engine.execute", "engine", pending=len(pending)):
                     if self.workers == 1:

@@ -97,9 +97,7 @@ def _semantic_config_dict(config: AnalysisConfig) -> dict:
             "mode": config.sdp.mode,
             "max_iterations": config.sdp.max_iterations,
             "tolerance": config.sdp.tolerance,
-            "cache": config.sdp.cache,
             "cache_decimals": config.sdp.cache_decimals,
-            "dominance_cache": config.sdp.dominance_cache,
             "admm_rule": ADMM_RULE_VERSION,
         },
     }
@@ -511,6 +509,7 @@ class JobResult:
     elapsed_seconds: float = 0.0
     sdp_solves: int = 0
     sdp_cache_hits: int = 0
+    #: Always 0: kept so stored records keep their format.
     sdp_dominance_hits: int = 0
     scheduled_solves: int = 0
     mps_walks: int = 0

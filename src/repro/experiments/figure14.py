@@ -60,7 +60,6 @@ def run_figure14(
     bit_flip_probability: float = DEFAULT_BIT_FLIP_PROBABILITY,
     config: AnalysisConfig | None = None,
     session: AnalysisSession | None = None,
-    scheduler: bool = True,
     progress=None,
 ) -> Figure14Result:
     """Sweep the MPS width on the Ising benchmark and record bound/runtime.
@@ -68,10 +67,8 @@ def run_figure14(
     Each width is one content-addressed :class:`~repro.engine.spec.AnalysisJob`
     (the MPS width is part of the fingerprint), so the sweep shards and
     resumes like any other batch through the :mod:`repro.api` facade.
-    ``scheduler=False`` forces the sequential per-gate path instead of the
-    single-pass scheduled pipeline.  ``progress`` receives one line per
-    finished point as results land (completion order); None keeps the silent
-    batch behaviour.
+    ``progress`` receives one line per finished point as results land
+    (completion order); None keeps the silent batch behaviour.
     """
     spec = benchmark_by_name(benchmark, scale)
     circuit = spec.build()
@@ -82,9 +79,7 @@ def run_figure14(
             active.job(
                 circuit,
                 noise_model,
-                config=(config or AnalysisConfig()).replace(
-                    mps_width=int(width), scheduler=scheduler
-                ),
+                config=(config or AnalysisConfig()).replace(mps_width=int(width)),
                 name=f"{spec.name}[w={int(width)}]",
             )
             for width in widths

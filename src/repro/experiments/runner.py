@@ -48,11 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--output", type=str, default=None, help="write the report to a file")
         add_session_arguments(sub)
         sub.add_argument(
-            "--no-scheduler",
-            action="store_true",
-            help="disable the single-pass scheduled pipeline (sequential per-gate path)",
-        )
-        sub.add_argument(
             "--progress",
             action="store_true",
             help="log one line per job as results land (see --log-level)",
@@ -171,7 +166,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     configure_logging(getattr(args, "log_level", "INFO"))
-    scheduler = not getattr(args, "no_scheduler", False)
     progress = bool(getattr(args, "progress", False))
     sections: list[str] = []
     with trace_to_file(getattr(args, "trace", None)):
@@ -183,7 +177,6 @@ def main(argv: list[str] | None = None) -> int:
                     benchmarks=getattr(args, "benchmarks", None),
                     include_lqr=not getattr(args, "no_lqr", False),
                     session=session,
-                    scheduler=scheduler,
                     progress=progress,
                 )
                 sections.append(render_table2(result, markdown=args.markdown))
@@ -195,7 +188,6 @@ def main(argv: list[str] | None = None) -> int:
                     widths=widths,
                     benchmark=benchmark,
                     session=session,
-                    scheduler=scheduler,
                     progress=progress,
                 )
                 sections.append(render_figure14(result, markdown=args.markdown))

@@ -154,7 +154,6 @@ def run_table2(
     config: AnalysisConfig | None = None,
     include_lqr: bool = True,
     session: AnalysisSession | None = None,
-    scheduler: bool = True,
     progress=None,
 ) -> Table2Result:
     """Regenerate Table 2 at the requested scale.
@@ -172,8 +171,6 @@ def run_table2(
         include_lqr: also run the LQR + full-simulation baseline.
         session: the :class:`~repro.api.AnalysisSession` to run through (local
             or remote); an ephemeral inline session is created when omitted.
-        scheduler: run the single-pass scheduled pipeline (default); False
-            forces the sequential per-gate path, mainly for comparisons.
         progress: a callable receiving one line per finished job as results
             land (completion order); None keeps the silent batch behaviour.
     """
@@ -188,9 +185,7 @@ def run_table2(
             raise ExperimentError(f"unknown benchmarks requested: {sorted(missing)}")
 
     noise_model = _noise_model(bit_flip_probability)
-    run_config = (config or AnalysisConfig()).replace(
-        mps_width=mps_width, scheduler=scheduler
-    )
+    run_config = (config or AnalysisConfig()).replace(mps_width=mps_width)
     circuits = [spec.build() for spec in specs]
     with resolve_session(session) as active:
         jobs = [

@@ -26,7 +26,6 @@ additionally exploits two exact reductions:
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import hashlib
 import os
@@ -900,38 +899,29 @@ class GateBoundCache:
     computed for a weaker predicate and remains sound for the original one
     (Weaken rule).
 
-    Two further lookup layers sit behind the exact map:
-
-    * *predicate dominance* — a bound certified for the same rounded ρ̂ but a
-      *larger* δ was computed under a weaker constraint (smaller ``c`` in
-      Eq. (2)), so it soundly upper-bounds the stronger request, again by the
-      Weaken rule.  Dominance answers are counted in ``dominance_hits``;
-    * an optional *persistent on-disk store* (``store_path``), keyed by a
-      content hash of the quantised key, the problem data and the solver
-      (:meth:`solver_identity`), so repeated experiment runs start warm but
-      a store filled by a looser solver never answers for a tighter one.
-      Loaded entries carry their full dual certificate and are re-verified
-      with :func:`repro.sdp.certificates.verify_certificate` before being
-      trusted.
+    A request is answered only by the entry for its own key: from memory, or
+    from an optional *persistent on-disk store* (``store_path``), keyed by a
+    content hash of the quantised key, the problem data and the solver
+    (:meth:`solver_identity`), so repeated experiment runs start warm but a
+    store filled by a looser solver never answers for a tighter one.  Loaded
+    entries carry their full dual certificate and are re-verified with
+    :func:`repro.sdp.certificates.verify_certificate` before being trusted.
+    Every bound is therefore the one a cold solve of its class certifies,
+    whatever ran earlier against the same store.
     """
 
     def __init__(
         self,
         decimals: int = 6,
         *,
-        dominance: bool = True,
         store_path: str | None = None,
     ):
         self.decimals = int(decimals)
-        self.dominance = bool(dominance)
         self.store_path = store_path
         self._store: dict[tuple, DiamondNormBound] = {}
-        # partial key (everything but δ) -> sorted list of (δ, full key)
-        self._by_predicate: dict[tuple, list[tuple[float, tuple]]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self.dominance_hits = 0
         self.persistent_hits = 0
         if store_path is not None:
             os.makedirs(store_path, exist_ok=True)
@@ -967,62 +957,24 @@ class GateBoundCache:
         *,
         config: SDPConfig | None = None,
     ) -> DiamondNormBound | None:
-        """Exact / persistent / dominance lookup for the scheduler's pre-pass.
+        """Exact / persistent lookup for the scheduler's pre-pass.
 
-        Exact and dominance answers leave the hit counters untouched — the
-        replay's :meth:`lookup_or_compute` records those, so counting here
-        as well would double every statistic.  The persistent layer is only
-        consulted when the caller supplies both the problem ``fingerprint``
-        that disk entries are keyed by (together with the solver ``config``,
-        see :meth:`solver_identity`) and the ``expected_problem`` callable
-        used to validate them; disk hits *are* counted here, because loading
+        Exact answers leave the hit counters untouched — the replay's
+        :meth:`lookup_or_compute` records those, so counting here as well
+        would double every statistic.  The persistent layer is only consulted
+        when the caller supplies both the problem ``fingerprint`` that disk
+        entries are keyed by (together with the solver ``config``, see
+        :meth:`solver_identity`) and the ``expected_problem`` callable used
+        to validate them; disk hits *are* counted here, because loading
         promotes the entry into memory and the replay can then only see a
         plain hit.
-
-        Order matters: the persistent *exact* entry is tried before the
-        in-memory dominance layer.  A dominance answer (same rounded ρ̂,
-        larger δ) is sound but looser than the exact solve, so consulting it
-        first would make a warm-cache run report (slightly) different bounds
-        than the cold run that filled the store — exact disk entries keep
-        warm re-runs bit-identical.
         """
         cached = self._store.get(key)
-        if cached is not None:
+        if cached is not None or fingerprint is None or expected_problem is None:
             return cached
-        if fingerprint is not None and expected_problem is not None:
-            # Persistent hits ARE counted here: loading promotes the entry
-            # into the in-memory map, so the replay's lookup_or_compute can
-            # only ever record it as a plain hit — without counting now,
-            # persistent_hits would always read 0 under the scheduled path.
-            cached = self._persistent_lookup(
-                key, fingerprint, self.solver_identity(config), expected_problem
-            )
-            if cached is not None:
-                return cached
-        return self._dominance_lookup(key, count=False)
-
-    def _dominance_lookup(
-        self, key: tuple, *, count: bool = True
-    ) -> DiamondNormBound | None:
-        """A stored bound for the same rounded ρ̂ and a larger (weaker) δ."""
-        if not self.dominance:
-            return None
-        partial, delta_key = key[:-1], float(key[-1])
-        entries = self._by_predicate.get(partial)
-        if not entries:
-            return None
-        # Entries are sorted by δ; the first entry with δ' >= δ is the
-        # tightest sound answer (larger δ' ⇒ weaker predicate ⇒ looser bound).
-        index = bisect.bisect_left(entries, (delta_key, ()))
-        if index < len(entries):
-            stored_delta, stored_key = entries[index]
-            if stored_delta >= delta_key:
-                found = self._store.get(stored_key)
-                if found is not None:
-                    if count:
-                        self.dominance_hits += 1
-                    return found
-        return None
+        return self._persistent_lookup(
+            key, fingerprint, self.solver_identity(config), expected_problem
+        )
 
     @staticmethod
     def problem_fingerprint(
@@ -1109,8 +1061,6 @@ class GateBoundCache:
         fingerprint: str,
         solver: str,
         expected_problem,
-        *,
-        count: bool = True,
     ) -> DiamondNormBound | None:
         """Load and validate a disk entry.
 
@@ -1179,9 +1129,7 @@ class GateBoundCache:
             return None
         with self._lock:
             self._store[key] = bound
-            self._index_key(key)
-        if count:
-            self.persistent_hits += 1
+        self.persistent_hits += 1
         return bound
 
     def _persistent_save(
@@ -1225,14 +1173,6 @@ class GateBoundCache:
                 pass
 
     # -- mutation ------------------------------------------------------------
-    def _index_key(self, key: tuple) -> None:
-        partial, delta_key = key[:-1], float(key[-1])
-        entries = self._by_predicate.setdefault(partial, [])
-        item = (delta_key, key)
-        index = bisect.bisect_left(entries, item)
-        if index >= len(entries) or entries[index] != item:
-            entries.insert(index, item)
-
     def insert(
         self,
         key: tuple,
@@ -1245,7 +1185,6 @@ class GateBoundCache:
         """Record a bound the scheduler solved under ``config``."""
         with self._lock:
             self._store[key] = bound
-            self._index_key(key)
             if count_as_solve:
                 self.misses += 1
         self._persistent_save(key, bound, fingerprint, self.solver_identity(config))
@@ -1271,10 +1210,6 @@ class GateBoundCache:
         if cached is not None:
             self.hits += 1
             return cached
-        # Persistent exact entries are consulted before dominance: a
-        # dominance answer is sound but looser, and letting it shadow the
-        # exact disk entry would make warm-cache runs report different
-        # bounds than the cold run that filled the store (see peek()).
         fingerprint = None
         solver = self.solver_identity(config)
         if self.store_path is not None and noise_channel is not None:
@@ -1296,10 +1231,6 @@ class GateBoundCache:
             if cached is not None:
                 self.hits += 1
                 return cached
-        cached = self._dominance_lookup(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
         self.misses += 1
         bound = gate_error_bound(
             gate_matrix,
@@ -1311,7 +1242,6 @@ class GateBoundCache:
         )
         with self._lock:
             self._store[key] = bound
-            self._index_key(key)
         self._persistent_save(key, bound, fingerprint, solver)
         return bound
 
@@ -1321,9 +1251,7 @@ class GateBoundCache:
     def clear(self) -> None:
         with self._lock:
             self._store.clear()
-            self._by_predicate.clear()
             self.hits = 0
             self.misses = 0
-            self.dominance_hits = 0
             self.persistent_hits = 0
     

@@ -13,7 +13,9 @@ import numpy as np
 from repro.circuits import Circuit
 
 __all__ = [
+    "RETIRED_CACHE_SWITCH_KEY",
     "RETIRED_CONFIG_KEY",
+    "RETIRED_DOMINANCE_KEY",
     "RETIRED_SDP_CONFIG_KEY",
     "RETIRED_TAPE_MEMO_KEY",
     "random_circuit",
@@ -25,6 +27,13 @@ RETIRED_CONFIG_KEY = "_".join(("scheduler", "workers"))
 
 #: The ``sdp`` config field that once size-capped the in-memory bound cache.
 RETIRED_SDP_CONFIG_KEY = "_".join(("cache", "max", "entries"))
+
+#: The ``sdp`` config field that once switched the bound cache off.
+RETIRED_CACHE_SWITCH_KEY = RETIRED_SDP_CONFIG_KEY.split("_")[0]
+
+#: The ``sdp`` config field that once let a bound certified for a larger δ
+#: answer a smaller-δ lookup.
+RETIRED_DOMINANCE_KEY = "_".join(("dominance", "cache"))
 
 #: The config field that once switched the replay-tape prefix memo.
 RETIRED_TAPE_MEMO_KEY = "_".join(("tape", "memo"))

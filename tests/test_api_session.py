@@ -92,7 +92,7 @@ class TestBatchAndStreaming:
         assert len(outcomes) == 4
         assert outcomes[0].bound == outcomes[3].bound
         assert outcomes[0].fingerprint == outcomes[3].fingerprint
-        assert session.engine.stats()["last_batch_shards"]["pending_jobs"] == 3
+        assert session.engine.stats()["last_batch_executed"] == 3
 
     def test_batch_matches_single_analyses(self):
         circuits = _circuits()
@@ -124,7 +124,7 @@ class TestBatchAndStreaming:
             second = session.analyze(circuit, MODEL)
             assert second.bound == first.bound
             # Resumed: the engine had nothing left to execute.
-            assert session.engine.stats()["last_batch_shards"]["pending_jobs"] == 0
+            assert session.engine.stats()["last_batch_executed"] == 0
 
 
 class TestGateBound:
@@ -244,13 +244,13 @@ class TestReviewRegressions:
         with AnalysisSession(config=FAST, store=store, resume=False) as session:
             list(session.as_completed([session.job(circuit, MODEL)], timeout=120))
             assert session._service.resume is False
-            assert session.engine.stats()["last_batch_shards"]["pending_jobs"] == 1
+            assert session.engine.stats()["last_batch_executed"] == 1
 
         # resume=True answers from the store on both surfaces.
         with AnalysisSession(config=FAST, store=store, resume=True) as session:
             streamed = dict(session.as_completed([session.job(circuit, MODEL)], timeout=120))
             assert streamed[0].certified
-            assert session.engine.stats()["last_batch_shards"] is None  # nothing ran
+            assert session.engine.stats()["last_batch_executed"] is None  # nothing ran
 
     def test_derivation_path_uses_session_cache_dir(self, tmp_path):
         circuit = _circuits()[1]

@@ -15,7 +15,13 @@ import urllib.request
 
 import pytest
 
-from helpers import RETIRED_CONFIG_KEY, RETIRED_SDP_CONFIG_KEY, RETIRED_TAPE_MEMO_KEY
+from helpers import (
+    RETIRED_CACHE_SWITCH_KEY,
+    RETIRED_CONFIG_KEY,
+    RETIRED_DOMINANCE_KEY,
+    RETIRED_SDP_CONFIG_KEY,
+    RETIRED_TAPE_MEMO_KEY,
+)
 
 from repro.api import AnalysisSession, Client
 from repro.circuits import Circuit
@@ -187,6 +193,8 @@ class TestErrorEnvelopes:
             ("mode", "auto", "invalid config payload"),
             ("max_iterations", -5, "invalid config payload"),
             (RETIRED_SDP_CONFIG_KEY, 16, "malformed config payload"),
+            (RETIRED_DOMINANCE_KEY, True, "malformed config payload"),
+            (RETIRED_CACHE_SWITCH_KEY, False, "malformed config payload"),
         ],
     )
     def test_bad_sdp_config_is_a_structured_400(self, server, field, value, message):

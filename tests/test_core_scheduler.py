@@ -13,7 +13,7 @@ from repro.config import AnalysisConfig, SDPConfig
 from repro.core.analyzer import GleipnirAnalyzer
 from repro.linalg import HADAMARD, pure_density, zero_state
 from repro.noise import bit_flip
-from repro.sdp import GateBoundCache, diamond, gate_error_bound
+from repro.sdp import GateBoundCache, diamond
 
 
 FAST_SDP = SDPConfig(max_iterations=400, tolerance=1e-5)
@@ -87,90 +87,51 @@ class TestSchedulerEquivalence:
         assert result.derivation is not None
         result.derivation.check()  # raises on any unsound step
 
-    def test_scheduler_skipped_without_cache(self, bit_flip_model):
-        """With the SDP cache off the scheduler must not double-solve."""
-        circuit = random_circuit(3, 8, seed=2)
-        config = _config(
-            scheduler=True,
-            sdp=SDPConfig(max_iterations=400, tolerance=1e-5, cache=False),
-        )
-        result = GleipnirAnalyzer(bit_flip_model, config).analyze(circuit)
-        assert result.scheduled_solves == 0
-        assert result.error_bound > 0
-
 
 class TestDominanceCache:
-    def test_dominating_entry_answers_stronger_request(self):
-        cache = GateBoundCache(decimals=6, dominance=True)
-        rho = pure_density(zero_state(1))
-        key_parts = ("h", "model", "noise", ())
-        weak = cache.lookup_or_compute(
-            key_parts, HADAMARD, bit_flip(1e-3), rho, 0.05, config=FAST_SDP
-        )
-        answered = cache.lookup_or_compute(
-            key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
-        )
-        assert cache.misses == 1
-        assert cache.dominance_hits == 1
-        assert answered.value == weak.value
+    """Each solve class is answered only by its own exact entry or a fresh
+    solve: a bound certified for another δ never answers, so a bound does
+    not depend on what ran earlier against the same store."""
 
-    def test_dominance_never_looser_than_its_own_certificate(self):
-        """A dominance answer is the weaker predicate's *certified* value, so
-        it must dominate a fresh solve of the stronger request."""
-        cache = GateBoundCache(decimals=6, dominance=True)
+    @pytest.mark.parametrize(
+        "stored_delta, requested_delta",
+        [(0.05, 0.01), (0.01, 0.05)],
+        ids=["weaker-stored", "stronger-stored"],
+    )
+    def test_shared_store_answers_only_the_exact_class(
+        self, tmp_path, stored_delta, requested_delta
+    ):
         rho = pure_density(zero_state(1))
         key_parts = ("h", "model", "noise", ())
-        cache.lookup_or_compute(
-            key_parts, HADAMARD, bit_flip(1e-3), rho, 0.05, config=FAST_SDP
-        )
-        answered = cache.lookup_or_compute(
-            key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
-        )
-        fresh = gate_error_bound(
-            HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
-        )
-        assert answered.value + 1e-12 >= fresh.value
 
-    def test_stronger_entry_does_not_answer_weaker_request(self):
-        """A bound cached for a *smaller* δ is not sound for a larger one."""
-        cache = GateBoundCache(decimals=6, dominance=True)
-        rho = pure_density(zero_state(1))
-        key_parts = ("h", "model", "noise", ())
-        cache.lookup_or_compute(
-            key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
-        )
-        cache.lookup_or_compute(
-            key_parts, HADAMARD, bit_flip(1e-3), rho, 0.05, config=FAST_SDP
-        )
-        assert cache.dominance_hits == 0
-        assert cache.misses == 2
+        def lookup(cache, delta):
+            return cache.lookup_or_compute(
+                key_parts, HADAMARD, bit_flip(1e-3), rho, delta, config=FAST_SDP
+            )
+
+        lookup(GateBoundCache(decimals=6, store_path=str(tmp_path)), stored_delta)
+        shared = GateBoundCache(decimals=6, store_path=str(tmp_path))
+        lookup(shared, stored_delta)
+        assert shared.persistent_hits == 1
+        answered = lookup(shared, requested_delta)
+        cold = lookup(GateBoundCache(decimals=6), requested_delta)
+        assert answered.value == cold.value
+        assert shared.misses == 1
 
     def test_peek_does_not_touch_counters(self):
         """The scheduler's peek must leave all hit statistics untouched."""
-        cache = GateBoundCache(decimals=6, dominance=True)
+        cache = GateBoundCache(decimals=6)
         rho = pure_density(zero_state(1))
         key_parts = ("h", "model", "noise", ())
         cache.lookup_or_compute(
             key_parts, HADAMARD, bit_flip(1e-3), rho, 0.05, config=FAST_SDP
         )
+        key, _, _ = cache.quantise_key(key_parts, rho, 0.05)
         stronger_key, _, _ = cache.quantise_key(key_parts, rho, 0.01)
-        assert cache.peek(stronger_key) is not None  # dominance answer
+        assert cache.peek(key) is not None
+        assert cache.peek(stronger_key) is None
         assert cache.hits == 0
-        assert cache.dominance_hits == 0
         assert cache.persistent_hits == 0
-
-    def test_dominance_disabled(self):
-        cache = GateBoundCache(decimals=6, dominance=False)
-        rho = pure_density(zero_state(1))
-        key_parts = ("h", "model", "noise", ())
-        cache.lookup_or_compute(
-            key_parts, HADAMARD, bit_flip(1e-3), rho, 0.05, config=FAST_SDP
-        )
-        cache.lookup_or_compute(
-            key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
-        )
-        assert cache.misses == 2
-        assert cache.dominance_hits == 0
 
 
 class TestPersistentCache:

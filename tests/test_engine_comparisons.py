@@ -11,7 +11,7 @@ from repro.circuits import Circuit
 from repro.config import AnalysisConfig, SDPConfig
 from repro.engine.comparisons import execute_comparison_record
 from repro.engine.outcomes import OutcomeStore
-from repro.engine.pool import AnalysisEngine, job_family
+from repro.engine.pool import AnalysisEngine
 from repro.engine.spec import (
     AnalysisJob,
     ComparisonJob,
@@ -63,7 +63,6 @@ class TestContentAddressing:
         analysis = AnalysisJob.from_circuit(_ghz2(), MODEL_A, config=FAST)
         comparison = _ab_job()
         assert analysis.fingerprint() != comparison.fingerprint()
-        assert job_family(analysis) != job_family(comparison)
 
     def test_unknown_kind_is_a_structured_error(self):
         with pytest.raises(EngineError, match="comparison_job"):

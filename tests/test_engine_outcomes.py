@@ -486,7 +486,7 @@ class TestSessionAndServiceIntegration:
         with AnalysisSession(config=FAST, outcomes=path) as session:
             warm = session.analyze(circuit, MODEL)
             # Nothing was pending: the whole batch answered from the store.
-            assert session.engine.stats()["last_batch_shards"]["pending_jobs"] == 0
+            assert session.engine.stats()["last_batch_executed"] == 0
         assert warm == cold
 
     def test_service_warm_hit_answers_without_the_pool(self, tmp_path):

@@ -296,55 +296,16 @@ class TestWallClockBudget:
 
 
 class TestWarmStartSharding:
-    """Per-worker warm-start ordering: pending jobs grouped by program family."""
-
-    def test_families_are_contiguous_and_counted(self):
-        from repro.engine.pool import job_family
-
-        ghz = [
-            _job(Circuit(2, name="a").h(0).cx(0, 1)),
-            _job(Circuit(3, name="b").h(0).cx(0, 1).cx(1, 2)),
-        ]
-        rx_only = [
-            _job(Circuit(2, name="c").rx(0.3, 0).rx(0.3, 1)),
-            _job(Circuit(2, name="d").rx(0.3, 0)),
-        ]
-        assert job_family(ghz[0]) == job_family(ghz[1])
-        assert job_family(ghz[0]) != job_family(rx_only[0])
-
-        engine = AnalysisEngine(workers=1)
-        # Interleave the families on submission.
-        jobs = [ghz[0], rx_only[0], ghz[1], rx_only[1]]
-        ordered = engine._shard_pending([(job.fingerprint(), job) for job in jobs])
-        families = [job_family(job) for _fp, job in ordered]
-        # Grouped: every family occupies one contiguous run.
-        seen, runs = set(), 0
-        for family in families:
-            if family not in seen:
-                seen.add(family)
-                runs += 1
-        assert runs == 2
-
-        stats = engine.stats()
-        assert stats["last_batch_shards"] == {
-            "pending_jobs": 4,
-            "families": 2,
-            "largest_family": 2,
-        }
-
-    def test_family_depends_on_width_and_noise(self):
-        circuit = Circuit(2, name="w").h(0).cx(0, 1)
-        from repro.engine.pool import job_family
-
-        narrow = _job(circuit, config=FAST.replace(mps_width=2))
-        wide = _job(circuit, config=FAST.replace(mps_width=8))
-        assert job_family(narrow) != job_family(wide)
+    """Execution order never shows in the results."""
 
     def test_sharded_order_keeps_results_aligned_and_identical(self):
         jobs = _small_jobs()
         interleaved = [jobs[2], jobs[0], jobs[1]]
         direct = [execute_job(job) for job in interleaved]
-        report = AnalysisEngine(workers=1).run(interleaved)
+        engine = AnalysisEngine(workers=1)
+        assert engine.stats()["last_batch_executed"] is None
+        report = engine.run(interleaved)
+        assert engine.stats()["last_batch_executed"] == 3
         assert [r.fingerprint for r in report.results] == [
             r.fingerprint for r in direct
         ]

@@ -9,7 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import RETIRED_CONFIG_KEY, RETIRED_SDP_CONFIG_KEY, RETIRED_TAPE_MEMO_KEY
+from helpers import (
+    RETIRED_CACHE_SWITCH_KEY,
+    RETIRED_CONFIG_KEY,
+    RETIRED_DOMINANCE_KEY,
+    RETIRED_SDP_CONFIG_KEY,
+    RETIRED_TAPE_MEMO_KEY,
+)
 
 from repro.circuits import Circuit
 from repro.circuits.serialize import (
@@ -131,8 +137,16 @@ class TestConfigSerialization:
             (None, RETIRED_CONFIG_KEY, 2),
             ("sdp", RETIRED_SDP_CONFIG_KEY, 16),
             (None, RETIRED_TAPE_MEMO_KEY, True),
+            ("sdp", RETIRED_DOMINANCE_KEY, True),
+            ("sdp", RETIRED_CACHE_SWITCH_KEY, False),
         ],
-        ids=["thread-split", "bound-cache-cap", "prefix-memo"],
+        ids=[
+            "thread-split",
+            "bound-cache-cap",
+            "prefix-memo",
+            "predicate-dominance",
+            "cache-switch",
+        ],
     )
     def test_retired_config_key_rejected(self, section, key, value):
         """Payloads written before a config field was retired are refused."""
