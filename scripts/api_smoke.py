@@ -12,8 +12,10 @@ The script
    :class:`repro.api.Client` / a remote :class:`repro.api.AnalysisSession`,
    collecting results via the long-poll push path,
 4. runs the identical jobs through an in-process local session, and
-5. asserts the two surfaces return **bit-identical** certified bounds — and
-   that a completed long-poll costs exactly one request.
+5. asserts the two surfaces return **bit-identical** certified bounds, that
+   the server's fingerprint for every job (fixed gates, parametric gates, a
+   custom unitary) equals the client's ``job.fingerprint()``, and that a
+   completed long-poll costs exactly one request.
 
 Exit code 0 means the whole HTTP path (serialization, batching, condition-
 variable result push, error envelopes) agrees with the in-process facade.
@@ -29,6 +31,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+
+import numpy as np  # noqa: E402
 
 from repro import AnalysisConfig, Circuit, NoiseModel  # noqa: E402
 from repro.api import AnalysisSession, Client  # noqa: E402
@@ -84,10 +88,14 @@ MODEL = NoiseModel.uniform_bit_flip(1e-3)
 def smoke_jobs(session: AnalysisSession) -> list:
     ghz2 = Circuit(2, name="ghz2").h(0).cx(0, 1)
     ghz3 = Circuit(3, name="ghz3").h(0).cx(0, 1).cx(1, 2)
+    rotations = Circuit(2, name="rotations").rx(0.3, 0).rzz(-0.7, 0, 1).rz(3, 1)
+    custom = Circuit(2, name="custom").h(0).unitary(np.diag([1, 1j]), 1, name="mygate")
     return [
         session.job(ghz2, MODEL, config=FAST),
         session.job(ghz3, MODEL, config=FAST),
         session.job(ghz2, MODEL, config=FAST),  # duplicate: dedupe on the wire
+        session.job(rotations, MODEL, config=FAST),
+        session.job(custom, MODEL, config=FAST),
     ]
 
 
@@ -132,6 +140,11 @@ def main() -> int:
             jobs = smoke_jobs(remote)
             entries = client.submit(jobs)
             assert entries[0]["fingerprint"] == entries[2]["fingerprint"], "dedupe lost"
+            for job, entry in zip(jobs, entries):
+                assert entry["fingerprint"] == job.fingerprint(), (
+                    f"{job.name}: server fingerprint {entry['fingerprint']} "
+                    f"!= client fingerprint {job.fingerprint()}"
+                )
             before = client.requests_sent
             pushed = client.wait(entries[0]["fingerprint"], timeout=120)
             assert pushed["status"] == "done", pushed
@@ -157,7 +170,7 @@ def main() -> int:
         check_observability(base_url)
 
         print(
-            f"api smoke OK: {len(jobs)} submissions, bounds bit-identical "
+            f"api smoke OK: {len(jobs)} submissions, fingerprints and bounds bit-identical "
             f"({remote_bounds}), long-poll push in 1 request, "
             "/v1/healthz + /v1/metrics exposition valid"
         )

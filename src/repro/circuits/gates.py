@@ -233,7 +233,7 @@ _PARAMETRIC: dict[str, Callable[..., Gate]] = {
     "crz": crz,
 }
 
-_FIXED: dict[str, Callable[[], Gate]] = {
+_FIXED_FACTORIES: dict[str, Callable[[], Gate]] = {
     "id": identity,
     "i": identity,
     "x": x,
@@ -252,22 +252,39 @@ _FIXED: dict[str, Callable[[], Gate]] = {
 }
 
 
+def _shared(factory: Callable[[], Gate]) -> Gate:
+    """A fixed gate built and checked once, with a read-only matrix.
+
+    Every decoded gate of this name shares the matrix, and so do most
+    factories (they alias the module constants), so an in-place write would
+    corrupt every gate of that name at once.
+    """
+    gate = factory()
+    gate.matrix.setflags(write=False)
+    return gate
+
+
+#: One shared instance per fixed gate name, so decoding one builds nothing.
+_FIXED: dict[str, Gate] = {name: _shared(factory) for name, factory in _FIXED_FACTORIES.items()}
+
+
 def available_gates() -> list[str]:
     """Names of all gates the library can construct by name."""
     return sorted(set(_FIXED) | set(_PARAMETRIC))
 
 
 def gate_by_name(name: str, *params: float) -> Gate:
-    """Construct a standard gate from its name and parameters.
+    """The standard gate with this name and parameters.
 
-    Used by the circuit text parser and by noise models that attach channels
-    to gate names.
+    Used by the circuit text parser, job decoding and noise models that
+    attach channels to gate names.  Fixed gates come back as one shared
+    instance per name; parametric gates are built per call.
     """
     key = name.lower()
     if key in _FIXED:
         if params:
             raise GateError(f"gate {name!r} takes no parameters")
-        return _FIXED[key]()
+        return _FIXED[key]
     if key in _PARAMETRIC:
         return _PARAMETRIC[key](*params)
     raise GateError(f"unknown gate name {name!r}; known gates: {available_gates()}")

@@ -47,15 +47,26 @@ def matrix_from_json(payload: list) -> np.ndarray:
         raise CircuitError(str(exc)) from exc
 
 
+def _rebuilt_matches(rebuilt: np.ndarray, matrix: np.ndarray) -> bool:
+    """``np.allclose(rebuilt, matrix, atol=1e-12)`` as one fused comparison.
+
+    ``matrix`` belongs to a :class:`Gate`, which only holds unitaries, so it
+    is finite and allclose's ``isfinite``/``==`` terms add nothing: the test
+    is ``|rebuilt - matrix| <= 1e-12 + 1e-5 |matrix|`` elementwise.
+    """
+    return bool((np.abs(rebuilt - matrix) <= 1e-12 + 1e-5 * np.abs(matrix)).all())
+
+
 def _library_rebuilds(gate: Gate) -> bool:
     """Whether ``gate_by_name(name, *params)`` reproduces this gate's matrix."""
     try:
         rebuilt = gate_lib.gate_by_name(gate.name, *gate.params)
     except Exception:
         return False
-    return rebuilt.num_qubits == gate.num_qubits and bool(
-        np.allclose(rebuilt.matrix, gate.matrix, atol=1e-12)
-    )
+    if rebuilt.num_qubits != gate.num_qubits:
+        return False
+    # Fixed gates share one matrix with their library instance.
+    return rebuilt.matrix is gate.matrix or _rebuilt_matches(rebuilt.matrix, gate.matrix)
 
 
 def gate_to_json_dict(gate: Gate) -> dict:

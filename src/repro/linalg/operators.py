@@ -9,7 +9,7 @@ tensor-product operators.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -207,13 +207,30 @@ def expand_to_adjacent(operator: np.ndarray, position: int, num_qubits: int) -> 
     return np.kron(np.kron(left, operator), right)
 
 
+@lru_cache(maxsize=None)
+def _identity_and_rtol(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(I, 1e-5 * I)`` of side ``dim`` for :func:`is_unitary`."""
+    identity = np.eye(dim)
+    rtol = 1e-5 * identity
+    identity.setflags(write=False)
+    rtol.setflags(write=False)
+    return identity, rtol
+
+
 def is_unitary(matrix: np.ndarray, *, atol: float = 1e-9) -> bool:
-    """Whether a matrix is unitary within tolerance."""
+    """Whether a matrix is unitary within tolerance.
+
+    The same test as ``np.allclose(M†M, I, atol=atol)`` (default rtol 1e-5,
+    NaN fails), fused into one comparison: with the finite right-hand side
+    I, allclose's ``isfinite``/``==`` terms add nothing, and isclose's
+    per-call overhead dominated gate construction.
+    """
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return False
-    identity = np.eye(matrix.shape[0])
-    return bool(np.allclose(matrix.conj().T @ matrix, identity, atol=atol))
+    identity, rtol = _identity_and_rtol(matrix.shape[0])
+    deviation = np.abs(matrix.conj().T @ matrix - identity)
+    return bool((deviation <= atol + rtol).all())
 
 
 def is_hermitian(matrix: np.ndarray, *, atol: float = 1e-9) -> bool:

@@ -1178,15 +1178,13 @@ class GateBoundCache:
         key: tuple,
         bound: DiamondNormBound,
         *,
-        count_as_solve: bool = True,
         fingerprint: str | None = None,
         config: SDPConfig | None = None,
     ) -> None:
         """Record a bound the scheduler solved under ``config``."""
         with self._lock:
             self._store[key] = bound
-            if count_as_solve:
-                self.misses += 1
+            self.misses += 1
         self._persistent_save(key, bound, fingerprint, self.solver_identity(config))
 
     def lookup_or_compute(
@@ -1247,11 +1245,3 @@ class GateBoundCache:
 
     def __len__(self) -> int:
         return len(self._store)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._store.clear()
-            self.hits = 0
-            self.misses = 0
-            self.persistent_hits = 0
-    

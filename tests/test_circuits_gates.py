@@ -68,6 +68,16 @@ class TestGateBehaviour:
         assert gate_lib.h().label() == "h"
         assert gate_lib.rz(0.5).label() == "rz(0.5)"
 
+    def test_fixed_gates_are_shared_by_name(self):
+        assert gate_by_name("H") is gate_by_name("h")
+        assert gate_by_name("h").matrix is gate_lib.h().matrix
+
+    @pytest.mark.parametrize("name", ["h", "x", "cx", "id", "iswap"])
+    def test_shared_matrices_are_read_only(self, name):
+        with pytest.raises(ValueError):
+            gate_by_name(name).matrix[0, 0] = 0
+        assert is_unitary(gate_by_name(name).matrix)
+
     def test_matrices_match_linalg(self):
         assert np.allclose(gate_lib.h().matrix, HADAMARD)
         assert np.allclose(gate_lib.cx().matrix, CNOT)

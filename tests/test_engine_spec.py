@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     RETIRED_CACHE_SWITCH_KEY,
@@ -19,12 +21,16 @@ from helpers import (
 
 from repro.circuits import Circuit
 from repro.circuits.serialize import (
+    _library_rebuilds,
+    _rebuilt_matches,
     gate_from_json_dict,
     gate_to_json_dict,
     program_from_json_dict,
     program_to_json_dict,
 )
-from repro.config import AnalysisConfig, ResourceGuard, SDPConfig
+from repro.circuits.gates import Gate, custom_gate, h, rz
+from repro.circuits.program import GateOp
+from repro.config import DEFAULT_BIT_FLIP_PROBABILITY, AnalysisConfig, ResourceGuard, SDPConfig
 from repro.engine import spec
 from repro.engine.spec import (
     AnalysisJob,
@@ -35,7 +41,11 @@ from repro.engine.spec import (
 )
 from repro.errors import CircuitError, EngineError, NoiseModelError
 from repro.linalg.channels import QuantumChannel
+from repro.linalg.operators import HADAMARD, random_unitary
 from repro.noise import NoiseModel, bit_flip, depolarizing
+from repro.programs.library import table2_benchmarks
+
+FINGERPRINT_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "fingerprints_v1.json"
 
 
 def _branchy_circuit() -> Circuit:
@@ -72,6 +82,38 @@ class TestProgramSerialization:
         assert "matrix" in payload  # "t_dg" is not a library name
         rebuilt = gate_from_json_dict(payload)
         assert np.allclose(rebuilt.matrix, gate.matrix)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        dim=st.sampled_from([1, 2, 4, 8]),
+        shift=st.sampled_from([0.0, 5e-13, 1e-12, 2e-12, 1e-9, 1e-5]),
+        direction=st.sampled_from([1, -1, 1j, -1j]),
+        planted=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    )
+    def test_rebuilt_match_means_allclose(self, seed, dim, shift, direction, planted):
+        """The fused rebuild check is ``np.allclose(rebuilt, matrix, atol=1e-12)``.
+
+        ``matrix`` is a gate's, so finite (Gate only holds unitaries); the
+        rebuilt side is perturbed at and around both tolerances and may
+        carry a planted non-finite entry.
+        """
+        rng = np.random.default_rng(seed)
+        matrix = random_unitary(dim, rng=rng)
+        rebuilt = matrix.copy()
+        row, col = rng.integers(dim, size=2)
+        rebuilt[row, col] += direction * shift
+        if planted is not None:
+            row, col = rng.integers(dim, size=2)
+            rebuilt[row, col] = planted
+        expected = np.allclose(rebuilt, matrix, atol=1e-12)
+        assert _rebuilt_matches(rebuilt, matrix) == expected
+
+    def test_fixed_gates_rebuild_by_identity(self):
+        gate = h()
+        assert gate_from_json_dict(gate_to_json_dict(gate)) is gate_from_json_dict({"name": "h"})
+        assert _library_rebuilds(gate)
+        assert not _library_rebuilds(Gate("h", 1, (), np.array([[0, 1], [1, 0]])))
 
     def test_malformed_payload_rejected(self):
         with pytest.raises(CircuitError):
@@ -274,6 +316,77 @@ class TestAnalysisJob:
         payload["version"] = 999
         with pytest.raises(EngineError):
             AnalysisJob.from_json_dict(payload)
+
+
+def pinned_fingerprint_jobs() -> dict[str, AnalysisJob]:
+    """The jobs whose fingerprints ``fixtures/fingerprints_v1.json`` pins.
+
+    Every Table 2 row at both scales, plus one-gate programs that take each
+    branch of gate serialization: embedded matrices (a custom gate, a
+    dagger, a library name carrying a foreign unitary) and library names
+    (an int parameter, a negative zero, and a Hadamard perturbed within
+    ``allclose``'s relative tolerance).
+    """
+    model = NoiseModel.uniform_bit_flip(DEFAULT_BIT_FLIP_PROBABILITY)
+    config = AnalysisConfig(mps_width=16)
+    jobs = {}
+    for scale in ("reduced", "full"):
+        for bench in table2_benchmarks(scale):
+            jobs[f"{scale}/{bench.name}"] = AnalysisJob.from_circuit(
+                bench.build(), model, config=config, name=bench.name
+            )
+    one_gate = {
+        "custom_gate": custom_gate("mygate", np.diag([1, 1j])),
+        "h_dagger": h().dagger(),
+        "rz_int_param": rz(3),
+        "rz_negative_zero": rz(-0.0),
+        "h_foreign_matrix": Gate("h", 1, (), np.array([[0, 1], [1, 0]])),
+        "h_perturbed_1e-9": Gate("h", 1, (), HADAMARD + 1e-9),
+    }
+    for name, gate in one_gate.items():
+        jobs[name] = AnalysisJob(
+            program=GateOp(gate, (0,)), noise_model=model, config=config, num_qubits=1, name=name
+        )
+    return jobs
+
+
+class TestPinnedFingerprints:
+    """Fingerprints are the outcome store's keys: moving one orphans its outcome.
+
+    The fixture was written once from :func:`pinned_fingerprint_jobs` and
+    must never be regenerated to make this test pass.
+    """
+
+    @pytest.fixture(scope="class")
+    def jobs(self):
+        return pinned_fingerprint_jobs()
+
+    def test_fixture_covers_every_pinned_job(self, jobs):
+        pinned = json.loads(FINGERPRINT_FIXTURE.read_text())
+        assert sorted(pinned) == sorted(jobs)
+
+    def test_fingerprints_match_fixture(self, jobs):
+        pinned = json.loads(FINGERPRINT_FIXTURE.read_text())
+        moved = [name for name, job in jobs.items() if job.fingerprint() != pinned[name]]
+        assert not moved
+
+    def test_decoded_jobs_keep_pinned_fingerprints(self, jobs):
+        pinned = json.loads(FINGERPRINT_FIXTURE.read_text())
+        moved = [
+            name
+            for name, job in jobs.items()
+            if AnalysisJob.from_json(job.to_json()).fingerprint() != pinned[name]
+        ]
+        assert not moved
+
+    def test_serialization_branches(self, jobs):
+        def gate_payload(name):
+            return jobs[name].to_json_dict()["program"]["gate"]
+
+        for name in ("custom_gate", "h_dagger", "h_foreign_matrix"):
+            assert "matrix" in gate_payload(name), name
+        for name in ("rz_int_param", "rz_negative_zero", "h_perturbed_1e-9"):
+            assert "matrix" not in gate_payload(name), name
 
 
 class TestJobResult:

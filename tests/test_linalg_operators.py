@@ -159,3 +159,30 @@ def test_embedding_is_multiplicative(seed, num_qubits):
     lhs = embed_operator(u @ v, qubits, num_qubits)
     rhs = embed_operator(u, qubits, num_qubits) @ embed_operator(v, qubits, num_qubits)
     assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    dim=st.sampled_from([1, 2, 4, 8]),
+    atol=st.sampled_from([1e-12, 1e-9, 1e-7, 1e-4]),
+    scale=st.sampled_from([0.0, 0.5, 1.0, 2.0, None]),
+    direction=st.sampled_from([1, -1, 1j, -1j]),
+    planted=st.sampled_from([None, np.nan, np.inf, -np.inf, complex(0, np.inf)]),
+)
+def test_is_unitary_means_allclose(seed, dim, atol, scale, direction, planted):
+    """The fused check is ``np.allclose(M†M, I, atol=atol)``, bit for bit.
+
+    ``scale`` perturbs one entry by 0, a/2, a or 2a (None: by 1e-5), at and
+    around the tolerance edge; ``planted`` puts a non-finite value in another.
+    """
+    rng = np.random.default_rng(seed)
+    matrix = random_unitary(dim, rng=rng)
+    row, col = rng.integers(dim, size=2)
+    matrix[row, col] += direction * (1e-5 if scale is None else scale * atol)
+    if planted is not None:
+        row, col = rng.integers(dim, size=2)
+        matrix[row, col] = planted
+    with np.errstate(invalid="ignore"):
+        expected = np.allclose(matrix.conj().T @ matrix, np.eye(dim), atol=atol)
+        assert is_unitary(matrix, atol=atol) == expected

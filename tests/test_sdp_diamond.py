@@ -13,7 +13,6 @@ from repro.errors import SDPError
 from repro.linalg import (
     CNOT,
     HADAMARD,
-    PAULI_X,
     identity_channel,
     maximally_mixed,
     plus_state,
@@ -256,10 +255,3 @@ class TestCache:
             assert effective >= delta
             assert effective - delta <= 1e-6 * (1 + 1e-9)  # at most one grid step
             assert key[-1] == effective
-
-    def test_clear(self):
-        cache = GateBoundCache()
-        cache.lookup_or_compute(("x",), PAULI_X, bit_flip(0.1), maximally_mixed(1), 0.0, config=CFG)
-        assert len(cache) == 1
-        cache.clear()
-        assert len(cache) == 0 and cache.hits == 0
