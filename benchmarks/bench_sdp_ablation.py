@@ -1,6 +1,6 @@
 """Ablation benchmark: certified SDP bounds vs the fast analytic dual bound.
 
-DESIGN.md calls out the choice between the ADMM-backed certified mode and the
+DESIGN.md calls out the choice between the solver-backed certified mode and the
 cheap ``J₊`` dual family.  This benchmark measures both on representative
 (gate, noise, predicate) combinations and checks the expected relationships:
 

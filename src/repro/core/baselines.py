@@ -27,11 +27,12 @@ import numpy as np
 from ..circuits.circuit import Circuit
 from ..circuits.program import Program
 from ..config import AnalysisConfig, ResourceGuard
-from ..errors import ResourceLimitExceeded
+from ..errors import NoiseModelError, ResourceLimitExceeded
+from ..linalg.channels import QuantumChannel, identity_channel
 from ..linalg.partial_trace import partial_trace_keep
 from ..linalg.states import basis_state
 from ..noise.model import NoiseModel
-from ..sdp.diamond import DiamondNormBound, diamond_distance, gate_error_bound
+from ..sdp.diamond import constrained_diamond_norms_batch, gate_error_bounds_batch
 from ..semantics.density import apply_gate_to_density
 from ..semantics.noisy import exact_program_error
 
@@ -73,26 +74,39 @@ def worst_case_bound(
     """Sum of unconstrained diamond distances over every noisy gate.
 
     Branch-free programs only (the paper's benchmarks all are); the value is
-    independent of the input state, which is exactly its weakness.
+    independent of the input state, which is exactly its weakness.  For a
+    unitary ``U``, ``||N∘U - U||◇ = ||U∘N - U||◇ = ||N - id||◇``, so a gate's
+    term depends only on its noise channel: one SDP per distinct channel,
+    all solved as one batch.
     """
     config = config or AnalysisConfig()
     start = time.perf_counter()
     ast, _ = _as_ast(program)
-    cache: dict[tuple, DiamondNormBound] = {}
-    total = 0.0
+    by_channel: dict[QuantumChannel, int] = {}
+    by_choi: dict[bytes, int] = {}
+    differences: list[np.ndarray] = []
+    terms: list[int] = []
     for op in ast.operations():
         channel = noise_model.channel_for(op.gate, op.qubits)
         if channel is None:
             continue
-        key = (op.gate.key(), channel.name, tuple(op.qubits))
-        bound = cache.get(key)
-        if bound is None:
-            noisy = noise_model.noisy_gate_channel(op.gate, op.qubits)
-            from ..linalg.channels import unitary_channel
-
-            bound = diamond_distance(noisy, unitary_channel(op.gate.matrix), config=config.sdp)
-            cache[key] = bound
-        total += bound.value
+        if channel.dim_in != op.gate.matrix.shape[0]:
+            raise NoiseModelError(
+                f"noise channel dimension {channel.dim_in} does not match gate "
+                f"{op.gate.name!r} of dimension {op.gate.matrix.shape[0]}"
+            )
+        if channel not in by_channel:
+            difference = channel.choi() - identity_channel(channel.num_qubits).choi()
+            key = difference.tobytes()
+            if key not in by_choi:
+                by_choi[key] = len(differences)
+                differences.append(difference)
+            by_channel[channel] = by_choi[key]
+        terms.append(by_channel[channel])
+    bounds = constrained_diamond_norms_batch(
+        [(difference, None, 0.0) for difference in differences], config=config.sdp
+    )
+    total = sum(bounds[index].value for index in terms)
     elapsed = time.perf_counter() - start
     return BaselineOutcome(name="worst_case", value=total, elapsed_seconds=elapsed)
 
@@ -111,7 +125,8 @@ def lqr_full_simulation_bound(
     possible predicate (δ = 0), so on programs small enough to simulate this
     bound coincides with Gleipnir's (Table 2, 10-qubit rows).  Beyond the
     dense-simulation budget it reports a timeout, like the paper's 24-hour
-    limit for programs with 20 or more qubits.
+    limit for programs with 20 or more qubits.  The simulation collects every
+    gate's predicate first; the SDPs are then solved as one batch.
     """
     config = config or AnalysisConfig()
     guard = guard or config.guard
@@ -130,21 +145,17 @@ def lqr_full_simulation_bound(
 
     bits = [0] * num_qubits if initial_bits is None else [int(b) for b in initial_bits]
     rho = np.outer(basis_state(bits), basis_state(bits).conj())
-    total = 0.0
+    instances = []
     for op in ast.operations():
         channel = noise_model.channel_for(op.gate, op.qubits)
         if channel is not None:
             rho_local = partial_trace_keep(rho, op.qubits)
-            bound = gate_error_bound(
-                op.gate.matrix,
-                channel,
-                rho_local,
-                0.0,
-                noise_after_gate=config.noise_after_gate,
-                config=config.sdp,
-            )
-            total += bound.value
+            instances.append((op.gate.matrix, channel, rho_local, 0.0))
         rho = apply_gate_to_density(rho, op.gate.matrix, op.qubits, num_qubits)
+    bounds = gate_error_bounds_batch(
+        instances, noise_after_gate=config.noise_after_gate, config=config.sdp
+    )
+    total = sum(bound.value for bound in bounds)
     elapsed = time.perf_counter() - start
     return BaselineOutcome(name="lqr_full_simulation", value=total, elapsed_seconds=elapsed)
 

@@ -14,7 +14,7 @@ program order.  This module amortises that cost across the whole derivation:
    hits the cache for every gate);
 3. the unique classes that the cache cannot already answer (from memory or
    from the persistent store) are solved through the *batched* SDP kernel —
-   same-shaped problems advance in lock-step inside one vectorised ADMM run,
+   same-shaped problems advance in lock-step inside one interior-point run,
    and all their dual certificates are verified in one fused batch
    certification pass;
 4. the solved bounds are inserted into the cache, and the analyzer replays

@@ -30,7 +30,7 @@ from ..config import AnalysisConfig, ResourceGuard, SDPConfig
 from ..errors import EngineError, MetricError
 from ..linalg.channels import QuantumChannel
 from ..noise.model import NoiseModel
-from ..sdp.kernel import ADMM_RULE_VERSION
+from ..sdp.kernel import SOLVER_VERSION
 
 __all__ = [
     "AnalysisJob",
@@ -82,8 +82,9 @@ def _semantic_config_dict(config: AnalysisConfig) -> dict:
     """The subset of the configuration that can change the certified bound.
 
     The MPS width changes the predicate strength; the SDP mode, iteration
-    cap, tolerance, cache quantisation and the kernel's ADMM step rule
-    (:data:`repro.sdp.kernel.ADMM_RULE_VERSION`) change which dual
+    cap, tolerance, cache quantisation and the kernel's solver
+    (:data:`repro.sdp.kernel.SOLVER_VERSION`, under the key ``admm_rule``
+    that predates it) change which dual
     certificate is found; the noise convention changes the analysed
     channel.  Everything else — scheduler on/off, cache paths,
     derivation collection, resource budgets — changes *when or
@@ -98,7 +99,7 @@ def _semantic_config_dict(config: AnalysisConfig) -> dict:
             "max_iterations": config.sdp.max_iterations,
             "tolerance": config.sdp.tolerance,
             "cache_decimals": config.sdp.cache_decimals,
-            "admm_rule": ADMM_RULE_VERSION,
+            "admm_rule": SOLVER_VERSION,
         },
     }
 

@@ -1,7 +1,7 @@
 """Real parametrisations of Hermitian matrices.
 
-The SDP engine (Section 6) works over Hermitian matrix variables.  ADMM-style
-solvers want a real vector view of those variables with an inner product that
+The SDP engine (Section 6) works over Hermitian matrix variables.  Its
+solver wants a real vector view of those variables with an inner product that
 matches ``tr(A B)``; this module provides the standard ``svec``-like
 isometry for complex Hermitian matrices together with an orthonormal
 Hermitian operator basis.

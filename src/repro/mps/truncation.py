@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import scipy.linalg
 
 __all__ = ["TruncationInfo", "split_theta"]
 
@@ -91,7 +92,12 @@ def split_theta(
     """
     chi_left, d1, d2, chi_right = theta.shape
     matrix = theta.reshape(chi_left * d1, d2 * chi_right)
-    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+    try:
+        u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+    except np.linalg.LinAlgError:
+        # LAPACK's divide-and-conquer gesdd fails to converge on some finite,
+        # unit-norm inputs; the QR-iteration driver gesvd still succeeds.
+        u, s, vh = scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
 
     total_weight = float(np.sum(s**2))
     if total_weight <= 0:

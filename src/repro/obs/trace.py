@@ -3,7 +3,7 @@
 The tracer answers "where did the time go?" for one analysis, one engine
 batch, or one whole experiment sweep:
 
-* a **span** is one named, timed phase (``scheduler.walk``, ``sdp.admm``,
+* a **span** is one named, timed phase (``scheduler.walk``, ``sdp.solve``,
   ``engine.execute`` ...) with a category, free-form ``args``, and the
   process/thread that ran it;
 * spans **nest**: the current span id travels in a :class:`contextvars.

@@ -2,18 +2,19 @@
 
 There is one solver surface: each (ρ̂, δ)-constrained diamond norm of Eq. (2)
 is instantiated from a cached shape template (:mod:`repro.sdp.diamond`),
-solved in lock-step with the other problems of its shape by
-:func:`admm_solve_packed_batch` (:mod:`repro.sdp.kernel`), and the ADMM dual
-point is repaired into a verified certificate (:mod:`repro.sdp.certificates`)
-whose value is the reported bound.
+solved in lock-step with the other problems of its shape by the batched
+interior-point method :func:`ipm_solve_packed_batch` (:mod:`repro.sdp.kernel`),
+and its dual point is repaired into a verified certificate
+(:mod:`repro.sdp.certificates`) whose value is the reported bound.  The solver
+only decides how tight a bound is; the certificate is the proof.
 """
 
 from .kernel import (
     BlockLayout,
-    PackedADMMResult,
+    PackedIPMResult,
     PackedSDP,
-    admm_solve_packed_batch,
     get_layout,
+    ipm_solve_packed_batch,
     positive_part_stack,
     unpack_hermitian_stack,
 )

@@ -8,9 +8,9 @@ identity is exactly p, so the worst-case bound of a circuit is
 ``num_gates * p`` — matching the last column of Table 2.
 
 Soundness: every value returned by this module is a *certified dual bound*
-(see :mod:`repro.sdp.certificates`); the ADMM solver only influences how tight
-it is.  Two candidate duals are always tried — the analytic ``J₊`` candidate
-and the ADMM candidate — and the smaller certified value wins.
+(see :mod:`repro.sdp.certificates`); the interior-point solver only influences
+how tight it is.  The analytic ``J₊`` candidate and the candidates built from
+the solver's dual point are all certified, and the smallest value wins.
 
 The entry point used by the error logic is :func:`gate_error_bound`, which
 additionally exploits two exact reductions:
@@ -34,7 +34,6 @@ import time
 import weakref
 
 import numpy as np
-import scipy.linalg
 
 from ..config import SDPConfig
 from ..errors import SDPError
@@ -57,14 +56,19 @@ from .certificates import (
     verify_certificate,
 )
 from .kernel import (
-    ADMM_RULE_VERSION,
+    SOLVER_VERSION,
     PackedSDP,
-    admm_solve_packed_batch,
     get_layout,
+    ipm_solve_packed_batch,
     pack_hermitian_stack,
     positive_part_stack,
     unpack_hermitian_stack,
 )
+
+#: The batch solve, called through this module attribute so that the
+#: benchmark harness (``perfbench/layers.py``) can wrap it by name; the name
+#: is older than the interior-point solver and stays until that harness moves.
+admm_solve_packed_batch = ipm_solve_packed_batch
 
 __all__ = [
     "DiamondNormBound",
@@ -89,13 +93,13 @@ class DiamondNormBound:
         value: the certified upper bound.
         certificate: the verified dual-feasible point establishing the bound.
         primal_estimate: the (approximate, not certified) primal value from
-            ADMM; ``value - primal_estimate`` estimates the slack.
-        method: how the bound was obtained — ``"certified"`` (ADMM +
+            the solver; ``value - primal_estimate`` estimates the slack.
+        method: how the bound was obtained — ``"certified"`` (solve +
             certificate), ``"fast"`` (analytic J₊ candidate only),
             ``"exact-zero"`` (the difference map is zero, so the bound is 0
             without a solve) or ``"noiseless"`` (no noise acts on the gate).
-        iterations: ADMM iterations spent (0 in fast mode).
-        converged: whether ADMM hit its tolerance.
+        iterations: interior-point iterations spent (0 in fast mode).
+        converged: whether the solver reached its tolerance.
     """
 
     value: float
@@ -112,28 +116,32 @@ class DiamondNormBound:
 
 
 # ---------------------------------------------------------------------------
-# Problem templates: amortise assembly + factorisation across solves
+# Problem templates: amortise assembly across solves
 # ---------------------------------------------------------------------------
+
+#: Relative distance below λ_max(Q) at which a predicate bound is solved when
+#: the requested one lies above it (see :meth:`_ShapeTemplate.instantiate_batch`);
+#: well above double-precision rounding, far below any bound's meaning.
+_FACE_MARGIN = 1e-12
+
 
 class _ShapeTemplate:
     """Everything about Eq. (2) that depends only on the problem *shape*.
 
-    Eq. (2) in the standard primal form the ADMM solver iterates on has the
-    variable blocks ``W`` (dim_out*dim_in square), the slack ``S`` of the
-    operator inequality ``I ⊗ rho >= W``, ``rho`` (dim_in square) and — when
-    the predicate constraint is active — a scalar slack ``t >= 0`` for
+    Eq. (2) in the standard primal form the interior-point solver iterates on
+    has the variable blocks ``W`` (dim_out*dim_in square), the slack ``S`` of
+    the operator inequality ``I ⊗ rho >= W``, ``rho`` (dim_in square) and —
+    when the predicate constraint is active — a scalar slack ``t >= 0`` for
     ``tr(Q rho) - t = c``.  The objective is ``min <-J, W>``, so the SDP's
     optimal value is the negative of the diamond distance.
 
     For a fixed Choi dimension ``big`` (and whether a predicate constraint is
-    present) the coupling constraints (E1), the trace constraint (E2), the
-    packed layout, and the shape part of the normal matrix ``A A*`` — plus
-    its Cholesky factor — are all data-independent.  A template assembles
-    them once; :meth:`instantiate_batch` then produces ready-to-iterate
+    present) the coupling constraints (E1), the trace constraint (E2) and the
+    packed layout are data-independent.  A template assembles them once;
+    :meth:`instantiate_batch` then produces ready-to-iterate
     :class:`PackedSDP` problems for concrete (Choi, predicate) pairs by
     writing the data vectors and, when constrained, appending the single
-    predicate row with a rank-one block-Cholesky update instead of
-    refactorising.
+    predicate row.
 
     Templates are immutable shape data, so solves stay deterministic and
     independent of call order.
@@ -169,14 +177,6 @@ class _ShapeTemplate:
         self.b_shape = np.zeros(num_shape_rows)
         self.b_shape[bb] = 1.0
 
-        normal = a @ a.T
-        self.ridge = 1e-12 * max(1.0, float(np.trace(normal)) / normal.shape[0])
-        self.chol_shape = scipy.linalg.cholesky(
-            normal + self.ridge * np.eye(num_shape_rows),
-            lower=True,
-            check_finite=False,
-        )
-
     def instantiate_batch(
         self,
         scaled_chois: list[np.ndarray],
@@ -189,22 +189,14 @@ class _ShapeTemplate:
         all requests are written with one batched pack
         (:func:`repro.sdp.kernel.pack_hermitian_stack`, the exact elementwise
         operations of ``hvec``), so instantiation does no per-request Python
-        matrix work beyond the rank-one Cholesky row append — which stays
-        per-problem because its triangular solve must remain bit-identical
-        between batch sizes.
+        matrix work.
         """
         count = len(scaled_chois)
         c = np.zeros((count, self.n))
         c[:, : self.bb] = -pack_hermitian_stack(np.stack(scaled_chois))
         if not self.use_constraint:
             return [
-                PackedSDP(
-                    a=self.a_shape,
-                    b=self.b_shape,
-                    c=c[index],
-                    layout=self.layout,
-                    factor=(self.chol_shape, True),
-                )
+                PackedSDP(a=self.a_shape, b=self.b_shape, c=c[index], layout=self.layout)
                 for index in range(count)
             ]
         # (E3)  tr(Q rho) - t = c: the only data-dependent row.
@@ -217,34 +209,29 @@ class _ShapeTemplate:
                     f"input dim {self.dim}"
                 )
             checked.append(operator)
+        operators = np.stack(checked)
         rows = np.zeros((count, self.n))
-        rows[:, 2 * self.bb : 2 * self.bb + self.dim * self.dim] = (
-            pack_hermitian_stack(np.stack(checked))
-        )
+        rho = slice(2 * self.bb, 2 * self.bb + self.dim * self.dim)
+        rows[:, rho] = pack_hermitian_stack(operators)
         rows[:, -1] = -1.0
-        problems = []
-        for index in range(count):
-            row = rows[index]
-            a = np.vstack([self.a_shape, row[None, :]])
-            b = np.concatenate([self.b_shape, [float(bounds_c[index])]])
-            # Append the row to the cached Cholesky factor of the shape normal
-            # matrix:  chol([[S, u], [u', s]]) = [[L, 0], [w', d]]  with
-            # L w = u and d = sqrt(s - w'w).
-            u = self.a_shape @ row
-            w = scipy.linalg.solve_triangular(
-                self.chol_shape, u, lower=True, check_finite=False
-            )
-            d_squared = float(row @ row) + self.ridge - float(w @ w)
-            d = float(np.sqrt(max(d_squared, self.ridge)))
-            m = a.shape[0]
-            factor = np.zeros((m, m))
-            factor[: m - 1, : m - 1] = self.chol_shape
-            factor[m - 1, : m - 1] = w
-            factor[m - 1, m - 1] = d
-            problems.append(
-                PackedSDP(a=a, b=b, c=c[index], layout=self.layout, factor=(factor, True))
-            )
-        return problems
+        a = np.concatenate(
+            [np.broadcast_to(self.a_shape, (count,) + self.a_shape.shape), rows[:, None]],
+            axis=1,
+        )
+        b = np.zeros((count, self.b_shape.size + 1))
+        b[:, :-1] = self.b_shape
+        # A bound at the top of Q's spectrum leaves only a face of ρ's cone
+        # feasible, with no strictly feasible point, and rounding decides
+        # whether that face is a sliver, a single state or empty.  Such bounds
+        # are solved a relative _FACE_MARGIN below λ_max(Q).  Certification
+        # checks the requested bound, so this changes only which dual point
+        # the solver hands it.
+        top = np.linalg.eigvalsh((operators + operators.conj().swapaxes(-1, -2)) / 2)[:, -1]
+        b[:, -1] = np.minimum(bounds_c, (1.0 - _FACE_MARGIN) * top)
+        return [
+            PackedSDP(a=a[index], b=b[index], c=c[index], layout=self.layout)
+            for index in range(count)
+        ]
 
 
 _TEMPLATES: dict[tuple[int, bool], _ShapeTemplate] = {}
@@ -354,7 +341,7 @@ def _certify_solutions_batch(
     """Verify every dual certificate of one solve class in a single fused pass.
 
     ``group`` holds same-shaped prepared solves (one ``big``, one
-    ``use_constraint``); ``results``/``packeds`` are the aligned batched ADMM
+    ``use_constraint``); ``results``/``packeds`` are the aligned batched solver
     outcomes and instantiated problems, or None in fast mode (analytic J₊
     candidate only).
 
@@ -444,6 +431,10 @@ def _certify_solutions_batch(
     return bounds
 
 
+#: Bucket bounds of the ``repro_sdp_solver_iterations`` histogram.
+_ITERATION_BUCKETS = (2, 4, 6, 8, 10, 15, 20, 30, 50, 100)
+
+
 def solve_class_label(big: int, use_constraint: bool) -> str:
     """Human-readable label of one SDP template shape (a *solve class*).
 
@@ -464,7 +455,8 @@ def constrained_diamond_norms_batch(
 
     ``requests`` is a list of ``(choi, constraint_operator, constraint_bound)``
     triples.  Requests whose instantiated problems share a template shape are
-    solved by one batched ADMM run (:func:`repro.sdp.kernel.admm_solve_packed_batch`)
+    solved by one batched interior-point run
+    (:func:`repro.sdp.kernel.ipm_solve_packed_batch`)
     and their dual certificates verified by one fused certification pass
     (:func:`_certify_solutions_batch`), which turns the per-iteration *and*
     per-certificate cost of the whole batch into a handful of batched numpy
@@ -535,6 +527,20 @@ def constrained_diamond_norms_batch(
             "SDP instances solved (batched), by template solve class.",
             {"solve_class": label},
         ).inc(len(group))
+        if results is not None:
+            iterations = obs_metrics.histogram(
+                "repro_sdp_solver_iterations",
+                "Interior-point iterations per SDP instance, by template solve class.",
+                {"solve_class": label},
+                buckets=_ITERATION_BUCKETS,
+            )
+            for result in results:
+                iterations.observe(result.iterations)
+            obs_metrics.counter(
+                "repro_sdp_unconverged_total",
+                "SDP instances that stopped short of the solver tolerance.",
+                {"solve_class": label},
+            ).inc(sum(not result.converged for result in results))
     return bounds  # type: ignore[return-value]
 
 
@@ -856,7 +862,7 @@ def gate_error_bounds_batch(
     tuples.  The structural reductions run as one whole-stack pass
     (:func:`_reduced_gate_problems_batch`); the surviving SDPs are dispatched
     through :func:`constrained_diamond_norms_batch` so that same-shaped
-    problems share one batched ADMM run.  Used by the program-level bound
+    problems share one batched interior-point run.  Used by the program-level bound
     scheduler (:mod:`repro.core.scheduler`); :func:`gate_error_bound` is a
     batch of one through this same code.
     """
@@ -1010,7 +1016,8 @@ class GateBoundCache:
         """The solver settings a persisted bound was certified under.
 
         Every bound is sound, but how tight it is depends on the SDP mode,
-        the iteration cap, the tolerance and the ADMM step rule.  The
+        the iteration cap, the tolerance and the solver itself
+        (:data:`repro.sdp.kernel.SOLVER_VERSION`).  The
         persistent store binds this string into its key and checks it on
         load, so a store filled by a looser solver (``mode="fast"``, a lower
         cap, an older rule) is never served as a tighter solver's answer.
@@ -1018,7 +1025,7 @@ class GateBoundCache:
         config = config or SDPConfig()
         return (
             f"{config.mode}|{config.max_iterations}|{config.tolerance!r}"
-            f"|{ADMM_RULE_VERSION}"
+            f"|{SOLVER_VERSION}"
         )
 
     def _hash_key(self, key: tuple, fingerprint: str, solver: str) -> str:

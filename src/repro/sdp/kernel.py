@@ -1,22 +1,22 @@
 """Vectorized packed-real kernel of the diamond-norm SDP solver.
 
-The batched ADMM iteration spends essentially all of its time in two
-structural operations per iteration: moving between the flat packed-real
-variable and its Hermitian blocks, and projecting each block onto the PSD
-cone.  This module precomputes, per block *structure* (the tuple of block
-side lengths), the index maps needed to do both with whole-array numpy work:
+The batched interior-point iteration works on a flat packed-real variable
+whose blocks are Hermitian matrices: every iteration unpacks blocks,
+eigendecomposes them and packs results back.  This module precomputes, per
+block *structure* (the tuple of block side lengths), the index maps needed to
+do that with whole-array numpy work:
 
 * :class:`BlockLayout` — gather/scatter maps between the flat packed-real
   vector and stacked ``(k, d, d)`` complex arrays, one stack per distinct
   block size, so same-sized blocks are unpacked, eigendecomposed and repacked
   together in single batched calls;
 * :func:`BlockLayout.project_psd` — the fused flat→blocks→eigh→clip→flat
-  PSD projection used inside the ADMM iteration (one batched ``eigh`` per
-  distinct block size, scalars clipped directly on the flat vector);
-* :class:`PackedSDP` / :func:`admm_solve_packed_batch` — a standard-form SDP
-  in dense packed-real form and the lock-step ADMM iteration over many
-  same-shaped ones, which the shape templates of :mod:`repro.sdp.diamond`
-  instantiate and solve.
+  PSD projection (one batched ``eigh`` per distinct block size, scalars
+  clipped directly on the flat vector);
+* :class:`PackedSDP` / :func:`ipm_solve_packed_batch` — a standard-form SDP
+  in dense packed-real form and the lock-step interior-point iteration over
+  many same-shaped ones, which the shape templates of
+  :mod:`repro.sdp.diamond` instantiate and solve.
 
 Layouts are cached per dims-tuple (:func:`get_layout`), so the maps are built
 once per problem shape for the lifetime of the process.
@@ -38,12 +38,12 @@ import numpy as np
 import scipy.linalg
 
 __all__ = [
-    "ADMM_RULE_VERSION",
+    "SOLVER_VERSION",
     "BlockLayout",
     "PackedSDP",
-    "PackedADMMResult",
-    "admm_solve_packed_batch",
+    "PackedIPMResult",
     "get_layout",
+    "ipm_solve_packed_batch",
     "pack_hermitian_stack",
     "positive_part_stack",
     "unpack_hermitian_stack",
@@ -78,6 +78,13 @@ class _BlockGroup:
         pack_source: ``(dim*dim,)`` float-view positions of one block's
             packed-real coordinates, in ``gather`` order.
         pack_scale: ``(dim*dim,)`` factors 1 (diagonal) and sqrt2 (upper).
+        basis_index / basis_coeffs: ``(2, dim*dim)`` arrays giving, for
+            each packed coordinate ``p``, the two nonzero entries of the
+            row-major ``vec`` of its Hermitian basis matrix ``E_p`` (their
+            positions and coefficients; a diagonal coordinate repeats its
+            position with coefficient 0).  They are the columns of the map
+            ``U`` with ``U e_p = vec(E_p)``, stored sparsely, so that
+            ``Re(U^H vec(M))`` packs the Hermitian part of any square ``M``.
     """
 
     dim: int
@@ -88,6 +95,8 @@ class _BlockGroup:
     unpack_diag_zero: np.ndarray
     pack_source: np.ndarray
     pack_scale: np.ndarray
+    basis_index: np.ndarray
+    basis_coeffs: np.ndarray
 
     @classmethod
     def build(cls, dim: int, gather: np.ndarray) -> "_BlockGroup":
@@ -113,6 +122,12 @@ class _BlockGroup:
         scale[rows, cols, 1] = inv_sqrt2
         scale[cols, rows, 1] = -inv_sqrt2
         float_position = 2 * (rows * d + cols)
+        basis_coeffs = np.zeros((2, d * d), dtype=np.complex128)
+        basis_coeffs[0, :d] = 1.0
+        basis_coeffs[:, d : d + m] = inv_sqrt2
+        basis_coeffs[0, d + m :] = 1j * inv_sqrt2
+        basis_coeffs[1, d + m :] = -1j * inv_sqrt2
+        upper_index, lower_index = rows * d + cols, cols * d + rows
         return cls(
             dim=d,
             gather=gather,
@@ -124,6 +139,13 @@ class _BlockGroup:
                 [2 * (diag * d + diag), float_position, float_position + 1]
             ),
             pack_scale=np.concatenate([np.ones(d), np.full(2 * m, _SQRT2)]),
+            basis_index=np.stack(
+                [
+                    np.concatenate([diag * (d + 1), upper_index, upper_index]),
+                    np.concatenate([diag * (d + 1), lower_index, lower_index]),
+                ]
+            ),
+            basis_coeffs=basis_coeffs,
         )
 
 
@@ -201,7 +223,8 @@ class BlockLayout:
         Equivalent to unpacking every block, replacing it by its positive
         part (scalars clipped at zero), and repacking — but with one batched
         ``eigh`` per distinct block size and no per-block Python loop.
-        Accepts any leading batch shape: ``(..., total_real_dim)``.
+        Accepts any leading batch shape: ``(..., total_real_dim)``.  No
+        solver step calls it; the benchmark harnesses time it by name.
         """
         out = np.zeros(vector.shape, dtype=float)
         if self.scalar_positions.size:
@@ -212,16 +235,18 @@ class BlockLayout:
             matrices = self.unpack_group(vector, group)
             eigenvalues, eigenvectors = np.linalg.eigh(matrices)
             np.clip(eigenvalues, 0.0, None, out=eigenvalues)
-            projected = (
-                eigenvectors * eigenvalues[..., None, :]
-            ) @ eigenvectors.conj().swapaxes(-1, -2)
-            self.pack_group(projected, group, out)
+            self.pack_group(_from_eigen(eigenvectors, eigenvalues), group, out)
         return out
 
 
 # ---------------------------------------------------------------------------
 # Stacked Hermitian primitives (shared by the batch certification pass)
 # ---------------------------------------------------------------------------
+
+def _from_eigen(eigenvectors: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """``V diag(λ) V^H`` for stacks of eigenpairs."""
+    return (eigenvectors * eigenvalues[..., None, :]) @ eigenvectors.conj().swapaxes(-1, -2)
+
 
 def positive_part_stack(matrices: np.ndarray) -> np.ndarray:
     """Positive part ``A_+`` of a stack of Hermitian matrices, one batched eigh.
@@ -235,10 +260,7 @@ def positive_part_stack(matrices: np.ndarray) -> np.ndarray:
     matrices = np.asarray(matrices, dtype=np.complex128)
     matrices = (matrices + matrices.conj().swapaxes(-1, -2)) / 2
     eigenvalues, eigenvectors = np.linalg.eigh(matrices)
-    eigenvalues = np.clip(eigenvalues, 0.0, None)
-    return (eigenvectors * eigenvalues[..., None, :]) @ eigenvectors.conj().swapaxes(
-        -1, -2
-    )
+    return _from_eigen(eigenvectors, np.clip(eigenvalues, 0.0, None))
 
 
 def pack_hermitian_stack(matrices: np.ndarray) -> np.ndarray:
@@ -306,49 +328,45 @@ def get_layout(dims: tuple[int, ...] | list[int]) -> BlockLayout:
 
 
 # ---------------------------------------------------------------------------
-# Packed ADMM core
+# Packed interior-point core
 # ---------------------------------------------------------------------------
 
-#: Identity of the iteration rule below.  Any change that moves the iterates
-#: (step length, penalty schedule, stopping test) must change this string:
+#: Identity of the solver below.  Any change that moves the iterates (start
+#: point, direction, step rule, stopping test) must change this string:
 #: persistent bound caches and job fingerprints bind it, so answers found by
-#: an older rule are never served as this rule's answers.
-ADMM_RULE_VERSION = "wgy-step-1.6/balance-2x-every-20"
+#: an older solver are never served as this solver's answers.
+SOLVER_VERSION = "mehrotra-hkm/identity-start/step-0.95"
 
-#: Initial ADMM penalty parameter of every problem in a batch.
-_INITIAL_MU = 1.0
+#: Fraction of the distance to the cone boundary that a step covers.
+_STEP_TO_BOUNDARY = 0.95
 
-#: Step length of the multiplier update, ``x <- x + γ((s - v)/μ - x)``.  Wen,
-#: Goldfarb & Yin (Math. Prog. Comp. 2, 2010) prove convergence for
-#: γ in (0, (1 + √5)/2); 1.6 over-relaxes close to the top of that range.
-_STEP_LENGTH = 1.6
+#: Schur matrix order from which the Newton systems are solved with the
+#: Cholesky factor (the d = 16 templates, order 257) instead of by LU (the
+#: d = 4 ones, order 17 and 18).
+_CHOLESKY_SOLVE_MIN_ORDER = 64
 
-#: Iterations between residual checks.  Every check also rebalances the
-#: penalty: a problem whose primal residual exceeds twice its dual residual
-#: doubles μ, the reverse halves it (clipped to [1e-6, 1e6]).
-_CHECK_EVERY = 20
-_BALANCE_RATIO = 2.0
+#: Iterations in a row whose dual objective moves by less than the tolerance
+#: (relative) before a problem counts as stalled and is frozen.
+_PLATEAU_ITERATIONS = 3
+
 
 @dataclasses.dataclass
 class PackedSDP:
-    """A standard-form SDP in dense packed-real form, ready to iterate.
+    """A standard-form SDP ``min <c, x>  s.t.  A x = b,  x ⪰ 0`` in packed-real form.
 
-    ``factor`` is a ``(L, lower)`` Cholesky pair of ``A A^T`` (plus a tiny
-    ridge) as accepted by :func:`scipy.linalg.cho_solve`; the diamond-norm
-    template cache of :mod:`repro.sdp.diamond` reuses the expensive part of
-    this factor across solves of the same shape.
+    ``x`` ranges over the product of the PSD cones of ``layout``; the dual is
+    ``max <b, y>  s.t.  c - A^T y = s ⪰ 0``.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     layout: BlockLayout
-    factor: tuple[np.ndarray, bool]
 
 
 @dataclasses.dataclass
-class PackedADMMResult:
-    """Flat-vector outcome of the packed ADMM iteration."""
+class PackedIPMResult:
+    """Flat-vector outcome of the packed interior-point iteration."""
 
     x_vec: np.ndarray
     y: np.ndarray
@@ -361,35 +379,308 @@ class PackedADMMResult:
     converged: bool
 
 
-def admm_solve_packed_batch(
+def _guarded(function, stack: np.ndarray, failed: np.ndarray):
+    """``function(stack)``, isolating the problems a batched LAPACK call fails on.
+
+    ``stack`` holds square matrices with the problem axis first.  A batched
+    call raises for the whole stack when one matrix fails (``eigh`` does not
+    converge, Cholesky finds no positive definite matrix); the failing
+    problems are then found one by one, marked in ``failed`` and given
+    identity matrices, so they freeze with their last iterate while the rest
+    of the batch goes on.
+    """
+    try:
+        return function(stack)
+    except np.linalg.LinAlgError:
+        pass
+    stack = stack.copy()
+    eye = np.eye(stack.shape[-1])
+    for index in range(len(stack)):
+        try:
+            function(stack[index])
+        except np.linalg.LinAlgError:
+            failed[index] = True
+            stack[index] = eye
+    return function(stack)
+
+
+def _hermitian_part(matrices: np.ndarray) -> np.ndarray:
+    return (matrices + matrices.conj().swapaxes(-1, -2)) / 2
+
+
+#: Complex entries (512 KiB) that one intermediate of :func:`_hkm_block` may
+#: hold: it builds the matrices of as many blocks at once as fit, so a solve
+#: class of hundreds of problems does not raise peak memory.
+_HKM_CHUNK_ENTRIES = 1 << 15
+
+
+def _hkm_block(group: _BlockGroup, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
+    """``H = Re(U^H (X ⊗ S^{-T}) U)`` for stacks of one group's blocks.
+
+    ``H`` is the packed-coordinate matrix of the map ``Z -> herm(X Z S^{-1})``
+    (row-major ``vec(X Z S^{-1}) = (X ⊗ S^{-T}) vec(Z)``); it is symmetric
+    and positive semidefinite for ``X, S ≻ 0``.  ``U`` has two nonzeros per
+    column, so both products are two gathers each: ``O(d^4)`` work per block
+    rather than the ``O(d^6)`` of dense products, which matters for the
+    d = 16 blocks of two-qubit channels.
+    """
+    d = group.dim
+    index, coeffs = group.basis_index, group.basis_coeffs
+    conj_coeffs = coeffs.conj()[:, :, None]
+    x = x.reshape((-1, d, d))
+    s_inv_t = s_inv.reshape((-1, d, d)).swapaxes(-1, -2)
+    h = np.empty((len(x), d * d, d * d))
+    chunk = max(1, _HKM_CHUNK_ENTRIES // d**4)
+    for start in range(0, len(x), chunk):
+        part = slice(start, start + chunk)
+        kron = x[part, :, None, :, None] * s_inv_t[part, None, :, None, :]
+        kron = kron.reshape((-1, d * d, d * d))
+        for axis, weights in ((-1, coeffs), (-2, conj_coeffs)):
+            product = np.take(kron, index[0], axis=axis)
+            product *= weights[0]
+            term = np.take(kron, index[1], axis=axis)
+            term *= weights[1]
+            product += term
+            kron = product
+        h[part] = kron.real
+    return h.reshape(s_inv.shape[:-2] + (d * d, d * d))
+
+
+class _Scaling:
+    """The HKM scaling at one iterate ``(x, s)`` of a batch.
+
+    Holds, per block group, ``S^{-1}``, ``X^{-1/2}``, ``S^{-1/2}`` and the
+    matrices ``H_b = Re(U^H (X ⊗ S^{-T}) U)`` of the maps
+    ``Z -> herm(X Z S^{-1})`` in packed coordinates; the scalar blocks carry
+    the same quantities elementwise.  The predictor and the corrector share
+    one scaling, so each iteration makes one batched ``eigh`` per block group.
+    """
+
+    def __init__(self, layout: BlockLayout, x: np.ndarray, s: np.ndarray, failed: np.ndarray):
+        self.layout = layout
+        tiny = np.finfo(float).tiny
+        self.inv_s = np.zeros_like(s)
+        self.h = []
+        self.x_isqrt = []
+        self.s_isqrt = []
+        for group in layout.groups:
+            k = group.gather.shape[0]
+            x_blocks = layout.unpack_group(x, group)
+            both = np.concatenate([x_blocks, layout.unpack_group(s, group)], axis=1)
+            eigenvalues, eigenvectors = _guarded(np.linalg.eigh, both, failed)
+            eigenvalues = np.maximum(eigenvalues, tiny)
+            isqrt = _from_eigen(eigenvectors, eigenvalues**-0.5)
+            s_inv = _from_eigen(eigenvectors[:, k:], 1.0 / eigenvalues[:, k:])
+            self.x_isqrt.append(isqrt[:, :k])
+            self.s_isqrt.append(isqrt[:, k:])
+            layout.pack_group(s_inv, group, self.inv_s)
+            self.h.append(_hkm_block(group, x_blocks, s_inv))
+        positions = layout.scalar_positions
+        self.x_scalars = np.maximum(x[:, positions], tiny)
+        self.s_scalars = np.maximum(s[:, positions], tiny)
+        self.inv_s[:, positions] = 1.0 / self.s_scalars
+        self.h_scalars = x[:, positions] / self.s_scalars
+
+    def apply(self, vector: np.ndarray) -> np.ndarray:
+        """``H v``: the packed ``herm(X V S^{-1})`` of every block."""
+        out = np.empty_like(vector)
+        for group, h in zip(self.layout.groups, self.h):
+            out[:, group.gather] = (h @ vector[:, group.gather][..., None])[..., 0]
+        positions = self.layout.scalar_positions
+        out[:, positions] = self.h_scalars * vector[:, positions]
+        return out
+
+    def schur(self, a: np.ndarray, identity_rows: list) -> np.ndarray:
+        """``M = Σ_b A_b H_b A_b^T``, symmetrised.
+
+        A block's ``d*d`` packed coordinates are contiguous in the flat
+        vector, so each ``A_b`` is a view of ``a``, not a copy.  A block
+        whose columns are ``±I`` (``identity_rows``, from
+        :func:`_identity_columns`) adds ``H_b`` to a diagonal block of ``M``
+        instead: for the coupling columns of the d = 16 template that spares
+        two dense ``257 x 256`` products per block.
+        """
+        positions = self.layout.scalar_positions
+        a_scalars = a[:, :, positions]
+        schur = (a_scalars * self.h_scalars[:, None, :]) @ a_scalars.swapaxes(-1, -2)
+        for group, h, group_rows in zip(self.layout.groups, self.h, identity_rows):
+            width = group.dim**2
+            for block, start in enumerate(group.gather[:, 0]):
+                first = group_rows[block]
+                if first is not None:
+                    schur[:, first : first + width, first : first + width] += h[:, block]
+                    continue
+                a_block = a[:, :, start : start + width]
+                schur += a_block @ h[:, block] @ a_block.swapaxes(-1, -2)
+        return (schur + schur.swapaxes(-1, -2)) / 2
+
+    def second_order(self, dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
+        """Mehrotra's correction: packed ``herm(ΔX ΔS S^{-1})``."""
+        out = np.empty_like(dx)
+        for group in self.layout.groups:
+            s_inv = self.layout.unpack_group(self.inv_s, group)
+            product = (
+                self.layout.unpack_group(dx, group) @ self.layout.unpack_group(ds, group) @ s_inv
+            )
+            self.layout.pack_group(_hermitian_part(product), group, out)
+        positions = self.layout.scalar_positions
+        out[:, positions] = dx[:, positions] * ds[:, positions] / self.s_scalars
+        return out
+
+    def max_steps(self, dx: np.ndarray, ds: np.ndarray, failed: np.ndarray):
+        """Largest primal and dual steps that keep ``x`` and ``s`` in the cone.
+
+        The step to the boundary along ``ΔX`` is ``-1/λ_min(X^{-1/2} ΔX X^{-1/2})``
+        when that eigenvalue is negative (unbounded otherwise); the primal and
+        dual blocks of a group share one batched ``eigvalsh``.
+        """
+        positions = self.layout.scalar_positions
+        lowest = [
+            np.min(dx[:, positions] / self.x_scalars, axis=1, initial=np.inf),
+            np.min(ds[:, positions] / self.s_scalars, axis=1, initial=np.inf),
+        ]
+        for group, x_isqrt, s_isqrt in zip(self.layout.groups, self.x_isqrt, self.s_isqrt):
+            k = group.gather.shape[0]
+            scaled = np.concatenate(
+                [
+                    x_isqrt @ self.layout.unpack_group(dx, group) @ x_isqrt,
+                    s_isqrt @ self.layout.unpack_group(ds, group) @ s_isqrt,
+                ],
+                axis=1,
+            )
+            smallest = _guarded(np.linalg.eigvalsh, _hermitian_part(scaled), failed)[..., 0]
+            lowest[0] = np.minimum(lowest[0], smallest[:, :k].min(axis=1))
+            lowest[1] = np.minimum(lowest[1], smallest[:, k:].min(axis=1))
+        with np.errstate(divide="ignore"):
+            return [np.where(value < 0, -1.0 / value, np.inf) for value in lowest]
+
+
+def _identity_columns(layout: BlockLayout, a: np.ndarray) -> list[list[int | None]]:
+    """Per block of every group, the row at which its columns of ``a`` are ``±I``.
+
+    The entry is ``r`` when, in every problem of the stack ``a``, the block's
+    ``d*d`` columns are ``+I`` or ``-I`` on rows ``r .. r + d*d`` and zero
+    elsewhere, and None otherwise.  Such a block adds ``A_b H_b A_b^T = H_b``
+    to the Schur matrix's diagonal block at ``r``.
+    """
+    offsets = []
+    for group in layout.groups:
+        width = group.dim**2
+        group_offsets = []
+        for start in group.gather[:, 0]:
+            block = a[:, :, start : start + width]
+            first = int(np.argmax(block[0, :, 0] != 0))
+            sign = block[0, first, 0]
+            identity = abs(sign) == 1.0 and first + width <= block.shape[1]
+            if identity:
+                pattern = np.zeros(block.shape[1:])
+                pattern[first : first + width] = sign * np.eye(width)
+                identity = bool((block == pattern).all())
+            group_offsets.append(first if identity else None)
+        offsets.append(group_offsets)
+    return offsets
+
+
+def _identity_vector(layout: BlockLayout) -> np.ndarray:
+    """The packed identity of every block of ``layout``."""
+    vector = np.zeros(layout.total_real_dim)
+    vector[layout.scalar_positions] = 1.0
+    for group in layout.groups:
+        vector[group.gather[:, : group.dim]] = 1.0
+    return vector
+
+
+def _mehrotra_step(
+    layout: BlockLayout,
+    a: np.ndarray,
+    identity_rows: list,
+    x: np.ndarray,
+    y: np.ndarray,
+    s: np.ndarray,
+    rp: np.ndarray,
+    rd: np.ndarray,
+):
+    """One predictor–corrector step of every problem in the batch.
+
+    ``rp = b - A x`` and ``rd = c - A^T y - s`` are the current residuals;
+    ``identity_rows`` is :func:`_identity_columns` of ``a``.
+    Returns the next iterate ``(x, y, s)`` and the mask of problems whose
+    LAPACK calls failed.
+    """
+    broken = np.zeros(len(x), dtype=bool)
+    scaling = _Scaling(layout, x, s, broken)
+    schur = scaling.schur(a, identity_rows)
+    # The Cholesky factorisation is the positive-definiteness test.  Small
+    # Schur matrices are then solved by LU, which numpy batches faster than
+    # scipy's triangular solves; large ones reuse the factor.
+    factor = _guarded(np.linalg.cholesky, schur, broken)
+    schur[broken] = np.eye(schur.shape[-1])
+    by_factor = schur.shape[-1] >= _CHOLESKY_SOLVE_MIN_ORDER
+    h_rd = scaling.apply(rd)
+
+    def direction(g: np.ndarray):
+        """The HKM direction whose complementarity part ``herm(R_c S^{-1})`` is ``g``."""
+        rhs = rp[..., None] + a @ (h_rd - g)[..., None]
+        if by_factor:
+            dy = scipy.linalg.cho_solve((factor, True), rhs, check_finite=False)[..., 0]
+        else:
+            dy = np.linalg.solve(schur, rhs)[..., 0]
+        ds = rd - (a.swapaxes(-1, -2) @ dy[..., None])[..., 0]
+        return g - scaling.apply(ds), dy, ds
+
+    # Predictor: the affine-scaling direction (target μ = 0).
+    order = float(sum(layout.dims))
+    dx, dy, ds = direction(-x)
+    primal_limit, dual_limit = scaling.max_steps(dx, ds, broken)
+    alpha_p = np.minimum(1.0, primal_limit)[:, None]
+    alpha_d = np.minimum(1.0, dual_limit)[:, None]
+    mu = np.einsum("ij,ij->i", x, s) / order
+    mu_affine = np.einsum("ij,ij->i", x + alpha_p * dx, s + alpha_d * ds) / order
+    sigma = np.clip(mu_affine / mu, 0.0, 1.0) ** 3
+
+    # Corrector: centre towards σμ and cancel the predictor's second-order term.
+    g = (sigma * mu)[:, None] * scaling.inv_s - x - scaling.second_order(dx, ds)
+    dx, dy, ds = direction(g)
+    primal_limit, dual_limit = scaling.max_steps(dx, ds, broken)
+    alpha_p = np.minimum(1.0, _STEP_TO_BOUNDARY * primal_limit)[:, None]
+    alpha_d = np.minimum(1.0, _STEP_TO_BOUNDARY * dual_limit)[:, None]
+    return x + alpha_p * dx, y + alpha_d * dy, s + alpha_d * ds, broken
+
+
+def ipm_solve_packed_batch(
     problems: list[PackedSDP],
     *,
-    max_iterations: int = 4000,
-    tolerance: float = 1e-7,
-) -> list[PackedADMMResult]:
-    """Run ADMM on many same-shaped SDPs simultaneously.
+    max_iterations: int,
+    tolerance: float,
+) -> list[PackedIPMResult]:
+    """Run a primal–dual interior-point method on many same-shaped SDPs at once.
 
     All problems must share one :class:`BlockLayout` and one constraint count
     — exactly the situation the program-level scheduler produces, where every
     unique (gate, predicate) solve class of a circuit instantiates the same
-    diamond-norm template with different data vectors.
+    diamond-norm template with different data.
 
-    The iterates of all K problems advance in lock-step: the per-iteration
-    PSD projection becomes one batched ``eigh`` over ``K * blocks`` small
-    matrices and the y-updates one batched matmul against per-problem
-    precomputed normal-matrix inverses, so the Python/dispatch overhead of an
-    iteration is paid once per *batch* instead of once per problem.  Problems
-    that converge (or plateau) are frozen and compacted out of the batch, so
-    a single slow instance does not keep the others iterating.
+    Each iteration is Mehrotra's predictor–corrector with the HKM direction
+    (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 6, 1996; Kojima,
+    Shindoh & Hara, SIAM J. Optim. 7, 1997; Monteiro, SIAM J. Optim. 7,
+    1997), started from ``X = S = I``, ``y = 0``.  All problems advance in
+    lock-step: per iteration one batched ``eigh`` per block group gives the
+    scaling that both the predictor and the corrector use, one batched
+    Cholesky factorisation tests the Schur matrices ``M`` of the whole batch
+    for positive definiteness, and two batched solves give the predictor's
+    and the corrector's ``Δy``.  Steps go :data:`_STEP_TO_BOUNDARY` of the way to the cone
+    boundary, separately in the primal and the dual.
 
-    Each iteration is the Wen–Goldfarb–Yin update with the over-relaxed
-    multiplier step ``_STEP_LENGTH``; every ``_CHECK_EVERY`` iterations the
-    residuals are checked, finished problems are frozen and the rest have
-    their penalty rebalanced (see the constants above).
-
-    Results are bit-for-bit independent across batch compositions only up to
-    floating-point reduction order; every returned dual candidate is still
-    certified independently by the caller.
+    A problem is frozen and compacted out of the batch when its relative
+    primal and dual residuals and its relative duality gap all fall below
+    ``tolerance``, when its dual objective stalls for
+    :data:`_PLATEAU_ITERATIONS` iterations, after ``max_iterations`` steps,
+    or when a step fails (a non-finite iterate, an ``eigh`` that does not
+    converge, a Schur matrix that is not positive definite).  A frozen problem
+    keeps its last finite iterate, so every result is finite; problems
+    without a strictly feasible point end unconverged, and the caller's dual
+    certificate is still sound.  ``max_iterations`` and ``tolerance`` have no
+    defaults here; :class:`repro.config.SDPConfig` holds them.
     """
     if not problems:
         return []
@@ -399,95 +690,68 @@ def admm_solve_packed_batch(
         raise ValueError("batched problems must share one layout and constraint count")
 
     count = len(problems)
-    n = layout.total_real_dim
     a = np.stack([p.a for p in problems])
     b = np.stack([p.b for p in problems])
     c = np.stack([p.c for p in problems])
-    # Per-problem inverse of the (ridged) normal matrix: m is tiny, so an
-    # explicit inverse turns every y-update into one batched matmul.
-    eye = np.eye(m)
-    normal_inv = np.stack(
-        [scipy.linalg.cho_solve(p.factor, eye, check_finite=False) for p in problems]
-    )
-    at = a.swapaxes(-1, -2)
-
-    x = np.zeros((count, n))
-    s = np.zeros((count, n))
+    identity_rows = _identity_columns(layout, a)
+    x = np.tile(_identity_vector(layout), (count, 1))
+    s = x.copy()
     y = np.zeros((count, m))
-    mus = np.full(count, _INITIAL_MU)
     b_scale = 1.0 + np.linalg.norm(b, axis=1)
     c_scale = 1.0 + np.linalg.norm(c, axis=1)
 
     active = np.arange(count)
-    plateau_checks = np.zeros(count, dtype=int)
-    previous_dual = np.full(count, -np.inf)
-    results: list[PackedADMMResult | None] = [None] * count
+    previous_dual = np.full(count, np.nan)
+    stalled_for = np.zeros(count, dtype=int)
+    broken = np.zeros(count, dtype=bool)
+    results: list[PackedIPMResult | None] = [None] * count
 
-    def freeze(local_indices: np.ndarray, converged_mask: np.ndarray, iteration: int,
-               pr: np.ndarray, dr: np.ndarray) -> None:
-        for local in local_indices:
-            original = int(active[local])
-            results[original] = PackedADMMResult(
+    for iteration in range(max_iterations + 1):
+        rp = b - (a @ x[..., None])[..., 0]
+        rd = c - (a.swapaxes(-1, -2) @ y[..., None])[..., 0] - s
+        pr = np.linalg.norm(rp, axis=1) / b_scale
+        dr = np.linalg.norm(rd, axis=1) / c_scale
+        cx = np.einsum("ij,ij->i", c, x)
+        by = np.einsum("ij,ij->i", b, y)
+        gap = np.abs(cx - by) / (1.0 + np.abs(cx) + np.abs(by))
+        converged = (np.maximum(np.maximum(pr, dr), gap) < tolerance) & ~broken
+        still = np.abs(by - previous_dual) < tolerance * (1.0 + np.abs(by))
+        stalled_for = np.where(still, stalled_for + 1, 0)
+        previous_dual = by
+
+        done = converged | broken | (stalled_for >= _PLATEAU_ITERATIONS)
+        if iteration == max_iterations:
+            done[:] = True
+        for local in np.nonzero(done)[0]:
+            results[int(active[local])] = PackedIPMResult(
                 x_vec=x[local].copy(),
                 y=y[local].copy(),
                 s_vec=s[local].copy(),
-                primal_objective=float(c[local] @ x[local]),
-                dual_objective=float(b[local] @ y[local]),
+                primal_objective=float(cx[local]),
+                dual_objective=float(by[local]),
                 primal_residual=float(pr[local]),
                 dual_residual=float(dr[local]),
                 iterations=iteration,
-                converged=bool(converged_mask[local]),
+                converged=bool(converged[local]),
             )
+        if np.all(done):
+            break
+        if np.any(done):
+            keep = ~done
+            active, a, b, c, x, y, s, rp, rd = (
+                array[keep] for array in (active, a, b, c, x, y, s, rp, rd)
+            )
+            b_scale, c_scale = b_scale[keep], c_scale[keep]
+            previous_dual, stalled_for = previous_dual[keep], stalled_for[keep]
 
-    iteration = 0
-    for iteration in range(1, max_iterations + 1):
-        rhs = mus[:, None] * (b - (a @ x[..., None])[..., 0]) + (
-            a @ (c - s)[..., None]
-        )[..., 0]
-        y = (normal_inv @ rhs[..., None])[..., 0]
+        x_next, y_next, s_next, broken = _mehrotra_step(layout, a, identity_rows, x, y, s, rp, rd)
+        # A failed step leaves the problem at its last finite iterate; the
+        # next pass freezes it there, unconverged.
+        for array in (x_next, y_next, s_next):
+            broken |= ~np.isfinite(array).all(axis=1)
+        x = np.where(broken[:, None], x, x_next)
+        y = np.where(broken[:, None], y, y_next)
+        s = np.where(broken[:, None], s, s_next)
 
-        v = c - (at @ y[..., None])[..., 0] - mus[:, None] * x
-        s = layout.project_psd(v)
-        x += _STEP_LENGTH * ((s - v) / mus[:, None] - x)
-
-        if iteration % _CHECK_EVERY == 0 or iteration == max_iterations:
-            pr = np.linalg.norm((a @ x[..., None])[..., 0] - b, axis=1) / b_scale
-            dr = np.linalg.norm((at @ y[..., None])[..., 0] + s - c, axis=1) / c_scale
-            cx = np.einsum("ij,ij->i", c, x)
-            by = np.einsum("ij,ij->i", b, y)
-            gap = np.abs(cx - by) / (1.0 + np.abs(cx) + np.abs(by))
-            converged_mask = np.maximum(np.maximum(pr, dr), gap) < tolerance
-
-            moved = np.abs(by - previous_dual) >= 0.02 * tolerance * (1.0 + np.abs(by))
-            plateau_checks = np.where(moved, 0, plateau_checks + 1)
-            previous_dual = by
-            plateaued = plateau_checks >= 5
-
-            done = converged_mask | plateaued | (iteration == max_iterations)
-            if np.any(done):
-                freeze(np.nonzero(done)[0], converged_mask, iteration, pr, dr)
-                keep = ~done
-                if not np.any(keep):
-                    break
-                active = active[keep]
-                a, b, c, at = a[keep], b[keep], c[keep], at[keep]
-                normal_inv = normal_inv[keep]
-                x, y, s = x[keep], y[keep], s[keep]
-                mus = mus[keep]
-                b_scale, c_scale = b_scale[keep], c_scale[keep]
-                plateau_checks = plateau_checks[keep]
-                previous_dual = previous_dual[keep]
-                pr, dr = pr[keep], dr[keep]
-
-            grow = pr > _BALANCE_RATIO * dr
-            shrink = dr > _BALANCE_RATIO * pr
-            mus = np.where(grow, np.minimum(mus * 2.0, 1e6), mus)
-            mus = np.where(shrink, np.maximum(mus / 2.0, 1e-6), mus)
-
-    # Every problem is frozen inside the loop: the final iteration always
-    # runs a check (`iteration == max_iterations`) whose `done` mask includes
-    # it.  The loop body can only be skipped entirely for max_iterations < 1,
-    # which SDPConfig.validate rejects — assert rather than carry dead
-    # recovery code.
     assert all(result is not None for result in results)
     return results  # type: ignore[return-value]

@@ -46,6 +46,36 @@ class TestWorstCase:
         assert worst_case_bound(circuit, model, config=FAST).value == pytest.approx(3e-2, abs=1e-6)
 
 
+    def test_one_solve_per_distinct_channel(self, monkeypatch):
+        """Every CX shares one SDP; the sum equals the per-gate diamond distances."""
+        from repro.core import baselines
+        from repro.linalg.channels import unitary_channel
+        from repro.sdp import diamond_distance
+
+        circuit = random_circuit(4, 30, seed=3)
+        model = NoiseModel.uniform_bit_flip(2e-3)
+        batches = []
+        solve = baselines.constrained_diamond_norms_batch
+
+        def counting(requests, **kwargs):
+            batches.append(len(requests))
+            return solve(requests, **kwargs)
+
+        monkeypatch.setattr(baselines, "constrained_diamond_norms_batch", counting)
+        outcome = worst_case_bound(circuit, model, config=FAST)
+        operations = list(circuit.to_program().operations())
+        assert batches == [len({op.gate.num_qubits for op in operations})]
+        per_gate = sum(
+            diamond_distance(
+                model.noisy_gate_channel(op.gate, op.qubits),
+                unitary_channel(op.gate.matrix),
+                config=FAST.sdp,
+            ).value
+            for op in operations
+        )
+        assert outcome.value == pytest.approx(per_gate, rel=1e-6)
+
+
 class TestLQRBaseline:
     def test_matches_gleipnir_on_small_programs(self, ghz3_circuit):
         """Table 2's 10-qubit rows: exact predicates = MPS predicates when exact."""
@@ -61,6 +91,26 @@ class TestLQRBaseline:
         assert outcome.timed_out
         assert outcome.value is None
         assert not outcome.available
+
+    def test_batch_equals_per_gate_bounds(self):
+        """One batched solve gives the bounds of solving gate by gate."""
+        from repro.linalg.partial_trace import partial_trace_keep
+        from repro.linalg.states import basis_state
+        from repro.sdp import gate_error_bound
+        from repro.semantics.density import apply_gate_to_density
+
+        circuit = random_circuit(4, 12, seed=9)
+        model = NoiseModel.uniform_bit_flip(5e-3)
+        rho = np.outer(basis_state([0] * 4), basis_state([0] * 4).conj())
+        per_gate = 0.0
+        for op in circuit.to_program().operations():
+            local = partial_trace_keep(rho, op.qubits)
+            channel = model.channel_for(op.gate, op.qubits)
+            bound = gate_error_bound(op.gate.matrix, channel, local, 0.0, config=FAST.sdp)
+            per_gate += bound.value
+            rho = apply_gate_to_density(rho, op.gate.matrix, op.qubits, 4)
+        lqr = lqr_full_simulation_bound(circuit, model, config=FAST)
+        assert lqr.value == pytest.approx(per_gate, rel=1e-12)
 
     def test_bound_dominates_exact(self):
         circuit = random_circuit(4, 10, seed=5)

@@ -172,14 +172,14 @@ class TestPersistentCache:
         assert warm.error_bound == cold.error_bound
 
     def test_store_binds_admm_rule(self, tmp_path, monkeypatch):
-        """Entries certified by another ADMM step rule are not served."""
+        """Entries certified by another solver are not served."""
         rho = pure_density(zero_state(1))
         key_parts = ("h", "model", "noise", ())
         first = GateBoundCache(decimals=6, store_path=str(tmp_path))
         first.lookup_or_compute(
             key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
         )
-        monkeypatch.setattr(diamond, "ADMM_RULE_VERSION", "some-other-rule")
+        monkeypatch.setattr(diamond, "SOLVER_VERSION", "some-other-rule")
         second = GateBoundCache(decimals=6, store_path=str(tmp_path))
         second.lookup_or_compute(
             key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP

@@ -45,7 +45,14 @@ from repro.linalg.operators import HADAMARD, random_unitary
 from repro.noise import NoiseModel, bit_flip, depolarizing
 from repro.programs.library import table2_benchmarks
 
-FINGERPRINT_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "fingerprints_v1.json"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+FINGERPRINT_FIXTURE = FIXTURES / "fingerprints_v1.json"
+FINGERPRINT_FIXTURE_V2 = FIXTURES / "fingerprints_v2.json"
+
+#: The solver identity and SDP defaults ``fingerprints_v1.json`` was written
+#: under (the ADMM step rule, cap 600, tolerance 3e-6).
+V1_SOLVER_VERSION = "wgy-step-1.6/balance-2x-every-20"
+V1_SDP_CONFIG = SDPConfig(max_iterations=600, tolerance=3e-6)
 
 
 def _branchy_circuit() -> Circuit:
@@ -282,10 +289,10 @@ class TestAnalysisJob:
             assert other.fingerprint() != job.fingerprint(), change
 
     def test_fingerprint_binds_admm_rule(self, monkeypatch):
-        """Outcomes certified by another ADMM step rule are other answers."""
+        """Outcomes certified by another solver are other answers."""
         job = _fast_job()
         before = job.fingerprint()
-        monkeypatch.setattr(spec, "ADMM_RULE_VERSION", "some-other-rule")
+        monkeypatch.setattr(spec, "SOLVER_VERSION", "some-other-rule")
         assert _fast_job().fingerprint() != before
 
     def test_fingerprint_stable_across_processes(self):
@@ -318,17 +325,17 @@ class TestAnalysisJob:
             AnalysisJob.from_json_dict(payload)
 
 
-def pinned_fingerprint_jobs() -> dict[str, AnalysisJob]:
-    """The jobs whose fingerprints ``fixtures/fingerprints_v1.json`` pins.
+def pinned_fingerprint_jobs(sdp: SDPConfig | None = None) -> dict[str, AnalysisJob]:
+    """The jobs whose fingerprints the ``fixtures/fingerprints_v*.json`` pin.
 
     Every Table 2 row at both scales, plus one-gate programs that take each
     branch of gate serialization: embedded matrices (a custom gate, a
     dagger, a library name carrying a foreign unitary) and library names
     (an int parameter, a negative zero, and a Hadamard perturbed within
-    ``allclose``'s relative tolerance).
+    ``allclose``'s relative tolerance).  ``sdp`` defaults to ``SDPConfig()``.
     """
     model = NoiseModel.uniform_bit_flip(DEFAULT_BIT_FLIP_PROBABILITY)
-    config = AnalysisConfig(mps_width=16)
+    config = AnalysisConfig(mps_width=16, sdp=sdp or SDPConfig())
     jobs = {}
     for scale in ("reduced", "full"):
         for bench in table2_benchmarks(scale):
@@ -354,12 +361,18 @@ class TestPinnedFingerprints:
     """Fingerprints are the outcome store's keys: moving one orphans its outcome.
 
     The fixture was written once from :func:`pinned_fingerprint_jobs` and
-    must never be regenerated to make this test pass.
+    must never be regenerated to make this test pass.  It was written under
+    the ADMM solver; rebuilding the jobs with that solver's identity and SDP
+    settings proves that the spec encoding itself has not moved.
     """
+
+    @pytest.fixture(autouse=True)
+    def v1_solver(self, monkeypatch):
+        monkeypatch.setattr(spec, "SOLVER_VERSION", V1_SOLVER_VERSION)
 
     @pytest.fixture(scope="class")
     def jobs(self):
-        return pinned_fingerprint_jobs()
+        return pinned_fingerprint_jobs(V1_SDP_CONFIG)
 
     def test_fixture_covers_every_pinned_job(self, jobs):
         pinned = json.loads(FINGERPRINT_FIXTURE.read_text())
@@ -387,6 +400,42 @@ class TestPinnedFingerprints:
             assert "matrix" in gate_payload(name), name
         for name in ("rz_int_param", "rz_negative_zero", "h_perturbed_1e-9"):
             assert "matrix" not in gate_payload(name), name
+
+
+class TestPinnedFingerprintsV2:
+    """The same jobs under the shipped solver and defaults.
+
+    ``fixtures/fingerprints_v2.json`` was written once when the interior-point
+    solver replaced ADMM and, like the v1 file, must never be regenerated to
+    make this test pass.
+    """
+
+    @pytest.fixture(scope="class")
+    def jobs(self):
+        return pinned_fingerprint_jobs()
+
+    def test_fixture_covers_every_pinned_job(self, jobs):
+        pinned = json.loads(FINGERPRINT_FIXTURE_V2.read_text())
+        assert sorted(pinned) == sorted(jobs)
+
+    def test_fingerprints_match_fixture(self, jobs):
+        pinned = json.loads(FINGERPRINT_FIXTURE_V2.read_text())
+        moved = [name for name, job in jobs.items() if job.fingerprint() != pinned[name]]
+        assert not moved
+
+    def test_decoded_jobs_keep_pinned_fingerprints(self, jobs):
+        pinned = json.loads(FINGERPRINT_FIXTURE_V2.read_text())
+        moved = [
+            name
+            for name, job in jobs.items()
+            if AnalysisJob.from_json(job.to_json()).fingerprint() != pinned[name]
+        ]
+        assert not moved
+
+    def test_differs_from_v1_everywhere(self):
+        v1 = json.loads(FINGERPRINT_FIXTURE.read_text())
+        v2 = json.loads(FINGERPRINT_FIXTURE_V2.read_text())
+        assert all(v1[name] != v2[name] for name in v1)
 
 
 class TestJobResult:

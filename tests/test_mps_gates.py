@@ -103,6 +103,42 @@ class TestSplitTheta:
         with pytest.raises(ValueError):
             split_theta(np.zeros((1, 2, 2, 1)), 2)
 
+    def test_gesdd_failure_falls_back_to_gesvd(self, monkeypatch):
+        """When numpy's gesdd SVD raises, the split uses LAPACK gesvd instead."""
+        import scipy.linalg
+
+        from repro.mps import truncation
+
+        rng = np.random.default_rng(5)
+        theta = rng.normal(size=(3, 2, 2, 4)) + 1j * rng.normal(size=(3, 2, 2, 4))
+        theta /= np.linalg.norm(theta)
+        calls = []
+
+        def failing_svd(*args, **kwargs):
+            calls.append(args)
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(truncation.np.linalg, "svd", failing_svd)
+        left, right, info = split_theta(theta, max_bond=3)
+        monkeypatch.undo()
+
+        assert calls
+        matrix = theta.reshape(6, 8)
+        u, s, vh = scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
+        assert np.array_equal(left, u[:, :3].reshape(3, 2, 3))
+        assert info.kept == 3
+        assert info.discarded_weight == float(np.sum(s[3:] ** 2))
+        kept = s[:3] * np.sqrt(info.total_weight / (info.total_weight - info.discarded_weight))
+        assert np.array_equal(right, (kept[:, None] * vh[:3]).reshape(3, 2, 4))
+
+    def test_gesdd_result_unchanged_when_it_converges(self):
+        rng = np.random.default_rng(6)
+        theta = rng.normal(size=(2, 2, 2, 3)) + 1j * rng.normal(size=(2, 2, 2, 3))
+        left, right, _ = split_theta(theta, max_bond=4)
+        u, s, vh = np.linalg.svd(theta.reshape(4, 6), full_matrices=False)
+        assert np.array_equal(left, u.reshape(2, 2, 4))
+        assert np.array_equal(right, (s[:, None] * vh).reshape(4, 2, 3))
+
     def test_records_do_not_add(self):
         with pytest.raises(TypeError):
             TruncationInfo.zero() + TruncationInfo.zero()

@@ -180,6 +180,28 @@ class TestMetrics:
             assert "outer_total" not in inner.snapshot()
         assert "inner_total" not in obs_metrics.get_registry().snapshot()
 
+    def test_solver_health_metrics(self):
+        """Every certified solve is counted in the iteration histogram of its
+        solve class, and the unconverged ones in ``repro_sdp_unconverged_total``."""
+        from repro.linalg import HADAMARD, maximally_mixed, pure_density, zero_state
+        from repro.noise import bit_flip
+        from repro.sdp import gate_error_bounds_batch
+
+        instances = [
+            (HADAMARD, bit_flip(1e-3), maximally_mixed(1), 0.05),
+            # A pure predicate with δ = 0 has no strictly feasible point.
+            (HADAMARD, bit_flip(1e-3), pure_density(zero_state(1)), 0.0),
+        ]
+        with obs_metrics.scoped() as registry:
+            bounds = gate_error_bounds_batch(instances)
+        snapshot = registry.snapshot()
+        label = (("solve_class", "dim4_constrained"),)
+        histogram = snapshot["repro_sdp_solver_iterations"]["series"][label]
+        assert histogram["count"] == 2
+        assert histogram["sum"] == sum(bound.iterations for bound in bounds)
+        unconverged = snapshot["repro_sdp_unconverged_total"]["series"][label]
+        assert unconverged == sum(not bound.converged for bound in bounds) == 1
+
 
 # ---------------------------------------------------------------------------
 # Read-only by construction

@@ -10,14 +10,21 @@ from repro.linalg.decompositions import positive_part
 from repro.linalg.hermitian import hermitian_basis, hunvec, hvec, random_hermitian
 from repro.noise import amplitude_damping, bit_flip, depolarizing
 from repro.sdp import (
-    admm_solve_packed_batch,
     constrained_diamond_norm,
     constrained_diamond_norms_batch,
     get_layout,
+    ipm_solve_packed_batch,
     verify_certificate,
 )
 from repro.sdp.diamond import _get_template
-from repro.sdp.kernel import BlockLayout
+from repro.sdp import kernel
+from repro.sdp.kernel import (
+    BlockLayout,
+    _hkm_block,
+    _identity_columns,
+    _identity_vector,
+    _Scaling,
+)
 
 
 DIMS_CASES = [(2,), (1,), (3, 1), (4, 4, 2, 1), (2, 3, 2, 1, 1, 5)]
@@ -204,7 +211,7 @@ class TestBatchedADMM:
 
     def test_batch_empty(self):
         assert constrained_diamond_norms_batch([]) == []
-        assert admm_solve_packed_batch([]) == []
+        assert ipm_solve_packed_batch([], max_iterations=50, tolerance=1e-7) == []
 
     def test_batch_rejects_mixed_layouts(self):
         template_1q = _get_template(4, True)
@@ -214,7 +221,9 @@ class TestBatchedADMM:
         constrained = template_1q.instantiate_batch([choi], [rho], [0.4])[0]
         unconstrained = template_1q_free.instantiate_batch([choi], [None], [0.0])[0]
         with pytest.raises(ValueError):
-            admm_solve_packed_batch([constrained, unconstrained])
+            ipm_solve_packed_batch(
+                [constrained, unconstrained], max_iterations=50, tolerance=1e-7
+            )
 
     def test_zero_choi_in_batch(self):
         bounds = constrained_diamond_norms_batch([(np.zeros((4, 4)), None, 0.0)])
@@ -288,17 +297,85 @@ class TestTemplates:
                 config=SDPConfig(max_iterations=100, tolerance=1e-4),
             )
 
-    def test_template_factor_solves_normal_system(self):
-        """The rank-one-updated Cholesky factor inverts A A* correctly."""
-        import scipy.linalg
 
-        choi = depolarizing(0.01).choi() - identity_channel(1).choi()
-        operator = pure_density(plus_state(1))
-        template = _get_template(4, True)
-        packed = template.instantiate_batch(
-            [(choi + choi.conj().T) / 2], [operator], [0.8]
-        )[0]
-        normal = packed.a @ packed.a.T
-        rhs = np.arange(1.0, normal.shape[0] + 1)
-        solved = scipy.linalg.cho_solve(packed.factor, rhs)
-        assert np.allclose(normal @ solved, rhs, atol=1e-6)
+class TestHKMScaling:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_block_matrix_is_the_scaled_product(self, dim):
+        """``H p`` packs ``herm(X P S^{-1})`` for every packed direction ``p``."""
+        rng = np.random.default_rng(dim)
+        layout = get_layout((dim,))
+        group = layout.groups[0]
+        x = positive_part(random_hermitian(dim, rng=rng)) + np.eye(dim)
+        s_inv = np.linalg.inv(positive_part(random_hermitian(dim, rng=rng)) + np.eye(dim))
+        h = _hkm_block(group, x[None, None], s_inv[None, None])[0, 0]
+        for _ in range(3):
+            p = random_hermitian(dim, rng=rng)
+            product = x @ p @ s_inv
+            assert np.allclose(h @ hvec(p), hvec((product + product.conj().T) / 2), atol=1e-12)
+        assert np.allclose(h, h.T, atol=1e-12)
+
+
+def _template_batch(big, use_constraint, count, rng):
+    """``count`` instantiated problems of one template with random data."""
+    dim = int(round(np.sqrt(big)))
+    chois = [random_hermitian(big, rng=rng) for _ in range(count)]
+    operators = [positive_part(random_hermitian(dim, rng=rng)) for _ in range(count)]
+    bounds = [0.1] * count
+    return _get_template(big, use_constraint).instantiate_batch(chois, operators, bounds)
+
+
+class TestSchurAssembly:
+    @pytest.mark.parametrize("big,use_constraint", [(4, True), (4, False), (16, True)])
+    def test_identity_columns_are_the_coupling_blocks(self, big, use_constraint, rng):
+        """W and S carry ``-I`` on the coupling rows; the ρ block does not."""
+        problems = _template_batch(big, use_constraint, 3, rng)
+        layout = problems[0].layout
+        rows = _identity_columns(layout, np.stack([p.a for p in problems]))
+        by_dim = {group.dim: group_rows for group, group_rows in zip(layout.groups, rows)}
+        assert by_dim[big] == [0, 0]
+        assert by_dim[int(round(np.sqrt(big)))] == [None]
+
+    def test_identity_columns_need_every_problem(self, rng):
+        """One problem whose W columns are not ``±I`` turns the shortcut off."""
+        problems = _template_batch(4, True, 3, rng)
+        a = np.stack([p.a for p in problems])
+        a[1, -1, 0] = 0.5
+        layout = problems[0].layout
+        group = next(g for g in layout.groups if g.dim == 4)
+        rows = _identity_columns(layout, a)[layout.groups.index(group)]
+        assert rows == [None, 0]
+
+    @pytest.mark.parametrize("big,use_constraint", [(4, True), (4, False), (16, True)])
+    def test_scatter_equals_dense_products(self, big, use_constraint, rng):
+        """Adding ``H_b`` on the identity rows is bit-identical to ``A_b H_b A_bᵀ``."""
+        problems = _template_batch(big, use_constraint, 4, rng)
+        layout = problems[0].layout
+        a = np.stack([p.a for p in problems])
+        identity = _identity_vector(layout)
+        x, s = (
+            np.stack([layout.project_psd(rng.standard_normal(identity.size)) for _ in problems])
+            + identity
+            for _ in range(2)
+        )
+        scaling = _Scaling(layout, x, s, np.zeros(len(problems), bool))
+        dense = [[None] * group.gather.shape[0] for group in layout.groups]
+        assert np.array_equal(
+            scaling.schur(a, _identity_columns(layout, a)), scaling.schur(a, dense)
+        )
+
+
+class TestLargeSchurSolve:
+    def test_cholesky_solve_matches_lu(self, monkeypatch):
+        """The d = 16 template solved with the Cholesky factor or by LU agrees."""
+        from repro.noise import two_qubit_depolarizing
+
+        choi = two_qubit_depolarizing(0.05).choi() - identity_channel(2).choi()
+        config = SDPConfig()
+        request = [(choi, maximally_mixed(2), 0.1)]
+        factored = constrained_diamond_norms_batch(request, config=config)[0]
+        monkeypatch.setattr(kernel, "_CHOLESKY_SOLVE_MIN_ORDER", 10**6)
+        by_lu = constrained_diamond_norms_batch(request, config=config)[0]
+        assert factored.iterations == by_lu.iterations
+        assert factored.value == pytest.approx(by_lu.value, rel=1e-9)
+        for bound in (factored, by_lu):
+            assert verify_certificate(bound.certificate, bound.choi)
