@@ -194,75 +194,6 @@ def measure_outcome_warm_path(jobs: list[AnalysisJob], *, duplicates: int = DUPL
     }
 
 
-#: Registry string-lookup dispatch may cost at most this fraction over a
-#: direct ``diamond_distance`` call (``--check --engine`` fails beyond it).
-REGISTRY_OVERHEAD_BUDGET = 0.05
-#: Interleaved timing rounds of the registry-vs-direct measurement.
-METRIC_REGISTRY_REPEATS = 30
-
-
-def _metric_channel_pairs():
-    from repro.noise.channels import bit_flip, depolarizing, identity_noise
-
-    return [
-        (bit_flip(1e-3), identity_noise(1)),
-        (depolarizing(1e-3), identity_noise(1)),
-        (bit_flip(1e-3), bit_flip(2e-3)),
-    ]
-
-
-def measure_metric_registry(*, repeats: int = METRIC_REGISTRY_REPEATS) -> dict:
-    """Registry-routed diamond norm vs the legacy direct call.
-
-    Times ``get_metric("diamond_norm").compute(a, b)`` against
-    ``diamond_distance(a, b)`` over the same channel pairs, interleaved (one
-    round of each per repeat, warmup round excluded) so cache warmth and CPU
-    frequency drift hit both paths equally.  Medians are compared; the two
-    paths must be **bit-identical** — the registry adds dispatch, never
-    arithmetic — and the dispatch overhead must stay within
-    ``REGISTRY_OVERHEAD_BUDGET``.
-    """
-    import statistics
-
-    from repro.metrics import get_metric
-    from repro.sdp.diamond import diamond_distance
-
-    pairs = _metric_channel_pairs()
-    metric = get_metric("diamond_norm")
-    config = AnalysisConfig().sdp
-
-    def run_direct():
-        return [diamond_distance(a, b, config=config).value for a, b in pairs]
-
-    def run_registry():
-        return [metric.compute(a, b, config=config).value for a, b in pairs]
-
-    # Warmup: template caches, import side effects, allocator steady state.
-    direct_values = run_direct()
-    registry_values = run_registry()
-
-    direct_times, registry_times = [], []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run_direct()
-        direct_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        run_registry()
-        registry_times.append(time.perf_counter() - start)
-
-    direct_median = statistics.median(direct_times)
-    registry_median = statistics.median(registry_times)
-    return {
-        "pairs": len(pairs),
-        "repeats": repeats,
-        "direct_median_seconds": direct_median,
-        "registry_median_seconds": registry_median,
-        "dispatch_overhead_ratio": registry_median / max(direct_median, 1e-12) - 1.0,
-        "bit_identical": registry_values == direct_values,
-        "values": registry_values,
-    }
-
-
 def measure_calibration() -> dict:
     """One inline analysis of the calibration benchmark (machine-speed probe).
 
@@ -357,7 +288,6 @@ def collect_all() -> dict:
         == sequential_unique_bounds,
         "warm_cache_table2_reduced": measure_warm_cache(jobs),
         "outcome_store_warm_path": measure_outcome_warm_path(jobs),
-        "metric_registry": measure_metric_registry(),
     }
     return payload
 
@@ -416,21 +346,6 @@ def test_outcome_warm_path_smoke():
     assert outcome["outcome_hits_warm"] == 1
     assert outcome["bit_identical"]
     assert outcome["certificates_reverified"]
-
-
-def test_metric_registry_smoke():
-    """Registry-routed diamond norm is bit-identical to the direct call.
-
-    The ≤5% dispatch-overhead budget is asserted by ``run_bench.py --check
-    --engine`` (timing assertions do not belong in a unit smoke); here the
-    check is the structural one — same channels through ``get_metric`` and
-    through ``diamond_distance`` produce the exact same floats.
-    """
-    measurement = measure_metric_registry(repeats=3)
-    assert measurement["bit_identical"]
-    assert len(measurement["values"]) == measurement["pairs"]
-    assert all(value >= 0.0 for value in measurement["values"])
-    assert any(value > 0.0 for value in measurement["values"])
 
 
 if __name__ == "__main__":

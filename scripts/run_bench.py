@@ -176,13 +176,6 @@ def run_engine() -> int:
         f"bit-identical: {outcome['bit_identical']}, "
         f"certificates re-verified: {outcome['certificates_reverified']})"
     )
-    registry = payload["metric_registry"]
-    print(
-        f"metric registry dispatch: "
-        f"{registry['dispatch_overhead_ratio'] * 100:+.1f}% vs direct call "
-        f"({registry['pairs']} pairs x {registry['repeats']} rounds, "
-        f"bit-identical: {registry['bit_identical']})"
-    )
     bench_engine.BASELINE_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {bench_engine.BASELINE_PATH}")
     return 0
@@ -242,31 +235,6 @@ def run_engine_check() -> int:
         )
         return 1
 
-    # Metric-registry dispatch gate (live, machine-independent — a ratio):
-    # routing the diamond norm through the string-keyed registry must stay
-    # bit-identical to the direct call and within the 5% dispatch budget.
-    registry = bench_engine.measure_metric_registry()
-    print(
-        f"metric registry dispatch: "
-        f"{registry['dispatch_overhead_ratio'] * 100:+.1f}% vs direct call "
-        f"(budget {bench_engine.REGISTRY_OVERHEAD_BUDGET * 100:.0f}%, "
-        f"bit-identical: {registry['bit_identical']})"
-    )
-    if not registry["bit_identical"]:
-        print(
-            "REGRESSION: registry-routed diamond norm diverges from the "
-            "direct diamond_distance call",
-            file=sys.stderr,
-        )
-        return 1
-    if registry["dispatch_overhead_ratio"] > bench_engine.REGISTRY_OVERHEAD_BUDGET:
-        print(
-            f"REGRESSION: metric registry dispatch overhead "
-            f"{registry['dispatch_overhead_ratio'] * 100:.1f}% exceeds the "
-            f"{bench_engine.REGISTRY_OVERHEAD_BUDGET * 100:.0f}% budget",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

@@ -22,12 +22,10 @@ from .engine import (
     AnalysisEngine,
     AnalysisJob,
     AnalysisService,
-    ComparisonJob,
     JobResult,
     ResultStore,
 )
 from .api import AnalysisOutcome, AnalysisSession, Client
-from .metrics import ChannelMetric, MetricValue, get_metric, registered_metrics
 from .mps import MPS, MPSApproximator, approximate_program
 from .sdp import (
     DiamondNormBound,
@@ -45,7 +43,6 @@ from .errors import (
     ExperimentError,
     GateError,
     LogicError,
-    MetricError,
     MPSError,
     NoiseModelError,
     ReproError,
@@ -72,16 +69,11 @@ __all__ = [
     "AnalysisEngine",
     "AnalysisJob",
     "AnalysisService",
-    "ComparisonJob",
     "JobResult",
     "ResultStore",
     "AnalysisOutcome",
     "AnalysisSession",
     "Client",
-    "ChannelMetric",
-    "MetricValue",
-    "get_metric",
-    "registered_metrics",
     "MPS",
     "MPSApproximator",
     "approximate_program",
@@ -104,6 +96,5 @@ __all__ = [
     "DeviceError",
     "EngineError",
     "ExperimentError",
-    "MetricError",
     "StorageBackendError",
 ]

@@ -29,7 +29,7 @@ import urllib.error
 import urllib.request
 from collections.abc import Sequence
 
-from ..engine.spec import AnalysisJob, ComparisonJob
+from ..engine.spec import AnalysisJob
 from ..errors import EngineError, error_from_envelope
 
 __all__ = ["Client"]
@@ -88,12 +88,11 @@ class Client:
         """Service discovery (``GET /v1/capabilities``)."""
         return self._request("GET", "/v1/capabilities")
 
-    def submit(self, jobs: Sequence[AnalysisJob | ComparisonJob | dict]) -> list[dict]:
+    def submit(self, jobs: Sequence[AnalysisJob | dict]) -> list[dict]:
         """Submit one batch; returns the aligned list of status entries.
 
-        ``jobs`` may hold :class:`AnalysisJob` / :class:`ComparisonJob`
-        values or raw job payload dicts (any registered ``kind``).
-        Validation is all-or-nothing on the server: a rejected batch
+        ``jobs`` may hold :class:`AnalysisJob` values or raw job payload
+        dicts.  Validation is all-or-nothing on the server: a rejected batch
         executes nothing.
         """
         payloads = [

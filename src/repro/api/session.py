@@ -34,7 +34,7 @@ from ..engine.pool import (
     job_result_from_analysis,
 )
 from ..engine.service import TERMINAL_STATUSES, AnalysisService
-from ..engine.spec import AnalysisJob, ComparisonJob, JobResult
+from ..engine.spec import AnalysisJob, JobResult
 from ..errors import EngineError, ResourceLimitExceeded
 from ..linalg.channels import QuantumChannel
 from ..noise.model import NoiseModel
@@ -105,13 +105,6 @@ class AnalysisOutcome:
     mps_width: int
     noise_model: str
     tape_steps_reused: int = 0
-    #: Comparison outcomes only: metric name, its certification tier, and —
-    #: for noise-model A/B jobs — the per-side certified bounds behind the
-    #: drift in ``bound``.  Empty/None on plain analyses.
-    metric: str = ""
-    metric_tier: str = ""
-    value_a: float | None = None
-    value_b: float | None = None
     error: str | None = None
     timings: dict = dataclasses.field(default_factory=dict)
     round_trip_seconds: float | None = None
@@ -169,10 +162,6 @@ class AnalysisOutcome:
             mps_width=result.mps_width,
             noise_model=result.noise_model,
             tape_steps_reused=result.tape_steps_reused,
-            metric=result.metric,
-            metric_tier=result.metric_tier,
-            value_a=result.value_a,
-            value_b=result.value_b,
             error=result.error,
             timings=dict(result.timings or {}),
             round_trip_seconds=round_trip_seconds,
@@ -338,45 +327,6 @@ class AnalysisSession:
             name=name,
         )
 
-    def comparison_job(
-        self,
-        a,
-        b,
-        c=None,
-        *,
-        metric: str | None = None,
-        config: AnalysisConfig | None = None,
-        initial_bits: Sequence[int] | None = None,
-        name: str | None = None,
-    ) -> ComparisonJob:
-        """A content-addressed comparison job (see :meth:`compare` for shapes)."""
-        if isinstance(a, QuantumChannel):
-            if not isinstance(b, QuantumChannel) or c is not None:
-                raise EngineError(
-                    "channel comparisons take exactly two QuantumChannel values"
-                )
-            return ComparisonJob.from_channels(
-                a,
-                b,
-                metric=metric or "diamond_norm",
-                config=config or self.config,
-                name=name,
-            )
-        if not isinstance(b, NoiseModel) or not isinstance(c, NoiseModel):
-            raise EngineError(
-                "compare() takes (channel_a, channel_b) or "
-                "(program, noise_model_a, noise_model_b)"
-            )
-        return ComparisonJob.from_noise_models(
-            a,
-            b,
-            c,
-            metric=metric or "bound_drift",
-            config=config or self.config,
-            initial_bits=initial_bits,
-            name=name,
-        )
-
     # -- analysis ----------------------------------------------------------
     def analyze(
         self,
@@ -460,60 +410,7 @@ class AnalysisSession:
             derivation=result.derivation,
         )
 
-    # -- comparison --------------------------------------------------------
-    def compare(
-        self,
-        a,
-        b,
-        c=None,
-        *,
-        metric: str | None = None,
-        config: AnalysisConfig | None = None,
-        initial_bits: Sequence[int] | None = None,
-        name: str | None = None,
-    ) -> AnalysisOutcome:
-        """Compare two channels, or two noise models over one program.
-
-        Two call shapes, disambiguated by the first argument:
-
-        * ``compare(channel_a, channel_b, metric="diamond_norm")`` — a
-          registered channel metric of the pair (default: the certified
-          comparative diamond norm);
-        * ``compare(circuit, noise_model_a, noise_model_b)`` — a noise-model
-          A/B diff: the full certified analysis runs under each model and the
-          outcome's ``bound`` is the drift ``|bound_a - bound_b|``, with the
-          per-side bounds in ``value_a``/``value_b`` (default metric:
-          ``bound_drift``).
-
-        Both shapes execute through the engine (or the remote service), so
-        comparisons share dedupe, the outcome cache, and sharding with
-        analyses; remote and in-process results are bit-identical.
-        """
-        job = self.comparison_job(
-            a,
-            b,
-            c,
-            metric=metric,
-            config=config,
-            initial_bits=initial_bits,
-            name=name,
-        )
-        return self.analyze_batch([job])[0]
-
-    def compare_batch(
-        self, jobs: Sequence[ComparisonJob]
-    ) -> list[AnalysisOutcome]:
-        """Execute a batch of comparison jobs; outcomes aligned with ``jobs``.
-
-        A convenience alias of :meth:`analyze_batch` (the engine executes
-        mixed batches of analyses and comparisons just the same), kept
-        separate so call sites read as what they do.
-        """
-        return self.analyze_batch(jobs)
-
-    def analyze_batch(
-        self, jobs: Sequence[AnalysisJob | ComparisonJob]
-    ) -> list[AnalysisOutcome]:
+    def analyze_batch(self, jobs: Sequence[AnalysisJob]) -> list[AnalysisOutcome]:
         """Execute a batch; outcomes are aligned with ``jobs``.
 
         Duplicate jobs (same fingerprint) share one execution on both
@@ -699,14 +596,11 @@ class AnalysisSession:
             return payload
         from ..engine.service import API_VERSION
         from ..engine.spec import JOB_SCHEMA_VERSION
-        from ..metrics import metric_capabilities
 
         return {
             "transport": "local",
             "api": {"version": API_VERSION, "versions": [API_VERSION]},
             "job_schema_version": JOB_SCHEMA_VERSION,
-            "job_kinds": ["analysis_job", "comparison_job"],
-            "metrics": metric_capabilities(),
             "engine": self.engine.stats(),
         }
 

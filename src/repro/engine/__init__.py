@@ -20,23 +20,20 @@ into first-class, addressable requests:
   (``gleipnir-serve``) that coalesces submissions into engine batches.
 """
 
-from .spec import AnalysisJob, ComparisonJob, JobResult, job_from_json_dict
+from .spec import AnalysisJob, JobResult, job_from_json_dict
 from .store import ResultStore
 from .outcomes import OutcomeCertificate, OutcomeStore
 from .pool import AnalysisEngine, BatchReport, execute_job
-from .comparisons import execute_comparison
 from .service import AnalysisService
 
 __all__ = [
     "AnalysisJob",
-    "ComparisonJob",
     "JobResult",
     "ResultStore",
     "OutcomeStore",
     "OutcomeCertificate",
     "AnalysisEngine",
     "BatchReport",
-    "execute_comparison",
     "execute_job",
     "job_from_json_dict",
     "AnalysisService",

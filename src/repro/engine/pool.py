@@ -50,12 +50,7 @@ from ..errors import ResourceLimitExceeded
 from ..obs import metrics as obs_metrics
 from ..obs.trace import collecting, emit_spans, reset_tracing, span, tracing_active
 from .outcomes import OutcomeCertificate, OutcomeStore
-from .spec import (
-    AnalysisJob,
-    ComparisonJob,
-    JobResult,
-    job_from_json,
-)
+from .spec import AnalysisJob, JobResult, job_from_json
 from .store import ResultStore
 
 __all__ = [
@@ -197,7 +192,7 @@ def _harvest_certificates(analyzer: GleipnirAnalyzer) -> list[OutcomeCertificate
 
 
 def execute_job_record(
-    job: AnalysisJob | ComparisonJob,
+    job: AnalysisJob,
     *,
     cache_dir: str | None = None,
     fingerprint: str | None = None,
@@ -211,20 +206,7 @@ def execute_job_record(
     ``collect_certificates=True`` the per-gate dual certificates are
     harvested from the job's bound cache so the engine can store them
     alongside the outcome; failures always return an empty certificate list.
-
-    :class:`~repro.engine.spec.ComparisonJob` batches dispatch to
-    :mod:`repro.engine.comparisons` (imported lazily — it builds on this
-    module's helpers) and flow through the same dedupe/store/pool machinery.
     """
-    if isinstance(job, ComparisonJob):
-        from .comparisons import execute_comparison_record
-
-        return execute_comparison_record(
-            job,
-            cache_dir=cache_dir,
-            fingerprint=fingerprint,
-            collect_certificates=collect_certificates,
-        )
     if fingerprint is None:
         fingerprint = job.fingerprint()
     config = _prepared_config(job, cache_dir)
@@ -266,7 +248,7 @@ def execute_job_record(
 
 
 def execute_job(
-    job: AnalysisJob | ComparisonJob,
+    job: AnalysisJob,
     *,
     cache_dir: str | None = None,
     fingerprint: str | None = None,
@@ -413,14 +395,14 @@ class AnalysisEngine:
 
     def run(
         self,
-        jobs: Sequence[AnalysisJob | ComparisonJob],
+        jobs: Sequence[AnalysisJob],
         *,
         resume: bool = False,
     ) -> BatchReport:
         """Execute a batch and return results aligned with ``jobs``."""
         start = time.perf_counter()
         fingerprints = [job.fingerprint() for job in jobs]
-        unique: dict[str, AnalysisJob | ComparisonJob] = {}
+        unique: dict[str, AnalysisJob] = {}
         for fingerprint, job in zip(fingerprints, jobs):
             unique.setdefault(fingerprint, job)
 

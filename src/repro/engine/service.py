@@ -65,17 +65,11 @@ import threading
 import time
 
 from ..errors import BatchLimitExceeded, StorageBackendError
-from ..metrics import metric_capabilities
 from ..obs import metrics as obs_metrics
 from ..version import __version__
 from .outcomes import OutcomeStore
 from .pool import AnalysisEngine
-from .spec import (
-    JOB_SCHEMA_VERSION,
-    AnalysisJob,
-    ComparisonJob,
-    job_from_json_dict,
-)
+from .spec import JOB_SCHEMA_VERSION, AnalysisJob, job_from_json_dict
 from .store import ResultStore
 
 __all__ = ["AnalysisService", "API_VERSION", "TERMINAL_STATUSES", "make_server", "main"]
@@ -124,7 +118,7 @@ class AnalysisService:
         self.max_tracked = int(max_tracked)
         #: Largest number of jobs one submission may carry (413 beyond).
         self.max_submit = int(max_submit)
-        self._queue: queue.Queue[tuple[str, AnalysisJob | ComparisonJob]] = queue.Queue()
+        self._queue: queue.Queue[tuple[str, AnalysisJob]] = queue.Queue()
         self._status: dict[str, dict] = {}
         # One condition guards the status map and is notified whenever a job
         # reaches a terminal state, so waiters (long-poll handlers, the
@@ -219,7 +213,7 @@ class AnalysisService:
         jobs = [job_from_json_dict(payload) for payload in payloads]
         return [self.submit_job(job) for job in jobs]
 
-    def submit_job(self, job: AnalysisJob | ComparisonJob) -> dict:
+    def submit_job(self, job: AnalysisJob) -> dict:
         """Enqueue an already-validated job; returns its status entry."""
         fingerprint = job.fingerprint()
         with self._lock:
@@ -301,8 +295,6 @@ class AnalysisService:
             "job_schema_version": JOB_SCHEMA_VERSION,
             "server": {"name": "gleipnir-serve", "version": __version__},
             "engine": self.engine.stats(),
-            "job_kinds": ["analysis_job", "comparison_job"],
-            "metrics": metric_capabilities(),
             "limits": {
                 "max_batch_jobs": self.max_submit,
                 "engine_batch_jobs": self.max_batch,
@@ -445,7 +437,7 @@ class AnalysisService:
         return None
 
     # -- batcher -----------------------------------------------------------
-    def _drain_batch(self) -> list[tuple[str, AnalysisJob | ComparisonJob]]:
+    def _drain_batch(self) -> list[tuple[str, AnalysisJob]]:
         """One coalescing window: the first job blocks, the rest are gathered."""
         try:
             batch = [self._queue.get(timeout=0.1)]

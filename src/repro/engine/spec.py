@@ -27,14 +27,12 @@ from ..circuits.circuit import Circuit
 from ..circuits.program import Program
 from ..circuits.serialize import program_from_json_dict, program_to_json_dict
 from ..config import AnalysisConfig, ResourceGuard, SDPConfig
-from ..errors import EngineError, MetricError
-from ..linalg.channels import QuantumChannel
+from ..errors import EngineError
 from ..noise.model import NoiseModel
 from ..sdp.kernel import SOLVER_VERSION
 
 __all__ = [
     "AnalysisJob",
-    "ComparisonJob",
     "JobResult",
     "canonical_json",
     "config_to_json_dict",
@@ -171,8 +169,9 @@ class AnalysisJob:
     def from_json_dict(cls, payload: dict) -> "AnalysisJob":
         if not isinstance(payload, dict):
             raise EngineError(f"job payload must be a dict, got {type(payload).__name__}")
-        if payload.get("kind") != "analysis_job":
-            raise EngineError(f"not an analysis job payload: kind={payload.get('kind')!r}")
+        kind = payload.get("kind")
+        if kind != "analysis_job":
+            raise EngineError(f"unknown job kind {kind!r} (supported: analysis_job)")
         version = payload.get("version")
         if version != JOB_SCHEMA_VERSION:
             raise EngineError(
@@ -193,6 +192,8 @@ class AnalysisJob:
             )
         except KeyError as exc:
             raise EngineError(f"job payload missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise EngineError(f"malformed job payload: {exc}") from exc
 
     def to_json(self) -> str:
         return canonical_json(self.to_json_dict())
@@ -231,257 +232,20 @@ class AnalysisJob:
         return digest
 
 
-@dataclasses.dataclass
-class ComparisonJob:
-    """One declarative comparison request — two channels, or two noise models.
+def job_from_json_dict(payload: dict) -> AnalysisJob:
+    """Deserialize a job payload.
 
-    The second job family the engine executes.  Two mutually exclusive modes:
-
-    * **channels** — compare two arbitrary same-arity
-      :class:`~repro.linalg.channels.QuantumChannel` objects under a
-      registered channel metric (``diamond_norm``, ``trace_norm``,
-      ``process_fidelity``, ...);
-    * **ab** — diff two :class:`~repro.noise.model.NoiseModel`\\ s over one
-      program ("how much does this calibration drift cost?"): the engine runs
-      the full certified analysis under each model and reports the drift
-      between the two bounds, with both dual certificate sets harvested.
-
-    Like :class:`AnalysisJob`, a job is content-addressed by the SHA-256 of
-    its canonical JSON (``kind`` included, so the two families can never
-    collide), which is what lets dedupe, the outcome cache and worker
-    sharding treat comparisons exactly like analyses.
-    """
-
-    metric: str = "diamond_norm"
-    channel_a: QuantumChannel | None = None
-    channel_b: QuantumChannel | None = None
-    program: Program | None = None
-    noise_model_a: NoiseModel | None = None
-    noise_model_b: NoiseModel | None = None
-    config: AnalysisConfig = dataclasses.field(default_factory=AnalysisConfig)
-    initial_bits: tuple[int, ...] | None = None
-    num_qubits: int | None = None
-    name: str = "comparison"
-
-    def __post_init__(self) -> None:
-        channels = self.channel_a is not None or self.channel_b is not None
-        ab = (
-            self.program is not None
-            or self.noise_model_a is not None
-            or self.noise_model_b is not None
-        )
-        if channels and ab:
-            raise MetricError(
-                "a comparison job is either two channels or a program with two "
-                "noise models, not both"
-            )
-        if channels:
-            if self.channel_a is None or self.channel_b is None:
-                raise MetricError("channel comparisons need both channel_a and channel_b")
-        elif ab:
-            if (
-                self.program is None
-                or self.noise_model_a is None
-                or self.noise_model_b is None
-            ):
-                raise MetricError(
-                    "noise-model A/B comparisons need a program plus both "
-                    "noise_model_a and noise_model_b"
-                )
-        else:
-            raise MetricError(
-                "empty comparison job: provide two channels or a program with "
-                "two noise models"
-            )
-        if not str(self.metric):
-            raise MetricError("comparison jobs need a metric name")
-
-    @property
-    def mode(self) -> str:
-        """``"channels"`` or ``"ab"`` (validated at construction)."""
-        return "channels" if self.channel_a is not None else "ab"
-
-    @classmethod
-    def from_channels(
-        cls,
-        channel_a: QuantumChannel,
-        channel_b: QuantumChannel,
-        *,
-        metric: str = "diamond_norm",
-        config: AnalysisConfig | None = None,
-        name: str | None = None,
-    ) -> "ComparisonJob":
-        """A channel-pair comparison under a registered metric."""
-        return cls(
-            metric=metric,
-            channel_a=channel_a,
-            channel_b=channel_b,
-            config=config or AnalysisConfig(),
-            name=name or f"{metric}({channel_a.name},{channel_b.name})",
-        )
-
-    @classmethod
-    def from_noise_models(
-        cls,
-        circuit: Circuit | Program,
-        noise_model_a: NoiseModel,
-        noise_model_b: NoiseModel,
-        *,
-        metric: str = "bound_drift",
-        config: AnalysisConfig | None = None,
-        initial_bits: Sequence[int] | None = None,
-        name: str | None = None,
-    ) -> "ComparisonJob":
-        """A noise-model A/B comparison over one program."""
-        if isinstance(circuit, Circuit):
-            program = circuit.to_program()
-            num_qubits = circuit.num_qubits
-            default_name = f"{metric}({circuit.name})"
-        else:
-            program = circuit
-            num_qubits = None
-            default_name = metric
-        return cls(
-            metric=metric,
-            program=program,
-            noise_model_a=noise_model_a,
-            noise_model_b=noise_model_b,
-            config=config or AnalysisConfig(),
-            initial_bits=(
-                tuple(int(b) for b in initial_bits) if initial_bits is not None else None
-            ),
-            num_qubits=num_qubits,
-            name=name or default_name,
-        )
-
-    # -- serialization -------------------------------------------------------
-    def to_json_dict(self) -> dict:
-        payload = {
-            "version": JOB_SCHEMA_VERSION,
-            "kind": "comparison_job",
-            "name": self.name,
-            "metric": self.metric,
-            "mode": self.mode,
-            "config": config_to_json_dict(self.config),
-            "initial_bits": list(self.initial_bits) if self.initial_bits is not None else None,
-            "num_qubits": self.num_qubits,
-        }
-        if self.mode == "channels":
-            payload["channel_a"] = self.channel_a.to_json_dict()
-            payload["channel_b"] = self.channel_b.to_json_dict()
-        else:
-            payload["program"] = program_to_json_dict(self.program)
-            payload["noise_model_a"] = self.noise_model_a.to_json_dict()
-            payload["noise_model_b"] = self.noise_model_b.to_json_dict()
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "ComparisonJob":
-        if not isinstance(payload, dict):
-            raise EngineError(f"job payload must be a dict, got {type(payload).__name__}")
-        if payload.get("kind") != "comparison_job":
-            raise EngineError(f"not a comparison job payload: kind={payload.get('kind')!r}")
-        version = payload.get("version")
-        if version != JOB_SCHEMA_VERSION:
-            raise EngineError(
-                f"unsupported job schema version {version!r} (supported: {JOB_SCHEMA_VERSION})"
-            )
-        try:
-            initial_bits = payload.get("initial_bits")
-            num_qubits = payload.get("num_qubits")
-            common = dict(
-                metric=str(payload["metric"]),
-                config=config_from_json_dict(payload.get("config", {})),
-                initial_bits=(
-                    tuple(int(b) for b in initial_bits) if initial_bits is not None else None
-                ),
-                num_qubits=int(num_qubits) if num_qubits is not None else None,
-                name=str(payload.get("name", "comparison")),
-            )
-            if payload.get("mode") == "channels":
-                return cls(
-                    channel_a=QuantumChannel.from_json_dict(payload["channel_a"]),
-                    channel_b=QuantumChannel.from_json_dict(payload["channel_b"]),
-                    **common,
-                )
-            return cls(
-                program=program_from_json_dict(payload["program"]),
-                noise_model_a=NoiseModel.from_json_dict(payload["noise_model_a"]),
-                noise_model_b=NoiseModel.from_json_dict(payload["noise_model_b"]),
-                **common,
-            )
-        except KeyError as exc:
-            raise EngineError(f"job payload missing field {exc}") from exc
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "ComparisonJob":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise EngineError(f"job payload is not valid JSON: {exc}") from exc
-        return cls.from_json_dict(payload)
-
-    # -- identity ------------------------------------------------------------
-    def fingerprint(self) -> str:
-        """Content address (SHA-256 over the canonical form, ``kind`` included).
-
-        Same exclusion rule as :meth:`AnalysisJob.fingerprint`: the label and
-        execution knobs stay out, so re-submitting the same comparison under
-        different parallelism or names still hits the caches.
-        """
-        cached = self.__dict__.get("_fingerprint")
-        if cached is not None:
-            return cached
-        payload = {
-            "version": JOB_SCHEMA_VERSION,
-            "kind": "comparison_job",
-            "metric": self.metric,
-            "mode": self.mode,
-            "config": _semantic_config_dict(self.config),
-            "initial_bits": list(self.initial_bits) if self.initial_bits is not None else None,
-            "num_qubits": self.num_qubits,
-        }
-        if self.mode == "channels":
-            payload["channel_a"] = self.channel_a.to_json_dict()
-            payload["channel_b"] = self.channel_b.to_json_dict()
-        else:
-            payload["program"] = program_to_json_dict(self.program)
-            payload["noise_model_a"] = self.noise_model_a.to_json_dict()
-            payload["noise_model_b"] = self.noise_model_b.to_json_dict()
-        digest = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
-        self.__dict__["_fingerprint"] = digest
-        return digest
-
-
-#: Payload ``kind`` -> job class, for :func:`job_from_json_dict`.
-JOB_KINDS = {
-    "analysis_job": AnalysisJob,
-    "comparison_job": ComparisonJob,
-}
-
-
-def job_from_json_dict(payload: dict) -> "AnalysisJob | ComparisonJob":
-    """Deserialize any job payload, dispatching on its ``kind`` field.
-
-    Payloads without a ``kind`` are treated as analysis jobs (the only family
-    that existed before comparisons), so pre-dispatch clients keep working.
+    Payloads without a ``kind`` are analysis jobs, so clients that predate
+    the field keep working; any other ``kind`` raises :class:`EngineError`.
     """
     if not isinstance(payload, dict):
         raise EngineError(f"job payload must be a dict, got {type(payload).__name__}")
-    kind = payload.get("kind", "analysis_job")
-    cls = JOB_KINDS.get(kind)
-    if cls is None:
-        supported = ", ".join(sorted(JOB_KINDS))
-        raise EngineError(f"unknown job kind {kind!r} (supported: {supported})")
     if "kind" not in payload:
         payload = {**payload, "kind": "analysis_job"}
-    return cls.from_json_dict(payload)
+    return AnalysisJob.from_json_dict(payload)
 
 
-def job_from_json(text: str) -> "AnalysisJob | ComparisonJob":
+def job_from_json(text: str) -> AnalysisJob:
     """:func:`job_from_json_dict` over a canonical-JSON string."""
     try:
         payload = json.loads(text)
@@ -518,13 +282,6 @@ class JobResult:
     noise_model: str = ""
     #: Always 0: kept so stored records keep their format.
     tape_steps_reused: int = 0
-    #: Comparison-job fields: the metric name and certification tier, plus the
-    #: per-side bounds of a noise-model A/B diff (``error_bound`` then holds
-    #: the drift ``|value_a - value_b|``).  Empty/None on analysis jobs.
-    metric: str = ""
-    metric_tier: str = ""
-    value_a: float | None = None
-    value_b: float | None = None
     error: str | None = None
     #: Structured per-phase breakdown (``repro.obs`` span totals): wall-clock
     #: seconds per analysis phase plus per-solve-class solve timings — the

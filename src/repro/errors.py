@@ -70,15 +70,6 @@ class ExperimentError(ReproError):
     """Raised by the experiment harness for invalid configurations."""
 
 
-class MetricError(ReproError):
-    """Raised for unknown metric names or invalid metric comparisons.
-
-    Examples: looking up a metric name nobody registered, comparing channels
-    of mismatched dimensions, or registering two metrics under one name.
-    Over ``/v1`` this maps to a 400 envelope like every other payload error.
-    """
-
-
 class EngineError(ReproError):
     """Raised by the analysis engine for invalid jobs, payloads, or stores.
 

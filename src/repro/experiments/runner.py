@@ -6,7 +6,6 @@ Installed as ``gleipnir-experiments`` (see pyproject.toml)::
     gleipnir-experiments table2 --scale reduced --workers 4 --store t2.jsonl --resume
     gleipnir-experiments figure14 --scale reduced --widths 1 2 4 8 16
     gleipnir-experiments table3 --shots 8192
-    gleipnir-experiments compare --metric bound_drift --noise-a 1e-3 --noise-b 2e-3
     gleipnir-experiments all --scale reduced --output results.md
 
 ``--scale full`` reproduces the paper-scale configuration (10–100 qubits,
@@ -68,90 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(table3)
     table3.add_argument("--shots", type=int, default=8192)
 
-    compare = subparsers.add_parser(
-        "compare",
-        help="comparative metrics: channel pairs or noise-model A/B diffs",
-    )
-    add_common(compare)
-    compare.add_argument(
-        "--metric",
-        type=str,
-        default="bound_drift",
-        help="registered metric name (see `GET /v1/capabilities`): a channel "
-        "metric (diamond_norm, trace_norm, process_fidelity) compares the two "
-        "bit-flip channels directly; a program metric (bound_drift) diffs the "
-        "two noise models over the benchmark circuit",
-    )
-    compare.add_argument(
-        "--benchmark",
-        type=str,
-        default="QAOA_line_10",
-        help="benchmark circuit for program-level metrics",
-    )
-    compare.add_argument("--mps-width", type=int, default=None)
-    compare.add_argument(
-        "--noise-a",
-        type=float,
-        default=1e-3,
-        help="bit-flip probability of side A",
-    )
-    compare.add_argument(
-        "--noise-b",
-        type=float,
-        default=2e-3,
-        help="bit-flip probability of side B",
-    )
-
     everything = subparsers.add_parser("all", help="run every experiment")
     add_common(everything)
     everything.add_argument("--shots", type=int, default=8192)
     return parser
-
-
-def run_compare(args, session) -> str:
-    """The ``compare`` subcommand: one comparison through the session facade.
-
-    Channel metrics compare ``bit_flip(--noise-a)`` against
-    ``bit_flip(--noise-b)`` directly; program metrics run the noise-model A/B
-    diff over ``--benchmark``.  Works against ``--remote`` unchanged — the
-    comparison job travels the same ``/v1`` wire as analyses.
-    """
-    from ..config import AnalysisConfig
-    from ..metrics import get_metric
-    from ..noise.channels import bit_flip
-    from ..noise.model import NoiseModel
-
-    metric = get_metric(args.metric)
-    if metric.kind == "channel":
-        outcome = session.compare(
-            bit_flip(args.noise_a), bit_flip(args.noise_b), metric=args.metric
-        )
-    else:
-        from ..programs.library import benchmark_by_name
-
-        spec = benchmark_by_name(args.benchmark, args.scale)
-        config = session.config
-        if args.mps_width is not None:
-            config = AnalysisConfig(mps_width=args.mps_width)
-        outcome = session.compare(
-            spec.build(),
-            NoiseModel.uniform_bit_flip(args.noise_a),
-            NoiseModel.uniform_bit_flip(args.noise_b),
-            metric=args.metric,
-            config=config,
-        )
-    outcome.raise_for_status()
-    lines = [
-        f"# Comparison: {outcome.name}",
-        f"metric: {outcome.metric} (tier: {outcome.metric_tier})",
-        f"value: {outcome.bound:.6e}",
-    ]
-    if outcome.value_a is not None and outcome.value_b is not None:
-        lines.append(
-            f"side A bound: {outcome.value_a:.6e}   side B bound: {outcome.value_b:.6e}"
-        )
-    lines.append(f"elapsed: {outcome.elapsed_seconds:.3f}s   fingerprint: {outcome.fingerprint}")
-    return "\n".join(lines)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -194,8 +113,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.command in ("table3", "all"):
                 result = run_table3(shots=getattr(args, "shots", 8192), session=session)
                 sections.append(render_table3(result, markdown=args.markdown))
-            if args.command == "compare":
-                sections.append(run_compare(args, session))
 
     _emit("\n\n".join(sections), args.output)
     return 0

@@ -12,7 +12,6 @@ from .states import (
     computational_basis,
     density_from_bloch,
     density_matrix,
-    fidelity,
     ghz_state,
     is_density_matrix,
     is_normalized,

@@ -19,7 +19,6 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from ..errors import SimulationError
-from .decompositions import matrix_sqrt
 
 __all__ = [
     "basis_state",
@@ -39,7 +38,6 @@ __all__ = [
     "is_density_matrix",
     "is_normalized",
     "purity",
-    "fidelity",
     "state_overlap",
     "random_statevector",
     "random_density_matrix",
@@ -212,19 +210,6 @@ def purity(rho: np.ndarray) -> float:
     """Purity ``tr(rho^2)`` of a density matrix (1 for pure states)."""
     rho = density_matrix(rho)
     return float(np.real(np.trace(rho @ rho)))
-
-
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity ``||sqrt(rho) sqrt(sigma)||_1**2``.
-
-    Both arguments may be state vectors or density matrices.  The trace norm
-    is the sum of the singular values of ``sqrt(rho) sqrt(sigma)``; swapping
-    the arguments only takes the adjoint of that product, so the value is
-    symmetric to rounding even for rank-deficient inputs (the textbook form
-    ``tr sqrt(sqrt(rho) sigma sqrt(rho))`` is not).
-    """
-    product = matrix_sqrt(density_matrix(rho)) @ matrix_sqrt(density_matrix(sigma))
-    return float(np.linalg.svd(product, compute_uv=False).sum() ** 2)
 
 
 def state_overlap(psi: np.ndarray, phi: np.ndarray) -> complex:

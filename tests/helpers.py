@@ -13,9 +13,12 @@ import numpy as np
 from repro.circuits import Circuit
 
 __all__ = [
+    "MALFORMED_JOB_FIELDS",
     "RETIRED_CACHE_SWITCH_KEY",
     "RETIRED_CONFIG_KEY",
     "RETIRED_DOMINANCE_KEY",
+    "RETIRED_JOB_KIND",
+    "RETIRED_RESULT_FIELDS",
     "RETIRED_SDP_CONFIG_KEY",
     "RETIRED_TAPE_MEMO_KEY",
     "random_circuit",
@@ -37,6 +40,24 @@ RETIRED_DOMINANCE_KEY = "_".join(("dominance", "cache"))
 
 #: The config field that once switched the replay-tape prefix memo.
 RETIRED_TAPE_MEMO_KEY = "_".join(("tape", "memo"))
+
+#: The job ``kind`` of the removed channel / noise-model comparison jobs.
+RETIRED_JOB_KIND = "_".join(("comparison", "job"))
+
+#: The ``JobResult`` fields of the removed comparison jobs.  Records stored
+#: before the removal carry them empty; loading drops them.
+RETIRED_RESULT_FIELDS = ("metric", "metric_tier", "value_a", "value_b")
+
+#: ``(field, value)`` pairs that make an analysis job payload malformed:
+#: an unhashable ``kind``, and bits or a register size of the wrong type.
+MALFORMED_JOB_FIELDS = [
+    ("kind", [1]),
+    ("kind", {}),
+    ("initial_bits", "ab"),
+    ("initial_bits", 5),
+    ("num_qubits", "x"),
+    ("num_qubits", [1]),
+]
 
 
 def random_circuit(num_qubits: int, num_gates: int, seed: int = 0) -> Circuit:

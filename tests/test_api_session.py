@@ -144,6 +144,13 @@ class TestGateBound:
         assert capabilities["api"]["version"] == "v1"
         assert capabilities["engine"]["workers"] == 1
 
+    def test_capabilities_list_no_job_kinds_or_channel_metrics(self):
+        """One job kind is left, so there is nothing to choose between."""
+        with AnalysisSession(config=FAST) as session:
+            capabilities = session.capabilities()
+        assert "job_kinds" not in capabilities
+        assert "metrics" not in capabilities
+
 
 class TestSessionConstruction:
     def test_remote_rejects_local_knobs(self):

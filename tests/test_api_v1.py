@@ -16,9 +16,11 @@ import urllib.request
 import pytest
 
 from helpers import (
+    MALFORMED_JOB_FIELDS,
     RETIRED_CACHE_SWITCH_KEY,
     RETIRED_CONFIG_KEY,
     RETIRED_DOMINANCE_KEY,
+    RETIRED_JOB_KIND,
     RETIRED_SDP_CONFIG_KEY,
     RETIRED_TAPE_MEMO_KEY,
 )
@@ -30,7 +32,7 @@ from repro.engine.pool import AnalysisEngine
 from repro.engine.service import AnalysisService, make_server
 from repro.engine.spec import AnalysisJob
 from repro.errors import BatchLimitExceeded, EngineError, JobNotFoundError
-from repro.noise import NoiseModel
+from repro.noise import NoiseModel, bit_flip
 
 FAST = AnalysisConfig(mps_width=4, sdp=SDPConfig(max_iterations=200, tolerance=1e-4))
 MODEL = NoiseModel.uniform_bit_flip(1e-3)
@@ -41,6 +43,18 @@ def _job(name: str = "ghz2", *, num_qubits: int = 2) -> AnalysisJob:
     for q in range(2, num_qubits):
         circuit.cx(q - 1, q)
     return AnalysisJob.from_circuit(circuit, MODEL, config=FAST)
+
+
+def _post_batch_error(base: str, payloads: list) -> tuple[int, dict]:
+    """POST ``payloads`` as one batch that must fail; its status and envelope."""
+    request = urllib.request.Request(
+        base + "/v1/batches",
+        data=json.dumps({"jobs": payloads}).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request)
+    return excinfo.value.code, json.loads(excinfo.value.read())["error"]
 
 
 @pytest.fixture
@@ -216,6 +230,17 @@ class TestErrorEnvelopes:
         assert message in error["message"]
         assert service.stats()["jobs"] == {}
 
+    @pytest.mark.parametrize("field, value", MALFORMED_JOB_FIELDS)
+    def test_malformed_job_field_is_a_structured_400(self, server, field, value):
+        """A bad field next to a valid job: 400, and neither job is enqueued."""
+        base, service = server
+        bad = {**_job("victim").to_json_dict(), field: value}
+        status, error = _post_batch_error(base, [_job().to_json_dict(), bad])
+        assert status == 400
+        assert error["type"] == "EngineError"
+        assert error["repro_error"] is True
+        assert service.stats()["jobs"] == {}
+
     def test_unreachable_server_fails_fast(self):
         client = Client("http://127.0.0.1:9")  # port 9: nothing listens
         with pytest.raises(EngineError, match="cannot reach"):
@@ -255,6 +280,29 @@ class TestRetiredSurface:
         envelope = json.loads(response.read())["error"]
         assert envelope["type"] == "EngineError"
         assert envelope["status"] == 404
+
+
+    def test_comparison_job_kind_is_a_structured_400(self, server):
+        """The removed comparison kind is refused, and nothing runs."""
+        base, service = server
+        payload = {
+            "version": 1,
+            "kind": RETIRED_JOB_KIND,
+            "name": "diamond_norm(bit_flip)",
+            "metric": "diamond_norm",
+            "mode": "channels",
+            "config": _job().to_json_dict()["config"],
+            "channel_a": bit_flip(1e-3).to_json_dict(),
+            "channel_b": bit_flip(2e-3).to_json_dict(),
+            "initial_bits": None,
+            "num_qubits": None,
+        }
+        status, error = _post_batch_error(base, [payload])
+        assert status == 400
+        assert error["type"] == "EngineError"
+        assert "unknown job kind" in error["message"]
+        assert service.stats()["jobs"] == {}
+        assert service.stats()["batches_run"] == 0
 
 
 class TestServiceWait:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_circuit
+from helpers import RETIRED_RESULT_FIELDS, random_circuit
 
 from repro.api import AnalysisSession
 from repro.circuits import Circuit
@@ -26,7 +26,7 @@ from repro.engine.outcomes import (
 )
 from repro.engine.pool import AnalysisEngine, execute_job_record
 from repro.engine.service import AnalysisService
-from repro.engine.spec import AnalysisJob, JobResult
+from repro.engine.spec import AnalysisJob, JobResult, canonical_json
 from repro.noise import NoiseModel
 
 FAST = AnalysisConfig(mps_width=4, sdp=SDPConfig(max_iterations=200, tolerance=1e-4))
@@ -355,7 +355,8 @@ class TestEvictionAndPinning:
 class TestOnDiskFormat:
     def test_earlier_log_reloads_identically(self, tmp_path):
         """An outcomes.jsonl written by an earlier release of the store loads
-        with the same entries, and a rewrite reproduces it byte for byte."""
+        with the same entries, and a rewrite reproduces it byte for byte less
+        the empty result fields of the removed comparison jobs."""
         path = tmp_path / "outcomes.jsonl"
         shutil.copy(FIXTURES / "outcomes_v1.jsonl", path)
         original = path.read_text(encoding="utf-8")
@@ -369,7 +370,9 @@ class TestOnDiskFormat:
             result = store.get(fingerprint, verify=True)
             assert result == JobResult.from_json_dict(record["result"])
             raw = [c.to_json_dict() for c in store.certificates(fingerprint)]
-            assert outcome_record_line(result, raw) == line
+            expected = json.loads(line)
+            assert {expected["result"].pop(key) for key in RETIRED_RESULT_FIELDS} <= {"", None}
+            assert outcome_record_line(result, raw) == canonical_json(expected)
         assert store.stats()["verification_failures"] == 0
         assert path.read_text(encoding="utf-8") == original
 

@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    MALFORMED_JOB_FIELDS,
     RETIRED_CACHE_SWITCH_KEY,
     RETIRED_CONFIG_KEY,
     RETIRED_DOMINANCE_KEY,
+    RETIRED_JOB_KIND,
     RETIRED_SDP_CONFIG_KEY,
     RETIRED_TAPE_MEMO_KEY,
 )
@@ -323,6 +325,22 @@ class TestAnalysisJob:
         payload["version"] = 999
         with pytest.raises(EngineError):
             AnalysisJob.from_json_dict(payload)
+
+    def test_payload_without_kind_is_an_analysis(self):
+        job = _fast_job()
+        payload = job.to_json_dict()
+        del payload["kind"]
+        assert job_from_json_dict(payload).fingerprint() == job.fingerprint()
+
+    @pytest.mark.parametrize(
+        "field, value", [*MALFORMED_JOB_FIELDS, ("kind", RETIRED_JOB_KIND)]
+    )
+    def test_malformed_field_is_a_structured_error(self, field, value):
+        """Bad fields and the removed comparison kind raise EngineError,
+        never a bare TypeError or ValueError."""
+        payload = {**_fast_job().to_json_dict(), field: value}
+        with pytest.raises(EngineError):
+            job_from_json_dict(payload)
 
 
 def pinned_fingerprint_jobs(sdp: SDPConfig | None = None) -> dict[str, AnalysisJob]:

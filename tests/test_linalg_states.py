@@ -11,7 +11,6 @@ from repro.linalg import (
     bloch_vector,
     density_from_bloch,
     density_matrix,
-    fidelity,
     ghz_state,
     is_density_matrix,
     is_normalized,
@@ -111,19 +110,6 @@ class TestDensityMatrices:
 
 
 class TestFidelityAndOverlap:
-    def test_fidelity_identical_states(self):
-        psi = random_statevector(2, rng=np.random.default_rng(1))
-        assert np.isclose(fidelity(psi, psi), 1.0)
-
-    def test_fidelity_orthogonal_states(self):
-        assert np.isclose(fidelity(basis_state("0"), basis_state("1")), 0.0, atol=1e-12)
-
-    def test_fidelity_symmetry(self):
-        rng = np.random.default_rng(2)
-        rho = random_density_matrix(1, rng=rng)
-        sigma = random_density_matrix(1, rng=rng)
-        assert np.isclose(fidelity(rho, sigma), fidelity(sigma, rho), atol=1e-9)
-
     def test_state_overlap(self):
         assert np.isclose(state_overlap(plus_state(1), zero_state(1)), 1 / np.sqrt(2))
 
