@@ -4,7 +4,8 @@ Measures the pieces the perf trajectory tracks:
 
 * the **reference workload** — the profiled 5-qubit / 65-gate random circuit
   analysed end-to-end under the paper's uniform bit-flip model — through the
-  scheduled (default, single-pass) and sequential analyzer paths;
+  analyzer, and gate by gate as a per-gate reference (a live MPS walk with
+  one ``gate_error_bound`` per noisy gate) that calibrates machine speed;
 * the **SDP micro-kernel** — per-iteration PSD projection throughput of the
   batched packed-real kernel vs the per-block eigendecomposition loop it
   replaced;
@@ -35,7 +36,7 @@ for entry in (REPO_ROOT / "src", REPO_ROOT / "tests"):
     if str(entry) not in sys.path:
         sys.path.insert(0, str(entry))
 
-from helpers import random_circuit  # noqa: E402
+from helpers import per_gate_reference, random_circuit  # noqa: E402
 
 from repro.config import AnalysisConfig  # noqa: E402
 from repro.core.analyzer import analyze_program  # noqa: E402
@@ -46,7 +47,7 @@ from repro.sdp import get_layout  # noqa: E402
 
 BASELINE_PATH = REPO_ROOT / "BENCH_perf.json"
 
-#: Wall-clock of the seed revision's sequential path on the reference
+#: Wall-clock of the seed revision's gate-by-gate path on the reference
 #: workload, measured on the machine that produced the committed baseline.
 SEED_BASELINE_SECONDS = 5.44
 
@@ -64,11 +65,11 @@ def _reference_circuit():
     return random_circuit(REFERENCE_QUBITS, REFERENCE_GATES, seed=REFERENCE_SEED)
 
 
-def measure_reference_workload(*, scheduler: bool, mps_width: int = 16) -> dict:
+def measure_reference_workload(*, mps_width: int = 16) -> dict:
     """Analyse the 5-qubit / 65-gate workload once; report time and stats."""
     circuit = _reference_circuit()
     model = NoiseModel.uniform_bit_flip(1e-3)
-    config = AnalysisConfig(mps_width=mps_width, scheduler=scheduler)
+    config = AnalysisConfig(mps_width=mps_width)
     start = time.perf_counter()
     result = analyze_program(circuit, model, config=config)
     elapsed = time.perf_counter() - start
@@ -80,6 +81,27 @@ def measure_reference_workload(*, scheduler: bool, mps_width: int = 16) -> dict:
         "sdp_cache_hits": result.sdp_cache_hits,
         "scheduled_solves": result.scheduled_solves,
         "mps_walks": result.mps_walks,
+    }
+
+
+def measure_per_gate_reference(*, mps_width: int = 16) -> dict:
+    """The reference workload walked gate by gate, each gate solved alone.
+
+    No scheduler, replay tape, batching or deduplication: the work the
+    analyzer saves, and this machine's speed calibration for the regression
+    budget.  Its bound must equal the analyzer's bit for bit.
+    """
+    config = AnalysisConfig(mps_width=mps_width)
+    start = time.perf_counter()
+    reference = per_gate_reference(
+        _reference_circuit(), NoiseModel.uniform_bit_flip(1e-3), config
+    )
+    elapsed = time.perf_counter() - start
+    return {
+        "seconds": elapsed,
+        "error_bound": reference.error_bound,
+        "num_gates": len(reference.values),
+        "solve_classes": reference.num_classes,
     }
 
 
@@ -138,7 +160,6 @@ def reference_solve_classes(*, mps_width: int = 16):
     from repro.core.analyzer import GleipnirAnalyzer
     from repro.core.rules import absorb_continuations
     from repro.core.scheduler import BoundScheduler
-    from repro.mps.approximator import MPSApproximator
 
     circuit = _reference_circuit()
     model = NoiseModel.uniform_bit_flip(1e-3)
@@ -148,12 +169,7 @@ def reference_solve_classes(*, mps_width: int = 16):
         model, analyzer.cache, config, gate_key=analyzer._gate_key
     )
     program = absorb_continuations(circuit.to_program())
-    approximator = MPSApproximator.from_product_state(
-        [0] * REFERENCE_QUBITS, width=mps_width
-    )
-    from repro.core.derivation import ReplayTape
-
-    scheduler._collect(program, approximator, ReplayTape())
+    scheduler.collect(program, [0] * REFERENCE_QUBITS)
     return [
         (c.gate_matrix, c.noise_channel, c.rho_rounded, c.delta_effective)
         for c in scheduler._classes.values()
@@ -258,12 +274,10 @@ def measure_tracing_overhead(*, mps_width: int = 16, repeats: int = 3) -> dict:
         for _ in range(repeats):
             if instrumented:
                 with obs_metrics.scoped(), collecting() as collector:
-                    run = measure_reference_workload(
-                        scheduler=True, mps_width=mps_width
-                    )
+                    run = measure_reference_workload(mps_width=mps_width)
                     spans = len(collector)
             else:
-                run = measure_reference_workload(scheduler=True, mps_width=mps_width)
+                run = measure_reference_workload(mps_width=mps_width)
             best = min(best, run["seconds"])
             bound = run["error_bound"]
         return best, bound, spans
@@ -290,9 +304,9 @@ def collect_all() -> dict:
     # (shape templates, layout caches, numpy dispatch) rather than
     # first-call costs, which would otherwise land on whichever phase runs
     # first and add noise to the regression gate.
-    measure_reference_workload(scheduler=True, mps_width=8)
-    sequential = measure_reference_workload(scheduler=False)
-    scheduled = measure_reference_workload(scheduler=True)
+    measure_reference_workload(mps_width=8)
+    sequential = measure_per_gate_reference()
+    scheduled = measure_reference_workload()
     return {
         "workload": {
             "description": (
@@ -346,10 +360,11 @@ def regression_budget_seconds(baseline: dict, sequential_seconds: float) -> floa
     """The 2x-regression budget, calibrated to the current machine.
 
     CI runners and developer laptops differ in raw speed, so the committed
-    absolute numbers cannot be compared directly.  The sequential path
+    absolute numbers cannot be compared directly.  The per-gate reference
+    (:func:`measure_per_gate_reference`, stored as ``analyze_sequential``)
     measured in the *same run* serves as the speed calibration: the budget is
     2x the committed scheduled time, scaled by how much slower (or faster)
-    this machine ran the sequential path than the baseline machine did.
+    this machine ran the per-gate reference than the baseline machine did.
     """
     baseline_scheduled = baseline["phases"]["analyze_scheduled"]["seconds"]
     baseline_sequential = baseline["phases"]["analyze_sequential"]["seconds"]
@@ -359,7 +374,7 @@ def regression_budget_seconds(baseline: dict, sequential_seconds: float) -> floa
 
 def test_reference_workload_smoke():
     """The scheduled path analyses the reference workload and certifies it."""
-    scheduled = measure_reference_workload(scheduler=True)
+    scheduled = measure_reference_workload()
     assert scheduled["error_bound"] > 0
     assert scheduled["num_gates"] == REFERENCE_GATES
     assert scheduled["sdp_cache_hits"] >= scheduled["sdp_solves"]
@@ -376,7 +391,7 @@ def test_reference_workload_smoke():
         f"reference bound {scheduled['error_bound']!r} moved from the committed "
         f"baseline {baseline_bound!r}"
     )
-    sequential = measure_reference_workload(scheduler=False)
+    sequential = measure_per_gate_reference()
     budget = regression_budget_seconds(baseline, sequential["seconds"])
     assert scheduled["seconds"] < budget, (
         f"reference workload took {scheduled['seconds']:.2f}s, over the "

@@ -116,13 +116,6 @@ class AnalysisConfig:
             judgments); disable for very large sweeps to save memory.
         noise_after_gate: whether the noisy gate is modelled as
             ``noise ∘ U`` (True, default) or ``U ∘ noise``.
-        scheduler: run the program-level bound scheduler — a pre-pass that
-            collects every quantised (gate, noise, ρ̂, δ) instance of the
-            program, dedupes them into unique solve classes, and solves the
-            unique set with the batched SDP kernel before the derivation is
-            replayed from the solved table.  ``False`` walks and solves
-            gate by gate: the sequential reference path, which solves the
-            same classes.
     """
 
     mps_width: int = DEFAULT_MPS_WIDTH
@@ -130,7 +123,6 @@ class AnalysisConfig:
     guard: ResourceGuard = dataclasses.field(default_factory=ResourceGuard)
     collect_derivation: bool = True
     noise_after_gate: bool = True
-    scheduler: bool = True
 
     def validate(self) -> None:
         if self.mps_width < 1:

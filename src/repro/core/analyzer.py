@@ -11,14 +11,12 @@ Given a program, an input product state, and a noise model, the analyzer
    (Section 4) into a verified bound on the whole program, together with the
    full derivation tree.
 
-The analysis pipeline is *single-pass*: with the bound scheduler enabled
-(the default), the MPS walk happens once, inside the scheduler's pre-pass,
-which records every predicate and truncation into a
-:class:`~repro.core.derivation.ReplayTape`; the derivation is then rebuilt
-from the tape (plus the prefilled bound cache) without evolving a second
-MPS.  Without the scheduler, the analyzer drives a live approximator as the
-paper describes.  Both modes run through the same traversal via the
-``_LiveTrace`` / ``_TapeTrace`` sources below.
+The analysis pipeline is *single-pass*: the MPS walk happens once, inside
+the bound scheduler's pre-pass, which records every predicate, its class
+key and every truncation into a :class:`~repro.core.derivation.ReplayTape`
+and solves each distinct gate SDP once.  The derivation is then rebuilt
+from the tape and the prefilled bound cache without evolving a second MPS
+or quantising a predicate again.
 
 The result's ``error_bound`` is a *trace distance* (the ½‖·‖₁ convention), so
 it directly upper-bounds the statistical distance of any measurement performed
@@ -35,7 +33,6 @@ from ..circuits.circuit import Circuit
 from ..circuits.program import GateOp, IfMeasure, Program, Seq, Skip
 from ..config import AnalysisConfig
 from ..errors import LogicError
-from ..mps.approximator import MPSApproximator
 from ..noise.model import NoiseModel
 from ..obs import metrics as obs_metrics
 from ..obs.trace import span
@@ -49,116 +46,14 @@ from .derivation import (
     TapeMeasure,
     TapeSkip,
 )
-from .predicate import trivial_local_predicate
 from .rules import absorb_continuations, gate_rule, meas_rule, seq_rule, skip_rule
+from .scheduler import BoundScheduler
 
 __all__ = [
     "AnalysisResult",
     "GleipnirAnalyzer",
     "analyze_program",
-    "vacuous_branch_approximator",
 ]
-
-
-def vacuous_branch_approximator(
-    branch: Program, qubit: int, outcome: int, width: int
-) -> MPSApproximator:
-    """Fresh approximator for a measurement branch deemed unreachable.
-
-    Start from the collapsed basis state and immediately weaken the distance
-    bound to the maximum (δ = 2), so every gate bound inside the branch
-    reduces to the unconstrained diamond norm.  This keeps the Meas rule
-    sound without knowing the collapsed state.  Shared by the analyzer and
-    the bound scheduler, whose pre-pass must reproduce exactly the
-    predicates the replay will request.
-    """
-    used = branch.qubits_used() | {qubit}
-    num_qubits = max((max(used) + 1) if used else 1, qubit + 1)
-    bits = [0] * num_qubits
-    bits[qubit] = outcome
-    fresh = MPSApproximator.from_product_state(bits, width=width)
-    fresh.weaken_to(trivial_local_predicate(1).delta)  # vacuous predicate
-    return fresh
-
-
-class _LiveTrace:
-    """Drives the derivation from a live MPS approximator (sequential path)."""
-
-    def __init__(self, approximator: MPSApproximator):
-        self._approximator = approximator
-
-    def skip_delta(self) -> float:
-        return self._approximator.delta
-
-    def gate_step(
-        self, op: GateOp, needs_predicate: bool
-    ) -> tuple[float, "object | None", float, float]:
-        approximator = self._approximator
-        delta_before = approximator.delta
-        rho_local = (
-            approximator.local_predicate(op.qubits).rho_local
-            if needs_predicate
-            else None
-        )
-        truncation_added = approximator.apply_gate_op(op)
-        return delta_before, rho_local, truncation_added, approximator.delta
-
-    def measure_step(self, qubit: int) -> tuple[float, dict[int, tuple[float, "_LiveTrace"]]]:
-        delta_before = self._approximator.delta
-        reachable = {
-            outcome: (probability, _LiveTrace(child))
-            for outcome, probability, child in self._approximator.branch_on_measurement(
-                qubit
-            )
-        }
-        return delta_before, reachable
-
-    def unreachable_branch(
-        self, branch: Program, qubit: int, outcome: int, width: int
-    ) -> "_LiveTrace":
-        return _LiveTrace(vacuous_branch_approximator(branch, qubit, outcome, width))
-
-
-class _TapeTrace:
-    """Replays the pre-pass :class:`ReplayTape`; performs no MPS work.
-
-    The tape is consumed sequentially — measurement branches and unreachable
-    branches continue on the same tape because the pre-pass recorded them in
-    the identical traversal order.
-    """
-
-    def __init__(self, tape: ReplayTape):
-        self._tape = tape
-
-    def skip_delta(self) -> float:
-        return self._tape.take(TapeSkip).delta
-
-    def gate_step(
-        self, op: GateOp, needs_predicate: bool
-    ) -> tuple[float, "object | None", float, float]:
-        record = self._tape.take(TapeGate)
-        if (record.rho_local is None) == needs_predicate:
-            raise LogicError(
-                f"replay tape out of step at gate {op.gate.label()}: the "
-                "pre-pass and the replay disagree about the gate's noise"
-            )
-        return (
-            record.delta_before,
-            record.rho_local,
-            record.truncation_added,
-            record.delta_after,
-        )
-
-    def measure_step(self, qubit: int) -> tuple[float, dict[int, tuple[float, "_TapeTrace"]]]:
-        record = self._tape.take(TapeMeasure)
-        return record.delta_before, {
-            outcome: (probability, self) for outcome, probability in record.probabilities
-        }
-
-    def unreachable_branch(
-        self, branch: Program, qubit: int, outcome: int, width: int
-    ) -> "_TapeTrace":
-        return self
 
 
 @dataclasses.dataclass
@@ -177,11 +72,10 @@ class AnalysisResult:
         mps_width: bond dimension used by the approximator.
         noise_model: name of the noise model.
         scheduled_solves: unique solve classes the bound scheduler solved
-            up front (0 when the scheduler is disabled).
+            up front.
         mps_walks: how many times an MPS evolved through the whole program
-            for this analysis.  The single-pass pipeline keeps this at 1:
-            either the scheduler's pre-pass (whose ReplayTape the derivation
-            replays) or the live sequential traversal, never both.
+            for this analysis: always 1, the scheduler's pre-pass, whose
+            ReplayTape the derivation replays.
         timings: structured per-phase wall-clock breakdown — always present:
             ``total_seconds``, ``prefill_walk_seconds``,
             ``prefill_solve_seconds``, ``replay_seconds``, and
@@ -270,60 +164,32 @@ class GleipnirAnalyzer:
         solves_before = self._cache.misses
         hits_before = self._cache.hits
 
-        scheduled_solves = 0
-        tape = None
-        prefill_report = None
-        if self.config.scheduler:
-            # Program-level pre-pass: collect every quantised solve class,
-            # dedupe, and batch-solve the unique set before the derivation
-            # replay below — which then hits the cache for every gate and
-            # consumes the pre-pass ReplayTape instead of evolving a second
-            # MPS (the single-pass pipeline).
-            from .scheduler import BoundScheduler
-
-            scheduler = BoundScheduler(
-                self.noise_model, self._cache, self.config, gate_key=self._gate_key
-            )
-            with span("scheduler.prefill", "analysis", program=name):
-                prefill_report = scheduler.prefill(normalised, bits)
-            scheduled_solves = prefill_report.num_solved
-            tape = prefill_report.tape
-
-        if tape is not None:
-            trace: _LiveTrace | _TapeTrace = _TapeTrace(tape)
-        else:
-            trace = _LiveTrace(
-                MPSApproximator.from_product_state(bits, width=self.config.mps_width)
-            )
+        # Program-level pre-pass: one MPS walk that keys every gate's
+        # predicate and batch-solves the unique classes before the
+        # derivation replay below, which reads each bound by the key on
+        # the tape instead of evolving a second MPS.
+        scheduler = BoundScheduler(
+            self.noise_model, self._cache, self.config, gate_key=self._gate_key
+        )
+        with span("scheduler.prefill", "analysis", program=name):
+            prefill_report = scheduler.prefill(normalised, bits)
+        tape = prefill_report.tape
 
         self._num_gates = 0
         self._num_branches = 1
         self._max_delta = 0.0
         replay_start = time.perf_counter()
-        with span(
-            "analyzer.replay" if tape is not None else "analyzer.walk",
-            "analysis",
-            program=name,
-        ):
-            root = self._analyze_node(normalised, trace)
+        with span("analyzer.replay", "analysis", program=name):
+            root = self._analyze_node(normalised, tape)
         replay_seconds = time.perf_counter() - replay_start
-        if tape is not None:
-            tape.verify_exhausted()
+        tape.verify_exhausted()
         elapsed = time.perf_counter() - start
         timings = {
             "total_seconds": elapsed,
-            "prefill_walk_seconds": (
-                prefill_report.walk_seconds if prefill_report is not None else 0.0
-            ),
-            "prefill_solve_seconds": (
-                prefill_report.solve_seconds if prefill_report is not None else 0.0
-            ),
+            "prefill_walk_seconds": prefill_report.walk_seconds,
+            "prefill_solve_seconds": prefill_report.solve_seconds,
             "replay_seconds": replay_seconds,
-            "solve_classes": (
-                list(prefill_report.solve_timings)
-                if prefill_report is not None
-                else []
-            ),
+            "solve_classes": list(prefill_report.solve_timings),
         }
         self._publish_metrics(
             solves=self._cache.misses - solves_before,
@@ -349,7 +215,7 @@ class GleipnirAnalyzer:
             mps_width=self.config.mps_width,
             noise_model=self.noise_model.name,
             program_name=name,
-            scheduled_solves=scheduled_solves,
+            scheduled_solves=prefill_report.num_solved,
             mps_walks=1,
             timings=timings,
         )
@@ -376,58 +242,45 @@ class GleipnirAnalyzer:
     def cache(self) -> GateBoundCache:
         return self._cache
 
-    # -- recursive analysis -------------------------------------------------------
-    def _analyze_node(
-        self, program: Program, trace: "_LiveTrace | _TapeTrace"
-    ) -> DerivationNode:
+    # -- recursive replay ---------------------------------------------------------
+    def _analyze_node(self, program: Program, tape: ReplayTape) -> DerivationNode:
         if isinstance(program, Skip):
-            return skip_rule(trace.skip_delta(), noise_model=self.noise_model.name)
+            return skip_rule(tape.take(TapeSkip).delta, noise_model=self.noise_model.name)
         if isinstance(program, GateOp):
-            return self._analyze_gate(program, trace)
+            return self._analyze_gate(program, tape)
         if isinstance(program, Seq):
-            children = [self._analyze_node(part, trace) for part in program.parts]
+            children = [self._analyze_node(part, tape) for part in program.parts]
             return seq_rule(children, noise_model=self.noise_model.name)
         if isinstance(program, IfMeasure):
-            return self._analyze_measure(program, trace)
+            return self._analyze_measure(program, tape)
         raise LogicError(f"unknown program node {type(program).__name__}")
 
-    def _analyze_gate(
-        self, op: GateOp, trace: "_LiveTrace | _TapeTrace"
-    ) -> DerivationNode:
+    def _analyze_gate(self, op: GateOp, tape: ReplayTape) -> DerivationNode:
         self._num_gates += 1
-        noise_channel = self.noise_model.channel_for(op.gate, op.qubits)
-        delta_before, rho_local, truncation_added, delta_after = trace.gate_step(
-            op, noise_channel is not None
-        )
-
-        bound = None
-        if noise_channel is not None:
-            bound = self._cache.lookup_or_compute(
-                self._gate_key(op, noise_channel),
-                op.gate.matrix,
-                noise_channel,
-                rho_local,
-                delta_before,
-                noise_after_gate=self.config.noise_after_gate,
-                config=self.config.sdp,
+        record = tape.take(TapeGate)
+        noisy = self.noise_model.channel_for(op.gate, op.qubits) is not None
+        if (record.key is None) == noisy:
+            raise LogicError(
+                f"replay tape out of step at gate {op.gate.label()}: the "
+                "pre-pass and the replay disagree about the gate's noise"
             )
-
-        self._max_delta = max(self._max_delta, delta_after)
+        bound = self._cache.lookup(record.key) if noisy else None
+        self._max_delta = max(self._max_delta, record.delta_after)
         return gate_rule(
             op.gate.label(),
             op.qubits,
-            delta_before,
+            record.delta_before,
             bound,
-            rho_local=rho_local,
-            truncation_added=truncation_added,
+            rho_local=record.rho_local,
+            truncation_added=record.truncation_added,
             noise_model=self.noise_model.name,
         )
 
     def _gate_key(self, op: GateOp, noise_channel) -> tuple:
         """The structural part of the SDP cache key for one gate application.
 
-        Shared with the bound scheduler so the pre-pass populates exactly the
-        keys the replay pass looks up.
+        The bound scheduler quantises each predicate onto it to form the
+        class key the replay looks the bound up by.
         """
         return (
             op.gate.key(),
@@ -447,33 +300,24 @@ class GleipnirAnalyzer:
         """
         return self.noise_model.is_position_dependent()
 
-    def _analyze_measure(
-        self, program: IfMeasure, trace: "_LiveTrace | _TapeTrace"
-    ) -> DerivationNode:
-        delta_before, reachable = trace.measure_step(program.qubit)
+    def _analyze_measure(self, program: IfMeasure, tape: ReplayTape) -> DerivationNode:
+        record = tape.take(TapeMeasure)
         self._num_branches += 1
-        branch_nodes: list[DerivationNode] = []
-        probabilities: list[float] = []
-        for outcome, branch_program in ((0, program.then_branch), (1, program.else_branch)):
-            if outcome in reachable:
-                probability, child = reachable[outcome]
-                branch_nodes.append(self._analyze_node(branch_program, child))
-                probabilities.append(probability)
-            else:
-                # The approximation gives this outcome probability ~0, so we
-                # cannot compute a collapsed ρ̂ for it.  Analyse the branch
-                # under the trivial predicate instead (sound, possibly loose;
-                # see vacuous_branch_approximator).
-                fresh = trace.unreachable_branch(
-                    branch_program, program.qubit, outcome, self.config.mps_width
-                )
-                branch_nodes.append(self._analyze_node(branch_program, fresh))
-                probabilities.append(0.0)
+        # An outcome the approximation gives probability ~0 was walked under
+        # the trivial predicate (sound, possibly loose; see
+        # repro.core.scheduler.vacuous_branch_approximator) and enters the
+        # Meas rule with probability 0.  Both branches follow on the tape in
+        # (0, 1) order.
+        reachable = dict(record.probabilities)
+        branch_nodes = [
+            self._analyze_node(program.then_branch, tape),
+            self._analyze_node(program.else_branch, tape),
+        ]
         return meas_rule(
             program.qubit,
-            delta_before,
+            record.delta_before,
             branch_nodes,
-            branch_probabilities=probabilities,
+            branch_probabilities=[reachable.get(0, 0.0), reachable.get(1, 0.0)],
             noise_model=self.noise_model.name,
         )
 

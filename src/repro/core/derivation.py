@@ -12,11 +12,12 @@ unsound step.
 The module also defines the :class:`ReplayTape`: the single-pass contract
 between the bound scheduler's MPS pre-pass and the derivation replay.  The
 pre-pass walks the normalised program once, recording for every node exactly
-the approximator facts the inference rules need — the local predicate and
-truncation of each gate, the branch probabilities of each measurement, the
-accumulated δ at each skip.  The analyzer then rebuilds the derivation from
-the tape without evolving a second MPS, so the tensor-network phase runs
-once per input instead of twice.
+the approximator facts the inference rules need — the local predicate,
+bound-cache class key and truncation of each gate, the branch probabilities
+of each measurement, the accumulated δ at each skip.  The analyzer then
+rebuilds the derivation from the tape without evolving a second MPS or
+quantising a predicate again, so the tensor-network phase runs once per
+input instead of twice.
 """
 
 from __future__ import annotations
@@ -57,16 +58,19 @@ class TapeSkip:
 class TapeGate:
     """One gate application of the pre-pass.
 
-    ``rho_local`` is the *raw* (unquantised) reduced density matrix the
-    analyzer would have requested before the gate — None for noiseless
-    gates, which never ask for a predicate.  ``delta_before`` doubles as the
-    predicate distance (both read ``approximator.delta`` at the same point).
+    ``rho_local`` is the *raw* (unquantised) reduced density matrix before
+    the gate, and ``key`` the bound-cache class key it quantises to — both
+    None for noiseless gates, which never ask for a predicate.  The replay
+    reads the gate's bound by ``key`` and never quantises again.
+    ``delta_before`` doubles as the predicate distance (both read
+    ``approximator.delta`` at the same point).
     """
 
     delta_before: float
     rho_local: np.ndarray | None
     truncation_added: float
     delta_after: float
+    key: tuple | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,8 +98,14 @@ class ReplayTape:
         self._records: list[TapeSkip | TapeGate | TapeMeasure] = []
         self._cursor = 0
 
-    def record(self, entry: TapeSkip | TapeGate | TapeMeasure) -> None:
+    def record(self, entry: TapeSkip | TapeGate | TapeMeasure) -> int:
+        """Append ``entry``; return its position."""
         self._records.append(entry)
+        return len(self._records) - 1
+
+    def attach_key(self, position: int, key: tuple) -> None:
+        """Set the class key of the gate recorded at ``position``."""
+        self._records[position] = dataclasses.replace(self._records[position], key=key)
 
     def __len__(self) -> int:
         return len(self._records)

@@ -1,29 +1,31 @@
 """Program-level gate-bound scheduler and single-pass MPS pre-pass.
 
-The sequential analyzer pays for one SDP solve per cache-missing gate, in
-program order.  This module amortises that cost across the whole derivation:
+The analysis pays for the MPS walk once and for each distinct gate SDP
+once.  This module does both before the derivation is built:
 
 1. a *collection pre-pass* evolves the MPS approximator over the normalised
-   program — exactly mirroring the analyzer's traversal, including
-   measurement branching and the vacuous-predicate handling of unreachable
-   branches — recording every quantised (gate, noise, ρ̂, δ) instance *and*
-   writing every approximator fact the replay needs into a
-   :class:`~repro.core.derivation.ReplayTape`;
-2. the instances are *deduped* into unique solve classes (the same key the
-   :class:`repro.sdp.diamond.GateBoundCache` would use, so the replay pass
-   hits the cache for every gate);
+   program — including measurement branching and the vacuous-predicate
+   handling of unreachable branches — recording every noisy gate's raw
+   (ρ̂, δ) predicate and writing every approximator fact the derivation
+   needs into a :class:`~repro.core.derivation.ReplayTape`;
+2. after the walk, one stacked pass
+   (:meth:`repro.sdp.diamond.GateBoundCache.quantise_keys`) quantises every
+   predicate into its bound-cache class key, puts each key on its gate's
+   tape record, and dedupes the keys into unique solve classes in walk
+   order;
 3. the unique classes that the cache cannot already answer (from memory or
    from the persistent store) are solved through the *batched* SDP kernel —
-   same-shaped problems advance in lock-step inside one interior-point run,
-   and all their dual certificates are verified in one fused batch
-   certification pass;
-4. the solved bounds are inserted into the cache, and the analyzer replays
-   the derivation from the solved table *and the tape*, so the MPS phase
-   runs exactly once per input.
+   each distinct reduced problem once, same-shaped problems in lock-step
+   inside one interior-point run, and all their dual certificates verified
+   in one fused batch certification pass;
+4. the solved bounds are inserted into the cache, and the analyzer rebuilds
+   the derivation from the tape, reading each gate's bound by the key on
+   its record, so the MPS phase runs exactly once per input and nothing is
+   quantised twice.
 
-Every bound still carries its independently verified dual certificate.
-The sequential path solves exactly the same classes, one at a time; the
-equivalence tests hold the two bounds to 1e-9 relative.
+Every bound still carries its independently verified dual certificate,
+and each equals the bound :func:`repro.sdp.diamond.gate_error_bound`
+certifies for the same quantised predicate on its own.
 """
 
 from __future__ import annotations
@@ -40,19 +42,51 @@ from ..mps.approximator import MPSApproximator
 from ..noise.model import NoiseModel
 from ..obs.trace import span
 from ..sdp.diamond import GateBoundCache, gate_error_bounds_batch
-from .analyzer import vacuous_branch_approximator
 from .derivation import ReplayTape, TapeGate, TapeMeasure, TapeSkip
+from .predicate import trivial_local_predicate
 
 __all__ = [
     "SolveClass",
     "SchedulerReport",
     "BoundScheduler",
     "clear_tape_memo",
+    "vacuous_branch_approximator",
 ]
 
 
 def clear_tape_memo() -> None:
     """No-op, kept because ``perfbench/workloads.py`` imports it."""
+
+
+def vacuous_branch_approximator(
+    branch: Program, qubit: int, outcome: int, width: int
+) -> MPSApproximator:
+    """Fresh approximator for a measurement branch deemed unreachable.
+
+    Start from the collapsed basis state and immediately weaken the distance
+    bound to the maximum (δ = 2), so every gate bound inside the branch
+    reduces to the unconstrained diamond norm.  This keeps the Meas rule
+    sound without knowing the collapsed state.
+    """
+    used = branch.qubits_used() | {qubit}
+    num_qubits = max((max(used) + 1) if used else 1, qubit + 1)
+    bits = [0] * num_qubits
+    bits[qubit] = outcome
+    fresh = MPSApproximator.from_product_state(bits, width=width)
+    fresh.weaken_to(trivial_local_predicate(1).delta)  # vacuous predicate
+    return fresh
+
+
+@dataclasses.dataclass(frozen=True)
+class _Predicate:
+    """One noisy gate application of the walk, not yet quantised."""
+
+    position: int
+    key_parts: tuple
+    op: GateOp
+    noise_channel: object
+    rho_local: np.ndarray
+    delta: float
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,8 +115,8 @@ class SchedulerReport:
     num_solved: int = 0
     num_prefilled: int = 0
     tape: ReplayTape | None = None
-    #: Wall-clock seconds of the MPS collection walk and the batched solve
-    #: phase, plus one ``{"solve_class", "count", "seconds"}`` event per SDP
+    #: Wall-clock seconds of the MPS collection walk (with the stacked
+    #: quantisation of its predicates) and of the batched solve phase, plus one ``{"solve_class", "count", "seconds"}`` event per SDP
     #: template group — the per-solve-class cost data persisted with results.
     walk_seconds: float = 0.0
     solve_seconds: float = 0.0
@@ -105,7 +139,7 @@ class BoundScheduler:
         self.config = config
         self._gate_key = gate_key
         self._classes: dict[tuple, SolveClass] = {}
-        self._instances = 0
+        self._predicates: list[_Predicate] = []
 
     # -- public entry --------------------------------------------------------
     def _pending_classes(self) -> list[SolveClass]:
@@ -130,22 +164,29 @@ class BoundScheduler:
             is None
         ]
 
-    def prefill(self, program: Program, initial_bits: list[int]) -> SchedulerReport:
-        """Run the pre-pass over ``program``, seed the cache, return the tape."""
+    def collect(self, program: Program, initial_bits: list[int]) -> ReplayTape:
+        """Walk ``program`` once, then key every predicate in one stacked pass."""
         approximator = MPSApproximator.from_product_state(
             initial_bits, width=self.config.mps_width
         )
         self._classes.clear()
-        self._instances = 0
+        self._predicates.clear()
         tape = ReplayTape()
-        walk_start = time.perf_counter()
         with span("scheduler.walk", "scheduler"):
             self._collect(program, approximator, tape)
+        with span("scheduler.quantise", "scheduler", count=len(self._predicates)):
+            self._classify(tape)
+        return tape
+
+    def prefill(self, program: Program, initial_bits: list[int]) -> SchedulerReport:
+        """Run the pre-pass over ``program``, seed the cache, return the tape."""
+        walk_start = time.perf_counter()
+        tape = self.collect(program, initial_bits)
         walk_seconds = time.perf_counter() - walk_start
 
         pending = self._pending_classes()
         report = SchedulerReport(
-            num_gate_instances=self._instances,
+            num_gate_instances=len(self._predicates),
             num_unique_classes=len(self._classes),
             num_solved=len(pending),
             num_prefilled=len(self._classes) - len(pending),
@@ -176,7 +217,38 @@ class BoundScheduler:
         report.solve_seconds = time.perf_counter() - solve_start
         return report
 
-    # -- collection traversal (mirrors GleipnirAnalyzer._analyze_node) -------
+    def _classify(self, tape: ReplayTape) -> None:
+        """Quantise every collected predicate, key the tape, dedupe classes."""
+        predicates = self._predicates
+        quantised = self.cache.quantise_keys(
+            [p.key_parts for p in predicates],
+            [p.rho_local for p in predicates],
+            [p.delta for p in predicates],
+        )
+        for predicate, (key, rho_rounded, delta_effective) in zip(
+            predicates, quantised
+        ):
+            tape.attach_key(predicate.position, key)
+            if key in self._classes:
+                continue
+            gate_matrix = predicate.op.gate.matrix
+            fingerprint = None
+            if self.cache.store_path is not None:
+                fingerprint = self.cache.problem_fingerprint(
+                    gate_matrix,
+                    predicate.noise_channel,
+                    self.config.noise_after_gate,
+                )
+            self._classes[key] = SolveClass(
+                key=key,
+                gate_matrix=gate_matrix,
+                noise_channel=predicate.noise_channel,
+                rho_rounded=rho_rounded,
+                delta_effective=delta_effective,
+                fingerprint=fingerprint,
+            )
+
+    # -- collection traversal (the analyzer's replay consumes it in order) ----
     def _collect(
         self, program: Program, approximator: MPSApproximator, tape: ReplayTape
     ) -> None:
@@ -199,39 +271,30 @@ class BoundScheduler:
         self, op: GateOp, approximator: MPSApproximator, tape: ReplayTape
     ) -> None:
         delta_before = approximator.delta
-        rho_local = None
+        predicate = None
         noise_channel = self.noise_model.channel_for(op.gate, op.qubits)
         if noise_channel is not None:
-            self._instances += 1
             predicate = approximator.local_predicate(op.qubits)
-            rho_local = predicate.rho_local
-            key_parts = self._gate_key(op, noise_channel)
-            key, rho_rounded, delta_effective = self.cache.quantise_key(
-                key_parts, predicate.rho_local, predicate.delta
-            )
-            if key not in self._classes:
-                fingerprint = None
-                if self.cache.store_path is not None:
-                    fingerprint = self.cache.problem_fingerprint(
-                        op.gate.matrix, noise_channel, self.config.noise_after_gate
-                    )
-                self._classes[key] = SolveClass(
-                    key=key,
-                    gate_matrix=op.gate.matrix,
-                    noise_channel=noise_channel,
-                    rho_rounded=rho_rounded,
-                    delta_effective=delta_effective,
-                    fingerprint=fingerprint,
-                )
         truncation_added = approximator.apply_gate_op(op)
-        tape.record(
+        position = tape.record(
             TapeGate(
                 delta_before=delta_before,
-                rho_local=rho_local,
+                rho_local=predicate.rho_local if predicate is not None else None,
                 truncation_added=truncation_added,
                 delta_after=approximator.delta,
             )
         )
+        if predicate is not None:
+            self._predicates.append(
+                _Predicate(
+                    position=position,
+                    key_parts=self._gate_key(op, noise_channel),
+                    op=op,
+                    noise_channel=noise_channel,
+                    rho_local=predicate.rho_local,
+                    delta=predicate.delta,
+                )
+            )
 
     def _collect_measure(
         self, program: IfMeasure, approximator: MPSApproximator, tape: ReplayTape

@@ -60,10 +60,14 @@ def config_from_json_dict(payload: dict) -> AnalysisConfig:
 
     Unknown fields and out-of-range values (:meth:`AnalysisConfig.validate`)
     both raise :class:`EngineError`, so a bad job is refused when it is
-    decoded rather than failing later inside a worker.
+    decoded rather than failing later inside a worker.  The retired
+    ``scheduler`` field is dropped instead.
     """
     try:
         data = dict(payload)
+        # Every payload written while AnalysisConfig had a ``scheduler``
+        # switch carries it; it never entered a fingerprint.
+        data.pop("scheduler", None)
         sdp = SDPConfig(**data.pop("sdp", {}))
         guard = ResourceGuard(**data.pop("guard", {}))
         config = AnalysisConfig(sdp=sdp, guard=guard, **data)
@@ -84,10 +88,10 @@ def _semantic_config_dict(config: AnalysisConfig) -> dict:
     (:data:`repro.sdp.kernel.SOLVER_VERSION`, under the key ``admm_rule``
     that predates it) change which dual
     certificate is found; the noise convention changes the analysed
-    channel.  Everything else — scheduler on/off, cache paths,
-    derivation collection, resource budgets — changes *when or
-    whether* the same bound is computed, never its value, and is excluded
-    so fingerprints survive re-runs under different execution settings.
+    channel.  Everything else — cache paths, derivation collection,
+    resource budgets — changes *when or whether* the same bound is
+    computed, never its value, and is excluded so fingerprints survive
+    re-runs under different execution settings.
     """
     return {
         "mps_width": config.mps_width,

@@ -27,7 +27,30 @@ __all__ = [
     "hilbert_schmidt_distance",
     "statistical_distance",
     "distribution_from_counts",
+    "hermitian_mask",
 ]
+
+#: ``np.allclose``'s default relative tolerance, kept by :func:`hermitian_mask`.
+_ALLCLOSE_RTOL = 1e-5
+
+
+def hermitian_mask(stack: np.ndarray, *, atol: float = 1e-12) -> np.ndarray:
+    """Which matrices of a ``(..., n, n)`` stack are Hermitian within ``atol``.
+
+    Per matrix this is ``np.allclose(m, m.conj().T, atol=atol)`` (rtol
+    1e-5, NaN fails) written as one fused comparison; allclose's own
+    per-call checks cost more than the comparison on the 2×2 and 4×4
+    predicates.  allclose bounds entry ``(i, j)`` of ``|m - mᴴ|`` by
+    ``atol + rtol·|m[j, i]|``; that deviation matrix is exactly symmetric,
+    so bounding entry ``(j, i)`` by the same value, ``atol + rtol·|m|``
+    elementwise, checks the same pairs.  Unlike allclose it treats an
+    infinite entry as non-Hermitian.  Every Hermitian fast path in the
+    package decides through this one test, so a single matrix and the same
+    matrix inside a stack always take the same branch.
+    """
+    stack = np.asarray(stack)
+    deviation = np.abs(stack - stack.conj().swapaxes(-1, -2))
+    return (deviation <= atol + _ALLCLOSE_RTOL * np.abs(stack)).all(axis=(-2, -1))
 
 
 def _singular_values(matrix: np.ndarray) -> np.ndarray:
@@ -35,9 +58,7 @@ def _singular_values(matrix: np.ndarray) -> np.ndarray:
     if matrix.ndim == 1:
         matrix = np.outer(matrix, matrix.conj())
     # Hermitian fast path: singular values are absolute eigenvalues.
-    if matrix.shape[0] == matrix.shape[1] and np.allclose(
-        matrix, matrix.conj().T, atol=1e-12
-    ):
+    if matrix.shape[0] == matrix.shape[1] and hermitian_mask(matrix):
         return np.abs(np.linalg.eigvalsh(matrix))
     return np.linalg.svd(matrix, compute_uv=False)
 

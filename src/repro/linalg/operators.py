@@ -14,6 +14,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from ..errors import GateError
+from .norms import hermitian_mask
 
 __all__ = [
     "I2",
@@ -238,7 +239,7 @@ def is_hermitian(matrix: np.ndarray, *, atol: float = 1e-9) -> bool:
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return False
-    return bool(np.allclose(matrix, matrix.conj().T, atol=atol))
+    return bool(hermitian_mask(matrix, atol=atol))
 
 
 def random_unitary(dim: int, *, rng: np.random.Generator | None = None) -> np.ndarray:

@@ -36,7 +36,7 @@ import weakref
 import numpy as np
 
 from ..config import SDPConfig
-from ..errors import SDPError
+from ..errors import LogicError, SDPError
 from ..obs import metrics as obs_metrics
 from ..obs.trace import span
 from ..linalg.channels import (
@@ -47,7 +47,7 @@ from ..linalg.channels import (
     unitary_conjugate_stack,
 )
 from ..linalg.hermitian import hermitian_basis, hvec
-from ..linalg.norms import frobenius_norm, trace_norm
+from ..linalg.norms import frobenius_norm, hermitian_mask, trace_norm
 from ..linalg.partial_trace import partial_trace_keep
 from .certificates import (
     DualCertificate,
@@ -860,11 +860,11 @@ def gate_error_bounds_batch(
 
     ``instances`` holds ``(gate_matrix, noise_channel, rho_local, delta)``
     tuples.  The structural reductions run as one whole-stack pass
-    (:func:`_reduced_gate_problems_batch`); the surviving SDPs are dispatched
-    through :func:`constrained_diamond_norms_batch` so that same-shaped
-    problems share one batched interior-point run.  Used by the program-level bound
-    scheduler (:mod:`repro.core.scheduler`); :func:`gate_error_bound` is a
-    batch of one through this same code.
+    (:func:`_reduced_gate_problems_batch`); the distinct surviving SDPs are
+    dispatched through one :func:`constrained_diamond_norms_batch` call so
+    that same-shaped problems share one batched interior-point run.  Used by
+    the program-level bound scheduler (:mod:`repro.core.scheduler`);
+    :func:`gate_error_bound` is a batch of one through this same code.
     """
     config = config or SDPConfig()
     bounds: list[DiamondNormBound | None] = [None] * len(instances)
@@ -883,16 +883,30 @@ def gate_error_bounds_batch(
         reduced = _reduced_gate_problems_batch(
             reduction_inputs, noise_after_gate=noise_after_gate
         )
+    # Distinct gate classes can reduce to the same problem (a two-qubit gate
+    # whose noise touches one qubit keeps only one qubit of ρ̂).  Each
+    # distinct (Choi, σ, c), compared byte for byte, is solved once and its
+    # bound fans back out to every request that reduced to it.
     requests: list[tuple[np.ndarray, np.ndarray | None, float]] = []
-    request_positions: list[int] = []
-    for (index, delta), (diff_choi, sigma) in zip(noisy, reduced):
-        requests.append((diff_choi, sigma, rho_delta_constraint_bound(sigma, delta)))
-        request_positions.append(index)
+    slots: dict[tuple, int] = {}
+    request_of: list[int] = []
+    for (_index, delta), (diff_choi, sigma) in zip(noisy, reduced):
+        bound_c = rho_delta_constraint_bound(sigma, delta)
+        problem = (
+            diff_choi.shape,
+            diff_choi.tobytes(),
+            sigma.tobytes(),
+            np.float64(bound_c).tobytes(),
+        )
+        if problem not in slots:
+            slots[problem] = len(requests)
+            requests.append((diff_choi, sigma, bound_c))
+        request_of.append(slots[problem])
     solved = constrained_diamond_norms_batch(
         requests, config=config, timing_events=timing_events
     )
-    for position, bound in zip(request_positions, solved):
-        bounds[position] = bound
+    for (index, _delta), slot in zip(noisy, request_of):
+        bounds[index] = solved[slot]
     return bounds  # type: ignore[return-value]
 
 
@@ -935,14 +949,59 @@ class GateBoundCache:
     def quantise_key(
         self, key_parts: tuple, rho_local: np.ndarray, delta: float
     ) -> tuple[tuple, np.ndarray, float]:
-        """The full cache key plus the weakened (ρ̂, δ) it stands for."""
-        rounded = np.round(rho_local, self.decimals)
-        rounded = (rounded + rounded.conj().T) / 2
-        weakened = float(delta + trace_norm(rho_local - rounded))
+        """The full cache key plus the weakened (ρ̂, δ) it stands for.
+
+        A batch of one through :meth:`quantise_keys`.
+        """
+        return self.quantise_keys([key_parts], [rho_local], [delta])[0]
+
+    def quantise_keys(
+        self,
+        key_parts: list[tuple],
+        rhos: list[np.ndarray],
+        deltas: list[float],
+    ) -> list[tuple[tuple, np.ndarray, float]]:
+        """Quantise many predicates in one stacked pass per matrix size.
+
+        For each ``(key_parts, ρ̂, δ)`` this returns the full cache key, the
+        rounded ρ̂ and the weakened δ.  ρ̂ is rounded to ``decimals`` and
+        made Hermitian.  δ grows by the trace norm of the rounding error,
+        which is the sum of its absolute eigenvalues when
+        :func:`~repro.linalg.norms.hermitian_mask` passes and of its singular
+        values otherwise, exactly as :func:`~repro.linalg.norms.trace_norm`
+        decides.  It is then rounded up to the grid.  Every batched primitive
+        works matrix by matrix, so each result is independent of what else
+        the batch holds.
+        """
+        results: list = [None] * len(rhos)
+        groups: dict[tuple, list[int]] = {}
+        arrays = [np.asarray(rho) for rho in rhos]
+        for index, rho in enumerate(arrays):
+            groups.setdefault((rho.dtype.str, rho.shape), []).append(index)
         step = 10.0 ** (-self.decimals)
-        # ceil(x / step) * step can land one ulp below x; never round δ down.
-        effective_delta = max(float(np.ceil(weakened / step) * step), weakened)
-        return key_parts + (rounded.tobytes(), effective_delta), rounded, effective_delta
+        for indices in groups.values():
+            raw = np.stack([arrays[i] for i in indices])
+            rounded = np.round(raw, self.decimals)
+            rounded = (rounded + rounded.conj().swapaxes(1, 2)) / 2
+            errors = np.asarray(raw - rounded, dtype=np.complex128)
+            hermitian = hermitian_mask(errors)
+            sigma = np.empty(errors.shape[:2])
+            if hermitian.any():
+                sigma[hermitian] = np.abs(np.linalg.eigvalsh(errors[hermitian]))
+            if not hermitian.all():
+                sigma[~hermitian] = np.linalg.svd(errors[~hermitian], compute_uv=False)
+            weakened = np.array([deltas[i] for i in indices], dtype=float)
+            weakened += sigma.sum(axis=1)
+            # ceil(x / step) * step can land one ulp below x; never round δ down.
+            effective = np.maximum(np.ceil(weakened / step) * step, weakened)
+            for row, index in enumerate(indices):
+                delta_effective = float(effective[row])
+                results[index] = (
+                    key_parts[index] + (rounded[row].tobytes(), delta_effective),
+                    rounded[row],
+                    delta_effective,
+                )
+        return results
 
     def bounds_snapshot(self) -> list[DiamondNormBound]:
         """Every cached bound, in insertion order.
@@ -966,7 +1025,7 @@ class GateBoundCache:
         """Exact / persistent lookup for the scheduler's pre-pass.
 
         Exact answers leave the hit counters untouched — the replay's
-        :meth:`lookup_or_compute` records those, so counting here as well
+        :meth:`lookup` records those, so counting here as well
         would double every statistic.  The persistent layer is only consulted
         when the caller supplies both the problem ``fingerprint`` that disk
         entries are keyed by (together with the solver ``config``, see
@@ -981,6 +1040,18 @@ class GateBoundCache:
         return self._persistent_lookup(
             key, fingerprint, self.solver_identity(config), expected_problem
         )
+
+    def lookup(self, key: tuple) -> DiamondNormBound:
+        """The bound the scheduler stored for ``key``, counted as one hit.
+
+        The derivation replay reads every gate's bound through here, by the
+        class key the pre-pass put on the tape.
+        """
+        bound = self._store.get(key)
+        if bound is None:
+            raise LogicError("no bound stored for this gate's class key")
+        self.hits += 1
+        return bound
 
     @staticmethod
     def problem_fingerprint(

@@ -8,9 +8,14 @@ and break collection of six test modules).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.circuits import Circuit
+from repro.circuits.program import GateOp, Seq
+from repro.mps.approximator import MPSApproximator
+from repro.sdp import GateBoundCache, gate_error_bound
 
 __all__ = [
     "MALFORMED_JOB_FIELDS",
@@ -21,6 +26,9 @@ __all__ = [
     "RETIRED_RESULT_FIELDS",
     "RETIRED_SDP_CONFIG_KEY",
     "RETIRED_TAPE_MEMO_KEY",
+    "PerGateReference",
+    "per_gate_bound",
+    "per_gate_reference",
     "random_circuit",
 ]
 
@@ -76,3 +84,69 @@ def random_circuit(num_qubits: int, num_gates: int, seed: int = 0) -> Circuit:
             a, b = rng.choice(num_qubits, size=2, replace=False)
             circuit.cx(int(a), int(b))
     return circuit
+
+
+def per_gate_bound(op: GateOp, model, config, rho_local, delta) -> float:
+    """One noisy gate's bound, quantised and solved on its own.
+
+    ``GateBoundCache.quantise_key`` weakens the raw ``(rho_local, delta)``
+    predicate exactly as the analysis does; ``gate_error_bound`` then solves
+    the one SDP alone.  Noiseless gates give 0.0.
+    """
+    channel = model.channel_for(op.gate, op.qubits)
+    if channel is None:
+        return 0.0
+    quantiser = GateBoundCache(decimals=config.sdp.cache_decimals)
+    _key, rho, delta = quantiser.quantise_key((), rho_local, delta)
+    return gate_error_bound(
+        op.gate.matrix,
+        channel,
+        rho,
+        delta,
+        noise_after_gate=config.noise_after_gate,
+        config=config.sdp,
+    ).value
+
+
+class PerGateReference(NamedTuple):
+    """A branch-free circuit analysed gate by gate, without the scheduler."""
+
+    values: list[float]
+    final_delta: float
+    #: Distinct quantised (gate, ρ̂, δ) classes; uniform noise models only.
+    num_classes: int
+
+    @property
+    def error_bound(self) -> float:
+        return float(sum(self.values))
+
+
+def per_gate_reference(circuit: Circuit, model, config) -> PerGateReference:
+    """Walk a live MPS through ``circuit`` and bound each gate on its own.
+
+    The reference the single analysis path is held to: no replay tape, no
+    stacked quantisation, no batched or deduplicated solve.
+    """
+    program = circuit.to_program()
+    ops = program.parts if isinstance(program, Seq) else [program]
+    approximator = MPSApproximator.from_product_state(
+        [0] * circuit.num_qubits, width=config.mps_width
+    )
+    quantiser = GateBoundCache(decimals=config.sdp.cache_decimals)
+    values = []
+    classes = set()
+    for op in ops:
+        if model.channel_for(op.gate, op.qubits) is not None:
+            predicate = approximator.local_predicate(op.qubits)
+            values.append(
+                per_gate_bound(op, model, config, predicate.rho_local, predicate.delta)
+            )
+            classes.add(
+                quantiser.quantise_key(
+                    (op.gate.key(),), predicate.rho_local, predicate.delta
+                )[0]
+            )
+        else:
+            values.append(0.0)
+        approximator.apply_gate_op(op)
+    return PerGateReference(values, approximator.delta, len(classes))

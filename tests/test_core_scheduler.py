@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import random_circuit
+from helpers import per_gate_bound, per_gate_reference, random_circuit
 
 from repro.circuits import Circuit
 from repro.circuits.program import IfMeasure, Skip, seq
@@ -25,65 +25,65 @@ def _config(**kwargs) -> AnalysisConfig:
     return AnalysisConfig(**base)
 
 
+def _branchy_program():
+    """h(0); measure 0; x(1) on outcome 0, h(1) on outcome 1."""
+    h0, x1, h1 = (
+        Circuit(2).h(0).to_program(),
+        Circuit(2).x(1).to_program(),
+        Circuit(2).h(1).to_program(),
+    )
+    return seq(h0, IfMeasure(0, x1, h1)), [h0, x1, h1]
+
+
+def assert_gate_nodes_match_per_gate(result, ops, model, config):
+    """Each gate node's bound equals its own predicate solved alone."""
+    nodes = result.derivation.gate_nodes()
+    assert len(nodes) == len(ops)
+    for node, op in zip(nodes, ops):
+        expected = per_gate_bound(op, model, config, node.rho_local, node.judgment.delta)
+        assert node.judgment.epsilon == expected
+
+
 class TestSchedulerEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_sequential_analyzer(self, seed, bit_flip_model):
-        """Scheduled and sequential analyses certify the same bounds."""
+        """The analysis certifies the bounds a gate-by-gate walk with one
+        ``gate_error_bound`` per gate certifies, and solves each class once."""
         circuit = random_circuit(4, 24, seed=seed)
-        scheduled = GleipnirAnalyzer(bit_flip_model, _config(scheduler=True)).analyze(
-            circuit
-        )
-        sequential = GleipnirAnalyzer(
-            bit_flip_model, _config(scheduler=False)
-        ).analyze(circuit)
-        # Identical solves run in both paths (batch iterates in lock-step),
-        # so the certified bounds agree to numerical noise.
-        assert scheduled.error_bound == pytest.approx(
-            sequential.error_bound, rel=1e-9, abs=1e-12
-        )
-        assert scheduled.num_gates == sequential.num_gates
-        assert scheduled.sdp_solves == sequential.sdp_solves
-        assert scheduled.scheduled_solves == scheduled.sdp_solves
+        config = _config()
+        result = GleipnirAnalyzer(bit_flip_model, config).analyze(circuit)
+        reference = per_gate_reference(circuit, bit_flip_model, config)
+        assert result.error_bound == reference.error_bound
+        assert result.num_gates == len(reference.values)
+        assert result.sdp_solves == reference.num_classes
+        assert result.scheduled_solves == result.sdp_solves
 
     def test_matches_sequential_with_branches(self, bit_flip_model):
         """The pre-pass mirrors measurement branching, including unreachable
         branches analysed under the vacuous predicate."""
-        then_branch = Circuit(2).x(1).to_program()
-        else_branch = Circuit(2).h(1).to_program()
-        program = seq(
-            Circuit(2).h(0).to_program(),
-            IfMeasure(0, then_branch, else_branch),
-        )
-        scheduled = GleipnirAnalyzer(bit_flip_model, _config(scheduler=True)).analyze(
-            program, num_qubits=2
-        )
-        sequential = GleipnirAnalyzer(
-            bit_flip_model, _config(scheduler=False)
-        ).analyze(program, num_qubits=2)
-        assert scheduled.error_bound == pytest.approx(
-            sequential.error_bound, rel=1e-9, abs=1e-12
-        )
-        assert scheduled.num_branches == sequential.num_branches
+        program, ops = _branchy_program()
+        config = _config()
+        result = GleipnirAnalyzer(bit_flip_model, config).analyze(program, num_qubits=2)
+        assert_gate_nodes_match_per_gate(result, ops, bit_flip_model, config)
+        assert result.num_branches == 2
 
     def test_unreachable_branch_collected(self, bit_flip_model):
-        """A branch with approximation probability 0 is still pre-solved."""
-        program = IfMeasure(0, Skip(), Circuit(1).x(0).to_program())
-        scheduled = GleipnirAnalyzer(bit_flip_model, _config(scheduler=True)).analyze(
-            program, num_qubits=1
+        """A branch with approximation probability 0 is still pre-solved,
+        under the vacuous predicate δ = 2."""
+        then_branch, else_branch = Skip(), Circuit(1).x(0).to_program()
+        config = _config()
+        result = GleipnirAnalyzer(bit_flip_model, config).analyze(
+            IfMeasure(0, then_branch, else_branch), num_qubits=1
         )
-        sequential = GleipnirAnalyzer(
-            bit_flip_model, _config(scheduler=False)
-        ).analyze(program, num_qubits=1)
-        assert scheduled.error_bound == pytest.approx(
-            sequential.error_bound, rel=1e-9, abs=1e-12
-        )
+        assert result.scheduled_solves == 1
+        (node,) = result.derivation.gate_nodes()
+        assert node.judgment.delta == 2.0
+        assert_gate_nodes_match_per_gate(result, [else_branch], bit_flip_model, config)
 
     def test_derivation_verifies(self, bit_flip_model):
         """Every certificate in a scheduled derivation re-verifies."""
         circuit = random_circuit(3, 12, seed=9)
-        result = GleipnirAnalyzer(bit_flip_model, _config(scheduler=True)).analyze(
-            circuit
-        )
+        result = GleipnirAnalyzer(bit_flip_model, _config()).analyze(circuit)
         assert result.derivation is not None
         result.derivation.check()  # raises on any unsound step
 

@@ -173,10 +173,21 @@ class TestConfigSerialization:
             mps_width=7,
             sdp=SDPConfig(mode="fast", cache_decimals=4),
             guard=ResourceGuard(max_dense_qubits=9, max_seconds=1.5),
-            scheduler=False,
+            collect_derivation=False,
         )
         rebuilt = config_from_json_dict(config_to_json_dict(config))
         assert rebuilt == config
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_retired_scheduler_key_is_dropped(self, value):
+        """Payloads from before the single analysis path carry ``scheduler``;
+        it decodes to the one path and leaves the fingerprint unchanged."""
+        job = _fast_job()
+        payload = job.to_json_dict()
+        payload["config"]["scheduler"] = value
+        rebuilt = job_from_json_dict(payload)
+        assert rebuilt.config == job.config
+        assert rebuilt.fingerprint() == job.fingerprint()
 
     def test_malformed_rejected(self):
         with pytest.raises(EngineError):
@@ -264,7 +275,6 @@ class TestAnalysisJob:
             program=job.program,
             noise_model=job.noise_model,
             config=job.config.replace(
-                scheduler=False,
                 collect_derivation=False,
                 guard=ResourceGuard(max_seconds=0.5),
             ),

@@ -20,6 +20,7 @@ from repro.linalg import (
     trace_norm_distance,
     zero_state,
 )
+from repro.linalg.norms import hermitian_mask
 
 
 class TestSchattenNorms:
@@ -44,6 +45,56 @@ class TestSchattenNorms:
     def test_non_hermitian_matrix(self):
         mat = np.array([[0, 1], [0, 0]], dtype=complex)
         assert np.isclose(trace_norm(mat), 1.0)
+
+
+class TestHermitianMask:
+    """The one Hermitian test agrees with ``np.allclose(m, mᴴ, atol)``."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(11)
+        cases = []
+        for dim in (1, 2, 4):
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            hermitian = a + a.conj().T
+            cases.append(hermitian)
+            for scale in (1e-13, 1e-12, 2e-12, 1e-10, 1e-5):
+                nudged = hermitian.copy()
+                nudged[0, -1] += scale * (1 + 1j)
+                cases.append(nudged)  # almost Hermitian, either side of atol
+            cases.append(a)  # not Hermitian
+            with_nan = hermitian.copy()
+            with_nan[0, 0] = np.nan
+            cases.append(with_nan)
+        cases.append(np.array([[1.0, 2.0], [2.0, 1.0 + 1e-6]]))  # real, exact
+        # Deviation at the rtol edge, with |m[0, 1]| != |m[1, 0]|.
+        cases.append(np.array([[0.0, 1.0], [1.0 + 1e-5 + 5e-11, 0.0]]))
+        cases.append(np.array([[0.0, 1.0], [1.0 + 1e-5 - 5e-11, 0.0]]))
+        return cases
+
+    @pytest.mark.parametrize("atol", [1e-12, 1e-9])
+    def test_agrees_with_allclose_one_at_a_time(self, atol):
+        for matrix in self._cases():
+            expected = np.allclose(matrix, matrix.conj().T, atol=atol)
+            assert bool(hermitian_mask(matrix, atol=atol)) == expected
+
+    def test_stack_agrees_with_allclose_per_matrix(self):
+        cases = [m for m in self._cases() if m.shape == (2, 2)]
+        mask = hermitian_mask(np.stack(cases))
+        assert mask.shape == (len(cases),)
+        assert list(mask) == [np.allclose(m, m.conj().T, atol=1e-12) for m in cases]
+        assert 0 < mask.sum() < len(cases)
+
+    def test_trace_norm_branch_follows_the_mask(self, monkeypatch):
+        """Hermitian inputs take eigvalsh, the rest svd."""
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda m: calls.append("eigvalsh") or eigvalsh(m)
+        )
+        trace_norm(np.diag([1.0, -2.0]))
+        trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert calls == ["eigvalsh"]
 
 
 class TestDistances:

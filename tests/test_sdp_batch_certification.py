@@ -20,10 +20,8 @@ from helpers import random_circuit
 
 from repro.config import AnalysisConfig, SDPConfig
 from repro.core.analyzer import GleipnirAnalyzer
-from repro.core.derivation import ReplayTape
 from repro.core.rules import absorb_continuations
 from repro.core.scheduler import BoundScheduler
-from repro.mps.approximator import MPSApproximator
 from repro.noise import NoiseModel
 from repro.programs.library import table2_benchmarks
 from repro.sdp import gate_error_bound, gate_error_bounds_batch
@@ -52,10 +50,7 @@ def solve_classes(circuit_or_program, *, num_qubits=None, mps_width=8):
     )
     if num_qubits is None:
         num_qubits = program.num_qubits
-    approximator = MPSApproximator.from_product_state(
-        [0] * num_qubits, width=mps_width
-    )
-    scheduler._collect(absorb_continuations(program), approximator, ReplayTape())
+    scheduler.collect(absorb_continuations(program), [0] * num_qubits)
     return [
         (c.gate_matrix, c.noise_channel, c.rho_rounded, c.delta_effective)
         for c in scheduler._classes.values()

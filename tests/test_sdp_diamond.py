@@ -13,6 +13,7 @@ from helpers import random_circuit
 from repro.config import AnalysisConfig, SDPConfig
 from repro.core.analyzer import analyze_program
 from repro.errors import SDPError
+from repro.linalg.norms import hermitian_mask, trace_norm
 from repro.linalg import (
     CNOT,
     HADAMARD,
@@ -38,7 +39,9 @@ from repro.sdp import (
     constrained_diamond_norm,
     diamond_distance,
     diamond_lower_bound,
+    diamond,
     gate_error_bound,
+    gate_error_bounds_batch,
     q_lambda_diamond_norm,
     rho_delta_constraint_bound,
     rho_delta_diamond_norm,
@@ -207,6 +210,14 @@ class TestStepRule:
         )
         assert result.error_bound <= 0.057288118982245076
 
+    def test_reference_bound_is_pinned_exactly(self):
+        """Performance work must leave the seed-7 reference bound bit-identical."""
+        circuit = random_circuit(5, 65, seed=7)
+        result = analyze_program(
+            circuit, NoiseModel.uniform_bit_flip(1e-3), config=AnalysisConfig(mps_width=16)
+        )
+        assert result.error_bound == 0.057076113099987794
+
     def test_seed7_reference_circuits_no_looser_than_admm(self):
         """All 24 seed-7 reference-cold circuits against the bounds the ADMM
         solver certified (``fixtures/reference_bounds_admm.json``; the other
@@ -223,6 +234,98 @@ class TestStepRule:
                 looser.append((index, bound, limit))
         assert len(pinned) == 24
         assert not looser
+
+
+def _quantise_one_gate(rho, delta, decimals):
+    """The per-gate quantisation arithmetic, spelled out with ``trace_norm``."""
+    rounded = np.round(rho, decimals)
+    rounded = (rounded + rounded.conj().T) / 2
+    weakened = float(delta + trace_norm(rho - rounded))
+    step = 10.0 ** (-decimals)
+    effective = max(float(np.ceil(weakened / step) * step), weakened)
+    return rounded, effective
+
+
+class TestStackedQuantisation:
+    """``GateBoundCache.quantise_keys`` equals per-gate quantisation bit for bit."""
+
+    @staticmethod
+    def _predicates():
+        rng = np.random.default_rng(3)
+        rhos, deltas = [], []
+        for index in range(40):
+            dim = 2 if index % 2 else 4
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            rho = a @ a.conj().T
+            rhos.append(rho / np.trace(rho).real)
+            deltas.append(float(rng.uniform(0, 0.3)))
+        # Not Hermitian: its rounding error takes the svd branch.
+        rhos.append(np.array([[0.6, 0.3 + 0.1234567j], [0.1, 0.4]]))
+        deltas.append(0.01)
+        # Exactly on the grid: rounding adds nothing, so δ stays put ...
+        rhos += [np.diag([1.0, 0.0]).astype(complex)] * 2
+        deltas += [0.123456, np.nextafter(0.123456, 1.0)]  # ... or one ulp over it
+        return rhos, deltas
+
+    def test_matches_per_gate_quantisation(self):
+        rhos, deltas = self._predicates()
+        cache = GateBoundCache(decimals=6)
+        parts = [("gate", index) for index in range(len(rhos))]
+        stacked = cache.quantise_keys(parts, rhos, deltas)
+        for part, rho, delta, (key, rounded, effective) in zip(parts, rhos, deltas, stacked):
+            alone = cache.quantise_key(part, rho, delta)
+            assert key == alone[0]
+            assert rounded.tobytes() == alone[1].tobytes()
+            assert effective == alone[2]
+            expected_rounded, expected_effective = _quantise_one_gate(rho, delta, 6)
+            assert key == part + (expected_rounded.tobytes(), expected_effective)
+            assert rounded.tobytes() == expected_rounded.tobytes()
+            assert effective == expected_effective
+
+    def test_covers_both_branches_and_the_grid_edges(self):
+        rhos, deltas = self._predicates()
+        errors = [rho - _quantise_one_gate(rho, 0.0, 6)[0] for rho in rhos]
+        assert {rho.shape for rho in rhos} == {(2, 2), (4, 4)}
+        assert not hermitian_mask(errors[40])
+        assert hermitian_mask(np.stack(errors[:40:2])).all()
+        cache = GateBoundCache(decimals=6)
+        (_, _, on_grid), (_, _, over) = cache.quantise_keys([(), ()], rhos[-2:], deltas[-2:])
+        assert on_grid == 0.123456
+        assert over == 0.123457
+
+
+class TestReducedProblemDedupe:
+    def test_duplicates_solve_once_and_match_solving_alone(self, monkeypatch):
+        """Requests that reduce to byte-identical problems reach the solver
+        once; every bound equals the request solved on its own."""
+        ket0 = pure_density(zero_state(1))
+        ket1 = np.diag([0.0, 1.0]).astype(complex)
+        noise = bit_flip(0.1)
+        x_gate = np.array([[0, 1], [1, 0]], dtype=complex)
+        instances = [
+            (HADAMARD, noise, pure_density(plus_state(1)), 0.01),
+            (x_gate, noise, ket0, 0.02),
+            (np.eye(2, dtype=complex), noise, ket1, 0.02),  # X|0⟩⟨0|X = |1⟩⟨1|
+            (x_gate, noise, ket1, 0.02),  # same Choi and c, another σ
+            (HADAMARD, noise, pure_density(plus_state(1)), 0.01),
+        ]
+        alone = [gate_error_bound(*instance, config=CFG) for instance in instances]
+
+        solved = []
+        solve = diamond.admm_solve_packed_batch
+
+        def spy(problems, **kwargs):
+            solved.extend(problems)
+            return solve(problems, **kwargs)
+
+        monkeypatch.setattr(diamond, "admm_solve_packed_batch", spy)
+        batched = gate_error_bounds_batch(instances, config=CFG)
+        assert len(solved) == 3
+        assert [b.value for b in batched] == [b.value for b in alone]
+        for b, a in zip(batched, alone):
+            assert b.certificate.y == a.certificate.y
+            assert np.array_equal(b.certificate.z, a.certificate.z)
+        assert batched[1] is batched[2] and batched[0] is batched[4]
 
 
 class TestSoundnessAgainstBruteForce:

@@ -1,13 +1,17 @@
 """Tests for the single-pass pipeline: the ReplayTape and its consumption.
 
-The scheduler's pre-pass records every approximator fact into a
-:class:`~repro.core.derivation.ReplayTape`; the analyzer rebuilds the
-derivation from the tape without a second MPS walk.  These tests verify
+The scheduler's pre-pass records every approximator fact, and each noisy
+gate's class key, into a :class:`~repro.core.derivation.ReplayTape`; the
+analyzer rebuilds the derivation from the tape without a second MPS walk
+and without quantising again.  These tests verify
 
 * the instrumentation contract: the MPS evolves through each gate exactly
-  once per analysed input, scheduled or sequential (the counter test of the
-  acceptance criteria);
-* that replayed analyses are *bit-identical* to live sequential ones;
+  once per analysed input (the counter test of the acceptance criteria);
+* that replayed analyses are *bit-identical* to a gate-by-gate reference
+  that walks a live MPS and solves each gate alone with
+  ``gate_error_bound``;
+* that the walk quantises every predicate in one stacked pass and the
+  replay quantises none;
 * that a bound does not depend on what the process analysed before it;
 * the tape's defensive alignment checks.
 """
@@ -16,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_circuit
+from helpers import per_gate_bound, per_gate_reference, random_circuit
 
 from repro.circuits import Circuit
 from repro.circuits.program import IfMeasure, Skip, seq
@@ -28,6 +32,7 @@ from repro.engine.spec import AnalysisJob
 from repro.errors import LogicError
 from repro.mps.approximator import MPSApproximator
 from repro.noise import NoiseModel
+from repro.sdp import GateBoundCache
 
 FAST_SDP = SDPConfig(max_iterations=400, tolerance=1e-5)
 
@@ -56,11 +61,9 @@ class TestSinglePassCounter:
     def test_mps_walk_runs_once_with_scheduler(
         self, bit_flip_model, count_mps_gate_applications
     ):
-        """The scheduled path applies each gate to an MPS exactly once."""
+        """The analysis applies each gate to an MPS exactly once."""
         circuit = random_circuit(4, 20, seed=3)
-        result = GleipnirAnalyzer(bit_flip_model, _config(scheduler=True)).analyze(
-            circuit
-        )
+        result = GleipnirAnalyzer(bit_flip_model, _config()).analyze(circuit)
         assert result.num_gates == 20
         assert count_mps_gate_applications["count"] == 20
         assert result.mps_walks == 1
@@ -68,12 +71,17 @@ class TestSinglePassCounter:
     def test_sequential_path_also_walks_once(
         self, bit_flip_model, count_mps_gate_applications
     ):
+        """One walk suffices for bounds that match the gate-by-gate walk."""
         circuit = random_circuit(4, 20, seed=3)
-        result = GleipnirAnalyzer(bit_flip_model, _config(scheduler=False)).analyze(
-            circuit
-        )
+        config = _config()
+        result = GleipnirAnalyzer(bit_flip_model, config).analyze(circuit)
         assert count_mps_gate_applications["count"] == 20
         assert result.mps_walks == 1
+        reference = per_gate_reference(circuit, bit_flip_model, config)
+        assert count_mps_gate_applications["count"] == 40
+        assert [node.judgment.epsilon for node in result.derivation.gate_nodes()] == (
+            reference.values
+        )
 
     def test_counter_with_measurement_branches(
         self, bit_flip_model, count_mps_gate_applications
@@ -83,48 +91,72 @@ class TestSinglePassCounter:
             Circuit(2).h(0).to_program(),
             IfMeasure(0, Circuit(2).x(1).to_program(), Circuit(2).h(1).to_program()),
         )
-        GleipnirAnalyzer(bit_flip_model, _config(scheduler=True)).analyze(
+        result = GleipnirAnalyzer(bit_flip_model, _config()).analyze(
             program, num_qubits=2
         )
-        scheduled_count = count_mps_gate_applications["count"]
-        count_mps_gate_applications["count"] = 0
-        GleipnirAnalyzer(bit_flip_model, _config(scheduler=False)).analyze(
+        assert result.num_gates == 3
+        assert count_mps_gate_applications["count"] == result.num_gates
+
+
+class TestOneQuantisationPass:
+    def test_walk_quantises_once_and_replay_never(self, bit_flip_model, monkeypatch):
+        """One stacked quantisation per analysis; no per-gate quantise_key."""
+        calls = {"stacked": 0, "per_gate": 0}
+        stacked = GateBoundCache.quantise_keys
+
+        def counting_stacked(self, *args):
+            calls["stacked"] += 1
+            return stacked(self, *args)
+
+        def counting_per_gate(self, *args):
+            calls["per_gate"] += 1
+            raise AssertionError("the analysis quantised a single gate")
+
+        monkeypatch.setattr(GateBoundCache, "quantise_keys", counting_stacked)
+        monkeypatch.setattr(GateBoundCache, "quantise_key", counting_per_gate)
+        program = seq(
+            random_circuit(2, 12, seed=5).to_program(),
+            IfMeasure(0, Circuit(2).x(1).to_program(), Skip()),
+        )
+        result = GleipnirAnalyzer(bit_flip_model, _config()).analyze(
             program, num_qubits=2
         )
-        assert scheduled_count == count_mps_gate_applications["count"]
+        assert calls == {"stacked": 1, "per_gate": 0}
+        assert result.sdp_cache_hits == result.num_gates
 
 
 class TestReplayBitIdentity:
     @pytest.mark.parametrize("seed", [0, 4, 8])
     def test_replayed_bounds_equal_sequential_exactly(self, seed, bit_flip_model):
-        """Tape replay + batched solves reproduce the sequential bounds bit
-        for bit (the per-gate path runs the same batched primitives)."""
+        """Tape replay + batched, deduplicated solves reproduce the bounds of
+        a live gate-by-gate walk with one ``gate_error_bound`` per gate, bit
+        for bit."""
         circuit = random_circuit(4, 24, seed=seed)
-        scheduled = GleipnirAnalyzer(bit_flip_model, _config(scheduler=True)).analyze(
-            circuit
-        )
-        sequential = GleipnirAnalyzer(
-            bit_flip_model, _config(scheduler=False)
-        ).analyze(circuit)
-        assert scheduled.error_bound == sequential.error_bound
-        assert scheduled.final_delta == sequential.final_delta
+        config = _config()
+        result = GleipnirAnalyzer(bit_flip_model, config).analyze(circuit)
+        reference = per_gate_reference(circuit, bit_flip_model, config)
+        assert result.error_bound == reference.error_bound
+        assert result.final_delta == reference.final_delta
 
     def test_replayed_derivation_verifies(self, bit_flip_model):
-        result = GleipnirAnalyzer(bit_flip_model, _config(scheduler=True)).analyze(
+        result = GleipnirAnalyzer(bit_flip_model, _config()).analyze(
             random_circuit(3, 10, seed=6)
         )
         assert result.derivation is not None
         result.derivation.check()
 
     def test_branchy_program_replay(self, bit_flip_model):
-        program = IfMeasure(0, Skip(), Circuit(1).x(0).to_program())
-        scheduled = GleipnirAnalyzer(bit_flip_model, _config(scheduler=True)).analyze(
-            program, num_qubits=1
+        """The unreachable branch's gate is bounded alone under δ = 2."""
+        x0 = Circuit(1).x(0).to_program()
+        config = _config()
+        result = GleipnirAnalyzer(bit_flip_model, config).analyze(
+            IfMeasure(0, Skip(), x0), num_qubits=1
         )
-        sequential = GleipnirAnalyzer(
-            bit_flip_model, _config(scheduler=False)
-        ).analyze(program, num_qubits=1)
-        assert scheduled.error_bound == sequential.error_bound
+        (node,) = result.derivation.gate_nodes()
+        assert result.error_bound == node.judgment.epsilon
+        assert node.judgment.epsilon == per_gate_bound(
+            x0, bit_flip_model, config, node.rho_local, 2.0
+        )
 
 
 # A small gate vocabulary for generated suffixes.
