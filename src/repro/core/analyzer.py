@@ -304,11 +304,14 @@ class GleipnirAnalyzer:
         record = tape.take(TapeMeasure)
         self._num_branches += 1
         # An outcome the approximation gives probability ~0 was walked under
-        # the trivial predicate (sound, possibly loose; see
-        # repro.core.scheduler.vacuous_branch_approximator) and enters the
-        # Meas rule with probability 0.  Both branches follow on the tape in
-        # (0, 1) order.
-        reachable = dict(record.probabilities)
+        # the trivial predicate (sound, possibly loose) and enters the Meas
+        # rule with probability 0.  A fork the walk reached saturated
+        # estimated no probabilities at all.  Both branches follow on the
+        # tape in (0, 1) order.
+        probabilities = None
+        if record.probabilities is not None:
+            reachable = dict(record.probabilities)
+            probabilities = [reachable.get(0, 0.0), reachable.get(1, 0.0)]
         branch_nodes = [
             self._analyze_node(program.then_branch, tape),
             self._analyze_node(program.else_branch, tape),
@@ -317,7 +320,7 @@ class GleipnirAnalyzer:
             program.qubit,
             record.delta_before,
             branch_nodes,
-            branch_probabilities=[reachable.get(0, 0.0), reachable.get(1, 0.0)],
+            branch_probabilities=probabilities,
             noise_model=self.noise_model.name,
         )
 

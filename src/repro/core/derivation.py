@@ -75,10 +75,15 @@ class TapeGate:
 
 @dataclasses.dataclass(frozen=True)
 class TapeMeasure:
-    """One measurement fork: δ before the fork and the reachable outcomes."""
+    """One measurement fork: δ before the fork and the reachable outcomes.
+
+    ``probabilities`` is None for a fork the walk reached saturated (δ = 2),
+    which estimates nothing: the Meas rule then concludes ε = 1 whatever the
+    branches hold.
+    """
 
     delta_before: float
-    probabilities: tuple[tuple[int, float], ...]
+    probabilities: tuple[tuple[int, float], ...] | None
 
 
 class ReplayTape:
@@ -86,7 +91,8 @@ class ReplayTape:
 
     The scheduler's pre-pass and the analyzer's replay traverse the
     normalised program identically (Seq parts in order, measurement branches
-    in (0, 1) order, unreachable branches included), so a flat record list
+    in (0, 1) order, unreachable and saturated branches included), so a flat
+    record list
     aligns the two passes.  :meth:`take` enforces the alignment: a record of
     the wrong kind, a premature end, or leftover records after the replay
     (:meth:`verify_exhausted`) all mean the traversals diverged and raise

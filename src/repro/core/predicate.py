@@ -23,7 +23,17 @@ import numpy as np
 from ..errors import LogicError
 from ..mps.approximator import LocalPredicate
 
-__all__ = ["GlobalPredicate", "LocalPredicate", "trivial_local_predicate"]
+__all__ = [
+    "VACUOUS_DELTA",
+    "GlobalPredicate",
+    "LocalPredicate",
+    "trivial_local_predicate",
+]
+
+#: The largest trace-norm distance between two density matrices.  A
+#: predicate at this δ admits every state, so its constraint
+#: ``tr(ρ̂ ρ) >= ||ρ̂||_F (||ρ̂||_F - δ)`` has a negative bound for every ρ̂.
+VACUOUS_DELTA = 2.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,7 +66,7 @@ class GlobalPredicate:
     @property
     def is_trivial(self) -> bool:
         """True when the predicate admits every state (delta >= 2)."""
-        return self.delta >= 2.0
+        return self.delta >= VACUOUS_DELTA
 
 
 def trivial_local_predicate(num_qubits: int) -> LocalPredicate:
@@ -64,12 +74,13 @@ def trivial_local_predicate(num_qubits: int) -> LocalPredicate:
 
     Every density matrix is within trace-norm 2 of every other, so this
     predicate is satisfied by any state; bounds computed against it reduce to
-    the unconstrained diamond norm.  Used for measurement branches that the
+    the unconstrained diamond norm.  The scheduler's walk uses it for every
+    gate once δ has reached its cap, and for measurement branches that the
     approximation deems unreachable.
     """
     dim = 2**num_qubits
     return LocalPredicate(
         rho_local=np.eye(dim, dtype=np.complex128) / dim,
-        delta=2.0,
+        delta=VACUOUS_DELTA,
         qubits=tuple(range(num_qubits)),
     )

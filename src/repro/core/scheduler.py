@@ -4,10 +4,13 @@ The analysis pays for the MPS walk once and for each distinct gate SDP
 once.  This module does both before the derivation is built:
 
 1. a *collection pre-pass* evolves the MPS approximator over the normalised
-   program — including measurement branching and the vacuous-predicate
-   handling of unreachable branches — recording every noisy gate's raw
-   (ρ̂, δ) predicate and writing every approximator fact the derivation
-   needs into a :class:`~repro.core.derivation.ReplayTape`;
+   program — including measurement branching — recording every noisy
+   gate's raw (ρ̂, δ) predicate and writing every approximator fact the
+   derivation needs into a :class:`~repro.core.derivation.ReplayTape`.
+   Once δ reaches its cap of 2 (and inside branches the approximation
+   deems unreachable) the walk is *saturated*: every predicate is the
+   trivial one, whatever the MPS holds, so the walk stops evolving the MPS
+   and gives each later gate ``trivial_local_predicate``;
 2. after the walk, one stacked pass
    (:meth:`repro.sdp.diamond.GateBoundCache.quantise_keys`) quantises every
    predicate into its bound-cache class key, puts each key on its gate's
@@ -43,38 +46,18 @@ from ..noise.model import NoiseModel
 from ..obs.trace import span
 from ..sdp.diamond import GateBoundCache, gate_error_bounds_batch
 from .derivation import ReplayTape, TapeGate, TapeMeasure, TapeSkip
-from .predicate import trivial_local_predicate
+from .predicate import VACUOUS_DELTA, trivial_local_predicate
 
 __all__ = [
     "SolveClass",
     "SchedulerReport",
     "BoundScheduler",
     "clear_tape_memo",
-    "vacuous_branch_approximator",
 ]
 
 
 def clear_tape_memo() -> None:
     """No-op, kept because ``perfbench/workloads.py`` imports it."""
-
-
-def vacuous_branch_approximator(
-    branch: Program, qubit: int, outcome: int, width: int
-) -> MPSApproximator:
-    """Fresh approximator for a measurement branch deemed unreachable.
-
-    Start from the collapsed basis state and immediately weaken the distance
-    bound to the maximum (δ = 2), so every gate bound inside the branch
-    reduces to the unconstrained diamond norm.  This keeps the Meas rule
-    sound without knowing the collapsed state.
-    """
-    used = branch.qubits_used() | {qubit}
-    num_qubits = max((max(used) + 1) if used else 1, qubit + 1)
-    bits = [0] * num_qubits
-    bits[qubit] = outcome
-    fresh = MPSApproximator.from_product_state(bits, width=width)
-    fresh.weaken_to(trivial_local_predicate(1).delta)  # vacuous predicate
-    return fresh
 
 
 @dataclasses.dataclass(frozen=True)
@@ -250,10 +233,26 @@ class BoundScheduler:
 
     # -- collection traversal (the analyzer's replay consumes it in order) ----
     def _collect(
-        self, program: Program, approximator: MPSApproximator, tape: ReplayTape
+        self,
+        program: Program,
+        approximator: MPSApproximator | None,
+        tape: ReplayTape,
     ) -> None:
+        """Walk ``program``; ``approximator`` is None once the walk saturates.
+
+        At δ = 2 the predicate ``tr(ρ̂ ρ) >= ||ρ̂||_F (||ρ̂||_F - δ)`` has a
+        negative bound for every ρ̂, so no later bound depends on the MPS and
+        the walk drops it.  A branch the approximation deems unreachable
+        starts out saturated.
+        """
+        if approximator is not None and approximator.delta >= VACUOUS_DELTA:
+            approximator = None
         if isinstance(program, Skip):
-            tape.record(TapeSkip(delta=approximator.delta))
+            tape.record(
+                TapeSkip(
+                    delta=VACUOUS_DELTA if approximator is None else approximator.delta
+                )
+            )
             return
         if isinstance(program, GateOp):
             self._collect_gate(program, approximator, tape)
@@ -268,20 +267,27 @@ class BoundScheduler:
         raise LogicError(f"unknown program node {type(program).__name__}")
 
     def _collect_gate(
-        self, op: GateOp, approximator: MPSApproximator, tape: ReplayTape
+        self, op: GateOp, approximator: MPSApproximator | None, tape: ReplayTape
     ) -> None:
-        delta_before = approximator.delta
-        predicate = None
         noise_channel = self.noise_model.channel_for(op.gate, op.qubits)
-        if noise_channel is not None:
-            predicate = approximator.local_predicate(op.qubits)
-        truncation_added = approximator.apply_gate_op(op)
+        predicate = None
+        if approximator is None:
+            if noise_channel is not None:
+                predicate = trivial_local_predicate(len(op.qubits))
+            delta_before = delta_after = VACUOUS_DELTA
+            truncation_added = 0.0
+        else:
+            delta_before = approximator.delta
+            if noise_channel is not None:
+                predicate = approximator.local_predicate(op.qubits)
+            truncation_added = approximator.apply_gate_op(op)
+            delta_after = approximator.delta
         position = tape.record(
             TapeGate(
                 delta_before=delta_before,
                 rho_local=predicate.rho_local if predicate is not None else None,
                 truncation_added=truncation_added,
-                delta_after=approximator.delta,
+                delta_after=delta_after,
             )
         )
         if predicate is not None:
@@ -297,34 +303,25 @@ class BoundScheduler:
             )
 
     def _collect_measure(
-        self, program: IfMeasure, approximator: MPSApproximator, tape: ReplayTape
+        self,
+        program: IfMeasure,
+        approximator: MPSApproximator | None,
+        tape: ReplayTape,
     ) -> None:
-        delta_before = approximator.delta
-        forks = approximator.branch_on_measurement(program.qubit)
-        tape.record(
-            TapeMeasure(
-                delta_before=delta_before,
-                probabilities=tuple(
-                    (outcome, probability) for outcome, probability, _child in forks
-                ),
-            )
-        )
-        reachable = {outcome: child for outcome, _probability, child in forks}
-        for outcome, branch_program in (
-            (0, program.then_branch),
-            (1, program.else_branch),
-        ):
-            if outcome in reachable:
-                self._collect(branch_program, reachable[outcome], tape)
-            else:
-                self._collect_unreachable_branch(
-                    branch_program, program.qubit, outcome, tape
+        """Fork the walk; a saturated fork estimates no probabilities."""
+        reachable: dict[int, MPSApproximator] = {}
+        if approximator is None:
+            tape.record(TapeMeasure(delta_before=VACUOUS_DELTA, probabilities=None))
+        else:
+            forks = approximator.branch_on_measurement(program.qubit)
+            tape.record(
+                TapeMeasure(
+                    delta_before=approximator.delta,
+                    probabilities=tuple(
+                        (outcome, probability) for outcome, probability, _child in forks
+                    ),
                 )
-
-    def _collect_unreachable_branch(
-        self, branch: Program, qubit: int, outcome: int, tape: ReplayTape
-    ) -> None:
-        fresh = vacuous_branch_approximator(
-            branch, qubit, outcome, self.config.mps_width
-        )
-        self._collect(branch, fresh, tape)
+            )
+            reachable = {outcome: child for outcome, _probability, child in forks}
+        self._collect(program.then_branch, reachable.get(0), tape)
+        self._collect(program.else_branch, reachable.get(1), tape)

@@ -116,12 +116,12 @@ class MPSApproximator:
 
         Corresponds to using the Weaken rule in reverse: declaring that the
         approximation is only known to be within ``delta`` of the ideal state.
-        Used for measurement branches the approximation deems unreachable,
-        where ``delta = 2`` makes the predicate vacuous.
+        ``delta`` is compared with the reported, capped :attr:`delta`, so
+        ``weaken_to(2.0)`` always succeeds.
         """
-        if delta < self._delta:
+        if delta < self.delta:
             raise MPSError("weaken_to cannot decrease the approximation bound")
-        self._delta = float(delta)
+        self._delta = max(self._delta, float(delta))
         return self
 
     # -- predicates --------------------------------------------------------------

@@ -299,18 +299,20 @@ def _prepare_solve(
     choi = np.asarray(choi, dtype=np.complex128)
     choi = (choi + choi.conj().T) / 2
     scale = trace_norm(choi)
+    use_constraint = constraint_operator is not None and constraint_bound > 0.0
+    # A vacuous constraint leaves nothing of the request but its Choi matrix.
+    bound_c = float(constraint_bound) if use_constraint else 0.0
     if scale <= 1e-300:
         return _PreparedSolve(
             choi=choi,
             scaled_choi=choi,
             scale=0.0,
             operator=None,
-            bound_c=float(constraint_bound),
+            bound_c=bound_c,
             use_constraint=False,
             zero=True,
             big=choi.shape[0],
         )
-    use_constraint = constraint_operator is not None and constraint_bound > 0.0
     operator = (
         np.asarray(constraint_operator, dtype=np.complex128) if use_constraint else None
     )
@@ -319,7 +321,7 @@ def _prepare_solve(
         scaled_choi=choi / scale,
         scale=scale,
         operator=operator,
-        bound_c=float(constraint_bound) if use_constraint else 0.0,
+        bound_c=bound_c,
         use_constraint=use_constraint,
         zero=False,
         big=choi.shape[0],
@@ -886,18 +888,17 @@ def gate_error_bounds_batch(
     # Distinct gate classes can reduce to the same problem (a two-qubit gate
     # whose noise touches one qubit keeps only one qubit of ρ̂).  Each
     # distinct (Choi, σ, c), compared byte for byte, is solved once and its
-    # bound fans back out to every request that reduced to it.
+    # bound fans back out to every request that reduced to it.  With c <= 0
+    # the constraint is dropped and the solver never reads σ or c, so such
+    # requests are told apart by their Choi matrix alone.
     requests: list[tuple[np.ndarray, np.ndarray | None, float]] = []
     slots: dict[tuple, int] = {}
     request_of: list[int] = []
     for (_index, delta), (diff_choi, sigma) in zip(noisy, reduced):
         bound_c = rho_delta_constraint_bound(sigma, delta)
-        problem = (
-            diff_choi.shape,
-            diff_choi.tobytes(),
-            sigma.tobytes(),
-            np.float64(bound_c).tobytes(),
-        )
+        problem = (diff_choi.shape, diff_choi.tobytes())
+        if bound_c > 0.0:
+            problem += (sigma.tobytes(), np.float64(bound_c).tobytes())
         if problem not in slots:
             slots[problem] = len(requests)
             requests.append((diff_choi, sigma, bound_c))
@@ -1264,62 +1265,6 @@ class GateBoundCache:
             self._store[key] = bound
             self.misses += 1
         self._persistent_save(key, bound, fingerprint, self.solver_identity(config))
-
-    def lookup_or_compute(
-        self,
-        key_parts: tuple,
-        gate_matrix: np.ndarray,
-        noise_channel: QuantumChannel | None,
-        rho_local: np.ndarray,
-        delta: float,
-        *,
-        noise_after_gate: bool = True,
-        config: SDPConfig | None = None,
-    ) -> DiamondNormBound:
-        """Return a sound bound, computing and caching it if necessary.
-
-        ``key_parts`` should identify the gate and noise channel (e.g. the
-        gate's structural key and the noise model's rule identity).
-        """
-        key, rounded_rho, effective_delta = self.quantise_key(key_parts, rho_local, delta)
-        cached = self._store.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        fingerprint = None
-        solver = self.solver_identity(config)
-        if self.store_path is not None and noise_channel is not None:
-            fingerprint = self.problem_fingerprint(
-                gate_matrix, noise_channel, noise_after_gate
-            )
-            cached = self._persistent_lookup(
-                key,
-                fingerprint,
-                solver,
-                self.expected_problem(
-                    gate_matrix,
-                    noise_channel,
-                    rounded_rho,
-                    effective_delta,
-                    noise_after_gate=noise_after_gate,
-                ),
-            )
-            if cached is not None:
-                self.hits += 1
-                return cached
-        self.misses += 1
-        bound = gate_error_bound(
-            gate_matrix,
-            noise_channel,
-            rounded_rho,
-            effective_delta,
-            noise_after_gate=noise_after_gate,
-            config=config,
-        )
-        with self._lock:
-            self._store[key] = bound
-        self._persistent_save(key, bound, fingerprint, solver)
-        return bound
 
     def __len__(self) -> int:
         return len(self._store)

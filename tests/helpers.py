@@ -27,6 +27,7 @@ __all__ = [
     "RETIRED_SDP_CONFIG_KEY",
     "RETIRED_TAPE_MEMO_KEY",
     "PerGateReference",
+    "cached_gate_bound",
     "per_gate_bound",
     "per_gate_reference",
     "random_circuit",
@@ -84,6 +85,46 @@ def random_circuit(num_qubits: int, num_gates: int, seed: int = 0) -> Circuit:
             a, b = rng.choice(num_qubits, size=2, replace=False)
             circuit.cx(int(a), int(b))
     return circuit
+
+
+def cached_gate_bound(
+    cache: GateBoundCache,
+    key_parts: tuple,
+    gate_matrix,
+    noise_channel,
+    rho_local,
+    delta: float,
+    *,
+    noise_after_gate: bool = True,
+    config=None,
+):
+    """One gate's bound through ``cache``, as the analysis reaches it.
+
+    The predicate is quantised with ``quantise_key``; ``peek`` answers from
+    memory or, when the cache has a store, from disk; a miss is solved alone
+    with ``gate_error_bound`` and recorded with ``insert``.
+    """
+    key, rho, effective = cache.quantise_key(key_parts, rho_local, delta)
+    fingerprint = expected = None
+    if cache.store_path is not None:
+        fingerprint = cache.problem_fingerprint(
+            gate_matrix, noise_channel, noise_after_gate
+        )
+        expected = cache.expected_problem(
+            gate_matrix, noise_channel, rho, effective, noise_after_gate=noise_after_gate
+        )
+    bound = cache.peek(key, fingerprint, expected, config=config)
+    if bound is None:
+        bound = gate_error_bound(
+            gate_matrix,
+            noise_channel,
+            rho,
+            effective,
+            noise_after_gate=noise_after_gate,
+            config=config,
+        )
+        cache.insert(key, bound, fingerprint=fingerprint, config=config)
+    return bound
 
 
 def per_gate_bound(op: GateOp, model, config, rho_local, delta) -> float:

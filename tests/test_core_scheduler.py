@@ -5,14 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import per_gate_bound, per_gate_reference, random_circuit
+from helpers import cached_gate_bound, per_gate_bound, per_gate_reference, random_circuit
 
 from repro.circuits import Circuit
 from repro.circuits.program import IfMeasure, Skip, seq
 from repro.config import AnalysisConfig, SDPConfig
 from repro.core.analyzer import GleipnirAnalyzer
+from repro.core.derivation import TapeGate
+from repro.core.scheduler import BoundScheduler
 from repro.linalg import HADAMARD, pure_density, zero_state
+from repro.mps.approximator import MPSApproximator
 from repro.noise import bit_flip
+from repro.programs.library import benchmark_by_name
 from repro.sdp import GateBoundCache, diamond
 
 
@@ -88,6 +92,142 @@ class TestSchedulerEquivalence:
         result.derivation.check()  # raises on any unsound step
 
 
+def _live_bounds(ops, approximator, model, config) -> list[float]:
+    """Each op's bound from a live MPS walk that never stops evolving."""
+    values = []
+    for op in ops:
+        predicate = approximator.local_predicate(op.qubits)
+        values.append(
+            per_gate_bound(op, model, config, predicate.rho_local, predicate.delta)
+        )
+        approximator.apply_gate_op(op)
+    return values
+
+
+#: (circuit, MPS width) pairs whose walk reaches δ = 2 part way through.
+SATURATING = [
+    pytest.param(
+        lambda: benchmark_by_name("QAOARandom20", "reduced").build(), 2, id="qaoa-w2"
+    ),
+    pytest.param(lambda: random_circuit(4, 40, seed=0), 1, id="random-w1"),
+]
+
+
+class TestSaturatedWalk:
+    """Once δ reaches 2 every predicate is vacuous: the walk stops evolving
+    the MPS, and the bounds stay those of a walk that never stops."""
+
+    @pytest.mark.parametrize("build, width", SATURATING)
+    def test_bounds_equal_live_walk(self, build, width, bit_flip_model):
+        circuit = build()
+        config = _config(mps_width=width)
+        result = GleipnirAnalyzer(bit_flip_model, config).analyze(circuit)
+        reference = per_gate_reference(circuit, bit_flip_model, config)
+        assert result.final_delta == reference.final_delta == 2.0
+        assert [node.judgment.epsilon for node in result.derivation.gate_nodes()] == (
+            reference.values
+        )
+        assert result.error_bound == reference.error_bound
+        result.derivation.check()
+
+    @pytest.mark.parametrize("build, width", SATURATING)
+    def test_mps_untouched_after_saturation(
+        self, build, width, bit_flip_model, monkeypatch
+    ):
+        deltas = []
+        for name in ("local_predicate", "apply_gate"):
+            original = getattr(MPSApproximator, name)
+
+            def spy(self, *args, _original=original):
+                deltas.append(self.delta)
+                return _original(self, *args)
+
+            monkeypatch.setattr(MPSApproximator, name, spy)
+        result = GleipnirAnalyzer(bit_flip_model, _config(mps_width=width)).analyze(
+            build()
+        )
+        assert result.final_delta == 2.0
+        assert max(deltas) < 2.0
+        assert len(deltas) < 2 * result.num_gates
+
+    def test_saturated_gates_share_one_class_per_gate_and_channel(
+        self, bit_flip_model
+    ):
+        circuit = random_circuit(4, 40, seed=0)
+        config = _config(mps_width=1)
+        analyzer = GleipnirAnalyzer(bit_flip_model, config)
+        scheduler = BoundScheduler(
+            bit_flip_model, analyzer.cache, config, gate_key=analyzer._gate_key
+        )
+        ops = list(circuit.to_program().operations())
+        tape = scheduler.collect(circuit.to_program(), [0] * circuit.num_qubits)
+        classes: dict[tuple, set] = {}
+        for op in ops:
+            record = tape.take(TapeGate)
+            if record.delta_before < 2.0:
+                continue
+            dim = 2 ** len(op.qubits)
+            assert np.array_equal(record.rho_local, np.eye(dim) / dim)
+            assert record.truncation_added == 0.0 and record.delta_after == 2.0
+            channel = bit_flip_model.channel_for(op.gate, op.qubits)
+            classes.setdefault(analyzer._gate_key(op, channel), set()).add(record.key)
+        assert len(classes) > 1
+        assert all(len(keys) == 1 for keys in classes.values())
+        assert len(set().union(*classes.values())) == len(classes)
+
+    def test_fork_after_saturation(self, bit_flip_model):
+        """A fork at δ = 2 walks both branches saturated, estimates no
+        probabilities and keeps the live walk's bounds."""
+        prefix = random_circuit(4, 40, seed=0)
+        then_ops = list(Circuit(4).h(1).cx(1, 2).to_program().operations())
+        else_ops = list(Circuit(4).rx(0.3, 2).to_program().operations())
+        program = seq(
+            prefix.to_program(), IfMeasure(0, seq(*then_ops), seq(*else_ops))
+        )
+        config = _config(mps_width=1)
+        result = GleipnirAnalyzer(bit_flip_model, config).analyze(program, num_qubits=4)
+        result.derivation.check()
+
+        approximator = MPSApproximator.from_product_state([0] * 4, width=1)
+        expected = _live_bounds(
+            prefix.to_program().operations(), approximator, bit_flip_model, config
+        )
+        prefix_bounds = list(expected)
+        forks = {outcome: child for outcome, _p, child in approximator.branch_on_measurement(0)}
+        for outcome, ops in ((0, then_ops), (1, else_ops)):
+            # An unreachable outcome starts from its collapsed basis state at δ = 2.
+            child = forks.get(outcome) or MPSApproximator.from_product_state(
+                [outcome, 0, 0, 0], width=1
+            ).weaken_to(2.0)
+            expected += _live_bounds(ops, child, bit_flip_model, config)
+        assert [node.judgment.epsilon for node in result.derivation.gate_nodes()] == (
+            expected
+        )
+        (meas,) = [n for n in result.derivation.nodes() if n.rule == "meas"]
+        assert meas.branch_probabilities is None
+        assert meas.judgment.epsilon == 1.0
+        assert result.error_bound == float(sum(prefix_bounds + [1.0]))
+
+    def test_unreachable_branch_is_saturated(self, bit_flip_model):
+        """A branch the approximation deems unreachable is walked saturated
+        and keeps the bounds of its collapsed basis state at δ = 2."""
+        then_ops = list(Circuit(2).h(1).to_program().operations())
+        else_ops = list(Circuit(2).h(0).cx(0, 1).rz(0.4, 1).to_program().operations())
+        program = IfMeasure(0, seq(*then_ops), seq(*else_ops))
+        config = _config()
+        result = GleipnirAnalyzer(bit_flip_model, config).analyze(program, num_qubits=2)
+        result.derivation.check()
+
+        collapsed = MPSApproximator.from_product_state([1, 0], width=config.mps_width)
+        collapsed.weaken_to(2.0)
+        expected = _live_bounds(else_ops, collapsed, bit_flip_model, config)
+        nodes = result.derivation.gate_nodes()[len(then_ops):]
+        assert [node.judgment.epsilon for node in nodes] == expected
+        assert all(node.judgment.delta == 2.0 for node in nodes)
+        (meas,) = [n for n in result.derivation.nodes() if n.rule == "meas"]
+        assert meas.branch_probabilities[1] == 0.0
+
+
 class TestDominanceCache:
     """Each solve class is answered only by its own exact entry or a fresh
     solve: a bound certified for another δ never answers, so a bound does
@@ -105,8 +245,8 @@ class TestDominanceCache:
         key_parts = ("h", "model", "noise", ())
 
         def lookup(cache, delta):
-            return cache.lookup_or_compute(
-                key_parts, HADAMARD, bit_flip(1e-3), rho, delta, config=FAST_SDP
+            return cached_gate_bound(
+                cache, key_parts, HADAMARD, bit_flip(1e-3), rho, delta, config=FAST_SDP
             )
 
         lookup(GateBoundCache(decimals=6, store_path=str(tmp_path)), stored_delta)
@@ -123,8 +263,8 @@ class TestDominanceCache:
         cache = GateBoundCache(decimals=6)
         rho = pure_density(zero_state(1))
         key_parts = ("h", "model", "noise", ())
-        cache.lookup_or_compute(
-            key_parts, HADAMARD, bit_flip(1e-3), rho, 0.05, config=FAST_SDP
+        cached_gate_bound(
+            cache, key_parts, HADAMARD, bit_flip(1e-3), rho, 0.05, config=FAST_SDP
         )
         key, _, _ = cache.quantise_key(key_parts, rho, 0.05)
         stronger_key, _, _ = cache.quantise_key(key_parts, rho, 0.01)
@@ -176,13 +316,13 @@ class TestPersistentCache:
         rho = pure_density(zero_state(1))
         key_parts = ("h", "model", "noise", ())
         first = GateBoundCache(decimals=6, store_path=str(tmp_path))
-        first.lookup_or_compute(
-            key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
+        cached_gate_bound(
+            first, key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
         )
         monkeypatch.setattr(diamond, "SOLVER_VERSION", "some-other-rule")
         second = GateBoundCache(decimals=6, store_path=str(tmp_path))
-        second.lookup_or_compute(
-            key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
+        cached_gate_bound(
+            second, key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
         )
         assert second.persistent_hits == 0
         assert second.misses == 1
@@ -210,8 +350,8 @@ class TestPersistentCache:
         cache = GateBoundCache(decimals=6, store_path=str(tmp_path))
         rho = pure_density(zero_state(1))
         key_parts = ("h", "model", "noise", ())
-        cache.lookup_or_compute(
-            key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
+        cached_gate_bound(
+            cache, key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
         )
         (path,) = list(tmp_path.iterdir())
         with np.load(path, allow_pickle=False) as data:
@@ -220,8 +360,8 @@ class TestPersistentCache:
         np.savez(path.with_suffix(""), **payload)
 
         fresh_cache = GateBoundCache(decimals=6, store_path=str(tmp_path))
-        fresh_cache.lookup_or_compute(
-            key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
+        cached_gate_bound(
+            fresh_cache, key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
         )
         # The tampered entry must not be trusted: the bound is recomputed.
         assert fresh_cache.persistent_hits == 0
@@ -233,8 +373,8 @@ class TestPersistentCache:
         rho = pure_density(zero_state(1))
         key_parts = ("h", "model", "noise", ())
         cache = GateBoundCache(decimals=6, store_path=str(tmp_path))
-        cache.lookup_or_compute(
-            key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
+        cached_gate_bound(
+            cache, key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
         )
         (path,) = list(tmp_path.iterdir())
         with np.load(path, allow_pickle=False) as data:
@@ -248,8 +388,8 @@ class TestPersistentCache:
         np.savez(path.with_suffix(""), **payload)
 
         fresh = GateBoundCache(decimals=6, store_path=str(tmp_path))
-        bound = fresh.lookup_or_compute(
-            key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
+        bound = cached_gate_bound(
+            fresh, key_parts, HADAMARD, bit_flip(1e-3), rho, 0.01, config=FAST_SDP
         )
         assert fresh.persistent_hits == 0
         assert fresh.misses == 1
@@ -262,12 +402,12 @@ class TestPersistentCache:
         key_parts = ("h", "model", "noise", ())  # identical nominal key
 
         weak_cache = GateBoundCache(decimals=6, store_path=str(tmp_path))
-        weak = weak_cache.lookup_or_compute(
-            key_parts, HADAMARD, bit_flip(1e-3), rho, 0.0, config=FAST_SDP
+        weak = cached_gate_bound(
+            weak_cache, key_parts, HADAMARD, bit_flip(1e-3), rho, 0.0, config=FAST_SDP
         )
         strong_cache = GateBoundCache(decimals=6, store_path=str(tmp_path))
-        strong = strong_cache.lookup_or_compute(
-            key_parts, HADAMARD, bit_flip(0.2), rho, 0.0, config=FAST_SDP
+        strong = cached_gate_bound(
+            strong_cache, key_parts, HADAMARD, bit_flip(0.2), rho, 0.0, config=FAST_SDP
         )
         assert strong_cache.persistent_hits == 0
         assert strong.value > 100 * weak.value  # p=0.2 vs p=1e-3
@@ -277,7 +417,8 @@ class TestPersistentCache:
         rho = pure_density(zero_state(1))
         key_parts = ("h", "model", "noise", ())
         first = GateBoundCache(decimals=6, store_path=str(tmp_path))
-        first.lookup_or_compute(
+        cached_gate_bound(
+            first,
             key_parts,
             HADAMARD,
             bit_flip(1e-3),
@@ -287,7 +428,8 @@ class TestPersistentCache:
             config=FAST_SDP,
         )
         second = GateBoundCache(decimals=6, store_path=str(tmp_path))
-        second.lookup_or_compute(
+        cached_gate_bound(
+            second,
             key_parts,
             HADAMARD,
             bit_flip(1e-3),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.circuits import Circuit
 from repro.errors import MPSError
 from repro.linalg import ghz_state, pure_density, trace_norm_distance
-from repro.mps import MPSApproximator, approximate_program
+from repro.mps import MPS, MPSApproximator, approximate_program
 from repro.semantics import simulate_density, simulate_statevector
 
 from helpers import random_circuit
@@ -49,6 +49,16 @@ class TestBasics:
         assert approx.delta == 1.5
         with pytest.raises(MPSError):
             approx.weaken_to(0.5)
+
+    def test_weaken_to_cap_past_saturation(self):
+        """Once the accumulated truncation exceeds 2, ``delta`` reports the
+        cap and weakening to it is allowed."""
+        approx = MPSApproximator(MPS.zero_state(2, max_bond=2), delta=2.5)
+        assert approx.delta == 2.0
+        assert approx.weaken_to(2.0) is approx
+        assert approx.delta == 2.0
+        with pytest.raises(MPSError):
+            approx.weaken_to(1.5)
 
     def test_truncation_history(self):
         approx = MPSApproximator.zero_state(3, width=1)

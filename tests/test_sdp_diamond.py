@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_circuit
+from helpers import cached_gate_bound, random_circuit
 
 from repro.config import AnalysisConfig, SDPConfig
 from repro.core.analyzer import analyze_program
@@ -327,6 +327,42 @@ class TestReducedProblemDedupe:
             assert np.array_equal(b.certificate.z, a.certificate.z)
         assert batched[1] is batched[2] and batched[0] is batched[4]
 
+    def test_unconstrained_requests_solve_once_per_choi(self, monkeypatch):
+        """A request with c <= 0 drops its constraint, so requests that share
+        a Choi matrix reach the solver once whatever their σ, δ or gate; every
+        bound equals the request solved on its own."""
+        ket1 = np.diag([0.0, 1.0]).astype(complex)
+        x_gate = np.array([[0, 1], [1, 0]], dtype=complex)
+        weak, strong = bit_flip(0.05), bit_flip(0.1)
+        instances = [
+            (HADAMARD, strong, pure_density(plus_state(1)), 2.0),
+            (x_gate, strong, ket1, 2.0),
+            (HADAMARD, weak, np.eye(2, dtype=complex) / 2, 2.0),
+            (x_gate, strong, pure_density(zero_state(1)), 1.5),  # c = -0.5
+            (HADAMARD, weak, ket1, 2.0),
+            (HADAMARD, strong, ket1, 0.01),  # constrained: solved on its own
+        ]
+        alone = [gate_error_bound(*instance, config=CFG) for instance in instances]
+
+        chois = []
+        solve = diamond.constrained_diamond_norms_batch
+
+        def spy(requests, **kwargs):
+            chois.extend(choi for choi, _sigma, bound_c in requests if bound_c <= 0.0)
+            return solve(requests, **kwargs)
+
+        monkeypatch.setattr(diamond, "constrained_diamond_norms_batch", spy)
+        batched = gate_error_bounds_batch(instances, config=CFG)
+        assert len(chois) == 2
+        assert not np.array_equal(chois[0], chois[1])
+        assert [b.value for b in batched] == [b.value for b in alone]
+        for b, a in zip(batched, alone):
+            assert b.certificate.y == a.certificate.y
+            assert b.certificate.constraint_bound == a.certificate.constraint_bound
+            assert np.array_equal(b.certificate.z, a.certificate.z)
+        assert batched[0] is batched[1] is batched[3]
+        assert batched[2] is batched[4]
+
 
 class TestSoundnessAgainstBruteForce:
     @settings(max_examples=6, deadline=None)
@@ -350,9 +386,10 @@ class TestCache:
     def test_cache_hits_for_identical_requests(self):
         cache = GateBoundCache(decimals=6)
         rho = pure_density(zero_state(1))
-        args = (("h",), HADAMARD, bit_flip(0.1), rho, 0.0)
-        first = cache.lookup_or_compute(*args, config=CFG)
-        second = cache.lookup_or_compute(*args, config=CFG)
+        first = cached_gate_bound(cache, ("h",), HADAMARD, bit_flip(0.1), rho, 0.0, config=CFG)
+        second = cached_gate_bound(cache, ("h",), HADAMARD, bit_flip(0.1), rho, 0.0, config=CFG)
+        key, _rho, _delta = cache.quantise_key(("h",), rho, 0.0)
+        assert cache.lookup(key) is first
         assert cache.hits == 1 and cache.misses == 1
         assert first.value == second.value
 
@@ -361,7 +398,9 @@ class TestCache:
         rho = pure_density(plus_state(1))
         perturbed = rho + 1e-5 * np.eye(2)
         perturbed /= np.trace(perturbed).real
-        bound = cache.lookup_or_compute(("h",), HADAMARD, bit_flip(0.1), perturbed, 0.0, config=CFG)
+        bound = cached_gate_bound(
+            cache, ("h",), HADAMARD, bit_flip(0.1), perturbed, 0.0, config=CFG
+        )
         # The cached bound is computed for a weaker predicate, so it must be
         # at least the bound for the rounded state at delta=0.
         direct = gate_error_bound(HADAMARD, bit_flip(0.1), perturbed, 0.0, config=CFG)
