@@ -14,8 +14,9 @@ The script
 4. runs the identical jobs through an in-process local session, and
 5. asserts the two surfaces return **bit-identical** certified bounds, that
    the server's fingerprint for every job (fixed gates, parametric gates, a
-   custom unitary) equals the client's ``job.fingerprint()``, and that a
-   completed long-poll costs exactly one request.
+   custom unitary) equals the client's ``job.fingerprint()``, that a
+   completed long-poll costs exactly one request, and that re-sending the
+   finished batch twice gets the same answer byte for byte.
 
 Exit code 0 means the whole HTTP path (serialization, batching, condition-
 variable result push, error envelopes) agrees with the in-process facade.
@@ -36,6 +37,7 @@ import numpy as np  # noqa: E402
 
 from repro import AnalysisConfig, Circuit, NoiseModel  # noqa: E402
 from repro.api import AnalysisSession, Client  # noqa: E402
+from repro.engine.spec import canonical_json  # noqa: E402
 from repro.errors import JobNotFoundError  # noqa: E402
 
 METRIC_LINE = re.compile(
@@ -150,6 +152,19 @@ def main() -> int:
             assert pushed["status"] == "done", pushed
             assert client.requests_sent - before == 1, "long poll needed >1 request"
             remote_outcomes = remote.analyze_batch(jobs)
+            # Every job is done: re-sending the batch twice must give the same
+            # answer byte for byte (the repeat skips decoding on the server).
+            resent = client.submit(jobs)
+            repeated = client.submit(jobs)
+            assert canonical_json({"jobs": repeated}) == canonical_json({"jobs": resent}), (
+                "a repeated batch answered differently"
+            )
+            for job, entry in zip(jobs, repeated):
+                assert entry["status"] == "done", entry
+                assert entry["fingerprint"] == job.fingerprint(), (
+                    f"{job.name}: repeat fingerprint {entry['fingerprint']} "
+                    f"!= client fingerprint {job.fingerprint()}"
+                )
 
         with AnalysisSession(config=FAST) as local:
             local_outcomes = local.analyze_batch(smoke_jobs(local))
@@ -171,7 +186,7 @@ def main() -> int:
 
         print(
             f"api smoke OK: {len(jobs)} submissions, fingerprints and bounds bit-identical "
-            f"({remote_bounds}), long-poll push in 1 request, "
+            f"({remote_bounds}), long-poll push in 1 request, repeat batch identical, "
             "/v1/healthz + /v1/metrics exposition valid"
         )
         return 0

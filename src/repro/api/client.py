@@ -29,7 +29,7 @@ import urllib.error
 import urllib.request
 from collections.abc import Sequence
 
-from ..engine.spec import AnalysisJob
+from ..engine.spec import AnalysisJob, canonical_json
 from ..errors import EngineError, error_from_envelope
 
 __all__ = ["Client"]
@@ -59,11 +59,11 @@ class Client:
 
     # -- transport ---------------------------------------------------------
     def _request(
-        self, method: str, path: str, payload: dict | None = None, *, timeout: float | None = None
+        self, method: str, path: str, body: bytes | None = None, *, timeout: float | None = None
     ) -> dict:
         request = urllib.request.Request(
             self.base_url + path,
-            data=json.dumps(payload).encode() if payload is not None else None,
+            data=body,
             headers={"Content-Type": "application/json"},
             method=method,
         )
@@ -92,14 +92,19 @@ class Client:
         """Submit one batch; returns the aligned list of status entries.
 
         ``jobs`` may hold :class:`AnalysisJob` values or raw job payload
-        dicts.  Validation is all-or-nothing on the server: a rejected batch
+        dicts.  The body is canonical JSON built from each job's memoised
+        :meth:`~repro.engine.spec.AnalysisJob.to_json`, so re-sending a job
+        costs no encoding and the same jobs give the same bytes in every
+        process (the server answers a repeated body without decoding it).
+        Validation is all-or-nothing on the server: a rejected batch
         executes nothing.
         """
-        payloads = [
-            job.to_json_dict() if hasattr(job, "to_json_dict") else dict(job)
+        texts = [
+            job.to_json() if isinstance(job, AnalysisJob) else canonical_json(dict(job))
             for job in jobs
         ]
-        return self._request("POST", "/v1/batches", {"jobs": payloads})["jobs"]
+        body = ('{"jobs":[' + ",".join(texts) + "]}").encode()
+        return self._request("POST", "/v1/batches", body)["jobs"]
 
     def status(self, fingerprint: str, *, wait: float | None = None) -> dict:
         """One job's status entry; ``wait`` long-polls up to that many seconds.

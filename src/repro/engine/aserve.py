@@ -25,12 +25,21 @@ unchanged.
 A request the server cannot parse (a garbage request line, a bad or negative
 ``Content-Length``, an oversize body) gets a 400 or 413 envelope and the
 connection is closed.
+
+Repeat submissions are content-addressed: each accepted ``POST /v1/batches``
+body is remembered by its SHA-256 as the (fingerprint, name) pairs it decoded
+to, up to the service's ``max_tracked`` jobs in all.  A byte-identical repeat is
+answered by :meth:`~repro.engine.service.AnalysisService.answer` for each
+pair, with no parsing, decoding or fingerprinting; if any job would need
+enqueueing, the body takes the full path.  Rejected bodies are never
+remembered.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import hashlib
 import json
 import math
 import threading
@@ -171,6 +180,11 @@ class AsyncAnalysisServer:
         self._loop = asyncio.new_event_loop()
         #: fingerprint -> futures parked by HTTP long polls (loop thread only).
         self._parked: dict[str, set[asyncio.Future]] = {}
+        #: SHA-256 of an accepted ``POST /v1/batches`` body -> the
+        #: (fingerprint, name) of each job it decoded to, oldest first
+        #: (loop thread only).
+        self._bodies: dict[bytes, tuple[tuple[str, str], ...]] = {}
+        self._remembered_jobs = 0
         self._closed = False
         self._serving = threading.Event()
         self._server = self._loop.run_until_complete(
@@ -409,6 +423,13 @@ class AsyncAnalysisServer:
         if sub != "/batches":
             await self._send_error(writer, EngineError(f"unknown path {sub!r}"), 404)
             return
+        # A byte-identical repeat of an accepted body is answered from the
+        # (fingerprint, name) pairs it decoded to, without decoding it again.
+        digest = hashlib.sha256(body).digest()
+        entries = self._answer_known(digest)
+        if entries is not None:
+            await self._send_batch(writer, entries)
+            return
         try:
             payload = json.loads(body or b"null")
         except (ValueError, json.JSONDecodeError) as exc:
@@ -426,13 +447,41 @@ class AsyncAnalysisServer:
             )
             return
         try:
-            entries = service.submit_payloads(submissions)
+            jobs = service.decode_payloads(submissions)
         except BatchLimitExceeded as exc:
             await self._send_error(writer, exc, 413)
             return
         except ReproError as exc:
             await self._send_error(writer, exc, 400)
             return
-        await self._send_json(
-            writer, 202, {"jobs": entries, "batch": {"submitted": len(entries)}}
-        )
+        entries = [service.submit_job(job) for job in jobs]
+        self._remember(digest, tuple((job.fingerprint(), job.name) for job in jobs))
+        await self._send_batch(writer, entries)
+
+    def _answer_known(self, digest: bytes) -> list[dict] | None:
+        """Entries for a remembered body, or None if any job must run again."""
+        known = self._bodies.get(digest)
+        if known is None:
+            return None
+        entries = []
+        for fingerprint, name in known:
+            entry = self.service.answer(fingerprint, name)
+            if entry is None:
+                return None
+            entries.append(entry)
+        return entries
+
+    def _remember(self, digest: bytes, jobs: tuple[tuple[str, str], ...]) -> None:
+        """Record an accepted body's jobs.
+
+        The memo holds at most ``max_tracked`` jobs across all bodies, so at
+        most that many bodies too; the oldest bodies go first.
+        """
+        bodies = self._bodies
+        self._remembered_jobs += len(jobs) - len(bodies.pop(digest, ()))
+        bodies[digest] = jobs
+        while self._remembered_jobs > self.service.max_tracked:
+            self._remembered_jobs -= len(bodies.pop(next(iter(bodies))))
+
+    async def _send_batch(self, writer, entries: list[dict]) -> None:
+        await self._send_json(writer, 202, {"jobs": entries, "batch": {"submitted": len(entries)}})

@@ -54,6 +54,8 @@ Any path outside ``/v1`` answers the same 404 envelope as an unknown
 Duplicate submissions (same fingerprint) — including re-submissions of jobs
 already completed in the attached result store — are answered without
 re-execution; the fingerprint in the response is the handle for waiting.
+A byte-identical repeat of an accepted body is answered without decoding it
+(:mod:`repro.engine.aserve`).
 """
 
 from __future__ import annotations
@@ -198,24 +200,41 @@ class AnalysisService:
         """
         return self.submit_job(job_from_json_dict(payload))
 
-    def submit_payloads(self, payloads: list[dict]) -> list[dict]:
-        """Validate *every* payload before enqueuing *any* (all-or-nothing).
+    def decode_payloads(self, payloads: list[dict]) -> list[AnalysisJob]:
+        """Decode *every* payload of a batch before any is enqueued.
 
         A 400 response for a batch must mean nothing from that batch runs;
-        validating lazily would execute the leading valid jobs and then
-        reject the request.
+        decoding lazily would execute the leading valid jobs and then reject
+        the request.  Raises :class:`~repro.errors.BatchLimitExceeded` past
+        ``max_submit`` payloads and another
+        :class:`~repro.errors.ReproError` for a malformed one.
         """
         if len(payloads) > self.max_submit:
             raise BatchLimitExceeded(
                 f"batch of {len(payloads)} jobs exceeds the per-submission "
                 f"limit of {self.max_submit}"
             )
-        jobs = [job_from_json_dict(payload) for payload in payloads]
-        return [self.submit_job(job) for job in jobs]
+        return [job_from_json_dict(payload) for payload in payloads]
 
     def submit_job(self, job: AnalysisJob) -> dict:
         """Enqueue an already-validated job; returns its status entry."""
         fingerprint = job.fingerprint()
+        with self._lock:
+            entry = self.answer(fingerprint, job.name)
+            if entry is not None:
+                return entry
+            entry = self._track(self._entry(fingerprint, job.name, "queued", None))
+        self._queue.put((fingerprint, job))
+        return dict(entry)
+
+    def answer(self, fingerprint: str, name: str) -> dict | None:
+        """The status entry of a submission that needs no enqueueing, else None.
+
+        The non-enqueuing half of :meth:`submit_job`: a tracked queued,
+        running or done entry, an outcome-store warm hit or a result-store
+        resume hit.  None means the job must run (it is new, ``failed``, or
+        evicted and absent from both stores).
+        """
         with self._lock:
             entry = self._status.get(fingerprint)
             if entry is not None and entry["status"] in ("queued", "running", "done"):
@@ -227,9 +246,7 @@ class AnalysisService:
             if outcomes is not None:
                 cached = outcomes.get(fingerprint)
                 if cached is not None:
-                    entry = self._track(
-                        self._entry(fingerprint, job.name, "done", cached)
-                    )
+                    entry = self._track(self._entry(fingerprint, name, "done", cached))
                     # A long poll may already be parked on this fingerprint;
                     # warm hits must wake it like any other terminal
                     # transition.
@@ -237,14 +254,10 @@ class AnalysisService:
                     return dict(entry)
             store = self.engine.store
             if self.resume and store is not None and store.completed(fingerprint):
-                entry = self._track(
-                    self._entry(fingerprint, job.name, "done", store.get(fingerprint))
-                )
+                entry = self._track(self._entry(fingerprint, name, "done", store.get(fingerprint)))
                 self._notify_finished([fingerprint])
                 return dict(entry)
-            entry = self._track(self._entry(fingerprint, job.name, "queued", None))
-        self._queue.put((fingerprint, job))
-        return dict(entry)
+        return None
 
     def _track(self, entry: dict) -> dict:
         """Insert a status entry, evicting the oldest finished ones over the cap.

@@ -200,7 +200,19 @@ class AnalysisJob:
             raise EngineError(f"malformed job payload: {exc}") from exc
 
     def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
+        """The canonical JSON text of :meth:`to_json_dict`: the wire form.
+
+        Memoised on the instance under the same contract as
+        :meth:`fingerprint` (never mutated after construction), so a client
+        re-sending a job and the process pool shipping it encode it once.
+        ``dataclasses.replace`` builds a new instance with its own encoding.
+        """
+        cached = self.__dict__.get("_json")
+        if cached is not None:
+            return cached
+        text = canonical_json(self.to_json_dict())
+        self.__dict__["_json"] = text
+        return text
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisJob":
@@ -278,8 +290,6 @@ class JobResult:
     elapsed_seconds: float = 0.0
     sdp_solves: int = 0
     sdp_cache_hits: int = 0
-    #: Always 0: kept so stored records keep their format.
-    sdp_dominance_hits: int = 0
     scheduled_solves: int = 0
     mps_walks: int = 0
     mps_width: int = 0

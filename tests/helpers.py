@@ -21,6 +21,7 @@ __all__ = [
     "MALFORMED_JOB_FIELDS",
     "RETIRED_CACHE_SWITCH_KEY",
     "RETIRED_CONFIG_KEY",
+    "RETIRED_COUNTER_FIELDS",
     "RETIRED_DOMINANCE_KEY",
     "RETIRED_JOB_KIND",
     "RETIRED_RESULT_FIELDS",
@@ -56,6 +57,10 @@ RETIRED_JOB_KIND = "_".join(("comparison", "job"))
 #: The ``JobResult`` fields of the removed comparison jobs.  Records stored
 #: before the removal carry them empty; loading drops them.
 RETIRED_RESULT_FIELDS = ("metric", "metric_tier", "value_a", "value_b")
+
+#: The always-0 ``JobResult`` counter of the removed predicate-dominance
+#: cache.  Records stored before the removal carry it as 0; loading drops it.
+RETIRED_COUNTER_FIELDS = ("_".join(("sdp", "dominance", "hits")),)
 
 #: ``(field, value)`` pairs that make an analysis job payload malformed:
 #: an unhashable ``kind``, and bits or a register size of the wrong type.

@@ -4,11 +4,14 @@ Covers the versioned wire format end to end: batch submit, long-poll result
 push (asserting a completed result costs **one** request — no client-side
 polling), capability discovery, structured error envelopes (unknown
 fingerprint, malformed payload, oversized batch), the remote
-:class:`~repro.api.AnalysisSession` transport, and the unversioned paths
-answering the same 404 envelope as any unknown path.
+:class:`~repro.api.AnalysisSession` transport, the unversioned paths
+answering the same 404 envelope as any unknown path, and content-addressed
+repeats: the canonical wire body and the server's memo of accepted bodies.
 """
 
+import contextlib
 import json
+from hashlib import sha256
 import threading
 import urllib.error
 import urllib.request
@@ -28,9 +31,10 @@ from helpers import (
 from repro.api import AnalysisSession, Client
 from repro.circuits import Circuit
 from repro.config import AnalysisConfig, SDPConfig
+from repro.engine import service as service_module
 from repro.engine.pool import AnalysisEngine
 from repro.engine.service import AnalysisService, make_server
-from repro.engine.spec import AnalysisJob
+from repro.engine.spec import AnalysisJob, canonical_json
 from repro.errors import BatchLimitExceeded, EngineError, JobNotFoundError
 from repro.noise import NoiseModel, bit_flip
 
@@ -57,18 +61,58 @@ def _post_batch_error(base: str, payloads: list) -> tuple[int, dict]:
     return excinfo.value.code, json.loads(excinfo.value.read())["error"]
 
 
-@pytest.fixture
-def server(tmp_path):
-    engine = AnalysisEngine(workers=1, store=str(tmp_path / "results.jsonl"))
-    service = AnalysisService(engine, batch_window=0.02, max_batch=8, max_submit=4)
+def _post_batch(base: str, body: bytes) -> tuple[int, dict]:
+    """POST raw ``body`` to ``/v1/batches``: the status and the JSON answer."""
+    request = urllib.request.Request(
+        base + "/v1/batches", data=body, headers={"Content-Type": "application/json"}
+    )
+    try:
+        with urllib.request.urlopen(request) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        with error:
+            return error.code, json.loads(error.read())
+
+
+def _wire_body(jobs: list) -> bytes:
+    return canonical_json({"jobs": [job.to_json_dict() for job in jobs]}).encode()
+
+
+@contextlib.contextmanager
+def _serving(service: AnalysisService):
+    """Serve a started ``service`` on an ephemeral port: (base URL, server)."""
     service.start()
     httpd = make_server(service, "127.0.0.1", 0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{httpd.server_address[1]}", service
-    httpd.shutdown()
-    httpd.server_close()
-    service.stop()
+    try:
+        yield f"http://127.0.0.1:{httpd.server_address[1]}", httpd
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        service.stop()
+
+
+@pytest.fixture
+def server(tmp_path):
+    engine = AnalysisEngine(workers=1, store=str(tmp_path / "results.jsonl"))
+    service = AnalysisService(engine, batch_window=0.02, max_batch=8, max_submit=4)
+    with _serving(service) as (base, _httpd):
+        yield base, service
+
+
+@pytest.fixture
+def decodes(monkeypatch) -> list:
+    """Every job payload the service decodes, in order."""
+    calls = []
+    real = service_module.job_from_json_dict
+
+    def spy(payload):
+        calls.append(payload)
+        return real(payload)
+
+    monkeypatch.setattr(service_module, "job_from_json_dict", spy)
+    return calls
 
 
 @pytest.fixture
@@ -364,3 +408,133 @@ class TestReviewRegressions:
         assert not waiter.is_alive()
         assert _time.monotonic() - start < 10.0  # released well before timeout
         assert released and released[0]["status"] == "queued"
+
+
+class TestWireEncoding:
+    @pytest.fixture
+    def bodies(self, monkeypatch) -> list:
+        """The request bodies every :class:`Client` sends."""
+        sent = []
+        real = Client._request
+
+        def spy(self, method, path, body=None, **kwargs):
+            sent.append(body)
+            return real(self, method, path, body, **kwargs)
+
+        monkeypatch.setattr(Client, "_request", spy)
+        return sent
+
+    def test_submit_sends_each_job_canonical_text(self, client, bodies):
+        job = _job()
+        entry = client.submit([job])[0]
+        assert bodies == [b'{"jobs":[' + job.to_json().encode() + b"]}"]
+        assert entry["fingerprint"] == job.fingerprint()
+
+    def test_raw_dict_payload_still_works(self, client, bodies):
+        job = _job()
+        entry = client.submit([job.to_json_dict()])[0]
+        assert entry["fingerprint"] == job.fingerprint()
+        assert bodies == [_wire_body([job])]
+
+
+class TestRepeatBodies:
+    """A byte-identical body the server accepted before skips decoding."""
+
+    def test_repeat_is_answered_without_decoding(self, server, decodes):
+        base, service = server
+        job = _job()
+        service.wait(service.submit_job(job)["fingerprint"], timeout=120)
+        body = _wire_body([job, _job(), job])
+        status, first = _post_batch(base, body)
+        assert status == 202 and len(decodes) == 3
+        assert [entry["status"] for entry in first["jobs"]] == ["done"] * 3
+        del decodes[:]
+        assert _post_batch(base, body) == (202, first)
+        assert decodes == []
+
+    @pytest.mark.parametrize("field, value", MALFORMED_JOB_FIELDS)
+    def test_rejected_body_gets_the_same_400_again(self, server, field, value):
+        base, service = server
+        bad = {**_job("victim").to_json_dict(), field: value}
+        body = canonical_json({"jobs": [_job().to_json_dict(), bad]}).encode()
+        first = _post_batch(base, body)
+        assert first[0] == 400
+        assert _post_batch(base, body) == first
+        assert service.stats()["jobs"] == {}
+
+    def test_oversized_body_gets_the_same_413_again(self, server):
+        base, service = server
+        body = _wire_body([_job()] * 5)  # max_submit fixture limit is 4
+        first = _post_batch(base, body)
+        assert first[0] == 413 and first[1]["error"]["type"] == "BatchLimitExceeded"
+        assert _post_batch(base, body) == first
+        assert service.stats()["jobs"] == {}
+
+    def test_failed_job_is_decoded_and_enqueued_again(self, server, decodes, monkeypatch):
+        base, service = server
+        real_run = service.engine.run
+
+        def fail_once(jobs, **kwargs):
+            monkeypatch.setattr(service.engine, "run", real_run)
+            raise RuntimeError("injected engine failure")
+
+        monkeypatch.setattr(service.engine, "run", fail_once)
+        body = _wire_body([_job()])
+        fingerprint = _post_batch(base, body)[1]["jobs"][0]["fingerprint"]
+        assert service.wait(fingerprint, timeout=120)["status"] == "failed"
+        del decodes[:]
+        status, answer = _post_batch(base, body)
+        assert status == 202 and len(decodes) == 1
+        assert answer["jobs"][0]["status"] == "queued"
+        assert service.wait(fingerprint, timeout=120)["status"] == "done"
+
+    def test_evicted_job_without_a_store_runs_again(self, decodes):
+        service = AnalysisService(AnalysisEngine(workers=1), batch_window=0.02, max_tracked=2)
+        with _serving(service) as (base, httpd):
+            first = _wire_body([_job()])
+            fingerprint = _post_batch(base, first)[1]["jobs"][0]["fingerprint"]
+            service.wait(fingerprint, timeout=120)
+            for job in (_job("ghz3", num_qubits=3), _job("ghz4", num_qubits=4)):
+                service.wait(service.submit_job(job)["fingerprint"], timeout=120)
+            assert service.stats()["jobs"] == {"done": 2}  # the first job is evicted
+            assert list(httpd._bodies) == [sha256(first).digest()]
+            batches = service.batches_run
+            del decodes[:]
+            status, answer = _post_batch(base, first)
+            assert status == 202 and len(decodes) == 1
+            assert answer["jobs"][0]["status"] == "queued"
+            assert service.wait(fingerprint, timeout=120)["status"] == "done"
+            assert service.batches_run == batches + 1
+
+    def test_evicted_job_in_the_result_store_needs_no_decoding(self, tmp_path, decodes):
+        engine = AnalysisEngine(workers=1, store=str(tmp_path / "results.jsonl"))
+        service = AnalysisService(engine, batch_window=0.02, max_tracked=2)
+        with _serving(service) as (base, httpd):
+            first = _wire_body([_job()])
+            fingerprint = _post_batch(base, first)[1]["jobs"][0]["fingerprint"]
+            done = service.wait(fingerprint, timeout=120)
+            # Submitted in-process, two more jobs evict the first job's
+            # status entry but leave the body memo alone.
+            for job in (_job("ghz3", num_qubits=3), _job("ghz4", num_qubits=4)):
+                service.wait(service.submit_job(job)["fingerprint"], timeout=120)
+            assert service.stats()["jobs"] == {"done": 2}  # the first job is evicted
+            assert list(httpd._bodies) == [sha256(first).digest()]
+            batches = service.batches_run
+            del decodes[:]
+            status, answer = _post_batch(base, first)
+            assert status == 202 and decodes == []
+            assert answer["jobs"] == [done]
+            assert service.batches_run == batches
+
+    def test_memo_holds_at_most_max_tracked_jobs(self):
+        service = AnalysisService(AnalysisEngine(workers=1), batch_window=0.02, max_tracked=2)
+        with _serving(service) as (base, httpd):
+            jobs = [_job(f"ghz{qubits}", num_qubits=qubits) for qubits in range(2, 6)]
+            bodies = [_wire_body([job]) for job in jobs]
+            for body in bodies:
+                assert _post_batch(base, body)[0] == 202
+                assert len(httpd._bodies) <= 2
+            assert list(httpd._bodies) == [sha256(body).digest() for body in bodies[2:]]
+            pair = _wire_body(jobs[:2])
+            assert _post_batch(base, pair)[0] == 202
+            assert list(httpd._bodies) == [sha256(pair).digest()]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import RETIRED_RESULT_FIELDS, random_circuit
+from helpers import RETIRED_COUNTER_FIELDS, RETIRED_RESULT_FIELDS, random_circuit
 
 from repro.api import AnalysisSession
 from repro.circuits import Circuit
@@ -356,7 +356,8 @@ class TestOnDiskFormat:
     def test_earlier_log_reloads_identically(self, tmp_path):
         """An outcomes.jsonl written by an earlier release of the store loads
         with the same entries, and a rewrite reproduces it byte for byte less
-        the empty result fields of the removed comparison jobs."""
+        the empty result fields of the removed comparison jobs and the
+        always-0 dominance counter."""
         path = tmp_path / "outcomes.jsonl"
         shutil.copy(FIXTURES / "outcomes_v1.jsonl", path)
         original = path.read_text(encoding="utf-8")
@@ -372,6 +373,7 @@ class TestOnDiskFormat:
             raw = [c.to_json_dict() for c in store.certificates(fingerprint)]
             expected = json.loads(line)
             assert {expected["result"].pop(key) for key in RETIRED_RESULT_FIELDS} <= {"", None}
+            assert {expected["result"].pop(key) for key in RETIRED_COUNTER_FIELDS} == {0}
             assert outcome_record_line(result, raw) == canonical_json(expected)
         assert store.stats()["verification_failures"] == 0
         assert path.read_text(encoding="utf-8") == original

@@ -1,5 +1,6 @@
 """Tests for job specs: canonical serialization and content addressing."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from helpers import (
     MALFORMED_JOB_FIELDS,
     RETIRED_CACHE_SWITCH_KEY,
     RETIRED_CONFIG_KEY,
+    RETIRED_COUNTER_FIELDS,
     RETIRED_DOMINANCE_KEY,
     RETIRED_JOB_KIND,
     RETIRED_SDP_CONFIG_KEY,
@@ -37,6 +39,7 @@ from repro.engine import spec
 from repro.engine.spec import (
     AnalysisJob,
     JobResult,
+    canonical_json,
     config_from_json_dict,
     config_to_json_dict,
     job_from_json_dict,
@@ -263,6 +266,27 @@ class TestAnalysisJob:
         assert rebuilt.program == job.program
         assert rebuilt.num_qubits == job.num_qubits
 
+    def test_to_json_encodes_once(self, monkeypatch):
+        """The wire text is the canonical form, built by the first call only."""
+        job = _fast_job()
+        text = job.to_json()
+        assert text == canonical_json(job.to_json_dict())
+
+        def encode_again(self):
+            raise AssertionError("to_json_dict called for a memoised job")
+
+        monkeypatch.setattr(AnalysisJob, "to_json_dict", encode_again)
+        assert job.to_json() == text
+
+    def test_replaced_job_gets_its_own_encoding(self):
+        job = _fast_job("first")
+        text = job.to_json()
+        renamed = dataclasses.replace(job, name="second")
+        assert renamed.to_json() == canonical_json(renamed.to_json_dict())
+        assert json.loads(renamed.to_json())["name"] == "second"
+        assert job.to_json() == text
+        assert renamed.fingerprint() == job.fingerprint()
+
     def test_fingerprint_insensitive_to_dict_ordering(self):
         job = _fast_job()
         shuffled = _shuffle_keys(job.to_json_dict())
@@ -472,6 +496,14 @@ class TestJobResult:
         rebuilt = JobResult.from_json_dict(json.loads(json.dumps(result.to_json_dict())))
         assert rebuilt == result
         assert rebuilt.ok
+
+    def test_retired_counter_is_dropped_on_load(self):
+        """Records stored while the dominance counter existed reload without it."""
+        result = JobResult(fingerprint="abc", name="j", error_bound=0.25)
+        stored = {**result.to_json_dict(), **{key: 0 for key in RETIRED_COUNTER_FIELDS}}
+        rebuilt = JobResult.from_json_dict(stored)
+        assert rebuilt == result
+        assert not set(RETIRED_COUNTER_FIELDS) & set(rebuilt.to_json_dict())
 
     def test_unknown_fields_ignored_missing_required_rejected(self):
         rebuilt = JobResult.from_json_dict(

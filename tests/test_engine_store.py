@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import RETIRED_RESULT_FIELDS
+from helpers import RETIRED_COUNTER_FIELDS, RETIRED_RESULT_FIELDS
 
 from repro.engine.outcomes import OutcomeStore
 from repro.engine.spec import JobResult, canonical_json
@@ -215,7 +215,8 @@ class TestOnDiskFormat:
     def test_earlier_log_reloads_identically(self, tmp_path):
         """A results.jsonl written by an earlier release of the store loads
         with the same records, and re-serializes to the same bytes less the
-        empty fields of the removed comparison jobs."""
+        empty fields of the removed comparison jobs and the always-0
+        dominance counter."""
         path = tmp_path / "results.jsonl"
         shutil.copy(FIXTURES / "results_v1.jsonl", path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -230,6 +231,7 @@ class TestOnDiskFormat:
         for fingerprint, line in latest.items():
             record = json.loads(line)
             assert {record.pop(key) for key in RETIRED_RESULT_FIELDS} <= {"", None}
+            assert {record.pop(key) for key in RETIRED_COUNTER_FIELDS} == {0}
             assert canonical_json(store.get(fingerprint).to_json_dict()) == canonical_json(record)
         assert store.completed("aa11") and store.get("aa11").error_bound == 0.125
         assert not store.completed("bb22")
