@@ -9,9 +9,6 @@ engine is measured on three axes:
   dedupe means each unique analysis is paid for once per batch);
 * **vs the pre-engine baseline** — the same trace analysed one submission at
   a time with no dedupe, the way ``run_table2`` worked before the engine;
-* **warm persistent cache** — the Table 2 reduced sweep cold versus re-run
-  against the shared on-disk bound store (``--cache-dir``), which must keep
-  bounds bit-identical while eliminating every SDP solve;
 * **whole-outcome warm path** — the serving trace cold versus re-run against
   the content-addressed :class:`~repro.engine.outcomes.OutcomeStore`, where a
   warm submission must execute nothing at all (zero MPS walks, zero SDP
@@ -19,10 +16,9 @@ engine is measured on three axes:
   re-verifiable (``--check --engine`` fails below a 50x warm speedup).
 
 ``scripts/run_bench.py --engine`` writes the result to ``BENCH_engine.json``
-at the repository root (``--warm`` refreshes just the warm-cache section;
-``--check --engine`` re-runs the trace and fails on a >2x regression against
-the committed file, scaled by the single-job ``calibration`` measurement so
-machines of different speeds compare fairly).
+at the repository root (``--check --engine`` re-runs the trace and fails on a
+>2x regression against the committed file, scaled by the single-job
+``calibration`` measurement so machines of different speeds compare fairly).
 Throughput scaling across workers is hardware-bound: on a single-core
 container the 1/2/4-worker rows measure dispatch overhead, not parallelism,
 which is why ``environment.cpu_count`` is part of the payload.
@@ -113,31 +109,6 @@ def measure_engine(trace: list[AnalysisJob], *, workers: int) -> dict:
         "analyses_executed": unique if executed is None else executed,
         "deduplicated_submissions": len(trace) - unique,
         "bounds": [outcome.bound for outcome in outcomes],
-    }
-
-
-def measure_warm_cache(jobs: list[AnalysisJob], *, workers: int = 1) -> dict:
-    """Cold vs warm sweep against a shared persistent bound cache."""
-    with tempfile.TemporaryDirectory(prefix="bench-engine-cache-") as tmp:
-        cache_dir = os.path.join(tmp, "bounds")
-        with AnalysisSession(workers=workers, cache_dir=cache_dir) as session:
-            start = time.perf_counter()
-            cold = session.analyze_batch(jobs)
-            cold_seconds = time.perf_counter() - start
-
-        with AnalysisSession(workers=workers, cache_dir=cache_dir) as session:
-            start = time.perf_counter()
-            warm = session.analyze_batch(jobs)
-            warm_seconds = time.perf_counter() - start
-    assert all(o.ok for o in cold) and all(o.ok for o in warm)
-    return {
-        "workers": workers,
-        "cold_seconds": cold_seconds,
-        "warm_seconds": warm_seconds,
-        "speedup_warm_vs_cold": cold_seconds / warm_seconds,
-        "bit_identical": [o.bound for o in cold] == [o.bound for o in warm],
-        "sdp_solves_cold": sum(o.sdp_solves for o in cold),
-        "sdp_solves_warm": sum(o.sdp_solves for o in warm),
     }
 
 
@@ -286,15 +257,9 @@ def collect_all() -> dict:
         ),
         "bounds_bit_identical_at_4_workers": four["bounds"][: len(jobs)]
         == sequential_unique_bounds,
-        "warm_cache_table2_reduced": measure_warm_cache(jobs),
         "outcome_store_warm_path": measure_outcome_warm_path(jobs),
     }
     return payload
-
-
-def collect_warm_only() -> dict:
-    """Just the warm-cache section (``scripts/run_bench.py --warm``)."""
-    return measure_warm_cache(unique_jobs())
 
 
 def load_baseline() -> dict | None:
@@ -327,15 +292,6 @@ def test_engine_sweep_smoke():
     assert all(o.ok for o in inline) and all(o.ok for o in sharded)
     assert executed == 3  # dedupe: 6 submissions, 3 executions
     assert [o.bound for o in sharded] == [o.bound for o in inline]
-
-
-def test_warm_cache_smoke():
-    """A warm re-run answers everything from disk with identical bounds."""
-    jobs = unique_jobs(benchmarks=SMOKE_BENCHMARKS[:1])
-    warm = measure_warm_cache(jobs)
-    assert warm["bit_identical"]
-    assert warm["sdp_solves_warm"] == 0
-    assert warm["sdp_solves_cold"] > 0
 
 
 def test_outcome_warm_path_smoke():

@@ -61,7 +61,7 @@ def main() -> None:
     print("\nDerivation re-validated: every step is sound.")
 
     # The outcome is content-addressed: the fingerprint is the handle a
-    # result store or a remote gleipnir-serve would answer for.
+    # outcome store or a remote gleipnir-serve would answer for.
     print(f"\nJob fingerprint: {outcome.fingerprint[:16]}…  (status: {outcome.status})")
 
     assert exact.value <= outcome.bound <= worst.value + 1e-12

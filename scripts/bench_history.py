@@ -20,7 +20,7 @@ only a change in the *shape* of the curve does.
 Records are self-describing::
 
     {"timestamp": "...", "run_id": "...", "python": "3.12.x",
-     "metrics": {"engine_trace_calibrated": 12.3, "warm_cache_speedup": 3.0, ...}}
+     "metrics": {"engine_trace_calibrated": 12.3, "outcome_warm_speedup": 90.0, ...}}
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ METRIC_DIRECTIONS = {
     # scheduled analysis relative to the sequential analyzer (bench_perf).
     "scheduled_vs_sequential_ratio": "lower",
     # live ratios — already machine-independent.
-    "warm_cache_speedup": "higher",
     "outcome_warm_speedup": "higher",
     "engine_speedup_4_workers": "higher",
 }
@@ -82,7 +81,6 @@ def build_record() -> dict:
         if calibration and sequential:
             metrics["sequential_baseline_calibrated"] = sequential / calibration
         for name, path in (
-            ("warm_cache_speedup", ("warm_cache_table2_reduced", "speedup_warm_vs_cold")),
             ("outcome_warm_speedup", ("outcome_store_warm_path", "speedup_warm_vs_cold")),
             ("engine_speedup_4_workers", ("speedup_at_4_workers_vs_sequential",)),
         ):

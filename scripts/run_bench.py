@@ -15,12 +15,6 @@ Usage:
                                            # re-executes anything, diverges
                                            # from cold, or drops below its
                                            # 50x speedup floor
-    python scripts/run_bench.py --warm     # warm-cache mode: pre-populate the
-                                           # persistent bound cache via the
-                                           # engine and report cold vs warm
-                                           # timings for the Table 2 reduced
-                                           # suite (refreshes the warm_cache
-                                           # section of BENCH_engine.json)
     python scripts/run_bench.py --serve    # client-vs-server smoke: start a
                                            # real gleipnir-serve, drive it with
                                            # repro.api.Client, and assert its
@@ -160,12 +154,6 @@ def run_engine() -> int:
         f"{payload['speedup_at_4_workers_vs_sequential']:.2f}x "
         f"(bit-identical bounds: {payload['bounds_bit_identical_at_4_workers']})"
     )
-    warm = payload["warm_cache_table2_reduced"]
-    print(
-        f"warm cache (table2 reduced): cold {warm['cold_seconds']:.2f}s -> "
-        f"warm {warm['warm_seconds']:.2f}s ({warm['speedup_warm_vs_cold']:.2f}x, "
-        f"{warm['sdp_solves_warm']} warm solves)"
-    )
     outcome = payload["outcome_store_warm_path"]
     print(
         f"outcome store (serving trace): cold {outcome['cold_seconds']:.2f}s -> "
@@ -238,26 +226,6 @@ def run_engine_check() -> int:
     return 0
 
 
-def run_warm() -> int:
-    warm = bench_engine.collect_warm_only()
-    print(
-        f"warm cache (table2 reduced): cold {warm['cold_seconds']:.2f}s -> "
-        f"warm {warm['warm_seconds']:.2f}s ({warm['speedup_warm_vs_cold']:.2f}x)"
-    )
-    print(
-        f"bit-identical bounds: {warm['bit_identical']}; "
-        f"SDP solves cold={warm['sdp_solves_cold']} warm={warm['sdp_solves_warm']}"
-    )
-    if not warm["bit_identical"]:
-        print("WARM CACHE CHANGED BOUNDS — this is a bug", file=sys.stderr)
-        return 1
-    baseline = bench_engine.load_baseline() or {}
-    baseline["warm_cache_table2_reduced"] = warm
-    bench_engine.BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
-    print(f"updated warm_cache_table2_reduced in {bench_engine.BASELINE_PATH}")
-    return 0
-
-
 def main() -> int:
     if "--serve" in sys.argv:
         import api_smoke  # the client-vs-server smoke (scripts/api_smoke.py)
@@ -267,8 +235,6 @@ def main() -> int:
         if "--check" in sys.argv:
             return run_engine_check()
         return run_engine()
-    if "--warm" in sys.argv:
-        return run_warm()
     return run_perf("--check" in sys.argv)
 
 

@@ -23,7 +23,6 @@ from .engine import (
     AnalysisJob,
     AnalysisService,
     JobResult,
-    ResultStore,
 )
 from .api import AnalysisOutcome, AnalysisSession, Client
 from .mps import MPS, MPSApproximator, approximate_program
@@ -70,7 +69,6 @@ __all__ = [
     "AnalysisJob",
     "AnalysisService",
     "JobResult",
-    "ResultStore",
     "AnalysisOutcome",
     "AnalysisSession",
     "Client",

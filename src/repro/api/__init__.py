@@ -5,9 +5,9 @@ sweeps, streamed results, per-gate bound queries, and remote submission to a
 running ``gleipnir-serve`` — is reachable through a single versioned facade:
 
 * :class:`AnalysisSession` — a context manager owning the engine / process
-  pool / result store / bound cache wiring (or, with ``remote=``, an HTTP
-  client), with ``analyze()``, ``analyze_batch()``, ``as_completed()``
-  streaming, and ``gate_bound()``;
+  pool / outcome store wiring (or, with ``remote=``, an HTTP client), with
+  ``analyze()``, ``analyze_batch()``, ``as_completed()`` streaming, and
+  ``gate_bound()``;
 * :class:`AnalysisOutcome` — the typed, frozen result record every surface
   returns (bound, certification status, MPS walk count, timings,
   fingerprint) instead of flat dicts;

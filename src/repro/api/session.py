@@ -2,13 +2,13 @@
 
 :class:`AnalysisSession` owns the wiring that the experiment drivers,
 benchmarks, and examples used to re-plumb individually — engine worker
-counts, result stores, shared bound caches, resume semantics, and (new) a
-remote transport to a running ``gleipnir-serve``.  All surfaces return the
-same typed, frozen :class:`AnalysisOutcome`.
+counts, the outcome store, and a remote transport to a running
+``gleipnir-serve``.  All surfaces return the same typed, frozen
+:class:`AnalysisOutcome`.
 
 Local sessions execute through the :class:`~repro.engine.pool.AnalysisEngine`
-(content-addressed dedupe, process-pool sharding, an optional shared
-bound cache); remote sessions speak the ``/v1`` wire format through
+(content-addressed dedupe, process-pool sharding, an optional outcome
+store); remote sessions speak the ``/v1`` wire format through
 :class:`repro.api.Client` (batch submit + long-poll result push).  The two
 transports are bit-identical for the same jobs: the engine executes both.
 """
@@ -213,10 +213,10 @@ class AnalysisSession:
     """The front door: analyses in, :class:`AnalysisOutcome` values out.
 
     A session is a context manager owning either a **local** engine (process
-    pool, optional result store + shared bound cache) or a **remote**
-    transport to a ``gleipnir-serve`` instance:
+    pool, optional outcome store) or a **remote** transport to a
+    ``gleipnir-serve`` instance:
 
-    >>> with AnalysisSession(workers=4, store="results.jsonl") as session:
+    >>> with AnalysisSession(workers=4, outcomes="outcomes.jsonl") as session:
     ...     outcomes = session.analyze_batch(jobs)
 
     >>> with AnalysisSession(remote="http://127.0.0.1:8780") as session:
@@ -224,17 +224,13 @@ class AnalysisSession:
 
     Args:
         workers: local engine process-pool size (1 = inline execution).
-        store: result-store path or :class:`~repro.engine.store.ResultStore`
-            (enables ``resume``).
-        cache_dir: shared on-disk gate-bound cache directory.
         config: default :class:`AnalysisConfig` for jobs built by this
             session (per-call ``config=`` overrides it).
-        resume: answer already-completed fingerprints from the store instead
-            of re-executing them.
-        outcomes: whole-outcome store path or
+        outcomes: outcome store path or
             :class:`~repro.engine.outcomes.OutcomeStore`; fingerprints it
             holds answer from one lookup (no MPS walk, no SDP work) and
-            executed successes are written back with their dual certificates.
+            executed successes are written back with their dual
+            certificates, so a re-run sweep executes only its missing jobs.
         remote: base URL of a running service; mutually exclusive with the
             local engine knobs.
         client: a pre-built :class:`Client` (overrides ``remote``).
@@ -244,34 +240,25 @@ class AnalysisSession:
         self,
         *,
         workers: int = 1,
-        store=None,
-        cache_dir: str | None = None,
         config: AnalysisConfig | None = None,
-        resume: bool = False,
         outcomes=None,
         remote: str | None = None,
         client: Client | None = None,
     ):
         self.config = config or AnalysisConfig()
-        self.resume = bool(resume)
         self._closed = False
         self._service: AnalysisService | None = None
         if remote is not None or client is not None:
-            if workers != 1 or store is not None or cache_dir is not None or outcomes is not None:
+            if workers != 1 or outcomes is not None:
                 raise EngineError(
-                    "remote sessions delegate workers/store/cache_dir/outcomes "
-                    "to the server; configure those on gleipnir-serve instead"
+                    "remote sessions delegate workers/outcomes to the server; "
+                    "configure those on gleipnir-serve instead"
                 )
             self._client: Client | None = client or Client(remote)
             self._engine: AnalysisEngine | None = None
         else:
             self._client = None
-            self._engine = AnalysisEngine(
-                workers=workers,
-                store=store,
-                cache_dir=cache_dir,
-                outcomes=outcomes,
-            )
+            self._engine = AnalysisEngine(workers=workers, outcomes=outcomes)
 
     # -- lifecycle ---------------------------------------------------------
     @property
@@ -362,14 +349,12 @@ class AnalysisSession:
     def _analyze_with_derivation(self, job: AnalysisJob) -> AnalysisOutcome:
         """The in-process path of ``analyze(derivation=True)``.
 
-        Mirrors :func:`repro.engine.pool.execute_job` — same shared bound
-        cache, same wall-clock budget, same failure capture — except that the
-        derivation tree is collected and attached to the outcome (it cannot
-        ride on the flat engine record).
+        Mirrors :func:`repro.engine.pool.execute_job` — same wall-clock
+        budget, same failure capture — except that the derivation tree is
+        collected and attached to the outcome (it cannot ride on the flat
+        engine record).
         """
         run_config = job.config.replace(collect_derivation=True)
-        if self.engine.cache_dir is not None:
-            run_config.sdp.persistent_cache_path = self.engine.cache_dir
         fingerprint = job.fingerprint()
         start = time.perf_counter()
         try:
@@ -414,8 +399,8 @@ class AnalysisSession:
         """Execute a batch; outcomes are aligned with ``jobs``.
 
         Duplicate jobs (same fingerprint) share one execution on both
-        transports; with ``resume`` and a store, completed fingerprints are
-        answered without re-running.
+        transports; fingerprints the outcome store holds are answered without
+        re-running.
         """
         self._check_open()
         jobs = list(jobs)
@@ -423,7 +408,7 @@ class AnalysisSession:
             return []
         if self.is_remote:
             return self._remote_batch(jobs)
-        report = self.engine.run(jobs, resume=self.resume)
+        report = self.engine.run(jobs)
         return [AnalysisOutcome.from_job_result(result) for result in report.results]
 
     def _wait_remote_entry(self, fingerprint: str, deadline: float | None) -> dict:
@@ -487,9 +472,7 @@ class AnalysisSession:
 
     def _ensure_service(self) -> AnalysisService:
         if self._service is None:
-            service = AnalysisService(
-                self.engine, batch_window=0.01, resume=self.resume
-            )
+            service = AnalysisService(self.engine, batch_window=0.01)
             service.start()
             self._service = service
         return self._service
@@ -616,22 +599,10 @@ def add_session_arguments(parser: argparse.ArgumentParser) -> None:
         "--workers", type=int, default=1, help="engine process-pool size (1 = inline)"
     )
     group.add_argument(
-        "--resume", action="store_true", help="skip jobs already completed in --store"
-    )
-    group.add_argument(
-        "--store", type=str, default=None, help="JSONL result store (enables --resume)"
-    )
-    group.add_argument(
-        "--cache-dir",
-        type=str,
-        default=None,
-        help="shared on-disk bound cache for the engine workers",
-    )
-    group.add_argument(
         "--outcomes",
         type=str,
         default=None,
-        help="whole-outcome store (JSONL); warm re-submissions answer from one lookup",
+        help="outcome store (JSONL); stored jobs answer without re-running",
     )
     group.add_argument(
         "--remote",
@@ -661,7 +632,7 @@ def session_from_args(
     """Build the session a parsed command line describes.
 
     Mixing ``--remote`` with the local engine flags is an error, not a silent
-    drop: the server owns its own workers/store/cache configuration.
+    drop: the server owns its own workers and outcome store.
     """
     remote = getattr(args, "remote", None)
     if remote:
@@ -669,25 +640,19 @@ def session_from_args(
             flag
             for flag, is_set in (
                 ("--workers", getattr(args, "workers", 1) != 1),
-                ("--store", getattr(args, "store", None) is not None),
-                ("--cache-dir", getattr(args, "cache_dir", None) is not None),
                 ("--outcomes", getattr(args, "outcomes", None) is not None),
-                ("--resume", bool(getattr(args, "resume", False))),
             )
             if is_set
         ]
         if offending:
             raise EngineError(
                 f"{', '.join(offending)} cannot be combined with --remote: "
-                "configure workers/store/cache/resume on gleipnir-serve instead"
+                "configure workers/outcomes on gleipnir-serve instead"
             )
         return AnalysisSession(remote=remote, config=config)
     return AnalysisSession(
         workers=getattr(args, "workers", 1),
-        store=getattr(args, "store", None),
-        cache_dir=getattr(args, "cache_dir", None),
         outcomes=getattr(args, "outcomes", None),
-        resume=getattr(args, "resume", False),
         config=config,
     )
 

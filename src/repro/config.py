@@ -50,16 +50,12 @@ class SDPConfig:
             predicate for the cache key.  Coarser keys give more cache hits at
             the price of slightly looser (but still sound) bounds, because the
             cached predicate distance is rounded *up*.
-        persistent_cache_path: directory for an on-disk bound store shared
-            across runs (None disables).  Entries carry their full dual
-            certificate and are re-verified before use.
     """
 
     mode: str = "certified"
     max_iterations: int = 50
     tolerance: float = 1e-7
     cache_decimals: int = 6
-    persistent_cache_path: str | None = None
 
     def validate(self) -> None:
         if self.mode not in ("certified", "fast"):
@@ -133,9 +129,8 @@ class AnalysisConfig:
         """Return a copy of this configuration with some fields replaced.
 
         Nested dataclasses (``sdp``, ``guard``) are deep-copied unless an
-        explicit replacement is supplied, so mutating one copy (as the
-        analysis engine does for per-worker cache paths) never leaks into
-        the original configuration.
+        explicit replacement is supplied, so mutating one copy never leaks
+        into the original configuration.
         """
         for field in ("sdp", "guard"):
             if field not in kwargs:

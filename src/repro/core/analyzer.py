@@ -122,10 +122,7 @@ class GleipnirAnalyzer:
         self.noise_model = noise_model
         self.config = config or AnalysisConfig()
         self.config.validate()
-        self._cache = GateBoundCache(
-            decimals=self.config.sdp.cache_decimals,
-            store_path=self.config.sdp.persistent_cache_path,
-        )
+        self._cache = GateBoundCache(decimals=self.config.sdp.cache_decimals)
 
     # -- public API -----------------------------------------------------------
     def analyze(

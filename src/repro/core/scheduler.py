@@ -16,11 +16,10 @@ once.  This module does both before the derivation is built:
    predicate into its bound-cache class key, puts each key on its gate's
    tape record, and dedupes the keys into unique solve classes in walk
    order;
-3. the unique classes that the cache cannot already answer (from memory or
-   from the persistent store) are solved through the *batched* SDP kernel —
-   each distinct reduced problem once, same-shaped problems in lock-step
-   inside one interior-point run, and all their dual certificates verified
-   in one fused batch certification pass;
+3. the unique classes that the cache cannot already answer are solved
+   through the *batched* SDP kernel — each distinct reduced problem once,
+   same-shaped problems in lock-step inside one interior-point run, and all
+   their dual certificates verified in one fused batch certification pass;
 4. the solved bounds are inserted into the cache, and the analyzer rebuilds
    the derivation from the tape, reading each gate's bound by the key on
    its record, so the MPS phase runs exactly once per input and nothing is
@@ -74,19 +73,13 @@ class _Predicate:
 
 @dataclasses.dataclass(frozen=True)
 class SolveClass:
-    """One unique quantised (gate, noise, predicate) SDP instance.
-
-    ``fingerprint`` binds the actual problem content (gate matrix, channel
-    Choi, noise convention) for the persistent store; None when no store is
-    configured.
-    """
+    """One unique quantised (gate, noise, predicate) SDP instance."""
 
     key: tuple
     gate_matrix: np.ndarray
     noise_channel: object
     rho_rounded: np.ndarray
     delta_effective: float
-    fingerprint: str | None = None
 
 
 @dataclasses.dataclass
@@ -126,25 +119,11 @@ class BoundScheduler:
 
     # -- public entry --------------------------------------------------------
     def _pending_classes(self) -> list[SolveClass]:
-        """The collected classes the cache cannot answer (memory or disk)."""
+        """The collected classes the cache cannot answer yet."""
         return [
             solve_class
             for key, solve_class in self._classes.items()
-            if self.cache.peek(
-                key,
-                solve_class.fingerprint,
-                self.cache.expected_problem(
-                    solve_class.gate_matrix,
-                    solve_class.noise_channel,
-                    solve_class.rho_rounded,
-                    solve_class.delta_effective,
-                    noise_after_gate=self.config.noise_after_gate,
-                )
-                if solve_class.fingerprint is not None
-                else None,
-                config=self.config.sdp,
-            )
-            is None
+            if self.cache.peek(key) is None
         ]
 
     def collect(self, program: Program, initial_bits: list[int]) -> ReplayTape:
@@ -191,12 +170,7 @@ class BoundScheduler:
                 timing_events=report.solve_timings,
             )
         for solve_class, bound in zip(pending, bounds):
-            self.cache.insert(
-                solve_class.key,
-                bound,
-                fingerprint=solve_class.fingerprint,
-                config=self.config.sdp,
-            )
+            self.cache.insert(solve_class.key, bound)
         report.solve_seconds = time.perf_counter() - solve_start
         return report
 
@@ -214,21 +188,12 @@ class BoundScheduler:
             tape.attach_key(predicate.position, key)
             if key in self._classes:
                 continue
-            gate_matrix = predicate.op.gate.matrix
-            fingerprint = None
-            if self.cache.store_path is not None:
-                fingerprint = self.cache.problem_fingerprint(
-                    gate_matrix,
-                    predicate.noise_channel,
-                    self.config.noise_after_gate,
-                )
             self._classes[key] = SolveClass(
                 key=key,
-                gate_matrix=gate_matrix,
+                gate_matrix=predicate.op.gate.matrix,
                 noise_channel=predicate.noise_channel,
                 rho_rounded=rho_rounded,
                 delta_effective=delta_effective,
-                fingerprint=fingerprint,
             )
 
     # -- collection traversal (the analyzer's replay consumes it in order) ----

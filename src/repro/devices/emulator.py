@@ -76,11 +76,6 @@ class HardwareEmulator:
         self._rng = np.random.default_rng(seed)
         self._device_noise = mapping_noise_model(calibration, kind=noise_kind)
 
-    @property
-    def device_noise_model(self) -> NoiseModel:
-        """The full-device noise model (keyed on physical qubits)."""
-        return self._device_noise
-
     # -- compaction --------------------------------------------------------------
     def _compact(self, physical_circuit: Circuit) -> tuple[Circuit, dict[int, int]]:
         """Restrict the circuit to the physical qubits it touches.

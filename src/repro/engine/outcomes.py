@@ -2,7 +2,7 @@
 
 The warm path of the serving workload: a repeat submission should cost one
 store lookup, not an MPS walk plus a derivation replay.  The
-:class:`OutcomeStore` maps the PR-2 job fingerprint to the full serialized
+:class:`OutcomeStore` maps the job fingerprint to the full serialized
 :class:`~repro.engine.spec.JobResult` **plus the dual certificates** that
 established the job's per-gate bounds, so a warm answer is not a blind
 memo: ``get(fingerprint, verify=True)`` re-checks every stored certificate's
@@ -10,17 +10,39 @@ feasibility against its stored Choi matrix (the cheap half of the original
 work — never the SDP solve) and refuses to answer from a record whose
 certificates no longer verify.
 
-Outcomes live in a JSONL line log (the same healing, one-fsync append and
-atomic rewrite as :class:`~repro.engine.store.ResultStore`), one
-:func:`outcome_record_line` per put; later lines win and file order is
-recency order.  On top of the log the store keeps the size-capped LRU
-(``max_entries``), in-flight **pinning** (entries pinned by a running engine
-batch are never evicted), certificate verification, and the
-hit/miss/eviction accounting.  The log is compacted (atomic rewrite of the
-live entries) once dead lines outnumber live entries 2:1, and a record that
-fails re-verification is dropped from the file as well, so it never comes
-back after a restart.  Certificates ride as base64-encoded ``complex128``
-arrays decoded lazily, so the hot ``get()`` path never touches base64.
+It is also what makes a sweep resumable: an engine with a store attached
+never re-executes a fingerprint the store answers, and failed results are
+never stored, so they run again.
+
+Outcomes live in a JSONL line log (:class:`_JsonlLog`), one
+:func:`outcome_record_line` per put:
+
+* appends are single ``write`` calls followed by one flush + fsync, so a kill
+  leaves at worst one truncated trailing line;
+* the loader skips unparseable lines (``skipped_lines`` counts them) and the
+  next append heals a missing trailing newline before writing;
+* later lines win and file order is recency order;
+* rewrites (compaction) go through a temp file, ``os.replace`` and a
+  directory fsync, so a kill leaves the old log or the new one.
+
+A store argument is a file path; URL-style arguments (``scheme://…``) are
+rejected with :class:`~repro.errors.StorageBackendError`.
+
+On top of the log the store keeps the size-capped LRU (``max_entries``),
+in-flight **pinning** (entries pinned by a running engine batch are never
+evicted), certificate verification, and the hit/miss/eviction accounting.
+The log is compacted (atomic rewrite of the live entries) once dead lines
+outnumber live entries 2:1, and a record that fails re-verification is
+dropped from the file as well, so it never comes back after a restart.
+Certificates ride as base64-encoded ``complex128`` arrays decoded lazily, so
+the hot ``get()`` path never touches base64.
+
+A log written by the removed result store holds bare ``JobResult`` lines
+without certificates.  Those load as *legacy* entries: plain ``get()``
+serves them, ``get(verify=True)`` reports a miss (there is nothing to
+verify, so the caller recomputes), and compaction writes them back as bare
+lines, so they stay legacy.  A bare failed line drops any earlier entry for
+its fingerprint, as it did in that log.
 """
 
 from __future__ import annotations
@@ -28,16 +50,17 @@ from __future__ import annotations
 import base64
 import contextlib
 import dataclasses
+import json
+import os
 import threading
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
-from ..errors import EngineError
+from ..errors import EngineError, StorageBackendError
 from ..obs import metrics as obs_metrics
 from ..sdp.certificates import DualCertificate, verify_certificate
 from .spec import JobResult, canonical_json
-from .store import _JsonlLog, count_store_op
 
 __all__ = ["OutcomeStore", "OutcomeCertificate", "OUTCOME_SCHEMA_VERSION"]
 
@@ -49,6 +72,95 @@ OUTCOME_SCHEMA_VERSION = 1
 #: stored certificate was verified at solve time, so the re-check only needs
 #: to catch corruption/tampering, not re-litigate solver precision.
 VERIFY_TOLERANCE = 1e-6
+
+
+def count_store_op(op: str) -> None:
+    """One store operation into the metric registry."""
+    obs_metrics.counter(
+        "repro_backend_ops_total",
+        "Outcome-store operations, by operation.",
+        {"op": op},
+    ).inc()
+
+
+class _JsonlLog:
+    """Line-log mechanics: load, heal, one-fsync append, atomic rewrite."""
+
+    def __init__(self, path: str):
+        self.path = str(path)
+        if "://" in self.path:
+            scheme = self.path.split("://", 1)[0]
+            raise StorageBackendError(
+                f"store paths are JSONL file paths, not URLs: {self.path!r} "
+                f"names a {scheme}:// scheme",
+                scheme=scheme,
+            )
+        self.skipped_lines = 0
+        self.file_lines = 0
+        self.needs_newline = False
+        os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
+
+    def load(self, parse: Callable[[dict], object]) -> list:
+        """``parse`` of every record on disk, in file order.
+
+        Unparseable lines (a truncated trailing line after a kill, or foreign
+        junk) are skipped and counted rather than failing the whole store.
+        """
+        if not os.path.exists(self.path):
+            return []
+        with open(self.path, "r", encoding="utf-8") as handle:
+            content = handle.read()
+        # A kill can leave the file without a trailing newline; the next
+        # append must not concatenate onto the truncated record.
+        self.needs_newline = bool(content) and not content.endswith("\n")
+        records = []
+        for line in content.splitlines():
+            if not line.strip():
+                continue
+            self.file_lines += 1
+            try:
+                records.append(parse(json.loads(line)))
+            except (json.JSONDecodeError, EngineError):
+                self.skipped_lines += 1
+        return records
+
+    def append(self, lines: list[str]) -> None:
+        """One durable append: a single write, one flush, one fsync."""
+        payload = "".join(line + "\n" for line in lines)
+        with open(self.path, "a", encoding="utf-8") as handle:
+            if self.needs_newline:
+                payload = "\n" + payload
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+            # Only after the healing newline is durably on disk: a failed
+            # write must leave the flag set so a retry still heals the
+            # truncated tail instead of gluing onto it.
+            self.needs_newline = False
+        self.file_lines += len(lines)
+
+    def rewrite(self, lines: Iterable[str]) -> None:
+        """Atomically replace the log: temp file + fsync + ``os.replace``.
+
+        A kill mid-rewrite leaves either the old log or the new one, never a
+        mix; the directory fsync makes the rename itself survive power loss.
+        """
+        tmp_path = self.path + ".compact"
+        count = 0
+        with open(tmp_path, "w", encoding="utf-8") as handle:
+            for line in lines:
+                handle.write(line + "\n")
+                count += 1
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, self.path)
+        directory = os.open(os.path.dirname(os.path.abspath(self.path)), os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
+        self.file_lines = count
+        self.needs_newline = False
 
 
 def _encode_array(array: np.ndarray) -> dict:
@@ -160,8 +272,14 @@ class OutcomeCertificate:
             raise EngineError(f"malformed certificate payload: {exc}") from exc
 
 
-def outcome_record_line(result: JobResult, certificates: list[dict]) -> str:
-    """One serialized outcome record (shared by append and rewrite)."""
+def outcome_record_line(result: JobResult, certificates: list[dict] | None) -> str:
+    """One serialized outcome record (shared by append and rewrite).
+
+    A legacy entry (``certificates`` None) is written back as the bare
+    result line it was loaded from, so it reloads as legacy.
+    """
+    if certificates is None:
+        return canonical_json(result.to_json_dict())
     return canonical_json(
         {
             "version": OUTCOME_SCHEMA_VERSION,
@@ -173,9 +291,19 @@ def outcome_record_line(result: JobResult, certificates: list[dict]) -> str:
 
 
 def entry_from_outcome_record(record: dict) -> dict:
-    """Validate one parsed outcome record into a live entry."""
+    """Validate one parsed outcome record into an entry.
+
+    A record without ``kind`` is a bare result line of the old result log:
+    its entry has ``certificates`` None, and it may be a failure, which the
+    loader treats as dropping the fingerprint.
+    """
     if not isinstance(record, dict):
         raise EngineError("outcome record must be a dict")
+    if "kind" not in record:
+        result = JobResult.from_json_dict(record)
+        if not result.fingerprint:
+            raise EngineError("result records must carry a fingerprint")
+        return {"result": result, "certificates": None}
     if record.get("kind") != "analysis_outcome":
         raise EngineError(f"not an outcome record: kind={record.get('kind')!r}")
     if record.get("version") != OUTCOME_SCHEMA_VERSION:
@@ -183,7 +311,7 @@ def entry_from_outcome_record(record: dict) -> dict:
     result = JobResult.from_json_dict(record.get("result") or {})
     if not result.ok or not result.fingerprint:
         raise EngineError("outcome records must carry a successful result")
-    certificates = record.get("certificates") or []
+    certificates = record.get("certificates")
     if not isinstance(certificates, list):
         raise EngineError("certificates must be a list")
     return {"result": result, "certificates": certificates}
@@ -207,13 +335,14 @@ class OutcomeStore:
         self._lock = threading.Lock()
         # fingerprint -> {"result": JobResult, "certificates": [raw dict, ...]}
         # — certificates stay in wire form so the blind-lookup hot path never
-        # pays base64 decoding.  Insertion order doubles as recency order
-        # (hits and later lines re-insert at the end).
+        # pays base64 decoding; None marks a legacy entry.  Insertion order
+        # doubles as recency order (hits and later lines re-insert at the end).
         self._entries: dict[str, dict] = {}
         for entry in self._log.load(entry_from_outcome_record):
             fingerprint = entry["result"].fingerprint
             self._entries.pop(fingerprint, None)
-            self._entries[fingerprint] = entry
+            if entry["result"].ok:
+                self._entries[fingerprint] = entry
         self._pins: dict[str, int] = {}
         self._hits = 0
         self._misses = 0
@@ -254,6 +383,8 @@ class OutcomeStore:
         dropped from the store and its log (counted in
         ``verification_failures``) and the lookup reports a miss — the caller
         recomputes, it never gets a tampered answer, not even after a restart.
+        A legacy entry has no certificates to re-check, so ``verify=True``
+        reports it as a miss and keeps it.
         """
         count_store_op("outcome_get")
         with self._lock:
@@ -267,7 +398,7 @@ class OutcomeStore:
                 self._count("hit")
                 return entry["result"]
             entry = self._entries.get(fingerprint)
-            if entry is None:
+            if entry is None or entry["certificates"] is None:
                 self._misses += 1
                 self._count("miss")
                 return None
@@ -312,7 +443,7 @@ class OutcomeStore:
         """The decoded dual certificates stored with an outcome."""
         with self._lock:
             entry = self._entries.get(fingerprint)
-            raw = list(entry["certificates"]) if entry is not None else []
+            raw = list(entry["certificates"] or []) if entry is not None else []
         return [OutcomeCertificate.from_json_dict(payload) for payload in raw]
 
     def stats(self) -> dict:

@@ -6,25 +6,18 @@ values into :class:`~repro.engine.spec.JobResult` records:
 * **dedupe** — identical jobs (same fingerprint) are executed once and share
   one result, so a serving workload with repeated submissions pays for each
   unique analysis once;
-* **whole-outcome cache** — with an :class:`~repro.engine.outcomes.OutcomeStore`
+* **outcome store** — with an :class:`~repro.engine.outcomes.OutcomeStore`
   attached, a fingerprint whose full outcome is already stored skips
   :func:`execute_job` entirely — no MPS walk, no derivation replay, no SDP
-  cache consultation — and executed jobs write their result *plus the dual
-  certificates behind it* back to the store;
-* **resume** — with a :class:`~repro.engine.store.ResultStore` attached,
-  fingerprints that already completed successfully are answered from the
-  store and only the missing jobs run;
+  cache consultation — and executed successes write their result *plus the
+  dual certificates behind it* back to the store, so a killed sweep re-run
+  on the same store executes only its missing (or failed) jobs;
 * **sharding** — the pending jobs are fanned out over a
   :class:`concurrent.futures.ProcessPoolExecutor`; jobs travel as canonical
   JSON, so the worker exercises exactly the serialization path remote
   submissions use.  The pool size adapts to the machine: ``workers`` is
   clamped to ``os.cpu_count()`` by default, because oversubscribing a small
   box costs more in process churn than the parallelism returns;
-* **shared bound cache** — when ``cache_dir`` is set, every worker points its
-  :class:`~repro.sdp.diamond.GateBoundCache` at the same on-disk store
-  (``SDPConfig.persistent_cache_path``), so bounds certified by one worker
-  warm all the others (and later runs) — this is also how the jobs of one
-  batch deduplicate their shared SDP solves;
 * **budgets and isolation** — each job runs under its own
   :class:`~repro.config.ResourceGuard` wall-clock budget
   (``guard.max_seconds``, enforced with a POSIX interval timer), and any
@@ -44,14 +37,12 @@ import time
 from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-from ..config import AnalysisConfig
 from ..core.analyzer import GleipnirAnalyzer
 from ..errors import ResourceLimitExceeded
 from ..obs import metrics as obs_metrics
 from ..obs.trace import collecting, emit_spans, reset_tracing, span, tracing_active
 from .outcomes import OutcomeCertificate, OutcomeStore
 from .spec import AnalysisJob, JobResult, job_from_json
-from .store import ResultStore
 
 __all__ = [
     "AnalysisEngine",
@@ -135,19 +126,6 @@ def _wall_clock_budget(seconds: float | None):
             )
 
 
-def _prepared_config(job: AnalysisJob, cache_dir: str | None) -> AnalysisConfig:
-    """The execution config: a deep copy with engine-level overrides applied.
-
-    Derivation trees are never collected (results must stay flat and
-    picklable), and the shared persistent bound cache is attached when the
-    engine has one.  Neither override is part of the job fingerprint.
-    """
-    config = job.config.replace(collect_derivation=False)
-    if cache_dir is not None:
-        config.sdp.persistent_cache_path = str(cache_dir)
-    return config
-
-
 def job_result_from_analysis(fingerprint: str, name: str, analysis) -> JobResult:
     """Flatten a successful :class:`~repro.core.analyzer.AnalysisResult`.
 
@@ -178,8 +156,8 @@ def _harvest_certificates(analyzer: GleipnirAnalyzer) -> list[OutcomeCertificate
     """The dual certificates behind a finished job's per-gate bounds.
 
     Only solver-certified entries qualify: ``noiseless``/``exact-zero``
-    bounds have no feasibility problem to re-check, and persistent-cache
-    loads without a retained Choi matrix cannot be re-verified standalone.
+    bounds have no feasibility problem to re-check, and a bound without a
+    retained Choi matrix cannot be re-verified standalone.
     """
     certificates = []
     for bound in analyzer.cache.bounds_snapshot():
@@ -194,7 +172,6 @@ def _harvest_certificates(analyzer: GleipnirAnalyzer) -> list[OutcomeCertificate
 def execute_job_record(
     job: AnalysisJob,
     *,
-    cache_dir: str | None = None,
     fingerprint: str | None = None,
     collect_certificates: bool = False,
 ) -> tuple[JobResult, list[OutcomeCertificate]]:
@@ -209,7 +186,9 @@ def execute_job_record(
     """
     if fingerprint is None:
         fingerprint = job.fingerprint()
-    config = _prepared_config(job, cache_dir)
+    # A deep copy that never collects a derivation: results must stay flat
+    # and picklable, and the override is not part of the job fingerprint.
+    config = job.config.replace(collect_derivation=False)
     start = time.perf_counter()
     try:
         with _wall_clock_budget(config.guard.max_seconds):
@@ -250,16 +229,14 @@ def execute_job_record(
 def execute_job(
     job: AnalysisJob,
     *,
-    cache_dir: str | None = None,
     fingerprint: str | None = None,
 ) -> JobResult:
     """Run one job to a :class:`JobResult`, capturing failures as statuses."""
-    return execute_job_record(job, cache_dir=cache_dir, fingerprint=fingerprint)[0]
+    return execute_job_record(job, fingerprint=fingerprint)[0]
 
 
 def _execute_payload(
     payload: str,
-    cache_dir: str | None,
     fingerprint: str,
     collect_certificates: bool = False,
     trace_spans: bool = False,
@@ -283,7 +260,6 @@ def _execute_payload(
             with collecting() as collector:
                 result, certificates = execute_job_record(
                     job,
-                    cache_dir=cache_dir,
                     fingerprint=fingerprint,
                     collect_certificates=collect_certificates,
                 )
@@ -291,7 +267,6 @@ def _execute_payload(
         else:
             result, certificates = execute_job_record(
                 job,
-                cache_dir=cache_dir,
                 fingerprint=fingerprint,
                 collect_certificates=collect_certificates,
             )
@@ -311,12 +286,11 @@ class BatchReport:
 
     ``results`` is aligned with the submitted job list (duplicates share the
     same :class:`JobResult` object); the counters describe how much work the
-    engine actually did versus answered from dedupe and the stores.
+    engine actually did versus answered from dedupe and the outcome store.
     """
 
     results: list[JobResult]
     executed: int
-    resumed: int
     deduplicated: int
     elapsed_seconds: float
     outcome_hits: int = 0
@@ -330,7 +304,7 @@ class BatchReport:
 
 
 class AnalysisEngine:
-    """Executes analysis job batches with dedupe, resume, and worker sharding.
+    """Executes analysis job batches with dedupe, an outcome store, and worker sharding.
 
     Args:
         workers: requested process-pool size; 1 executes inline (no
@@ -339,11 +313,6 @@ class AnalysisEngine:
             ``os.cpu_count()`` — extra processes on a smaller box only add
             fork/IPC overhead (``adaptive_workers=False`` opts out and takes
             the requested count literally).
-        store: a :class:`ResultStore`, a path to create one at, or None.
-            Every executed result is appended to the store; with
-            ``resume=True`` completed fingerprints are not re-executed.
-        cache_dir: directory of the shared on-disk gate-bound cache handed to
-            every worker (None disables sharing).
         outcomes: an :class:`~repro.engine.outcomes.OutcomeStore`, a path to
             create one at, or None.  With a store attached, fingerprints it
             holds skip execution entirely (a warm hit is one dict lookup) and
@@ -355,8 +324,6 @@ class AnalysisEngine:
         self,
         *,
         workers: int = 1,
-        store: ResultStore | str | None = None,
-        cache_dir: str | None = None,
         outcomes: OutcomeStore | str | None = None,
         adaptive_workers: bool = True,
     ):
@@ -367,10 +334,6 @@ class AnalysisEngine:
             self.workers = max(1, min(self.requested_workers, os.cpu_count() or 1))
         else:
             self.workers = self.requested_workers
-        self.store = ResultStore(store) if isinstance(store, (str, os.PathLike)) else store
-        self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        if self.cache_dir is not None:
-            os.makedirs(self.cache_dir, exist_ok=True)
         self.outcomes = (
             OutcomeStore(outcomes)
             if isinstance(outcomes, (str, os.PathLike))
@@ -387,18 +350,11 @@ class AnalysisEngine:
         return {
             "workers": self.workers,
             "requested_workers": self.requested_workers,
-            "cache_dir": self.cache_dir,
-            "store_results": len(self.store) if self.store is not None else None,
             "outcomes": self.outcomes.stats() if self.outcomes is not None else None,
             "last_batch_executed": self._last_executed,
         }
 
-    def run(
-        self,
-        jobs: Sequence[AnalysisJob],
-        *,
-        resume: bool = False,
-    ) -> BatchReport:
+    def run(self, jobs: Sequence[AnalysisJob]) -> BatchReport:
         """Execute a batch and return results aligned with ``jobs``."""
         start = time.perf_counter()
         fingerprints = [job.fingerprint() for job in jobs]
@@ -407,7 +363,6 @@ class AnalysisEngine:
             unique.setdefault(fingerprint, job)
 
         results: dict[str, JobResult] = {}
-        resumed = 0
         outcome_hits = 0
         with contextlib.ExitStack() as stack:
             stack.enter_context(
@@ -423,14 +378,6 @@ class AnalysisEngine:
                         if cached is not None:
                             results[fingerprint] = cached
                             outcome_hits += 1
-            if resume and self.store is not None:
-                with span("engine.resume", "engine"):
-                    for fingerprint in unique:
-                        if fingerprint not in results and self.store.completed(
-                            fingerprint
-                        ):
-                            results[fingerprint] = self.store.get(fingerprint)
-                            resumed += 1
 
             pending = [
                 (fingerprint, job)
@@ -456,7 +403,6 @@ class AnalysisEngine:
         return BatchReport(
             results=[results[fingerprint] for fingerprint in fingerprints],
             executed=executed,
-            resumed=resumed,
             deduplicated=deduplicated,
             elapsed_seconds=time.perf_counter() - start,
             outcome_hits=outcome_hits,
@@ -471,8 +417,6 @@ class AnalysisEngine:
         certificates: Sequence = (),
     ) -> None:
         results[fingerprint] = result
-        if self.store is not None:
-            self.store.put(result)
         if self.outcomes is not None and result.ok:
             self.outcomes.put(result, certificates)
         obs_metrics.counter(
@@ -495,7 +439,6 @@ class AnalysisEngine:
         for fingerprint, job in pending:
             result, certificates = execute_job_record(
                 job,
-                cache_dir=self.cache_dir,
                 fingerprint=fingerprint,
                 collect_certificates=collect,
             )
@@ -524,7 +467,6 @@ class AnalysisEngine:
                 future = pool.submit(
                     _execute_payload,
                     job.to_json(),
-                    self.cache_dir,
                     fingerprint,
                     collect,
                     trace,

@@ -2,7 +2,7 @@
 
 Installed as ``gleipnir-serve`` (see pyproject.toml)::
 
-    gleipnir-serve --port 8780 --workers 4 --store results.jsonl --cache-dir .cache/bounds
+    gleipnir-serve --port 8780 --workers 4 --outcomes outcomes.jsonl
 
 The **versioned** API (JSON over stdlib HTTP, no extra dependencies) lives
 under ``/v1/`` and is what :class:`repro.api.Client` speaks:
@@ -27,7 +27,7 @@ under ``/v1/`` and is what :class:`repro.api.Client` speaks:
 * ``GET /v1/capabilities`` — service discovery: API versions, job schema
   version, server limits (batch sizes, wait window), worker count.
 * ``GET /v1/healthz`` — liveness: version, uptime, queue depth, workers,
-  result/outcome store sizes.
+  outcome store size.
 * ``GET /v1/metrics`` — Prometheus text exposition of the process-wide
   :mod:`repro.obs.metrics` registry: per-endpoint latency histograms,
   in-flight/parked-coroutine gauges, engine/outcome/cache/tape/store
@@ -52,7 +52,7 @@ Any path outside ``/v1`` answers the same 404 envelope as an unknown
 ``/v1`` path.
 
 Duplicate submissions (same fingerprint) — including re-submissions of jobs
-already completed in the attached result store — are answered without
+whose outcome the attached outcome store holds — are answered without
 re-execution; the fingerprint in the response is the handle for waiting.
 A byte-identical repeat of an accepted body is answered without decoding it
 (:mod:`repro.engine.aserve`).
@@ -72,7 +72,6 @@ from ..version import __version__
 from .outcomes import OutcomeStore
 from .pool import AnalysisEngine
 from .spec import JOB_SCHEMA_VERSION, AnalysisJob, job_from_json_dict
-from .store import ResultStore
 
 __all__ = ["AnalysisService", "API_VERSION", "TERMINAL_STATUSES", "make_server", "main"]
 
@@ -104,19 +103,13 @@ class AnalysisService:
         max_batch: int = 32,
         max_tracked: int = 4096,
         max_submit: int = 1024,
-        resume: bool = True,
     ):
         self.engine = engine
         self.batch_window = float(batch_window)
         self.max_batch = int(max_batch)
-        #: Answer re-submissions from the attached result store (serving
-        #: default).  The facade's streaming path sets this to the session's
-        #: resume flag so as_completed and analyze_batch agree about whether
-        #: stored results are reused.
-        self.resume = bool(resume)
         #: In-memory status entries kept before finished ones are evicted
-        #: (oldest first); evicted fingerprints are still answerable from the
-        #: attached result store, so a long-running server stays bounded.
+        #: (oldest first); evicted successes are still answerable from the
+        #: attached outcome store, so a long-running server stays bounded.
         self.max_tracked = int(max_tracked)
         #: Largest number of jobs one submission may carry (413 beyond).
         self.max_submit = int(max_submit)
@@ -231,9 +224,9 @@ class AnalysisService:
         """The status entry of a submission that needs no enqueueing, else None.
 
         The non-enqueuing half of :meth:`submit_job`: a tracked queued,
-        running or done entry, an outcome-store warm hit or a result-store
-        resume hit.  None means the job must run (it is new, ``failed``, or
-        evicted and absent from both stores).
+        running or done entry, or an outcome-store warm hit.  None means the
+        job must run (it is new, ``failed``, or evicted and absent from the
+        outcome store).
         """
         with self._lock:
             entry = self._status.get(fingerprint)
@@ -252,18 +245,13 @@ class AnalysisService:
                     # transition.
                     self._notify_finished([fingerprint])
                     return dict(entry)
-            store = self.engine.store
-            if self.resume and store is not None and store.completed(fingerprint):
-                entry = self._track(self._entry(fingerprint, name, "done", store.get(fingerprint)))
-                self._notify_finished([fingerprint])
-                return dict(entry)
         return None
 
     def _track(self, entry: dict) -> dict:
         """Insert a status entry, evicting the oldest finished ones over the cap.
 
         Callers hold ``self._lock``.  Only ``done``/``failed`` entries are
-        evicted (they remain answerable from the result store); in-flight
+        evicted (successes remain answerable from the outcome store); in-flight
         entries are never dropped.
         """
         self._status[entry["fingerprint"]] = entry
@@ -290,15 +278,13 @@ class AnalysisService:
             entry = self._status.get(fingerprint)
             if entry is not None:
                 return dict(entry)
-        # Evicted (or never-submitted-here) fingerprints: the result store
-        # still answers for anything that finished.
-        store = self.engine.store
-        if store is not None:
-            result = store.get(fingerprint)
+        # Evicted (or never-submitted-here) fingerprints: the outcome store
+        # still answers for anything that succeeded.
+        outcomes = self.engine.outcomes
+        if outcomes is not None:
+            result = outcomes.get(fingerprint)
             if result is not None:
-                return self._entry(
-                    fingerprint, result.name, "done" if result.ok else "failed", result
-                )
+                return self._entry(fingerprint, result.name, "done", result)
         return None
 
     def capabilities(self) -> dict:
@@ -351,9 +337,6 @@ class AnalysisService:
             "workers": engine.workers,
             "batches_run": stats["batches_run"],
             "jobs": stats["jobs"],
-            "result_store_entries": (
-                len(engine.store) if engine.store is not None else None
-            ),
             "outcome_store_entries": (
                 len(engine.outcomes) if engine.outcomes is not None else None
             ),
@@ -391,7 +374,7 @@ class AnalysisService:
 
         Returns the latest status entry (possibly still ``queued``/``running``
         at timeout), or None when the fingerprint is unknown to both the
-        in-memory map and the result store.  Waiting uses the service's
+        in-memory map and the outcome store.  Waiting uses the service's
         condition variable — notified by the batcher on every result — so
         there is no sleep loop on either side of the HTTP connection.
         """
@@ -442,7 +425,7 @@ class AnalysisService:
                 if remaining <= 0 or self._stopped:
                     break
                 self._cond.wait(remaining)
-        # Last chance: fingerprints answerable only from the result store.
+        # Last chance: fingerprints answerable only from the outcome store.
         for fingerprint in fingerprints:
             entry = self.status(fingerprint)
             if entry is not None and entry["status"] in _FINISHED:
@@ -476,7 +459,7 @@ class AnalysisService:
                 for fingerprint, _ in batch:
                     self._status[fingerprint]["status"] = "running"
             try:
-                report = self.engine.run([job for _, job in batch], resume=self.resume)
+                report = self.engine.run([job for _, job in batch])
             except Exception as exc:  # engine must never kill the batcher
                 with self._lock:
                     for fingerprint, job in batch:
@@ -515,15 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=8780)
     parser.add_argument("--workers", type=int, default=1, help="process-pool size")
     parser.add_argument(
-        "--store",
-        default=None,
-        help="result store JSONL path; enables resume",
-    )
-    parser.add_argument("--cache-dir", default=None, help="shared on-disk bound cache directory")
-    parser.add_argument(
         "--outcomes",
         default=None,
-        help="whole-outcome store JSONL path; warm hits answer without the pool",
+        help="outcome store JSONL path; stored fingerprints answer without the pool",
     )
     parser.add_argument(
         "--outcomes-max-entries",
@@ -546,8 +523,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         engine = AnalysisEngine(
             workers=args.workers,
-            store=ResultStore(args.store) if args.store else None,
-            cache_dir=args.cache_dir,
             outcomes=(
                 OutcomeStore(args.outcomes, max_entries=args.outcomes_max_entries)
                 if args.outcomes
@@ -555,7 +530,7 @@ def main(argv: list[str] | None = None) -> int:
             ),
         )
     except StorageBackendError as exc:
-        # A URL-style --store/--outcomes argument (redis://...) is an
+        # A URL-style --outcomes argument (redis://...) is an
         # operator error, not a crash: one line naming the problem, exit 2.
         print(f"gleipnir-serve: {exc}", file=sys.stderr)
         return 2

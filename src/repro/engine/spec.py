@@ -8,10 +8,10 @@ for the textual form, so two structurally identical jobs always produce the
 same bytes and therefore the same SHA-256 **fingerprint**.
 
 The fingerprint is the job's address everywhere in the engine: the process
-pool dedupes on it, the :class:`~repro.engine.store.ResultStore` keys results
-by it, and the serving front-end reports status under it.  Only fields that
-can change the *certified bound* enter the fingerprint; execution knobs
-(worker counts, cache paths, derivation collection, resource budgets) do not,
+pool dedupes on it, the :class:`~repro.engine.outcomes.OutcomeStore` keys
+outcomes by it, and the serving front-end reports status under it.  Only
+fields that can change the *certified bound* enter the fingerprint; execution
+knobs (worker counts, derivation collection, resource budgets) do not,
 so re-running a sweep with different parallelism or budgets still finds its
 prior results.
 """
@@ -88,10 +88,10 @@ def _semantic_config_dict(config: AnalysisConfig) -> dict:
     (:data:`repro.sdp.kernel.SOLVER_VERSION`, under the key ``admm_rule``
     that predates it) change which dual
     certificate is found; the noise convention changes the analysed
-    channel.  Everything else — cache paths, derivation collection,
-    resource budgets — changes *when or whether* the same bound is
-    computed, never its value, and is excluded so fingerprints survive
-    re-runs under different execution settings.
+    channel.  Everything else — derivation collection, resource budgets —
+    changes *when or whether* the same bound is computed, never its value,
+    and is excluded so fingerprints survive re-runs under different
+    execution settings.
     """
     return {
         "mps_width": config.mps_width,
@@ -118,7 +118,7 @@ class AnalysisJob:
             the engine copies before mutating per-worker fields).
         initial_bits: computational-basis input state (None = all zeros).
         num_qubits: register size (None = inferred from the program).
-        name: label used in reports and the result store.
+        name: label used in reports and the outcome store.
     """
 
     program: Program

@@ -1,7 +1,7 @@
 """Shared session plumbing for the experiment harnesses.
 
 The :class:`~repro.api.AnalysisSession` facade owns the engine wiring
-(workers, stores, shared bound cache, resume); every driver takes a
+(workers and the outcome store); every driver takes a
 ``session=`` and falls back to an ephemeral inline session.
 """
 

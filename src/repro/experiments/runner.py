@@ -3,7 +3,7 @@
 Installed as ``gleipnir-experiments`` (see pyproject.toml)::
 
     gleipnir-experiments table2 --scale reduced
-    gleipnir-experiments table2 --scale reduced --workers 4 --store t2.jsonl --resume
+    gleipnir-experiments table2 --scale reduced --workers 4 --outcomes t2.jsonl
     gleipnir-experiments figure14 --scale reduced --widths 1 2 4 8 16
     gleipnir-experiments table3 --shots 8192
     gleipnir-experiments all --scale reduced --output results.md
@@ -13,10 +13,10 @@ MPS width 128); expect runtimes of minutes per row, as in the paper.
 
 Every command drives one :class:`repro.api.AnalysisSession` (the shared
 front door): ``--workers N`` shards the Gleipnir analyses across an engine
-process pool, ``--store`` + ``--resume`` make a killed sweep re-run only its
-missing jobs, ``--cache-dir`` shares one on-disk bound cache between workers
-and runs, and ``--remote URL`` submits everything to a running
-``gleipnir-serve`` instead of analysing locally.
+process pool, ``--outcomes`` makes a killed sweep re-run only its missing
+jobs (the outcome store answers every job it holds), and ``--remote URL``
+submits everything to a running ``gleipnir-serve`` instead of analysing
+locally.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ import numpy as np
 from ..errors import NoiseModelError
 from .codec import complex_matrix_from_json, complex_matrix_to_json
 from .operators import embed_operator, is_unitary
-from .partial_trace import partial_trace_keep
 
 __all__ = [
     "QuantumChannel",
@@ -333,10 +332,6 @@ class QuantumChannel:
 
     def is_unitary_channel(self, *, atol: float = 1e-8) -> bool:
         return len(self._kraus) == 1 and is_unitary(self._kraus[0], atol=atol)
-
-    def output_reduced_on(self, rho: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-        """Apply the channel, then reduce the output onto ``qubits``."""
-        return partial_trace_keep(self.apply(rho), qubits)
 
     # -- serialization ----------------------------------------------------
     def to_json_dict(self) -> dict:

@@ -260,11 +260,6 @@ class collecting:
         _COLLECTOR = None
 
 
-def current_collector() -> SpanCollector | None:
-    """The active collector (None when tracing is off)."""
-    return _COLLECTOR
-
-
 def reset_tracing() -> None:
     """Drop trace state inherited across a ``fork``.
 

@@ -7,8 +7,6 @@ family used by the qubit-mapping study of Table 3 (GHZ-3 and GHZ-5).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from ..circuits.circuit import Circuit
@@ -51,8 +49,3 @@ def ideal_ghz_distribution(num_qubits: int) -> np.ndarray:
     """The ideal measurement distribution of a GHZ state (half 0...0, half 1...1)."""
     probabilities = np.abs(ghz_state(num_qubits)) ** 2
     return probabilities
-
-
-def ghz_logical_qubits(mapping: Sequence[int]) -> list[int]:
-    """Helper naming the logical qubits of a GHZ mapping experiment (identity)."""
-    return list(range(len(mapping)))

@@ -27,8 +27,6 @@ additionally exploits two exact reductions:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import os
 import threading
 import time
 import weakref
@@ -53,10 +51,8 @@ from .certificates import (
     DualCertificate,
     certified_values_batch,
     repair_dual_candidates_batch,
-    verify_certificate,
 )
 from .kernel import (
-    SOLVER_VERSION,
     PackedSDP,
     get_layout,
     ipm_solve_packed_batch,
@@ -920,32 +916,17 @@ class GateBoundCache:
     computed for a weaker predicate and remains sound for the original one
     (Weaken rule).
 
-    A request is answered only by the entry for its own key: from memory, or
-    from an optional *persistent on-disk store* (``store_path``), keyed by a
-    content hash of the quantised key, the problem data and the solver
-    (:meth:`solver_identity`), so repeated experiment runs start warm but a
-    store filled by a looser solver never answers for a tighter one.  Loaded
-    entries carry their full dual certificate and are re-verified with
-    :func:`repro.sdp.certificates.verify_certificate` before being trusted.
-    Every bound is therefore the one a cold solve of its class certifies,
-    whatever ran earlier against the same store.
+    A request is answered only by the entry for its own key, so every bound
+    is the one a cold solve of its class certifies, whatever ran earlier
+    against the same cache.
     """
 
-    def __init__(
-        self,
-        decimals: int = 6,
-        *,
-        store_path: str | None = None,
-    ):
+    def __init__(self, decimals: int = 6):
         self.decimals = int(decimals)
-        self.store_path = store_path
         self._store: dict[tuple, DiamondNormBound] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self.persistent_hits = 0
-        if store_path is not None:
-            os.makedirs(store_path, exist_ok=True)
 
     def quantise_key(
         self, key_parts: tuple, rho_local: np.ndarray, delta: float
@@ -1014,33 +995,14 @@ class GateBoundCache:
         with self._lock:
             return list(self._store.values())
 
-    # -- lookup layers -------------------------------------------------------
-    def peek(
-        self,
-        key: tuple,
-        fingerprint: str | None = None,
-        expected_problem=None,
-        *,
-        config: SDPConfig | None = None,
-    ) -> DiamondNormBound | None:
-        """Exact / persistent lookup for the scheduler's pre-pass.
+    # -- lookup --------------------------------------------------------------
+    def peek(self, key: tuple) -> DiamondNormBound | None:
+        """The cached bound for ``key``, or None, for the scheduler's pre-pass.
 
-        Exact answers leave the hit counters untouched — the replay's
-        :meth:`lookup` records those, so counting here as well
-        would double every statistic.  The persistent layer is only consulted
-        when the caller supplies both the problem ``fingerprint`` that disk
-        entries are keyed by (together with the solver ``config``, see
-        :meth:`solver_identity`) and the ``expected_problem`` callable used
-        to validate them; disk hits *are* counted here, because loading
-        promotes the entry into memory and the replay can then only see a
-        plain hit.
+        Leaves the hit counters untouched — the replay's :meth:`lookup`
+        records those, so counting here as well would double every statistic.
         """
-        cached = self._store.get(key)
-        if cached is not None or fingerprint is None or expected_problem is None:
-            return cached
-        return self._persistent_lookup(
-            key, fingerprint, self.solver_identity(config), expected_problem
-        )
+        return self._store.get(key)
 
     def lookup(self, key: tuple) -> DiamondNormBound:
         """The bound the scheduler stored for ``key``, counted as one hit.
@@ -1054,217 +1016,12 @@ class GateBoundCache:
         self.hits += 1
         return bound
 
-    @staticmethod
-    def problem_fingerprint(
-        gate_matrix: np.ndarray,
-        noise_channel: QuantumChannel,
-        noise_after_gate: bool,
-    ) -> str:
-        """Content digest of the actual SDP problem data.
-
-        The in-memory key identifies the channel by *name*, which is
-        unambiguous within one analyzer (one noise model, deterministic
-        ``channel_for``) but not across processes: differently parametrised
-        channels can share a name.  The persistent store therefore binds the
-        gate matrix, the channel's Choi matrix, and the noise convention into
-        its key, so a disk entry can never answer for a different problem.
-        """
-        digest = hashlib.sha256()
-        digest.update(
-            np.ascontiguousarray(
-                np.asarray(gate_matrix, dtype=np.complex128)
-            ).tobytes()
-        )
-        digest.update(
-            np.ascontiguousarray(
-                np.asarray(noise_channel.choi(), dtype=np.complex128)
-            ).tobytes()
-        )
-        digest.update(b"1" if noise_after_gate else b"0")
-        return digest.hexdigest()
-
-    @staticmethod
-    def solver_identity(config: SDPConfig | None) -> str:
-        """The solver settings a persisted bound was certified under.
-
-        Every bound is sound, but how tight it is depends on the SDP mode,
-        the iteration cap, the tolerance and the solver itself
-        (:data:`repro.sdp.kernel.SOLVER_VERSION`).  The
-        persistent store binds this string into its key and checks it on
-        load, so a store filled by a looser solver (``mode="fast"``, a lower
-        cap, an older rule) is never served as a tighter solver's answer.
-        """
-        config = config or SDPConfig()
-        return (
-            f"{config.mode}|{config.max_iterations}|{config.tolerance!r}"
-            f"|{SOLVER_VERSION}"
-        )
-
-    def _hash_key(self, key: tuple, fingerprint: str, solver: str) -> str:
-        return hashlib.sha256(
-            repr(key).encode() + fingerprint.encode() + solver.encode()
-        ).hexdigest()
-
-    @staticmethod
-    def expected_problem(
-        gate_matrix: np.ndarray,
-        noise_channel: QuantumChannel,
-        rho_rounded: np.ndarray,
-        delta_effective: float,
-        *,
-        noise_after_gate: bool,
-    ):
-        """Deferred recomputation of the SDP a request actually defines.
-
-        Returns a zero-argument callable (the reductions only run if a disk
-        entry exists) yielding the symmetrised difference-map Choi matrix,
-        the predicate operator, and the constraint bound — the ground truth
-        persisted entries are validated against.
-        """
-
-        def compute():
-            diff_choi, sigma = _reduced_gate_problem(
-                gate_matrix,
-                noise_channel,
-                rho_rounded,
-                noise_after_gate=noise_after_gate,
-            )
-            diff_choi = (diff_choi + diff_choi.conj().T) / 2
-            return diff_choi, sigma, rho_delta_constraint_bound(sigma, delta_effective)
-
-        return compute
-
-    def _persistent_lookup(
-        self,
-        key: tuple,
-        fingerprint: str,
-        solver: str,
-        expected_problem,
-    ) -> DiamondNormBound | None:
-        """Load and validate a disk entry.
-
-        ``expected_problem`` is a zero-argument callable returning the
-        (choi, constraint_operator, constraint_bound) the *request* defines.
-        Never trust the disk: the stored arrays must match the recomputed
-        problem and the certificate must re-verify against the recomputed
-        Choi matrix — an entry that is merely internally consistent (e.g.
-        tampered choi + matching tampered certificate) is rejected.
-        """
-        if self.store_path is None:
-            return None
-        path = os.path.join(
-            self.store_path, self._hash_key(key, fingerprint, solver) + ".npz"
-        )
-        if not os.path.exists(path):
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                if str(data["key_repr"]) != repr(key):
-                    return None
-                if str(data["fingerprint"]) != fingerprint:
-                    return None
-                if str(data["solver"]) != solver:
-                    return None
-                operator = data["constraint_operator"]
-                certificate = DualCertificate(
-                    value=float(data["value"]),
-                    z=data["z"],
-                    y=float(data["y"]),
-                    constraint_operator=None if operator.size == 0 else operator,
-                    constraint_bound=float(data["constraint_bound"]),
-                )
-                choi = data["choi"]
-                # The reported value is reconstructed from the certificate
-                # (exactly as _certify_solutions_batch does), never read from
-                # disk: the certificate is what gets re-verified below, so a
-                # tampered standalone value field could otherwise bypass
-                # validation.
-                bound = DiamondNormBound(
-                    value=max(0.0, certificate.value),
-                    certificate=certificate,
-                    primal_estimate=float(data["primal_estimate"]),
-                    method=str(data["method"]),
-                    choi=None if choi.size == 0 else choi,
-                )
-        except Exception:  # corrupt zip / zlib / shape errors: recompute
-            return None
-        expected_choi, expected_operator, expected_bound_c = expected_problem()
-        use_constraint = expected_operator is not None and expected_bound_c > 0.0
-        if bound.choi is None or bound.choi.shape != expected_choi.shape:
-            return None
-        if not np.allclose(bound.choi, expected_choi, atol=1e-10):
-            return None
-        stored_operator = certificate.constraint_operator
-        if use_constraint:
-            if stored_operator is None or stored_operator.shape != expected_operator.shape:
-                return None
-            if not np.allclose(stored_operator, expected_operator, atol=1e-10):
-                return None
-            if abs(certificate.constraint_bound - expected_bound_c) > 1e-10:
-                return None
-        elif stored_operator is not None and certificate.y != 0.0:
-            return None
-        if not verify_certificate(certificate, expected_choi):
-            return None
-        with self._lock:
-            self._store[key] = bound
-        self.persistent_hits += 1
-        return bound
-
-    def _persistent_save(
-        self,
-        key: tuple,
-        bound: DiamondNormBound,
-        fingerprint: str | None,
-        solver: str,
-    ) -> None:
-        if self.store_path is None or bound.choi is None or fingerprint is None:
-            return
-        operator = bound.certificate.constraint_operator
-        path = os.path.join(
-            self.store_path, self._hash_key(key, fingerprint, solver) + ".npz"
-        )
-        # Unique tmp name: concurrent processes sharing the store directory
-        # must not interleave writes before the atomic publish below.
-        tmp_path = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
-        try:
-            np.savez(
-                tmp_path,
-                key_repr=np.str_(repr(key)),
-                fingerprint=np.str_(fingerprint),
-                solver=np.str_(solver),
-                value=bound.certificate.value,
-                z=bound.certificate.z,
-                y=bound.certificate.y,
-                constraint_operator=(
-                    operator if operator is not None else np.empty(0)
-                ),
-                constraint_bound=bound.certificate.constraint_bound,
-                primal_estimate=bound.primal_estimate,
-                method=np.str_(bound.method),
-                choi=bound.choi,
-            )
-            os.replace(tmp_path + ".npz", path)
-        except OSError:  # pragma: no cover - disk full / permissions
-            try:
-                os.unlink(tmp_path + ".npz")
-            except OSError:
-                pass
-
     # -- mutation ------------------------------------------------------------
-    def insert(
-        self,
-        key: tuple,
-        bound: DiamondNormBound,
-        *,
-        fingerprint: str | None = None,
-        config: SDPConfig | None = None,
-    ) -> None:
-        """Record a bound the scheduler solved under ``config``."""
+    def insert(self, key: tuple, bound: DiamondNormBound) -> None:
+        """Record a bound the scheduler solved."""
         with self._lock:
             self._store[key] = bound
             self.misses += 1
-        self._persistent_save(key, bound, fingerprint, self.solver_identity(config))
 
     def __len__(self) -> int:
         return len(self._store)

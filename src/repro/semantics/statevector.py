@@ -13,7 +13,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..circuits.program import GateOp, Program
+from ..circuits.program import Program
 from ..config import ResourceGuard
 from ..errors import SimulationError
 from ..linalg.states import num_qubits_of, zero_state
@@ -110,7 +110,3 @@ def simulate_statevector(
     """Functional wrapper around :class:`StatevectorSimulator`."""
     sim = StatevectorSimulator(guard)
     return sim.run(program, initial_state=initial_state, num_qubits=num_qubits)
-
-
-def _gate_op_matrix(op: GateOp) -> np.ndarray:  # pragma: no cover - convenience
-    return op.gate.matrix

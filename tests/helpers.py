@@ -22,6 +22,7 @@ __all__ = [
     "RETIRED_CACHE_SWITCH_KEY",
     "RETIRED_CONFIG_KEY",
     "RETIRED_COUNTER_FIELDS",
+    "RETIRED_DISK_CACHE_KEY",
     "RETIRED_DOMINANCE_KEY",
     "RETIRED_JOB_KIND",
     "RETIRED_RESULT_FIELDS",
@@ -47,6 +48,10 @@ RETIRED_CACHE_SWITCH_KEY = RETIRED_SDP_CONFIG_KEY.split("_")[0]
 #: The ``sdp`` config field that once let a bound certified for a larger δ
 #: answer a smaller-δ lookup.
 RETIRED_DOMINANCE_KEY = "_".join(("dominance", "cache"))
+
+#: The ``sdp`` config field that once pointed the bound cache at a directory
+#: of ``.npz`` files shared across runs.
+RETIRED_DISK_CACHE_KEY = "_".join(("persistent", "cache", "path"))
 
 #: The config field that once switched the replay-tape prefix memo.
 RETIRED_TAPE_MEMO_KEY = "_".join(("tape", "memo"))
@@ -106,19 +111,11 @@ def cached_gate_bound(
     """One gate's bound through ``cache``, as the analysis reaches it.
 
     The predicate is quantised with ``quantise_key``; ``peek`` answers from
-    memory or, when the cache has a store, from disk; a miss is solved alone
-    with ``gate_error_bound`` and recorded with ``insert``.
+    memory; a miss is solved alone with ``gate_error_bound`` and recorded
+    with ``insert``.
     """
     key, rho, effective = cache.quantise_key(key_parts, rho_local, delta)
-    fingerprint = expected = None
-    if cache.store_path is not None:
-        fingerprint = cache.problem_fingerprint(
-            gate_matrix, noise_channel, noise_after_gate
-        )
-        expected = cache.expected_problem(
-            gate_matrix, noise_channel, rho, effective, noise_after_gate=noise_after_gate
-        )
-    bound = cache.peek(key, fingerprint, expected, config=config)
+    bound = cache.peek(key)
     if bound is None:
         bound = gate_error_bound(
             gate_matrix,
@@ -128,7 +125,7 @@ def cached_gate_bound(
             noise_after_gate=noise_after_gate,
             config=config,
         )
-        cache.insert(key, bound, fingerprint=fingerprint, config=config)
+        cache.insert(key, bound)
     return bound
 
 

@@ -117,10 +117,10 @@ class TestBatchAndStreaming:
 
     def test_resume_answers_from_store(self, tmp_path):
         circuit = _circuits()[0]
-        store = str(tmp_path / "results.jsonl")
-        with AnalysisSession(config=FAST, store=store) as session:
+        store = str(tmp_path / "outcomes.jsonl")
+        with AnalysisSession(config=FAST, outcomes=store) as session:
             first = session.analyze(circuit, MODEL)
-        with AnalysisSession(config=FAST, store=store, resume=True) as session:
+        with AnalysisSession(config=FAST, outcomes=store) as session:
             second = session.analyze(circuit, MODEL)
             assert second.bound == first.bound
             # Resumed: the engine had nothing left to execute.
@@ -164,14 +164,13 @@ class TestSessionConstruction:
 
         parser = argparse.ArgumentParser()
         add_session_arguments(parser)
-        args = parser.parse_args(
-            ["--workers", "2", "--store", str(tmp_path / "s.jsonl"), "--resume"]
-        )
+        path = str(tmp_path / "s.jsonl")
+        args = parser.parse_args(["--workers", "2", "--outcomes", path])
         with session_from_args(args, config=FAST) as session:
             assert not session.is_remote
             # The engine may clamp to os.cpu_count(); the request is recorded.
             assert session.engine.requested_workers == 2
-            assert session.resume is True
+            assert session.engine.outcomes.path == path
 
 
 class TestExperimentSessions:
@@ -236,38 +235,19 @@ class TestReviewRegressions:
         parser = argparse.ArgumentParser()
         add_session_arguments(parser)
         args = parser.parse_args(
-            ["--remote", "http://127.0.0.1:1", "--workers", "8", "--resume"]
+            ["--remote", "http://127.0.0.1:1", "--workers", "8", "--outcomes", "o.jsonl"]
         )
-        with pytest.raises(EngineError, match="--workers"):
+        with pytest.raises(EngineError, match="--workers, --outcomes"):
             session_from_args(args)
 
-    def test_as_completed_honors_resume_flag(self, tmp_path):
+    def test_as_completed_answers_from_outcome_store(self, tmp_path):
+        """Streaming and batch runs agree: both answer from the outcome store."""
         circuit = _circuits()[0]
-        store = str(tmp_path / "results.jsonl")
-        with AnalysisSession(config=FAST, store=store) as session:
+        store = str(tmp_path / "outcomes.jsonl")
+        with AnalysisSession(config=FAST, outcomes=store) as session:
             session.analyze(circuit, MODEL)  # populate the store
 
-        # resume=False must re-execute on BOTH surfaces.
-        with AnalysisSession(config=FAST, store=store, resume=False) as session:
-            list(session.as_completed([session.job(circuit, MODEL)], timeout=120))
-            assert session._service.resume is False
-            assert session.engine.stats()["last_batch_executed"] == 1
-
-        # resume=True answers from the store on both surfaces.
-        with AnalysisSession(config=FAST, store=store, resume=True) as session:
+        with AnalysisSession(config=FAST, outcomes=store) as session:
             streamed = dict(session.as_completed([session.job(circuit, MODEL)], timeout=120))
             assert streamed[0].certified
             assert session.engine.stats()["last_batch_executed"] is None  # nothing ran
-
-    def test_derivation_path_uses_session_cache_dir(self, tmp_path):
-        circuit = _circuits()[1]
-        cache_dir = str(tmp_path / "bounds")
-        with AnalysisSession(config=FAST, cache_dir=cache_dir) as session:
-            first = session.analyze(circuit, MODEL, derivation=True)
-            assert first.sdp_solves > 0
-        # A fresh session over the same cache answers every bound from disk —
-        # proof the derivation path wrote through the shared persistent cache.
-        with AnalysisSession(config=FAST, cache_dir=cache_dir) as session:
-            warm = session.analyze(circuit, MODEL)
-        assert warm.sdp_solves == 0
-        assert warm.bound == first.bound

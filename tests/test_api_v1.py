@@ -22,6 +22,7 @@ from helpers import (
     MALFORMED_JOB_FIELDS,
     RETIRED_CACHE_SWITCH_KEY,
     RETIRED_CONFIG_KEY,
+    RETIRED_DISK_CACHE_KEY,
     RETIRED_DOMINANCE_KEY,
     RETIRED_JOB_KIND,
     RETIRED_SDP_CONFIG_KEY,
@@ -95,7 +96,7 @@ def _serving(service: AnalysisService):
 
 @pytest.fixture
 def server(tmp_path):
-    engine = AnalysisEngine(workers=1, store=str(tmp_path / "results.jsonl"))
+    engine = AnalysisEngine(workers=1, outcomes=str(tmp_path / "outcomes.jsonl"))
     service = AnalysisService(engine, batch_window=0.02, max_batch=8, max_submit=4)
     with _serving(service) as (base, _httpd):
         yield base, service
@@ -253,6 +254,7 @@ class TestErrorEnvelopes:
             (RETIRED_SDP_CONFIG_KEY, 16, "malformed config payload"),
             (RETIRED_DOMINANCE_KEY, True, "malformed config payload"),
             (RETIRED_CACHE_SWITCH_KEY, False, "malformed config payload"),
+            (RETIRED_DISK_CACHE_KEY, ".bounds", "malformed config payload"),
         ],
     )
     def test_bad_sdp_config_is_a_structured_400(self, server, field, value, message):
@@ -507,7 +509,7 @@ class TestRepeatBodies:
             assert service.batches_run == batches + 1
 
     def test_evicted_job_in_the_result_store_needs_no_decoding(self, tmp_path, decodes):
-        engine = AnalysisEngine(workers=1, store=str(tmp_path / "results.jsonl"))
+        engine = AnalysisEngine(workers=1, outcomes=str(tmp_path / "outcomes.jsonl"))
         service = AnalysisService(engine, batch_window=0.02, max_tracked=2)
         with _serving(service) as (base, httpd):
             first = _wire_body([_job()])

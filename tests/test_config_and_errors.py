@@ -59,16 +59,16 @@ class TestConfig:
 
         ``dataclasses.replace`` alone keeps the same ``SDPConfig`` and
         ``ResourceGuard`` instances in the copy; the engine mutates per-worker
-        copies (cache paths, budgets), so sharing would corrupt sibling jobs.
+        copies (budgets), so sharing would corrupt sibling jobs.
         """
         config = AnalysisConfig()
         copy = config.replace(mps_width=4)
         assert copy.sdp is not config.sdp
         assert copy.guard is not config.guard
 
-        copy.sdp.persistent_cache_path = "/tmp/engine-cache"
+        copy.sdp.cache_decimals = 3
         copy.guard.max_seconds = 0.5
-        assert config.sdp.persistent_cache_path is None
+        assert config.sdp.cache_decimals == 6
         assert config.guard.max_seconds is None
 
         # Explicit nested replacements are used as-is.

@@ -1,6 +1,8 @@
-"""Tests for the whole-outcome cache: store semantics, corruption paths,
-engine/session/service wiring, and on-demand certificate re-verification."""
+"""Tests for the outcome store: store semantics, corruption paths, the legacy
+result log, engine/session/service wiring, and on-demand certificate
+re-verification."""
 
+import dataclasses
 import itertools
 import json
 import os
@@ -377,6 +379,61 @@ class TestOnDiskFormat:
             assert outcome_record_line(result, raw) == canonical_json(expected)
         assert store.stats()["verification_failures"] == 0
         assert path.read_text(encoding="utf-8") == original
+
+    def test_legacy_result_log_reloads_and_is_never_verified(self, tmp_path):
+        """A results.jsonl of the old result store is an outcome log of
+        legacy entries: plain get() answers its ok records, get(verify=True)
+        misses, a later failure line drops an earlier entry, and all of this
+        holds after a compaction rewrites the log."""
+        path = tmp_path / "results.jsonl"
+        shutil.copy(FIXTURES / "results_v1.jsonl", path)
+        latest = {}
+        for line in path.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)  # later lines win
+            latest[record["fingerprint"]] = record
+        ok = {fp: record for fp, record in latest.items() if record["status"] == "ok"}
+        assert len(ok) == 2 and "bb22" not in ok
+
+        def check(store):
+            assert store.skipped_lines == 0
+            assert store.get("bb22") is None  # failures re-run
+            for fingerprint, record in ok.items():
+                for key in RETIRED_RESULT_FIELDS + RETIRED_COUNTER_FIELDS:
+                    record.pop(key, None)
+                assert store.get(fingerprint) == JobResult.from_json_dict(record)
+                assert store.get(fingerprint, verify=True) is None
+                assert store.certificates(fingerprint) == []
+                assert store.get(fingerprint) is not None  # still served
+
+        store = OutcomeStore(str(path))
+        assert len(store) == 2
+        check(store)
+        assert store.stats()["verification_failures"] == 0
+        assert store.get("aa11").error_bound == 0.125
+
+        # The 64th put leaves 68 lines for 3 live entries: past live + 64, so
+        # the log is compacted.
+        for _ in range(64):
+            store.put(_result("other"))
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert len(records) == 3
+        # Legacy entries are written back as bare result lines.
+        assert sorted(r["fingerprint"] for r in records if "kind" not in r) == sorted(ok)
+        check(store)
+        reopened = OutcomeStore(str(path))
+        assert len(reopened) == 3
+        check(reopened)
+        assert reopened.get("other", verify=True) == _result("other")
+
+        # A verified put replaces a legacy entry.
+        job = _small_jobs()[0]
+        result, certificates = _executed(job)
+        legacy = dataclasses.replace(result, elapsed_seconds=1.0)
+        path.write_text(canonical_json(legacy.to_json_dict()) + "\n", encoding="utf-8")
+        upgraded = OutcomeStore(str(path))
+        assert upgraded.get(result.fingerprint, verify=True) is None
+        upgraded.put(result, certificates)
+        assert OutcomeStore(str(path)).get(result.fingerprint, verify=True) == result
 
     def test_rewrite_fsyncs_the_directory(self, tmp_path, monkeypatch):
         """Compaction's rename is made durable by a directory fsync."""

@@ -6,9 +6,9 @@ from helpers import random_circuit
 
 from repro.circuits import Circuit
 from repro.config import AnalysisConfig, ResourceGuard, SDPConfig
+from repro.engine.outcomes import OutcomeStore
 from repro.engine.pool import AnalysisEngine, execute_job
 from repro.engine.spec import AnalysisJob
-from repro.engine.store import ResultStore
 from repro.noise import NoiseModel
 
 FAST = AnalysisConfig(mps_width=4, sdp=SDPConfig(max_iterations=200, tolerance=1e-4))
@@ -116,38 +116,38 @@ class TestEngineSharding:
 
 class TestEngineStoreIntegration:
     def test_results_recorded_and_resumed(self, tmp_path):
-        store_path = str(tmp_path / "results.jsonl")
+        store_path = str(tmp_path / "outcomes.jsonl")
         jobs = _small_jobs()
-        first = AnalysisEngine(workers=1, store=store_path).run(jobs)
+        first = AnalysisEngine(workers=1, outcomes=store_path).run(jobs)
         assert first.executed == 3
 
-        resumed = AnalysisEngine(workers=1, store=store_path).run(jobs, resume=True)
+        resumed = AnalysisEngine(workers=1, outcomes=store_path).run(jobs)
         assert resumed.executed == 0
-        assert resumed.resumed == 3
+        assert resumed.outcome_hits == 3
         assert [r.error_bound for r in resumed.results] == [
             r.error_bound for r in first.results
         ]
 
     def test_resume_after_kill_runs_only_missing_jobs(self, tmp_path):
         """A sweep killed mid-run re-executes exactly the jobs it lost."""
-        store_path = str(tmp_path / "results.jsonl")
+        store_path = str(tmp_path / "outcomes.jsonl")
         jobs = _small_jobs()
-        # Simulate the kill: only the first job's result ever reached the store.
-        AnalysisEngine(workers=1, store=store_path).run(jobs[:1])
+        # Simulate the kill: only the first job's outcome ever reached the store.
+        AnalysisEngine(workers=1, outcomes=store_path).run(jobs[:1])
         with open(store_path, "a", encoding="utf-8") as handle:
-            handle.write('{"fingerprint": "truncat')  # line cut by the kill
+            handle.write('{"kind": "analysis_outc')  # line cut by the kill
 
-        engine = AnalysisEngine(workers=1, store=store_path)
-        report = engine.run(jobs, resume=True)
-        assert report.resumed == 1
+        engine = AnalysisEngine(workers=1, outcomes=store_path)
+        report = engine.run(jobs)
+        assert report.outcome_hits == 1
         assert report.executed == 2
         assert report.ok
         # The store now answers the whole sweep.
-        final = AnalysisEngine(workers=1, store=store_path).run(jobs, resume=True)
-        assert final.executed == 0 and final.resumed == 3
+        final = AnalysisEngine(workers=1, outcomes=store_path).run(jobs)
+        assert final.executed == 0 and final.outcome_hits == 3
 
     def test_resume_retries_failures(self, tmp_path):
-        store_path = str(tmp_path / "results.jsonl")
+        store_path = str(tmp_path / "outcomes.jsonl")
         job = _small_jobs()[0]
         impossible = AnalysisJob(
             program=job.program,
@@ -156,37 +156,23 @@ class TestEngineStoreIntegration:
             num_qubits=job.num_qubits,
             name=job.name,
         )
-        first = AnalysisEngine(workers=1, store=store_path).run([impossible])
+        first = AnalysisEngine(workers=1, outcomes=store_path).run([impossible])
         assert not first.ok
+        assert len(OutcomeStore(store_path)) == 0  # failures are never stored
         # Same fingerprint (budgets are execution knobs), so a healthy re-run
-        # under resume re-executes and replaces the failure record.
-        second = AnalysisEngine(workers=1, store=store_path).run([job], resume=True)
+        # re-executes and stores the outcome.
+        second = AnalysisEngine(workers=1, outcomes=store_path).run([job])
         assert second.executed == 1 and second.ok
-        assert ResultStore(store_path).completed(job.fingerprint())
-
-    def test_without_resume_flag_store_still_records(self, tmp_path):
-        store_path = str(tmp_path / "results.jsonl")
-        jobs = _small_jobs()[:2]
-        AnalysisEngine(workers=1, store=store_path).run(jobs)
-        report = AnalysisEngine(workers=1, store=store_path).run(jobs)  # no resume
-        assert report.executed == 2  # recomputed, not answered from the store
+        assert OutcomeStore(store_path).get(job.fingerprint(), verify=True) is not None
 
 
 class TestSharedBoundCache:
-    def test_cache_dir_warms_second_run_without_changing_bounds(self, tmp_path):
-        cache_dir = str(tmp_path / "bounds")
-        jobs = [_job(random_circuit(3, 20, seed=9), name="warmable")]
-        cold = AnalysisEngine(workers=1, cache_dir=cache_dir).run(jobs)
-        warm = AnalysisEngine(workers=1, cache_dir=cache_dir).run(jobs)
-        assert cold.ok and warm.ok
-        assert warm.results[0].error_bound == cold.results[0].error_bound
-        assert warm.results[0].sdp_solves == 0  # every bound answered from disk
-        assert cold.results[0].sdp_solves > 0
+    """Each job solves against its own cache under a private config copy:
+    the engine's per-run overrides never leak into the job."""
 
-    def test_engine_does_not_mutate_job_config(self, tmp_path):
+    def test_engine_does_not_mutate_job_config(self):
         job = _small_jobs()[0]
-        AnalysisEngine(workers=1, cache_dir=str(tmp_path / "bounds")).run([job])
-        assert job.config.sdp.persistent_cache_path is None
+        AnalysisEngine(workers=1).run([job])
         assert job.config.collect_derivation is True
 
 

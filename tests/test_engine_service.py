@@ -32,7 +32,7 @@ def _payload(name: str = "ghz2", *, num_qubits: int = 2) -> dict:
 
 @pytest.fixture
 def service(tmp_path):
-    engine = AnalysisEngine(workers=1, store=str(tmp_path / "results.jsonl"))
+    engine = AnalysisEngine(workers=1, outcomes=str(tmp_path / "outcomes.jsonl"))
     service = AnalysisService(engine, batch_window=0.02, max_batch=8)
     service.start()
     yield service
@@ -83,9 +83,9 @@ class TestAnalysisService:
         second = service.submit_payload(_payload())
         assert first["fingerprint"] == second["fingerprint"]
         service.wait(first["fingerprint"], timeout=60)
-        assert service.engine.store is not None
-        # One execution: the store holds exactly one record for the pair.
-        assert len(service.engine.store.results()) == 1
+        assert service.engine.outcomes is not None
+        # One execution: the store holds exactly one outcome for the pair.
+        assert len(service.engine.outcomes) == 1
 
     def test_completed_store_answers_resubmission(self, service):
         entry = service.submit_payload(_payload())
@@ -110,10 +110,30 @@ class TestAnalysisService:
         service.wait(second["fingerprint"], timeout=60)
         # The cap evicted the older finished entry from memory…
         assert len(service._status) <= 1
-        # …but its status is still answerable via the result store.
+        # …but its status is still answerable via the outcome store.
         entry = service.status(first["fingerprint"])
         assert entry is not None and entry["status"] == "done"
         assert entry["result"]["error_bound"] > 0
+
+    def test_evicted_failure_is_unknown_and_runs_again(self, service, monkeypatch):
+        """Failures are never stored, so an evicted one is forgotten."""
+        real_run = service.engine.run
+
+        def fail_once(jobs):
+            monkeypatch.setattr(service.engine, "run", real_run)
+            raise RuntimeError("injected engine failure")
+
+        monkeypatch.setattr(service.engine, "run", fail_once)
+        service.max_tracked = 1
+        failed = service.submit_payload(_payload("one", num_qubits=2))
+        assert service.wait(failed["fingerprint"], timeout=60)["status"] == "failed"
+        other = service.submit_payload(_payload("two", num_qubits=3))
+        service.wait(other["fingerprint"], timeout=60)
+        assert service.status(failed["fingerprint"]) is None
+        assert service.wait_any({failed["fingerprint"]}, timeout=0.0) is None
+        again = service.submit_payload(_payload("one", num_qubits=2))
+        assert again["status"] == "queued"
+        assert service.wait(again["fingerprint"], timeout=60)["status"] == "done"
 
 
 class TestHTTPAPI:

@@ -305,7 +305,6 @@ class TestAnalysisJob:
             num_qubits=job.num_qubits,
             name="other-name",
         )
-        tweaked.config.sdp.persistent_cache_path = "/tmp/somewhere"
         assert tweaked.fingerprint() == job.fingerprint()
 
     def test_fingerprint_tracks_semantic_fields(self):

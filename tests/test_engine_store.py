@@ -1,5 +1,12 @@
-"""Tests for the JSONL result store: persistence, resume filtering, robustness,
-the on-disk format, and the rejection of URL-style store arguments."""
+"""Tests for the JSONL log under the outcome store: persistence, resume
+filtering, robustness, the on-disk format, and the rejection of URL-style
+store arguments.
+
+The cases were written for the result store that the outcome store replaced;
+they run against :class:`~repro.engine.outcomes.OutcomeStore` and its line
+log.  An outcome store keeps only successful results, so "resume filtering"
+means that failed and unknown fingerprints are misses.
+"""
 
 import json
 import os
@@ -11,9 +18,9 @@ import pytest
 
 from helpers import RETIRED_COUNTER_FIELDS, RETIRED_RESULT_FIELDS
 
-from repro.engine.outcomes import OutcomeStore
+from repro.api import AnalysisSession
+from repro.engine.outcomes import OutcomeStore, _JsonlLog, outcome_record_line
 from repro.engine.spec import JobResult, canonical_json
-from repro.engine.store import ResultStore
 from repro.errors import StorageBackendError, error_envelope, error_from_envelope
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -36,77 +43,80 @@ def _result(fp: str, status: str = "ok", bound: float = 0.1) -> JobResult:
     return JobResult(fingerprint=fp, name=f"job-{fp}", status=status, error_bound=bound)
 
 
+def _missing(store: OutcomeStore, fingerprints: list[str]) -> list[str]:
+    """The fingerprints a sweep over ``store`` would still execute."""
+    return [fp for fp in fingerprints if store.get(fp) is None]
+
+
 class TestResultStore:
     def test_put_get_across_instances(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        store = ResultStore(str(path))
+        store = OutcomeStore(str(path))
         store.put(_result("aa", bound=0.5))
         store.put(_result("bb", status="error", bound=None))
 
-        reloaded = ResultStore(str(path))
-        assert len(reloaded) == 2
+        reloaded = OutcomeStore(str(path))
+        assert len(reloaded) == 1
         assert reloaded.get("aa").error_bound == 0.5
-        assert reloaded.completed("aa")
-        assert not reloaded.completed("bb")  # errors re-run under resume
-        assert not reloaded.completed("cc")
+        assert _missing(reloaded, ["aa", "bb", "cc"]) == ["bb", "cc"]  # errors re-run
 
     def test_put_get_reload_roundtrip(self, tmp_path):
         path = str(tmp_path / "results.jsonl")
-        store = ResultStore(path)
+        store = OutcomeStore(path)
         assert len(store) == 0
         results = [_result(f"fp{i:02d}") for i in range(8)]
-        store.put_many(results)
+        for result in results:
+            store.put(result)
         assert len(store) == 8
         assert "fp03" in store
         assert store.get("fp03") == results[3]
-        assert store.completed("fp03")
-        assert store.missing(["fp00", "fpXX"]) == ["fpXX"]
+        assert _missing(store, ["fp00", "fpXX"]) == ["fpXX"]
 
-        reloaded = ResultStore(path)  # a "new process" over the same file
+        reloaded = OutcomeStore(path)  # a "new process" over the same file
         assert len(reloaded) == 8
-        assert reloaded.results() == {r.fingerprint: r for r in results}
+        assert [reloaded.get(r.fingerprint) for r in results] == results
 
     def test_later_lines_win(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        store = ResultStore(str(path))
-        store.put(_result("aa", status="timeout", bound=None))
-        store.put(_result("aa", status="ok", bound=0.25))
-        reloaded = ResultStore(str(path))
-        assert reloaded.completed("aa")
+        store = OutcomeStore(str(path))
+        store.put(_result("aa", bound=0.5))
+        store.put(_result("aa", bound=0.25))
+        reloaded = OutcomeStore(str(path))
+        assert len(reloaded) == 1
         assert reloaded.get("aa").error_bound == 0.25
 
     def test_missing_filter(self, tmp_path):
-        store = ResultStore(str(tmp_path / "results.jsonl"))
+        store = OutcomeStore(str(tmp_path / "results.jsonl"))
         store.put(_result("aa"))
         store.put(_result("bb", status="timeout"))
-        assert store.missing(["aa", "bb", "cc"]) == ["bb", "cc"]
+        assert _missing(store, ["aa", "bb", "cc"]) == ["bb", "cc"]
 
     def test_truncated_trailing_line_skipped(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        store = ResultStore(str(path))
+        store = OutcomeStore(str(path))
         store.put(_result("aa"))
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"fingerprint": "bb", "name": "half')  # killed mid-append
-        reloaded = ResultStore(str(path))
+            handle.write('{"version": 1, "kind": "analysis_outc')  # killed mid-append
+        reloaded = OutcomeStore(str(path))
         assert len(reloaded) == 1
         assert reloaded.skipped_lines == 1
         # The store stays appendable after the bad line.
         reloaded.put(_result("cc"))
-        assert ResultStore(str(path)).completed("cc")
+        assert OutcomeStore(str(path)).get("cc") is not None
 
     def test_later_writes_supersede(self, tmp_path):
         path = str(tmp_path / "results.jsonl")
-        store = ResultStore(path)
+        store = OutcomeStore(path)
         store.put(_result("fp", status="timeout", bound=None))
-        assert not store.completed("fp")
+        assert store.get("fp") is None
         store.put(_result("fp"))  # a bigger budget succeeded later
-        assert store.completed("fp")
-        reloaded = ResultStore(path)
-        assert reloaded.completed("fp") and len(reloaded) == 1
+        assert store.get("fp") is not None
+        reloaded = OutcomeStore(path)
+        assert reloaded.get("fp") is not None and len(reloaded) == 1
 
     def test_nested_directory_created(self, tmp_path):
         path = tmp_path / "deep" / "dir" / "results.jsonl"
-        ResultStore(str(path)).put(_result("aa"))
+        OutcomeStore(str(path)).put(_result("aa"))
         assert path.exists()
 
 
@@ -114,13 +124,11 @@ class TestResultStoreConcurrency:
     def test_put_and_completed_hammered_from_two_threads(self, tmp_path):
         """Reads must hold the lock while the service batcher thread writes.
 
-        Regression test for the unlocked read paths: one thread appends
-        results while another hammers the read API; without locking this
-        races a mutating dict and can raise or return torn state.
+        One thread appends results while another hammers the read API;
+        without locking this races a mutating dict and can raise or return
+        torn state.
         """
-        import threading
-
-        store = ResultStore(str(tmp_path / "results.jsonl"))
+        store = OutcomeStore(str(tmp_path / "results.jsonl"))
         total = 200
         errors = []
         done = threading.Event()
@@ -137,11 +145,11 @@ class TestResultStoreConcurrency:
         def reader():
             try:
                 while not done.is_set():
-                    store.completed("fp0000")
+                    store.get("fp0000")
                     store.get("fp0199")
                     "fp0100" in store
                     len(store)
-                    store.missing(["fp0000", "missing"])
+                    store.stats()
             except Exception as exc:  # pragma: no cover - the failure mode
                 errors.append(exc)
 
@@ -152,11 +160,11 @@ class TestResultStoreConcurrency:
             thread.join(timeout=60)
         assert not errors
         assert len(store) == total
-        assert store.completed("fp0000") and store.completed(f"fp{total - 1:04d}")
+        assert store.get("fp0000") and store.get(f"fp{total - 1:04d}")
 
     def test_concurrent_access(self, tmp_path):
         """Eight threads writing and reading through the one store lock."""
-        store = ResultStore(str(tmp_path / "results.jsonl"))
+        store = OutcomeStore(str(tmp_path / "results.jsonl"))
         errors = []
 
         def worker(base: int) -> None:
@@ -165,7 +173,7 @@ class TestResultStoreConcurrency:
                     store.put(_result(f"fp{base:02d}{i:02d}"))
                     assert store.get(f"fp{base:02d}{i:02d}") is not None
                     len(store)
-                    store.results()
+                    store.stats()
             except Exception as exc:  # pragma: no cover - only on regression
                 errors.append(exc)
 
@@ -176,65 +184,66 @@ class TestResultStoreConcurrency:
             thread.join(timeout=60)
         assert not errors
         assert len(store) == 8 * 25
-        assert len(ResultStore(store.path)) == 8 * 25
+        assert len(OutcomeStore(store.path)) == 8 * 25
 
     def test_put_many_single_append(self, tmp_path, monkeypatch):
-        """put_many writes one payload with one fsync, and stays loadable."""
+        """Many lines go to disk with one fsync, and stay loadable."""
         path = tmp_path / "results.jsonl"
-        store = ResultStore(str(path))
+        log = _JsonlLog(str(path))
         fsyncs = []
         real_fsync = os.fsync
         monkeypatch.setattr(
             os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))
         )
-        store.put_many([_result(f"fp{i}") for i in range(25)])
+        log.append([outcome_record_line(_result(f"fp{i}"), []) for i in range(25)])
         assert len(fsyncs) == 1
-        reloaded = ResultStore(str(path))
+        reloaded = OutcomeStore(str(path))
         assert len(reloaded) == 25
-        assert all(reloaded.completed(f"fp{i}") for i in range(25))
+        assert all(reloaded.get(f"fp{i}", verify=True) for i in range(25))
 
     def test_put_many_heals_truncated_tail_first(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        ResultStore(str(path)).put(_result("aa"))
+        OutcomeStore(str(path)).put(_result("aa"))
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"fingerprint": "bb", "name": "half')  # killed mid-append
-        store = ResultStore(str(path))
-        store.put_many([_result("cc"), _result("dd")])
-        reloaded = ResultStore(str(path))
-        assert reloaded.completed("cc") and reloaded.completed("dd")
+            handle.write('{"version": 1, "kind": "analysis_outc')  # killed mid-append
+        store = OutcomeStore(str(path))
+        store.put(_result("cc"))
+        store.put(_result("dd"))
+        reloaded = OutcomeStore(str(path))
+        assert reloaded.get("cc") and reloaded.get("dd")
         assert reloaded.skipped_lines == 1
 
     def test_put_many_empty_is_noop(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        store = ResultStore(str(path))
-        store.put_many([])
+        _JsonlLog(str(path)).append([])
         assert not path.exists() or path.read_text() == ""
+        assert len(OutcomeStore(str(path))) == 0
 
 
 class TestOnDiskFormat:
     def test_earlier_log_reloads_identically(self, tmp_path):
-        """A results.jsonl written by an earlier release of the store loads
-        with the same records, and re-serializes to the same bytes less the
-        empty fields of the removed comparison jobs and the always-0
-        dominance counter."""
+        """A results.jsonl written by the earlier result store loads with the
+        same records, re-serializes to the same bytes less the empty fields
+        of the removed comparison jobs and the always-0 dominance counter, and
+        is left untouched by loading."""
         path = tmp_path / "results.jsonl"
         shutil.copy(FIXTURES / "results_v1.jsonl", path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        store = ResultStore(str(path))
+        store = OutcomeStore(str(path))
         assert store.skipped_lines == 0
-        assert len(store) == 3
         latest = {}
         for line in lines:  # later lines win
             record = json.loads(line)
             latest[record["fingerprint"]] = line
-        assert sorted(store.results()) == sorted(latest)
-        for fingerprint, line in latest.items():
+        ok = {fp: line for fp, line in latest.items() if json.loads(line)["status"] == "ok"}
+        assert len(store) == len(ok) == 2
+        for fingerprint, line in ok.items():
             record = json.loads(line)
             assert {record.pop(key) for key in RETIRED_RESULT_FIELDS} <= {"", None}
             assert {record.pop(key) for key in RETIRED_COUNTER_FIELDS} == {0}
             assert canonical_json(store.get(fingerprint).to_json_dict()) == canonical_json(record)
-        assert store.completed("aa11") and store.get("aa11").error_bound == 0.125
-        assert not store.completed("bb22")
+        assert store.get("aa11").error_bound == 0.125
+        assert store.get("bb22") is None
         assert path.read_text(encoding="utf-8").splitlines() == lines
 
 
@@ -244,14 +253,14 @@ class TestStorageBackendError:
     @URL_ARGUMENTS
     def test_error_carries_the_scheme(self, url, scheme):
         with pytest.raises(StorageBackendError) as excinfo:
-            ResultStore(url)
+            OutcomeStore(url)
         assert excinfo.value.scheme == scheme
         assert "JSONL" in str(excinfo.value)
 
     def test_envelope_roundtrip_preserves_the_class(self):
         """The /v1 400 envelope reconstructs as StorageBackendError."""
         try:
-            ResultStore("redis://localhost:6379/0")
+            OutcomeStore("redis://localhost:6379/0")
         except StorageBackendError as exc:
             envelope = error_envelope(exc, status=400)
         entry = envelope["error"]
@@ -267,23 +276,21 @@ class TestStorageBackendError:
     def test_facades_reject_unknown_schemes(self, url, scheme, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(StorageBackendError):
-            ResultStore(url)
-        with pytest.raises(StorageBackendError):
             OutcomeStore(url)
+        with pytest.raises(StorageBackendError):
+            AnalysisSession(outcomes=url)
         assert os.listdir(tmp_path) == []  # nothing was created
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(StorageBackendError, match="postgres"):
-            ResultStore("postgres://nope")
         with pytest.raises(StorageBackendError, match="postgres"):
             OutcomeStore("postgres://nope")
 
     @URL_ARGUMENTS
     def test_gleipnir_serve_exits_2_with_one_line(self, url, scheme, capsys):
-        """A URL-style --store is an operator error, not a traceback."""
+        """A URL-style --outcomes is an operator error, not a traceback."""
         from repro.engine.service import main
 
-        assert main(["--store", url, "--port", "0"]) == 2
+        assert main(["--outcomes", url, "--port", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("gleipnir-serve: ")
         assert f"{scheme}://" in captured.err

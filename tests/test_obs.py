@@ -236,7 +236,7 @@ class TestWorkerMerge:
         # adaptive_workers would clamp to the CPU count (1 on small CI
         # runners) and execute inline; the point here is the pool path.
         engine = AnalysisEngine(
-            workers=4, store=str(tmp_path / "results.jsonl"), adaptive_workers=False
+            workers=4, outcomes=str(tmp_path / "outcomes.jsonl"), adaptive_workers=False
         )
         with obs_metrics.scoped() as registry, collecting() as collector:
             report = engine.run(jobs)
@@ -255,7 +255,7 @@ class TestWorkerMerge:
             assert entry.start >= 0
 
     def test_job_results_carry_timings(self, tmp_path):
-        engine = AnalysisEngine(workers=1, store=str(tmp_path / "results.jsonl"))
+        engine = AnalysisEngine(workers=1, outcomes=str(tmp_path / "outcomes.jsonl"))
         report = engine.run([_job("timed")])
         timings = report.results[0].timings
         assert timings["total_seconds"] > 0
@@ -268,7 +268,7 @@ class TestWorkerMerge:
 
 @pytest.fixture
 def server(tmp_path):
-    engine = AnalysisEngine(workers=1, store=str(tmp_path / "results.jsonl"))
+    engine = AnalysisEngine(workers=1, outcomes=str(tmp_path / "outcomes.jsonl"))
     service = AnalysisService(engine, batch_window=0.02, max_batch=8, max_submit=4)
     service.start()
     httpd = make_server(service, "127.0.0.1", 0)

@@ -46,7 +46,7 @@ def _raise_fd_limit(needed: int) -> None:
 @pytest.fixture
 def cold_server(tmp_path):
     """A server whose batcher is NOT running: submissions stay queued."""
-    engine = AnalysisEngine(workers=1, store=str(tmp_path / "results.jsonl"))
+    engine = AnalysisEngine(workers=1, outcomes=str(tmp_path / "outcomes.jsonl"))
     service = AnalysisService(engine, batch_window=0.02, max_batch=8)
     httpd = make_server(service, "127.0.0.1", 0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
