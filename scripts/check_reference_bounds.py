@@ -11,6 +11,12 @@ a passing run shows the solver swap made no bound looser::
     python scripts/check_reference_bounds.py                 # every pinned seed + Table 2
     python scripts/check_reference_bounds.py --seeds 7       # one seed, no Table 2 rows
     python scripts/check_reference_bounds.py --write out.json  # record this tree's bounds
+    python scripts/check_reference_bounds.py --compare parent.json  # and diff with a --write file
+
+``--compare`` takes a ``--write`` file from another tree (typically the
+parent commit) and prints how many of the shared bounds got tighter, stayed
+equal or got looser, with the five largest relative moves each way; the
+check against the pinned values runs as without it.
 
 Exit code 0 means every bound is at most its pinned value.
 """
@@ -70,11 +76,51 @@ def table2_reduced_bounds() -> dict[str, float]:
     }
 
 
+def labelled_bounds(measured: dict) -> dict[str, float]:
+    """Every bound of a measurement (or ``--write`` file) under a readable label."""
+    labelled = {
+        f"seed {seed} circuit {index}": bound
+        for seed, bounds in measured["reference_cold"].items()
+        for index, bound in enumerate(bounds)
+    }
+    labelled.update(
+        {f"table2 {name}": bound for name, bound in measured["table2_reduced"].items()}
+    )
+    return labelled
+
+
+def print_comparison(measured: dict, baseline: dict, shown: int = 5) -> None:
+    """Tighter/equal/looser counts against ``baseline`` and the largest moves."""
+    ours, theirs = labelled_bounds(measured), labelled_bounds(baseline)
+    moves = {
+        label: (theirs[label], bound, (bound - theirs[label]) / theirs[label])
+        for label, bound in ours.items()
+        if label in theirs
+    }
+    tighter = sorted((m for m in moves.items() if m[1][1] < m[1][0]), key=lambda m: m[1][2])
+    looser = sorted((m for m in moves.items() if m[1][1] > m[1][0]), key=lambda m: -m[1][2])
+    equal = len(moves) - len(tighter) - len(looser)
+    print(
+        f"compared {len(moves)} bounds: {len(tighter)} tighter, {equal} equal, "
+        f"{len(looser)} looser"
+    )
+    for title, side in (("tighter", tighter), ("looser", looser)):
+        if side:
+            print(f"largest {title} (relative move):")
+        for label, (old, new, relative) in side[:shown]:
+            print(f"  {label}: {old!r} -> {new!r} ({relative:+.3e})")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
     parser.add_argument(
         "--write", metavar="PATH", help="write this tree's bounds to PATH instead of checking"
+    )
+    parser.add_argument(
+        "--compare",
+        metavar="PATH",
+        help="also compare this tree's bounds with a --write file (e.g. from the parent commit)",
     )
     args = parser.parse_args(argv)
     table2 = args.write is not None or sorted(args.seeds) == sorted(SEEDS)
@@ -85,6 +131,8 @@ def main(argv: list[str] | None = None) -> int:
         "table2_reduced": table2_reduced_bounds() if table2 else {},
     }
     seconds = time.perf_counter() - start
+    if args.compare:
+        print_comparison(measured, json.loads(Path(args.compare).read_text()))
     if args.write:
         Path(args.write).write_text(json.dumps(measured, indent=1) + "\n")
         print(f"wrote {args.write} in {seconds:.1f} s")

@@ -54,6 +54,7 @@ from .certificates import (
 )
 from .kernel import (
     PackedSDP,
+    _from_eigen,
     get_layout,
     ipm_solve_packed_batch,
     pack_hermitian_stack,
@@ -121,6 +122,19 @@ class DiamondNormBound:
 _FACE_MARGIN = 1e-12
 
 
+@dataclasses.dataclass
+class _CapScaledSDP(PackedSDP):
+    """A constrained template problem posed in cap-scaled variables.
+
+    The solver iterates on ``W′, S′, ρ′`` with ``W = K W′ K``, ``S = K S′ K``
+    and ``ρ = T ρ′ T`` for ``K = I ⊗ T`` (see
+    :meth:`_ShapeTemplate.instantiate_batch`).  ``unscale`` is ``K⁻¹``, which
+    maps the solver's dual blocks back to the original problem's.
+    """
+
+    unscale: np.ndarray
+
+
 class _ShapeTemplate:
     """Everything about Eq. (2) that depends only on the problem *shape*.
 
@@ -136,8 +150,8 @@ class _ShapeTemplate:
     packed layout are data-independent.  A template assembles them once;
     :meth:`instantiate_batch` then produces ready-to-iterate
     :class:`PackedSDP` problems for concrete (Choi, predicate) pairs by
-    writing the data vectors and, when constrained, appending the single
-    predicate row.
+    writing the data vectors and, when constrained, appending the predicate
+    row and rewriting the trace row for the cap scaling.
 
     Templates are immutable shape data, so solves stay deterministic and
     independent of call order.
@@ -181,21 +195,36 @@ class _ShapeTemplate:
     ) -> list[PackedSDP]:
         """Ready-to-iterate packed problems for a whole solve class.
 
-        The objective vectors (and, when constrained, the predicate rows) of
-        all requests are written with one batched pack
+        The objective vectors (and, when constrained, the trace and predicate
+        rows) of all requests are written with one batched pack
         (:func:`repro.sdp.kernel.pack_hermitian_stack`, the exact elementwise
         operations of ``hvec``), so instantiation does no per-request Python
         matrix work.
+
+        A constrained problem is posed in cap-scaled variables
+        (:class:`_CapScaledSDP`).  With ``Q = V diag(λ) V†`` and ``b`` the
+        bound it is solved at, the states with ``tr(Qρ) ≥ b`` and unit trace
+        hold at most ``wᵢ = (λ_max − b)/(λ_max − λᵢ)`` of their weight along
+        eigenvector ``i``.  For a nearly pure ρ̂ and δ ≈ 0 that width is
+        ~1e-6 or less, and the iterates stall against the cap's far wall.
+        Substituting ``ρ = T ρ′ T``, ``W = K W′ K``, ``S = K S′ K`` with
+        ``T = V diag(√min(1, wᵢ)) V†`` and ``K = I ⊗ T`` gives the cap unit
+        width.  The coupling rows (E1) are unchanged, because
+        ``I ⊗ ρ − W − S = K (I ⊗ ρ′ − W′ − S′) K``.  Only the objective
+        ``K J K``, the trace row ``⟨T², ρ′⟩ = 1`` and the predicate row
+        ``⟨TQT, ρ′⟩ − t = b`` change.  Every constrained problem is scaled:
+        where the cap does not bind, ``wᵢ ≥ 1`` and ``T`` is exactly ``I``,
+        so no width threshold is needed.
         """
         count = len(scaled_chois)
+        chois = np.stack(scaled_chois)
         c = np.zeros((count, self.n))
-        c[:, : self.bb] = -pack_hermitian_stack(np.stack(scaled_chois))
         if not self.use_constraint:
+            c[:, : self.bb] = -pack_hermitian_stack(chois)
             return [
                 PackedSDP(a=self.a_shape, b=self.b_shape, c=c[index], layout=self.layout)
                 for index in range(count)
             ]
-        # (E3)  tr(Q rho) - t = c: the only data-dependent row.
         checked = []
         for operator in operators:
             operator = np.asarray(operator, dtype=np.complex128)
@@ -206,26 +235,50 @@ class _ShapeTemplate:
                 )
             checked.append(operator)
         operators = np.stack(checked)
-        rows = np.zeros((count, self.n))
-        rho = slice(2 * self.bb, 2 * self.bb + self.dim * self.dim)
-        rows[:, rho] = pack_hermitian_stack(operators)
-        rows[:, -1] = -1.0
-        a = np.concatenate(
-            [np.broadcast_to(self.a_shape, (count,) + self.a_shape.shape), rows[:, None]],
-            axis=1,
-        )
-        b = np.zeros((count, self.b_shape.size + 1))
-        b[:, :-1] = self.b_shape
+        operators = (operators + operators.conj().swapaxes(-1, -2)) / 2
+        eigenvalues, eigenvectors = np.linalg.eigh(operators)
+        top = eigenvalues[:, -1]
         # A bound at the top of Q's spectrum leaves only a face of ρ's cone
         # feasible, with no strictly feasible point, and rounding decides
         # whether that face is a sliver, a single state or empty.  Such bounds
         # are solved a relative _FACE_MARGIN below λ_max(Q).  Certification
         # checks the requested bound, so this changes only which dual point
         # the solver hands it.
-        top = np.linalg.eigvalsh((operators + operators.conj().swapaxes(-1, -2)) / 2)[:, -1]
-        b[:, -1] = np.minimum(bounds_c, (1.0 - _FACE_MARGIN) * top)
+        bound = np.minimum(bounds_c, (1.0 - _FACE_MARGIN) * top)
+        width = (top - bound)[:, None]
+        gap = top[:, None] - eigenvalues
+        # A cap with no interior (λ_max(Q) <= 0) is left unscaled.
+        weights = np.divide(width, gap, out=np.ones_like(gap), where=(gap > width) & (width > 0))
+        root = np.sqrt(weights)
+        eye = np.eye(self.dim)
+        # I + V diag(x - 1) V† is exactly I where every x is 1.
+        scale = eye + _from_eigen(eigenvectors, root - 1.0)
+        unscale = eye + _from_eigen(eigenvectors, 1.0 / root - 1.0)
+        kron_scale, kron_unscale = (
+            np.einsum("ab,nij->naibj", eye, matrix).reshape(count, self.big, self.big)
+            for matrix in (scale, unscale)
+        )
+
+        c[:, : self.bb] = -pack_hermitian_stack(kron_scale @ chois @ kron_scale)
+        a = np.concatenate(
+            [
+                np.broadcast_to(self.a_shape, (count,) + self.a_shape.shape),
+                np.zeros((count, 1, self.n)),
+            ],
+            axis=1,
+        )
+        rho = slice(2 * self.bb, 2 * self.bb + self.dim * self.dim)
+        # (E2)  ⟨T², ρ′⟩ = 1 and (E3)  ⟨TQT, ρ′⟩ - t = b.
+        a[:, self.bb, rho] = pack_hermitian_stack(eye + _from_eigen(eigenvectors, weights - 1.0))
+        a[:, -1, rho] = pack_hermitian_stack(scale @ operators @ scale)
+        a[:, -1, -1] = -1.0
+        b = np.zeros((count, self.b_shape.size + 1))
+        b[:, :-1] = self.b_shape
+        b[:, -1] = bound
         return [
-            PackedSDP(a=a[index], b=b[index], c=c[index], layout=self.layout)
+            _CapScaledSDP(
+                a=a[index], b=b[index], c=c[index], layout=self.layout, unscale=kron_unscale[index]
+            )
             for index in range(count)
         ]
 
@@ -367,13 +420,20 @@ def _certify_solutions_batch(
         layout = packeds[0].layout
         big_group = next(g for g in layout.groups if g.dim == big)
         s_blocks = layout.unpack_group(s_stack, big_group)
-        z_from_y = unpack_hermitian_stack(y_stack[:, : big * big], big)
+        duals = np.concatenate(
+            [unpack_hermitian_stack(y_stack[:, : big * big], big)[:, None], s_blocks], axis=1
+        )
+        if use_constraint:
+            # The solver saw the cap-scaled problem: Z = K⁻¹ Z′ K⁻¹ maps each
+            # of its dual blocks back (see _ShapeTemplate.instantiate_batch).
+            unscale = np.stack([packed.unscale for packed in packeds])[:, None]
+            duals = unscale @ duals @ unscale
         candidates = np.concatenate(
             [
                 candidates,
-                z_from_y[:, None],
-                (s_blocks[:, 0] + chois)[:, None],
-                s_blocks[:, 1][:, None],
+                duals[:, :1],
+                (duals[:, 1] + chois)[:, None],
+                duals[:, 2:],
             ],
             axis=1,
         )

@@ -331,11 +331,12 @@ def get_layout(dims: tuple[int, ...] | list[int]) -> BlockLayout:
 # Packed interior-point core
 # ---------------------------------------------------------------------------
 
-#: Identity of the solver below.  Any change that moves the iterates (start
-#: point, direction, step rule, stopping test) must change this string:
-#: persistent bound caches and job fingerprints bind it, so answers found by
-#: an older solver are never served as this solver's answers.
-SOLVER_VERSION = "mehrotra-hkm/identity-start/step-0.95"
+#: Identity of the solver below, together with the problems the templates of
+#: :mod:`repro.sdp.diamond` hand it.  Any change that moves the iterates
+#: (start point, direction, step rule, stopping test, problem scaling) must
+#: change this string: job fingerprints bind it, so answers found by an older
+#: solver are never served as this solver's answers.
+SOLVER_VERSION = "mehrotra-hkm/identity-start/step-0.95/cap-scaled"
 
 #: Fraction of the distance to the cone boundary that a step covers.
 _STEP_TO_BOUNDARY = 0.95
@@ -379,29 +380,34 @@ class PackedIPMResult:
     converged: bool
 
 
-def _guarded(function, stack: np.ndarray, failed: np.ndarray):
-    """``function(stack)``, isolating the problems a batched LAPACK call fails on.
+def _guarded(function, stack: np.ndarray, failed: np.ndarray, *operands: np.ndarray):
+    """``function(stack, *operands)``, isolating the problems a batched LAPACK call fails on.
 
-    ``stack`` holds square matrices with the problem axis first.  A batched
-    call raises for the whole stack when one matrix fails (``eigh`` does not
-    converge, Cholesky finds no positive definite matrix); the failing
-    problems are then found one by one, marked in ``failed`` and given
-    identity matrices, so they freeze with their last iterate while the rest
-    of the batch goes on.
+    ``stack`` holds square matrices with the problem axis first, and so does
+    every operand.  A batched call raises for the whole stack when one
+    matrix fails (``eigh`` does not converge, Cholesky finds no positive
+    definite matrix, LU finds a singular one); the failing problems are then
+    found one by one, marked in ``failed`` and given identity matrices, so
+    they freeze with their last iterate while the rest of the batch goes on.
     """
     try:
-        return function(stack)
+        return function(stack, *operands)
     except np.linalg.LinAlgError:
         pass
     stack = stack.copy()
     eye = np.eye(stack.shape[-1])
     for index in range(len(stack)):
         try:
-            function(stack[index])
+            function(stack[index], *(operand[index] for operand in operands))
         except np.linalg.LinAlgError:
             failed[index] = True
             stack[index] = eye
-    return function(stack)
+    return function(stack, *operands)
+
+
+def _cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``M x = rhs`` from the lower Cholesky factor of ``M``."""
+    return scipy.linalg.cho_solve((factor, True), rhs, check_finite=False)
 
 
 def _hermitian_part(matrices: np.ndarray) -> np.ndarray:
@@ -622,9 +628,9 @@ def _mehrotra_step(
         """The HKM direction whose complementarity part ``herm(R_c S^{-1})`` is ``g``."""
         rhs = rp[..., None] + a @ (h_rd - g)[..., None]
         if by_factor:
-            dy = scipy.linalg.cho_solve((factor, True), rhs, check_finite=False)[..., 0]
+            dy = _guarded(_cholesky_solve, factor, broken, rhs)[..., 0]
         else:
-            dy = np.linalg.solve(schur, rhs)[..., 0]
+            dy = _guarded(np.linalg.solve, schur, broken, rhs)[..., 0]
         ds = rd - (a.swapaxes(-1, -2) @ dy[..., None])[..., 0]
         return g - scaling.apply(ds), dy, ds
 

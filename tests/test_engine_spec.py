@@ -53,11 +53,16 @@ from repro.programs.library import table2_benchmarks
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 FINGERPRINT_FIXTURE = FIXTURES / "fingerprints_v1.json"
 FINGERPRINT_FIXTURE_V2 = FIXTURES / "fingerprints_v2.json"
+FINGERPRINT_FIXTURE_V3 = FIXTURES / "fingerprints_v3.json"
 
 #: The solver identity and SDP defaults ``fingerprints_v1.json`` was written
 #: under (the ADMM step rule, cap 600, tolerance 3e-6).
 V1_SOLVER_VERSION = "wgy-step-1.6/balance-2x-every-20"
 V1_SDP_CONFIG = SDPConfig(max_iterations=600, tolerance=3e-6)
+
+#: The solver identity ``fingerprints_v2.json`` was written under (the
+#: interior-point solver before it scaled thin predicate caps).
+V2_SOLVER_VERSION = "mehrotra-hkm/identity-start/step-0.95"
 
 
 def _branchy_circuit() -> Circuit:
@@ -454,12 +459,17 @@ class TestPinnedFingerprints:
 
 
 class TestPinnedFingerprintsV2:
-    """The same jobs under the shipped solver and defaults.
+    """The same jobs under the first interior-point solver and the defaults.
 
     ``fixtures/fingerprints_v2.json`` was written once when the interior-point
     solver replaced ADMM and, like the v1 file, must never be regenerated to
-    make this test pass.
+    make this test pass.  Rebuilding the jobs under that solver's identity
+    proves that the spec encoding itself has not moved.
     """
+
+    @pytest.fixture(autouse=True)
+    def v2_solver(self, monkeypatch):
+        monkeypatch.setattr(spec, "SOLVER_VERSION", V2_SOLVER_VERSION)
 
     @pytest.fixture(scope="class")
     def jobs(self):
@@ -487,6 +497,42 @@ class TestPinnedFingerprintsV2:
         v1 = json.loads(FINGERPRINT_FIXTURE.read_text())
         v2 = json.loads(FINGERPRINT_FIXTURE_V2.read_text())
         assert all(v1[name] != v2[name] for name in v1)
+
+
+class TestPinnedFingerprintsV3:
+    """The same jobs under the shipped solver, which scales thin predicate caps.
+
+    ``fixtures/fingerprints_v3.json`` was written once when cap scaling
+    changed the answers for the same jobs and, like the older files, must
+    never be regenerated to make this test pass.
+    """
+
+    @pytest.fixture(scope="class")
+    def jobs(self):
+        return pinned_fingerprint_jobs()
+
+    def test_fixture_covers_every_pinned_job(self, jobs):
+        pinned = json.loads(FINGERPRINT_FIXTURE_V3.read_text())
+        assert sorted(pinned) == sorted(jobs)
+
+    def test_fingerprints_match_fixture(self, jobs):
+        pinned = json.loads(FINGERPRINT_FIXTURE_V3.read_text())
+        moved = [name for name, job in jobs.items() if job.fingerprint() != pinned[name]]
+        assert not moved
+
+    def test_decoded_jobs_keep_pinned_fingerprints(self, jobs):
+        pinned = json.loads(FINGERPRINT_FIXTURE_V3.read_text())
+        moved = [
+            name
+            for name, job in jobs.items()
+            if AnalysisJob.from_json(job.to_json()).fingerprint() != pinned[name]
+        ]
+        assert not moved
+
+    def test_differs_from_v2_everywhere(self):
+        v2 = json.loads(FINGERPRINT_FIXTURE_V2.read_text())
+        v3 = json.loads(FINGERPRINT_FIXTURE_V3.read_text())
+        assert all(v2[name] != v3[name] for name in v2)
 
 
 class TestJobResult:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from repro.config import SDPConfig
 from repro.linalg import identity_channel, maximally_mixed, pure_density, plus_state
@@ -284,6 +285,64 @@ class TestTemplates:
         assert np.allclose(packed.b, b, atol=1e-12)
         assert np.allclose(packed.c, c, atol=1e-12)
 
+    def test_cap_scaled_problem_is_a_congruence(self):
+        """A thin cap's problem is Eq. (2) in ``W = K W′ K``, ``S = K S′ K``,
+        ``ρ = T ρ′ T``: at any point, the scaled trace and predicate rows and
+        objective take the values the explicit ones take at the mapped point,
+        and the coupling residual is the explicit one under ``K⁻¹ · K⁻¹``."""
+        rng = np.random.default_rng(5)
+        choi = bit_flip(0.02).choi() - identity_channel(1).choi()
+        choi = (choi + choi.conj().T) / 2
+        operator = pure_density(plus_state(1))
+        bound_c = 1.0 - 1e-6
+        a, b, c = _explicit_eq2(choi, operator, bound_c)
+        packed = _get_template(4, True).instantiate_batch([choi], [operator], [bound_c])[0]
+        kron = np.linalg.inv(packed.unscale)
+        scale = kron[:2, :2]
+        assert np.allclose(kron, np.kron(np.eye(2), scale), atol=1e-12)
+        # The cap's width: weight 1e-6 along |-> becomes unit weight.
+        assert np.allclose(np.linalg.eigvalsh(scale @ scale), [1e-6, 1.0], rtol=1e-9)
+
+        w, s_block, rho = (random_hermitian(d, rng=rng) for d in (4, 4, 2))
+        t = rng.standard_normal(1)
+        scaled = np.concatenate([hvec(w), hvec(s_block), hvec(rho), t])
+        mapped = np.concatenate(
+            [hvec(kron @ w @ kron), hvec(kron @ s_block @ kron), hvec(scale @ rho @ scale), t]
+        )
+        assert np.allclose(
+            kron @ hunvec(packed.a[:16] @ scaled, 4) @ kron, hunvec(a[:16] @ mapped, 4), atol=1e-12
+        )
+        assert np.allclose(packed.a[16:] @ scaled, a[16:] @ mapped, atol=1e-12)
+        assert packed.c @ scaled == pytest.approx(c @ mapped, abs=1e-12)
+        assert np.array_equal(packed.b[:-1], b[:-1])
+
+    @pytest.mark.parametrize(
+        "operator,bound_c",
+        [
+            (maximally_mixed(1), 0.45),
+            (np.diag([0.7, 0.3]).astype(complex), 0.2),
+            # No state reaches c when λ_max(Q) <= 0: there is no cap to scale.
+            (np.diag([0.0, -1.0]).astype(complex), 0.3),
+            (-np.eye(2, dtype=complex), 0.3),
+        ],
+    )
+    def test_unbinding_cap_is_left_exactly_unscaled(self, operator, bound_c):
+        """Where the predicate cuts no state's weight (c <= λ_min(Q)) or
+        leaves no state at all, T is exactly I, so the problem is the
+        unscaled one bit for bit."""
+        choi = depolarizing(0.03).choi() - identity_channel(1).choi()
+        choi = (choi + choi.conj().T) / 2
+        packed = _get_template(4, True).instantiate_batch([choi], [operator], [bound_c])[0]
+        assert np.array_equal(packed.unscale, np.eye(4))
+        rho = slice(32, 36)
+        assert np.array_equal(packed.c[:16], -hvec(choi))
+        assert np.array_equal(packed.a[16, rho], hvec(np.eye(2, dtype=complex)))
+        assert np.array_equal(packed.a[17, rho], hvec(operator))
+        bound = constrained_diamond_norm(
+            choi, constraint_operator=operator, constraint_bound=bound_c
+        )
+        assert verify_certificate(bound.certificate, bound.choi)
+
     def test_mismatched_operator_shape_rejected(self):
         """The template path keeps the explicit builder's shape validation."""
         from repro.errors import SDPError
@@ -379,3 +438,80 @@ class TestLargeSchurSolve:
         assert factored.value == pytest.approx(by_lu.value, rel=1e-9)
         for bound in (factored, by_lu):
             assert verify_certificate(bound.certificate, bound.choi)
+
+
+def _first_newton_matrix(monkeypatch, owner, name, request, config, unpack):
+    """The first matrix the Newton solve ``owner.name`` sees when ``request``
+    is solved alone (the predictor's at the start point)."""
+    real = getattr(owner, name)
+    seen = []
+
+    def record(first, rhs, **kwargs):
+        seen.append(np.array(unpack(first), copy=True))
+        return real(first, rhs, **kwargs)
+
+    monkeypatch.setattr(owner, name, record)
+    constrained_diamond_norms_batch([request], config=config)
+    monkeypatch.setattr(owner, name, real)
+    return seen[0][0] if seen[0].ndim == 3 else seen[0]
+
+
+class TestGuardedNewtonSolve:
+    """A Newton solve that raises freezes its problem, not the batch."""
+
+    @staticmethod
+    def _requests(big):
+        if big == 4:
+            choi = bit_flip(0.01).choi() - identity_channel(1).choi()
+            predicates = [
+                (pure_density(plus_state(1)), 0.9),
+                (maximally_mixed(1), 0.4),
+                (np.diag([0.8, 0.2]).astype(complex), 0.5),
+            ]
+        else:
+            from repro.noise import two_qubit_depolarizing
+
+            choi = two_qubit_depolarizing(0.05).choi() - identity_channel(2).choi()
+            predicates = [
+                (pure_density(plus_state(2)), 0.9),
+                (maximally_mixed(2), 0.2),
+                (np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), 0.2),
+            ]
+        return [(choi, operator, bound_c) for operator, bound_c in predicates]
+
+    @pytest.mark.parametrize(
+        "big,owner,name,unpack",
+        [
+            (4, np.linalg, "solve", lambda first: first),
+            (16, scipy.linalg, "cho_solve", lambda first: first[0]),
+        ],
+    )
+    def test_failing_solve_freezes_one_problem(self, monkeypatch, big, owner, name, unpack):
+        config = SDPConfig()
+        requests = self._requests(big)
+        alone = [constrained_diamond_norms_batch([r], config=config)[0] for r in requests]
+        target = _first_newton_matrix(monkeypatch, owner, name, requests[1], config, unpack)
+        real = getattr(owner, name)
+
+        def failing(first, rhs, **kwargs):
+            matrices = np.asarray(unpack(first))
+            stack = matrices if matrices.ndim == 3 else matrices[None]
+            if any(np.array_equal(matrix, target) for matrix in stack):
+                raise np.linalg.LinAlgError("planted failure")
+            return real(first, rhs, **kwargs)
+
+        monkeypatch.setattr(owner, name, failing)
+        batched = constrained_diamond_norms_batch(requests, config=config)
+
+        for index in (0, 2):
+            assert batched[index].value == alone[index].value
+            assert batched[index].iterations == alone[index].iterations
+            assert batched[index].converged == alone[index].converged
+            assert batched[index].certificate.y == alone[index].certificate.y
+            assert np.array_equal(batched[index].certificate.z, alone[index].certificate.z)
+        # The step from the start point failed; the next pass froze it there.
+        failed = batched[1]
+        assert failed.iterations == 1
+        assert not failed.converged
+        assert np.isfinite(failed.value) and np.isfinite(failed.certificate.z).all()
+        assert verify_certificate(failed.certificate, failed.choi)
