@@ -28,14 +28,10 @@ from ..circuits.program import Program
 from ..config import AnalysisConfig
 from ..core.analyzer import analyze_program
 from ..core.derivation import Derivation
-from ..engine.pool import (
-    AnalysisEngine,
-    _wall_clock_budget,
-    job_result_from_analysis,
-)
-from ..engine.service import TERMINAL_STATUSES, AnalysisService
+from ..engine.pool import AnalysisEngine, _run_job
+from ..engine.service import TERMINAL_STATUSES
 from ..engine.spec import AnalysisJob, JobResult
-from ..errors import EngineError, ResourceLimitExceeded
+from ..errors import EngineError
 from ..linalg.channels import QuantumChannel
 from ..noise.model import NoiseModel
 from ..sdp.diamond import DiamondNormBound, gate_error_bound
@@ -247,7 +243,6 @@ class AnalysisSession:
     ):
         self.config = config or AnalysisConfig()
         self._closed = False
-        self._service: AnalysisService | None = None
         if remote is not None or client is not None:
             if workers != 1 or outcomes is not None:
                 raise EngineError(
@@ -278,12 +273,7 @@ class AnalysisSession:
         return self._client
 
     def close(self) -> None:
-        if self._closed:
-            return
         self._closed = True
-        if self._service is not None:
-            self._service.stop()
-            self._service = None
 
     def __enter__(self) -> "AnalysisSession":
         return self
@@ -349,50 +339,25 @@ class AnalysisSession:
     def _analyze_with_derivation(self, job: AnalysisJob) -> AnalysisOutcome:
         """The in-process path of ``analyze(derivation=True)``.
 
-        Mirrors :func:`repro.engine.pool.execute_job` — same wall-clock
-        budget, same failure capture — except that the derivation tree is
-        collected and attached to the outcome (it cannot ride on the flat
-        engine record).
+        Runs through the engine's job runner — same wall-clock budget, same
+        failure capture — except that the derivation tree is collected and
+        attached to the outcome (it cannot ride on the flat engine record).
         """
         run_config = job.config.replace(collect_derivation=True)
-        fingerprint = job.fingerprint()
-        start = time.perf_counter()
-        try:
-            with _wall_clock_budget(run_config.guard.max_seconds):
-                result = analyze_program(
-                    job.program,
-                    job.noise_model,
-                    config=run_config,
-                    initial_bits=job.initial_bits,
-                    num_qubits=job.num_qubits,
-                    program_name=job.name,
-                )
-        except ResourceLimitExceeded as exc:
-            return AnalysisOutcome.from_job_result(
-                JobResult(
-                    fingerprint=fingerprint,
-                    name=job.name,
-                    status="timeout",
-                    elapsed_seconds=time.perf_counter() - start,
-                    error=str(exc),
-                )
-            )
-        except Exception as exc:
-            # Same failure contract as execute_job: any failure becomes a
-            # status="error" outcome, never a raw exception from one facade
-            # path but not the other.
-            return AnalysisOutcome.from_job_result(
-                JobResult(
-                    fingerprint=fingerprint,
-                    name=job.name,
-                    status="error",
-                    elapsed_seconds=time.perf_counter() - start,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+        result, analysis = _run_job(
+            job,
+            job.fingerprint(),
+            lambda: analyze_program(
+                job.program,
+                job.noise_model,
+                config=run_config,
+                initial_bits=job.initial_bits,
+                num_qubits=job.num_qubits,
+                program_name=job.name,
+            ),
+        )
         return AnalysisOutcome.from_job_result(
-            job_result_from_analysis(fingerprint, job.name, result),
-            derivation=result.derivation,
+            result, derivation=analysis.derivation if analysis is not None else None
         )
 
     def analyze_batch(self, jobs: Sequence[AnalysisJob]) -> list[AnalysisOutcome]:
@@ -456,9 +421,14 @@ class AnalysisSession:
 
         ``index`` refers to the position in ``jobs``; duplicate submissions
         each get their own pair (sharing one execution).  Local sessions
-        stream through the in-process :class:`AnalysisService` (condition-
-        variable wakeups, no polling); remote sessions hold one long-poll per
-        unique fingerprint.
+        iterate :meth:`AnalysisEngine.stream` in the calling thread, so each
+        pair is yielded as its job finishes; remote sessions hold one
+        long-poll per unique fingerprint.
+
+        Locally, ``timeout`` is checked as each result lands: once it has
+        passed with jobs pending, :class:`TimeoutError` is raised and the
+        jobs not yet started are cancelled.  A running job is stopped only by
+        its own ``guard.max_seconds``.
         """
         self._check_open()
         jobs = list(jobs)
@@ -470,41 +440,18 @@ class AnalysisSession:
         else:
             yield from self._local_as_completed(jobs, deadline)
 
-    def _ensure_service(self) -> AnalysisService:
-        if self._service is None:
-            service = AnalysisService(self.engine, batch_window=0.01)
-            service.start()
-            self._service = service
-        return self._service
-
     def _local_as_completed(self, jobs, deadline):
-        service = self._ensure_service()
         indices_by_fp: dict[str, list[int]] = {}
         for index, job in enumerate(jobs):
-            entry = service.submit_job(job)
-            indices_by_fp.setdefault(entry["fingerprint"], []).append(index)
-        pending = set(indices_by_fp)
-        while pending:
-            window = 60.0
-            if deadline is not None:
-                window = deadline - time.monotonic()
-                if window <= 0:
-                    raise TimeoutError(f"{len(pending)} job(s) still pending at timeout")
-            fingerprint = service.wait_any(pending, timeout=window)
-            if fingerprint is None:
-                if service.stopped:
-                    # wait_any returns immediately from now on; spinning here
-                    # would peg a core without ever finishing the jobs.
-                    raise EngineError(
-                        f"session closed with {len(pending)} job(s) still pending"
-                    )
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise TimeoutError(f"{len(pending)} job(s) still pending at timeout")
-                continue
-            pending.discard(fingerprint)
-            outcome = AnalysisOutcome.from_wire_entry(service.status(fingerprint))
+            indices_by_fp.setdefault(job.fingerprint(), []).append(index)
+        pending = len(indices_by_fp)
+        for fingerprint, result in self.engine.stream(jobs):
+            pending -= 1
+            outcome = AnalysisOutcome.from_job_result(result)
             for index in indices_by_fp[fingerprint]:
                 yield index, outcome
+            if pending and deadline is not None and time.monotonic() >= deadline:
+                raise TimeoutError(f"{pending} job(s) still pending at timeout")
 
     def _remote_as_completed(self, jobs, deadline):
         from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor

@@ -9,12 +9,14 @@ into first-class, addressable requests:
   serialization, so jobs can be fingerprinted, deduped, persisted, and sent
   across process boundaries;
 * :class:`AnalysisEngine` (``pool``) — executes batches of jobs across a
-  process pool with per-job resource budgets and failure isolation;
+  process pool with per-job resource budgets and failure isolation, and
+  streams each job's result as it finishes;
 * :class:`OutcomeStore` (``outcomes``) — a content-addressed JSONL store of
   whole outcomes (result + dual certificates), so warm traffic answers from
   one lookup, sweeps resume, and answers stay re-verifiable on demand;
 * :class:`AnalysisService` (``service``) — a stdlib-HTTP front-end
-  (``gleipnir-serve``) that coalesces submissions into engine batches.
+  (``gleipnir-serve``) that runs each submission as one engine batch and
+  publishes each job's result as it lands.
 """
 
 from .spec import AnalysisJob, JobResult, job_from_json_dict

@@ -7,8 +7,8 @@ parked long poll, which capped one server at a few hundred concurrent
 waiter is a coroutine awaiting a future, so holding 500+ of them costs
 kilobytes, not megabytes of stack.
 
-The engine side stays threaded — batches still run under the service's
-batcher thread and ``threading.Condition`` — so the bridge is explicit:
+The engine side stays threaded — batches still run on the service's thread
+under its ``threading.Condition`` — so the bridge is explicit:
 the server registers one result listener with
 :meth:`~repro.engine.service.AnalysisService.add_result_listener`, and every
 terminal transition crosses into the loop via
@@ -234,7 +234,7 @@ class AsyncAnalysisServer:
 
     # -- the thread -> loop result bridge ------------------------------------
     def _on_results(self, fingerprints: list[str]) -> None:
-        """Service callback (batcher/submitter thread): hop into the loop."""
+        """Service callback (service/submitter thread): hop into the loop."""
         with contextlib.suppress(RuntimeError):  # loop already closed
             self._loop.call_soon_threadsafe(self._wake, list(fingerprints))
 
@@ -454,7 +454,7 @@ class AsyncAnalysisServer:
         except ReproError as exc:
             await self._send_error(writer, exc, 400)
             return
-        entries = [service.submit_job(job) for job in jobs]
+        entries = service.submit_jobs(jobs)
         self._remember(digest, tuple((job.fingerprint(), job.name) for job in jobs))
         await self._send_batch(writer, entries)
 

@@ -29,8 +29,9 @@ A store argument is a file path; URL-style arguments (``scheme://…``) are
 rejected with :class:`~repro.errors.StorageBackendError`.
 
 On top of the log the store keeps the size-capped LRU (``max_entries``),
-in-flight **pinning** (entries pinned by a running engine batch are never
-evicted), certificate verification, and the hit/miss/eviction accounting.
+certificate verification, and the hit/miss/eviction accounting.  A hit is
+decided and read in one locked :meth:`OutcomeStore.get` call, so no
+eviction can fall between the two.
 The log is compacted (atomic rewrite of the live entries) once dead lines
 outnumber live entries 2:1, and a record that fails re-verification is
 dropped from the file as well, so it never comes back after a restart.
@@ -48,12 +49,12 @@ its fingerprint, as it did in that log.
 from __future__ import annotations
 
 import base64
-import contextlib
 import dataclasses
 import json
 import os
 import threading
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
+from itertools import islice
 
 import numpy as np
 
@@ -322,8 +323,8 @@ class OutcomeStore:
 
     Args:
         path: the JSONL log file (created with its directory on first write).
-        max_entries: live-entry cap; the least-recently-used unpinned entries
-            are evicted beyond it (None = unbounded).
+        max_entries: live-entry cap; the least-recently-used entries are
+            evicted beyond it (None = unbounded).
     """
 
     def __init__(self, path: str, *, max_entries: int | None = None):
@@ -343,7 +344,6 @@ class OutcomeStore:
             self._entries.pop(fingerprint, None)
             if entry["result"].ok:
                 self._entries[fingerprint] = entry
-        self._pins: dict[str, int] = {}
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -459,32 +459,6 @@ class OutcomeStore:
                 "skipped_lines": self._log.skipped_lines,
             }
 
-    # -- pinning -------------------------------------------------------------
-    @contextlib.contextmanager
-    def pinned(self, fingerprints: Iterable[str]) -> Iterator[None]:
-        """Protect ``fingerprints`` from eviction while a batch is in flight.
-
-        The engine pins every unique fingerprint of a running batch, so a
-        concurrent batch's inserts can never evict an entry between the
-        moment one batch decided it was a hit and the moment it reads it.
-        """
-        pins = list(fingerprints)
-        with self._lock:
-            for fingerprint in pins:
-                self._pins[fingerprint] = self._pins.get(fingerprint, 0) + 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                for fingerprint in pins:
-                    remaining = self._pins.get(fingerprint, 0) - 1
-                    if remaining > 0:
-                        self._pins[fingerprint] = remaining
-                    else:
-                        self._pins.pop(fingerprint, None)
-                # Deferred evictions happen now that the pins are gone.
-                self._evict_over_cap()
-
     # -- mutation ------------------------------------------------------------
     def put(self, result: JobResult, certificates: Iterable = ()) -> None:
         """Record one successful outcome with its dual certificates.
@@ -523,21 +497,12 @@ class OutcomeStore:
         )
 
     def _evict_over_cap(self) -> None:
-        """Drop LRU unpinned entries beyond ``max_entries``.  Callers hold the lock.
-
-        Pinned fingerprints (in-flight batches) are skipped, so the store may
-        transiently exceed the cap; the overshoot is reclaimed when the pins
-        are released.
-        """
+        """Drop LRU entries beyond ``max_entries``.  Callers hold the lock."""
         if self.max_entries is None:
             return
-        evicted = 0
-        for fingerprint in list(self._entries):
-            if len(self._entries) <= self.max_entries:
-                break
-            if fingerprint not in self._pins:
-                del self._entries[fingerprint]
-                evicted += 1
+        evicted = max(0, len(self._entries) - self.max_entries)
+        for fingerprint in list(islice(self._entries, evicted)):
+            del self._entries[fingerprint]
         if evicted:
             self._evictions += evicted
             obs_metrics.counter(

@@ -23,7 +23,10 @@ values into :class:`~repro.engine.spec.JobResult` records:
   (``guard.max_seconds``, enforced with a POSIX interval timer), and any
   exception — budget, solver failure, or worker crash — is captured as a
   ``timeout``/``error`` result for that job alone; the rest of the sweep
-  continues.
+  continues;
+* **streaming** — :meth:`AnalysisEngine.stream` yields each unique job's
+  result the moment it finishes; :meth:`AnalysisEngine.run` collects the
+  same stream into a :class:`BatchReport`.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ import os
 import signal
 import threading
 import time
-from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections.abc import Callable, Iterator, Sequence
+from concurrent.futures import ProcessPoolExecutor, as_completed
 
 from ..core.analyzer import GleipnirAnalyzer
 from ..errors import ResourceLimitExceeded
@@ -58,7 +61,7 @@ def _wall_clock_budget(seconds: float | None):
     """Raise :class:`ResourceLimitExceeded` after ``seconds`` of wall clock.
 
     Uses ``signal.setitimer``, which only works on POSIX main threads; in any
-    other context (Windows, service batcher threads) the budget degrades to
+    other context (Windows, the service thread) the budget degrades to
     unenforced rather than failing the job.  A displaced ``ITIMER_REAL`` is
     restored on exit (minus the time the job ran), and a shorter one-shot
     outer deadline takes priority over the job's own budget — see the
@@ -169,6 +172,36 @@ def _harvest_certificates(analyzer: GleipnirAnalyzer) -> list[OutcomeCertificate
     return certificates
 
 
+def _run_job(
+    job: AnalysisJob, fingerprint: str, analyze: Callable[[], object]
+) -> tuple[JobResult, object | None]:
+    """Run ``analyze()`` under the job's wall-clock budget: (result, analysis).
+
+    The one job runner behind :func:`execute_job_record` and the facade's
+    local derivation path (:meth:`repro.api.AnalysisSession.analyze`): a
+    budget overrun becomes a ``timeout`` result, any other exception an
+    ``error`` result (analysis None), so no failure escapes either path.
+    """
+    start = time.perf_counter()
+    try:
+        with _wall_clock_budget(job.config.guard.max_seconds):
+            analysis = analyze()
+    except ResourceLimitExceeded as exc:
+        status, error = "timeout", str(exc)
+    except Exception as exc:
+        status, error = "error", f"{type(exc).__name__}: {exc}"
+    else:
+        return job_result_from_analysis(fingerprint, job.name, analysis), analysis
+    failure = JobResult(
+        fingerprint=fingerprint,
+        name=job.name,
+        status=status,
+        elapsed_seconds=time.perf_counter() - start,
+        error=error,
+    )
+    return failure, None
+
+
 def execute_job_record(
     job: AnalysisJob,
     *,
@@ -189,41 +222,22 @@ def execute_job_record(
     # A deep copy that never collects a derivation: results must stay flat
     # and picklable, and the override is not part of the job fingerprint.
     config = job.config.replace(collect_derivation=False)
-    start = time.perf_counter()
-    try:
-        with _wall_clock_budget(config.guard.max_seconds):
-            analyzer = GleipnirAnalyzer(job.noise_model, config=config)
-            analysis = analyzer.analyze(
-                job.program,
-                initial_bits=job.initial_bits,
-                num_qubits=job.num_qubits,
-                program_name=job.name,
-            )
-    except ResourceLimitExceeded as exc:
-        return (
-            JobResult(
-                fingerprint=fingerprint,
-                name=job.name,
-                status="timeout",
-                elapsed_seconds=time.perf_counter() - start,
-                error=str(exc),
-            ),
-            [],
+    analyzer = None
+
+    def analyze():
+        nonlocal analyzer
+        analyzer = GleipnirAnalyzer(job.noise_model, config=config)
+        return analyzer.analyze(
+            job.program,
+            initial_bits=job.initial_bits,
+            num_qubits=job.num_qubits,
+            program_name=job.name,
         )
-    except Exception as exc:
-        return (
-            JobResult(
-                fingerprint=fingerprint,
-                name=job.name,
-                status="error",
-                elapsed_seconds=time.perf_counter() - start,
-                error=f"{type(exc).__name__}: {exc}",
-            ),
-            [],
-        )
-    result = job_result_from_analysis(fingerprint, job.name, analysis)
-    certificates = _harvest_certificates(analyzer) if collect_certificates else []
-    return result, certificates
+
+    result, _analysis = _run_job(job, fingerprint, analyze)
+    if collect_certificates and result.ok:
+        return result, _harvest_certificates(analyzer)
+    return result, []
 
 
 def execute_job(
@@ -358,41 +372,41 @@ class AnalysisEngine:
         """Execute a batch and return results aligned with ``jobs``."""
         start = time.perf_counter()
         fingerprints = [job.fingerprint() for job in jobs]
+        results: dict[str, JobResult] = {}
+        executed = 0
+        for fingerprint, result, ran in self._stream(fingerprints, jobs):
+            results[fingerprint] = result
+            executed += ran
+        self._last_executed = executed
+        return BatchReport(
+            results=[results[fingerprint] for fingerprint in fingerprints],
+            executed=executed,
+            deduplicated=len(jobs) - len(results),
+            elapsed_seconds=time.perf_counter() - start,
+            outcome_hits=len(results) - executed,
+        )
+
+    def stream(self, jobs: Sequence[AnalysisJob]) -> Iterator[tuple[str, JobResult]]:
+        """Yield ``(fingerprint, result)`` as each unique job of ``jobs`` finishes.
+
+        Outcome-store hits come first, then executions in completion order:
+        inline ones in submission order, pool ones as their futures land.
+        Each executed result is recorded (store write, counters) before it
+        is yielded.  Closing the generator early cancels the jobs not yet
+        started; a running job still runs to its end or its own
+        ``guard.max_seconds``.
+        """
+        fingerprints = [job.fingerprint() for job in jobs]
+        for fingerprint, result, _ran in self._stream(fingerprints, jobs):
+            yield fingerprint, result
+
+    def _stream(
+        self, fingerprints: list[str], jobs: Sequence[AnalysisJob]
+    ) -> Iterator[tuple[str, JobResult, bool]]:
+        """:meth:`stream`, plus whether each result was executed (not a store hit)."""
         unique: dict[str, AnalysisJob] = {}
         for fingerprint, job in zip(fingerprints, jobs):
             unique.setdefault(fingerprint, job)
-
-        results: dict[str, JobResult] = {}
-        outcome_hits = 0
-        with contextlib.ExitStack() as stack:
-            stack.enter_context(
-                span("engine.batch", "engine", jobs=len(jobs), unique=len(unique))
-            )
-            if self.outcomes is not None:
-                # Pin the batch's fingerprints so a concurrent batch's inserts
-                # cannot evict an entry between the hit decision and the read.
-                stack.enter_context(self.outcomes.pinned(list(unique)))
-                with span("engine.outcome_lookup", "engine", unique=len(unique)):
-                    for fingerprint in unique:
-                        cached = self.outcomes.get(fingerprint)
-                        if cached is not None:
-                            results[fingerprint] = cached
-                            outcome_hits += 1
-
-            pending = [
-                (fingerprint, job)
-                for fingerprint, job in unique.items()
-                if fingerprint not in results
-            ]
-            self._last_executed = len(pending)
-            if pending:
-                with span("engine.execute", "engine", pending=len(pending)):
-                    if self.workers == 1:
-                        executed = self._run_inline(pending, results)
-                    else:
-                        executed = self._run_pool(pending, results)
-            else:
-                executed = 0
         deduplicated = len(jobs) - len(unique)
         if deduplicated:
             obs_metrics.counter(
@@ -400,23 +414,30 @@ class AnalysisEngine:
                 "Submitted jobs answered by another identical job in the batch.",
             ).inc(deduplicated)
 
-        return BatchReport(
-            results=[results[fingerprint] for fingerprint in fingerprints],
-            executed=executed,
-            deduplicated=deduplicated,
-            elapsed_seconds=time.perf_counter() - start,
-            outcome_hits=outcome_hits,
-        )
+        with span("engine.batch", "engine", jobs=len(jobs), unique=len(unique)):
+            hits: list[tuple[str, JobResult]] = []
+            pending = list(unique.items())
+            if self.outcomes is not None:
+                with span("engine.outcome_lookup", "engine", unique=len(unique)):
+                    pending = []
+                    for fingerprint, job in unique.items():
+                        cached = self.outcomes.get(fingerprint)
+                        if cached is None:
+                            pending.append((fingerprint, job))
+                        else:
+                            hits.append((fingerprint, cached))
+            for fingerprint, cached in hits:
+                yield fingerprint, cached, False
+            if not pending:
+                return
+            with span("engine.execute", "engine", pending=len(pending)):
+                execute = self._run_inline if self.workers == 1 else self._run_pool
+                for fingerprint, result, certificates in execute(pending):
+                    self._record(result, certificates)
+                    yield fingerprint, result, True
 
     # -- execution backends ------------------------------------------------
-    def _record(
-        self,
-        results: dict[str, JobResult],
-        fingerprint: str,
-        result: JobResult,
-        certificates: Sequence = (),
-    ) -> None:
-        results[fingerprint] = result
+    def _record(self, result: JobResult, certificates: Sequence = ()) -> None:
         if self.outcomes is not None and result.ok:
             self.outcomes.put(result, certificates)
         obs_metrics.counter(
@@ -430,11 +451,7 @@ class AnalysisEngine:
             {"status": result.status},
         ).observe(result.elapsed_seconds)
 
-    def _run_inline(
-        self,
-        pending: list[tuple[str, AnalysisJob]],
-        results: dict[str, JobResult],
-    ) -> int:
+    def _run_inline(self, pending: list[tuple[str, AnalysisJob]]):
         collect = self.outcomes is not None
         for fingerprint, job in pending:
             result, certificates = execute_job_record(
@@ -442,14 +459,9 @@ class AnalysisEngine:
                 fingerprint=fingerprint,
                 collect_certificates=collect,
             )
-            self._record(results, fingerprint, result, certificates)
-        return len(pending)
+            yield fingerprint, result, certificates
 
-    def _run_pool(
-        self,
-        pending: list[tuple[str, AnalysisJob]],
-        results: dict[str, JobResult],
-    ) -> int:
+    def _run_pool(self, pending: list[tuple[str, AnalysisJob]]):
         """Shard pending jobs over a process pool with per-job failure capture.
 
         Jobs are submitted as canonical JSON and results come back as flat
@@ -459,8 +471,9 @@ class AnalysisEngine:
         """
         collect = self.outcomes is not None
         trace = tracing_active()
-        max_workers = min(self.workers, len(pending))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        names = {fingerprint: job.name for fingerprint, job in pending}
+        pool = ProcessPoolExecutor(max_workers=min(self.workers, len(pending)))
+        try:
             futures = {}
             dispatched = {}
             for fingerprint, job in pending:
@@ -473,29 +486,24 @@ class AnalysisEngine:
                 )
                 futures[future] = fingerprint
                 dispatched[fingerprint] = time.perf_counter()
-            names = {fingerprint: job.name for fingerprint, job in pending}
-            outstanding = set(futures)
-            while outstanding:
-                done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
-                for future in done:
-                    fingerprint = futures[future]
-                    certificates: list = []
-                    try:
-                        payload = future.result()
-                        result = JobResult.from_json_dict(payload["result"])
-                        certificates = payload.get("certificates") or []
-                        self._merge_worker_observability(
-                            payload, dispatched[fingerprint]
-                        )
-                    except Exception as exc:
-                        result = JobResult(
-                            fingerprint=fingerprint,
-                            name=names[fingerprint],
-                            status="error",
-                            error=f"worker failed: {type(exc).__name__}: {exc}",
-                        )
-                    self._record(results, fingerprint, result, certificates)
-        return len(pending)
+            for future in as_completed(futures):
+                fingerprint = futures[future]
+                certificates: list = []
+                try:
+                    payload = future.result()
+                    result = JobResult.from_json_dict(payload["result"])
+                    certificates = payload.get("certificates") or []
+                    self._merge_worker_observability(payload, dispatched[fingerprint])
+                except Exception as exc:
+                    result = JobResult(
+                        fingerprint=fingerprint,
+                        name=names[fingerprint],
+                        status="error",
+                        error=f"worker failed: {type(exc).__name__}: {exc}",
+                    )
+                yield fingerprint, result, certificates
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     @staticmethod
     def _merge_worker_observability(payload: dict, dispatch_clock: float) -> None:

@@ -10,11 +10,11 @@ under ``/v1/`` and is what :class:`repro.api.Client` speaks:
 * ``POST /v1/batches`` — body ``{"jobs": [<job payload>, ...]}`` (see
   :meth:`repro.engine.spec.AnalysisJob.to_json_dict`).  Returns 202 with
   ``{"jobs": [{"fingerprint", "name", "status", "result"}, ...], "batch":
-  {"submitted": n}}``.  Submissions are *coalesced*: a batcher thread
-  collects everything that arrives within ``batch_window`` seconds (up to
-  ``max_batch``) and hands it to the engine as one batch, so concurrent
-  clients share dedupe and the warm bound cache.  Batches larger than
-  ``max_submit`` jobs are rejected with 413.
+  {"submitted": n}}``.  The jobs of one POST are queued as one unit and
+  run as one engine batch (so a multi-job POST keeps the pool fan-out); the
+  service thread takes everything queued as soon as it is free, with no
+  coalescing window, and publishes each job's entry the moment its result
+  lands.  Batches larger than ``max_submit`` jobs are rejected with 413.
 * ``GET /v1/jobs/<fingerprint>`` — the job's status entry, where ``status``
   is ``queued | running | done | failed`` and ``result`` is the flat
   :class:`~repro.engine.spec.JobResult` dict once finished.  404 for unknown
@@ -89,7 +89,7 @@ _FINISHED = TERMINAL_STATUSES
 
 
 class AnalysisService:
-    """Coalesces job submissions into engine batches; tracks status by fingerprint."""
+    """Runs submitted jobs through the engine; tracks status by fingerprint."""
 
     #: Shared with serving surfaces so they need not import module constants.
     max_wait_seconds = MAX_WAIT_SECONDS
@@ -99,25 +99,22 @@ class AnalysisService:
         self,
         engine: AnalysisEngine,
         *,
-        batch_window: float = 0.05,
-        max_batch: int = 32,
         max_tracked: int = 4096,
         max_submit: int = 1024,
     ):
         self.engine = engine
-        self.batch_window = float(batch_window)
-        self.max_batch = int(max_batch)
         #: In-memory status entries kept before finished ones are evicted
         #: (oldest first); evicted successes are still answerable from the
         #: attached outcome store, so a long-running server stays bounded.
         self.max_tracked = int(max_tracked)
         #: Largest number of jobs one submission may carry (413 beyond).
         self.max_submit = int(max_submit)
-        self._queue: queue.Queue[tuple[str, AnalysisJob]] = queue.Queue()
+        #: One item per submission: the (fingerprint, job) pairs it enqueued.
+        self._queue: queue.Queue[list[tuple[str, AnalysisJob]]] = queue.Queue()
         self._status: dict[str, dict] = {}
         # One condition guards the status map and is notified whenever a job
-        # reaches a terminal state, so waiters (long-poll handlers, the
-        # facade's as_completed streaming) block instead of busy-polling.
+        # reaches a terminal state, so waiters (long-poll handlers) block
+        # instead of busy-polling.
         self._cond = threading.Condition()
         self._lock = self._cond
         #: Callbacks fired (with the finished fingerprints, or [] on stop)
@@ -141,7 +138,7 @@ class AnalysisService:
             return
         self._running = True
         self._stopped = False
-        self._thread = threading.Thread(target=self._loop, name="engine-batcher", daemon=True)
+        self._thread = threading.Thread(target=self._loop, name="engine-service", daemon=True)
         self._thread.start()
 
     def stop(self, *, timeout: float = 10.0) -> None:
@@ -150,8 +147,8 @@ class AnalysisService:
             self._thread.join(timeout=timeout)
             self._thread = None
         # Release any long-poll waiters instead of leaving them to time out:
-        # the flag makes wait_for/wait_any return their current view on wakeup
-        # (no batcher is left to finish the work they were waiting on).
+        # the flag makes wait_for return its current view on wakeup (no
+        # service thread is left to finish the work it was waiting on).
         with self._cond:
             self._stopped = True
             self._notify_finished([])
@@ -180,7 +177,7 @@ class AnalysisService:
         for listener in list(self._result_listeners):
             try:
                 listener(list(fingerprints))
-            except Exception:  # a broken listener must not kill the batcher
+            except Exception:  # a broken listener must not kill the service thread
                 pass
 
     # -- submission --------------------------------------------------------
@@ -211,14 +208,29 @@ class AnalysisService:
 
     def submit_job(self, job: AnalysisJob) -> dict:
         """Enqueue an already-validated job; returns its status entry."""
-        fingerprint = job.fingerprint()
+        return self.submit_jobs([job])[0]
+
+    def submit_jobs(self, jobs: list[AnalysisJob]) -> list[dict]:
+        """Enqueue already-validated jobs as one engine batch; their status entries.
+
+        Jobs :meth:`answer` handles need no enqueueing; the rest are queued
+        together, so one submission is one engine batch.
+        """
+        entries = []
+        unit = []
         with self._lock:
-            entry = self.answer(fingerprint, job.name)
-            if entry is not None:
-                return entry
-            entry = self._track(self._entry(fingerprint, job.name, "queued", None))
-        self._queue.put((fingerprint, job))
-        return dict(entry)
+            for job in jobs:
+                fingerprint = job.fingerprint()
+                entry = self.answer(fingerprint, job.name)
+                if entry is None:
+                    entry = dict(
+                        self._track(self._entry(fingerprint, job.name, "queued", None))
+                    )
+                    unit.append((fingerprint, job))
+                entries.append(entry)
+        if unit:
+            self._queue.put(unit)
+        return entries
 
     def answer(self, fingerprint: str, name: str) -> dict | None:
         """The status entry of a submission that needs no enqueueing, else None.
@@ -233,8 +245,8 @@ class AnalysisService:
             if entry is not None and entry["status"] in ("queued", "running", "done"):
                 return dict(entry)
             # Warm hit: the whole-outcome store answers without touching the
-            # queue, the batcher, or the pool — the submission is "done" the
-            # moment it arrives.
+            # queue, the service thread, or the pool — the submission is
+            # "done" the moment it arrives.
             outcomes = self.engine.outcomes
             if outcomes is not None:
                 cached = outcomes.get(fingerprint)
@@ -296,8 +308,6 @@ class AnalysisService:
             "engine": self.engine.stats(),
             "limits": {
                 "max_batch_jobs": self.max_submit,
-                "engine_batch_jobs": self.max_batch,
-                "batch_window_seconds": self.batch_window,
                 "max_wait_seconds": MAX_WAIT_SECONDS,
             },
             "endpoints": {
@@ -320,7 +330,7 @@ class AnalysisService:
             "jobs": counts,
             "batches_run": self.batches_run,
             "workers": self.engine.workers,
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": counts.get("queued", 0),
             "engine": self.engine.stats(),
         }
 
@@ -375,7 +385,7 @@ class AnalysisService:
         Returns the latest status entry (possibly still ``queued``/``running``
         at timeout), or None when the fingerprint is unknown to both the
         in-memory map and the outcome store.  Waiting uses the service's
-        condition variable — notified by the batcher on every result — so
+        condition variable — notified as each result lands — so
         there is no sleep loop on either side of the HTTP connection.
         """
         deadline = time.monotonic() + max(0.0, float(timeout))
@@ -405,74 +415,46 @@ class AnalysisService:
             raise TimeoutError(f"job {fingerprint} did not finish within {timeout:g}s")
         return entry
 
-    def wait_any(
-        self, fingerprints: set[str] | frozenset[str], *, timeout: float = 60.0
-    ) -> str | None:
-        """A fingerprint from ``fingerprints`` that has finished (None on timeout).
-
-        Powers completion-order streaming (:meth:`repro.api.AnalysisSession.
-        as_completed`): the caller removes the returned fingerprint from its
-        pending set and calls again.
-        """
-        deadline = time.monotonic() + max(0.0, float(timeout))
-        while True:
-            with self._cond:
-                for fingerprint in fingerprints:
-                    entry = self._status.get(fingerprint)
-                    if entry is not None and entry["status"] in _FINISHED:
-                        return fingerprint
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._stopped:
-                    break
-                self._cond.wait(remaining)
-        # Last chance: fingerprints answerable only from the outcome store.
-        for fingerprint in fingerprints:
-            entry = self.status(fingerprint)
-            if entry is not None and entry["status"] in _FINISHED:
-                return fingerprint
-        return None
-
-    # -- batcher -----------------------------------------------------------
-    def _drain_batch(self) -> list[tuple[str, AnalysisJob]]:
-        """One coalescing window: the first job blocks, the rest are gathered."""
+    # -- service thread ----------------------------------------------------
+    def _drain(self) -> list[tuple[str, AnalysisJob]]:
+        """Everything queued: the first submission blocks briefly, the rest are taken."""
         try:
-            batch = [self._queue.get(timeout=0.1)]
+            batch = list(self._queue.get(timeout=0.1))
         except queue.Empty:
             return []
-        deadline = time.monotonic() + self.batch_window
-        while len(batch) < self.max_batch:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
+        while True:
             try:
-                batch.append(self._queue.get(timeout=remaining))
+                batch.extend(self._queue.get_nowait())
             except queue.Empty:
-                break
-        return batch
+                return batch
 
     def _loop(self) -> None:
         while self._running:
-            batch = self._drain_batch()
-            if not batch:
-                continue
-            with self._lock:
-                for fingerprint, _ in batch:
-                    self._status[fingerprint]["status"] = "running"
-            try:
-                report = self.engine.run([job for _, job in batch])
-            except Exception as exc:  # engine must never kill the batcher
+            batch = self._drain()
+            if batch:
+                self._run_batch(batch)
+
+    def _run_batch(self, batch: list[tuple[str, AnalysisJob]]) -> None:
+        """One engine batch, each entry published as its result lands."""
+        names = {fingerprint: job.name for fingerprint, job in batch}
+        with self._lock:
+            for fingerprint in names:
+                self._status[fingerprint]["status"] = "running"
+        try:
+            for fingerprint, result in self.engine.stream([job for _, job in batch]):
+                status = "done" if result.ok else "failed"
                 with self._lock:
-                    for fingerprint, job in batch:
-                        entry = self._track(self._entry(fingerprint, job.name, "failed", None))
-                        entry["error"] = f"{type(exc).__name__}: {exc}"
-                    self._notify_finished([fingerprint for fingerprint, _ in batch])
-                continue
+                    name = names.pop(fingerprint)
+                    self._track(self._entry(fingerprint, name, status, result))
+                    self._notify_finished([fingerprint])
+        except Exception as exc:  # the engine must never kill the service thread
             with self._lock:
-                for (fingerprint, job), result in zip(batch, report.results):
-                    status = "done" if result.ok else "failed"
-                    self._track(self._entry(fingerprint, job.name, status, result))
-                self._notify_finished([fingerprint for fingerprint, _ in batch])
-            self.batches_run += 1
+                for fingerprint, name in names.items():
+                    entry = self._track(self._entry(fingerprint, name, "failed", None))
+                    entry["error"] = f"{type(exc).__name__}: {exc}"
+                self._notify_finished(list(names))
+            return
+        self.batches_run += 1
 
 
 def make_server(service: AnalysisService, host: str = "127.0.0.1", port: int = 0):
@@ -509,10 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU cap of the whole-outcome store (default: unbounded)",
     )
     parser.add_argument(
-        "--batch-window", type=float, default=0.05, help="coalescing window in seconds"
-    )
-    parser.add_argument("--max-batch", type=int, default=32, help="max jobs per engine batch")
-    parser.add_argument(
         "--max-submit", type=int, default=1024, help="max jobs in one POST /v1/batches"
     )
     return parser
@@ -534,12 +512,7 @@ def main(argv: list[str] | None = None) -> int:
         # operator error, not a crash: one line naming the problem, exit 2.
         print(f"gleipnir-serve: {exc}", file=sys.stderr)
         return 2
-    service = AnalysisService(
-        engine,
-        batch_window=args.batch_window,
-        max_batch=args.max_batch,
-        max_submit=args.max_submit,
-    )
+    service = AnalysisService(engine, max_submit=args.max_submit)
     service.start()
     server = make_server(service, args.host, args.port)
     host, port = server.server_address[:2]

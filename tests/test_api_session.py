@@ -8,6 +8,7 @@ session and through their own ephemeral one.
 """
 
 import dataclasses
+import time
 import warnings
 
 import numpy as np
@@ -17,8 +18,9 @@ from helpers import random_circuit
 
 from repro.api import AnalysisOutcome, AnalysisSession
 from repro.circuits import Circuit
-from repro.config import AnalysisConfig, SDPConfig
+from repro.config import AnalysisConfig, ResourceGuard, SDPConfig
 from repro.core.analyzer import analyze_program
+from repro.engine import pool
 from repro.errors import EngineError
 from repro.noise import NoiseModel
 from repro.noise.channels import bit_flip
@@ -65,6 +67,15 @@ class TestAnalyze:
         with pytest.raises(EngineError):
             plain.gate_contributions()
 
+    def test_derivation_path_captures_a_budget_overrun_like_the_engine(self):
+        config = FAST.replace(guard=ResourceGuard(max_seconds=1e-9))
+        circuit = random_circuit(5, 60, seed=3)
+        with AnalysisSession(config=config) as session:
+            plain = session.analyze(circuit, MODEL)
+            with_tree = session.analyze(circuit, MODEL, derivation=True)
+        assert plain.status == with_tree.status == "timeout"
+        assert with_tree.bound is None and with_tree.derivation is None
+
     def test_closed_session_rejects_work(self):
         session = AnalysisSession(config=FAST)
         session.close()
@@ -109,6 +120,44 @@ class TestBatchAndStreaming:
             streamed = dict(session.as_completed(jobs, timeout=120))
         assert sorted(streamed) == [0, 1, 2]
         assert [streamed[i].bound for i in range(3)] == [o.bound for o in batch]
+
+    def test_local_as_completed_yields_before_the_next_job_starts(self, monkeypatch):
+        started = []
+        real = pool.execute_job_record
+
+        def spy(job, **kwargs):
+            started.append(job.fingerprint())
+            return real(job, **kwargs)
+
+        monkeypatch.setattr(pool, "execute_job_record", spy)
+        with AnalysisSession(config=FAST) as session:
+            jobs = [session.job(c, MODEL) for c in _circuits()]
+            stream = session.as_completed(jobs, timeout=120)
+            index, outcome = next(stream)
+            assert index == 0 and outcome.certified
+            assert started == [jobs[0].fingerprint()]
+            assert sorted(index for index, _ in stream) == [1, 2]
+
+    def test_local_as_completed_times_out_with_jobs_pending(self, monkeypatch):
+        started = []
+        real = pool.execute_job_record
+
+        def slow(job, **kwargs):
+            started.append(job.fingerprint())
+            time.sleep(0.2)
+            return real(job, **kwargs)
+
+        monkeypatch.setattr(pool, "execute_job_record", slow)
+        seen = []
+        with AnalysisSession(config=FAST) as session:
+            jobs = [session.job(c, MODEL) for c in _circuits()]
+            with pytest.raises(TimeoutError, match="2 job"):
+                for index, _outcome in session.as_completed(jobs, timeout=0.1):
+                    seen.append(index)
+        # The result that landed past the deadline is still delivered; the
+        # jobs behind it never start.
+        assert seen == [0]
+        assert len(started) == 1
 
     def test_empty_batch(self):
         with AnalysisSession(config=FAST) as session:

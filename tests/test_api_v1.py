@@ -97,7 +97,7 @@ def _serving(service: AnalysisService):
 @pytest.fixture
 def server(tmp_path):
     engine = AnalysisEngine(workers=1, outcomes=str(tmp_path / "outcomes.jsonl"))
-    service = AnalysisService(engine, batch_window=0.02, max_batch=8, max_submit=4)
+    service = AnalysisService(engine, max_submit=4)
     with _serving(service) as (base, _httpd):
         yield base, service
 
@@ -361,19 +361,6 @@ class TestServiceWait:
         # Unknown fingerprints return None instead of spinning.
         assert service.wait_for("f" * 64, timeout=0.05) is None
 
-    def test_wait_any(self, server):
-        _base, service = server
-        first = service.submit_payload(_job().to_json_dict())
-        second = service.submit_payload(_job("ghz3", num_qubits=3).to_json_dict())
-        pending = {first["fingerprint"], second["fingerprint"]}
-        seen = set()
-        while pending:
-            fingerprint = service.wait_any(pending, timeout=120)
-            assert fingerprint in pending
-            pending.discard(fingerprint)
-            seen.add(fingerprint)
-        assert seen == {first["fingerprint"], second["fingerprint"]}
-
 
 class TestReviewRegressions:
     def test_non_finite_wait_is_rejected(self, server):
@@ -388,7 +375,7 @@ class TestReviewRegressions:
         import time as _time
 
         engine = AnalysisEngine(workers=1)
-        service = AnalysisService(engine, batch_window=0.02)
+        service = AnalysisService(engine)
         # Deliberately NOT started: the job can never finish, so a waiter
         # parks until stop() releases it.
         entry = service.submit_payload(
@@ -474,13 +461,13 @@ class TestRepeatBodies:
 
     def test_failed_job_is_decoded_and_enqueued_again(self, server, decodes, monkeypatch):
         base, service = server
-        real_run = service.engine.run
+        real_stream = service.engine.stream
 
         def fail_once(jobs, **kwargs):
-            monkeypatch.setattr(service.engine, "run", real_run)
+            monkeypatch.setattr(service.engine, "stream", real_stream)
             raise RuntimeError("injected engine failure")
 
-        monkeypatch.setattr(service.engine, "run", fail_once)
+        monkeypatch.setattr(service.engine, "stream", fail_once)
         body = _wire_body([_job()])
         fingerprint = _post_batch(base, body)[1]["jobs"][0]["fingerprint"]
         assert service.wait(fingerprint, timeout=120)["status"] == "failed"
@@ -491,7 +478,7 @@ class TestRepeatBodies:
         assert service.wait(fingerprint, timeout=120)["status"] == "done"
 
     def test_evicted_job_without_a_store_runs_again(self, decodes):
-        service = AnalysisService(AnalysisEngine(workers=1), batch_window=0.02, max_tracked=2)
+        service = AnalysisService(AnalysisEngine(workers=1), max_tracked=2)
         with _serving(service) as (base, httpd):
             first = _wire_body([_job()])
             fingerprint = _post_batch(base, first)[1]["jobs"][0]["fingerprint"]
@@ -510,7 +497,7 @@ class TestRepeatBodies:
 
     def test_evicted_job_in_the_result_store_needs_no_decoding(self, tmp_path, decodes):
         engine = AnalysisEngine(workers=1, outcomes=str(tmp_path / "outcomes.jsonl"))
-        service = AnalysisService(engine, batch_window=0.02, max_tracked=2)
+        service = AnalysisService(engine, max_tracked=2)
         with _serving(service) as (base, httpd):
             first = _wire_body([_job()])
             fingerprint = _post_batch(base, first)[1]["jobs"][0]["fingerprint"]
@@ -529,7 +516,7 @@ class TestRepeatBodies:
             assert service.batches_run == batches
 
     def test_memo_holds_at_most_max_tracked_jobs(self):
-        service = AnalysisService(AnalysisEngine(workers=1), batch_window=0.02, max_tracked=2)
+        service = AnalysisService(AnalysisEngine(workers=1), max_tracked=2)
         with _serving(service) as (base, httpd):
             jobs = [_job(f"ghz{qubits}", num_qubits=qubits) for qubits in range(2, 6)]
             bodies = [_wire_body([job]) for job in jobs]

@@ -251,47 +251,8 @@ class TestEvictionAndPinning:
         assert store.stats()["evictions"] == 1
         store.close()
 
-    def test_pinning_overrides_recency(self, tmp_path):
-        store = OutcomeStore(str(tmp_path / "outcomes.jsonl"), max_entries=2)
-        store.put(_result("fp0"))
-        store.put(_result("fp1"))
-        with store.pinned(["fp0"]):  # fp0 is the LRU, but pinned
-            store.put(_result("fp2"))
-            assert "fp0" in store  # the pin overrides recency order
-            assert "fp1" not in store  # the unpinned entry paid the eviction
-            assert "fp2" in store
-        assert len(store) == 2
-        store.close()
-
-    def test_eviction_never_drops_a_pinned_entry(self, tmp_path):
-        store = OutcomeStore(str(tmp_path / "outcomes.jsonl"), max_entries=1)
-        jobs = _small_jobs()
-        first, first_certs = _executed(jobs[0])
-        store.put(first, first_certs)
-        with store.pinned([first.fingerprint]):
-            # Inserts from a concurrent batch exceed the cap, but the pinned
-            # entry survives (the store transiently overshoots instead).
-            for job in jobs[1:]:
-                result, certificates = _executed(job)
-                store.put(result, certificates)
-            assert store.get(first.fingerprint) is not None
-        # Pins released: the deferred eviction brings the store back to cap.
-        assert len(store) == 1
-
-    def test_pins_allow_transient_overshoot(self, tmp_path):
-        store = OutcomeStore(str(tmp_path / "outcomes.jsonl"), max_entries=1)
-        store.put(_result("fp0"))
-        with store.pinned(["fp0"]):
-            # A concurrent batch keeps inserting past the cap; the pinned
-            # entry survives even though everything else is reclaimable.
-            for i in range(1, 4):
-                store.put(_result(f"fp{i}"))
-            assert "fp0" in store
-        # Pins released: deferred eviction restores the cap.
-        assert len(store) == 1
-
     def test_concurrent_access(self, tmp_path):
-        """Six threads putting, reading and pinning under the one store lock."""
+        """Six threads putting and reading under the one store lock."""
         store = OutcomeStore(str(tmp_path / "outcomes.jsonl"), max_entries=64)
         errors = []
 
@@ -301,8 +262,7 @@ class TestEvictionAndPinning:
                     fingerprint = f"fp{base:02d}{i:02d}"
                     store.put(_result(fingerprint))
                     store.get(fingerprint)
-                    with store.pinned([fingerprint]):
-                        len(store)
+                    len(store)
             except Exception as exc:  # pragma: no cover - only on regression
                 errors.append(exc)
 
@@ -557,11 +517,11 @@ class TestSessionAndServiceIntegration:
         AnalysisEngine(workers=1, outcomes=path).run([job])
 
         engine = AnalysisEngine(workers=1, outcomes=path)
-        service = AnalysisService(engine, batch_window=0.01)
+        service = AnalysisService(engine)
         try:
             service.start()
             entry = service.submit_job(job)
-            # "done" at submission time: no queue, no batcher, no pool.
+            # "done" at submission time: no queue, no service thread, no pool.
             assert entry["status"] == "done"
             assert entry["result"]["error_bound"] is not None
             assert service.batches_run == 0

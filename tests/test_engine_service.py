@@ -5,6 +5,7 @@ import json
 import logging
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -12,7 +13,7 @@ import pytest
 
 from repro.circuits import Circuit
 from repro.config import AnalysisConfig, SDPConfig
-from repro.engine import aserve
+from repro.engine import aserve, pool
 from repro.engine.pool import AnalysisEngine
 from repro.engine.service import AnalysisService, make_server
 from repro.engine.spec import AnalysisJob
@@ -33,7 +34,7 @@ def _payload(name: str = "ghz2", *, num_qubits: int = 2) -> dict:
 @pytest.fixture
 def service(tmp_path):
     engine = AnalysisEngine(workers=1, outcomes=str(tmp_path / "outcomes.jsonl"))
-    service = AnalysisService(engine, batch_window=0.02, max_batch=8)
+    service = AnalysisService(engine)
     service.start()
     yield service
     service.stop()
@@ -117,23 +118,68 @@ class TestAnalysisService:
 
     def test_evicted_failure_is_unknown_and_runs_again(self, service, monkeypatch):
         """Failures are never stored, so an evicted one is forgotten."""
-        real_run = service.engine.run
+        real_stream = service.engine.stream
 
         def fail_once(jobs):
-            monkeypatch.setattr(service.engine, "run", real_run)
+            monkeypatch.setattr(service.engine, "stream", real_stream)
             raise RuntimeError("injected engine failure")
 
-        monkeypatch.setattr(service.engine, "run", fail_once)
+        monkeypatch.setattr(service.engine, "stream", fail_once)
         service.max_tracked = 1
         failed = service.submit_payload(_payload("one", num_qubits=2))
         assert service.wait(failed["fingerprint"], timeout=60)["status"] == "failed"
         other = service.submit_payload(_payload("two", num_qubits=3))
         service.wait(other["fingerprint"], timeout=60)
         assert service.status(failed["fingerprint"]) is None
-        assert service.wait_any({failed["fingerprint"]}, timeout=0.0) is None
         again = service.submit_payload(_payload("one", num_qubits=2))
         assert again["status"] == "queued"
         assert service.wait(again["fingerprint"], timeout=60)["status"] == "done"
+
+
+class TestPerJobPublishing:
+    """Each job's entry is published as its result lands, not at batch end."""
+
+    def test_first_result_is_done_while_its_batch_mate_runs(self, server, monkeypatch):
+        base, service = server
+        release = threading.Event()
+        real = pool.execute_job_record
+
+        def gated(job, **kwargs):
+            if job.name == "blocked":
+                release.wait(timeout=60)
+            return real(job, **kwargs)
+
+        monkeypatch.setattr(pool, "execute_job_record", gated)
+        try:
+            status, body = _post(
+                base,
+                "/v1/batches",
+                {"jobs": [_payload("first"), _payload("blocked", num_qubits=3)]},
+            )
+            assert status == 202
+            first, blocked = (entry["fingerprint"] for entry in body["jobs"])
+            assert service.wait_for(first, timeout=30)["status"] == "done"
+            assert service.status(blocked)["status"] == "running"
+        finally:
+            release.set()
+        assert service.wait(blocked, timeout=60)["status"] == "done"
+
+    def test_one_post_is_one_engine_batch(self, server):
+        base, service = server
+        before = service.batches_run
+        status, body = _post(
+            base,
+            "/v1/batches",
+            {"jobs": [_payload(f"job{n}", num_qubits=n) for n in (2, 3, 4)]},
+        )
+        assert status == 202
+        for entry in body["jobs"]:
+            service.wait(entry["fingerprint"], timeout=60)
+        # The counter ticks just after the last entry is published.
+        deadline = time.monotonic() + 10
+        while service.batches_run == before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert service.batches_run == before + 1
 
 
 class TestHTTPAPI:

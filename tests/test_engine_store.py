@@ -122,7 +122,7 @@ class TestResultStore:
 
 class TestResultStoreConcurrency:
     def test_put_and_completed_hammered_from_two_threads(self, tmp_path):
-        """Reads must hold the lock while the service batcher thread writes.
+        """Reads must hold the lock while the service thread writes.
 
         One thread appends results while another hammers the read API;
         without locking this races a mutating dict and can raise or return

@@ -269,7 +269,7 @@ class TestWorkerMerge:
 @pytest.fixture
 def server(tmp_path):
     engine = AnalysisEngine(workers=1, outcomes=str(tmp_path / "outcomes.jsonl"))
-    service = AnalysisService(engine, batch_window=0.02, max_batch=8, max_submit=4)
+    service = AnalysisService(engine, max_submit=4)
     service.start()
     httpd = make_server(service, "127.0.0.1", 0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)

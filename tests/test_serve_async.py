@@ -4,7 +4,7 @@ The headline claim of the async front end is capacity: one process holds
 hundreds of concurrently parked ``?wait=`` long polls (each a coroutine, not
 a thread) and releases every one of them with the same bit-identical result
 when the job lands.  The test makes that deterministic by *not* starting the
-service's batcher until a probe on the parked-waiter gauge proves all
+service's thread until a probe on the parked-waiter gauge proves all
 waiters are actually parked — no timing assumptions, no sleep-polling.
 """
 
@@ -45,9 +45,9 @@ def _raise_fd_limit(needed: int) -> None:
 
 @pytest.fixture
 def cold_server(tmp_path):
-    """A server whose batcher is NOT running: submissions stay queued."""
+    """A server whose service thread is NOT running: submissions stay queued."""
     engine = AnalysisEngine(workers=1, outcomes=str(tmp_path / "outcomes.jsonl"))
-    service = AnalysisService(engine, batch_window=0.02, max_batch=8)
+    service = AnalysisService(engine)
     httpd = make_server(service, "127.0.0.1", 0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
@@ -116,7 +116,7 @@ class TestParkedLongPolls:
         _raise_fd_limit(4096)
         entry = service.submit_payload(_job().to_json_dict())
         fingerprint = entry["fingerprint"]
-        assert entry["status"] == "queued"  # batcher not running yet
+        assert entry["status"] == "queued"  # service thread not running yet
 
         request = (
             f"GET /v1/jobs/{fingerprint}?wait=60 HTTP/1.1\r\n"
@@ -132,7 +132,7 @@ class TestParkedLongPolls:
             # Deterministic barrier: every waiter visibly parked at once.
             assert parked.wait_parked(WAITERS)
 
-            service.start()  # run the job; the batcher wakes all waiters
+            service.start()  # run the job; the service thread wakes all waiters
             answers = [_http_response(sock) for sock in sockets]
         finally:
             for sock in sockets:
@@ -158,7 +158,7 @@ class TestParkedLongPolls:
             ).encode()
         )
         assert parked.wait_parked(1)
-        service.stop()  # no batcher ran: waiter must still be released now
+        service.stop()  # no service thread ran: waiter must still be released now
         status, payload = _http_response(sock)
         sock.close()
         assert status == 200
