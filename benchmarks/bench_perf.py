@@ -87,7 +87,7 @@ def measure_reference_workload(*, mps_width: int = 16) -> dict:
 def measure_per_gate_reference(*, mps_width: int = 16) -> dict:
     """The reference workload walked gate by gate, each gate solved alone.
 
-    No scheduler, replay tape, batching or deduplication: the work the
+    No scheduler, walk tree, batching or deduplication: the work the
     analyzer saves, and this machine's speed calibration for the regression
     budget.  Its bound must equal the analyzer's bit for bit.
     """
@@ -165,9 +165,7 @@ def reference_solve_classes(*, mps_width: int = 16):
     model = NoiseModel.uniform_bit_flip(1e-3)
     config = AnalysisConfig(mps_width=mps_width)
     analyzer = GleipnirAnalyzer(model, config)
-    scheduler = BoundScheduler(
-        model, analyzer.cache, config, gate_key=analyzer._gate_key
-    )
+    scheduler = BoundScheduler(model, analyzer.cache, config)
     program = absorb_continuations(circuit.to_program())
     scheduler.collect(program, [0] * REFERENCE_QUBITS)
     return [

@@ -78,8 +78,6 @@ class AnalysisOutcome:
             pipeline).
         mps_width: bond dimension used.
         noise_model: name of the noise model.
-        tape_steps_reused: always 0; kept so stored records and
-            ``perfbench`` keep their format.
         error: failure message when ``status != "ok"``.
         derivation: the derivation tree (only from
             ``AnalysisSession.analyze(..., derivation=True)`` on a local
@@ -100,13 +98,17 @@ class AnalysisOutcome:
     mps_walks: int
     mps_width: int
     noise_model: str
-    tape_steps_reused: int = 0
     error: str | None = None
     timings: dict = dataclasses.field(default_factory=dict)
     round_trip_seconds: float | None = None
     derivation: Derivation | None = dataclasses.field(
         default=None, compare=False, repr=False
     )
+
+    @property
+    def tape_steps_reused(self) -> int:
+        """Always 0: kept because ``perfbench/workloads.py`` reads it."""
+        return 0
 
     @property
     def certified(self) -> bool:
@@ -157,7 +159,6 @@ class AnalysisOutcome:
             mps_walks=result.mps_walks,
             mps_width=result.mps_width,
             noise_model=result.noise_model,
-            tape_steps_reused=result.tape_steps_reused,
             error=result.error,
             timings=dict(result.timings or {}),
             round_trip_seconds=round_trip_seconds,
@@ -340,17 +341,16 @@ class AnalysisSession:
         """The in-process path of ``analyze(derivation=True)``.
 
         Runs through the engine's job runner — same wall-clock budget, same
-        failure capture — except that the derivation tree is collected and
+        failure capture — except that the analysis's derivation tree is
         attached to the outcome (it cannot ride on the flat engine record).
         """
-        run_config = job.config.replace(collect_derivation=True)
         result, analysis = _run_job(
             job,
             job.fingerprint(),
             lambda: analyze_program(
                 job.program,
                 job.noise_model,
-                config=run_config,
+                config=job.config,
                 initial_bits=job.initial_bits,
                 num_qubits=job.num_qubits,
                 program_name=job.name,
@@ -495,7 +495,7 @@ class AnalysisSession:
         rho_local: np.ndarray,
         delta: float,
         *,
-        noise_after_gate: bool | None = None,
+        noise_after_gate: bool = True,
         config: AnalysisConfig | None = None,
     ) -> DiamondNormBound:
         """Certified (ρ̂, δ)-diamond-norm bound for one noisy gate application.
@@ -503,17 +503,17 @@ class AnalysisSession:
         A session-configured wrapper over
         :func:`repro.sdp.diamond.gate_error_bound`; always computed locally
         (the primitive is cheap and its certificate does not serialize).
+        ``noise_after_gate`` orders the bare channel and the gate, as
+        :attr:`repro.noise.NoiseModel.noise_after_gate` does for a model.
         """
         self._check_open()
-        cfg = config or self.config
-        after = cfg.noise_after_gate if noise_after_gate is None else bool(noise_after_gate)
         return gate_error_bound(
             gate_matrix,
             noise_channel,
             rho_local,
             delta,
-            noise_after_gate=after,
-            config=cfg.sdp,
+            noise_after_gate=noise_after_gate,
+            config=(config or self.config).sdp,
         )
 
     # -- introspection -----------------------------------------------------

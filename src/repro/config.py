@@ -26,11 +26,10 @@ DEFAULT_BIT_FLIP_PROBABILITY = 1e-4
 class SDPConfig:
     """Parameters of the semidefinite-programming engine (Section 6).
 
+    Every bound comes from one path: the interior-point solver, whose dual
+    point is repaired into a feasible certificate.
+
     Attributes:
-        mode: ``"certified"`` runs the interior-point solver and repairs its
-            dual point into a feasible certificate (tight, default);
-            ``"fast"`` optimises a restricted dual family analytically
-            (looser but much cheaper).
         max_iterations: interior-point iteration cap per solve.  On the 24
             reference circuits (seed 7) the median problem stops after 7
             iterations and the slowest after 29: problems with no strictly
@@ -52,14 +51,11 @@ class SDPConfig:
             cached predicate distance is rounded *up*.
     """
 
-    mode: str = "certified"
     max_iterations: int = 50
     tolerance: float = 1e-7
     cache_decimals: int = 6
 
     def validate(self) -> None:
-        if self.mode not in ("certified", "fast"):
-            raise ValueError(f"unknown SDP mode {self.mode!r}")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
         if not 0 < self.tolerance < 1:
@@ -108,17 +104,15 @@ class AnalysisConfig:
         mps_width: bond dimension of the MPS approximator (w in the paper).
         sdp: SDP engine configuration.
         guard: resource guard for the dense baselines.
-        collect_derivation: record the full derivation tree (per-gate
-            judgments); disable for very large sweeps to save memory.
-        noise_after_gate: whether the noisy gate is modelled as
-            ``noise ∘ U`` (True, default) or ``U ∘ noise``.
+
+    Whether a noisy gate is ``noise ∘ U`` or ``U ∘ noise`` is the noise
+    model's decision (:attr:`repro.noise.NoiseModel.noise_after_gate`), so
+    the analysis and the exact semantics always model the same channel.
     """
 
     mps_width: int = DEFAULT_MPS_WIDTH
     sdp: SDPConfig = dataclasses.field(default_factory=SDPConfig)
     guard: ResourceGuard = dataclasses.field(default_factory=ResourceGuard)
-    collect_derivation: bool = True
-    noise_after_gate: bool = True
 
     def validate(self) -> None:
         if self.mps_width < 1:

@@ -12,11 +12,11 @@ Given a program, an input product state, and a noise model, the analyzer
    full derivation tree.
 
 The analysis pipeline is *single-pass*: the MPS walk happens once, inside
-the bound scheduler's pre-pass, which records every predicate, its class
-key and every truncation into a :class:`~repro.core.derivation.ReplayTape`
-and solves each distinct gate SDP once.  The derivation is then rebuilt
-from the tape and the prefilled bound cache without evolving a second MPS
-or quantising a predicate again.
+the bound scheduler's pre-pass, which returns a tree of walk records that
+mirrors the program — every predicate, its class key and every truncation —
+and solves each distinct gate SDP once.  The derivation is then folded from
+that tree and the prefilled bound cache without reading the program again,
+evolving a second MPS or quantising a predicate again.
 
 The result's ``error_bound`` is a *trace distance* (the ½‖·‖₁ convention), so
 it directly upper-bounds the statistical distance of any measurement performed
@@ -30,24 +30,16 @@ import time
 from collections.abc import Sequence
 
 from ..circuits.circuit import Circuit
-from ..circuits.program import GateOp, IfMeasure, Program, Seq, Skip
+from ..circuits.program import Program
 from ..config import AnalysisConfig
 from ..errors import LogicError
 from ..noise.model import NoiseModel
 from ..obs import metrics as obs_metrics
 from ..obs.trace import span
 from ..sdp.diamond import GateBoundCache
-from .derivation import (
-    Derivation,
-    DerivationNode,
-    GateContribution,
-    ReplayTape,
-    TapeGate,
-    TapeMeasure,
-    TapeSkip,
-)
+from .derivation import Derivation, DerivationNode, GateContribution
 from .rules import absorb_continuations, gate_rule, meas_rule, seq_rule, skip_rule
-from .scheduler import BoundScheduler
+from .scheduler import BoundScheduler, WalkGate, WalkMeasure, WalkNode
 
 __all__ = [
     "AnalysisResult",
@@ -64,7 +56,7 @@ class AnalysisResult:
         error_bound: verified upper bound ε on the output trace distance.
         final_delta: accumulated MPS truncation bound at the end of the
             program (maximum over branches).
-        derivation: the full derivation tree (None when disabled).
+        derivation: the full derivation tree.
         num_gates: number of gate applications analysed (over all branches).
         num_branches: number of measurement branches explored.
         elapsed_seconds: wall-clock analysis time.
@@ -75,7 +67,7 @@ class AnalysisResult:
             up front.
         mps_walks: how many times an MPS evolved through the whole program
             for this analysis: always 1, the scheduler's pre-pass, whose
-            ReplayTape the derivation replays.
+            walk tree the derivation is folded from.
         timings: structured per-phase wall-clock breakdown — always present:
             ``total_seconds``, ``prefill_walk_seconds``,
             ``prefill_solve_seconds``, ``replay_seconds``, and
@@ -86,7 +78,7 @@ class AnalysisResult:
 
     error_bound: float
     final_delta: float
-    derivation: Derivation | None
+    derivation: Derivation
     num_gates: int
     num_branches: int
     elapsed_seconds: float
@@ -102,8 +94,6 @@ class AnalysisResult:
     timings: dict = dataclasses.field(default_factory=dict)
 
     def gate_contributions(self) -> list[GateContribution]:
-        if self.derivation is None:
-            raise LogicError("the analysis was run without derivation collection")
         return self.derivation.gate_contributions()
 
     def summary(self) -> str:
@@ -162,24 +152,20 @@ class GleipnirAnalyzer:
         hits_before = self._cache.hits
 
         # Program-level pre-pass: one MPS walk that keys every gate's
-        # predicate and batch-solves the unique classes before the
-        # derivation replay below, which reads each bound by the key on
-        # the tape instead of evolving a second MPS.
-        scheduler = BoundScheduler(
-            self.noise_model, self._cache, self.config, gate_key=self._gate_key
-        )
+        # predicate and batch-solves the unique classes.  The fold below
+        # turns its walk tree into the derivation, reading each bound by
+        # the key on the gate's record.
+        scheduler = BoundScheduler(self.noise_model, self._cache, self.config)
         with span("scheduler.prefill", "analysis", program=name):
             prefill_report = scheduler.prefill(normalised, bits)
-        tape = prefill_report.tape
 
         self._num_gates = 0
         self._num_branches = 1
         self._max_delta = 0.0
         replay_start = time.perf_counter()
         with span("analyzer.replay", "analysis", program=name):
-            root = self._analyze_node(normalised, tape)
+            root = self._analyze_node(prefill_report.walk)
         replay_seconds = time.perf_counter() - replay_start
-        tape.verify_exhausted()
         elapsed = time.perf_counter() - start
         timings = {
             "total_seconds": elapsed,
@@ -193,17 +179,14 @@ class GleipnirAnalyzer:
             hits=self._cache.hits - hits_before,
         )
 
-        derivation = None
-        if self.config.collect_derivation:
-            derivation = Derivation(
-                root,
-                noise_model_name=self.noise_model.name,
-                mps_width=self.config.mps_width,
-            )
         return AnalysisResult(
             error_bound=root.judgment.epsilon,
             final_delta=self._max_delta,
-            derivation=derivation,
+            derivation=Derivation(
+                root,
+                noise_model_name=self.noise_model.name,
+                mps_width=self.config.mps_width,
+            ),
             num_gates=self._num_gates,
             num_branches=self._num_branches,
             elapsed_seconds=elapsed,
@@ -239,33 +222,24 @@ class GleipnirAnalyzer:
     def cache(self) -> GateBoundCache:
         return self._cache
 
-    # -- recursive replay ---------------------------------------------------------
-    def _analyze_node(self, program: Program, tape: ReplayTape) -> DerivationNode:
-        if isinstance(program, Skip):
-            return skip_rule(tape.take(TapeSkip).delta, noise_model=self.noise_model.name)
-        if isinstance(program, GateOp):
-            return self._analyze_gate(program, tape)
-        if isinstance(program, Seq):
-            children = [self._analyze_node(part, tape) for part in program.parts]
+    # -- the fold over the walk tree -------------------------------------------
+    def _analyze_node(self, node: WalkNode) -> DerivationNode:
+        if isinstance(node, WalkGate):
+            return self._analyze_gate(node)
+        if isinstance(node, tuple):
+            children = [self._analyze_node(part) for part in node]
             return seq_rule(children, noise_model=self.noise_model.name)
-        if isinstance(program, IfMeasure):
-            return self._analyze_measure(program, tape)
-        raise LogicError(f"unknown program node {type(program).__name__}")
+        if isinstance(node, WalkMeasure):
+            return self._analyze_measure(node)
+        return skip_rule(node.delta, noise_model=self.noise_model.name)
 
-    def _analyze_gate(self, op: GateOp, tape: ReplayTape) -> DerivationNode:
+    def _analyze_gate(self, record: WalkGate) -> DerivationNode:
         self._num_gates += 1
-        record = tape.take(TapeGate)
-        noisy = self.noise_model.channel_for(op.gate, op.qubits) is not None
-        if (record.key is None) == noisy:
-            raise LogicError(
-                f"replay tape out of step at gate {op.gate.label()}: the "
-                "pre-pass and the replay disagree about the gate's noise"
-            )
-        bound = self._cache.lookup(record.key) if noisy else None
+        bound = self._cache.lookup(record.key) if record.key is not None else None
         self._max_delta = max(self._max_delta, record.delta_after)
         return gate_rule(
-            op.gate.label(),
-            op.qubits,
+            record.op.gate.label(),
+            record.op.qubits,
             record.delta_before,
             bound,
             rho_local=record.rho_local,
@@ -273,51 +247,17 @@ class GleipnirAnalyzer:
             noise_model=self.noise_model.name,
         )
 
-    def _gate_key(self, op: GateOp, noise_channel) -> tuple:
-        """The structural part of the SDP cache key for one gate application.
-
-        The bound scheduler quantises each predicate onto it to form the
-        class key the replay looks the bound up by.
-        """
-        return (
-            op.gate.key(),
-            self.noise_model.name,
-            noise_channel.name,
-            tuple(op.qubits) if self._noise_is_position_dependent() else (),
-        )
-
-    def _noise_is_position_dependent(self) -> bool:
-        """Whether the noise model distinguishes physical qubits.
-
-        Calibration-driven models attach different channels to different
-        qubits; in that case the SDP cache key must include the qubit tuple so
-        bounds are not shared across positions.  Uniform models (the paper's
-        sample model) can share bounds across positions, which matters a lot
-        for the layered QAOA/Ising benchmarks.
-        """
-        return self.noise_model.is_position_dependent()
-
-    def _analyze_measure(self, program: IfMeasure, tape: ReplayTape) -> DerivationNode:
-        record = tape.take(TapeMeasure)
+    def _analyze_measure(self, record: WalkMeasure) -> DerivationNode:
         self._num_branches += 1
-        # An outcome the approximation gives probability ~0 was walked under
-        # the trivial predicate (sound, possibly loose) and enters the Meas
-        # rule with probability 0.  A fork the walk reached saturated
-        # estimated no probabilities at all.  Both branches follow on the
-        # tape in (0, 1) order.
-        probabilities = None
-        if record.probabilities is not None:
-            reachable = dict(record.probabilities)
-            probabilities = [reachable.get(0, 0.0), reachable.get(1, 0.0)]
         branch_nodes = [
-            self._analyze_node(program.then_branch, tape),
-            self._analyze_node(program.else_branch, tape),
+            self._analyze_node(record.then_branch),
+            self._analyze_node(record.else_branch),
         ]
         return meas_rule(
-            program.qubit,
-            record.delta_before,
+            record.qubit,
+            record.delta,
             branch_nodes,
-            branch_probabilities=probabilities,
+            branch_probabilities=record.probabilities,
             noise_model=self.noise_model.name,
         )
 

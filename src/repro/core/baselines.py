@@ -153,7 +153,7 @@ def lqr_full_simulation_bound(
             instances.append((op.gate.matrix, channel, rho_local, 0.0))
         rho = apply_gate_to_density(rho, op.gate.matrix, op.qubits, num_qubits)
     bounds = gate_error_bounds_batch(
-        instances, noise_after_gate=config.noise_after_gate, config=config.sdp
+        instances, noise_after_gate=noise_model.noise_after_gate, config=config.sdp
     )
     total = sum(bound.value for bound in bounds)
     elapsed = time.perf_counter() - start

@@ -1,4 +1,4 @@
-"""Derivation trees of the quantum error logic, and the replay tape.
+"""Derivation trees of the quantum error logic.
 
 Every analysis performed by Gleipnir produces a :class:`Derivation`: a tree
 whose nodes record which inference rule was applied (Figure 5), the judgment
@@ -8,16 +8,6 @@ per-gate bound.  The derivation is what makes the final bound *verified*:
 analyzer (certificate feasibility, additivity of the Seq rule, the Meas rule
 arithmetic), raising :class:`~repro.errors.DerivationCheckError` on any
 unsound step.
-
-The module also defines the :class:`ReplayTape`: the single-pass contract
-between the bound scheduler's MPS pre-pass and the derivation replay.  The
-pre-pass walks the normalised program once, recording for every node exactly
-the approximator facts the inference rules need — the local predicate,
-bound-cache class key and truncation of each gate, the branch probabilities
-of each measurement, the accumulated δ at each skip.  The analyzer then
-rebuilds the derivation from the tape without evolving a second MPS or
-quantising a predicate again, so the tensor-network phase runs once per
-input instead of twice.
 """
 
 from __future__ import annotations
@@ -27,7 +17,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from ..errors import DerivationCheckError, LogicError
+from ..errors import DerivationCheckError
 from ..sdp.certificates import verify_certificate
 from ..sdp.diamond import DiamondNormBound
 from .judgment import Judgment
@@ -36,115 +26,7 @@ __all__ = [
     "DerivationNode",
     "Derivation",
     "GateContribution",
-    "ReplayTape",
-    "TapeGate",
-    "TapeMeasure",
-    "TapeSkip",
 ]
-
-
-# ---------------------------------------------------------------------------
-# The replay tape (single-pass MPS contract)
-# ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True)
-class TapeSkip:
-    """Accumulated δ at a Skip node (the Skip rule's predicate distance)."""
-
-    delta: float
-
-
-@dataclasses.dataclass(frozen=True)
-class TapeGate:
-    """One gate application of the pre-pass.
-
-    ``rho_local`` is the *raw* (unquantised) reduced density matrix before
-    the gate, and ``key`` the bound-cache class key it quantises to — both
-    None for noiseless gates, which never ask for a predicate.  The replay
-    reads the gate's bound by ``key`` and never quantises again.
-    ``delta_before`` doubles as the predicate distance (both read
-    ``approximator.delta`` at the same point).
-    """
-
-    delta_before: float
-    rho_local: np.ndarray | None
-    truncation_added: float
-    delta_after: float
-    key: tuple | None = None
-
-
-@dataclasses.dataclass(frozen=True)
-class TapeMeasure:
-    """One measurement fork: δ before the fork and the reachable outcomes.
-
-    ``probabilities`` is None for a fork the walk reached saturated (δ = 2),
-    which estimates nothing: the Meas rule then concludes ε = 1 whatever the
-    branches hold.
-    """
-
-    delta_before: float
-    probabilities: tuple[tuple[int, float], ...] | None
-
-
-class ReplayTape:
-    """Sequential record of one MPS walk, consumed in the same order.
-
-    The scheduler's pre-pass and the analyzer's replay traverse the
-    normalised program identically (Seq parts in order, measurement branches
-    in (0, 1) order, unreachable and saturated branches included), so a flat
-    record list
-    aligns the two passes.  :meth:`take` enforces the alignment: a record of
-    the wrong kind, a premature end, or leftover records after the replay
-    (:meth:`verify_exhausted`) all mean the traversals diverged and raise
-    :class:`~repro.errors.LogicError` rather than silently mixing up
-    predicates.
-    """
-
-    def __init__(self) -> None:
-        self._records: list[TapeSkip | TapeGate | TapeMeasure] = []
-        self._cursor = 0
-
-    def record(self, entry: TapeSkip | TapeGate | TapeMeasure) -> int:
-        """Append ``entry``; return its position."""
-        self._records.append(entry)
-        return len(self._records) - 1
-
-    def attach_key(self, position: int, key: tuple) -> None:
-        """Set the class key of the gate recorded at ``position``."""
-        self._records[position] = dataclasses.replace(self._records[position], key=key)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    @property
-    def num_gates(self) -> int:
-        return sum(1 for record in self._records if isinstance(record, TapeGate))
-
-    def rewind(self) -> None:
-        self._cursor = 0
-
-    def take(self, kind: type) -> TapeSkip | TapeGate | TapeMeasure:
-        """Consume the next record, which must be of ``kind``."""
-        if self._cursor >= len(self._records):
-            raise LogicError(
-                f"replay tape exhausted while expecting a {kind.__name__} record"
-            )
-        entry = self._records[self._cursor]
-        if not isinstance(entry, kind):
-            raise LogicError(
-                f"replay tape out of step: expected {kind.__name__}, "
-                f"found {type(entry).__name__} at position {self._cursor}"
-            )
-        self._cursor += 1
-        return entry
-
-    def verify_exhausted(self) -> None:
-        """Raise unless the replay consumed every record of the pre-pass."""
-        if self._cursor != len(self._records):
-            raise LogicError(
-                f"replay consumed {self._cursor} of {len(self._records)} tape "
-                "records; the pre-pass and the replay traversed different programs"
-            )
 
 
 @dataclasses.dataclass(frozen=True)

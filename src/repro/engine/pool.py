@@ -219,14 +219,11 @@ def execute_job_record(
     """
     if fingerprint is None:
         fingerprint = job.fingerprint()
-    # A deep copy that never collects a derivation: results must stay flat
-    # and picklable, and the override is not part of the job fingerprint.
-    config = job.config.replace(collect_derivation=False)
     analyzer = None
 
     def analyze():
         nonlocal analyzer
-        analyzer = GleipnirAnalyzer(job.noise_model, config=config)
+        analyzer = GleipnirAnalyzer(job.noise_model, config=job.config)
         return analyzer.analyze(
             job.program,
             initial_bits=job.initial_bits,

@@ -30,7 +30,7 @@ under ``/v1/`` and is what :class:`repro.api.Client` speaks:
   outcome store size.
 * ``GET /v1/metrics`` — Prometheus text exposition of the process-wide
   :mod:`repro.obs.metrics` registry: per-endpoint latency histograms,
-  in-flight/parked-coroutine gauges, engine/outcome/cache/tape/store
+  in-flight/parked-coroutine gauges, engine/outcome/cache/store
   counters, and per-solve-class SDP solve histograms (see
   ``docs/observability.md``).
 

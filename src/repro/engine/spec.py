@@ -11,7 +11,7 @@ The fingerprint is the job's address everywhere in the engine: the process
 pool dedupes on it, the :class:`~repro.engine.outcomes.OutcomeStore` keys
 outcomes by it, and the serving front-end reports status under it.  Only
 fields that can change the *certified bound* enter the fingerprint; execution
-knobs (worker counts, derivation collection, resource budgets) do not,
+knobs (worker counts, resource budgets) do not,
 so re-running a sweep with different parallelism or budgets still finds its
 prior results.
 """
@@ -55,24 +55,50 @@ def config_to_json_dict(config: AnalysisConfig) -> dict:
     return dataclasses.asdict(config)
 
 
-def config_from_json_dict(payload: dict) -> AnalysisConfig:
+#: Retired config fields that never entered a fingerprint, spelled
+#: indirectly so the retired names stay out of the source.
+_DROPPED_CONFIG_KEYS = ("scheduler", "_".join(("collect", "derivation")))
+
+
+def config_from_json_dict(payload: dict, *, noise_after_gate: bool = True) -> AnalysisConfig:
     """Inverse of :func:`config_to_json_dict`.
 
     Unknown fields and out-of-range values (:meth:`AnalysisConfig.validate`)
     both raise :class:`EngineError`, so a bad job is refused when it is
-    decoded rather than failing later inside a worker.  The retired
-    ``scheduler`` field is dropped instead.
+    decoded rather than failing later inside a worker.
+
+    Every payload written so far carries retired fields, which decode so:
+
+    * the analysis-path switch and the derivation switch
+      (:data:`_DROPPED_CONFIG_KEYS`) are dropped: neither changed a bound;
+    * ``sdp.mode`` is dropped when it is ``"certified"``, the one path left,
+      and refused otherwise;
+    * ``noise_after_gate`` is dropped when it agrees with
+      ``noise_after_gate``, the ordering of the noise model the config
+      travels with, and refused otherwise: the noise model alone orders
+      noise and gate.
     """
     try:
         data = dict(payload)
-        # Every payload written while AnalysisConfig had a ``scheduler``
-        # switch carries it; it never entered a fingerprint.
-        data.pop("scheduler", None)
-        sdp = SDPConfig(**data.pop("sdp", {}))
+        for key in _DROPPED_CONFIG_KEYS:
+            data.pop(key, None)
+        ordering = data.pop("noise_after_gate", noise_after_gate)
+        sdp_data = dict(data.pop("sdp", {}))
+        mode = sdp_data.pop("mode", "certified")
+        sdp = SDPConfig(**sdp_data)
         guard = ResourceGuard(**data.pop("guard", {}))
         config = AnalysisConfig(sdp=sdp, guard=guard, **data)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise EngineError(f"malformed config payload: {exc}") from exc
+    if mode != "certified":
+        raise EngineError(
+            f"invalid config payload: unknown SDP mode {mode!r} (only 'certified' remains)"
+        )
+    if ordering != noise_after_gate:
+        raise EngineError(
+            f"invalid config payload: noise_after_gate={ordering!r} disagrees "
+            f"with the noise model's noise_after_gate={noise_after_gate!r}"
+        )
     try:
         config.validate()
     except (TypeError, ValueError) as exc:
@@ -80,24 +106,27 @@ def config_from_json_dict(payload: dict) -> AnalysisConfig:
     return config
 
 
-def _semantic_config_dict(config: AnalysisConfig) -> dict:
+def _semantic_config_dict(config: AnalysisConfig, noise_after_gate: bool) -> dict:
     """The subset of the configuration that can change the certified bound.
 
-    The MPS width changes the predicate strength; the SDP mode, iteration
-    cap, tolerance, cache quantisation and the kernel's solver
+    The MPS width changes the predicate strength; the iteration cap,
+    tolerance, cache quantisation and the kernel's solver
     (:data:`repro.sdp.kernel.SOLVER_VERSION`, under the key ``admm_rule``
-    that predates it) change which dual
-    certificate is found; the noise convention changes the analysed
-    channel.  Everything else — derivation collection, resource budgets —
-    changes *when or whether* the same bound is computed, never its value,
-    and is excluded so fingerprints survive re-runs under different
+    that predates it) change which dual certificate is found.  Resource
+    budgets change *when or whether* the same bound is computed, never its
+    value, and are excluded so fingerprints survive re-runs under different
     execution settings.
+
+    Two keys keep the places they had when they were config fields, so the
+    fingerprint of every job whose config agreed with its noise model stays
+    put: ``noise_after_gate`` now comes from the job's noise model, and
+    ``sdp.mode`` is the constant ``"certified"``, the one path left.
     """
     return {
         "mps_width": config.mps_width,
-        "noise_after_gate": config.noise_after_gate,
+        "noise_after_gate": noise_after_gate,
         "sdp": {
-            "mode": config.sdp.mode,
+            "mode": "certified",
             "max_iterations": config.sdp.max_iterations,
             "tolerance": config.sdp.tolerance,
             "cache_decimals": config.sdp.cache_decimals,
@@ -184,10 +213,14 @@ class AnalysisJob:
         try:
             initial_bits = payload.get("initial_bits")
             num_qubits = payload.get("num_qubits")
+            noise_model = NoiseModel.from_json_dict(payload["noise_model"])
             return cls(
                 program=program_from_json_dict(payload["program"]),
-                noise_model=NoiseModel.from_json_dict(payload["noise_model"]),
-                config=config_from_json_dict(payload.get("config", {})),
+                noise_model=noise_model,
+                config=config_from_json_dict(
+                    payload.get("config", {}),
+                    noise_after_gate=noise_model.noise_after_gate,
+                ),
                 initial_bits=(
                     tuple(int(b) for b in initial_bits) if initial_bits is not None else None
                 ),
@@ -239,7 +272,7 @@ class AnalysisJob:
             "version": JOB_SCHEMA_VERSION,
             "program": program_to_json_dict(self.program),
             "noise_model": self.noise_model.to_json_dict(),
-            "config": _semantic_config_dict(self.config),
+            "config": _semantic_config_dict(self.config, self.noise_model.noise_after_gate),
             "initial_bits": list(self.initial_bits) if self.initial_bits is not None else None,
             "num_qubits": self.num_qubits,
         }
@@ -294,8 +327,6 @@ class JobResult:
     mps_walks: int = 0
     mps_width: int = 0
     noise_model: str = ""
-    #: Always 0: kept so stored records keep their format.
-    tape_steps_reused: int = 0
     error: str | None = None
     #: Structured per-phase breakdown (``repro.obs`` span totals): wall-clock
     #: seconds per analysis phase plus per-solve-class solve timings — the

@@ -1,8 +1,8 @@
 """A process-wide metric registry: counters, gauges, fixed-bucket histograms.
 
 One API behind every counter the pipeline used to keep ad hoc (outcome-store
-hits and evictions, tape-memo reuse, SDP solve workload, engine batch shapes,
-HTTP latencies):
+hits and evictions, SDP solve workload, engine batch shapes, HTTP
+latencies):
 
 * metrics are identified by **name + sorted label pairs** and live in a
   :class:`MetricsRegistry`; the module-level helpers (:func:`counter`,

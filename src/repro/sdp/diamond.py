@@ -92,10 +92,10 @@ class DiamondNormBound:
         primal_estimate: the (approximate, not certified) primal value from
             the solver; ``value - primal_estimate`` estimates the slack.
         method: how the bound was obtained — ``"certified"`` (solve +
-            certificate), ``"fast"`` (analytic J₊ candidate only),
-            ``"exact-zero"`` (the difference map is zero, so the bound is 0
-            without a solve) or ``"noiseless"`` (no noise acts on the gate).
-        iterations: interior-point iterations spent (0 in fast mode).
+            certificate), ``"exact-zero"`` (the difference map is zero, so
+            the bound is 0 without a solve) or ``"noiseless"`` (no noise
+            acts on the gate).
+        iterations: interior-point iterations spent.
         converged: whether the solver reached its tolerance.
     """
 
@@ -386,15 +386,14 @@ def _zero_bound(prepared: _PreparedSolve) -> DiamondNormBound:
 
 def _certify_solutions_batch(
     group: list[_PreparedSolve],
-    results: list | None,
-    packeds: list[PackedSDP] | None,
+    results: list,
+    packeds: list[PackedSDP],
 ) -> list[DiamondNormBound]:
     """Verify every dual certificate of one solve class in a single fused pass.
 
     ``group`` holds same-shaped prepared solves (one ``big``, one
     ``use_constraint``); ``results``/``packeds`` are the aligned batched solver
-    outcomes and instantiated problems, or None in fast mode (analytic J₊
-    candidate only).
+    outcomes and instantiated problems.
 
     The per-request candidate loop of the historical path is replaced by
     whole-stack operations: the dual slack blocks of *all* results are
@@ -409,37 +408,34 @@ def _certify_solutions_batch(
     chois = np.stack([p.scaled_choi for p in group])
     big = group[0].big
     use_constraint = group[0].use_constraint
-    # Candidate 1: the analytic J₊ dual point (always feasible, no solve).
-    candidates = positive_part_stack(chois)[:, None]
+    # Dual multipliers of the coupling constraints reassemble into Z; the
+    # dual slack blocks give two more candidates (S_W = Z - J, S_S = Z).
+    y_stack = np.stack([result.y for result in results])
+    s_stack = np.stack([result.s_vec for result in results])
+    layout = packeds[0].layout
+    big_group = next(g for g in layout.groups if g.dim == big)
+    s_blocks = layout.unpack_group(s_stack, big_group)
+    duals = np.concatenate(
+        [unpack_hermitian_stack(y_stack[:, : big * big], big)[:, None], s_blocks], axis=1
+    )
     y_hints = None
-    if results is not None:
-        # Dual multipliers of the coupling constraints reassemble into Z; the
-        # dual slack blocks give two more candidates (S_W = Z - J, S_S = Z).
-        y_stack = np.stack([result.y for result in results])
-        s_stack = np.stack([result.s_vec for result in results])
-        layout = packeds[0].layout
-        big_group = next(g for g in layout.groups if g.dim == big)
-        s_blocks = layout.unpack_group(s_stack, big_group)
-        duals = np.concatenate(
-            [unpack_hermitian_stack(y_stack[:, : big * big], big)[:, None], s_blocks], axis=1
-        )
-        if use_constraint:
-            # The solver saw the cap-scaled problem: Z = K⁻¹ Z′ K⁻¹ maps each
-            # of its dual blocks back (see _ShapeTemplate.instantiate_batch).
-            unscale = np.stack([packed.unscale for packed in packeds])[:, None]
-            duals = unscale @ duals @ unscale
-        candidates = np.concatenate(
-            [
-                candidates,
-                duals[:, :1],
-                (duals[:, 1] + chois)[:, None],
-                duals[:, 2:],
-            ],
-            axis=1,
-        )
-        if use_constraint:
-            # The multiplier of the predicate constraint seeds the 1-D search.
-            y_hints = np.abs(y_stack[:, -1])[:, None]
+    if use_constraint:
+        # The solver saw the cap-scaled problem: Z = K⁻¹ Z′ K⁻¹ maps each
+        # of its dual blocks back (see _ShapeTemplate.instantiate_batch).
+        unscale = np.stack([packed.unscale for packed in packeds])[:, None]
+        duals = unscale @ duals @ unscale
+        # The multiplier of the predicate constraint seeds the 1-D search.
+        y_hints = np.abs(y_stack[:, -1])[:, None]
+    # Candidate 1 is the analytic J₊ dual point (always feasible).
+    candidates = np.concatenate(
+        [
+            positive_part_stack(chois)[:, None],
+            duals[:, :1],
+            (duals[:, 1] + chois)[:, None],
+            duals[:, 2:],
+        ],
+        axis=1,
+    )
 
     repaired = repair_dual_candidates_batch(candidates, chois[:, None])
     if use_constraint:
@@ -470,19 +466,16 @@ def _certify_solutions_batch(
             constraint_operator=operators[index] if use_constraint else None,
             constraint_bound=prepared.bound_c,
         )
-        result = results[index] if results is not None else None
+        result = results[index]
         # Primal estimate: tr(J W) with W the first block (objective was -J).
-        primal_estimate = (
-            -result.primal_objective * scale if result is not None else 0.0
-        )
         bounds.append(
             DiamondNormBound(
                 value=max(0.0, final.value),
                 certificate=final,
-                primal_estimate=max(0.0, primal_estimate),
-                method="certified" if result is not None else "fast",
-                iterations=result.iterations if result is not None else 0,
-                converged=result.converged if result is not None else True,
+                primal_estimate=max(0.0, -result.primal_objective * scale),
+                method="certified",
+                iterations=result.iterations,
+                converged=result.converged,
                 choi=prepared.choi,
             )
         )
@@ -536,9 +529,6 @@ def constrained_diamond_norms_batch(
     ]
     bounds: list[DiamondNormBound | None] = [None] * len(prepared)
 
-    solve = config.mode == "certified"
-    # In fast mode nothing is batch-solved: the groups below are certified
-    # from the analytic J₊ candidate only.
     groups: dict[tuple[int, bool], list[int]] = {}
     for index, p in enumerate(prepared):
         if p.zero:
@@ -550,22 +540,19 @@ def constrained_diamond_norms_batch(
         group = [prepared[i] for i in indices]
         label = solve_class_label(big, use_constraint)
         group_start = time.perf_counter()
-        results = None
-        packed_problems = None
-        if solve:
-            template = _get_template(big, use_constraint)
-            with span("sdp.instantiate", "sdp", solve_class=label, count=len(group)):
-                packed_problems = template.instantiate_batch(
-                    [p.scaled_choi for p in group],
-                    [p.operator for p in group],
-                    [p.bound_c for p in group],
-                )
-            with span("sdp.solve", "sdp", solve_class=label, count=len(group)):
-                results = admm_solve_packed_batch(
-                    packed_problems,
-                    max_iterations=config.max_iterations,
-                    tolerance=config.tolerance,
-                )
+        template = _get_template(big, use_constraint)
+        with span("sdp.instantiate", "sdp", solve_class=label, count=len(group)):
+            packed_problems = template.instantiate_batch(
+                [p.scaled_choi for p in group],
+                [p.operator for p in group],
+                [p.bound_c for p in group],
+            )
+        with span("sdp.solve", "sdp", solve_class=label, count=len(group)):
+            results = admm_solve_packed_batch(
+                packed_problems,
+                max_iterations=config.max_iterations,
+                tolerance=config.tolerance,
+            )
         with span("sdp.certify", "sdp", solve_class=label, count=len(group)):
             certified = _certify_solutions_batch(group, results, packed_problems)
         for request_index, bound in zip(indices, certified):
@@ -585,20 +572,19 @@ def constrained_diamond_norms_batch(
             "SDP instances solved (batched), by template solve class.",
             {"solve_class": label},
         ).inc(len(group))
-        if results is not None:
-            iterations = obs_metrics.histogram(
-                "repro_sdp_solver_iterations",
-                "Interior-point iterations per SDP instance, by template solve class.",
-                {"solve_class": label},
-                buckets=_ITERATION_BUCKETS,
-            )
-            for result in results:
-                iterations.observe(result.iterations)
-            obs_metrics.counter(
-                "repro_sdp_unconverged_total",
-                "SDP instances that stopped short of the solver tolerance.",
-                {"solve_class": label},
-            ).inc(sum(not result.converged for result in results))
+        iterations = obs_metrics.histogram(
+            "repro_sdp_solver_iterations",
+            "Interior-point iterations per SDP instance, by template solve class.",
+            {"solve_class": label},
+            buckets=_ITERATION_BUCKETS,
+        )
+        for result in results:
+            iterations.observe(result.iterations)
+        obs_metrics.counter(
+            "repro_sdp_unconverged_total",
+            "SDP instances that stopped short of the solver tolerance.",
+            {"solve_class": label},
+        ).inc(sum(not result.converged for result in results))
     return bounds  # type: ignore[return-value]
 
 
@@ -1059,16 +1045,17 @@ class GateBoundCache:
     def peek(self, key: tuple) -> DiamondNormBound | None:
         """The cached bound for ``key``, or None, for the scheduler's pre-pass.
 
-        Leaves the hit counters untouched — the replay's :meth:`lookup`
-        records those, so counting here as well would double every statistic.
+        Leaves the hit counters untouched — the derivation fold's
+        :meth:`lookup` records those, so counting here as well would double
+        every statistic.
         """
         return self._store.get(key)
 
     def lookup(self, key: tuple) -> DiamondNormBound:
         """The bound the scheduler stored for ``key``, counted as one hit.
 
-        The derivation replay reads every gate's bound through here, by the
-        class key the pre-pass put on the tape.
+        The derivation fold reads every gate's bound through here, by the
+        class key the pre-pass put on the gate's walk record.
         """
         bound = self._store.get(key)
         if bound is None:

@@ -63,9 +63,13 @@ RETIRED_JOB_KIND = "_".join(("comparison", "job"))
 #: before the removal carry them empty; loading drops them.
 RETIRED_RESULT_FIELDS = ("metric", "metric_tier", "value_a", "value_b")
 
-#: The always-0 ``JobResult`` counter of the removed predicate-dominance
-#: cache.  Records stored before the removal carry it as 0; loading drops it.
-RETIRED_COUNTER_FIELDS = ("_".join(("sdp", "dominance", "hits")),)
+#: The always-0 ``JobResult`` counters of the removed predicate-dominance
+#: cache and of the removed replay-tape prefix memo.  Records stored before
+#: their removal carry them as 0; loading drops them.
+RETIRED_COUNTER_FIELDS = (
+    "_".join(("sdp", "dominance", "hits")),
+    "_".join(("tape", "steps", "reused")),
+)
 
 #: ``(field, value)`` pairs that make an analysis job payload malformed:
 #: an unhashable ``kind``, and bits or a register size of the wrong type.
@@ -146,7 +150,7 @@ def per_gate_bound(op: GateOp, model, config, rho_local, delta) -> float:
         channel,
         rho,
         delta,
-        noise_after_gate=config.noise_after_gate,
+        noise_after_gate=model.noise_after_gate,
         config=config.sdp,
     ).value
 
@@ -167,7 +171,7 @@ class PerGateReference(NamedTuple):
 def per_gate_reference(circuit: Circuit, model, config) -> PerGateReference:
     """Walk a live MPS through ``circuit`` and bound each gate on its own.
 
-    The reference the single analysis path is held to: no replay tape, no
+    The reference the single analysis path is held to: no walk tree, no
     stacked quantisation, no batched or deduplicated solve.
     """
     program = circuit.to_program()

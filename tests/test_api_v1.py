@@ -250,6 +250,7 @@ class TestErrorEnvelopes:
         "field, value, message",
         [
             ("mode", "auto", "invalid config payload"),
+            ("mode", "fast", "invalid config payload"),
             ("max_iterations", -5, "invalid config payload"),
             (RETIRED_SDP_CONFIG_KEY, 16, "malformed config payload"),
             (RETIRED_DOMINANCE_KEY, True, "malformed config payload"),
@@ -274,6 +275,18 @@ class TestErrorEnvelopes:
         assert error["type"] == "EngineError"
         assert error["repro_error"] is True
         assert message in error["message"]
+        assert service.stats()["jobs"] == {}
+
+    def test_disagreeing_noise_ordering_is_a_structured_400(self, server):
+        """A config whose retired ``noise_after_gate`` contradicts the job's
+        noise model is refused."""
+        base, service = server
+        payload = _job().to_json_dict()
+        payload["config"]["noise_after_gate"] = not MODEL.noise_after_gate
+        status, error = _post_batch_error(base, [payload])
+        assert status == 400
+        assert error["type"] == "EngineError"
+        assert "invalid config payload: noise_after_gate" in error["message"]
         assert service.stats()["jobs"] == {}
 
     @pytest.mark.parametrize("field, value", MALFORMED_JOB_FIELDS)

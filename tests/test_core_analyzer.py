@@ -44,12 +44,12 @@ class TestAnalyzerBasics:
         with pytest.raises(LogicError):
             analyzer.analyze(Circuit(2).h(0), initial_bits="0")
 
-    def test_no_derivation_mode(self, ghz2_circuit, bit_flip_model):
-        config = FAST.replace(collect_derivation=False)
-        result = GleipnirAnalyzer(bit_flip_model, config).analyze(ghz2_circuit)
-        assert result.derivation is None
-        with pytest.raises(LogicError):
-            result.gate_contributions()
+    def test_derivation_is_always_attached(self, ghz2_circuit, bit_flip_model):
+        """The walk tree is folded whatever runs the analysis, so every
+        result carries its derivation and its per-gate contributions."""
+        result = GleipnirAnalyzer(bit_flip_model, FAST).analyze(ghz2_circuit)
+        assert result.derivation.error_bound == result.error_bound
+        assert len(result.gate_contributions()) == result.num_gates == 2
 
     def test_cache_reuse_across_layers(self, bit_flip_model):
         circuit = Circuit(4).h_layer()

@@ -10,7 +10,6 @@ from repro.circuits import Circuit
 from repro.circuits.program import IfMeasure, Skip, seq
 from repro.config import AnalysisConfig, SDPConfig
 from repro.core.analyzer import GleipnirAnalyzer
-from repro.core.derivation import TapeGate
 from repro.core.scheduler import BoundScheduler
 from repro.linalg import HADAMARD, pure_density, zero_state
 from repro.mps.approximator import MPSApproximator
@@ -155,21 +154,20 @@ class TestSaturatedWalk:
         circuit = random_circuit(4, 40, seed=0)
         config = _config(mps_width=1)
         analyzer = GleipnirAnalyzer(bit_flip_model, config)
-        scheduler = BoundScheduler(
-            bit_flip_model, analyzer.cache, config, gate_key=analyzer._gate_key
-        )
-        ops = list(circuit.to_program().operations())
-        tape = scheduler.collect(circuit.to_program(), [0] * circuit.num_qubits)
+        scheduler = BoundScheduler(bit_flip_model, analyzer.cache, config)
+        program = circuit.to_program()
+        walk = scheduler.collect(program, [0] * circuit.num_qubits)
+        assert [record.op for record in walk] == list(program.operations())
         classes: dict[tuple, set] = {}
-        for op in ops:
-            record = tape.take(TapeGate)
+        for record in walk:
             if record.delta_before < 2.0:
                 continue
+            op = record.op
             dim = 2 ** len(op.qubits)
             assert np.array_equal(record.rho_local, np.eye(dim) / dim)
             assert record.truncation_added == 0.0 and record.delta_after == 2.0
             channel = bit_flip_model.channel_for(op.gate, op.qubits)
-            classes.setdefault(analyzer._gate_key(op, channel), set()).add(record.key)
+            classes.setdefault(scheduler._key_parts(op, channel), set()).add(record.key)
         assert len(classes) > 1
         assert all(len(keys) == 1 for keys in classes.values())
         assert len(set().union(*classes.values())) == len(classes)

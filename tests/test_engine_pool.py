@@ -1,5 +1,7 @@
 """Tests for the process-pool engine: dedupe, sharding, budgets, resume."""
 
+import copy
+
 import pytest
 
 from helpers import random_circuit
@@ -172,8 +174,9 @@ class TestSharedBoundCache:
 
     def test_engine_does_not_mutate_job_config(self):
         job = _small_jobs()[0]
+        before = copy.deepcopy(job.config)
         AnalysisEngine(workers=1).run([job])
-        assert job.config.collect_derivation is True
+        assert job.config == before
 
 
 class TestWallClockBudget:

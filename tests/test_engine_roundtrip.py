@@ -19,14 +19,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import AnalysisConfig, SDPConfig
+from repro.config import AnalysisConfig
 from repro.core.analyzer import analyze_program
 from repro.engine.pool import execute_job
 from repro.engine.spec import AnalysisJob
 from repro.noise import NoiseModel
 from repro.programs.library import table2_benchmarks
 
-CONFIG = AnalysisConfig(mps_width=2, sdp=SDPConfig(mode="fast"))
+CONFIG = AnalysisConfig(mps_width=2)
 MODEL = NoiseModel.uniform_bit_flip(1e-4)
 
 _SPECS = table2_benchmarks("reduced")
@@ -44,7 +44,7 @@ def _reordered(payload):
 def test_serialized_job_reproduces_direct_bound(spec):
     circuit = spec.build()
     direct = analyze_program(
-        circuit, MODEL, config=CONFIG.replace(collect_derivation=False), program_name=spec.name
+        circuit, MODEL, config=CONFIG, program_name=spec.name
     )
 
     job = AnalysisJob.from_circuit(circuit, MODEL, config=CONFIG, name=spec.name)

@@ -179,9 +179,8 @@ class TestConfigSerialization:
     def test_round_trip(self):
         config = AnalysisConfig(
             mps_width=7,
-            sdp=SDPConfig(mode="fast", cache_decimals=4),
+            sdp=SDPConfig(cache_decimals=4),
             guard=ResourceGuard(max_dense_qubits=9, max_seconds=1.5),
-            collect_derivation=False,
         )
         rebuilt = config_from_json_dict(config_to_json_dict(config))
         assert rebuilt == config
@@ -196,6 +195,44 @@ class TestConfigSerialization:
         rebuilt = job_from_json_dict(payload)
         assert rebuilt.config == job.config
         assert rebuilt.fingerprint() == job.fingerprint()
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_retired_derivation_switch_is_dropped(self, value):
+        """Every payload written so far carries ``collect_derivation``; the
+        derivation is always built, so it decodes away and never entered a
+        fingerprint."""
+        job = _fast_job()
+        payload = job.to_json_dict()
+        payload["config"]["collect_derivation"] = value
+        rebuilt = job_from_json_dict(payload)
+        assert rebuilt.config == job.config
+        assert rebuilt.fingerprint() == job.fingerprint()
+
+    def test_retired_certified_mode_is_dropped(self):
+        job = _fast_job()
+        payload = job.to_json_dict()
+        payload["config"]["sdp"]["mode"] = "certified"
+        rebuilt = job_from_json_dict(payload)
+        assert rebuilt.config == job.config
+        assert rebuilt.fingerprint() == job.fingerprint()
+
+    @pytest.mark.parametrize("after", [True, False])
+    def test_retired_noise_ordering_decodes_when_it_agrees(self, after):
+        job = _fast_job(noise_after_gate=after)
+        payload = job.to_json_dict()
+        payload["config"]["noise_after_gate"] = after
+        rebuilt = job_from_json_dict(payload)
+        assert rebuilt.noise_model.noise_after_gate is after
+        assert rebuilt.fingerprint() == job.fingerprint()
+
+    @pytest.mark.parametrize("after", [True, False])
+    def test_retired_noise_ordering_refused_when_it_disagrees(self, after):
+        """A config that ordered noise and gate against its own noise model
+        was analysed unsoundly; such a payload is refused."""
+        payload = _fast_job(noise_after_gate=after).to_json_dict()
+        payload["config"]["noise_after_gate"] = not after
+        with pytest.raises(EngineError, match="invalid config payload: noise_after_gate"):
+            job_from_json_dict(payload)
 
     def test_malformed_rejected(self):
         with pytest.raises(EngineError):
@@ -230,6 +267,7 @@ class TestConfigSerialization:
         [
             ("sdp", "mode", "bogus"),
             ("sdp", "mode", "auto"),
+            ("sdp", "mode", "fast"),
             ("sdp", "max_iterations", -5),
             ("sdp", "tolerance", 3),
             ("sdp", "tolerance", "tight"),
@@ -245,10 +283,13 @@ class TestConfigSerialization:
             job_from_json_dict(payload)
 
 
-def _fast_job(name="job") -> AnalysisJob:
+def _fast_job(name="job", *, noise_after_gate=True) -> AnalysisJob:
+    model = NoiseModel.uniform_bit_flip(1e-3)
+    if not noise_after_gate:
+        model = NoiseModel.from_json_dict({**model.to_json_dict(), "noise_after_gate": False})
     return AnalysisJob.from_circuit(
         _branchy_circuit(),
-        NoiseModel.uniform_bit_flip(1e-3),
+        model,
         config=AnalysisConfig(mps_width=4, sdp=SDPConfig(max_iterations=100, tolerance=1e-3)),
         name=name,
     )
@@ -303,10 +344,7 @@ class TestAnalysisJob:
         tweaked = AnalysisJob(
             program=job.program,
             noise_model=job.noise_model,
-            config=job.config.replace(
-                collect_derivation=False,
-                guard=ResourceGuard(max_seconds=0.5),
-            ),
+            config=job.config.replace(guard=ResourceGuard(max_seconds=0.5)),
             num_qubits=job.num_qubits,
             name="other-name",
         )
@@ -316,8 +354,7 @@ class TestAnalysisJob:
         job = _fast_job()
         for change in (
             {"mps_width": 8},
-            {"noise_after_gate": False},
-            {"sdp": SDPConfig(mode="fast")},
+            {"sdp": SDPConfig(max_iterations=101, tolerance=1e-3)},
         ):
             other = AnalysisJob(
                 program=job.program,
@@ -327,6 +364,17 @@ class TestAnalysisJob:
                 name=job.name,
             )
             assert other.fingerprint() != job.fingerprint(), change
+
+    def test_fingerprint_takes_noise_ordering_from_the_noise_model(self):
+        """The ``noise_after_gate`` fingerprint key keeps its place in the
+        config section and its value for every job whose retired config
+        field agreed with its noise model; it follows the model."""
+        job = _fast_job()
+        before = _fast_job(noise_after_gate=False)
+        assert before.fingerprint() != job.fingerprint()
+        semantic = spec._semantic_config_dict(before.config, before.noise_model.noise_after_gate)
+        assert semantic["noise_after_gate"] is False
+        assert semantic["sdp"]["mode"] == "certified"
 
     def test_fingerprint_binds_admm_rule(self, monkeypatch):
         """Outcomes certified by another solver are other answers."""

@@ -40,9 +40,7 @@ def solve_classes(circuit_or_program, *, num_qubits=None, mps_width=8):
     model = NoiseModel.uniform_bit_flip(1e-3)
     config = AnalysisConfig(mps_width=mps_width, sdp=FAST_SDP)
     analyzer = GleipnirAnalyzer(model, config)
-    scheduler = BoundScheduler(
-        model, analyzer.cache, config, gate_key=analyzer._gate_key
-    )
+    scheduler = BoundScheduler(model, analyzer.cache, config)
     program = (
         circuit_or_program.to_program()
         if hasattr(circuit_or_program, "to_program")

@@ -79,12 +79,6 @@ class TestUnconstrainedDiamond:
         assert bound.value >= lower - 1e-7
         assert bound.value <= lower + 0.05  # and reasonably tight
 
-    def test_fast_mode(self):
-        fast = SDPConfig(mode="fast")
-        bound = diamond_distance(bit_flip(0.2), identity_channel(1), config=fast)
-        assert bound.method == "fast"
-        assert np.isclose(bound.value, 0.2, atol=1e-9)
-
     def test_unitary_vs_unitary(self):
         rz_small = unitary_channel(np.diag([1, np.exp(1j * 0.1)]))
         bound = diamond_distance(rz_small, identity_channel(1), config=CFG)

@@ -1,19 +1,19 @@
-"""Tests for the single-pass pipeline: the ReplayTape and its consumption.
+"""Tests for the single-pass pipeline: one walk builds the derivation.
 
-The scheduler's pre-pass records every approximator fact, and each noisy
-gate's class key, into a :class:`~repro.core.derivation.ReplayTape`; the
-analyzer rebuilds the derivation from the tape without a second MPS walk
-and without quantising again.  These tests verify
+The scheduler's walk returns a tree of walk records that mirrors the
+normalised program, each noisy gate's record carrying its class key; the
+analyzer folds that tree into the derivation without a second MPS walk,
+without reading the program again and without quantising again.  These
+tests verify
 
 * the instrumentation contract: the MPS evolves through each gate exactly
   once per analysed input (the counter test of the acceptance criteria);
-* that replayed analyses are *bit-identical* to a gate-by-gate reference
-  that walks a live MPS and solves each gate alone with
-  ``gate_error_bound``;
+* that analyses are *bit-identical* to a gate-by-gate reference that walks
+  a live MPS and solves each gate alone with ``gate_error_bound``;
 * that the walk quantises every predicate in one stacked pass and the
-  replay quantises none;
+  fold quantises none;
 * that a bound does not depend on what the process analysed before it;
-* the tape's defensive alignment checks.
+* the shape of the walk tree.
 """
 
 import pytest
@@ -26,12 +26,11 @@ from repro.circuits import Circuit
 from repro.circuits.program import IfMeasure, Skip, seq
 from repro.config import AnalysisConfig, SDPConfig
 from repro.core.analyzer import GleipnirAnalyzer
-from repro.core.derivation import ReplayTape, TapeGate, TapeMeasure, TapeSkip
+from repro.core.scheduler import BoundScheduler, WalkGate, WalkMeasure, WalkSkip
 from repro.engine.pool import execute_job
 from repro.engine.spec import AnalysisJob
-from repro.errors import LogicError
 from repro.mps.approximator import MPSApproximator
-from repro.noise import NoiseModel
+from repro.noise import NoiseModel, bit_flip
 from repro.sdp import GateBoundCache
 
 FAST_SDP = SDPConfig(max_iterations=400, tolerance=1e-5)
@@ -213,35 +212,31 @@ class TestOrderIndependence:
         assert again.final_delta == first.final_delta
 
 
-class TestReplayTapeAlignment:
-    def test_take_wrong_kind_raises(self):
-        tape = ReplayTape()
-        tape.record(TapeSkip(delta=0.0))
-        with pytest.raises(LogicError, match="out of step"):
-            tape.take(TapeGate)
+class TestWalkTree:
+    def test_tree_mirrors_the_program(self, bit_flip_model):
+        """A tuple per Seq and a record per gate, fork and skip, with both
+        branches walked in place: the fold needs nothing but the tree."""
+        h0 = Circuit(2).h(0).to_program()
+        then_branch = Circuit(2).x(1).z(1).to_program()
+        program = seq(h0, IfMeasure(0, then_branch, Skip()))
+        scheduler = BoundScheduler(bit_flip_model, GateBoundCache(), _config())
+        gate, fork = scheduler.collect(program, [0, 0])
 
-    def test_take_past_end_raises(self):
-        tape = ReplayTape()
-        with pytest.raises(LogicError, match="exhausted"):
-            tape.take(TapeMeasure)
+        assert isinstance(gate, WalkGate) and gate.op is h0
+        assert gate.key is not None and gate.rho_local.shape == (2, 2)
+        assert isinstance(fork, WalkMeasure) and fork.qubit == 0
+        assert fork.probabilities == pytest.approx((0.5, 0.5))
+        assert [record.op for record in fork.then_branch] == list(then_branch.parts)
+        assert fork.else_branch == WalkSkip(delta=0.0)
 
-    def test_verify_exhausted(self):
-        tape = ReplayTape()
-        tape.record(TapeSkip(delta=0.1))
-        with pytest.raises(LogicError, match="consumed 0 of 1"):
-            tape.verify_exhausted()
-        assert tape.take(TapeSkip).delta == 0.1
-        tape.verify_exhausted()  # no raise
-
-    def test_rewind_and_counts(self):
-        tape = ReplayTape()
-        tape.record(TapeGate(0.0, None, 0.0, 0.0))
-        tape.record(TapeSkip(delta=0.0))
-        assert len(tape) == 2
-        assert tape.num_gates == 1
-        tape.take(TapeGate)
-        tape.rewind()
-        assert tape.take(TapeGate).truncation_added == 0.0
+    def test_noiseless_gates_carry_no_key(self):
+        model = NoiseModel().add_gate_rule("x", bit_flip(1e-3))
+        program = Circuit(1).h(0).x(0).to_program()
+        scheduler = BoundScheduler(model, GateBoundCache(), _config())
+        h_record, x_record = scheduler.collect(program, [0])
+        assert h_record.key is None and h_record.rho_local is None
+        assert x_record.key is not None
+        assert scheduler.prefill(program, [0]).num_gate_instances == 1
 
 
 class TestEngineThreading:
