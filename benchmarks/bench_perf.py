@@ -157,15 +157,13 @@ def measure_kernel_microbench(*, batch: int = 64, repeats: int = 50) -> dict:
 
 def reference_solve_classes(*, mps_width: int = 16):
     """The unique (gate, noise, predicate) solve classes of the workload."""
-    from repro.core.analyzer import GleipnirAnalyzer
     from repro.core.rules import absorb_continuations
     from repro.core.scheduler import BoundScheduler
 
     circuit = _reference_circuit()
     model = NoiseModel.uniform_bit_flip(1e-3)
     config = AnalysisConfig(mps_width=mps_width)
-    analyzer = GleipnirAnalyzer(model, config)
-    scheduler = BoundScheduler(model, analyzer.cache, config)
+    scheduler = BoundScheduler(model, config)
     program = absorb_continuations(circuit.to_program())
     scheduler.collect(program, [0] * REFERENCE_QUBITS)
     return [

@@ -29,15 +29,11 @@ import urllib.error
 import urllib.request
 from collections.abc import Sequence
 
+from ..engine.service import TERMINAL_STATUSES
 from ..engine.spec import AnalysisJob, canonical_json
 from ..errors import EngineError, error_from_envelope
 
 __all__ = ["Client"]
-
-#: Statuses that mean "no further transition will happen".  Mirrors
-#: ``repro.engine.service.TERMINAL_STATUSES`` without importing the service
-#: (a pure client install must not pull in the engine).
-_TERMINAL = ("done", "failed")
 
 
 class Client:
@@ -139,5 +135,5 @@ class Client:
                     )
                 window = min(window, remaining)
             entry = self.status(fingerprint, wait=window)
-            if entry["status"] in _TERMINAL:
+            if entry["status"] in TERMINAL_STATUSES:
                 return entry

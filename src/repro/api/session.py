@@ -26,7 +26,6 @@ import numpy as np
 from ..circuits.circuit import Circuit
 from ..circuits.program import Program
 from ..config import AnalysisConfig
-from ..core.analyzer import analyze_program
 from ..core.derivation import Derivation
 from ..engine.pool import AnalysisEngine, _run_job
 from ..engine.service import TERMINAL_STATUSES
@@ -70,8 +69,8 @@ class AnalysisOutcome:
             result receipt (remote sessions only; None locally).
         timings: structured per-phase breakdown from the analyzer
             (``total_seconds``, ``prefill_walk_seconds``,
-            ``prefill_solve_seconds``, ``replay_seconds``, ``solve_classes``);
-            empty on legacy records.
+            ``prefill_solve_seconds``, ``replay_seconds``); empty on legacy
+            records.
         sdp_solves / sdp_cache_hits / scheduled_solves:
             SDP workload statistics.
         mps_walks: MPS evolutions through the program (1 on the single-pass
@@ -344,18 +343,7 @@ class AnalysisSession:
         failure capture — except that the analysis's derivation tree is
         attached to the outcome (it cannot ride on the flat engine record).
         """
-        result, analysis = _run_job(
-            job,
-            job.fingerprint(),
-            lambda: analyze_program(
-                job.program,
-                job.noise_model,
-                config=job.config,
-                initial_bits=job.initial_bits,
-                num_qubits=job.num_qubits,
-                program_name=job.name,
-            ),
-        )
+        result, analysis = _run_job(job, job.fingerprint())
         return AnalysisOutcome.from_job_result(
             result, derivation=analysis.derivation if analysis is not None else None
         )

@@ -15,8 +15,8 @@ The analysis pipeline is *single-pass*: the MPS walk happens once, inside
 the bound scheduler's pre-pass, which returns a tree of walk records that
 mirrors the program — every predicate, its class key and every truncation —
 and solves each distinct gate SDP once.  The derivation is then folded from
-that tree and the prefilled bound cache without reading the program again,
-evolving a second MPS or quantising a predicate again.
+that tree and the scheduler's table of solved bounds without reading the
+program again, evolving a second MPS or quantising a predicate again.
 
 The result's ``error_bound`` is a *trace distance* (the ½‖·‖₁ convention), so
 it directly upper-bounds the statistical distance of any measurement performed
@@ -36,10 +36,9 @@ from ..errors import LogicError
 from ..noise.model import NoiseModel
 from ..obs import metrics as obs_metrics
 from ..obs.trace import span
-from ..sdp.diamond import GateBoundCache
 from .derivation import Derivation, DerivationNode, GateContribution
 from .rules import absorb_continuations, gate_rule, meas_rule, seq_rule, skip_rule
-from .scheduler import BoundScheduler, WalkGate, WalkMeasure, WalkNode
+from .scheduler import BoundScheduler, SchedulerReport, WalkGate, WalkMeasure, WalkNode
 
 __all__ = [
     "AnalysisResult",
@@ -60,7 +59,8 @@ class AnalysisResult:
         num_gates: number of gate applications analysed (over all branches).
         num_branches: number of measurement branches explored.
         elapsed_seconds: wall-clock analysis time.
-        sdp_solves / sdp_cache_hits: SDP workload statistics.
+        sdp_solves / sdp_cache_hits: SDP workload statistics — the solve
+            classes solved and the noisy gates that read a solved bound.
         mps_width: bond dimension used by the approximator.
         noise_model: name of the noise model.
         scheduled_solves: unique solve classes the bound scheduler solved
@@ -70,10 +70,8 @@ class AnalysisResult:
             walk tree the derivation is folded from.
         timings: structured per-phase wall-clock breakdown — always present:
             ``total_seconds``, ``prefill_walk_seconds``,
-            ``prefill_solve_seconds``, ``replay_seconds``, and
-            ``solve_classes`` (one ``{"solve_class", "count", "seconds"}``
-            event per batched SDP template group).  Pure observation: the
-            clocks never influence the derivation.
+            ``prefill_solve_seconds`` and ``replay_seconds``.  Pure
+            observation: the clocks never influence the derivation.
     """
 
     error_bound: float
@@ -112,7 +110,6 @@ class GleipnirAnalyzer:
         self.noise_model = noise_model
         self.config = config or AnalysisConfig()
         self.config.validate()
-        self._cache = GateBoundCache(decimals=self.config.sdp.cache_decimals)
 
     # -- public API -----------------------------------------------------------
     def analyze(
@@ -148,17 +145,15 @@ class GleipnirAnalyzer:
 
         normalised = absorb_continuations(ast)
 
-        solves_before = self._cache.misses
-        hits_before = self._cache.hits
-
         # Program-level pre-pass: one MPS walk that keys every gate's
         # predicate and batch-solves the unique classes.  The fold below
-        # turns its walk tree into the derivation, reading each bound by
-        # the key on the gate's record.
-        scheduler = BoundScheduler(self.noise_model, self._cache, self.config)
+        # turns its walk tree into the derivation, reading each bound from
+        # the report by the key on the gate's record.
+        scheduler = BoundScheduler(self.noise_model, self.config)
         with span("scheduler.prefill", "analysis", program=name):
             prefill_report = scheduler.prefill(normalised, bits)
 
+        self._bounds = prefill_report.bounds
         self._num_gates = 0
         self._num_branches = 1
         self._max_delta = 0.0
@@ -172,12 +167,8 @@ class GleipnirAnalyzer:
             "prefill_walk_seconds": prefill_report.walk_seconds,
             "prefill_solve_seconds": prefill_report.solve_seconds,
             "replay_seconds": replay_seconds,
-            "solve_classes": list(prefill_report.solve_timings),
         }
-        self._publish_metrics(
-            solves=self._cache.misses - solves_before,
-            hits=self._cache.hits - hits_before,
-        )
+        self._publish_metrics(prefill_report)
 
         return AnalysisResult(
             error_bound=root.judgment.epsilon,
@@ -190,37 +181,30 @@ class GleipnirAnalyzer:
             num_gates=self._num_gates,
             num_branches=self._num_branches,
             elapsed_seconds=elapsed,
-            sdp_solves=self._cache.misses - solves_before,
-            sdp_cache_hits=self._cache.hits - hits_before,
+            sdp_solves=prefill_report.num_unique_classes,
+            sdp_cache_hits=prefill_report.num_gate_instances,
             mps_width=self.config.mps_width,
             noise_model=self.noise_model.name,
             program_name=name,
-            scheduled_solves=prefill_report.num_solved,
+            scheduled_solves=prefill_report.num_unique_classes,
             mps_walks=1,
             timings=timings,
         )
 
     @staticmethod
-    def _publish_metrics(*, solves: int, hits: int) -> None:
-        """Fold this analysis's bound-cache deltas into the metric registry.
-
-        The cache keeps its own counters on the per-gate hot path; publishing
-        the per-analysis deltas once keeps lookups free of registry work.
-        """
-        for outcome, amount in (("miss", solves), ("hit", hits)):
+    def _publish_metrics(report: SchedulerReport) -> None:
+        """Fold this analysis's bound lookups into the metric registry, once."""
+        lookups = (("miss", report.num_unique_classes), ("hit", report.num_gate_instances))
+        for outcome, amount in lookups:
             if amount:
                 obs_metrics.counter(
                     "repro_gate_bound_lookups_total",
-                    "Gate-bound cache lookups by outcome (miss = fresh solve).",
+                    "Gate-bound lookups by outcome (miss = fresh solve).",
                     {"outcome": outcome},
                 ).inc(amount)
         obs_metrics.counter(
             "repro_analyses_total", "Analyses completed by this process."
         ).inc()
-
-    @property
-    def cache(self) -> GateBoundCache:
-        return self._cache
 
     # -- the fold over the walk tree -------------------------------------------
     def _analyze_node(self, node: WalkNode) -> DerivationNode:
@@ -235,7 +219,7 @@ class GleipnirAnalyzer:
 
     def _analyze_gate(self, record: WalkGate) -> DerivationNode:
         self._num_gates += 1
-        bound = self._cache.lookup(record.key) if record.key is not None else None
+        bound = self._bounds[record.key] if record.key is not None else None
         self._max_delta = max(self._max_delta, record.delta_after)
         return gate_rule(
             record.op.gate.label(),

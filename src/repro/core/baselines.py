@@ -3,8 +3,9 @@
 Three baselines are provided:
 
 * :func:`worst_case_bound` — the unconstrained diamond norm summed over all
-  noisy gates.  For the paper's bit-flip model with probability p this equals
-  ``num_gates * p`` exactly (last column of Table 2).
+  noisy gates (the larger branch of each measurement fork).  For the paper's
+  bit-flip model with probability p this equals ``num_gates * p`` exactly
+  (last column of Table 2).
 * :func:`lqr_full_simulation_bound` — the LQR-style bound where the quantum
   predicate before every gate is obtained by *exact* density-matrix
   simulation (the strongest predicate possible).  Its cost is exponential in
@@ -20,12 +21,12 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..circuits.program import Program
+from ..circuits.program import GateOp, IfMeasure, Program, Seq
 from ..config import AnalysisConfig, ResourceGuard
 from ..errors import NoiseModelError, ResourceLimitExceeded
 from ..linalg.channels import QuantumChannel, identity_channel
@@ -65,19 +66,50 @@ def _as_ast(program: Program | Circuit) -> tuple[Program, int]:
     return program, program.num_qubits
 
 
+def _gate_ops(program: Program) -> Iterator[GateOp]:
+    """Every gate of ``program``, then-branches before else-branches."""
+    if isinstance(program, GateOp):
+        yield program
+    elif isinstance(program, Seq):
+        for part in program.parts:
+            yield from _gate_ops(part)
+    elif isinstance(program, IfMeasure):
+        yield from _gate_ops(program.then_branch)
+        yield from _gate_ops(program.else_branch)
+
+
+def _fold_worst_case(program: Program, terms: Iterator[float]) -> float:
+    """Fold per-gate terms, taken in :func:`_gate_ops` order, over the tree.
+
+    A sequence sums its parts, a measurement fork takes its larger branch
+    and a skip gives 0: the outcomes of a measurement weight the branch
+    errors convexly, so the larger one bounds their mixture.
+    """
+    if isinstance(program, GateOp):
+        return next(terms)
+    if isinstance(program, Seq):
+        return sum(_fold_worst_case(part, terms) for part in program.parts)
+    if isinstance(program, IfMeasure):
+        then_value = _fold_worst_case(program.then_branch, terms)
+        return max(then_value, _fold_worst_case(program.else_branch, terms))
+    return 0.0
+
+
 def worst_case_bound(
     program: Program | Circuit,
     noise_model: NoiseModel,
     *,
     config: AnalysisConfig | None = None,
 ) -> BaselineOutcome:
-    """Sum of unconstrained diamond distances over every noisy gate.
+    """Unconstrained diamond distances of the noisy gates, folded over the program.
 
-    Branch-free programs only (the paper's benchmarks all are); the value is
-    independent of the input state, which is exactly its weakness.  For a
-    unitary ``U``, ``||N∘U - U||◇ = ||U∘N - U||◇ = ||N - id||◇``, so a gate's
-    term depends only on its noise channel: one SDP per distinct channel,
-    all solved as one batch.
+    A sequence sums its parts and a measurement fork takes its larger
+    branch (:func:`_fold_worst_case`); on a branch-free program this is the
+    sum over every noisy gate.  The value is independent of the input
+    state, which is exactly its weakness.  For a unitary ``U``,
+    ``||N∘U - U||◇ = ||U∘N - U||◇ = ||N - id||◇``, so a gate's term depends
+    only on its noise channel: one SDP per distinct channel, all solved as
+    one batch.
     """
     config = config or AnalysisConfig()
     start = time.perf_counter()
@@ -85,10 +117,11 @@ def worst_case_bound(
     by_channel: dict[QuantumChannel, int] = {}
     by_choi: dict[bytes, int] = {}
     differences: list[np.ndarray] = []
-    terms: list[int] = []
-    for op in ast.operations():
+    terms: list[int | None] = []
+    for op in _gate_ops(ast):
         channel = noise_model.channel_for(op.gate, op.qubits)
         if channel is None:
+            terms.append(None)
             continue
         if channel.dim_in != op.gate.matrix.shape[0]:
             raise NoiseModelError(
@@ -106,7 +139,8 @@ def worst_case_bound(
     bounds = constrained_diamond_norms_batch(
         [(difference, None, 0.0) for difference in differences], config=config.sdp
     )
-    total = sum(bounds[index].value for index in terms)
+    values = (0.0 if index is None else bounds[index].value for index in terms)
+    total = _fold_worst_case(ast, values)
     elapsed = time.perf_counter() - start
     return BaselineOutcome(name="worst_case", value=total, elapsed_seconds=elapsed)
 

@@ -13,18 +13,18 @@ once.  This module does both before the derivation is built:
    stops evolving the MPS and gives each later gate
    ``trivial_local_predicate``;
 2. after the walk, one stacked pass
-   (:meth:`repro.sdp.diamond.GateBoundCache.quantise_keys`) quantises every
-   noisy gate's predicate into its bound-cache class key, puts each key on
-   its gate's record, and dedupes the keys into unique solve classes in
-   walk order;
-3. the unique classes that the cache cannot already answer are solved
-   through the *batched* SDP kernel — each distinct reduced problem once,
-   same-shaped problems in lock-step inside one interior-point run, and all
-   their dual certificates verified in one fused batch certification pass;
-4. the solved bounds are inserted into the cache, and the analyzer folds
-   the walk tree into the derivation, reading each gate's bound by the key
-   on its record.  The fold never reads the program again, so it follows
-   the walk by construction, and nothing is quantised twice.
+   (:func:`repro.sdp.diamond.quantise_keys`) quantises every noisy gate's
+   predicate into its solve-class key, puts each key on its gate's record,
+   and dedupes the keys into unique solve classes in walk order;
+3. the unique classes are solved through the *batched* SDP kernel — each
+   distinct reduced problem once, same-shaped problems in lock-step inside
+   one interior-point run, and all their dual certificates verified in one
+   fused batch certification pass;
+4. the solved bounds come back in :attr:`SchedulerReport.bounds`, keyed by
+   class, and the analyzer folds the walk tree into the derivation, reading
+   each gate's bound by the key on its record.  The fold never reads the
+   program again, so it follows the walk by construction, and nothing is
+   quantised twice.
 
 Every bound still carries its independently verified dual certificate,
 and each equals the bound :func:`repro.sdp.diamond.gate_error_bound`
@@ -45,7 +45,7 @@ from ..linalg.channels import QuantumChannel
 from ..mps.approximator import MPSApproximator
 from ..noise.model import NoiseModel
 from ..obs.trace import span
-from ..sdp.diamond import GateBoundCache, gate_error_bounds_batch
+from ..sdp.diamond import DiamondNormBound, gate_error_bounds_batch, quantise_keys
 from .predicate import VACUOUS_DELTA, trivial_local_predicate
 
 __all__ = [
@@ -76,7 +76,7 @@ class WalkGate:
     """One gate application of the walk.
 
     ``rho_local`` is the *raw* (unquantised) reduced density matrix before
-    the gate and ``key`` the bound-cache class key it quantises to — both
+    the gate and ``key`` the solve-class key it quantises to — both
     None for a noiseless gate, which never asks for a predicate.
     ``delta_before`` is also the predicate distance.
     """
@@ -123,33 +123,27 @@ class SolveClass:
 
 @dataclasses.dataclass
 class SchedulerReport:
-    """What the pre-pass found and what the solve phase actually paid for."""
+    """What the pre-pass found and the bounds it solved.
+
+    ``bounds`` maps each solve-class key to its certified bound, in solve
+    order; classes whose problems reduce to one SDP share one bound object.
+    """
 
     num_gate_instances: int = 0
     num_unique_classes: int = 0
-    num_solved: int = 0
-    num_prefilled: int = 0
     walk: WalkNode | None = None
+    bounds: dict[tuple, DiamondNormBound] = dataclasses.field(default_factory=dict)
     #: Wall-clock seconds of the MPS walk (with the stacked quantisation of
-    #: its predicates) and of the batched solve phase, plus one
-    #: ``{"solve_class", "count", "seconds"}`` event per SDP template group
-    #: — the per-solve-class cost data persisted with results.
+    #: its predicates) and of the batched solve phase.
     walk_seconds: float = 0.0
     solve_seconds: float = 0.0
-    solve_timings: list = dataclasses.field(default_factory=list)
 
 
 class BoundScheduler:
-    """Walk, dedupe, batch-solve and prefill gate bounds for a program."""
+    """Walk, dedupe and batch-solve the gate bounds of a program."""
 
-    def __init__(
-        self,
-        noise_model: NoiseModel,
-        cache: GateBoundCache,
-        config: AnalysisConfig,
-    ):
+    def __init__(self, noise_model: NoiseModel, config: AnalysisConfig):
         self.noise_model = noise_model
-        self.cache = cache
         self.config = config
         # A calibration-driven model attaches different channels to
         # different qubits, so its class keys carry the qubit tuple; a
@@ -160,14 +154,6 @@ class BoundScheduler:
         self._noisy: list[tuple[WalkGate, QuantumChannel]] = []
 
     # -- public entry --------------------------------------------------------
-    def _pending_classes(self) -> list[SolveClass]:
-        """The collected classes the cache cannot answer yet."""
-        return [
-            solve_class
-            for key, solve_class in self._classes.items()
-            if self.cache.peek(key) is None
-        ]
-
     def collect(self, program: Program, initial_bits: list[int]) -> WalkNode:
         """Walk ``program`` once, then key every predicate in one stacked pass."""
         approximator = MPSApproximator.from_product_state(
@@ -182,46 +168,43 @@ class BoundScheduler:
         return walk
 
     def prefill(self, program: Program, initial_bits: list[int]) -> SchedulerReport:
-        """Walk ``program``, seed the cache, and return the walk tree."""
+        """Walk ``program``, solve every class once, and return the walk tree."""
         walk_start = time.perf_counter()
         walk = self.collect(program, initial_bits)
         walk_seconds = time.perf_counter() - walk_start
 
-        pending = self._pending_classes()
+        classes = list(self._classes.values())
         report = SchedulerReport(
             num_gate_instances=len(self._noisy),
-            num_unique_classes=len(self._classes),
-            num_solved=len(pending),
-            num_prefilled=len(self._classes) - len(pending),
+            num_unique_classes=len(classes),
             walk=walk,
             walk_seconds=walk_seconds,
         )
-        if not pending:
+        if not classes:
             return report
 
         solve_start = time.perf_counter()
-        with span("scheduler.solve", "scheduler", pending=len(pending)):
+        with span("scheduler.solve", "scheduler", classes=len(classes)):
             bounds = gate_error_bounds_batch(
                 [
                     (c.gate_matrix, c.noise_channel, c.rho_rounded, c.delta_effective)
-                    for c in pending
+                    for c in classes
                 ],
                 noise_after_gate=self.noise_model.noise_after_gate,
                 config=self.config.sdp,
-                timing_events=report.solve_timings,
             )
-        for solve_class, bound in zip(pending, bounds):
-            self.cache.insert(solve_class.key, bound)
+        report.bounds = {c.key: bound for c, bound in zip(classes, bounds)}
         report.solve_seconds = time.perf_counter() - solve_start
         return report
 
     def _classify(self) -> None:
         """Quantise every noisy gate's predicate, key its record, dedupe classes."""
         noisy = self._noisy
-        quantised = self.cache.quantise_keys(
+        quantised = quantise_keys(
             [self._key_parts(record.op, channel) for record, channel in noisy],
             [record.rho_local for record, _channel in noisy],
             [record.delta_before for record, _channel in noisy],
+            self.config.sdp.cache_decimals,
         )
         for (record, channel), (key, rho_rounded, delta_effective) in zip(noisy, quantised):
             record.key = key

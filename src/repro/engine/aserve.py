@@ -54,6 +54,7 @@ from ..errors import (
     error_envelope,
 )
 from ..obs import metrics as obs_metrics
+from .service import MAX_WAIT_SECONDS, TERMINAL_STATUSES
 
 __all__ = ["AsyncAnalysisServer"]
 
@@ -254,7 +255,6 @@ class AsyncAnalysisServer:
         """The async twin of ``AnalysisService.wait_for``."""
         service = self.service
         deadline = self._loop.time() + max(0.0, seconds)
-        terminal = tuple(self.service.terminal_statuses)
         while True:
             future = self._loop.create_future()
             self._parked.setdefault(fingerprint, set()).add(future)
@@ -265,7 +265,7 @@ class AsyncAnalysisServer:
             remaining = deadline - self._loop.time()
             if (
                 entry is None
-                or entry["status"] in terminal
+                or entry["status"] in TERMINAL_STATUSES
                 or remaining <= 0
                 or service.stopped
             ):
@@ -398,7 +398,7 @@ class AsyncAnalysisServer:
                         # NaN slips through min/max clamps and would park
                         # the coroutine on a nonsense deadline.
                         raise ValueError("wait must be finite")
-                    seconds = min(max(requested, 0.0), service.max_wait_seconds)
+                    seconds = min(max(requested, 0.0), MAX_WAIT_SECONDS)
                 except (TypeError, ValueError):
                     await self._send_error(
                         writer, EngineError(f"invalid wait parameter {wait[0]!r}"), 400

@@ -8,15 +8,15 @@ values into :class:`~repro.engine.spec.JobResult` records:
   unique analysis once;
 * **outcome store** — with an :class:`~repro.engine.outcomes.OutcomeStore`
   attached, a fingerprint whose full outcome is already stored skips
-  :func:`execute_job` entirely — no MPS walk, no derivation replay, no SDP
-  cache consultation — and executed successes write their result *plus the
-  dual certificates behind it* back to the store, so a killed sweep re-run
+  :func:`execute_job` entirely — no MPS walk, no SDP solve, no derivation
+  — and executed successes write their result *plus the dual certificates
+  behind it* back to the store, so a killed sweep re-run
   on the same store executes only its missing (or failed) jobs;
 * **sharding** — the pending jobs are fanned out over a
   :class:`concurrent.futures.ProcessPoolExecutor`; jobs travel as canonical
   JSON, so the worker exercises exactly the serialization path remote
   submissions use.  The pool size adapts to the machine: ``workers`` is
-  clamped to ``os.cpu_count()`` by default, because oversubscribing a small
+  clamped to ``os.cpu_count()``, because oversubscribing a small
   box costs more in process churn than the parallelism returns;
 * **budgets and isolation** — each job runs under its own
   :class:`~repro.config.ResourceGuard` wall-clock budget
@@ -37,10 +37,10 @@ import os
 import signal
 import threading
 import time
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
 
-from ..core.analyzer import GleipnirAnalyzer
+from ..core.analyzer import AnalysisResult, analyze_program
 from ..errors import ResourceLimitExceeded
 from ..obs import metrics as obs_metrics
 from ..obs.trace import collecting, emit_spans, reset_tracing, span, tracing_active
@@ -155,27 +155,28 @@ def job_result_from_analysis(fingerprint: str, name: str, analysis) -> JobResult
     )
 
 
-def _harvest_certificates(analyzer: GleipnirAnalyzer) -> list[OutcomeCertificate]:
+def _harvest_certificates(analysis: AnalysisResult) -> list[OutcomeCertificate]:
     """The dual certificates behind a finished job's per-gate bounds.
 
-    Only solver-certified entries qualify: ``noiseless``/``exact-zero``
-    bounds have no feasibility problem to re-check, and a bound without a
-    retained Choi matrix cannot be re-verified standalone.
+    Each distinct bound of the derivation's gate nodes is taken once, in
+    program order: gate classes whose problems reduce to one SDP share one
+    bound object.  Only solver-certified bounds qualify: ``noiseless`` and
+    ``exact-zero`` bounds have no feasibility problem to re-check, and a
+    bound without a retained Choi matrix cannot be re-verified standalone.
     """
-    certificates = []
-    for bound in analyzer.cache.bounds_snapshot():
-        if bound.choi is None or bound.certificate is None:
-            continue
-        if bound.method in ("noiseless", "exact-zero"):
-            continue
-        certificates.append(OutcomeCertificate.from_bound(bound))
-    return certificates
+    distinct = {id(node.bound): node.bound for node in analysis.derivation.gate_nodes()}
+    return [
+        OutcomeCertificate.from_bound(bound)
+        for bound in distinct.values()
+        if bound is not None
+        and bound.choi is not None
+        and bound.certificate is not None
+        and bound.method not in ("noiseless", "exact-zero")
+    ]
 
 
-def _run_job(
-    job: AnalysisJob, fingerprint: str, analyze: Callable[[], object]
-) -> tuple[JobResult, object | None]:
-    """Run ``analyze()`` under the job's wall-clock budget: (result, analysis).
+def _run_job(job: AnalysisJob, fingerprint: str) -> tuple[JobResult, AnalysisResult | None]:
+    """Analyse ``job`` under its wall-clock budget: (result, analysis).
 
     The one job runner behind :func:`execute_job_record` and the facade's
     local derivation path (:meth:`repro.api.AnalysisSession.analyze`): a
@@ -185,7 +186,14 @@ def _run_job(
     start = time.perf_counter()
     try:
         with _wall_clock_budget(job.config.guard.max_seconds):
-            analysis = analyze()
+            analysis = analyze_program(
+                job.program,
+                job.noise_model,
+                config=job.config,
+                initial_bits=job.initial_bits,
+                num_qubits=job.num_qubits,
+                program_name=job.name,
+            )
     except ResourceLimitExceeded as exc:
         status, error = "timeout", str(exc)
     except Exception as exc:
@@ -214,26 +222,14 @@ def execute_job_record(
     computes it once per batch) skip the full canonical re-serialization a
     fresh :meth:`AnalysisJob.fingerprint` call would pay.  With
     ``collect_certificates=True`` the per-gate dual certificates are
-    harvested from the job's bound cache so the engine can store them
+    harvested from the job's derivation so the engine can store them
     alongside the outcome; failures always return an empty certificate list.
     """
     if fingerprint is None:
         fingerprint = job.fingerprint()
-    analyzer = None
-
-    def analyze():
-        nonlocal analyzer
-        analyzer = GleipnirAnalyzer(job.noise_model, config=job.config)
-        return analyzer.analyze(
-            job.program,
-            initial_bits=job.initial_bits,
-            num_qubits=job.num_qubits,
-            program_name=job.name,
-        )
-
-    result, _analysis = _run_job(job, fingerprint, analyze)
-    if collect_certificates and result.ok:
-        return result, _harvest_certificates(analyzer)
+    result, analysis = _run_job(job, fingerprint)
+    if collect_certificates and analysis is not None:
+        return result, _harvest_certificates(analysis)
     return result, []
 
 
@@ -320,10 +316,8 @@ class AnalysisEngine:
     Args:
         workers: requested process-pool size; 1 executes inline (no
             subprocess), which is also the deterministic fallback used by
-            tests.  By default the effective size is clamped to
-            ``os.cpu_count()`` — extra processes on a smaller box only add
-            fork/IPC overhead (``adaptive_workers=False`` opts out and takes
-            the requested count literally).
+            tests.  The effective size is clamped to ``os.cpu_count()`` —
+            extra processes on a smaller box only add fork/IPC overhead.
         outcomes: an :class:`~repro.engine.outcomes.OutcomeStore`, a path to
             create one at, or None.  With a store attached, fingerprints it
             holds skip execution entirely (a warm hit is one dict lookup) and
@@ -336,15 +330,11 @@ class AnalysisEngine:
         *,
         workers: int = 1,
         outcomes: OutcomeStore | str | None = None,
-        adaptive_workers: bool = True,
     ):
         if workers < 1:
             raise ValueError("workers must be at least 1")
         self.requested_workers = int(workers)
-        if adaptive_workers:
-            self.workers = max(1, min(self.requested_workers, os.cpu_count() or 1))
-        else:
-            self.workers = self.requested_workers
+        self.workers = max(1, min(self.requested_workers, os.cpu_count() or 1))
         self.outcomes = (
             OutcomeStore(outcomes)
             if isinstance(outcomes, (str, os.PathLike))

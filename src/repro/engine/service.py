@@ -85,15 +85,9 @@ MAX_WAIT_SECONDS = 60.0
 #: definition every surface (service, facade, client) shares.
 TERMINAL_STATUSES = ("done", "failed")
 
-_FINISHED = TERMINAL_STATUSES
-
 
 class AnalysisService:
     """Runs submitted jobs through the engine; tracks status by fingerprint."""
-
-    #: Shared with serving surfaces so they need not import module constants.
-    max_wait_seconds = MAX_WAIT_SECONDS
-    terminal_statuses = TERMINAL_STATUSES
 
     def __init__(
         self,
@@ -271,7 +265,7 @@ class AnalysisService:
             for fingerprint, tracked in list(self._status.items()):
                 if len(self._status) <= self.max_tracked:
                     break
-                if tracked["status"] in _FINISHED:
+                if tracked["status"] in TERMINAL_STATUSES:
                     del self._status[fingerprint]
         return entry
 
@@ -391,7 +385,7 @@ class AnalysisService:
         deadline = time.monotonic() + max(0.0, float(timeout))
         entry = self.status(fingerprint)
         while True:
-            if entry is not None and entry["status"] in _FINISHED:
+            if entry is not None and entry["status"] in TERMINAL_STATUSES:
                 return entry
             remaining = deadline - time.monotonic()
             if remaining <= 0 or entry is None:
@@ -401,7 +395,7 @@ class AnalysisService:
                 # status() read above and acquiring the lock would otherwise
                 # be a lost wakeup.
                 current = self._status.get(fingerprint)
-                if current is not None and current["status"] in _FINISHED:
+                if current is not None and current["status"] in TERMINAL_STATUSES:
                     return dict(current)
                 if self._stopped:
                     return dict(current) if current is not None else entry
@@ -411,7 +405,7 @@ class AnalysisService:
     def wait(self, fingerprint: str, *, timeout: float = 60.0) -> dict:
         """Block until a submitted fingerprint finishes (tests and CLIs)."""
         entry = self.wait_for(fingerprint, timeout=timeout)
-        if entry is None or entry["status"] not in _FINISHED:
+        if entry is None or entry["status"] not in TERMINAL_STATUSES:
             raise TimeoutError(f"job {fingerprint} did not finish within {timeout:g}s")
         return entry
 

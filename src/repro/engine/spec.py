@@ -328,10 +328,10 @@ class JobResult:
     mps_width: int = 0
     noise_model: str = ""
     error: str | None = None
-    #: Structured per-phase breakdown (``repro.obs`` span totals): wall-clock
-    #: seconds per analysis phase plus per-solve-class solve timings — the
-    #: training data for a cross-job cost model.  Always present on executed
-    #: jobs; empty on legacy store records.
+    #: Wall-clock seconds per analysis phase (``total_seconds``,
+    #: ``prefill_walk_seconds``, ``prefill_solve_seconds``,
+    #: ``replay_seconds``).  Always present on executed jobs; empty on
+    #: legacy store records.
     timings: dict = dataclasses.field(default_factory=dict)
 
     @property

@@ -28,13 +28,13 @@ from .certificates import (
 )
 from .diamond import (
     DiamondNormBound,
-    GateBoundCache,
     constrained_diamond_norm,
     constrained_diamond_norms_batch,
     diamond_distance,
     gate_error_bound,
     gate_error_bounds_batch,
     q_lambda_diamond_norm,
+    quantise_keys,
     rho_delta_constraint_bound,
     rho_delta_diamond_norm,
 )

@@ -34,7 +34,7 @@ import weakref
 import numpy as np
 
 from ..config import SDPConfig
-from ..errors import LogicError, SDPError
+from ..errors import SDPError
 from ..obs import metrics as obs_metrics
 from ..obs.trace import span
 from ..linalg.channels import (
@@ -78,7 +78,7 @@ __all__ = [
     "gate_error_bound",
     "gate_error_bounds_batch",
     "solve_class_label",
-    "GateBoundCache",
+    "quantise_keys",
 ]
 
 
@@ -500,7 +500,6 @@ def constrained_diamond_norms_batch(
     requests: list[tuple[np.ndarray, np.ndarray | None, float]],
     *,
     config: SDPConfig | None = None,
-    timing_events: list | None = None,
 ) -> list[DiamondNormBound]:
     """Certified bounds for many constrained diamond norms, solved in lock-step.
 
@@ -515,12 +514,6 @@ def constrained_diamond_norms_batch(
     dual certificate, and :func:`constrained_diamond_norm` is a batch of one
     through this same code, so batched and one-at-a-time results are
     bit-identical.
-
-    ``timing_events``, when given, receives one
-    ``{"solve_class", "count", "seconds"}`` dict per template group — the
-    per-solve-class timing record persisted with job outcomes.  Timing only
-    observes the clock around each group; it never regroups or reorders the
-    batch, so instrumented solves stay bit-identical to bare ones.
     """
     config = config or SDPConfig()
     config.validate()
@@ -558,10 +551,6 @@ def constrained_diamond_norms_batch(
         for request_index, bound in zip(indices, certified):
             bounds[request_index] = bound
         group_seconds = time.perf_counter() - group_start
-        if timing_events is not None:
-            timing_events.append(
-                {"solve_class": label, "count": len(group), "seconds": group_seconds}
-            )
         obs_metrics.histogram(
             "repro_sdp_group_solve_seconds",
             "Wall-clock seconds per batched SDP template group.",
@@ -898,7 +887,6 @@ def gate_error_bounds_batch(
     *,
     noise_after_gate: bool = True,
     config: SDPConfig | None = None,
-    timing_events: list | None = None,
 ) -> list[DiamondNormBound]:
     """Certified bounds for many noisy gate applications, solved in lock-step.
 
@@ -945,130 +933,57 @@ def gate_error_bounds_batch(
             slots[problem] = len(requests)
             requests.append((diff_choi, sigma, bound_c))
         request_of.append(slots[problem])
-    solved = constrained_diamond_norms_batch(
-        requests, config=config, timing_events=timing_events
-    )
+    solved = constrained_diamond_norms_batch(requests, config=config)
     for (index, _delta), slot in zip(noisy, request_of):
         bounds[index] = solved[slot]
     return bounds  # type: ignore[return-value]
 
 
-class GateBoundCache:
-    """Memoisation of gate error bounds keyed on (noise, gate, predicate).
+def quantise_keys(
+    key_parts: list[tuple],
+    rhos: list[np.ndarray],
+    deltas: list[float],
+    decimals: int,
+) -> list[tuple[tuple, np.ndarray, float]]:
+    """Quantise many gate predicates into solve-class keys, one stacked pass per size.
 
-    The predicate part of the key is quantised: the local density matrix is
-    rounded to ``decimals`` and δ is *increased* by the trace-norm rounding
-    error and then rounded up to the grid.  The cached bound is therefore
-    computed for a weaker predicate and remains sound for the original one
-    (Weaken rule).
-
-    A request is answered only by the entry for its own key, so every bound
-    is the one a cold solve of its class certifies, whatever ran earlier
-    against the same cache.
+    For each ``(key_parts, ρ̂, δ)`` this returns the full class key, the
+    rounded ρ̂ and the weakened δ.  ρ̂ is rounded to ``decimals`` and made
+    Hermitian.  δ grows by the trace norm of the rounding error, which is
+    the sum of its absolute eigenvalues when
+    :func:`~repro.linalg.norms.hermitian_mask` passes and of its singular
+    values otherwise, exactly as :func:`~repro.linalg.norms.trace_norm`
+    decides.  It is then rounded up to the grid.  A bound certified for the
+    key is therefore computed for a weaker predicate and stays sound for
+    the original one (Weaken rule).  Every batched primitive works matrix
+    by matrix, so each result is independent of what else the batch holds.
     """
-
-    def __init__(self, decimals: int = 6):
-        self.decimals = int(decimals)
-        self._store: dict[tuple, DiamondNormBound] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def quantise_key(
-        self, key_parts: tuple, rho_local: np.ndarray, delta: float
-    ) -> tuple[tuple, np.ndarray, float]:
-        """The full cache key plus the weakened (ρ̂, δ) it stands for.
-
-        A batch of one through :meth:`quantise_keys`.
-        """
-        return self.quantise_keys([key_parts], [rho_local], [delta])[0]
-
-    def quantise_keys(
-        self,
-        key_parts: list[tuple],
-        rhos: list[np.ndarray],
-        deltas: list[float],
-    ) -> list[tuple[tuple, np.ndarray, float]]:
-        """Quantise many predicates in one stacked pass per matrix size.
-
-        For each ``(key_parts, ρ̂, δ)`` this returns the full cache key, the
-        rounded ρ̂ and the weakened δ.  ρ̂ is rounded to ``decimals`` and
-        made Hermitian.  δ grows by the trace norm of the rounding error,
-        which is the sum of its absolute eigenvalues when
-        :func:`~repro.linalg.norms.hermitian_mask` passes and of its singular
-        values otherwise, exactly as :func:`~repro.linalg.norms.trace_norm`
-        decides.  It is then rounded up to the grid.  Every batched primitive
-        works matrix by matrix, so each result is independent of what else
-        the batch holds.
-        """
-        results: list = [None] * len(rhos)
-        groups: dict[tuple, list[int]] = {}
-        arrays = [np.asarray(rho) for rho in rhos]
-        for index, rho in enumerate(arrays):
-            groups.setdefault((rho.dtype.str, rho.shape), []).append(index)
-        step = 10.0 ** (-self.decimals)
-        for indices in groups.values():
-            raw = np.stack([arrays[i] for i in indices])
-            rounded = np.round(raw, self.decimals)
-            rounded = (rounded + rounded.conj().swapaxes(1, 2)) / 2
-            errors = np.asarray(raw - rounded, dtype=np.complex128)
-            hermitian = hermitian_mask(errors)
-            sigma = np.empty(errors.shape[:2])
-            if hermitian.any():
-                sigma[hermitian] = np.abs(np.linalg.eigvalsh(errors[hermitian]))
-            if not hermitian.all():
-                sigma[~hermitian] = np.linalg.svd(errors[~hermitian], compute_uv=False)
-            weakened = np.array([deltas[i] for i in indices], dtype=float)
-            weakened += sigma.sum(axis=1)
-            # ceil(x / step) * step can land one ulp below x; never round δ down.
-            effective = np.maximum(np.ceil(weakened / step) * step, weakened)
-            for row, index in enumerate(indices):
-                delta_effective = float(effective[row])
-                results[index] = (
-                    key_parts[index] + (rounded[row].tobytes(), delta_effective),
-                    rounded[row],
-                    delta_effective,
-                )
-        return results
-
-    def bounds_snapshot(self) -> list[DiamondNormBound]:
-        """Every cached bound, in insertion order.
-
-        Used by the engine to harvest the dual certificates of a finished
-        job for the whole-outcome store; the returned list is a copy, so
-        callers can iterate without holding the cache lock.
-        """
-        with self._lock:
-            return list(self._store.values())
-
-    # -- lookup --------------------------------------------------------------
-    def peek(self, key: tuple) -> DiamondNormBound | None:
-        """The cached bound for ``key``, or None, for the scheduler's pre-pass.
-
-        Leaves the hit counters untouched — the derivation fold's
-        :meth:`lookup` records those, so counting here as well would double
-        every statistic.
-        """
-        return self._store.get(key)
-
-    def lookup(self, key: tuple) -> DiamondNormBound:
-        """The bound the scheduler stored for ``key``, counted as one hit.
-
-        The derivation fold reads every gate's bound through here, by the
-        class key the pre-pass put on the gate's walk record.
-        """
-        bound = self._store.get(key)
-        if bound is None:
-            raise LogicError("no bound stored for this gate's class key")
-        self.hits += 1
-        return bound
-
-    # -- mutation ------------------------------------------------------------
-    def insert(self, key: tuple, bound: DiamondNormBound) -> None:
-        """Record a bound the scheduler solved."""
-        with self._lock:
-            self._store[key] = bound
-            self.misses += 1
-
-    def __len__(self) -> int:
-        return len(self._store)
+    results: list = [None] * len(rhos)
+    groups: dict[tuple, list[int]] = {}
+    arrays = [np.asarray(rho) for rho in rhos]
+    for index, rho in enumerate(arrays):
+        groups.setdefault((rho.dtype.str, rho.shape), []).append(index)
+    step = 10.0 ** (-decimals)
+    for indices in groups.values():
+        raw = np.stack([arrays[i] for i in indices])
+        rounded = np.round(raw, decimals)
+        rounded = (rounded + rounded.conj().swapaxes(1, 2)) / 2
+        errors = np.asarray(raw - rounded, dtype=np.complex128)
+        hermitian = hermitian_mask(errors)
+        sigma = np.empty(errors.shape[:2])
+        if hermitian.any():
+            sigma[hermitian] = np.abs(np.linalg.eigvalsh(errors[hermitian]))
+        if not hermitian.all():
+            sigma[~hermitian] = np.linalg.svd(errors[~hermitian], compute_uv=False)
+        weakened = np.array([deltas[i] for i in indices], dtype=float)
+        weakened += sigma.sum(axis=1)
+        # ceil(x / step) * step can land one ulp below x; never round δ down.
+        effective = np.maximum(np.ceil(weakened / step) * step, weakened)
+        for row, index in enumerate(indices):
+            delta_effective = float(effective[row])
+            results[index] = (
+                key_parts[index] + (rounded[row].tobytes(), delta_effective),
+                rounded[row],
+                delta_effective,
+            )
+    return results

@@ -15,7 +15,7 @@ import numpy as np
 from repro.circuits import Circuit
 from repro.circuits.program import GateOp, Seq
 from repro.mps.approximator import MPSApproximator
-from repro.sdp import GateBoundCache, gate_error_bound
+from repro.sdp import gate_error_bound, quantise_keys
 
 __all__ = [
     "MALFORMED_JOB_FIELDS",
@@ -29,9 +29,9 @@ __all__ = [
     "RETIRED_SDP_CONFIG_KEY",
     "RETIRED_TAPE_MEMO_KEY",
     "PerGateReference",
-    "cached_gate_bound",
     "per_gate_bound",
     "per_gate_reference",
+    "quantise_one",
     "random_circuit",
 ]
 
@@ -101,50 +101,22 @@ def random_circuit(num_qubits: int, num_gates: int, seed: int = 0) -> Circuit:
     return circuit
 
 
-def cached_gate_bound(
-    cache: GateBoundCache,
-    key_parts: tuple,
-    gate_matrix,
-    noise_channel,
-    rho_local,
-    delta: float,
-    *,
-    noise_after_gate: bool = True,
-    config=None,
-):
-    """One gate's bound through ``cache``, as the analysis reaches it.
-
-    The predicate is quantised with ``quantise_key``; ``peek`` answers from
-    memory; a miss is solved alone with ``gate_error_bound`` and recorded
-    with ``insert``.
-    """
-    key, rho, effective = cache.quantise_key(key_parts, rho_local, delta)
-    bound = cache.peek(key)
-    if bound is None:
-        bound = gate_error_bound(
-            gate_matrix,
-            noise_channel,
-            rho,
-            effective,
-            noise_after_gate=noise_after_gate,
-            config=config,
-        )
-        cache.insert(key, bound)
-    return bound
+def quantise_one(key_parts: tuple, rho_local, delta: float, decimals: int = 6):
+    """One predicate through ``quantise_keys``: (key, rounded ρ̂, weakened δ)."""
+    return quantise_keys([key_parts], [rho_local], [delta], decimals)[0]
 
 
 def per_gate_bound(op: GateOp, model, config, rho_local, delta) -> float:
     """One noisy gate's bound, quantised and solved on its own.
 
-    ``GateBoundCache.quantise_key`` weakens the raw ``(rho_local, delta)``
+    ``quantise_keys`` weakens the raw ``(rho_local, delta)``
     predicate exactly as the analysis does; ``gate_error_bound`` then solves
     the one SDP alone.  Noiseless gates give 0.0.
     """
     channel = model.channel_for(op.gate, op.qubits)
     if channel is None:
         return 0.0
-    quantiser = GateBoundCache(decimals=config.sdp.cache_decimals)
-    _key, rho, delta = quantiser.quantise_key((), rho_local, delta)
+    _key, rho, delta = quantise_one((), rho_local, delta, config.sdp.cache_decimals)
     return gate_error_bound(
         op.gate.matrix,
         channel,
@@ -179,7 +151,6 @@ def per_gate_reference(circuit: Circuit, model, config) -> PerGateReference:
     approximator = MPSApproximator.from_product_state(
         [0] * circuit.num_qubits, width=config.mps_width
     )
-    quantiser = GateBoundCache(decimals=config.sdp.cache_decimals)
     values = []
     classes = set()
     for op in ops:
@@ -189,8 +160,11 @@ def per_gate_reference(circuit: Circuit, model, config) -> PerGateReference:
                 per_gate_bound(op, model, config, predicate.rho_local, predicate.delta)
             )
             classes.add(
-                quantiser.quantise_key(
-                    (op.gate.key(),), predicate.rho_local, predicate.delta
+                quantise_one(
+                    (op.gate.key(),),
+                    predicate.rho_local,
+                    predicate.delta,
+                    config.sdp.cache_decimals,
                 )[0]
             )
         else:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit
+from repro.circuits.program import IfMeasure, Skip, seq
 from repro.config import AnalysisConfig, ResourceGuard, SDPConfig
 from repro.core import (
     GleipnirAnalyzer,
@@ -45,6 +46,25 @@ class TestWorstCase:
         model = NoiseModel.uniform_bit_flip(1e-2)
         assert worst_case_bound(circuit, model, config=FAST).value == pytest.approx(3e-2, abs=1e-6)
 
+
+    def test_measurement_fork_takes_the_larger_branch(self):
+        """A fork's branch errors are weighted convexly by its outcomes, so
+        the worst case takes the larger branch; a skip contributes 0."""
+        p = 1e-3
+        model = NoiseModel.uniform_bit_flip(p)
+        prefix = Circuit(2).h(0).to_program()
+
+        def forked(then_branch, else_branch):
+            program = seq(prefix, IfMeasure(0, then_branch, else_branch))
+            return worst_case_bound(program, model, config=FAST).value
+
+        x1 = Circuit(2).x(1).to_program()
+        z1 = Circuit(2).z(1).to_program()
+        longer = Circuit(2).z(1).x(1).h(0).to_program()
+        assert forked(x1, z1) == pytest.approx(2 * p, abs=1e-7)
+        assert forked(x1, longer) == pytest.approx(4 * p, abs=1e-7)
+        assert forked(longer, x1) == pytest.approx(4 * p, abs=1e-7)
+        assert forked(Skip(), x1) == pytest.approx(2 * p, abs=1e-7)
 
     def test_one_solve_per_distinct_channel(self, monkeypatch):
         """Every CX shares one SDP; the sum equals the per-gate diamond distances."""

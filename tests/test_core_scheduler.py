@@ -1,21 +1,20 @@
-"""Tests for the program-level bound scheduler and the cache's new layers."""
+"""Tests for the program-level bound scheduler and its table of solved bounds."""
 
 
 import numpy as np
 import pytest
 
-from helpers import cached_gate_bound, per_gate_bound, per_gate_reference, random_circuit
+from helpers import per_gate_bound, per_gate_reference, random_circuit
 
 from repro.circuits import Circuit
 from repro.circuits.program import IfMeasure, Skip, seq
 from repro.config import AnalysisConfig, SDPConfig
+from repro.core import scheduler as scheduler_module
 from repro.core.analyzer import GleipnirAnalyzer
-from repro.core.scheduler import BoundScheduler
-from repro.linalg import HADAMARD, pure_density, zero_state
+from repro.core.scheduler import BoundScheduler, WalkGate, WalkMeasure
 from repro.mps.approximator import MPSApproximator
-from repro.noise import bit_flip
+from repro.noise import NoiseModel, bit_flip
 from repro.programs.library import benchmark_by_name
-from repro.sdp import GateBoundCache
 
 
 FAST_SDP = SDPConfig(max_iterations=400, tolerance=1e-5)
@@ -153,8 +152,7 @@ class TestSaturatedWalk:
     ):
         circuit = random_circuit(4, 40, seed=0)
         config = _config(mps_width=1)
-        analyzer = GleipnirAnalyzer(bit_flip_model, config)
-        scheduler = BoundScheduler(bit_flip_model, analyzer.cache, config)
+        scheduler = BoundScheduler(bit_flip_model, config)
         program = circuit.to_program()
         walk = scheduler.collect(program, [0] * circuit.num_qubits)
         assert [record.op for record in walk] == list(program.operations())
@@ -225,44 +223,59 @@ class TestSaturatedWalk:
         assert meas.branch_probabilities[1] == 0.0
 
 
-class TestDominanceCache:
-    """Each solve class is answered only by its own exact entry or a fresh
-    solve: a bound certified for another δ never answers, so a bound does
-    not depend on what ran earlier against the same cache."""
+def _walk_keys(node):
+    """The class keys on a walk tree's gate records, in walk order."""
+    if isinstance(node, tuple):
+        for part in node:
+            yield from _walk_keys(part)
+    elif isinstance(node, WalkMeasure):
+        yield from _walk_keys(node.then_branch)
+        yield from _walk_keys(node.else_branch)
+    elif isinstance(node, WalkGate) and node.key is not None:
+        yield node.key
 
-    @pytest.mark.parametrize(
-        "stored_delta, requested_delta",
-        [(0.05, 0.01), (0.01, 0.05)],
-        ids=["weaker-stored", "stronger-stored"],
-    )
-    def test_shared_store_answers_only_the_exact_class(
-        self, stored_delta, requested_delta
-    ):
-        rho = pure_density(zero_state(1))
-        key_parts = ("h", "model", "noise", ())
 
-        def lookup(cache, delta):
-            return cached_gate_bound(
-                cache, key_parts, HADAMARD, bit_flip(1e-3), rho, delta, config=FAST_SDP
-            )
+class TestSolvedBoundTable:
+    """The scheduler's report carries the solved bounds the fold reads."""
 
-        shared = GateBoundCache(decimals=6)
-        lookup(shared, stored_delta)
-        answered = lookup(shared, requested_delta)
-        cold = lookup(GateBoundCache(decimals=6), requested_delta)
-        assert answered.value == cold.value
-        assert shared.misses == 2
+    def test_prefill_solves_each_class_once(self, monkeypatch):
+        """Repeated H on one qubit revisits its predicates: five noisy gates
+        in three classes, one solve each, one bound per class in the report."""
+        solved = []
+        batch = scheduler_module.gate_error_bounds_batch
 
-    def test_peek_does_not_touch_counters(self):
-        """The scheduler's peek must leave all hit statistics untouched."""
-        cache = GateBoundCache(decimals=6)
-        rho = pure_density(zero_state(1))
-        key_parts = ("h", "model", "noise", ())
-        cached_gate_bound(
-            cache, key_parts, HADAMARD, bit_flip(1e-3), rho, 0.05, config=FAST_SDP
+        def spy(instances, **kwargs):
+            bounds = batch(instances, **kwargs)
+            solved.append(bounds)
+            return bounds
+
+        monkeypatch.setattr(scheduler_module, "gate_error_bounds_batch", spy)
+        model = NoiseModel().add_gate_rule("h", bit_flip(1e-3))
+        program = seq(
+            Circuit(2).h(0).h(0).cx(0, 1).to_program(),
+            IfMeasure(0, Circuit(2).h(0).to_program(), Circuit(2).h(0).h(0).to_program()),
         )
-        key, _, _ = cache.quantise_key(key_parts, rho, 0.05)
-        stronger_key, _, _ = cache.quantise_key(key_parts, rho, 0.01)
-        assert cache.peek(key) is not None
-        assert cache.peek(stronger_key) is None
-        assert cache.hits == 0
+        report = BoundScheduler(model, _config()).prefill(program, [0, 0])
+        (bounds,) = solved
+        keys = list(_walk_keys(report.walk))
+        assert report.num_gate_instances == len(keys) == 5
+        assert list(report.bounds) == list(dict.fromkeys(keys))
+        assert len(report.bounds) == len(bounds) == 3
+        assert report.num_unique_classes == len(report.bounds)
+        assert [id(b) for b in report.bounds.values()] == [id(b) for b in bounds]
+
+    def test_reused_analyzer_is_bit_identical(self, bit_flip_model):
+        """A second analyze() on the same analyzer solves again and
+        certifies the same bounds."""
+        analyzer = GleipnirAnalyzer(bit_flip_model, _config())
+        program, _ops = _branchy_program()
+        for subject in (random_circuit(3, 12, seed=4), program):
+            first = analyzer.analyze(subject, num_qubits=3)
+            second = analyzer.analyze(subject, num_qubits=3)
+            assert second.error_bound == first.error_bound
+            assert second.final_delta == first.final_delta
+            assert [n.judgment.epsilon for n in second.derivation.gate_nodes()] == [
+                n.judgment.epsilon for n in first.derivation.gate_nodes()
+            ]
+            assert second.sdp_solves == first.sdp_solves == first.scheduled_solves > 0
+            assert second.sdp_cache_hits == first.sdp_cache_hits

@@ -20,6 +20,7 @@ from helpers import RETIRED_COUNTER_FIELDS, RETIRED_RESULT_FIELDS, random_circui
 from repro.api import AnalysisSession
 from repro.circuits import Circuit
 from repro.config import AnalysisConfig, SDPConfig
+from repro.core.analyzer import analyze_program
 from repro.engine.outcomes import (
     OUTCOME_SCHEMA_VERSION,
     OutcomeCertificate,
@@ -29,7 +30,7 @@ from repro.engine.outcomes import (
 from repro.engine.pool import AnalysisEngine, execute_job_record
 from repro.engine.service import AnalysisService
 from repro.engine.spec import AnalysisJob, JobResult, canonical_json
-from repro.noise import NoiseModel
+from repro.noise import NoiseModel, bit_flip
 
 FAST = AnalysisConfig(mps_width=4, sdp=SDPConfig(max_iterations=200, tolerance=1e-4))
 MODEL = NoiseModel.uniform_bit_flip(1e-3)
@@ -442,16 +443,43 @@ class TestEngineIntegration:
             assert store.certificates(fingerprint)
         assert store.stats()["verification_failures"] == 0
 
-    def test_pool_workers_collect_certificates(self, tmp_path):
+    def test_pool_workers_collect_certificates(self, tmp_path, monkeypatch):
+        # Above the CPU count the engine would clamp to inline execution.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         path = str(tmp_path / "outcomes.jsonl")
         jobs = _small_jobs()
-        report = AnalysisEngine(
-            workers=2, outcomes=path, adaptive_workers=False
-        ).run(jobs)
+        report = AnalysisEngine(workers=2, outcomes=path).run(jobs)
         assert report.ok
         store = OutcomeStore(path)
         for job in jobs:
             assert store.get(job.fingerprint(), verify=True) is not None
+
+    def test_stored_certificates_are_the_distinct_derivation_bounds(self, tmp_path):
+        """x then id from |0⟩ are two gate classes that reduce to one SDP, so
+        their gate nodes share one bound, stored once; the noiseless h
+        contributes none."""
+        model = (
+            NoiseModel()
+            .add_gate_rule("x", bit_flip(1e-3))
+            .add_gate_rule("id", bit_flip(1e-3))
+        )
+        circuit = Circuit(2, name="shared").x(0).i(0).h(1)
+        job = AnalysisJob.from_circuit(circuit, model, config=FAST)
+        analysis = analyze_program(circuit, model, config=FAST)
+        x_bound, id_bound, h_bound = [
+            node.bound for node in analysis.derivation.gate_nodes()
+        ]
+        assert analysis.scheduled_solves == 2
+        assert x_bound is id_bound and h_bound is None
+
+        path = str(tmp_path / "outcomes.jsonl")
+        report = AnalysisEngine(outcomes=path).run([job])
+        assert report.ok and report.results[0].error_bound == analysis.error_bound
+        store = OutcomeStore(path)
+        fingerprint = job.fingerprint()
+        stored = [c.to_json_dict() for c in store.certificates(fingerprint)]
+        assert stored == [OutcomeCertificate.from_bound(x_bound).to_json_dict()]
+        assert store.get(fingerprint, verify=True) is not None
 
     def test_outcome_certificate_wire_roundtrip(self):
         _result, certificates = _executed(_small_jobs()[0])

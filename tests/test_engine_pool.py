@@ -1,6 +1,7 @@
 """Tests for the process-pool engine: dedupe, sharding, budgets, resume."""
 
 import copy
+import os
 
 import pytest
 
@@ -51,11 +52,9 @@ class TestEngineBasics:
 
 
 class TestAdaptiveWorkers:
-    """The default worker count adapts to the machine: min(requested, cpus)."""
+    """The worker count adapts to the machine: min(requested, cpus)."""
 
     def test_requested_workers_clamped_to_cpu_count(self, monkeypatch):
-        import os
-
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         engine = AnalysisEngine(workers=8)
         assert engine.requested_workers == 8
@@ -64,31 +63,21 @@ class TestAdaptiveWorkers:
         assert engine.stats()["workers"] == 2
 
     def test_clamp_survives_unknown_cpu_count(self, monkeypatch):
-        import os
-
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert AnalysisEngine(workers=8).workers == 1
 
-    def test_opt_out_takes_requested_count_literally(self, monkeypatch):
-        import os
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        engine = AnalysisEngine(workers=4, adaptive_workers=False)
-        assert engine.workers == 4
-
     def test_requests_within_budget_unclamped(self, monkeypatch):
-        import os
-
         monkeypatch.setattr(os, "cpu_count", lambda: 16)
         assert AnalysisEngine(workers=4).workers == 4
 
 
 class TestEngineSharding:
-    def test_two_workers_bit_identical_to_inline(self):
+    def test_two_workers_bit_identical_to_inline(self, monkeypatch):
         jobs = _small_jobs()
         inline = AnalysisEngine(workers=1).run(jobs)
-        # adaptive_workers=False keeps a real process pool on 1-core machines.
-        sharded = AnalysisEngine(workers=2, adaptive_workers=False).run(jobs)
+        # A reported second CPU keeps a real process pool on 1-core machines.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        sharded = AnalysisEngine(workers=2).run(jobs)
         assert sharded.ok
         assert [r.error_bound for r in sharded.results] == [
             r.error_bound for r in inline.results
@@ -97,7 +86,8 @@ class TestEngineSharding:
             job.fingerprint() for job in jobs
         ]
 
-    def test_budget_timeout_does_not_kill_the_sweep(self):
+    def test_budget_timeout_does_not_kill_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         budgeted_config = AnalysisConfig(
             mps_width=16,
             sdp=SDPConfig(max_iterations=2000, tolerance=1e-7),
@@ -107,7 +97,7 @@ class TestEngineSharding:
             _job(random_circuit(5, 60, seed=3), config=budgeted_config, name="exploding"),
             *_small_jobs(),
         ]
-        report = AnalysisEngine(workers=2, adaptive_workers=False).run(jobs)
+        report = AnalysisEngine(workers=2).run(jobs)
         statuses = {result.name: result.status for result in report.results}
         assert statuses["exploding"] == "timeout"
         assert all(

@@ -15,6 +15,7 @@ Three layers of guarantees:
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import threading
 import urllib.request
@@ -229,15 +230,14 @@ class TestBitIdentical:
 # ---------------------------------------------------------------------------
 
 class TestWorkerMerge:
-    def test_pool_workers_ship_metrics_and_spans(self, tmp_path):
+    def test_pool_workers_ship_metrics_and_spans(self, tmp_path, monkeypatch):
         # Distinct widths: jobs are content-addressed, so same-structure
         # circuits would dedupe to fewer than four executions.
         jobs = [_job(f"merge{i}", num_qubits=2 + i) for i in range(4)]
-        # adaptive_workers would clamp to the CPU count (1 on small CI
-        # runners) and execute inline; the point here is the pool path.
-        engine = AnalysisEngine(
-            workers=4, outcomes=str(tmp_path / "outcomes.jsonl"), adaptive_workers=False
-        )
+        # The engine clamps to the CPU count (1 on small CI runners) and
+        # would execute inline; the point here is the pool path.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        engine = AnalysisEngine(workers=4, outcomes=str(tmp_path / "outcomes.jsonl"))
         with obs_metrics.scoped() as registry, collecting() as collector:
             report = engine.run(jobs)
         assert all(result.status == "ok" for result in report.results)
@@ -259,7 +259,12 @@ class TestWorkerMerge:
         report = engine.run([_job("timed")])
         timings = report.results[0].timings
         assert timings["total_seconds"] > 0
-        assert "solve_classes" in timings
+        assert set(timings) == {
+            "total_seconds",
+            "prefill_walk_seconds",
+            "prefill_solve_seconds",
+            "replay_seconds",
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -36,15 +36,9 @@ def _model(family: str, noise_after_gate: bool) -> NoiseModel:
     return model.set_default(1, channel).set_default(2, channel.tensor(identity_noise(1)))
 
 
-def _programs(seed: int) -> list[tuple[object, object, list[int]]]:
-    """``(program, every_gate, initial_bits)`` for one branch-free and one
-    branching random program.
-
-    ``every_gate`` is branch-free and holds every gate of ``program``, so its
-    worst case sums both branches of the fork: at δ = 0 that dominates the
-    Meas rule's maximum over the branches.  The fork's prefix is a product
-    state, so δ is 0 there at every MPS width.
-    """
+def _programs(seed: int) -> list[tuple[object, list[int]]]:
+    """``(program, initial_bits)`` for one branch-free and one branching
+    random program."""
     rng = np.random.default_rng(seed)
     straight = random_circuit(4, 10, seed=seed).to_program()
     prefix = Circuit(3)
@@ -53,10 +47,9 @@ def _programs(seed: int) -> list[tuple[object, object, list[int]]]:
     then_branch = random_circuit(3, 4, seed=seed + 1).to_program()
     else_branch = random_circuit(3, 4, seed=seed + 2).to_program()
     branching = seq(prefix.to_program(), IfMeasure(0, then_branch, else_branch))
-    every_gate = seq(prefix.to_program(), then_branch, else_branch)
     return [
-        (straight, straight, [int(b) for b in rng.integers(0, 2, size=4)]),
-        (branching, every_gate, [int(b) for b in rng.integers(0, 2, size=3)]),
+        (straight, [int(b) for b in rng.integers(0, 2, size=4)]),
+        (branching, [int(b) for b in rng.integers(0, 2, size=3)]),
     ]
 
 
@@ -84,9 +77,9 @@ class TestDifferentialOracle:
     def test_exact_error_le_bound_le_worst_case(self, family, noise_after_gate):
         model = _model(family, noise_after_gate)
         seed = sorted(FAMILIES).index(family) * 10 + noise_after_gate
-        for program, every_gate, bits in _programs(seed):
+        for program, bits in _programs(seed):
             exact = exact_error(program, model, initial_bits=bits).value
-            worst = worst_case_bound(every_gate, model).value
+            worst = worst_case_bound(program, model).value
             for width in MPS_WIDTHS:
                 result = GleipnirAnalyzer(model, AnalysisConfig(mps_width=width)).analyze(
                     program, initial_bits=bits

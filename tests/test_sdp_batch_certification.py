@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from helpers import random_circuit
 
 from repro.config import AnalysisConfig, SDPConfig
-from repro.core.analyzer import GleipnirAnalyzer
 from repro.core.rules import absorb_continuations
 from repro.core.scheduler import BoundScheduler
 from repro.noise import NoiseModel
@@ -39,8 +38,7 @@ def solve_classes(circuit_or_program, *, num_qubits=None, mps_width=8):
     """The unique solve classes the scheduler pre-pass collects."""
     model = NoiseModel.uniform_bit_flip(1e-3)
     config = AnalysisConfig(mps_width=mps_width, sdp=FAST_SDP)
-    analyzer = GleipnirAnalyzer(model, config)
-    scheduler = BoundScheduler(model, analyzer.cache, config)
+    scheduler = BoundScheduler(model, config)
     program = (
         circuit_or_program.to_program()
         if hasattr(circuit_or_program, "to_program")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cached_gate_bound, random_circuit
+from helpers import quantise_one, random_circuit
 
 from repro.config import AnalysisConfig, SDPConfig
 from repro.core.analyzer import analyze_program
@@ -34,7 +34,6 @@ from repro.noise import (
     two_qubit_depolarizing,
 )
 from repro.sdp import (
-    GateBoundCache,
     constrained_diamond_lower_bound,
     constrained_diamond_norm,
     diamond_distance,
@@ -43,6 +42,7 @@ from repro.sdp import (
     gate_error_bound,
     gate_error_bounds_batch,
     q_lambda_diamond_norm,
+    quantise_keys,
     rho_delta_constraint_bound,
     rho_delta_diamond_norm,
     verify_certificate,
@@ -323,7 +323,7 @@ def _quantise_one_gate(rho, delta, decimals):
 
 
 class TestStackedQuantisation:
-    """``GateBoundCache.quantise_keys`` equals per-gate quantisation bit for bit."""
+    """``quantise_keys`` equals per-gate quantisation bit for bit."""
 
     @staticmethod
     def _predicates():
@@ -345,11 +345,10 @@ class TestStackedQuantisation:
 
     def test_matches_per_gate_quantisation(self):
         rhos, deltas = self._predicates()
-        cache = GateBoundCache(decimals=6)
         parts = [("gate", index) for index in range(len(rhos))]
-        stacked = cache.quantise_keys(parts, rhos, deltas)
+        stacked = quantise_keys(parts, rhos, deltas, 6)
         for part, rho, delta, (key, rounded, effective) in zip(parts, rhos, deltas, stacked):
-            alone = cache.quantise_key(part, rho, delta)
+            alone = quantise_one(part, rho, delta, 6)
             assert key == alone[0]
             assert rounded.tobytes() == alone[1].tobytes()
             assert effective == alone[2]
@@ -364,8 +363,7 @@ class TestStackedQuantisation:
         assert {rho.shape for rho in rhos} == {(2, 2), (4, 4)}
         assert not hermitian_mask(errors[40])
         assert hermitian_mask(np.stack(errors[:40:2])).all()
-        cache = GateBoundCache(decimals=6)
-        (_, _, on_grid), (_, _, over) = cache.quantise_keys([(), ()], rhos[-2:], deltas[-2:])
+        (_, _, on_grid), (_, _, over) = quantise_keys([(), ()], rhos[-2:], deltas[-2:], 6)
         assert on_grid == 0.123456
         assert over == 0.123457
 
@@ -459,38 +457,27 @@ class TestSoundnessAgainstBruteForce:
 
 
 class TestCache:
-    def test_cache_hits_for_identical_requests(self):
-        cache = GateBoundCache(decimals=6)
-        rho = pure_density(zero_state(1))
-        first = cached_gate_bound(cache, ("h",), HADAMARD, bit_flip(0.1), rho, 0.0, config=CFG)
-        second = cached_gate_bound(cache, ("h",), HADAMARD, bit_flip(0.1), rho, 0.0, config=CFG)
-        key, _rho, _delta = cache.quantise_key(("h",), rho, 0.0)
-        assert cache.lookup(key) is first
-        assert cache.hits == 1 and cache.misses == 1
-        assert first.value == second.value
+    """Quantising a gate's predicate into its solve-class key only weakens it."""
 
     def test_cache_quantisation_is_sound(self):
-        cache = GateBoundCache(decimals=3)
         rho = pure_density(plus_state(1))
         perturbed = rho + 1e-5 * np.eye(2)
         perturbed /= np.trace(perturbed).real
-        bound = cached_gate_bound(
-            cache, ("h",), HADAMARD, bit_flip(0.1), perturbed, 0.0, config=CFG
-        )
-        # The cached bound is computed for a weaker predicate, so it must be
-        # at least the bound for the rounded state at delta=0.
+        _key, rounded, effective = quantise_one(("h",), perturbed, 0.0, 3)
+        bound = gate_error_bound(HADAMARD, bit_flip(0.1), rounded, effective, config=CFG)
+        # The class bound is computed for a weaker predicate, so it must be
+        # at least the bound for the unrounded state at delta=0.
         direct = gate_error_bound(HADAMARD, bit_flip(0.1), perturbed, 0.0, config=CFG)
         assert bound.value >= direct.value - 1e-6
 
     def test_quantised_delta_never_rounds_down(self):
         """The δ grid only weakens a predicate: ceil(x / step) * step can land
         one ulp below x, which would certify a bound for a stronger one."""
-        cache = GateBoundCache(decimals=6)
         rho = np.diag([1.0, 0.0]).astype(complex)
         rng = np.random.default_rng(0)
         on_grid = [1.235848] + list(rng.integers(0, 2_000_000, size=2000) * 1e-6)
         for delta in on_grid:
-            key, _rounded, effective = cache.quantise_key(("x",), rho, delta)
+            key, _rounded, effective = quantise_one(("x",), rho, delta, 6)
             assert effective >= delta
             assert effective - delta <= 1e-6 * (1 + 1e-9)  # at most one grid step
             assert key[-1] == effective

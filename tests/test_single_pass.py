@@ -25,13 +25,13 @@ from helpers import per_gate_bound, per_gate_reference, random_circuit
 from repro.circuits import Circuit
 from repro.circuits.program import IfMeasure, Skip, seq
 from repro.config import AnalysisConfig, SDPConfig
+from repro.core import scheduler as scheduler_module
 from repro.core.analyzer import GleipnirAnalyzer
 from repro.core.scheduler import BoundScheduler, WalkGate, WalkMeasure, WalkSkip
 from repro.engine.pool import execute_job
 from repro.engine.spec import AnalysisJob
 from repro.mps.approximator import MPSApproximator
 from repro.noise import NoiseModel, bit_flip
-from repro.sdp import GateBoundCache
 
 FAST_SDP = SDPConfig(max_iterations=400, tolerance=1e-5)
 
@@ -99,20 +99,15 @@ class TestSinglePassCounter:
 
 class TestOneQuantisationPass:
     def test_walk_quantises_once_and_replay_never(self, bit_flip_model, monkeypatch):
-        """One stacked quantisation per analysis; no per-gate quantise_key."""
-        calls = {"stacked": 0, "per_gate": 0}
-        stacked = GateBoundCache.quantise_keys
+        """One stacked quantisation per analysis, holding every noisy gate."""
+        batches = []
+        stacked = scheduler_module.quantise_keys
 
-        def counting_stacked(self, *args):
-            calls["stacked"] += 1
-            return stacked(self, *args)
+        def counting_stacked(key_parts, *args):
+            batches.append(len(key_parts))
+            return stacked(key_parts, *args)
 
-        def counting_per_gate(self, *args):
-            calls["per_gate"] += 1
-            raise AssertionError("the analysis quantised a single gate")
-
-        monkeypatch.setattr(GateBoundCache, "quantise_keys", counting_stacked)
-        monkeypatch.setattr(GateBoundCache, "quantise_key", counting_per_gate)
+        monkeypatch.setattr(scheduler_module, "quantise_keys", counting_stacked)
         program = seq(
             random_circuit(2, 12, seed=5).to_program(),
             IfMeasure(0, Circuit(2).x(1).to_program(), Skip()),
@@ -120,7 +115,7 @@ class TestOneQuantisationPass:
         result = GleipnirAnalyzer(bit_flip_model, _config()).analyze(
             program, num_qubits=2
         )
-        assert calls == {"stacked": 1, "per_gate": 0}
+        assert batches == [result.num_gates]
         assert result.sdp_cache_hits == result.num_gates
 
 
@@ -219,7 +214,7 @@ class TestWalkTree:
         h0 = Circuit(2).h(0).to_program()
         then_branch = Circuit(2).x(1).z(1).to_program()
         program = seq(h0, IfMeasure(0, then_branch, Skip()))
-        scheduler = BoundScheduler(bit_flip_model, GateBoundCache(), _config())
+        scheduler = BoundScheduler(bit_flip_model, _config())
         gate, fork = scheduler.collect(program, [0, 0])
 
         assert isinstance(gate, WalkGate) and gate.op is h0
@@ -232,7 +227,7 @@ class TestWalkTree:
     def test_noiseless_gates_carry_no_key(self):
         model = NoiseModel().add_gate_rule("x", bit_flip(1e-3))
         program = Circuit(1).h(0).x(0).to_program()
-        scheduler = BoundScheduler(model, GateBoundCache(), _config())
+        scheduler = BoundScheduler(model, _config())
         h_record, x_record = scheduler.collect(program, [0])
         assert h_record.key is None and h_record.rho_local is None
         assert x_record.key is not None
