@@ -107,13 +107,16 @@ def measure_per_gate_reference(*, mps_width: int = 16) -> dict:
 
 def measure_mps_phase(*, mps_width: int = 16) -> dict:
     """Time the MPS approximation alone (the non-SDP phase of the analysis)."""
-    from repro.mps.approximator import approximate_program
+    from repro.mps.approximator import MPSApproximator
 
     circuit = _reference_circuit()
     start = time.perf_counter()
-    approximation = approximate_program(circuit, width=mps_width)
+    approximator = MPSApproximator.from_product_state(
+        [0] * circuit.num_qubits, width=mps_width
+    )
+    approximator.apply_circuit(circuit)
     elapsed = time.perf_counter() - start
-    return {"seconds": elapsed, "delta": approximation.delta}
+    return {"seconds": elapsed, "delta": approximator.delta}
 
 
 def measure_kernel_microbench(*, batch: int = 64, repeats: int = 50) -> dict:

@@ -25,7 +25,7 @@ from .engine import (
     JobResult,
 )
 from .api import AnalysisOutcome, AnalysisSession, Client
-from .mps import MPS, MPSApproximator, approximate_program
+from .mps import MPS, MPSApproximator
 from .sdp import (
     DiamondNormBound,
     constrained_diamond_norm,
@@ -74,7 +74,6 @@ __all__ = [
     "Client",
     "MPS",
     "MPSApproximator",
-    "approximate_program",
     "DiamondNormBound",
     "constrained_diamond_norm",
     "diamond_distance",

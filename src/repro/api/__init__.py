@@ -1,13 +1,12 @@
 """``repro.api`` — the one front door of the Gleipnir reproduction.
 
 Everything the repo can do — one-shot analyses, batched multi-program
-sweeps, streamed results, per-gate bound queries, and remote submission to a
-running ``gleipnir-serve`` — is reachable through a single versioned facade:
+sweeps, streamed results, and remote submission to a running
+``gleipnir-serve`` — is reachable through a single versioned facade:
 
 * :class:`AnalysisSession` — a context manager owning the engine / process
   pool / outcome store wiring (or, with ``remote=``, an HTTP client), with
-  ``analyze()``, ``analyze_batch()``, ``as_completed()`` streaming, and
-  ``gate_bound()``;
+  ``analyze()``, ``analyze_batch()`` and ``as_completed()`` streaming;
 * :class:`AnalysisOutcome` — the typed, frozen result record every surface
   returns (bound, certification status, MPS walk count, timings,
   fingerprint) instead of flat dicts;

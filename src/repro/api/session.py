@@ -21,8 +21,6 @@ import dataclasses
 import time
 from collections.abc import Iterator, Sequence
 
-import numpy as np
-
 from ..circuits.circuit import Circuit
 from ..circuits.program import Program
 from ..config import AnalysisConfig
@@ -31,9 +29,7 @@ from ..engine.pool import AnalysisEngine, _run_job
 from ..engine.service import TERMINAL_STATUSES
 from ..engine.spec import AnalysisJob, JobResult
 from ..errors import EngineError
-from ..linalg.channels import QuantumChannel
 from ..noise.model import NoiseModel
-from ..sdp.diamond import DiamondNormBound, gate_error_bound
 from .client import Client
 
 __all__ = [
@@ -474,35 +470,6 @@ class AnalysisSession:
                     )
                     for index in indices_by_fp[fingerprint]:
                         yield index, outcome
-
-    # -- primitives --------------------------------------------------------
-    def gate_bound(
-        self,
-        gate_matrix: np.ndarray,
-        noise_channel: QuantumChannel | None,
-        rho_local: np.ndarray,
-        delta: float,
-        *,
-        noise_after_gate: bool = True,
-        config: AnalysisConfig | None = None,
-    ) -> DiamondNormBound:
-        """Certified (ρ̂, δ)-diamond-norm bound for one noisy gate application.
-
-        A session-configured wrapper over
-        :func:`repro.sdp.diamond.gate_error_bound`; always computed locally
-        (the primitive is cheap and its certificate does not serialize).
-        ``noise_after_gate`` orders the bare channel and the gate, as
-        :attr:`repro.noise.NoiseModel.noise_after_gate` does for a model.
-        """
-        self._check_open()
-        return gate_error_bound(
-            gate_matrix,
-            noise_channel,
-            rho_local,
-            delta,
-            noise_after_gate=noise_after_gate,
-            config=(config or self.config).sdp,
-        )
 
     # -- introspection -----------------------------------------------------
     def capabilities(self) -> dict:

@@ -1,4 +1,4 @@
-"""Quantum circuit IR: gates, program AST, builder, parser, DAG, transforms."""
+"""Quantum circuit IR: gates, program AST, builder, parser, transforms."""
 
 from .gates import (
     Gate,
@@ -36,15 +36,6 @@ from .serialize import (
     program_from_json_dict,
     program_to_json_dict,
 )
-from .dag import CircuitDAG, circuit_depth, circuit_moments
-from .drawer import draw_circuit
-from .transforms import (
-    count_gates_by_name,
-    decompose_rzz,
-    decompose_swaps,
-    fuse_single_qubit_gates,
-    merge_adjacent_inverses,
-    route_to_coupling,
-)
+from .transforms import count_gates_by_name, decompose_swaps, route_to_coupling
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,20 +1,14 @@
 """Circuit transformation passes.
 
-These are the compiler-style rewrites used by the benchmark generators and the
-device experiments:
+These are the compiler-style rewrites used by the device experiments:
 
-* :func:`decompose_rzz` — expand ``rzz(theta)`` into the CNOT–RZ–CNOT pattern
-  available on NISQ hardware (this is the form the paper's QAOA/Ising
-  benchmarks are counted in);
 * :func:`decompose_swaps` — expand SWAP gates into three CNOTs;
 * :func:`route_to_coupling` — insert SWAP gates so every 2-qubit gate acts on
   an edge of a coupling graph (used by the qubit-mapping study of Table 3);
-* :func:`fuse_single_qubit_gates` — merge runs of adjacent 1-qubit gates into
-  a single ``u3``-style unitary;
-* :func:`merge_adjacent_inverses` — drop gate pairs that cancel exactly.
+* :func:`count_gates_by_name` — a histogram of gate names.
 
-All passes take and return :class:`~repro.circuits.circuit.Circuit` objects
-and never mutate their input.
+The rewrites take and return :class:`~repro.circuits.circuit.Circuit`
+objects and never mutate their input.
 """
 
 from __future__ import annotations
@@ -22,45 +16,20 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 import networkx as nx
-import numpy as np
 
 from ..errors import CircuitError
-from . import gates as gate_lib
 from .circuit import Circuit
-from .program import GateOp
 
 __all__ = [
-    "decompose_rzz",
     "decompose_swaps",
-    "fuse_single_qubit_gates",
-    "merge_adjacent_inverses",
     "route_to_coupling",
     "count_gates_by_name",
 ]
 
 
-def _copy_structure(circuit: Circuit, name_suffix: str) -> Circuit:
-    return Circuit(circuit.num_qubits, name=f"{circuit.name}{name_suffix}")
-
-
-def decompose_rzz(circuit: Circuit) -> Circuit:
-    """Rewrite every ``rzz(theta)`` as ``cx; rz(theta); cx``."""
-    out = _copy_structure(circuit, "_rzz_decomposed")
-    for op in circuit.operations():
-        if op.gate.name == "rzz":
-            control, target = op.qubits
-            theta = op.gate.params[0]
-            out.cx(control, target)
-            out.rz(theta, target)
-            out.cx(control, target)
-        else:
-            out.append(op.gate, *op.qubits)
-    return out
-
-
 def decompose_swaps(circuit: Circuit) -> Circuit:
     """Rewrite every SWAP as three alternating CNOTs."""
-    out = _copy_structure(circuit, "_swap_decomposed")
+    out = Circuit(circuit.num_qubits, name=f"{circuit.name}_swap_decomposed")
     for op in circuit.operations():
         if op.gate.name == "swap":
             a, b = op.qubits
@@ -69,57 +38,6 @@ def decompose_swaps(circuit: Circuit) -> Circuit:
             out.cx(a, b)
         else:
             out.append(op.gate, *op.qubits)
-    return out
-
-
-def fuse_single_qubit_gates(circuit: Circuit) -> Circuit:
-    """Merge maximal runs of single-qubit gates on the same qubit.
-
-    The merged gate is emitted as a custom unitary named ``fused``.  Two-qubit
-    gates act as barriers on the qubits they touch.
-    """
-    out = _copy_structure(circuit, "_fused")
-    pending: dict[int, np.ndarray] = {}
-
-    def flush(qubit: int) -> None:
-        matrix = pending.pop(qubit, None)
-        if matrix is None:
-            return
-        if np.allclose(matrix, np.eye(2), atol=1e-12):
-            return
-        out.append(gate_lib.custom_gate("fused", matrix), qubit)
-
-    for op in circuit.operations():
-        if op.gate.num_qubits == 1:
-            (qubit,) = op.qubits
-            pending[qubit] = op.gate.matrix @ pending.get(qubit, np.eye(2, dtype=np.complex128))
-        else:
-            for qubit in op.qubits:
-                flush(qubit)
-            out.append(op.gate, *op.qubits)
-    for qubit in sorted(pending):
-        flush(qubit)
-    return out
-
-
-def merge_adjacent_inverses(circuit: Circuit) -> Circuit:
-    """Cancel immediately adjacent gate pairs whose product is the identity."""
-    out_ops: list[GateOp] = []
-    for op in circuit.operations():
-        if out_ops:
-            previous = out_ops[-1]
-            if previous.qubits == op.qubits and previous.gate.num_qubits == op.gate.num_qubits:
-                product = op.gate.matrix @ previous.gate.matrix
-                phase = product[0, 0]
-                if abs(abs(phase) - 1.0) < 1e-10 and np.allclose(
-                    product, phase * np.eye(product.shape[0]), atol=1e-10
-                ):
-                    out_ops.pop()
-                    continue
-        out_ops.append(op)
-    out = _copy_structure(circuit, "_cancelled")
-    for op in out_ops:
-        out.append(op.gate, *op.qubits)
     return out
 
 
@@ -146,7 +64,7 @@ def route_to_coupling(
     the operands are adjacent.  The emitted circuit acts on *physical* qubits.
 
     This mirrors what a NISQ compiler does after choosing a qubit mapping
-    (Section 7.2); noise-adaptive mapping selection itself lives in
+    (Section 7.2); mapping selection itself lives in
     :mod:`repro.devices.mapping`.
     """
     graph = nx.Graph()

@@ -1,6 +1,6 @@
 """Gleipnir core: the (rho_hat, delta) error logic, analyzer, and baselines."""
 
-from .predicate import GlobalPredicate, LocalPredicate, trivial_local_predicate
+from .predicate import LocalPredicate, trivial_local_predicate
 from .judgment import Judgment
 from .derivation import Derivation, DerivationNode, GateContribution
 from .rules import (

@@ -8,8 +8,6 @@ from .mapping import (
     estimate_mapping_cost,
     map_circuit,
     mapping_noise_model,
-    noise_adaptive_mapping,
-    trivial_mapping,
 )
 from .emulator import EmulationResult, HardwareEmulator
 

@@ -105,9 +105,6 @@ class CouplingMap:
     def has_edge(self, a: int, b: int) -> bool:
         return self._graph.has_edge(a, b)
 
-    def neighbors(self, qubit: int) -> list[int]:
-        return sorted(self._graph.neighbors(qubit))
-
     def degree(self, qubit: int) -> int:
         return self._graph.degree(qubit)
 

@@ -23,7 +23,6 @@ quantity Gleipnir's trace-distance bound must dominate.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -176,21 +175,3 @@ class HardwareEmulator:
         return self.run(
             mapped, shots=shots, include_readout_error=include_readout_error
         ).measured_error
-
-    def compare_mappings(
-        self,
-        circuit: Circuit,
-        mappings: Sequence[Sequence[int]],
-        *,
-        shots: int | None = 8192,
-    ) -> list[tuple[tuple[int, ...], float]]:
-        """Measured error for each candidate mapping (placement + routing)."""
-        from .mapping import map_circuit
-
-        results = []
-        for mapping in mappings:
-            mapped = map_circuit(circuit, mapping, self.coupling)
-            results.append(
-                (tuple(int(q) for q in mapping), self.measured_error(mapped, shots=shots))
-            )
-        return results

@@ -12,11 +12,9 @@ This module provides:
   any non-adjacent 2-qubit gates through SWAP insertion;
 * :func:`mapping_noise_model` — the calibration-driven noise model restricted
   to the device (what both the emulator and Gleipnir analyse against);
-* :func:`estimate_mapping_cost` — a cheap additive error estimate used by the
-  greedy mapping protocols;
-* :func:`trivial_mapping`, :func:`best_path_mapping`,
-  :func:`noise_adaptive_mapping` — three mapping protocols of increasing
-  sophistication to compare in the experiments.
+* :func:`estimate_mapping_cost` — a cheap additive error estimate;
+* :func:`best_path_mapping` — the path placement that minimises that
+  estimate, for chain-shaped circuits.
 """
 
 from __future__ import annotations
@@ -36,9 +34,7 @@ __all__ = [
     "map_circuit",
     "mapping_noise_model",
     "estimate_mapping_cost",
-    "trivial_mapping",
     "best_path_mapping",
-    "noise_adaptive_mapping",
 ]
 
 
@@ -135,13 +131,6 @@ def estimate_mapping_cost(
     return total
 
 
-def trivial_mapping(circuit: Circuit, coupling: CouplingMap) -> tuple[int, ...]:
-    """The identity mapping (logical i -> physical i)."""
-    if circuit.num_qubits > coupling.num_qubits:
-        raise DeviceError("the circuit does not fit on the device")
-    return tuple(range(circuit.num_qubits))
-
-
 def best_path_mapping(
     circuit: Circuit,
     coupling: CouplingMap,
@@ -167,71 +156,3 @@ def best_path_mapping(
         key=lambda path: estimate_mapping_cost(circuit, path, coupling, calibration),
     )
     return tuple(best)
-
-
-def noise_adaptive_mapping(
-    circuit: Circuit,
-    coupling: CouplingMap,
-    calibration: CalibrationData,
-) -> tuple[int, ...]:
-    """A greedy noise-adaptive placement for general circuits.
-
-    Logical qubits are placed one at a time in decreasing order of how many
-    2-qubit gates they participate in; each is assigned the free physical
-    qubit that minimises the estimated cost of the interactions placed so far
-    (calibrated edge error times interaction count, plus the qubit's own
-    1-qubit and readout error).
-    """
-    interactions: dict[tuple[int, int], int] = {}
-    weight: dict[int, int] = {q: 0 for q in range(circuit.num_qubits)}
-    for op in circuit.operations():
-        if op.gate.num_qubits == 2:
-            key = tuple(sorted(op.qubits))
-            interactions[key] = interactions.get(key, 0) + 1
-            for q in op.qubits:
-                weight[q] += 1
-
-    order = sorted(range(circuit.num_qubits), key=lambda q: -weight[q])
-    placement: dict[int, int] = {}
-    free = set(range(coupling.num_qubits))
-
-    def candidate_cost(logical: int, physical: int) -> float:
-        cost = calibration.single_qubit_error.get(physical, 0.0)
-        cost += calibration.readout_error.get(physical, 0.0)
-        # Look-ahead term: a placement whose free neighbourhood cannot host the
-        # qubit's not-yet-placed partners will force routing later.  Charge a
-        # small fraction of a 2-qubit error per missing neighbour so that, all
-        # else equal, well-connected placements win.
-        partners = {
-            (b if a == logical else a)
-            for (a, b) in interactions
-            if logical in (a, b)
-        }
-        unplaced_partners = len([p for p in partners if p not in placement])
-        free_neighbors = len([n for n in coupling.neighbors(physical) if n in free])
-        deficit = max(0, unplaced_partners - free_neighbors)
-        cost += 0.25 * calibration.average_two_qubit_error() * deficit
-        for (a, b), count in interactions.items():
-            other = b if a == logical else a if b == logical else None
-            if other is None or other not in placement:
-                continue
-            other_physical = placement[other]
-            if coupling.has_edge(physical, other_physical):
-                edge_cost = (
-                    calibration.edge_error(physical, other_physical)
-                    if calibration.has_edge(physical, other_physical)
-                    else calibration.average_two_qubit_error()
-                )
-            else:
-                # Routing penalty: distance-1 extra SWAPs, three CNOTs each.
-                distance = coupling.distance(physical, other_physical)
-                edge_cost = 3 * (distance - 1) * calibration.average_two_qubit_error()
-                edge_cost += calibration.average_two_qubit_error()
-            cost += count * edge_cost
-        return cost
-
-    for logical in order:
-        best_physical = min(free, key=lambda phys: candidate_cost(logical, phys))
-        placement[logical] = best_physical
-        free.remove(best_physical)
-    return tuple(placement[q] for q in range(circuit.num_qubits))

@@ -2,21 +2,12 @@
 
 from .mps import MPS
 from .truncation import TruncationInfo, split_theta
-from .approximator import (
-    ApproximationBranch,
-    ApproximationResult,
-    LocalPredicate,
-    MPSApproximator,
-    approximate_program,
-)
+from .approximator import LocalPredicate, MPSApproximator
 
 __all__ = [
     "MPS",
     "TruncationInfo",
     "split_theta",
-    "ApproximationBranch",
-    "ApproximationResult",
     "LocalPredicate",
     "MPSApproximator",
-    "approximate_program",
 ]

@@ -1,15 +1,12 @@
 """The tensor-network state approximator ``TN(rho0, P) = (rho_hat, delta)``.
 
-This module drives the MPS machinery over whole programs:
-
-* :class:`MPSApproximator` is the stateful, gate-by-gate interface used by
-  the quantum error logic (Section 4): before bounding a gate's error it asks
-  for the local predicate ``(rho', delta)``; after bounding it advances the
-  MPS through the (ideal) gate and accumulates the truncation error;
-* :func:`approximate_program` runs a whole program at once, returning the
-  approximated output state(s) and the sound approximation bound δ of
-  Theorem 5.1 — including measurement branches, which fork the MPS as
-  described in Section 5.2 ("Supporting branches").
+:class:`MPSApproximator` is the stateful, gate-by-gate interface used by the
+quantum error logic (Section 4): before bounding a gate's error it asks for
+the local predicate ``(rho', delta)``; after bounding it advances the MPS
+through the (ideal) gate and accumulates the truncation error, so ``delta``
+stays the sound approximation bound of Theorem 5.1.  A measurement forks it
+(Section 5.2, "Supporting branches"); the scheduler's walk
+(:mod:`repro.core.scheduler`) drives it over whole programs.
 
 The approximator always evolves the *ideal* program: gate noise never enters
 here.  Noise is handled exclusively by the (ρ̂, δ)-diamond norm of the gates
@@ -24,19 +21,12 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..circuits.program import GateOp, IfMeasure, Program, Seq, Skip
+from ..circuits.program import GateOp, Program
 from ..config import DEFAULT_MPS_WIDTH
 from ..errors import MPSError
 from .mps import MPS
-from .truncation import TruncationInfo
 
-__all__ = [
-    "LocalPredicate",
-    "MPSApproximator",
-    "ApproximationBranch",
-    "ApproximationResult",
-    "approximate_program",
-]
+__all__ = ["LocalPredicate", "MPSApproximator"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,7 +50,6 @@ class MPSApproximator:
     def __init__(self, mps: MPS, *, delta: float = 0.0):
         self._mps = mps
         self._delta = float(delta)
-        self._truncations: list[TruncationInfo] = []
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -102,14 +91,8 @@ class MPSApproximator:
     def num_qubits(self) -> int:
         return self._mps.num_qubits
 
-    @property
-    def truncation_history(self) -> list[TruncationInfo]:
-        return list(self._truncations)
-
     def copy(self) -> "MPSApproximator":
-        clone = MPSApproximator(self._mps.copy(), delta=self._delta)
-        clone._truncations = list(self._truncations)
-        return clone
+        return MPSApproximator(self._mps.copy(), delta=self._delta)
 
     def weaken_to(self, delta: float) -> "MPSApproximator":
         """Raise the accumulated distance bound (never lowers it); returns self.
@@ -141,7 +124,6 @@ class MPSApproximator:
         records = self._mps.apply_gate(np.asarray(matrix, dtype=np.complex128), list(qubits))
         added = 0.0
         for record in records:
-            self._truncations.append(record)
             added += record.trace_norm_error
         self._delta += added
         return added
@@ -174,119 +156,3 @@ class MPSApproximator:
         if not branches:
             raise MPSError(f"measurement of qubit {qubit} has no feasible outcome")
         return branches
-
-
-@dataclasses.dataclass(frozen=True)
-class ApproximationBranch:
-    """One measurement branch of an approximated program run."""
-
-    outcomes: tuple[tuple[int, int], ...]
-    probability: float
-    approximator: MPSApproximator
-
-    @property
-    def delta(self) -> float:
-        return self.approximator.delta
-
-
-@dataclasses.dataclass(frozen=True)
-class ApproximationResult:
-    """Output of ``TN(rho0, P)``: approximate state(s) and sound bound δ.
-
-    For branch-free programs there is exactly one branch.  Following the
-    paper, the overall approximation bound is the sum of the bounds incurred
-    on all branches.
-    """
-
-    branches: tuple[ApproximationBranch, ...]
-
-    @property
-    def delta(self) -> float:
-        return min(2.0, sum(branch.delta for branch in self.branches))
-
-    @property
-    def approximator(self) -> MPSApproximator:
-        if len(self.branches) != 1:
-            raise MPSError(
-                "ApproximationResult.approximator is only defined for branch-free runs"
-            )
-        return self.branches[0].approximator
-
-    @property
-    def mps(self) -> MPS:
-        return self.approximator.mps
-
-    def num_branches(self) -> int:
-        return len(self.branches)
-
-
-def _run(
-    program: Program,
-    approximator: MPSApproximator,
-    outcomes: tuple[tuple[int, int], ...],
-    probability: float,
-) -> list[ApproximationBranch]:
-    if isinstance(program, Skip):
-        return [ApproximationBranch(outcomes, probability, approximator)]
-    if isinstance(program, GateOp):
-        approximator.apply_gate_op(program)
-        return [ApproximationBranch(outcomes, probability, approximator)]
-    if isinstance(program, Seq):
-        branches = [ApproximationBranch(outcomes, probability, approximator)]
-        for part in program.parts:
-            next_branches: list[ApproximationBranch] = []
-            for branch in branches:
-                next_branches.extend(
-                    _run(part, branch.approximator, branch.outcomes, branch.probability)
-                )
-            branches = next_branches
-        return branches
-    if isinstance(program, IfMeasure):
-        results: list[ApproximationBranch] = []
-        for outcome, prob, child in approximator.branch_on_measurement(program.qubit):
-            subprogram = program.then_branch if outcome == 0 else program.else_branch
-            results.extend(
-                _run(
-                    subprogram,
-                    child,
-                    outcomes + ((program.qubit, outcome),),
-                    probability * prob,
-                )
-            )
-        return results
-    raise MPSError(f"unknown program node {type(program).__name__}")
-
-
-def approximate_program(
-    program: Program | Circuit,
-    *,
-    initial_bits: str | Sequence[int] | None = None,
-    num_qubits: int | None = None,
-    width: int = DEFAULT_MPS_WIDTH,
-) -> ApproximationResult:
-    """Run ``TN(rho0, P)`` over a whole program.
-
-    Args:
-        program: the program (or circuit) to approximate.
-        initial_bits: computational-basis input state (defaults to all zeros).
-        num_qubits: register size (inferred if omitted).
-        width: MPS bond dimension ``w``.
-
-    Returns:
-        An :class:`ApproximationResult` whose ``delta`` soundly bounds the
-        trace-norm distance between the approximation and the ideal output
-        (per branch; summed over branches as in the paper).
-    """
-    ast = program.to_program() if isinstance(program, Circuit) else program
-    if num_qubits is None:
-        num_qubits = program.num_qubits if isinstance(program, Circuit) else ast.num_qubits
-    if num_qubits == 0:
-        raise MPSError("cannot approximate a program with no qubits")
-    if initial_bits is None:
-        initial_bits = [0] * num_qubits
-    bits = [int(b) for b in initial_bits]
-    if len(bits) != num_qubits:
-        raise MPSError(f"initial state has {len(bits)} bits for {num_qubits} qubits")
-    approximator = MPSApproximator.from_product_state(bits, width=width)
-    branches = _run(ast, approximator, (), 1.0)
-    return ApproximationResult(tuple(branches))

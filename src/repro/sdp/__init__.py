@@ -33,7 +33,6 @@ from .diamond import (
     diamond_distance,
     gate_error_bound,
     gate_error_bounds_batch,
-    q_lambda_diamond_norm,
     quantise_keys,
     rho_delta_constraint_bound,
     rho_delta_diamond_norm,

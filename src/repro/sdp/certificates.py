@@ -6,8 +6,7 @@ The primal SDP of Eq. (2) maximises ``tr(J(Phi) W)``; its Lagrangian dual is
     subject to  Z >= J(Phi),  Z >= 0,  y >= 0,
 
 where ``Q`` is the linear constraint operator (the local density matrix ρ'
-for the (ρ̂, δ)-norm, the predicate Q for the (Q, λ)-norm) and ``c`` the
-constraint bound.  By weak duality, *every* feasible ``(Z, y)`` yields a sound
+for the (ρ̂, δ)-norm) and ``c`` the constraint bound.  By weak duality, *every* feasible ``(Z, y)`` yields a sound
 upper bound on the constrained diamond norm — this is what makes Gleipnir's
 reported bounds verified even though the underlying first-order solver is
 approximate.

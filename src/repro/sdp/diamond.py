@@ -1,4 +1,4 @@
-"""Diamond-norm computations: unconstrained, (Q, λ)- and (ρ̂, δ)-constrained.
+"""Diamond-norm computations: unconstrained and (ρ̂, δ)-constrained.
 
 All quantities follow the *diamond distance* convention of Eq. (2): the value
 reported for a pair of channels (or for a Hermitian-preserving difference map
@@ -73,7 +73,6 @@ __all__ = [
     "constrained_diamond_norms_batch",
     "diamond_distance",
     "rho_delta_diamond_norm",
-    "q_lambda_diamond_norm",
     "rho_delta_constraint_bound",
     "gate_error_bound",
     "gate_error_bounds_batch",
@@ -618,22 +617,6 @@ def rho_delta_diamond_norm(
         choi,
         constraint_operator=np.asarray(rho_local, dtype=np.complex128),
         constraint_bound=bound_c,
-        config=config,
-    )
-
-
-def q_lambda_diamond_norm(
-    choi: np.ndarray,
-    predicate: np.ndarray,
-    degree: float,
-    *,
-    config: SDPConfig | None = None,
-) -> DiamondNormBound:
-    """The (Q, λ)-diamond norm of prior work (Hung et al.), for the LQR baseline."""
-    return constrained_diamond_norm(
-        choi,
-        constraint_operator=np.asarray(predicate, dtype=np.complex128),
-        constraint_bound=float(degree),
         config=config,
     )
 

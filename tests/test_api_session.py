@@ -1,8 +1,8 @@
 """Tests for the ``repro.api`` session facade (local transport).
 
 The facade is the one front door: these tests pin down that it is
-bit-identical to the underlying primitives it fronts (``analyze_program``,
-the engine, ``gate_error_bound``), that outcomes are frozen typed values,
+bit-identical to the underlying primitives it fronts (``analyze_program``
+and the engine), that outcomes are frozen typed values,
 and that the experiment drivers give identical results through a caller's
 session and through their own ephemeral one.
 """
@@ -11,7 +11,6 @@ import dataclasses
 import time
 import warnings
 
-import numpy as np
 import pytest
 
 from helpers import random_circuit
@@ -23,8 +22,6 @@ from repro.core.analyzer import analyze_program
 from repro.engine import pool
 from repro.errors import EngineError
 from repro.noise import NoiseModel
-from repro.noise.channels import bit_flip
-from repro.sdp import gate_error_bound
 
 FAST = AnalysisConfig(mps_width=4, sdp=SDPConfig(max_iterations=200, tolerance=1e-4))
 MODEL = NoiseModel.uniform_bit_flip(1e-3)
@@ -177,15 +174,6 @@ class TestBatchAndStreaming:
 
 
 class TestGateBound:
-    def test_matches_sdp_primitive(self):
-        rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
-        gate = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-        channel = bit_flip(1e-3)
-        direct = gate_error_bound(gate, channel, rho, 0.01, config=FAST.sdp)
-        with AnalysisSession(config=FAST) as session:
-            via_session = session.gate_bound(gate, channel, rho, 0.01)
-        assert via_session.value == direct.value
-
     def test_capabilities_local(self):
         with AnalysisSession(config=FAST) as session:
             capabilities = session.capabilities()

@@ -6,10 +6,7 @@ import pytest
 from repro.circuits import (
     Circuit,
     count_gates_by_name,
-    decompose_rzz,
     decompose_swaps,
-    fuse_single_qubit_gates,
-    merge_adjacent_inverses,
     route_to_coupling,
 )
 from repro.errors import CircuitError
@@ -22,14 +19,6 @@ def states_equal_up_to_phase(a, b):
 
 
 class TestDecompositions:
-    def test_decompose_rzz_preserves_semantics(self):
-        circuit = Circuit(2).h(0).h(1).rzz(0.7, 0, 1)
-        decomposed = decompose_rzz(circuit)
-        assert "rzz" not in count_gates_by_name(decomposed)
-        assert states_equal_up_to_phase(
-            simulate_statevector(circuit), simulate_statevector(decomposed)
-        )
-
     def test_decompose_swaps_preserves_semantics(self):
         circuit = Circuit(3).h(0).swap(0, 2).cx(2, 1)
         decomposed = decompose_swaps(circuit)
@@ -39,34 +28,8 @@ class TestDecompositions:
         )
 
     def test_gate_counts(self):
-        circuit = Circuit(2).rzz(0.3, 0, 1)
-        assert decompose_rzz(circuit).gate_count() == 3
         circuit = Circuit(2).swap(0, 1)
         assert decompose_swaps(circuit).gate_count() == 3
-
-
-class TestSimplifications:
-    def test_fuse_single_qubit_gates(self):
-        circuit = Circuit(2).h(0).t(0).h(1).cx(0, 1).s(1)
-        fused = fuse_single_qubit_gates(circuit)
-        assert fused.gate_count() == 4  # fused(q0), fused(q1), cx, fused(q1)
-        assert states_equal_up_to_phase(
-            simulate_statevector(circuit), simulate_statevector(fused)
-        )
-
-    def test_fuse_drops_identities(self):
-        circuit = Circuit(1).h(0).h(0)
-        fused = fuse_single_qubit_gates(circuit)
-        assert fused.gate_count() == 0
-
-    def test_merge_adjacent_inverses(self):
-        circuit = Circuit(2).h(0).h(0).cx(0, 1).cx(0, 1).rz(0.3, 1)
-        merged = merge_adjacent_inverses(circuit)
-        assert merged.gate_count() == 1
-
-    def test_merge_keeps_non_inverse_pairs(self):
-        circuit = Circuit(1).h(0).t(0)
-        assert merge_adjacent_inverses(circuit).gate_count() == 2
 
 
 class TestRouting:

@@ -124,7 +124,7 @@ class TestPublicAPI:
             "GleipnirAnalyzer",
             "analyze_program",
             "MPS",
-            "approximate_program",
+            "MPSApproximator",
             "diamond_distance",
             "rho_delta_diamond_norm",
             "worst_case_bound",

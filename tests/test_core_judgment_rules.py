@@ -6,7 +6,6 @@ import pytest
 from repro.circuits import Circuit, IfMeasure, Skip, gate_op, seq
 from repro.circuits import gates as gate_lib
 from repro.core import (
-    GlobalPredicate,
     Judgment,
     absorb_continuations,
     gate_rule,
@@ -44,15 +43,6 @@ class TestJudgmentAndPredicate:
 
     def test_judgment_pretty(self):
         assert "<=" in Judgment(delta=0.0, epsilon=0.5, program_label="P").pretty()
-
-    def test_global_predicate(self):
-        predicate = GlobalPredicate("MPS(w=8)", 0.1, 4)
-        assert not predicate.is_trivial
-        assert predicate.weaken(0.5).delta == 0.5
-        with pytest.raises(LogicError):
-            predicate.weaken(0.05)
-        with pytest.raises(LogicError):
-            GlobalPredicate("x", -1.0, 2)
 
     def test_trivial_local_predicate(self):
         predicate = trivial_local_predicate(2)

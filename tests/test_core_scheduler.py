@@ -110,6 +110,19 @@ SATURATING = [
 ]
 
 
+class TestWalkRecords:
+    def test_ghz_width_one_records_paper_delta(self, ghz2_circuit, bit_flip_model):
+        """Section 5.3 on the product walk: at width 1 the CNOT of GHZ-2
+        truncates to |00> and the walk records δ = √2 after it."""
+        program = ghz2_circuit.to_program()
+        h_record, cx_record = BoundScheduler(bit_flip_model, _config(mps_width=1)).collect(
+            program, [0, 0]
+        )
+        assert h_record.delta_after == cx_record.delta_before == 0.0
+        assert np.isclose(cx_record.delta_after, np.sqrt(2.0))
+        assert cx_record.truncation_added == cx_record.delta_after
+
+
 class TestSaturatedWalk:
     """Once δ reaches 2 every predicate is vacuous: the walk stops evolving
     the MPS, and the bounds stay those of a walk that never stops."""

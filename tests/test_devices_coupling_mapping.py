@@ -8,9 +8,6 @@ from repro.devices import (
     boeblingen_calibration,
     estimate_mapping_cost,
     map_circuit,
-    noise_adaptive_mapping,
-    trivial_mapping,
-    uniform_calibration,
 )
 from repro.errors import DeviceError
 from repro.programs import ghz_circuit
@@ -92,11 +89,6 @@ class TestMapping:
         with pytest.raises(DeviceError):
             map_circuit(ghz_circuit(3), (0, 1, 7), coupling)
 
-    def test_trivial_mapping(self):
-        assert trivial_mapping(ghz_circuit(3), CouplingMap.linear(5)) == (0, 1, 2)
-        with pytest.raises(DeviceError):
-            trivial_mapping(ghz_circuit(5), CouplingMap.linear(3))
-
 
 class TestMappingProtocols:
     def test_estimate_cost_prefers_quiet_edges(self):
@@ -115,19 +107,3 @@ class TestMappingProtocols:
         best_cost = estimate_mapping_cost(circuit, best, coupling, calibration)
         for candidate in [(0, 1, 2), (1, 2, 3), (2, 3, 4)]:
             assert best_cost <= estimate_mapping_cost(circuit, candidate, coupling, calibration) + 1e-12
-
-    def test_noise_adaptive_mapping_is_valid(self):
-        coupling = CouplingMap.ibm_lima()
-        calibration = uniform_calibration(coupling)
-        circuit = ghz_circuit(3)
-        mapping = noise_adaptive_mapping(circuit, coupling, calibration)
-        assert len(set(mapping)) == 3
-        assert all(0 <= q < coupling.num_qubits for q in mapping)
-
-    def test_noise_adaptive_on_uniform_calibration_matches_connectivity(self):
-        coupling = CouplingMap.linear(4)
-        calibration = uniform_calibration(coupling)
-        mapping = noise_adaptive_mapping(ghz_circuit(3), coupling, calibration)
-        mapped = map_circuit(ghz_circuit(3), mapping, coupling)
-        # A linear circuit on a linear device should need no extra routing.
-        assert mapped.num_added_gates == 0

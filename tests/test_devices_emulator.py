@@ -74,12 +74,3 @@ class TestEmulator:
         mapped = map_circuit(ghz_circuit(5), (0, 1, 2, 3, 4), coupling)
         with pytest.raises(ResourceLimitExceeded):
             emulator.run(mapped, shots=None)
-
-    def test_compare_mappings_ranks_by_calibration(self, boeblingen):
-        coupling, calibration = boeblingen
-        emulator = HardwareEmulator(coupling, calibration, seed=7)
-        results = emulator.compare_mappings(
-            ghz_circuit(3), [(0, 1, 2), (1, 2, 3)], shots=None
-        )
-        errors = dict(results)
-        assert errors[(1, 2, 3)] < errors[(0, 1, 2)]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.circuits import Circuit
 from repro.errors import MPSError
 from repro.linalg import ghz_state, pure_density, trace_norm_distance
-from repro.mps import MPS, MPSApproximator, approximate_program
+from repro.mps import MPS, MPSApproximator
 from repro.semantics import simulate_density, simulate_statevector
 
 from helpers import random_circuit
@@ -16,24 +16,28 @@ from helpers import random_circuit
 
 class TestBasics:
     def test_ghz_exact_with_width_two(self, ghz2_circuit):
-        result = approximate_program(ghz2_circuit, width=2)
-        assert result.delta == 0.0
-        assert np.allclose(np.abs(result.mps.to_statevector()), np.abs(ghz_state(2)), atol=1e-10)
+        approx = MPSApproximator.zero_state(2, width=2)
+        approx.apply_circuit(ghz2_circuit)
+        assert approx.delta == 0.0
+        assert np.allclose(np.abs(approx.mps.to_statevector()), np.abs(ghz_state(2)), atol=1e-10)
 
     def test_ghz_width_one_matches_paper_example(self, ghz2_circuit):
         """Section 5.3: w=1 yields |00> with approximation error sqrt(2)."""
-        result = approximate_program(ghz2_circuit, width=1)
-        assert np.isclose(result.delta, np.sqrt(2.0))
-        assert np.isclose(abs(result.mps.amplitude("00")), 1.0)
+        approx = MPSApproximator.zero_state(2, width=1)
+        added = approx.apply_circuit(ghz2_circuit)
+        assert np.isclose(approx.delta, np.sqrt(2.0))
+        assert added == approx.delta
+        assert np.isclose(abs(approx.mps.amplitude("00")), 1.0)
 
     def test_initial_bits(self):
-        circuit = Circuit(2).cx(0, 1)
-        result = approximate_program(circuit, initial_bits="10", width=4)
-        assert np.isclose(abs(result.mps.amplitude("11")), 1.0)
+        approx = MPSApproximator.from_product_state("10", width=4)
+        approx.apply_circuit(Circuit(2).cx(0, 1))
+        assert np.isclose(abs(approx.mps.amplitude("11")), 1.0)
 
     def test_bad_initial_bits(self):
-        with pytest.raises(MPSError):
-            approximate_program(Circuit(2).h(0), initial_bits="0", width=2)
+        for bits in ("", "02", [0, -1]):
+            with pytest.raises(MPSError):
+                MPSApproximator.from_product_state(bits, width=2)
 
     def test_local_predicate(self, ghz3_circuit):
         approx = MPSApproximator.zero_state(3, width=8)
@@ -60,11 +64,12 @@ class TestBasics:
         with pytest.raises(MPSError):
             approx.weaken_to(1.5)
 
-    def test_truncation_history(self):
+    def test_apply_circuit_returns_added_truncation(self):
         approx = MPSApproximator.zero_state(3, width=1)
-        approx.apply_circuit(Circuit(3).h(0).cx(0, 1).cx(1, 2))
-        assert len(approx.truncation_history) >= 2
-        assert approx.delta > 0
+        approx.weaken_to(0.25)
+        added = approx.apply_circuit(Circuit(3).h(0).cx(0, 1).cx(1, 2))
+        assert added > 0
+        assert approx.delta == min(2.0, 0.25 + added)
 
     def test_from_statevector_carries_initial_error(self):
         approx = MPSApproximator.from_statevector(ghz_state(4), width=1)
@@ -90,18 +95,15 @@ class TestBranching:
         assert branches[0][0] == 0
 
     def test_program_with_if(self):
-        circuit = Circuit(2).h(0)
-        circuit.if_measure(0, lambda c: c.x(1), lambda c: c.z(1))
-        result = approximate_program(circuit, width=4)
-        assert result.num_branches() == 2
-        assert np.isclose(sum(b.probability for b in result.branches), 1.0)
-
-    def test_single_branch_accessor_requires_branch_free(self):
-        circuit = Circuit(2).h(0)
-        circuit.if_measure(0, lambda c: c.x(1))
-        result = approximate_program(circuit, width=4)
-        with pytest.raises(MPSError):
-            _ = result.approximator
+        approx = MPSApproximator.zero_state(2, width=4)
+        approx.apply_circuit(Circuit(2).h(0))
+        branches = approx.branch_on_measurement(0)
+        assert len(branches) == 2
+        assert np.isclose(sum(probability for _, probability, _ in branches), 1.0)
+        assert all(child.delta == approx.delta for _, _, child in branches)
+        for outcome, _, child in branches:
+            child.apply_circuit(Circuit(2).x(1) if outcome == 0 else Circuit(2).z(1))
+            assert np.isclose(abs(child.mps.amplitude(f"{outcome}{1 - outcome}")), 1.0)
 
 
 class TestSoundness:
@@ -110,21 +112,27 @@ class TestSoundness:
     def test_delta_bounds_true_distance(self, seed, width):
         """Theorem 5.1: ||TN output - ideal output||_1 <= delta."""
         circuit = random_circuit(5, 18, seed=seed)
-        result = approximate_program(circuit, width=width)
+        approximator = MPSApproximator.zero_state(5, width=width)
+        approximator.apply_circuit(circuit)
         ideal = pure_density(simulate_statevector(circuit))
-        approx = pure_density(result.mps.to_statevector())
+        approx = pure_density(approximator.mps.to_statevector())
         actual = trace_norm_distance(approx, ideal)
-        assert actual <= result.delta + 1e-8
+        assert actual <= approximator.delta + 1e-8
 
     def test_branchy_program_delta_bounds_distance(self):
         # Program: H; if q0 then X(1) else skip; then H(1) afterwards.
         circuit = Circuit(2).h(0)
         circuit.if_measure(0, lambda c: c.x(1))
         circuit.h(1)
-        result = approximate_program(circuit, width=4)
-        # Combine the branch outputs into the classical mixture of Figure 3.
+        approx = MPSApproximator.zero_state(2, width=4)
+        approx.apply_circuit(Circuit(2).h(0))
+        # Combine the branch outputs into the classical mixture of Figure 3;
+        # each branch's δ bounds its own output, so the largest bounds the mixture.
         mixture = np.zeros((4, 4), dtype=complex)
-        for branch in result.branches:
-            mixture += branch.probability * pure_density(branch.approximator.mps.to_statevector())
+        deltas = []
+        for outcome, probability, child in approx.branch_on_measurement(0):
+            child.apply_circuit(Circuit(2).x(1).h(1) if outcome == 0 else Circuit(2).h(1))
+            mixture += probability * pure_density(child.mps.to_statevector())
+            deltas.append(child.delta)
         exact = simulate_density(circuit)
-        assert trace_norm_distance(mixture, exact) <= result.delta + 1e-8
+        assert trace_norm_distance(mixture, exact) <= max(deltas) + 1e-8

@@ -41,7 +41,6 @@ from repro.sdp import (
     diamond,
     gate_error_bound,
     gate_error_bounds_batch,
-    q_lambda_diamond_norm,
     quantise_keys,
     rho_delta_constraint_bound,
     rho_delta_diamond_norm,
@@ -120,10 +119,14 @@ class TestConstrainedDiamond:
         with pytest.raises(SDPError):
             rho_delta_diamond_norm(choi, maximally_mixed(1), -0.1, config=CFG)
 
-    def test_q_lambda_matches_rho_delta_for_pure_predicate(self):
+    def test_bound_at_top_of_spectrum_matches_rho_delta(self):
+        """``tr(ρ̂ρ) >= 1`` for a pure ρ̂ is the δ = 0 predicate; a constraint
+        bound at λ_max(ρ̂) exactly certifies the same value."""
         choi = bit_flip(0.1).choi() - identity_channel(1).choi()
         rho = pure_density(plus_state(1))
-        q_bound = q_lambda_diamond_norm(choi, rho, 1.0, config=CFG).value
+        q_bound = constrained_diamond_norm(
+            choi, constraint_operator=rho, constraint_bound=1.0, config=CFG
+        ).value
         r_bound = rho_delta_diamond_norm(choi, rho, 0.0, config=CFG).value
         assert np.isclose(q_bound, r_bound, atol=1e-6)
 
