@@ -9,9 +9,9 @@ Measures the pieces the perf trajectory tracks:
 * the **SDP micro-kernel** — per-iteration PSD projection throughput of the
   batched packed-real kernel vs the per-block eigendecomposition loop it
   replaced;
-* **batched certification** — solving and certifying the workload's unique
-  solve classes in one fused batch versus one gate at a time (the two paths
-  must produce bit-identical bounds);
+* **batched certification** — solving and certifying the workload's distinct
+  quantised noisy-gate instances in one fused batch versus one gate at a
+  time (the two paths must produce bit-identical bounds);
 * SDP workload statistics (solves, cache hits, MPS walks).
 
 ``scripts/run_bench.py`` calls :func:`collect_all` and writes the result to
@@ -36,7 +36,7 @@ for entry in (REPO_ROOT / "src", REPO_ROOT / "tests"):
     if str(entry) not in sys.path:
         sys.path.insert(0, str(entry))
 
-from helpers import per_gate_reference, random_circuit  # noqa: E402
+from helpers import noisy_gate_instances, per_gate_reference, random_circuit  # noqa: E402
 
 from repro.config import AnalysisConfig  # noqa: E402
 from repro.core.analyzer import analyze_program  # noqa: E402
@@ -101,7 +101,6 @@ def measure_per_gate_reference(*, mps_width: int = 16) -> dict:
         "seconds": elapsed,
         "error_bound": reference.error_bound,
         "num_gates": len(reference.values),
-        "solve_classes": reference.num_classes,
     }
 
 
@@ -158,21 +157,14 @@ def measure_kernel_microbench(*, batch: int = 64, repeats: int = 50) -> dict:
     }
 
 
-def reference_solve_classes(*, mps_width: int = 16):
-    """The unique (gate, noise, predicate) solve classes of the workload."""
-    from repro.core.rules import absorb_continuations
-    from repro.core.scheduler import BoundScheduler
-
-    circuit = _reference_circuit()
-    model = NoiseModel.uniform_bit_flip(1e-3)
-    config = AnalysisConfig(mps_width=mps_width)
-    scheduler = BoundScheduler(model, config)
-    program = absorb_continuations(circuit.to_program())
-    scheduler.collect(program, [0] * REFERENCE_QUBITS)
-    return [
-        (c.gate_matrix, c.noise_channel, c.rho_rounded, c.delta_effective)
-        for c in scheduler._classes.values()
-    ]
+def reference_instances(*, mps_width: int = 16):
+    """The distinct quantised (gate, noise, predicate) instances of the
+    workload's walk, as the scheduler's batched solve receives them."""
+    return noisy_gate_instances(
+        _reference_circuit(),
+        NoiseModel.uniform_bit_flip(1e-3),
+        AnalysisConfig(mps_width=mps_width),
+    )
 
 
 def measure_batched_reductions(*, mps_width: int = 16, repeats: int = 20) -> dict:
@@ -192,7 +184,7 @@ def measure_batched_reductions(*, mps_width: int = 16, repeats: int = 20) -> dic
         _reduced_gate_problems_batch,
     )
 
-    instances = reference_solve_classes(mps_width=mps_width)
+    instances = reference_instances(mps_width=mps_width)
     problems = [(gate, channel, rho) for gate, channel, rho, _delta in instances]
 
     batched = _reduced_gate_problems_batch(problems)  # warm the factoring memo
@@ -227,7 +219,7 @@ def measure_batched_reductions(*, mps_width: int = 16, repeats: int = 20) -> dic
 
 
 def measure_batch_certification(*, mps_width: int = 16) -> dict:
-    """Fused batch solve+certify vs one gate at a time, on the unique classes.
+    """Fused batch solve+certify vs one gate at a time, on the distinct instances.
 
     Both paths run the identical batched primitives (the per-gate path is a
     batch of one), so the bounds must match bit for bit; the measured gap is
@@ -235,7 +227,7 @@ def measure_batch_certification(*, mps_width: int = 16) -> dict:
     """
     from repro.sdp import gate_error_bound, gate_error_bounds_batch
 
-    instances = reference_solve_classes(mps_width=mps_width)
+    instances = reference_instances(mps_width=mps_width)
 
     start = time.perf_counter()
     batched = gate_error_bounds_batch(instances)

@@ -55,13 +55,13 @@ def run_perf(check_only: bool) -> int:
     certification = payload["batch_certification_microbench"]
     print(
         f"batch certification: {certification['batch_speedup']:.1f}x fused vs "
-        f"per-gate over {certification['unique_classes']} classes "
+        f"per-gate over {certification['unique_classes']} instances "
         f"(bit-identical: {certification['bit_identical']})"
     )
     reductions = payload["batched_reduction_microbench"]
     print(
         f"batched reductions: {reductions['reduction_speedup']:.1f}x stacked vs "
-        f"per-instance over {reductions['unique_classes']} classes "
+        f"per-instance over {reductions['unique_classes']} instances "
         f"(bit-identical: {reductions['bit_identical']})"
     )
     print(

@@ -5,8 +5,11 @@ matrix.  The standard library (Figure 1 of the paper plus the usual NISQ gate
 set) is exposed both as factory functions (``h()``, ``cx()``, ``rz(theta)``)
 and through :func:`gate_by_name` for the text parser.
 
-Gates are value objects: two gates compare equal when their names and
-parameters match, which is what the SDP cache keys on.
+Gates are value objects: two gates compare equal when their names, arities
+and parameters match.  Equality ignores the matrix, so two different unitaries
+built under one name (``Circuit.unitary`` gives every gate the name
+``"unitary"``) compare equal; nothing that depends on the unitary may key on
+it.  A gate's error bound does not: it is solved for the gate's own matrix.
 """
 
 from __future__ import annotations
@@ -94,10 +97,6 @@ class Gate:
             return self.name
         args = ", ".join(f"{p:.6g}" for p in self.params)
         return f"{self.name}({args})"
-
-    def key(self) -> tuple:
-        """Hashable identity used for SDP caching."""
-        return (self.name, self.num_qubits, tuple(round(float(p), 12) for p in self.params))
 
 
 # ---------------------------------------------------------------------------

@@ -45,15 +45,10 @@ class SDPConfig:
             at 1e-8.  At 3e-6, two circuits of the ten pinned reference seeds
             (tests/fixtures/reference_bounds_admm.json) certify looser bounds
             than ADMM did; at 1e-7 none does.
-        cache_decimals: number of decimals used when quantising a gate's
-            predicate into its solve-class key.  Coarser keys let more gates
-            share one solve at the price of slightly looser (but still sound)
-            bounds, because the quantised predicate distance is rounded *up*.
     """
 
     max_iterations: int = 50
     tolerance: float = 1e-7
-    cache_decimals: int = 6
 
     def validate(self) -> None:
         if self.max_iterations <= 0:

@@ -12,7 +12,7 @@ from .rules import (
     weaken_rule,
 )
 from .analyzer import AnalysisResult, GleipnirAnalyzer, analyze_program
-from .scheduler import BoundScheduler, SchedulerReport, SolveClass
+from .scheduler import BoundScheduler, SchedulerReport
 from .baselines import (
     BaselineOutcome,
     exact_error,

@@ -13,10 +13,11 @@ Given a program, an input product state, and a noise model, the analyzer
 
 The analysis pipeline is *single-pass*: the MPS walk happens once, inside
 the bound scheduler's pre-pass, which returns a tree of walk records that
-mirrors the program — every predicate, its class key and every truncation —
-and solves each distinct gate SDP once.  The derivation is then folded from
-that tree and the scheduler's table of solved bounds without reading the
-program again, evolving a second MPS or quantising a predicate again.
+mirrors the program — every predicate and every truncation — quantises every
+noisy gate's predicate, solves each distinct gate SDP once, and writes each
+gate's certified bound onto its record.  The derivation is then folded from
+that tree alone, without reading the program again, evolving a second MPS or
+quantising a predicate again.
 
 The result's ``error_bound`` is a *trace distance* (the ½‖·‖₁ convention), so
 it directly upper-bounds the statistical distance of any measurement performed
@@ -59,12 +60,14 @@ class AnalysisResult:
         num_gates: number of gate applications analysed (over all branches).
         num_branches: number of measurement branches explored.
         elapsed_seconds: wall-clock analysis time.
-        sdp_solves / sdp_cache_hits: SDP workload statistics — the solve
-            classes solved and the noisy gates that read a solved bound.
+        sdp_solves / sdp_cache_hits: SDP workload statistics — the
+            distinct gate SDPs solved and the noisy gates that read a solved
+            bound.  Two gates share one solve only when they reduce to the
+            same (Choi, σ, c) problem.
         mps_width: bond dimension used by the approximator.
         noise_model: name of the noise model.
-        scheduled_solves: unique solve classes the bound scheduler solved
-            up front.
+        scheduled_solves: the distinct gate SDPs the bound scheduler solved
+            up front (equal to ``sdp_solves``).
         mps_walks: how many times an MPS evolved through the whole program
             for this analysis: always 1, the scheduler's pre-pass, whose
             walk tree the derivation is folded from.
@@ -145,15 +148,13 @@ class GleipnirAnalyzer:
 
         normalised = absorb_continuations(ast)
 
-        # Program-level pre-pass: one MPS walk that keys every gate's
-        # predicate and batch-solves the unique classes.  The fold below
-        # turns its walk tree into the derivation, reading each bound from
-        # the report by the key on the gate's record.
+        # Program-level pre-pass: one MPS walk, then one batched solve that
+        # puts each noisy gate's bound on its record.  The fold below turns
+        # that walk tree into the derivation.
         scheduler = BoundScheduler(self.noise_model, self.config)
         with span("scheduler.prefill", "analysis", program=name):
             prefill_report = scheduler.prefill(normalised, bits)
 
-        self._bounds = prefill_report.bounds
         self._num_gates = 0
         self._num_branches = 1
         self._max_delta = 0.0
@@ -219,13 +220,12 @@ class GleipnirAnalyzer:
 
     def _analyze_gate(self, record: WalkGate) -> DerivationNode:
         self._num_gates += 1
-        bound = self._bounds[record.key] if record.key is not None else None
         self._max_delta = max(self._max_delta, record.delta_after)
         return gate_rule(
             record.op.gate.label(),
             record.op.qubits,
             record.delta_before,
-            bound,
+            record.bound,
             rho_local=record.rho_local,
             truncation_added=record.truncation_added,
             noise_model=self.noise_model.name,

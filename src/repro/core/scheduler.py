@@ -1,4 +1,4 @@
-"""Program-level gate-bound scheduler: one MPS walk, then batched solves.
+"""Program-level gate-bound scheduler: one MPS walk, then one batched solve.
 
 The analysis pays for the MPS walk once and for each distinct gate SDP
 once.  This module does both before the derivation is built:
@@ -13,16 +13,15 @@ once.  This module does both before the derivation is built:
    stops evolving the MPS and gives each later gate
    ``trivial_local_predicate``;
 2. after the walk, one stacked pass
-   (:func:`repro.sdp.diamond.quantise_keys`) quantises every noisy gate's
-   predicate into its solve-class key, puts each key on its gate's record,
-   and dedupes the keys into unique solve classes in walk order;
-3. the unique classes are solved through the *batched* SDP kernel — each
-   distinct reduced problem once, same-shaped problems in lock-step inside
-   one interior-point run, and all their dual certificates verified in one
-   fused batch certification pass;
-4. the solved bounds come back in :attr:`SchedulerReport.bounds`, keyed by
-   class, and the analyzer folds the walk tree into the derivation, reading
-   each gate's bound by the key on its record.  The fold never reads the
+   (:func:`repro.sdp.diamond.quantise_predicates`) quantises every noisy
+   gate's predicate;
+3. every noisy gate, with its own unitary, noise channel and quantised
+   predicate, goes to one :func:`repro.sdp.diamond.gate_error_bounds_batch`
+   call.  That call reduces each gate to its (Choi, σ, c) problem and
+   solves each distinct problem once, compared byte for byte, so two gates
+   share a bound exactly when their SDP is the same problem;
+4. each returned bound is written onto its gate's record, and the analyzer
+   folds the walk tree into the derivation.  The fold never reads the
    program again, so it follows the walk by construction, and nothing is
    quantised twice.
 
@@ -45,7 +44,7 @@ from ..linalg.channels import QuantumChannel
 from ..mps.approximator import MPSApproximator
 from ..noise.model import NoiseModel
 from ..obs.trace import span
-from ..sdp.diamond import DiamondNormBound, gate_error_bounds_batch, quantise_keys
+from ..sdp.diamond import DiamondNormBound, gate_error_bounds_batch, quantise_predicates
 from .predicate import VACUOUS_DELTA, trivial_local_predicate
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "WalkGate",
     "WalkMeasure",
     "WalkNode",
-    "SolveClass",
     "SchedulerReport",
     "BoundScheduler",
     "clear_tape_memo",
@@ -76,9 +74,10 @@ class WalkGate:
     """One gate application of the walk.
 
     ``rho_local`` is the *raw* (unquantised) reduced density matrix before
-    the gate and ``key`` the solve-class key it quantises to — both
-    None for a noiseless gate, which never asks for a predicate.
-    ``delta_before`` is also the predicate distance.
+    the gate and ``bound`` the certified bound of its quantised predicate,
+    written by :meth:`BoundScheduler.prefill` — both None for a noiseless
+    gate, which never asks for a predicate.  ``delta_before`` is also the
+    predicate distance.
     """
 
     op: GateOp
@@ -86,7 +85,7 @@ class WalkGate:
     delta_after: float
     truncation_added: float
     rho_local: np.ndarray | None
-    key: tuple | None = None
+    bound: DiamondNormBound | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,29 +109,19 @@ class WalkMeasure:
 WalkNode = WalkSkip | WalkGate | WalkMeasure | tuple
 
 
-@dataclasses.dataclass(frozen=True)
-class SolveClass:
-    """One unique quantised (gate, noise, predicate) SDP instance."""
-
-    key: tuple
-    gate_matrix: np.ndarray
-    noise_channel: object
-    rho_rounded: np.ndarray
-    delta_effective: float
-
-
 @dataclasses.dataclass
 class SchedulerReport:
-    """What the pre-pass found and the bounds it solved.
+    """What the pre-pass walked and solved.
 
-    ``bounds`` maps each solve-class key to its certified bound, in solve
-    order; classes whose problems reduce to one SDP share one bound object.
+    ``num_gate_instances`` counts the noisy gates and ``num_unique_classes``
+    the distinct SDPs solved for them (the name is older than the per-problem
+    dedupe).  The bounds themselves sit on the walk's :class:`WalkGate`
+    records.
     """
 
     num_gate_instances: int = 0
     num_unique_classes: int = 0
     walk: WalkNode | None = None
-    bounds: dict[tuple, DiamondNormBound] = dataclasses.field(default_factory=dict)
     #: Wall-clock seconds of the MPS walk (with the stacked quantisation of
     #: its predicates) and of the batched solve phase.
     walk_seconds: float = 0.0
@@ -140,92 +129,57 @@ class SchedulerReport:
 
 
 class BoundScheduler:
-    """Walk, dedupe and batch-solve the gate bounds of a program."""
+    """Walk a program, then batch-solve the bounds of its noisy gates."""
 
     def __init__(self, noise_model: NoiseModel, config: AnalysisConfig):
         self.noise_model = noise_model
         self.config = config
-        # A calibration-driven model attaches different channels to
-        # different qubits, so its class keys carry the qubit tuple; a
-        # uniform model shares bounds across positions, which matters a lot
-        # for the layered QAOA/Ising benchmarks.
-        self._position_dependent = noise_model.is_position_dependent()
-        self._classes: dict[tuple, SolveClass] = {}
         self._noisy: list[tuple[WalkGate, QuantumChannel]] = []
 
     # -- public entry --------------------------------------------------------
     def collect(self, program: Program, initial_bits: list[int]) -> WalkNode:
-        """Walk ``program`` once, then key every predicate in one stacked pass."""
+        """Walk ``program`` once and return the walk tree, with no bounds yet."""
         approximator = MPSApproximator.from_product_state(
             initial_bits, width=self.config.mps_width
         )
-        self._classes.clear()
         self._noisy.clear()
         with span("scheduler.walk", "scheduler"):
-            walk = self._collect(program, approximator)
-        with span("scheduler.quantise", "scheduler", count=len(self._noisy)):
-            self._classify()
-        return walk
+            return self._collect(program, approximator)
 
     def prefill(self, program: Program, initial_bits: list[int]) -> SchedulerReport:
-        """Walk ``program``, solve every class once, and return the walk tree."""
+        """Walk ``program``, solve every distinct gate SDP once, and put each
+        bound on its gate's record."""
         walk_start = time.perf_counter()
         walk = self.collect(program, initial_bits)
-        walk_seconds = time.perf_counter() - walk_start
-
-        classes = list(self._classes.values())
+        noisy = self._noisy
+        with span("scheduler.quantise", "scheduler", count=len(noisy)):
+            predicates = quantise_predicates(
+                [record.rho_local for record, _channel in noisy],
+                [record.delta_before for record, _channel in noisy],
+            )
         report = SchedulerReport(
-            num_gate_instances=len(self._noisy),
-            num_unique_classes=len(classes),
+            num_gate_instances=len(noisy),
             walk=walk,
-            walk_seconds=walk_seconds,
+            walk_seconds=time.perf_counter() - walk_start,
         )
-        if not classes:
+        if not noisy:
             return report
 
         solve_start = time.perf_counter()
-        with span("scheduler.solve", "scheduler", classes=len(classes)):
+        with span("scheduler.solve", "scheduler", gates=len(noisy)):
             bounds = gate_error_bounds_batch(
                 [
-                    (c.gate_matrix, c.noise_channel, c.rho_rounded, c.delta_effective)
-                    for c in classes
+                    (record.op.gate.matrix, channel, rho, delta)
+                    for (record, channel), (rho, delta) in zip(noisy, predicates)
                 ],
                 noise_after_gate=self.noise_model.noise_after_gate,
                 config=self.config.sdp,
             )
-        report.bounds = {c.key: bound for c, bound in zip(classes, bounds)}
+        for (record, _channel), bound in zip(noisy, bounds):
+            record.bound = bound
+        report.num_unique_classes = len({id(bound) for bound in bounds})
         report.solve_seconds = time.perf_counter() - solve_start
         return report
-
-    def _classify(self) -> None:
-        """Quantise every noisy gate's predicate, key its record, dedupe classes."""
-        noisy = self._noisy
-        quantised = quantise_keys(
-            [self._key_parts(record.op, channel) for record, channel in noisy],
-            [record.rho_local for record, _channel in noisy],
-            [record.delta_before for record, _channel in noisy],
-            self.config.sdp.cache_decimals,
-        )
-        for (record, channel), (key, rho_rounded, delta_effective) in zip(noisy, quantised):
-            record.key = key
-            if key in self._classes:
-                continue
-            self._classes[key] = SolveClass(
-                key=key,
-                gate_matrix=record.op.gate.matrix,
-                noise_channel=channel,
-                rho_rounded=rho_rounded,
-                delta_effective=delta_effective,
-            )
-
-    def _key_parts(self, op: GateOp, channel: QuantumChannel) -> tuple:
-        """The structural part of a gate's class key; quantisation adds ρ̂ and δ."""
-        return (
-            op.gate.key(),
-            self.noise_model.name,
-            channel.name,
-            tuple(op.qubits) if self._position_dependent else (),
-        )
 
     # -- the walk ------------------------------------------------------------
     def _collect(self, program: Program, approximator: MPSApproximator | None) -> WalkNode:

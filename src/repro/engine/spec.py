@@ -29,6 +29,7 @@ from ..circuits.serialize import program_from_json_dict, program_to_json_dict
 from ..config import AnalysisConfig, ResourceGuard, SDPConfig
 from ..errors import EngineError
 from ..noise.model import NoiseModel
+from ..sdp.diamond import PREDICATE_DECIMALS
 from ..sdp.kernel import SOLVER_VERSION
 
 __all__ = [
@@ -73,6 +74,9 @@ def config_from_json_dict(payload: dict, *, noise_after_gate: bool = True) -> An
       (:data:`_DROPPED_CONFIG_KEYS`) are dropped: neither changed a bound;
     * ``sdp.mode`` is dropped when it is ``"certified"``, the one path left,
       and refused otherwise;
+    * ``sdp.cache_decimals`` is dropped when it is
+      :data:`~repro.sdp.diamond.PREDICATE_DECIMALS`, the one quantisation
+      grid left, and refused otherwise;
     * ``noise_after_gate`` is dropped when it agrees with
       ``noise_after_gate``, the ordering of the noise model the config
       travels with, and refused otherwise: the noise model alone orders
@@ -85,6 +89,7 @@ def config_from_json_dict(payload: dict, *, noise_after_gate: bool = True) -> An
         ordering = data.pop("noise_after_gate", noise_after_gate)
         sdp_data = dict(data.pop("sdp", {}))
         mode = sdp_data.pop("mode", "certified")
+        decimals = sdp_data.pop("cache_decimals", PREDICATE_DECIMALS)
         sdp = SDPConfig(**sdp_data)
         guard = ResourceGuard(**data.pop("guard", {}))
         config = AnalysisConfig(sdp=sdp, guard=guard, **data)
@@ -93,6 +98,11 @@ def config_from_json_dict(payload: dict, *, noise_after_gate: bool = True) -> An
     if mode != "certified":
         raise EngineError(
             f"invalid config payload: unknown SDP mode {mode!r} (only 'certified' remains)"
+        )
+    if decimals != PREDICATE_DECIMALS:
+        raise EngineError(
+            f"invalid config payload: cache_decimals={decimals!r} "
+            f"(only {PREDICATE_DECIMALS} remains)"
         )
     if ordering != noise_after_gate:
         raise EngineError(
@@ -110,17 +120,18 @@ def _semantic_config_dict(config: AnalysisConfig, noise_after_gate: bool) -> dic
     """The subset of the configuration that can change the certified bound.
 
     The MPS width changes the predicate strength; the iteration cap,
-    tolerance, cache quantisation and the kernel's solver
+    tolerance, predicate quantisation and the kernel's solver
     (:data:`repro.sdp.kernel.SOLVER_VERSION`, under the key ``admm_rule``
     that predates it) change which dual certificate is found.  Resource
     budgets change *when or whether* the same bound is computed, never its
     value, and are excluded so fingerprints survive re-runs under different
     execution settings.
 
-    Two keys keep the places they had when they were config fields, so the
+    Three keys keep the places they had when they were config fields, so the
     fingerprint of every job whose config agreed with its noise model stays
-    put: ``noise_after_gate`` now comes from the job's noise model, and
-    ``sdp.mode`` is the constant ``"certified"``, the one path left.
+    put: ``noise_after_gate`` now comes from the job's noise model,
+    ``sdp.mode`` is the constant ``"certified"``, the one path left, and
+    ``sdp.cache_decimals`` is the constant quantisation grid.
     """
     return {
         "mps_width": config.mps_width,
@@ -129,7 +140,7 @@ def _semantic_config_dict(config: AnalysisConfig, noise_after_gate: bool) -> dic
             "mode": "certified",
             "max_iterations": config.sdp.max_iterations,
             "tolerance": config.sdp.tolerance,
-            "cache_decimals": config.sdp.cache_decimals,
+            "cache_decimals": PREDICATE_DECIMALS,
             "admm_rule": SOLVER_VERSION,
         },
     }

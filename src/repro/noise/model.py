@@ -166,15 +166,6 @@ class NoiseModel:
             )
         return noise.compose(ideal) if self._noise_after_gate else ideal.compose(noise)
 
-    def is_position_dependent(self) -> bool:
-        """Whether the attached noise depends on *which* qubits a gate acts on.
-
-        Uniform models (the paper's sample model) return False, which lets the
-        analyzer share cached SDP bounds across register positions.  Models
-        with per-qubit rules or a custom factory return True.
-        """
-        return bool(self._by_qubits) or bool(self._by_gate_and_qubits) or self._factory is not None
-
     def is_noiseless_for(self, gate: Gate, qubits: Sequence[int]) -> bool:
         """Whether this gate application carries no noise under the model."""
         return self.channel_for(gate, qubits) is None

@@ -27,13 +27,14 @@ from .certificates import (
     verify_certificate,
 )
 from .diamond import (
+    PREDICATE_DECIMALS,
     DiamondNormBound,
     constrained_diamond_norm,
     constrained_diamond_norms_batch,
     diamond_distance,
     gate_error_bound,
     gate_error_bounds_batch,
-    quantise_keys,
+    quantise_predicates,
     rho_delta_constraint_bound,
     rho_delta_diamond_norm,
 )

@@ -77,7 +77,8 @@ __all__ = [
     "gate_error_bound",
     "gate_error_bounds_batch",
     "solve_class_label",
-    "quantise_keys",
+    "PREDICATE_DECIMALS",
+    "quantise_predicates",
 ]
 
 
@@ -898,12 +899,13 @@ def gate_error_bounds_batch(
         reduced = _reduced_gate_problems_batch(
             reduction_inputs, noise_after_gate=noise_after_gate
         )
-    # Distinct gate classes can reduce to the same problem (a two-qubit gate
-    # whose noise touches one qubit keeps only one qubit of ρ̂).  Each
-    # distinct (Choi, σ, c), compared byte for byte, is solved once and its
-    # bound fans back out to every request that reduced to it.  With c <= 0
-    # the constraint is dropped and the solver never reads σ or c, so such
-    # requests are told apart by their Choi matrix alone.
+    # Many requests reduce to the same problem: a gate repeated under the
+    # same quantised predicate, or a two-qubit gate whose noise touches one
+    # qubit, which keeps only one qubit of ρ̂.  Each distinct (Choi, σ, c),
+    # compared byte for byte, is solved once and its bound fans back out to
+    # every request that reduced to it.  With c <= 0 the constraint is
+    # dropped and the solver never reads σ or c, so such requests are told
+    # apart by their Choi matrix alone.
     requests: list[tuple[np.ndarray, np.ndarray | None, float]] = []
     slots: dict[tuple, int] = {}
     request_of: list[int] = []
@@ -922,24 +924,29 @@ def gate_error_bounds_batch(
     return bounds  # type: ignore[return-value]
 
 
-def quantise_keys(
-    key_parts: list[tuple],
+#: Decimals ρ̂ is rounded to, and the grid δ is rounded up to, before a
+#: gate's SDP is built (:func:`quantise_predicates`).  Job fingerprints still
+#: carry it as ``sdp.cache_decimals``.
+PREDICATE_DECIMALS = 6
+
+
+def quantise_predicates(
     rhos: list[np.ndarray],
     deltas: list[float],
-    decimals: int,
-) -> list[tuple[tuple, np.ndarray, float]]:
-    """Quantise many gate predicates into solve-class keys, one stacked pass per size.
+    decimals: int = PREDICATE_DECIMALS,
+) -> list[tuple[np.ndarray, float]]:
+    """Quantise many gate predicates, one stacked pass per matrix size.
 
-    For each ``(key_parts, ρ̂, δ)`` this returns the full class key, the
-    rounded ρ̂ and the weakened δ.  ρ̂ is rounded to ``decimals`` and made
-    Hermitian.  δ grows by the trace norm of the rounding error, which is
-    the sum of its absolute eigenvalues when
+    For each ``(ρ̂, δ)`` this returns the rounded ρ̂ and the weakened δ.  ρ̂
+    is rounded to ``decimals`` and made Hermitian.  δ grows by the trace norm
+    of the rounding error, which is the sum of its absolute eigenvalues when
     :func:`~repro.linalg.norms.hermitian_mask` passes and of its singular
     values otherwise, exactly as :func:`~repro.linalg.norms.trace_norm`
     decides.  It is then rounded up to the grid.  A bound certified for the
-    key is therefore computed for a weaker predicate and stays sound for
-    the original one (Weaken rule).  Every batched primitive works matrix
-    by matrix, so each result is independent of what else the batch holds.
+    quantised predicate is therefore computed for a weaker predicate and
+    stays sound for the original one (Weaken rule).  Every batched primitive
+    works matrix by matrix, so each result is independent of what else the
+    batch holds.
     """
     results: list = [None] * len(rhos)
     groups: dict[tuple, list[int]] = {}
@@ -963,10 +970,5 @@ def quantise_keys(
         # ceil(x / step) * step can land one ulp below x; never round δ down.
         effective = np.maximum(np.ceil(weakened / step) * step, weakened)
         for row, index in enumerate(indices):
-            delta_effective = float(effective[row])
-            results[index] = (
-                key_parts[index] + (rounded[row].tobytes(), delta_effective),
-                rounded[row],
-                delta_effective,
-            )
+            results[index] = (rounded[row], float(effective[row]))
     return results

@@ -663,7 +663,8 @@ def ipm_solve_packed_batch(
 
     All problems must share one :class:`BlockLayout` and one constraint count
     — exactly the situation the program-level scheduler produces, where every
-    unique (gate, predicate) solve class of a circuit instantiates the same
+    distinct gate SDP of one template shape (a *solve class*, see
+    :func:`repro.sdp.diamond.solve_class_label`) instantiates the same
     diamond-norm template with different data.
 
     Each iteration is Mehrotra's predictor–corrector with the HKM direction

@@ -15,7 +15,9 @@ import numpy as np
 from repro.circuits import Circuit
 from repro.circuits.program import GateOp, Seq
 from repro.mps.approximator import MPSApproximator
-from repro.sdp import gate_error_bound, quantise_keys
+from repro.core.rules import absorb_continuations
+from repro.core.scheduler import BoundScheduler, WalkGate, WalkMeasure
+from repro.sdp import PREDICATE_DECIMALS, gate_error_bound, quantise_predicates
 
 __all__ = [
     "MALFORMED_JOB_FIELDS",
@@ -29,10 +31,12 @@ __all__ = [
     "RETIRED_SDP_CONFIG_KEY",
     "RETIRED_TAPE_MEMO_KEY",
     "PerGateReference",
+    "noisy_gate_instances",
     "per_gate_bound",
     "per_gate_reference",
     "quantise_one",
     "random_circuit",
+    "walk_gates",
 ]
 
 #: The config field that once split the scheduler's solve batch across
@@ -101,22 +105,34 @@ def random_circuit(num_qubits: int, num_gates: int, seed: int = 0) -> Circuit:
     return circuit
 
 
-def quantise_one(key_parts: tuple, rho_local, delta: float, decimals: int = 6):
-    """One predicate through ``quantise_keys``: (key, rounded ρ̂, weakened δ)."""
-    return quantise_keys([key_parts], [rho_local], [delta], decimals)[0]
+def quantise_one(rho_local, delta: float, decimals: int = PREDICATE_DECIMALS):
+    """One predicate through ``quantise_predicates``: (rounded ρ̂, weakened δ)."""
+    return quantise_predicates([rho_local], [delta], decimals)[0]
+
+
+def walk_gates(node):
+    """The :class:`WalkGate` records of a scheduler walk tree, in walk order."""
+    if isinstance(node, WalkGate):
+        yield node
+    elif isinstance(node, tuple):
+        for part in node:
+            yield from walk_gates(part)
+    elif isinstance(node, WalkMeasure):
+        yield from walk_gates(node.then_branch)
+        yield from walk_gates(node.else_branch)
 
 
 def per_gate_bound(op: GateOp, model, config, rho_local, delta) -> float:
     """One noisy gate's bound, quantised and solved on its own.
 
-    ``quantise_keys`` weakens the raw ``(rho_local, delta)``
+    ``quantise_predicates`` weakens the raw ``(rho_local, delta)``
     predicate exactly as the analysis does; ``gate_error_bound`` then solves
     the one SDP alone.  Noiseless gates give 0.0.
     """
     channel = model.channel_for(op.gate, op.qubits)
     if channel is None:
         return 0.0
-    _key, rho, delta = quantise_one((), rho_local, delta, config.sdp.cache_decimals)
+    rho, delta = quantise_one(rho_local, delta)
     return gate_error_bound(
         op.gate.matrix,
         channel,
@@ -127,13 +143,38 @@ def per_gate_bound(op: GateOp, model, config, rho_local, delta) -> float:
     ).value
 
 
+def noisy_gate_instances(program, model, config, *, num_qubits=None) -> list[tuple]:
+    """The distinct ``(gate matrix, channel, rounded ρ̂, weakened δ)``
+    instances of a scheduler walk over ``program``, in walk order.
+
+    The input of the scheduler's one batched solve, less exact repeats.
+    """
+    if isinstance(program, Circuit):
+        num_qubits = num_qubits or program.num_qubits
+        program = program.to_program()
+    num_qubits = num_qubits or program.num_qubits
+    walk = BoundScheduler(model, config).collect(
+        absorb_continuations(program), [0] * num_qubits
+    )
+    records = [record for record in walk_gates(walk) if record.rho_local is not None]
+    predicates = quantise_predicates(
+        [record.rho_local for record in records],
+        [record.delta_before for record in records],
+    )
+    instances: dict[tuple, tuple] = {}
+    for record, (rho, delta) in zip(records, predicates):
+        gate = record.op.gate.matrix
+        channel = model.channel_for(record.op.gate, record.op.qubits)
+        key = (gate.tobytes(), id(channel), rho.tobytes(), delta)
+        instances.setdefault(key, (gate, channel, rho, delta))
+    return list(instances.values())
+
+
 class PerGateReference(NamedTuple):
     """A branch-free circuit analysed gate by gate, without the scheduler."""
 
     values: list[float]
     final_delta: float
-    #: Distinct quantised (gate, ρ̂, δ) classes; uniform noise models only.
-    num_classes: int
 
     @property
     def error_bound(self) -> float:
@@ -152,22 +193,13 @@ def per_gate_reference(circuit: Circuit, model, config) -> PerGateReference:
         [0] * circuit.num_qubits, width=config.mps_width
     )
     values = []
-    classes = set()
     for op in ops:
         if model.channel_for(op.gate, op.qubits) is not None:
             predicate = approximator.local_predicate(op.qubits)
             values.append(
                 per_gate_bound(op, model, config, predicate.rho_local, predicate.delta)
             )
-            classes.add(
-                quantise_one(
-                    (op.gate.key(),),
-                    predicate.rho_local,
-                    predicate.delta,
-                    config.sdp.cache_decimals,
-                )[0]
-            )
         else:
             values.append(0.0)
         approximator.apply_gate_op(op)
-    return PerGateReference(values, approximator.delta, len(classes))
+    return PerGateReference(values, approximator.delta)

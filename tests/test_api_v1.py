@@ -251,6 +251,7 @@ class TestErrorEnvelopes:
         [
             ("mode", "auto", "invalid config payload"),
             ("mode", "fast", "invalid config payload"),
+            ("cache_decimals", 4, "invalid config payload"),
             ("max_iterations", -5, "invalid config payload"),
             (RETIRED_SDP_CONFIG_KEY, 16, "malformed config payload"),
             (RETIRED_DOMINANCE_KEY, True, "malformed config payload"),

@@ -53,10 +53,7 @@ class TestGateBehaviour:
         assert gate_lib.h() == gate_lib.h()
         assert gate_lib.rz(0.5) == gate_lib.rz(0.5)
         assert gate_lib.rz(0.5) != gate_lib.rz(0.6)
-
-    def test_key_is_hashable(self):
-        key = gate_lib.rz(0.123456789).key()
-        assert isinstance(hash(key), int)
+        assert hash(gate_lib.rz(0.5)) == hash(gate_lib.rz(0.5))
 
     def test_dagger(self):
         dagger = gate_lib.s().dagger()

@@ -62,9 +62,9 @@ class TestConfig:
         assert copy.sdp is not config.sdp
         assert copy.guard is not config.guard
 
-        copy.sdp.cache_decimals = 3
+        copy.sdp.tolerance = 1e-3
         copy.guard.max_seconds = 0.5
-        assert config.sdp.cache_decimals == 6
+        assert config.sdp.tolerance == 1e-7
         assert config.guard.max_seconds is None
 
         # Explicit nested replacements are used as-is.

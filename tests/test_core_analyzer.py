@@ -1,12 +1,14 @@
 """End-to-end tests of the Gleipnir analyzer, including the key soundness property."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import Circuit
+from repro.circuits import gates as gate_lib
 from repro.config import AnalysisConfig, SDPConfig
-from repro.core import GleipnirAnalyzer, analyze_program, worst_case_bound
+from repro.core import GleipnirAnalyzer, analyze_program, exact_error, worst_case_bound
 from repro.errors import LogicError
 from repro.noise import NoiseModel, depolarizing
 from repro.semantics import exact_program_error
@@ -55,8 +57,8 @@ class TestAnalyzerBasics:
         circuit = Circuit(4).h_layer()
         result = GleipnirAnalyzer(bit_flip_model, FAST).analyze(circuit)
         assert result.sdp_solves == 1
-        # The scheduler pre-solves the one unique class, so all four gate
-        # applications are answered from the cache during the replay.
+        # The four H gates on |0> pose one SDP: it is solved once and its
+        # bound is read by all four gate applications.
         assert result.sdp_cache_hits == 4
         assert result.scheduled_solves == 1
 
@@ -111,6 +113,32 @@ class TestSoundness:
         assert result.error_bound >= exact - 1e-9
         assert result.num_branches >= 2
         result.derivation.check()
+
+    @pytest.mark.parametrize(
+        "circuit",
+        [
+            pytest.param(
+                Circuit(2).unitary(gate_lib.h().matrix, 0).unitary(np.eye(2), 1),
+                id="two-default-named-unitaries",
+            ),
+            pytest.param(
+                Circuit(2).h(0).append(gate_lib.Gate("h", 1, (), gate_lib.x().matrix), 1),
+                id="x-matrix-named-h",
+            ),
+        ],
+    )
+    def test_same_named_gates_get_their_own_bounds(self, circuit):
+        """Gate equality ignores the matrix, so two different unitaries under
+        one name must still be bounded each for its own unitary.  H on |0>
+        commutes the bit flip away; the second gate leaves |0> or |1>, which
+        the flip hits in full."""
+        model = NoiseModel.uniform_bit_flip(1e-2)
+        result = GleipnirAnalyzer(model, FAST.replace(mps_width=4)).analyze(circuit)
+        result.derivation.check()
+        first, second = result.derivation.gate_nodes()
+        assert first.gate_label == second.gate_label
+        assert first.bound is not second.bound
+        assert exact_error(circuit, model).value <= result.error_bound
 
     def test_unreachable_branch_uses_trivial_predicate(self):
         # Measuring |0> deterministically: the else-branch is unreachable.

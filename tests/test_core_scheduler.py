@@ -4,14 +4,14 @@
 import numpy as np
 import pytest
 
-from helpers import per_gate_bound, per_gate_reference, random_circuit
+from helpers import per_gate_bound, per_gate_reference, random_circuit, walk_gates
 
 from repro.circuits import Circuit
 from repro.circuits.program import IfMeasure, Skip, seq
 from repro.config import AnalysisConfig, SDPConfig
 from repro.core import scheduler as scheduler_module
 from repro.core.analyzer import GleipnirAnalyzer
-from repro.core.scheduler import BoundScheduler, WalkGate, WalkMeasure
+from repro.core.scheduler import BoundScheduler
 from repro.mps.approximator import MPSApproximator
 from repro.noise import NoiseModel, bit_flip
 from repro.programs.library import benchmark_by_name
@@ -49,14 +49,17 @@ class TestSchedulerEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_sequential_analyzer(self, seed, bit_flip_model):
         """The analysis certifies the bounds a gate-by-gate walk with one
-        ``gate_error_bound`` per gate certifies, and solves each class once."""
+        ``gate_error_bound`` per gate certifies, and solves each distinct SDP
+        once: one solve per distinct bound of the derivation."""
         circuit = random_circuit(4, 24, seed=seed)
         config = _config()
         result = GleipnirAnalyzer(bit_flip_model, config).analyze(circuit)
         reference = per_gate_reference(circuit, bit_flip_model, config)
         assert result.error_bound == reference.error_bound
         assert result.num_gates == len(reference.values)
-        assert result.sdp_solves == reference.num_classes
+        bounds = {id(node.bound) for node in result.derivation.gate_nodes()}
+        assert result.sdp_solves == len(bounds) <= result.sdp_cache_hits
+        assert result.sdp_cache_hits == len(reference.values)
         assert result.scheduled_solves == result.sdp_solves
 
     def test_matches_sequential_with_branches(self, bit_flip_model):
@@ -163,13 +166,17 @@ class TestSaturatedWalk:
     def test_saturated_gates_share_one_class_per_gate_and_channel(
         self, bit_flip_model
     ):
+        """Past δ = 2 only the constraint-free SDP is left, so saturated gates
+        share one bound per noise channel, whatever their gate."""
         circuit = random_circuit(4, 40, seed=0)
         config = _config(mps_width=1)
-        scheduler = BoundScheduler(bit_flip_model, config)
         program = circuit.to_program()
-        walk = scheduler.collect(program, [0] * circuit.num_qubits)
+        walk = BoundScheduler(bit_flip_model, config).prefill(
+            program, [0] * circuit.num_qubits
+        ).walk
         assert [record.op for record in walk] == list(program.operations())
-        classes: dict[tuple, set] = {}
+        bounds: dict[int, set] = {}
+        gates = set()
         for record in walk:
             if record.delta_before < 2.0:
                 continue
@@ -178,10 +185,11 @@ class TestSaturatedWalk:
             assert np.array_equal(record.rho_local, np.eye(dim) / dim)
             assert record.truncation_added == 0.0 and record.delta_after == 2.0
             channel = bit_flip_model.channel_for(op.gate, op.qubits)
-            classes.setdefault(scheduler._key_parts(op, channel), set()).add(record.key)
-        assert len(classes) > 1
-        assert all(len(keys) == 1 for keys in classes.values())
-        assert len(set().union(*classes.values())) == len(classes)
+            bounds.setdefault(id(channel), set()).add(id(record.bound))
+            gates.add(op.gate.matrix.tobytes())
+        assert len(bounds) > 1 and len(gates) > len(bounds)
+        assert all(len(ids) == 1 for ids in bounds.values())
+        assert len(set().union(*bounds.values())) == len(bounds)
 
     def test_fork_after_saturation(self, bit_flip_model):
         """A fork at δ = 2 walks both branches saturated, estimates no
@@ -236,24 +244,13 @@ class TestSaturatedWalk:
         assert meas.branch_probabilities[1] == 0.0
 
 
-def _walk_keys(node):
-    """The class keys on a walk tree's gate records, in walk order."""
-    if isinstance(node, tuple):
-        for part in node:
-            yield from _walk_keys(part)
-    elif isinstance(node, WalkMeasure):
-        yield from _walk_keys(node.then_branch)
-        yield from _walk_keys(node.else_branch)
-    elif isinstance(node, WalkGate) and node.key is not None:
-        yield node.key
-
-
 class TestSolvedBoundTable:
-    """The scheduler's report carries the solved bounds the fold reads."""
+    """The scheduler puts each solved bound on its gate's walk record."""
 
     def test_prefill_solves_each_class_once(self, monkeypatch):
         """Repeated H on one qubit revisits its predicates: five noisy gates
-        in three classes, one solve each, one bound per class in the report."""
+        go to one batched solve, which reduces them to three distinct SDPs,
+        and each record carries its own gate's bound."""
         solved = []
         batch = scheduler_module.gate_error_bounds_batch
 
@@ -270,12 +267,10 @@ class TestSolvedBoundTable:
         )
         report = BoundScheduler(model, _config()).prefill(program, [0, 0])
         (bounds,) = solved
-        keys = list(_walk_keys(report.walk))
-        assert report.num_gate_instances == len(keys) == 5
-        assert list(report.bounds) == list(dict.fromkeys(keys))
-        assert len(report.bounds) == len(bounds) == 3
-        assert report.num_unique_classes == len(report.bounds)
-        assert [id(b) for b in report.bounds.values()] == [id(b) for b in bounds]
+        records = [record for record in walk_gates(report.walk) if record.rho_local is not None]
+        assert report.num_gate_instances == len(records) == len(bounds) == 5
+        assert all(record.bound is bound for record, bound in zip(records, bounds))
+        assert report.num_unique_classes == len({id(b) for b in bounds}) == 3
 
     def test_reused_analyzer_is_bit_identical(self, bit_flip_model):
         """A second analyze() on the same analyzer solves again and

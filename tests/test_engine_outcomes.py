@@ -455,9 +455,9 @@ class TestEngineIntegration:
             assert store.get(job.fingerprint(), verify=True) is not None
 
     def test_stored_certificates_are_the_distinct_derivation_bounds(self, tmp_path):
-        """x then id from |0⟩ are two gate classes that reduce to one SDP, so
-        their gate nodes share one bound, stored once; the noiseless h
-        contributes none."""
+        """x then id from |0⟩ are two gates that reduce to one SDP, solved
+        once, so their gate nodes share one bound, stored once; the
+        noiseless h contributes none."""
         model = (
             NoiseModel()
             .add_gate_rule("x", bit_flip(1e-3))
@@ -469,7 +469,7 @@ class TestEngineIntegration:
         x_bound, id_bound, h_bound = [
             node.bound for node in analysis.derivation.gate_nodes()
         ]
-        assert analysis.scheduled_solves == 2
+        assert analysis.scheduled_solves == 1
         assert x_bound is id_bound and h_bound is None
 
         path = str(tmp_path / "outcomes.jsonl")

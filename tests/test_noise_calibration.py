@@ -50,7 +50,6 @@ class TestNoiseModelFromCalibration:
         loud = model.channel_for(gate_lib.h(), (1,))
         quiet = model.channel_for(gate_lib.h(), (0,))
         assert loud.name != quiet.name
-        assert model.is_position_dependent()
 
     def test_edge_rules_symmetric(self):
         model = noise_model_from_calibration(self._calibration())

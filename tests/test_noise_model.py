@@ -14,14 +14,12 @@ class TestResolution:
         model = NoiseModel.noiseless()
         assert model.channel_for(gate_lib.h(), (0,)) is None
         assert model.is_noiseless_for(gate_lib.h(), (0,))
-        assert not model.is_position_dependent()
 
     def test_uniform_bit_flip_defaults(self):
         model = NoiseModel.uniform_bit_flip(0.1)
         assert model.channel_for(gate_lib.h(), (3,)) is not None
         two_qubit = model.channel_for(gate_lib.cx(), (0, 1))
         assert two_qubit.num_qubits == 2
-        assert not model.is_position_dependent()
 
     def test_uniform_depolarizing(self):
         model = NoiseModel.uniform_depolarizing(1e-3, 1e-2)
@@ -38,7 +36,6 @@ class TestResolution:
         model.add_gate_rule("h", bit_flip(0.1))
         model.add_qubit_rule((2,), depolarizing(0.3))
         assert model.channel_for(gate_lib.h(), (2,)).name.startswith("depolarizing")
-        assert model.is_position_dependent()
 
     def test_gate_and_qubit_rule_is_most_specific(self):
         model = NoiseModel()
@@ -54,7 +51,6 @@ class TestResolution:
         model = NoiseModel.from_factory(factory)
         assert model.channel_for(gate_lib.h(), (0,)) is not None
         assert model.channel_for(gate_lib.cx(), (0, 1)) is None
-        assert model.is_position_dependent()
 
     def test_dimension_validation(self):
         model = NoiseModel()

@@ -18,6 +18,7 @@ from repro.circuits.program import IfMeasure, seq
 from repro.config import AnalysisConfig
 from repro.core.analyzer import GleipnirAnalyzer
 from repro.core.baselines import exact_error, worst_case_bound
+from repro.linalg.operators import random_unitary
 from repro.noise import NoiseModel, amplitude_damping, bit_flip, depolarizing, identity_noise
 
 FAMILIES = {
@@ -53,6 +54,21 @@ def _programs(seed: int) -> list[tuple[object, list[int]]]:
     ]
 
 
+def _unitary_program(seed: int) -> Circuit:
+    """A random program whose 1-qubit gates are random unitaries that all
+    carry ``Circuit.unitary``'s one default name, so gate names say nothing
+    about which unitary a gate applies."""
+    rng = np.random.default_rng(seed)
+    circuit = Circuit(3)
+    for _ in range(8):
+        if rng.uniform() < 0.25:
+            a, b = rng.choice(3, size=2, replace=False)
+            circuit.cx(int(a), int(b))
+        else:
+            circuit.unitary(random_unitary(2, rng=rng), int(rng.integers(0, 3)))
+    return circuit
+
+
 class TestNoiseOrdering:
     @pytest.mark.parametrize("noise_after_gate", [True, False])
     @pytest.mark.parametrize("bits", ["0", "1"])
@@ -85,3 +101,15 @@ class TestDifferentialOracle:
                     program, initial_bits=bits
                 )
                 assert exact <= result.error_bound <= worst, (width, program)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_same_named_unitaries(self, family):
+        """Each gate is bounded for its own unitary, not for another gate
+        that shares its name."""
+        model = _model(family, True)
+        circuit = _unitary_program(100 + sorted(FAMILIES).index(family))
+        exact = exact_error(circuit, model).value
+        worst = worst_case_bound(circuit, model).value
+        for width in MPS_WIDTHS:
+            result = GleipnirAnalyzer(model, AnalysisConfig(mps_width=width)).analyze(circuit)
+            assert exact <= result.error_bound <= worst, width

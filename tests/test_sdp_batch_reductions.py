@@ -11,7 +11,7 @@ the per-instance path is a batch of one through the same code and every
 batched primitive is independent of the batch composition.
 
 The property is exercised across the whole reduced Table 2 program library
-(the real solve classes each benchmark generates) and on random circuits.
+(the real gate instances each benchmark generates) and on random circuits.
 """
 
 import numpy as np
@@ -28,14 +28,14 @@ from repro.sdp.diamond import (
     _reduced_gate_problem,
     _reduced_gate_problems_batch,
 )
-from test_sdp_batch_certification import solve_classes
+from test_sdp_batch_certification import gate_instances
 
 
 def reduction_problems(circuit_or_program, **kwargs):
     """The (gate, channel, predicate) triples the scheduler pre-pass collects."""
     return [
         (gate, channel, rho)
-        for gate, channel, rho, _delta in solve_classes(circuit_or_program, **kwargs)
+        for gate, channel, rho, _delta in gate_instances(circuit_or_program, **kwargs)
     ]
 
 

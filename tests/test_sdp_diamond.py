@@ -41,7 +41,7 @@ from repro.sdp import (
     diamond,
     gate_error_bound,
     gate_error_bounds_batch,
-    quantise_keys,
+    quantise_predicates,
     rho_delta_constraint_bound,
     rho_delta_diamond_norm,
     verify_certificate,
@@ -326,7 +326,7 @@ def _quantise_one_gate(rho, delta, decimals):
 
 
 class TestStackedQuantisation:
-    """``quantise_keys`` equals per-gate quantisation bit for bit."""
+    """``quantise_predicates`` equals per-gate quantisation bit for bit."""
 
     @staticmethod
     def _predicates():
@@ -348,15 +348,12 @@ class TestStackedQuantisation:
 
     def test_matches_per_gate_quantisation(self):
         rhos, deltas = self._predicates()
-        parts = [("gate", index) for index in range(len(rhos))]
-        stacked = quantise_keys(parts, rhos, deltas, 6)
-        for part, rho, delta, (key, rounded, effective) in zip(parts, rhos, deltas, stacked):
-            alone = quantise_one(part, rho, delta, 6)
-            assert key == alone[0]
-            assert rounded.tobytes() == alone[1].tobytes()
-            assert effective == alone[2]
+        stacked = quantise_predicates(rhos, deltas, 6)
+        for rho, delta, (rounded, effective) in zip(rhos, deltas, stacked):
+            alone = quantise_one(rho, delta, 6)
+            assert rounded.tobytes() == alone[0].tobytes()
+            assert effective == alone[1]
             expected_rounded, expected_effective = _quantise_one_gate(rho, delta, 6)
-            assert key == part + (expected_rounded.tobytes(), expected_effective)
             assert rounded.tobytes() == expected_rounded.tobytes()
             assert effective == expected_effective
 
@@ -366,7 +363,7 @@ class TestStackedQuantisation:
         assert {rho.shape for rho in rhos} == {(2, 2), (4, 4)}
         assert not hermitian_mask(errors[40])
         assert hermitian_mask(np.stack(errors[:40:2])).all()
-        (_, _, on_grid), (_, _, over) = quantise_keys([(), ()], rhos[-2:], deltas[-2:], 6)
+        (_, on_grid), (_, over) = quantise_predicates(rhos[-2:], deltas[-2:], 6)
         assert on_grid == 0.123456
         assert over == 0.123457
 
@@ -460,15 +457,15 @@ class TestSoundnessAgainstBruteForce:
 
 
 class TestCache:
-    """Quantising a gate's predicate into its solve-class key only weakens it."""
+    """Quantising a gate's predicate only weakens it."""
 
     def test_cache_quantisation_is_sound(self):
         rho = pure_density(plus_state(1))
         perturbed = rho + 1e-5 * np.eye(2)
         perturbed /= np.trace(perturbed).real
-        _key, rounded, effective = quantise_one(("h",), perturbed, 0.0, 3)
+        rounded, effective = quantise_one(perturbed, 0.0, 3)
         bound = gate_error_bound(HADAMARD, bit_flip(0.1), rounded, effective, config=CFG)
-        # The class bound is computed for a weaker predicate, so it must be
+        # The quantised bound is computed for a weaker predicate, so it must be
         # at least the bound for the unrounded state at delta=0.
         direct = gate_error_bound(HADAMARD, bit_flip(0.1), perturbed, 0.0, config=CFG)
         assert bound.value >= direct.value - 1e-6
@@ -480,7 +477,6 @@ class TestCache:
         rng = np.random.default_rng(0)
         on_grid = [1.235848] + list(rng.integers(0, 2_000_000, size=2000) * 1e-6)
         for delta in on_grid:
-            key, _rounded, effective = quantise_one(("x",), rho, delta, 6)
+            _rounded, effective = quantise_one(rho, delta, 6)
             assert effective >= delta
             assert effective - delta <= 1e-6 * (1 + 1e-9)  # at most one grid step
-            assert key[-1] == effective

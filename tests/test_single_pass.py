@@ -101,13 +101,13 @@ class TestOneQuantisationPass:
     def test_walk_quantises_once_and_replay_never(self, bit_flip_model, monkeypatch):
         """One stacked quantisation per analysis, holding every noisy gate."""
         batches = []
-        stacked = scheduler_module.quantise_keys
+        stacked = scheduler_module.quantise_predicates
 
-        def counting_stacked(key_parts, *args):
-            batches.append(len(key_parts))
-            return stacked(key_parts, *args)
+        def counting_stacked(rhos, *args):
+            batches.append(len(rhos))
+            return stacked(rhos, *args)
 
-        monkeypatch.setattr(scheduler_module, "quantise_keys", counting_stacked)
+        monkeypatch.setattr(scheduler_module, "quantise_predicates", counting_stacked)
         program = seq(
             random_circuit(2, 12, seed=5).to_program(),
             IfMeasure(0, Circuit(2).x(1).to_program(), Skip()),
@@ -218,7 +218,7 @@ class TestWalkTree:
         gate, fork = scheduler.collect(program, [0, 0])
 
         assert isinstance(gate, WalkGate) and gate.op is h0
-        assert gate.key is not None and gate.rho_local.shape == (2, 2)
+        assert gate.bound is None and gate.rho_local.shape == (2, 2)
         assert isinstance(fork, WalkMeasure) and fork.qubit == 0
         assert fork.probabilities == pytest.approx((0.5, 0.5))
         assert [record.op for record in fork.then_branch] == list(then_branch.parts)
@@ -227,11 +227,11 @@ class TestWalkTree:
     def test_noiseless_gates_carry_no_key(self):
         model = NoiseModel().add_gate_rule("x", bit_flip(1e-3))
         program = Circuit(1).h(0).x(0).to_program()
-        scheduler = BoundScheduler(model, _config())
-        h_record, x_record = scheduler.collect(program, [0])
-        assert h_record.key is None and h_record.rho_local is None
-        assert x_record.key is not None
-        assert scheduler.prefill(program, [0]).num_gate_instances == 1
+        report = BoundScheduler(model, _config()).prefill(program, [0])
+        h_record, x_record = report.walk
+        assert h_record.bound is None and h_record.rho_local is None
+        assert x_record.bound is not None and x_record.rho_local is not None
+        assert report.num_gate_instances == 1
 
 
 class TestEngineThreading:
