@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -246,41 +247,54 @@ def measure_batch_certification(*, mps_width: int = 16) -> dict:
     }
 
 
-def measure_tracing_overhead(*, mps_width: int = 16, repeats: int = 3) -> dict:
+def measure_tracing_overhead(*, mps_width: int = 16, pairs: int = 25) -> dict:
     """Cost of running the reference workload with full observability on.
 
-    Runs the scheduled analysis ``repeats`` times with tracing + a scoped
-    metrics registry active and ``repeats`` times with both off, keeping the
-    best time of each (best-of-N is the standard way to shave scheduler
-    jitter off a CI runner).  The bounds must be bit-identical either way —
+    Runs ``pairs`` pairs of the scheduled analysis, one run with tracing + a
+    scoped metrics registry off and one with both on, back to back; which of
+    a pair goes first alternates.  ``overhead_ratio`` is the median of the
+    per-pair on/off ratios: the two runs of a pair share the machine's
+    state, so a slow stretch (a busy neighbour on a shared host can slow a
+    run by 80%) divides out, and the median ignores a pair that the state
+    changed under.  The bounds must be bit-identical within every pair —
     observability is read-only by construction.
     """
     from repro.obs import metrics as obs_metrics
     from repro.obs.trace import collecting
 
-    def best_of(instrumented: bool) -> tuple[float, float, int]:
-        best = float("inf")
-        bound = None
-        spans = 0
-        for _ in range(repeats):
-            if instrumented:
-                with obs_metrics.scoped(), collecting() as collector:
-                    run = measure_reference_workload(mps_width=mps_width)
-                    spans = len(collector)
-            else:
-                run = measure_reference_workload(mps_width=mps_width)
-            best = min(best, run["seconds"])
-            bound = run["error_bound"]
-        return best, bound, spans
+    spans = 0
 
-    off_seconds, off_bound, _ = best_of(False)
-    on_seconds, on_bound, span_count = best_of(True)
+    def timed(instrumented: bool) -> dict:
+        nonlocal spans
+        if not instrumented:
+            return measure_reference_workload(mps_width=mps_width)
+        with obs_metrics.scoped(), collecting() as collector:
+            run = measure_reference_workload(mps_width=mps_width)
+            spans = len(collector)
+        return run
+
+    off_seconds: list[float] = []
+    on_seconds: list[float] = []
+    bit_identical = True
+    for index in range(pairs):
+        if index % 2:
+            on = timed(True)
+            off = timed(False)
+        else:
+            off = timed(False)
+            on = timed(True)
+        off_seconds.append(off["seconds"])
+        on_seconds.append(on["seconds"])
+        bit_identical = bit_identical and off["error_bound"] == on["error_bound"]
     return {
-        "seconds_off": off_seconds,
-        "seconds_on": on_seconds,
-        "overhead_ratio": on_seconds / max(off_seconds, 1e-9),
-        "spans_recorded": span_count,
-        "bit_identical": off_bound == on_bound,
+        "pairs": pairs,
+        "seconds_off": statistics.median(off_seconds),
+        "seconds_on": statistics.median(on_seconds),
+        "overhead_ratio": statistics.median(
+            on / max(off, 1e-9) for off, on in zip(off_seconds, on_seconds)
+        ),
+        "spans_recorded": spans,
+        "bit_identical": bit_identical,
     }
 
 

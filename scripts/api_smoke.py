@@ -16,7 +16,9 @@ The script
    the server's fingerprint for every job (fixed gates, parametric gates, a
    custom unitary) equals the client's ``job.fingerprint()``, that a
    completed long-poll costs exactly one request, and that re-sending the
-   finished batch twice gets the same answer byte for byte.
+   finished batch twice gets the same answer byte for byte, and
+6. submits one job under a 1 ms ``guard.max_seconds`` and asserts that the
+   server's inline engine thread ends it ``failed`` with a ``timeout`` result.
 
 Exit code 0 means the whole HTTP path (serialization, batching, condition-
 variable result push, error envelopes) agrees with the in-process facade.
@@ -35,7 +37,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro import AnalysisConfig, Circuit, NoiseModel  # noqa: E402
+from repro import AnalysisConfig, Circuit, NoiseModel, ResourceGuard  # noqa: E402
 from repro.api import AnalysisSession, Client  # noqa: E402
 from repro.engine.spec import canonical_json  # noqa: E402
 from repro.errors import JobNotFoundError  # noqa: E402
@@ -99,6 +101,22 @@ def smoke_jobs(session: AnalysisSession) -> list:
         session.job(rotations, MODEL, config=FAST),
         session.job(custom, MODEL, config=FAST),
     ]
+
+
+def budgeted_job(session: AnalysisSession):
+    """A job that runs far longer than its 1 ms budget.
+
+    Budgets are not part of the fingerprint, so its circuit differs from
+    every job in :func:`smoke_jobs`.
+    """
+    circuit = Circuit(4, name="budgeted")
+    for layer in range(10):
+        for qubit in range(4):
+            circuit.rx(0.1 * (layer + 1) + 0.01 * qubit, qubit)
+        for qubit in range(3):
+            circuit.cx(qubit, qubit + 1)
+    config = FAST.replace(guard=ResourceGuard(max_seconds=0.001))
+    return session.job(circuit, MODEL, config=config)
 
 
 def start_server() -> tuple[subprocess.Popen, str]:
@@ -166,6 +184,12 @@ def main() -> int:
                     f"!= client fingerprint {job.fingerprint()}"
                 )
 
+            # The budget holds on the server's engine thread too.
+            budgeted = client.submit([budgeted_job(remote)])[0]
+            budgeted = client.wait(budgeted["fingerprint"], timeout=120)
+            assert budgeted["status"] == "failed", budgeted
+            assert budgeted["result"]["status"] == "timeout", budgeted
+
         with AnalysisSession(config=FAST) as local:
             local_outcomes = local.analyze_batch(smoke_jobs(local))
 
@@ -187,7 +211,7 @@ def main() -> int:
         print(
             f"api smoke OK: {len(jobs)} submissions, fingerprints and bounds bit-identical "
             f"({remote_bounds}), long-poll push in 1 request, repeat batch identical, "
-            "/v1/healthz + /v1/metrics exposition valid"
+            "1 ms budget ends timeout, /v1/healthz + /v1/metrics exposition valid"
         )
         return 0
     finally:

@@ -412,7 +412,8 @@ class AnalysisSession:
         Locally, ``timeout`` is checked as each result lands: once it has
         passed with jobs pending, :class:`TimeoutError` is raised and the
         jobs not yet started are cancelled.  A running job is stopped only by
-        its own ``guard.max_seconds``.
+        its own ``guard.max_seconds``, which the analysis checks at every walk
+        gate and interior-point iteration, in this thread as in any other.
         """
         self._check_open()
         jobs = list(jobs)

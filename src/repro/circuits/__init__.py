@@ -1,4 +1,4 @@
-"""Quantum circuit IR: gates, program AST, builder, parser, transforms."""
+"""Quantum circuit IR: gates, program AST, builder, serialization, transforms."""
 
 from .gates import (
     Gate,
@@ -29,7 +29,6 @@ from .gates import (
 )
 from .program import GateOp, IfMeasure, Program, Seq, Skip, gate_op, seq
 from .circuit import Circuit
-from .parser import dumps, loads, parse_circuit, serialize_circuit
 from .serialize import (
     gate_from_json_dict,
     gate_to_json_dict,

@@ -97,16 +97,6 @@ class Circuit:
         self._statements.append(GateOp(gate, self._check_qubits(qubits)))
         return self
 
-    def append_statement(self, statement: Program) -> "Circuit":
-        """Append an already-built AST node (used by transforms)."""
-        for q in statement.qubits_used():
-            if q < 0 or q >= self._num_qubits:
-                raise CircuitError(
-                    f"statement uses qubit {q} outside register of size {self._num_qubits}"
-                )
-        self._statements.append(statement)
-        return self
-
     def extend(self, other: "Circuit") -> "Circuit":
         """Append all statements of another circuit (register sizes must agree)."""
         if other.num_qubits > self._num_qubits:

@@ -3,7 +3,7 @@
 A :class:`Gate` couples a name, an optional parameter list, and a unitary
 matrix.  The standard library (Figure 1 of the paper plus the usual NISQ gate
 set) is exposed both as factory functions (``h()``, ``cx()``, ``rz(theta)``)
-and through :func:`gate_by_name` for the text parser.
+and through :func:`gate_by_name` for job decoding.
 
 Gates are value objects: two gates compare equal when their names, arities
 and parameters match.  Equality ignores the matrix, so two different unitaries
@@ -275,9 +275,9 @@ def available_gates() -> list[str]:
 def gate_by_name(name: str, *params: float) -> Gate:
     """The standard gate with this name and parameters.
 
-    Used by the circuit text parser, job decoding and noise models that
-    attach channels to gate names.  Fixed gates come back as one shared
-    instance per name; parametric gates are built per call.
+    Used by job decoding and by noise models that attach channels to gate
+    names.  Fixed gates come back as one shared instance per name;
+    parametric gates are built per call.
     """
     key = name.lower()
     if key in _FIXED:

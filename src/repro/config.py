@@ -5,13 +5,18 @@ resource guards).  They are collected in :class:`AnalysisConfig` so the
 end-to-end analyzer, the experiment harness, and the benchmarks share a single
 notion of "how much effort to spend".
 
-Nothing in this module performs computation; it only carries parameters.
+Nothing in this module performs computation.  Besides parameters it holds
+the running job's wall-clock deadline (:func:`deadline`), which the analysis
+checks with :func:`check_deadline`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import dataclasses
 import os
+import time
 
 from .errors import ResourceLimitExceeded
 
@@ -67,6 +72,10 @@ class ResourceGuard:
     :class:`repro.errors.ResourceLimitExceeded` when the requested computation
     would exceed the budget, which the experiment harness reports as a
     timeout, exactly like Table 2 does.
+
+    ``max_seconds`` is a job's wall-clock budget: the engine runs each job
+    under :func:`deadline`, and the analysis calls :func:`check_deadline` at
+    every walk gate and every interior-point iteration.
     """
 
     max_dense_qubits: int = 14
@@ -89,6 +98,37 @@ class ResourceGuard:
                 f"state-vector simulation of {num_qubits} qubits exceeds the configured "
                 f"budget of {self.max_statevector_qubits} qubits"
             )
+
+
+#: The running job's ``(monotonic deadline, budget in seconds)``, or None.
+#: A context variable, so each thread (and each pool worker) sees only the
+#: deadline of the job it runs.
+_DEADLINE: contextvars.ContextVar[tuple[float, float] | None] = contextvars.ContextVar(
+    "repro_deadline", default=None
+)
+
+
+@contextlib.contextmanager
+def deadline(seconds: float | None):
+    """Run the block under a wall-clock budget of ``seconds`` (None or ≤ 0: none).
+
+    The budget is enforced only where :func:`check_deadline` is called.
+    """
+    if seconds is None or seconds <= 0:
+        yield
+        return
+    token = _DEADLINE.set((time.monotonic() + float(seconds), float(seconds)))
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
+
+
+def check_deadline() -> None:
+    """Raise :class:`ResourceLimitExceeded` once the current deadline has passed."""
+    budget = _DEADLINE.get()
+    if budget is not None and time.monotonic() > budget[0]:
+        raise ResourceLimitExceeded(f"analysis exceeded its wall-clock budget of {budget[1]:g}s")
 
 
 @dataclasses.dataclass

@@ -38,7 +38,7 @@ import time
 import numpy as np
 
 from ..circuits.program import GateOp, IfMeasure, Program, Seq, Skip
-from ..config import AnalysisConfig
+from ..config import AnalysisConfig, check_deadline
 from ..errors import LogicError
 from ..linalg.channels import QuantumChannel
 from ..mps.approximator import MPSApproximator
@@ -203,6 +203,7 @@ class BoundScheduler:
         raise LogicError(f"unknown program node {type(program).__name__}")
 
     def _collect_gate(self, op: GateOp, approximator: MPSApproximator | None) -> WalkGate:
+        check_deadline()
         channel = self.noise_model.channel_for(op.gate, op.qubits)
         predicate = None
         if approximator is None:

@@ -20,7 +20,9 @@ values into :class:`~repro.engine.spec.JobResult` records:
   box costs more in process churn than the parallelism returns;
 * **budgets and isolation** — each job runs under its own
   :class:`~repro.config.ResourceGuard` wall-clock budget
-  (``guard.max_seconds``, enforced with a POSIX interval timer), and any
+  (``guard.max_seconds``): a :func:`~repro.config.deadline` that the
+  analysis checks at every walk gate and interior-point iteration, and once
+  more as the job ends, on whatever thread or process runs it.  Any
   exception — budget, solver failure, or worker crash — is captured as a
   ``timeout``/``error`` result for that job alone; the rest of the sweep
   continues;
@@ -31,15 +33,13 @@ values into :class:`~repro.engine.spec.JobResult` records:
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import os
-import signal
-import threading
 import time
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
 
+from ..config import check_deadline, deadline
 from ..core.analyzer import AnalysisResult, analyze_program
 from ..errors import ResourceLimitExceeded
 from ..obs import metrics as obs_metrics
@@ -54,79 +54,6 @@ __all__ = [
     "execute_job_record",
     "job_result_from_analysis",
 ]
-
-
-@contextlib.contextmanager
-def _wall_clock_budget(seconds: float | None):
-    """Raise :class:`ResourceLimitExceeded` after ``seconds`` of wall clock.
-
-    Uses ``signal.setitimer``, which only works on POSIX main threads; in any
-    other context (Windows, the service thread) the budget degrades to
-    unenforced rather than failing the job.  A displaced ``ITIMER_REAL`` is
-    restored on exit (minus the time the job ran), and a shorter one-shot
-    outer deadline takes priority over the job's own budget — see the
-    comments below.
-    """
-    usable = (
-        seconds is not None
-        and seconds > 0
-        and hasattr(signal, "setitimer")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not usable:
-        yield
-        return
-
-    # A caller (an outer budget, or any library using ITIMER_REAL) may have a
-    # timer ticking; tearing down with a plain 0.0 would silently cancel it.
-    # A *one-shot* outer deadline shorter than our budget additionally keeps
-    # priority: its remaining time is armed instead of our budget and the
-    # expiry is forwarded to the outer handler, so an outer deadline is never
-    # overshot nor misreported as this job's timeout.  Periodic timers (a
-    # signal-based profiler's 10ms tick) never clamp the budget — they miss
-    # their ticks while the job runs and resume on exit.
-    outer_remaining, outer_interval = previous_timer = signal.getitimer(
-        signal.ITIMER_REAL
-    )
-    clamped = outer_interval == 0.0 and 0.0 < outer_remaining < float(seconds)
-    forwarded = False
-    expired = False
-    message = f"analysis exceeded its wall-clock budget of {seconds:g}s"
-
-    def _expired(signum, frame):
-        nonlocal forwarded, expired
-        if clamped and callable(previous_handler):
-            forwarded = True
-            previous_handler(signum, frame)
-            return
-        expired = True
-        raise ResourceLimitExceeded(message)
-
-    previous_handler = signal.signal(signal.SIGALRM, _expired)
-    signal.setitimer(
-        signal.ITIMER_REAL, outer_remaining if clamped else float(seconds)
-    )
-    started = time.monotonic()
-    try:
-        yield
-        if expired:
-            # A broad ``except Exception`` inside the job swallowed the alarm;
-            # the budget still ran out, so the job is still a timeout.
-            raise ResourceLimitExceeded(message)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous_handler)
-        remaining, interval = previous_timer
-        # A displaced timer with it_value == 0 was disarmed, and a forwarded
-        # one-shot deadline is consumed; re-arming either would wrongly fire
-        # the outer handler (again).
-        if remaining > 0.0 and not forwarded:
-            # Re-arm the displaced timer with whatever it has left; if it
-            # expired while our budget ran, fire it as soon as possible.
-            elapsed = time.monotonic() - started
-            signal.setitimer(
-                signal.ITIMER_REAL, max(remaining - elapsed, 1e-6), interval
-            )
 
 
 def job_result_from_analysis(fingerprint: str, name: str, analysis) -> JobResult:
@@ -185,7 +112,7 @@ def _run_job(job: AnalysisJob, fingerprint: str) -> tuple[JobResult, AnalysisRes
     """
     start = time.perf_counter()
     try:
-        with _wall_clock_budget(job.config.guard.max_seconds):
+        with deadline(job.config.guard.max_seconds):
             analysis = analyze_program(
                 job.program,
                 job.noise_model,
@@ -194,6 +121,8 @@ def _run_job(job: AnalysisJob, fingerprint: str) -> tuple[JobResult, AnalysisRes
                 num_qubits=job.num_qubits,
                 program_name=job.name,
             )
+            # A job whose code swallowed the budget's exception still ran out.
+            check_deadline()
     except ResourceLimitExceeded as exc:
         status, error = "timeout", str(exc)
     except Exception as exc:

@@ -37,6 +37,8 @@ import threading
 import numpy as np
 import scipy.linalg
 
+from ..config import check_deadline
+
 __all__ = [
     "SOLVER_VERSION",
     "BlockLayout",
@@ -687,7 +689,9 @@ def ipm_solve_packed_batch(
     keeps its last finite iterate, so every result is finite; problems
     without a strictly feasible point end unconverged, and the caller's dual
     certificate is still sound.  ``max_iterations`` and ``tolerance`` have no
-    defaults here; :class:`repro.config.SDPConfig` holds them.
+    defaults here; :class:`repro.config.SDPConfig` holds them.  Each
+    iteration starts with :func:`repro.config.check_deadline`, so a job's
+    ``guard.max_seconds`` ends a long batch between two iterations.
     """
     if not problems:
         return []
@@ -714,6 +718,7 @@ def ipm_solve_packed_batch(
     results: list[PackedIPMResult | None] = [None] * count
 
     for iteration in range(max_iterations + 1):
+        check_deadline()
         rp = b - (a @ x[..., None])[..., 0]
         rd = c - (a.swapaxes(-1, -2) @ y[..., None])[..., 0] - s
         pr = np.linalg.norm(rp, axis=1) / b_scale

@@ -2,16 +2,21 @@
 
 import copy
 import os
+import signal
+import threading
+import time
 
 import pytest
 
 from helpers import random_circuit
 
 from repro.circuits import Circuit
-from repro.config import AnalysisConfig, ResourceGuard, SDPConfig
+from repro.config import AnalysisConfig, ResourceGuard, SDPConfig, check_deadline
 from repro.engine.outcomes import OutcomeStore
 from repro.engine.pool import AnalysisEngine, execute_job
+from repro.engine.service import AnalysisService
 from repro.engine.spec import AnalysisJob
+from repro.errors import ResourceLimitExceeded
 from repro.noise import NoiseModel
 
 FAST = AnalysisConfig(mps_width=4, sdp=SDPConfig(max_iterations=200, tolerance=1e-4))
@@ -169,109 +174,89 @@ class TestSharedBoundCache:
         assert job.config == before
 
 
-class TestWallClockBudget:
-    def test_budget_restores_preexisting_itimer(self):
-        """An outer ITIMER_REAL must survive a nested wall-clock budget."""
-        import signal
+#: A job that runs for well over a millisecond, under a 1 ms budget.
+BUDGETED = AnalysisConfig(
+    mps_width=16,
+    sdp=SDPConfig(max_iterations=200, tolerance=1e-7),
+    guard=ResourceGuard(max_seconds=0.001),
+)
 
-        from repro.engine.pool import _wall_clock_budget
 
-        outer_fired = []
+def _budgeted_job() -> AnalysisJob:
+    return _job(random_circuit(5, 60, seed=3), config=BUDGETED, name="budgeted")
 
-        def outer_handler(signum, frame):
-            outer_fired.append(signum)
 
-        previous_handler = signal.signal(signal.SIGALRM, outer_handler)
-        try:
-            signal.setitimer(signal.ITIMER_REAL, 60.0)
-            with _wall_clock_budget(5.0):
-                pass
-            remaining, interval = signal.getitimer(signal.ITIMER_REAL)
-            # The outer timer is still armed, with (roughly) its time left,
-            # and the outer handler is back in place.
-            assert 0.0 < remaining <= 60.0
-            assert interval == 0.0
-            assert signal.getsignal(signal.SIGALRM) is outer_handler
-            assert not outer_fired
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous_handler)
+class TestJobBudget:
+    """``guard.max_seconds`` holds wherever the job runs, and never touches
+    the process's interval timer."""
 
-    def test_swallowed_expiry_still_raises(self):
-        """A job that catches the alarm's exception is still a timeout."""
-        import time
-
-        from repro.engine.pool import _wall_clock_budget
-        from repro.errors import ResourceLimitExceeded
-
-        swallowed = []
-        with pytest.raises(ResourceLimitExceeded):
-            with _wall_clock_budget(0.01):
-                try:
-                    time.sleep(5.0)
-                except Exception as exc:
-                    swallowed.append(exc)
-        assert swallowed and isinstance(swallowed[0], ResourceLimitExceeded)
-
-    def test_budget_disarms_when_no_outer_timer(self):
-        import signal
-
-        from repro.engine.pool import _wall_clock_budget
-
-        with _wall_clock_budget(5.0):
-            pass
-        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
-
-    def test_shorter_outer_deadline_forwards_to_outer_handler(self):
-        """A one-shot outer deadline inside the inner budget keeps priority."""
-        import signal
-        import time
-
-        from repro.engine.pool import _wall_clock_budget
-
-        outer_fired = []
-
-        def outer_handler(signum, frame):
-            outer_fired.append(time.monotonic())
-
-        previous_handler = signal.signal(signal.SIGALRM, outer_handler)
-        try:
-            signal.setitimer(signal.ITIMER_REAL, 0.1)
-            start = time.monotonic()
-            with _wall_clock_budget(60.0):
-                while not outer_fired and time.monotonic() - start < 5.0:
-                    time.sleep(0.01)
-            # The outer handler fired at its own deadline (no inner
-            # ResourceLimitExceeded), and the consumed one-shot timer is not
-            # re-armed on exit.
-            assert outer_fired and outer_fired[0] - start < 2.0
-            assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous_handler)
-
-    def test_periodic_timer_not_clamped_and_restored(self):
-        """A periodic ITIMER_REAL (profiler tick) must not clamp the budget."""
-        import signal
-
-        from repro.engine.pool import _wall_clock_budget
-
-        ticks = []
-        previous_handler = signal.signal(
-            signal.SIGALRM, lambda signum, frame: ticks.append(signum)
+    def test_budget_holds_off_the_main_thread(self):
+        statuses = []
+        worker = threading.Thread(
+            target=lambda: statuses.append(
+                AnalysisEngine(workers=1).run([_budgeted_job()]).results[0].status
+            )
         )
+        worker.start()
+        worker.join()
+        assert statuses == ["timeout"]
+
+    def test_budget_holds_in_the_service(self):
+        service = AnalysisService(AnalysisEngine(workers=1))
+        service.start()
         try:
-            signal.setitimer(signal.ITIMER_REAL, 0.05, 0.05)
-            with _wall_clock_budget(60.0):
-                remaining, interval = signal.getitimer(signal.ITIMER_REAL)
-                # The inner budget is armed, not the 50ms tick.
-                assert remaining > 1.0
-                assert interval == 0.0
+            entry = service.submit_jobs([_budgeted_job()])[0]
+            final = service.wait_for(entry["fingerprint"], timeout=60)
+        finally:
+            service.stop()
+        assert final["status"] == "failed"
+        assert final["result"]["status"] == "timeout"
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="POSIX interval timer")
+    def test_interval_timer_and_handler_untouched(self):
+        fired = []
+
+        def handler(signum, frame):
+            fired.append(signum)
+
+        previous_handler = signal.signal(signal.SIGALRM, handler)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 60.0, 30.0)
+            before, _ = signal.getitimer(signal.ITIMER_REAL)
+            start = time.monotonic()
+            result = AnalysisEngine(workers=1).run([_budgeted_job()]).results[0]
+            elapsed = time.monotonic() - start
             remaining, interval = signal.getitimer(signal.ITIMER_REAL)
-            assert interval == 0.05  # periodic timer resumed on exit
+            assert result.status == "timeout"
+            assert signal.getsignal(signal.SIGALRM) is handler
+            assert interval == 30.0
+            assert before - elapsed - 0.05 <= remaining <= before
+            assert not fired
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous_handler)
+
+    def test_swallowed_budget_still_ends_timeout(self, monkeypatch):
+        """A job whose code catches the budget's exception is still a timeout."""
+        import repro.engine.pool as pool
+
+        finished = pool.analyze_program(Circuit(1).h(0), MODEL, config=FAST)
+        swallowed = []
+
+        def swallowing(*args, **kwargs):
+            while not swallowed:
+                try:
+                    check_deadline()
+                except ResourceLimitExceeded as exc:
+                    swallowed.append(exc)
+                time.sleep(0.001)
+            return finished
+
+        monkeypatch.setattr(pool, "analyze_program", swallowing)
+        result = execute_job(_budgeted_job())
+        assert swallowed
+        assert result.status == "timeout"
+        assert result.error_bound is None
 
 
 class TestWarmStartSharding:
