@@ -7,7 +7,11 @@ combination twice — under its own predicate and under the vacuous one
 diamond norm) — and checks the expected relationships:
 
 * both are sound (they dominate a brute-force feasible lower bound);
-* the constrained bound is never looser than the vacuous one.
+* the constrained bound is never looser than the vacuous one;
+* the shipped bound is never looser than the paper's Eq. (2) SDP, which is
+  reported beside it (``eq2_sdp_value``): bit-flip gates are bounded in
+  closed form (``method`` ``"closed-form"``), every other channel by that
+  SDP itself.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from repro.config import SDPConfig
 from repro.core.predicate import VACUOUS_DELTA
 from repro.linalg import CNOT, HADAMARD, identity_channel, maximally_mixed, plus_state, pure_density, zero_state
 from repro.noise import amplitude_damping, bit_flip, depolarizing, two_qubit_depolarizing
-from repro.sdp import constrained_diamond_lower_bound, gate_error_bound
+from repro.sdp import constrained_diamond_lower_bound, gate_error_bound, rho_delta_diamond_norm
+from repro.sdp.diamond import _reduced_gate_problem
 
 _CASES = {
     "h_bitflip_plus_state": (
@@ -57,6 +62,12 @@ _CASES = {
 _RESULTS: dict[str, dict[str, float]] = {}
 
 
+def eq2_sdp_bound(gate, noise, rho, delta, config):
+    """The paper's Eq. (2) SDP for the gate's reduced problem, whatever the noise."""
+    choi, sigma = _reduced_gate_problem(gate, noise, rho)
+    return rho_delta_diamond_norm(choi, sigma, delta, config=config).value
+
+
 @pytest.mark.parametrize("predicate", ["constrained", "vacuous"])
 @pytest.mark.parametrize("case", sorted(_CASES), ids=sorted(_CASES))
 def test_gate_bound_predicates(benchmark, case, predicate):
@@ -69,9 +80,13 @@ def test_gate_bound_predicates(benchmark, case, predicate):
         return gate_error_bound(gate, noise, rho, delta, config=config)
 
     bound = benchmark.pedantic(run, rounds=1, iterations=3)
+    eq2 = eq2_sdp_bound(gate, noise, rho, delta, config)
     benchmark.extra_info["value"] = bound.value
+    benchmark.extra_info["method"] = bound.method
+    benchmark.extra_info["eq2_sdp_value"] = eq2
     _RESULTS.setdefault(case, {})[predicate] = bound.value
     assert bound.value >= 0.0
+    assert bound.value <= eq2 + 1e-12
 
 
 def test_predicates_relationship():

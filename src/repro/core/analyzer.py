@@ -5,8 +5,9 @@ Given a program, an input product state, and a noise model, the analyzer
 1. evolves an MPS approximation of the ideal state through the program,
    accumulating the sound truncation bound δ (Section 5);
 2. before every noisy gate, computes the (ρ̂, δ)-diamond norm of that gate via
-   the certified SDP engine, using the local density matrix of the MPS as the
-   predicate (Section 6);
+   the certified SDP engine — or in closed form, when the gate's noise is a
+   single unitary error such as a bit flip — using the local density matrix
+   of the MPS as the predicate (Section 6);
 3. chains the per-gate bounds with the Seq/Meas rules of the error logic
    (Section 4) into a verified bound on the whole program, together with the
    full derivation tree.

@@ -33,9 +33,15 @@ from ..linalg.channels import QuantumChannel, identity_channel
 from ..linalg.partial_trace import partial_trace_keep
 from ..linalg.states import basis_state
 from ..noise.model import NoiseModel
-from ..sdp.diamond import constrained_diamond_norms_batch, gate_error_bounds_batch
+from ..sdp.closed_form import closed_form_value
+from ..sdp.diamond import (
+    closed_form_channel,
+    constrained_diamond_norms_batch,
+    gate_error_bounds_batch,
+)
 from ..semantics.density import apply_gate_to_density
 from ..semantics.noisy import exact_program_error
+from .rules import absorb_continuations
 
 __all__ = [
     "BaselineOutcome",
@@ -108,26 +114,37 @@ def worst_case_bound(
     sum over every noisy gate.  The value is independent of the input
     state, which is exactly its weakness.  For a unitary ``U``,
     ``||N∘U - U||◇ = ||U∘N - U||◇ = ||N - id||◇``, so a gate's term depends
-    only on its noise channel: one SDP per distinct channel, all solved as
-    one batch.
+    only on its noise channel.  A single-unitary-error channel's term is
+    its probability p, from the closed form the analysis bounds its gates
+    with, at ``m = 0``; every other channel gets one SDP, all solved as one
+    batch.  The fold runs over the program as the analysis normalises it
+    (:func:`~repro.core.rules.absorb_continuations`), so that both add
+    their terms in the same order and a bound never exceeds this one by
+    rounding.
     """
     config = config or AnalysisConfig()
     start = time.perf_counter()
     ast, _ = _as_ast(program)
+    ast = absorb_continuations(ast)
     by_channel: dict[QuantumChannel, int] = {}
     by_choi: dict[bytes, int] = {}
     differences: list[np.ndarray] = []
-    terms: list[int | None] = []
+    values: list[float] = []
+    pending: list[tuple[int, int]] = []  # (term, SDP request)
     for op in _gate_ops(ast):
         channel = noise_model.channel_for(op.gate, op.qubits)
         if channel is None:
-            terms.append(None)
+            values.append(0.0)
             continue
         if channel.dim_in != op.gate.matrix.shape[0]:
             raise NoiseModelError(
                 f"noise channel dimension {channel.dim_in} does not match gate "
                 f"{op.gate.name!r} of dimension {op.gate.matrix.shape[0]}"
             )
+        recognised = closed_form_channel(channel)
+        if recognised is not None:
+            values.append(float(closed_form_value(recognised[0], 0.0)))
+            continue
         if channel not in by_channel:
             difference = channel.choi() - identity_channel(channel.num_qubits).choi()
             key = difference.tobytes()
@@ -135,12 +152,15 @@ def worst_case_bound(
                 by_choi[key] = len(differences)
                 differences.append(difference)
             by_channel[channel] = by_choi[key]
-        terms.append(by_channel[channel])
-    bounds = constrained_diamond_norms_batch(
-        [(difference, None, 0.0) for difference in differences], config=config.sdp
-    )
-    values = (0.0 if index is None else bounds[index].value for index in terms)
-    total = _fold_worst_case(ast, values)
+        pending.append((len(values), by_channel[channel]))
+        values.append(0.0)
+    if differences:
+        bounds = constrained_diamond_norms_batch(
+            [(difference, None, 0.0) for difference in differences], config=config.sdp
+        )
+        for term, request in pending:
+            values[term] = bounds[request].value
+    total = _fold_worst_case(ast, iter(values))
     elapsed = time.perf_counter() - start
     return BaselineOutcome(name="worst_case", value=total, elapsed_seconds=elapsed)
 

@@ -2,12 +2,13 @@
 
 Every analysis performed by Gleipnir produces a :class:`Derivation`: a tree
 whose nodes record which inference rule was applied (Figure 5), the judgment
-it concluded, and — for Gate nodes — the SDP certificate establishing the
-per-gate bound.  The derivation is what makes the final bound *verified*:
-:meth:`Derivation.check` re-validates every step independently of the
-analyzer (certificate feasibility, additivity of the Seq rule, the Meas rule
-arithmetic), raising :class:`~repro.errors.DerivationCheckError` on any
-unsound step.
+it concluded, and — for Gate nodes — the certificate establishing the
+per-gate bound: an SDP dual certificate, or a closed-form certificate for a
+single-unitary-error channel.  The derivation is what makes the final bound
+*verified*: :meth:`Derivation.check` re-validates every step independently of
+the analyzer (certificate feasibility or the exact closed-form recomputation,
+additivity of the Seq rule, the Meas rule arithmetic), raising
+:class:`~repro.errors.DerivationCheckError` on any unsound step.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from ..errors import DerivationCheckError
 from ..sdp.certificates import verify_certificate
+from ..sdp.closed_form import verify_closed_form
 from ..sdp.diamond import DiamondNormBound
 from .judgment import Judgment
 
@@ -161,7 +163,13 @@ class Derivation:
                 f"gate {node.gate_label!r} concluded {node.judgment.epsilon} below "
                 f"its certified bound {node.bound.value}"
             )
-        if node.bound.choi is not None and node.bound.method not in ("noiseless", "exact-zero"):
+        if node.bound.method == "closed-form":
+            # Recomputed bit for bit from (p, V, σ, δ): no tolerance.
+            if not verify_closed_form(node.bound.certificate):
+                raise DerivationCheckError(
+                    f"gate {node.gate_label!r}: closed-form certificate failed recomputation"
+                )
+        elif node.bound.choi is not None and node.bound.method not in ("noiseless", "exact-zero"):
             if not verify_certificate(
                 node.bound.certificate, node.bound.choi, tolerance=max(tolerance, 1e-6)
             ):

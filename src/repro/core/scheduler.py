@@ -17,9 +17,10 @@ once.  This module does both before the derivation is built:
    gate's predicate;
 3. every noisy gate, with its own unitary, noise channel and quantised
    predicate, goes to one :func:`repro.sdp.diamond.gate_error_bounds_batch`
-   call.  That call reduces each gate to its (Choi, σ, c) problem and
-   solves each distinct problem once, compared byte for byte, so two gates
-   share a bound exactly when their SDP is the same problem;
+   call.  That call reduces each gate to its problem, bounds a gate whose
+   channel has a single unitary error in closed form, and solves each
+   distinct remaining (Choi, σ, c) SDP once, compared byte for byte, so two
+   gates share a bound exactly when they reduce to the same problem;
 4. each returned bound is written onto its gate's record, and the analyzer
    folds the walk tree into the derivation.  The fold never reads the
    program again, so it follows the walk by construction, and nothing is
@@ -115,8 +116,8 @@ class SchedulerReport:
 
     ``num_gate_instances`` counts the noisy gates and ``num_unique_classes``
     the distinct SDPs solved for them (the name is older than the per-problem
-    dedupe).  The bounds themselves sit on the walk's :class:`WalkGate`
-    records.
+    dedupe); gates bounded in closed form add nothing to it.  The bounds
+    themselves sit on the walk's :class:`WalkGate` records.
     """
 
     num_gate_instances: int = 0
@@ -177,7 +178,9 @@ class BoundScheduler:
             )
         for (record, _channel), bound in zip(noisy, bounds):
             record.bound = bound
-        report.num_unique_classes = len({id(bound) for bound in bounds})
+        report.num_unique_classes = len(
+            {id(bound) for bound in bounds if bound.method != "closed-form"}
+        )
         report.solve_seconds = time.perf_counter() - solve_start
         return report
 

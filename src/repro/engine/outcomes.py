@@ -3,11 +3,12 @@
 The warm path of the serving workload: a repeat submission should cost one
 store lookup, not an MPS walk plus a derivation replay.  The
 :class:`OutcomeStore` maps the job fingerprint to the full serialized
-:class:`~repro.engine.spec.JobResult` **plus the dual certificates** that
+:class:`~repro.engine.spec.JobResult` **plus the certificates** that
 established the job's per-gate bounds, so a warm answer is not a blind
-memo: ``get(fingerprint, verify=True)`` re-checks every stored certificate's
-feasibility against its stored Choi matrix (the cheap half of the original
-work — never the SDP solve) and refuses to answer from a record whose
+memo: ``get(fingerprint, verify=True)`` re-checks every stored dual
+certificate's feasibility against its stored Choi matrix (the cheap half of
+the original work — never the SDP solve), recomputes every closed-form
+certificate bit for bit, and refuses to answer from a record whose
 certificates no longer verify.
 
 It is also what makes a sweep resumable: an engine with a store attached
@@ -61,6 +62,7 @@ import numpy as np
 from ..errors import EngineError, StorageBackendError
 from ..obs import metrics as obs_metrics
 from ..sdp.certificates import DualCertificate, verify_certificate
+from ..sdp.closed_form import ClosedFormCertificate, verify_closed_form
 from .spec import JobResult, canonical_json
 
 __all__ = ["OutcomeStore", "OutcomeCertificate", "OUTCOME_SCHEMA_VERSION"]
@@ -193,59 +195,81 @@ def _decode_array(payload: dict) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class OutcomeCertificate:
-    """One stored dual certificate plus the Choi matrix it certifies.
+    """One stored gate-bound certificate, self-contained.
 
-    The serializable twin of :class:`~repro.sdp.certificates.DualCertificate`:
-    carrying the Choi matrix alongside makes the record self-contained, so
-    :meth:`verify` needs nothing but the stored bytes — feasibility
-    (``z ⪰ 0``, ``z ⪰ J``, ``y ≥ 0``) and the value check are recomputed
-    from scratch, the SDP solve never is.
+    ``certificate`` is either an SDP's
+    :class:`~repro.sdp.certificates.DualCertificate`, stored with ``choi``,
+    the difference map it bounds, or a
+    :class:`~repro.sdp.closed_form.ClosedFormCertificate`, which carries its
+    channel ``(p, V)`` itself and leaves ``choi`` None.  :meth:`verify`
+    needs nothing but the stored bytes: an SDP certificate's feasibility
+    (``z ⪰ 0``, ``z ⪰ J``, ``y ≥ 0``) and value are recomputed from scratch,
+    the SDP solve never is, and a closed-form certificate is recomputed bit
+    for bit.
+
+    On the wire a closed-form payload has ``"kind": "closed-form"``; an SDP
+    payload has no ``kind`` (every payload written before closed-form bounds
+    existed is one), and ``"kind": "sdp"`` decodes as one too.
     """
 
-    value: float
-    z: np.ndarray
-    y: float
-    constraint_operator: np.ndarray | None
-    constraint_bound: float
-    choi: np.ndarray
+    certificate: DualCertificate | ClosedFormCertificate
+    choi: np.ndarray | None = None
+
+    @property
+    def kind(self) -> str:
+        return "closed-form" if isinstance(self.certificate, ClosedFormCertificate) else "sdp"
+
+    @property
+    def value(self) -> float:
+        return self.certificate.value
 
     @classmethod
     def from_bound(cls, bound) -> "OutcomeCertificate":
         """Snapshot a :class:`~repro.sdp.diamond.DiamondNormBound`'s certificate."""
         certificate = bound.certificate
+        if isinstance(certificate, ClosedFormCertificate):
+            return cls(certificate)
         return cls(
-            value=float(certificate.value),
-            z=np.asarray(certificate.z, dtype=np.complex128),
-            y=float(certificate.y),
-            constraint_operator=(
-                np.asarray(certificate.constraint_operator, dtype=np.complex128)
-                if certificate.constraint_operator is not None
-                else None
+            DualCertificate(
+                value=float(certificate.value),
+                z=np.asarray(certificate.z, dtype=np.complex128),
+                y=float(certificate.y),
+                constraint_operator=(
+                    np.asarray(certificate.constraint_operator, dtype=np.complex128)
+                    if certificate.constraint_operator is not None
+                    else None
+                ),
+                constraint_bound=float(certificate.constraint_bound),
             ),
-            constraint_bound=float(certificate.constraint_bound),
             choi=np.asarray(bound.choi, dtype=np.complex128),
         )
 
     def verify(self, *, tolerance: float = VERIFY_TOLERANCE) -> bool:
-        """Independently re-check feasibility and value against the stored Choi."""
-        certificate = DualCertificate(
-            value=self.value,
-            z=self.z,
-            y=self.y,
-            constraint_operator=self.constraint_operator,
-            constraint_bound=self.constraint_bound,
-        )
-        return verify_certificate(certificate, self.choi, tolerance=tolerance)
+        """Independently re-check the certificate; a closed form has no tolerance."""
+        if isinstance(self.certificate, ClosedFormCertificate):
+            return verify_closed_form(self.certificate)
+        return verify_certificate(self.certificate, self.choi, tolerance=tolerance)
 
     def to_json_dict(self) -> dict:
+        certificate = self.certificate
+        if isinstance(certificate, ClosedFormCertificate):
+            return {
+                "kind": "closed-form",
+                "p": certificate.p,
+                "v": _encode_array(certificate.v),
+                "sigma": _encode_array(certificate.sigma),
+                "delta": certificate.delta,
+                "m": certificate.m,
+                "value": certificate.value,
+            }
         return {
-            "value": self.value,
-            "y": self.y,
-            "constraint_bound": self.constraint_bound,
-            "z": _encode_array(self.z),
+            "value": certificate.value,
+            "y": certificate.y,
+            "constraint_bound": certificate.constraint_bound,
+            "z": _encode_array(certificate.z),
             "constraint_operator": (
-                _encode_array(self.constraint_operator)
-                if self.constraint_operator is not None
+                _encode_array(certificate.constraint_operator)
+                if certificate.constraint_operator is not None
                 else None
             ),
             "choi": _encode_array(self.choi),
@@ -257,16 +281,32 @@ class OutcomeCertificate:
             raise EngineError(
                 f"certificate payload must be a dict, got {type(payload).__name__}"
             )
+        kind = payload.get("kind", "sdp")
         try:
+            if kind == "closed-form":
+                return cls(
+                    ClosedFormCertificate(
+                        p=float(payload["p"]),
+                        v=_decode_array(payload["v"]),
+                        sigma=_decode_array(payload["sigma"]),
+                        delta=float(payload["delta"]),
+                        m=float(payload["m"]),
+                        value=float(payload["value"]),
+                    )
+                )
+            if kind != "sdp":
+                raise EngineError(f"unknown certificate kind {kind!r}")
             operator = payload.get("constraint_operator")
             return cls(
-                value=float(payload["value"]),
-                z=_decode_array(payload["z"]),
-                y=float(payload["y"]),
-                constraint_operator=(
-                    _decode_array(operator) if operator is not None else None
+                DualCertificate(
+                    value=float(payload["value"]),
+                    z=_decode_array(payload["z"]),
+                    y=float(payload["y"]),
+                    constraint_operator=(
+                        _decode_array(operator) if operator is not None else None
+                    ),
+                    constraint_bound=float(payload["constraint_bound"]),
                 ),
-                constraint_bound=float(payload["constraint_bound"]),
                 choi=_decode_array(payload["choi"]),
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -83,22 +83,24 @@ def job_result_from_analysis(fingerprint: str, name: str, analysis) -> JobResult
 
 
 def _harvest_certificates(analysis: AnalysisResult) -> list[OutcomeCertificate]:
-    """The dual certificates behind a finished job's per-gate bounds.
+    """The certificates behind a finished job's per-gate bounds.
 
     Each distinct bound of the derivation's gate nodes is taken once, in
-    program order: gate classes whose problems reduce to one SDP share one
-    bound object.  Only solver-certified bounds qualify: ``noiseless`` and
-    ``exact-zero`` bounds have no feasibility problem to re-check, and a
-    bound without a retained Choi matrix cannot be re-verified standalone.
+    program order: gates whose problems reduce to one problem share one
+    bound object.  Solver-certified bounds with their Choi matrix and
+    closed-form bounds qualify: ``noiseless`` and ``exact-zero`` bounds have
+    nothing to re-check, and a certified bound without a retained Choi
+    matrix cannot be re-verified standalone.
     """
     distinct = {id(node.bound): node.bound for node in analysis.derivation.gate_nodes()}
     return [
         OutcomeCertificate.from_bound(bound)
         for bound in distinct.values()
         if bound is not None
-        and bound.choi is not None
-        and bound.certificate is not None
-        and bound.method not in ("noiseless", "exact-zero")
+        and (
+            bound.method == "closed-form"
+            or (bound.method == "certified" and bound.choi is not None)
+        )
     ]
 
 

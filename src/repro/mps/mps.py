@@ -41,6 +41,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..config import check_deadline
 from ..errors import MPSError
 from ..linalg.operators import SWAP
 from .truncation import TruncationInfo, split_theta
@@ -319,7 +320,9 @@ class MPS:
         Distant 2-qubit gates are routed with an internal swap network: the
         second operand is swapped next to the first, the gate is applied, and
         the swaps are undone.  Every step's truncation is recorded; the list
-        of records is returned in application order.
+        of records is returned in application order.  Each routing swap
+        checks the job's deadline (:func:`repro.config.check_deadline`): at
+        wide bond dimension one routed gate can take half a second.
         """
         qubits = [int(q) for q in qubits]
         matrix = np.asarray(matrix, dtype=np.complex128)
@@ -340,10 +343,12 @@ class MPS:
         records: list[TruncationInfo] = []
         # Bring qubit at site b next to site a (to position a+1).
         for site in range(b - 1, a, -1):
+            check_deadline()
             records.append(self.swap_sites(site))
         records.append(self.apply_two_site_gate(matrix, a))
         # Undo the routing swaps.
         for site in range(a + 1, b):
+            check_deadline()
             records.append(self.swap_sites(site))
         return records
 

@@ -22,6 +22,10 @@ additionally exploits two exact reductions:
   qubit of a 2-qubit gate (as in the paper's model), the SDP is reduced to
   the single-qubit problem with the correspondingly reduced predicate, which
   is an upper bound by the data-processing inequality.
+
+After the reductions, a gate whose channel applies one Hermitian unitary
+error with probability p — the paper's bit flip among them — needs no SDP at
+all: :mod:`repro.sdp.closed_form` gives its exact bound ``p·√(1 − m²)``.
 """
 
 from __future__ import annotations
@@ -47,6 +51,11 @@ from ..linalg.channels import (
 from ..linalg.hermitian import hermitian_basis, hvec
 from ..linalg.norms import frobenius_norm, hermitian_mask, trace_norm
 from ..linalg.partial_trace import partial_trace_keep
+from .closed_form import (
+    ClosedFormCertificate,
+    closed_form_certificates,
+    single_unitary_error,
+)
 from .certificates import (
     DualCertificate,
     certified_values_batch,
@@ -74,8 +83,10 @@ __all__ = [
     "diamond_distance",
     "rho_delta_diamond_norm",
     "rho_delta_constraint_bound",
+    "predicate_operator",
     "gate_error_bound",
     "gate_error_bounds_batch",
+    "closed_form_channel",
     "solve_class_label",
     "PREDICATE_DECIMALS",
     "quantise_predicates",
@@ -88,19 +99,24 @@ class DiamondNormBound:
 
     Attributes:
         value: the certified upper bound.
-        certificate: the verified dual-feasible point establishing the bound.
+        certificate: what establishes the bound — the verified dual-feasible
+            point of an SDP, or a :class:`~repro.sdp.closed_form.ClosedFormCertificate`.
         primal_estimate: the (approximate, not certified) primal value from
             the solver; ``value - primal_estimate`` estimates the slack.
         method: how the bound was obtained — ``"certified"`` (solve +
-            certificate), ``"exact-zero"`` (the difference map is zero, so
-            the bound is 0 without a solve) or ``"noiseless"`` (no noise
-            acts on the gate).
+            certificate), ``"closed-form"`` (a single-unitary-error channel,
+            bounded exactly without a solve), ``"exact-zero"`` (the
+            difference map is zero, so the bound is 0 without a solve) or
+            ``"noiseless"`` (no noise acts on the gate).
         iterations: interior-point iterations spent.
         converged: whether the solver reached its tolerance.
+        choi: the difference map a ``"certified"`` bound's dual certificate
+            is checked against; a closed-form certificate carries its
+            channel ``(p, V)`` itself.
     """
 
     value: float
-    certificate: DualCertificate
+    certificate: DualCertificate | ClosedFormCertificate
     primal_estimate: float
     method: str
     iterations: int = 0
@@ -598,6 +614,21 @@ def rho_delta_constraint_bound(rho_local: np.ndarray, delta: float) -> float:
     return float(norm * (norm - delta))
 
 
+def predicate_operator(rho_local: np.ndarray) -> np.ndarray:
+    """The operator ``Q = ρ̂ᵀ`` of a predicate's halfspace ``tr(Qρ) >= c``.
+
+    The SDP's variable ρ sits on the input register of the Choi matrix
+    ``J = Σ Φ(|i⟩⟨j|) ⊗ |i⟩⟨j|``.  The joint input with system state ρ is
+    ``(I ⊗ √ρᵀ)|Ω⟩``, so that register holds ρᵀ, and a predicate on the
+    state constrains the variable through ``tr(ρ̂ᵀ ρᵀ) = tr(ρ̂ρ)``.  For a
+    Choi matrix or predicate with only real entries the two agree; for a
+    complex channel (a coherent rotation, a random unitary error) with a
+    complex predicate, constraining the variable by ρ̂ itself bounds the
+    wrong states and can certify less than the true error.
+    """
+    return np.asarray(rho_local, dtype=np.complex128).T
+
+
 def rho_delta_diamond_norm(
     choi: np.ndarray,
     rho_local: np.ndarray,
@@ -609,14 +640,15 @@ def rho_delta_diamond_norm(
 
     ``rho_local`` is the reduced density matrix of the approximate state on
     the qubits the map acts on; ``delta`` bounds the trace-norm distance of
-    the true global state from the approximate one.
+    the true global state from the approximate one.  The predicate reaches
+    the SDP transposed (:func:`predicate_operator`).
     """
     if delta < 0:
         raise SDPError("delta must be non-negative")
     bound_c = rho_delta_constraint_bound(rho_local, delta)
     return constrained_diamond_norm(
         choi,
-        constraint_operator=np.asarray(rho_local, dtype=np.complex128),
+        constraint_operator=predicate_operator(rho_local),
         constraint_bound=bound_c,
         config=config,
     )
@@ -711,6 +743,47 @@ def _spectator_factoring(channel: QuantumChannel) -> tuple[int, QuantumChannel] 
             break
     with _FACTORING_LOCK:
         return _FACTORING_CACHE.setdefault(channel, factoring)
+
+
+#: Memoised :func:`closed_form_channel` decisions, keyed on channel identity
+#: like ``_FACTORING_CACHE``.
+_CLOSED_FORM_CACHE: "weakref.WeakKeyDictionary[QuantumChannel, tuple[float, np.ndarray] | None]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def closed_form_channel(channel: QuantumChannel) -> tuple[float, np.ndarray] | None:
+    """``(p, V)`` of a single-unitary-error channel, V on the reduced qubits.
+
+    The channel is recognised as given
+    (:func:`repro.sdp.closed_form.single_unitary_error`), whose Kraus
+    operators are exact, rather than after spectator factoring, whose
+    reduced channel comes out of an eigendecomposition.  When the channel
+    factors as ``N ⊗ id`` (or ``id ⊗ N``), ``V₁``, the error on the active
+    qubit, is what the reduced predicate σ of
+    :func:`_reduced_gate_problems_batch` pairs with; it is accepted only
+    when ``V₁ ⊗ I`` reproduces ``V`` exactly.  None sends the gate to the
+    SDP.  Memoised per channel object.
+    """
+    try:
+        return _CLOSED_FORM_CACHE[channel]
+    except KeyError:
+        pass
+    recognised = single_unitary_error(channel)
+    factoring = _spectator_factoring(channel)
+    if recognised is not None and factoring is not None:
+        p, v = recognised
+        active = factoring[0]
+        reduced = partial_trace_keep(v, [active]) / 2
+        eye = np.eye(2)
+        tensor = np.kron(reduced, eye) if active == 0 else np.kron(eye, reduced)
+        if np.array_equal(tensor, v):
+            reduced.setflags(write=False)
+            recognised = (p, reduced)
+        else:
+            recognised = None
+    with _FACTORING_LOCK:
+        return _CLOSED_FORM_CACHE.setdefault(channel, recognised)
 
 
 def gate_error_bound(
@@ -876,10 +949,12 @@ def gate_error_bounds_batch(
 
     ``instances`` holds ``(gate_matrix, noise_channel, rho_local, delta)``
     tuples.  The structural reductions run as one whole-stack pass
-    (:func:`_reduced_gate_problems_batch`); the distinct surviving SDPs are
-    dispatched through one :func:`constrained_diamond_norms_batch` call so
-    that same-shaped problems share one batched interior-point run.  Used by
-    the program-level bound scheduler (:mod:`repro.core.scheduler`);
+    (:func:`_reduced_gate_problems_batch`).  Gates whose channel has a
+    single unitary error (:func:`closed_form_channel`) are then bounded in
+    closed form (:mod:`repro.sdp.closed_form`); the distinct SDPs of the
+    rest are dispatched through one :func:`constrained_diamond_norms_batch`
+    call so that same-shaped problems share one batched interior-point run.
+    Used by the program-level bound scheduler (:mod:`repro.core.scheduler`);
     :func:`gate_error_bound` is a batch of one through this same code.
     """
     config = config or SDPConfig()
@@ -901,27 +976,66 @@ def gate_error_bounds_batch(
         )
     # Many requests reduce to the same problem: a gate repeated under the
     # same quantised predicate, or a two-qubit gate whose noise touches one
-    # qubit, which keeps only one qubit of ρ̂.  Each distinct (Choi, σ, c),
-    # compared byte for byte, is solved once and its bound fans back out to
-    # every request that reduced to it.  With c <= 0 the constraint is
-    # dropped and the solver never reads σ or c, so such requests are told
-    # apart by their Choi matrix alone.
+    # qubit, which keeps only one qubit of ρ̂.  Each distinct problem,
+    # compared byte for byte, is bounded once and its bound fans back out to
+    # every request that reduced to it.  A closed-form problem is (p, V, σ,
+    # δ); an SDP is (Choi, σ, c), and with c <= 0 the constraint is dropped
+    # and the solver never reads σ or c, so such requests are told apart by
+    # their Choi matrix alone.
+    closed: list[tuple[float, np.ndarray, np.ndarray, float]] = []
     requests: list[tuple[np.ndarray, np.ndarray | None, float]] = []
-    slots: dict[tuple, int] = {}
-    request_of: list[int] = []
-    for (_index, delta), (diff_choi, sigma) in zip(noisy, reduced):
-        bound_c = rho_delta_constraint_bound(sigma, delta)
-        problem = (diff_choi.shape, diff_choi.tobytes())
-        if bound_c > 0.0:
-            problem += (sigma.tobytes(), np.float64(bound_c).tobytes())
-        if problem not in slots:
-            slots[problem] = len(requests)
-            requests.append((diff_choi, sigma, bound_c))
-        request_of.append(slots[problem])
-    solved = constrained_diamond_norms_batch(requests, config=config)
-    for (index, _delta), slot in zip(noisy, request_of):
-        bounds[index] = solved[slot]
+    slots: dict[tuple, tuple[bool, int]] = {}
+    slot_of: list[tuple[bool, int]] = []
+    for (_index, delta), (_gate, channel, _rho), (diff_choi, sigma) in zip(
+        noisy, reduction_inputs, reduced
+    ):
+        recognised = closed_form_channel(channel)
+        if recognised is not None:
+            p, v = recognised
+            problem = (p, v.tobytes(), sigma.shape, sigma.tobytes(), delta)
+            if problem not in slots:
+                slots[problem] = (True, len(closed))
+                closed.append((p, v, sigma, delta))
+        else:
+            bound_c = rho_delta_constraint_bound(sigma, delta)
+            problem = (diff_choi.shape, diff_choi.tobytes())
+            if bound_c > 0.0:
+                problem += (sigma.tobytes(), np.float64(bound_c).tobytes())
+            if problem not in slots:
+                slots[problem] = (False, len(requests))
+                requests.append((diff_choi, predicate_operator(sigma), bound_c))
+        slot_of.append(slots[problem])
+    closed_bounds = _closed_form_bounds(closed)
+    solved = constrained_diamond_norms_batch(requests, config=config) if requests else []
+    for (index, _delta), (is_closed, slot) in zip(noisy, slot_of):
+        bounds[index] = (closed_bounds if is_closed else solved)[slot]
     return bounds  # type: ignore[return-value]
+
+
+def _closed_form_bounds(
+    problems: list[tuple[float, np.ndarray, np.ndarray, float]],
+) -> list[DiamondNormBound]:
+    """Closed-form bounds for ``(p, V, σ, δ)`` problems, one stacked pass per size."""
+    bounds: list = [None] * len(problems)
+    by_dim: dict[int, list[int]] = {}
+    for index, (_p, v, _sigma, _delta) in enumerate(problems):
+        by_dim.setdefault(v.shape[0], []).append(index)
+    with span("sdp.closed_form", "sdp", count=len(problems)):
+        for indices in by_dim.values():
+            certificates = closed_form_certificates(
+                [problems[i][0] for i in indices],
+                np.stack([problems[i][1] for i in indices]),
+                np.stack([problems[i][2] for i in indices]),
+                [problems[i][3] for i in indices],
+            )
+            for index, certificate in zip(indices, certificates):
+                bounds[index] = DiamondNormBound(
+                    value=certificate.value,
+                    certificate=certificate,
+                    primal_estimate=certificate.value,
+                    method="closed-form",
+                )
+    return bounds
 
 
 #: Decimals ρ̂ is rounded to, and the grid δ is rounded up to, before a

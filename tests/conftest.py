@@ -15,11 +15,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from helpers import random_circuit  # noqa: E402
+from helpers import first_operand_model, random_circuit  # noqa: E402
 
 from repro.circuits import Circuit  # noqa: E402
 from repro.config import AnalysisConfig, ResourceGuard, SDPConfig  # noqa: E402
-from repro.noise import NoiseModel  # noqa: E402
+from repro.noise import NoiseModel, depolarizing  # noqa: E402
 
 
 @pytest.fixture
@@ -42,6 +42,23 @@ def fast_analysis_config(fast_sdp_config: SDPConfig) -> AnalysisConfig:
 def bit_flip_model() -> NoiseModel:
     """The paper's sample noise model with a visible error rate."""
     return NoiseModel.uniform_bit_flip(1e-3)
+
+
+@pytest.fixture
+def depolarizing_model() -> NoiseModel:
+    """Depolarizing noise placed as the paper places its bit flip (on the
+    first operand of a 2-qubit gate).  Bit flip has a closed-form bound;
+    depolarizing does not, so every noisy gate still needs an SDP."""
+    return first_operand_model(depolarizing(1e-3))
+
+
+@pytest.fixture
+def sdp_for_every_gate(monkeypatch):
+    """Recognise no channel for a closed-form bound, so every gate — bit
+    flip included — takes the Eq. (2) SDP it took before closed forms."""
+    from repro.sdp import diamond
+
+    monkeypatch.setattr(diamond, "closed_form_channel", lambda channel: None)
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from repro.circuits.program import GateOp, Seq
 from repro.mps.approximator import MPSApproximator
 from repro.core.rules import absorb_continuations
 from repro.core.scheduler import BoundScheduler, WalkGate, WalkMeasure
+from repro.noise import NoiseModel, identity_noise
 from repro.sdp import PREDICATE_DECIMALS, gate_error_bound, quantise_predicates
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "RETIRED_SDP_CONFIG_KEY",
     "RETIRED_TAPE_MEMO_KEY",
     "PerGateReference",
+    "first_operand_model",
     "noisy_gate_instances",
     "per_gate_bound",
     "per_gate_reference",
@@ -203,3 +205,11 @@ def per_gate_reference(circuit: Circuit, model, config) -> PerGateReference:
             values.append(0.0)
         approximator.apply_gate_op(op)
     return PerGateReference(values, approximator.delta)
+
+
+def first_operand_model(channel, name: str | None = None) -> NoiseModel:
+    """``channel`` after every 1-qubit gate and on the first operand of every
+    2-qubit gate: the placement of the paper's bit flip
+    (``NoiseModel.uniform_bit_flip``) for any 1-qubit channel."""
+    model = NoiseModel(name=name or f"first_operand({channel.name})")
+    return model.set_default(1, channel).set_default(2, channel.tensor(identity_noise(1)))

@@ -53,9 +53,9 @@ class TestAnalyzerBasics:
         assert result.derivation.error_bound == result.error_bound
         assert len(result.gate_contributions()) == result.num_gates == 2
 
-    def test_cache_reuse_across_layers(self, bit_flip_model):
+    def test_cache_reuse_across_layers(self, depolarizing_model):
         circuit = Circuit(4).h_layer()
-        result = GleipnirAnalyzer(bit_flip_model, FAST).analyze(circuit)
+        result = GleipnirAnalyzer(depolarizing_model, FAST).analyze(circuit)
         assert result.sdp_solves == 1
         # The four H gates on |0> pose one SDP: it is solved once and its
         # bound is read by all four gate applications.

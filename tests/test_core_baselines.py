@@ -67,13 +67,15 @@ class TestWorstCase:
         assert forked(Skip(), x1) == pytest.approx(2 * p, abs=1e-7)
 
     def test_one_solve_per_distinct_channel(self, monkeypatch):
-        """Every CX shares one SDP; the sum equals the per-gate diamond distances."""
+        """Every CX shares one SDP; the sum equals the per-gate diamond
+        distances.  Depolarizing noise has no closed form, so each channel
+        needs its SDP."""
         from repro.core import baselines
         from repro.linalg.channels import unitary_channel
         from repro.sdp import diamond_distance
 
         circuit = random_circuit(4, 30, seed=3)
-        model = NoiseModel.uniform_bit_flip(2e-3)
+        model = NoiseModel.uniform_depolarizing(2e-3)
         batches = []
         solve = baselines.constrained_diamond_norms_batch
 

@@ -15,8 +15,8 @@ from repro.sdp import gate_error_bound
 CFG = AnalysisConfig(mps_width=8, sdp=SDPConfig(max_iterations=300, tolerance=1e-5))
 
 
-def _analyzed(circuit: Circuit) -> Derivation:
-    analyzer = GleipnirAnalyzer(NoiseModel.uniform_bit_flip(1e-3), CFG)
+def _analyzed(circuit: Circuit, model: NoiseModel | None = None) -> Derivation:
+    analyzer = GleipnirAnalyzer(model or NoiseModel.uniform_bit_flip(1e-3), CFG)
     return analyzer.analyze(circuit).derivation
 
 
@@ -74,8 +74,8 @@ class TestCheck:
         with pytest.raises(DerivationCheckError):
             derivation.check()
 
-    def test_tampered_certificate_detected(self, ghz2_circuit):
-        derivation = _analyzed(ghz2_circuit)
+    def test_tampered_certificate_detected(self, ghz2_circuit, depolarizing_model):
+        derivation = _analyzed(ghz2_circuit, depolarizing_model)
         node = derivation.gate_nodes()[1]
         # Corrupt the dual certificate matrix: feasibility must now fail.
         node.bound.certificate.z[0, 0] = -10.0

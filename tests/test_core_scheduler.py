@@ -13,7 +13,7 @@ from repro.core import scheduler as scheduler_module
 from repro.core.analyzer import GleipnirAnalyzer
 from repro.core.scheduler import BoundScheduler
 from repro.mps.approximator import MPSApproximator
-from repro.noise import NoiseModel, bit_flip
+from repro.noise import NoiseModel, depolarizing
 from repro.programs.library import benchmark_by_name
 
 
@@ -47,14 +47,14 @@ def assert_gate_nodes_match_per_gate(result, ops, model, config):
 
 class TestSchedulerEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_sequential_analyzer(self, seed, bit_flip_model):
+    def test_matches_sequential_analyzer(self, seed, depolarizing_model):
         """The analysis certifies the bounds a gate-by-gate walk with one
         ``gate_error_bound`` per gate certifies, and solves each distinct SDP
         once: one solve per distinct bound of the derivation."""
         circuit = random_circuit(4, 24, seed=seed)
         config = _config()
-        result = GleipnirAnalyzer(bit_flip_model, config).analyze(circuit)
-        reference = per_gate_reference(circuit, bit_flip_model, config)
+        result = GleipnirAnalyzer(depolarizing_model, config).analyze(circuit)
+        reference = per_gate_reference(circuit, depolarizing_model, config)
         assert result.error_bound == reference.error_bound
         assert result.num_gates == len(reference.values)
         bounds = {id(node.bound) for node in result.derivation.gate_nodes()}
@@ -71,18 +71,18 @@ class TestSchedulerEquivalence:
         assert_gate_nodes_match_per_gate(result, ops, bit_flip_model, config)
         assert result.num_branches == 2
 
-    def test_unreachable_branch_collected(self, bit_flip_model):
+    def test_unreachable_branch_collected(self, depolarizing_model):
         """A branch with approximation probability 0 is still pre-solved,
         under the vacuous predicate δ = 2."""
         then_branch, else_branch = Skip(), Circuit(1).x(0).to_program()
         config = _config()
-        result = GleipnirAnalyzer(bit_flip_model, config).analyze(
+        result = GleipnirAnalyzer(depolarizing_model, config).analyze(
             IfMeasure(0, then_branch, else_branch), num_qubits=1
         )
         assert result.scheduled_solves == 1
         (node,) = result.derivation.gate_nodes()
         assert node.judgment.delta == 2.0
-        assert_gate_nodes_match_per_gate(result, [else_branch], bit_flip_model, config)
+        assert_gate_nodes_match_per_gate(result, [else_branch], depolarizing_model, config)
 
     def test_derivation_verifies(self, bit_flip_model):
         """Every certificate in a scheduled derivation re-verifies."""
@@ -164,14 +164,14 @@ class TestSaturatedWalk:
         assert len(deltas) < 2 * result.num_gates
 
     def test_saturated_gates_share_one_class_per_gate_and_channel(
-        self, bit_flip_model
+        self, depolarizing_model
     ):
         """Past δ = 2 only the constraint-free SDP is left, so saturated gates
         share one bound per noise channel, whatever their gate."""
         circuit = random_circuit(4, 40, seed=0)
         config = _config(mps_width=1)
         program = circuit.to_program()
-        walk = BoundScheduler(bit_flip_model, config).prefill(
+        walk = BoundScheduler(depolarizing_model, config).prefill(
             program, [0] * circuit.num_qubits
         ).walk
         assert [record.op for record in walk] == list(program.operations())
@@ -184,7 +184,7 @@ class TestSaturatedWalk:
             dim = 2 ** len(op.qubits)
             assert np.array_equal(record.rho_local, np.eye(dim) / dim)
             assert record.truncation_added == 0.0 and record.delta_after == 2.0
-            channel = bit_flip_model.channel_for(op.gate, op.qubits)
+            channel = depolarizing_model.channel_for(op.gate, op.qubits)
             bounds.setdefault(id(channel), set()).add(id(record.bound))
             gates.add(op.gate.matrix.tobytes())
         assert len(bounds) > 1 and len(gates) > len(bounds)
@@ -260,7 +260,7 @@ class TestSolvedBoundTable:
             return bounds
 
         monkeypatch.setattr(scheduler_module, "gate_error_bounds_batch", spy)
-        model = NoiseModel().add_gate_rule("h", bit_flip(1e-3))
+        model = NoiseModel().add_gate_rule("h", depolarizing(1e-3))
         program = seq(
             Circuit(2).h(0).h(0).cx(0, 1).to_program(),
             IfMeasure(0, Circuit(2).h(0).to_program(), Circuit(2).h(0).h(0).to_program()),
@@ -272,10 +272,10 @@ class TestSolvedBoundTable:
         assert all(record.bound is bound for record, bound in zip(records, bounds))
         assert report.num_unique_classes == len({id(b) for b in bounds}) == 3
 
-    def test_reused_analyzer_is_bit_identical(self, bit_flip_model):
+    def test_reused_analyzer_is_bit_identical(self, depolarizing_model):
         """A second analyze() on the same analyzer solves again and
         certifies the same bounds."""
-        analyzer = GleipnirAnalyzer(bit_flip_model, _config())
+        analyzer = GleipnirAnalyzer(depolarizing_model, _config())
         program, _ops = _branchy_program()
         for subject in (random_circuit(3, 12, seed=4), program):
             first = analyzer.analyze(subject, num_qubits=3)

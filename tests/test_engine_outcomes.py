@@ -30,7 +30,7 @@ from repro.engine.outcomes import (
 from repro.engine.pool import AnalysisEngine, execute_job_record
 from repro.engine.service import AnalysisService
 from repro.engine.spec import AnalysisJob, JobResult, canonical_json
-from repro.noise import NoiseModel, bit_flip
+from repro.noise import NoiseModel, depolarizing
 
 FAST = AnalysisConfig(mps_width=4, sdp=SDPConfig(max_iterations=200, tolerance=1e-4))
 MODEL = NoiseModel.uniform_bit_flip(1e-3)
@@ -460,8 +460,8 @@ class TestEngineIntegration:
         noiseless h contributes none."""
         model = (
             NoiseModel()
-            .add_gate_rule("x", bit_flip(1e-3))
-            .add_gate_rule("id", bit_flip(1e-3))
+            .add_gate_rule("x", depolarizing(1e-3))
+            .add_gate_rule("id", depolarizing(1e-3))
         )
         circuit = Circuit(2, name="shared").x(0).i(0).h(1)
         job = AnalysisJob.from_circuit(circuit, model, config=FAST)

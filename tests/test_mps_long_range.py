@@ -9,6 +9,7 @@ compared with the dense vector of the same truncated MPS.
 """
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -101,3 +102,26 @@ def test_distant_and_reversed_gates_match_dense(qubits):
     np.testing.assert_allclose(
         mps.reduced_density_matrix(list(qubits)), _dense_rdm(psi, list(qubits)), atol=1e-10
     )
+
+
+def test_budget_expiring_inside_a_routed_gate_raises_at_the_next_swap(monkeypatch):
+    """A job budget that runs out while a distant gate is being routed ends
+    the walk at the next routing swap, not after the whole gate."""
+    from repro.config import deadline
+    from repro.errors import ResourceLimitExceeded
+    from repro.linalg import CNOT
+
+    mps = MPS.zero_state(NUM_QUBITS, max_bond=4)
+    swaps = []
+    swap = MPS.swap_sites
+
+    def slow_swap(self, site):
+        swaps.append(site)
+        time.sleep(0.6)  # the first swap outlasts the whole budget
+        return swap(self, site)
+
+    monkeypatch.setattr(MPS, "swap_sites", slow_swap)
+    with deadline(0.5):
+        with pytest.raises(ResourceLimitExceeded):
+            mps.apply_gate(CNOT, [0, NUM_QUBITS - 1])
+    assert swaps == [NUM_QUBITS - 2]

@@ -32,7 +32,7 @@ from repro.core.analyzer import analyze_program
 from repro.engine.pool import AnalysisEngine
 from repro.engine.service import AnalysisService, make_server
 from repro.engine.spec import AnalysisJob
-from repro.noise import NoiseModel
+from repro.noise import NoiseModel, amplitude_damping
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import (
     chrome_trace,
@@ -44,13 +44,16 @@ from repro.obs.trace import (
 
 FAST = AnalysisConfig(mps_width=4, sdp=SDPConfig(max_iterations=200, tolerance=1e-4))
 MODEL = NoiseModel.uniform_bit_flip(1e-3)
+#: Amplitude damping on every 1-qubit gate: bit flip is bounded in closed
+#: form, this needs the SDP solver.
+SDP_MODEL = NoiseModel(name="amplitude_damping(0.001)").set_default(1, amplitude_damping(1e-3))
 
 
-def _job(name: str, num_qubits: int = 2) -> AnalysisJob:
+def _job(name: str, num_qubits: int = 2, model: NoiseModel = MODEL) -> AnalysisJob:
     circuit = Circuit(num_qubits, name=name).h(0).cx(0, 1)
     for q in range(2, num_qubits):
         circuit.cx(q - 1, q)
-    return AnalysisJob.from_circuit(circuit, MODEL, config=FAST)
+    return AnalysisJob.from_circuit(circuit, model, config=FAST)
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +188,12 @@ class TestMetrics:
         """Every certified solve is counted in the iteration histogram of its
         solve class, and the unconverged ones in ``repro_sdp_unconverged_total``."""
         from repro.linalg import HADAMARD, maximally_mixed, pure_density, zero_state
-        from repro.noise import bit_flip
         from repro.sdp import gate_error_bounds_batch
 
         instances = [
-            (HADAMARD, bit_flip(1e-3), maximally_mixed(1), 0.05),
+            (HADAMARD, amplitude_damping(1e-3), maximally_mixed(1), 0.05),
             # A pure predicate with δ = 0 has no strictly feasible point.
-            (HADAMARD, bit_flip(1e-3), pure_density(zero_state(1)), 0.0),
+            (HADAMARD, amplitude_damping(1e-3), pure_density(zero_state(1)), 0.0),
         ]
         with obs_metrics.scoped() as registry:
             bounds = gate_error_bounds_batch(instances)
@@ -315,7 +317,7 @@ class TestHTTPObservability:
         assert "# TYPE repro_http_request_seconds histogram" in before
         count_before = _histogram_count(before, "repro_http_request_seconds_count")
 
-        entry = service.submit_job(_job("metrics-job"))
+        entry = service.submit_job(_job("metrics-job", model=SDP_MODEL))
         assert service.wait_for(entry["fingerprint"], timeout=120)["status"] == "done"
 
         _ctype, after = _get(f"{base}/v1/metrics")

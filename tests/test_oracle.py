@@ -18,8 +18,10 @@ from repro.circuits.program import IfMeasure, seq
 from repro.config import AnalysisConfig
 from repro.core.analyzer import GleipnirAnalyzer
 from repro.core.baselines import exact_error, worst_case_bound
+from repro.linalg import QuantumChannel, pure_density
 from repro.linalg.operators import random_unitary
 from repro.noise import NoiseModel, amplitude_damping, bit_flip, depolarizing, identity_noise
+from repro.sdp import constrained_diamond_lower_bound, gate_error_bound
 
 FAMILIES = {
     "bit_flip": bit_flip(0.05),
@@ -113,3 +115,42 @@ class TestDifferentialOracle:
         for width in MPS_WIDTHS:
             result = GleipnirAnalyzer(model, AnalysisConfig(mps_width=width)).analyze(circuit)
             assert exact <= result.error_bound <= worst, width
+
+
+class TestComplexChannel:
+    """A channel whose Choi matrix has complex entries, on a state with a
+    complex phase: the SDP's variable holds the transpose of the input
+    state, so the predicate must reach it transposed."""
+
+    @staticmethod
+    def _channel():
+        pauli_x = np.array([[0, 1], [1, 0]], dtype=complex)
+        pauli_y = np.array([[0, -1j], [1j, 0]])
+        pauli_z = np.diag([1.0, -1.0]).astype(complex)
+        error = (pauli_x + pauli_y) / np.sqrt(2)  # not real, not symmetric
+        p, q = 0.1, 0.003  # a little depolarizing keeps it off the closed form
+        kraus = [np.sqrt(1 - p - q) * np.eye(2), np.sqrt(p) * error]
+        kraus += [np.sqrt(q / 3) * pauli for pauli in (pauli_x, pauli_y, pauli_z)]
+        return QuantumChannel(kraus)
+
+    def test_gate_bound_covers_the_brute_force_lower_bound(self):
+        channel = self._channel()
+        rho = pure_density(np.array([1, np.exp(0.75j * np.pi)]) / np.sqrt(2))
+        bound = gate_error_bound(np.eye(2), channel, rho, 0.0)
+        assert bound.method == "certified"
+        lower = constrained_diamond_lower_bound(
+            channel, QuantumChannel([np.eye(2)]), rho, 0.0, num_samples=4
+        )
+        assert lower > 0.1
+        assert bound.value >= lower - 1e-9
+
+    @pytest.mark.parametrize("noise_after_gate", [True, False], ids=["after", "before"])
+    def test_bound_covers_the_exact_error(self, noise_after_gate):
+        model = NoiseModel(noise_after_gate=noise_after_gate).set_default(1, self._channel())
+        circuit = Circuit(1).h(0).rz(0.75 * np.pi, 0).rz(0.0, 0)
+        exact = exact_error(circuit, model).value
+        worst = worst_case_bound(circuit, model).value
+        for width in MPS_WIDTHS:
+            result = GleipnirAnalyzer(model, AnalysisConfig(mps_width=width)).analyze(circuit)
+            assert exact <= result.error_bound <= worst + 1e-9, width
+            result.derivation.check()

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import noisy_gate_instances, random_circuit
+from helpers import first_operand_model, noisy_gate_instances, random_circuit
 
 from repro.config import AnalysisConfig, SDPConfig
-from repro.noise import NoiseModel
+from repro.noise import depolarizing
 from repro.programs.library import table2_benchmarks
 from repro.sdp import gate_error_bound, gate_error_bounds_batch
 
@@ -33,10 +33,12 @@ MAX_INSTANCES_PER_PROGRAM = 10
 
 
 def gate_instances(circuit_or_program, *, num_qubits=None, mps_width=8):
-    """The distinct quantised noisy-gate instances of the scheduler's walk."""
+    """The distinct quantised noisy-gate instances of the scheduler's walk,
+    under depolarizing noise placed like the paper's bit flip: bit flip is
+    bounded in closed form, depolarizing noise needs the certified SDP."""
     return noisy_gate_instances(
         circuit_or_program,
-        NoiseModel.uniform_bit_flip(1e-3),
+        first_operand_model(depolarizing(1e-3)),
         AnalysisConfig(mps_width=mps_width, sdp=FAST_SDP),
         num_qubits=num_qubits,
     )

@@ -164,8 +164,12 @@ class TestGateErrorBound:
         rho = pure_density(np.kron(zero_state(1), zero_state(1)))
         bound = gate_error_bound(CNOT, noise, rho, 0.0, config=CFG)
         assert np.isclose(bound.value, 0.1, atol=1e-4)
-        # The reduced problem has a 1-qubit (4x4) Choi matrix.
-        assert bound.choi.shape == (4, 4)
+        # The reduced problem acts on one qubit: its closed form pairs a
+        # 2x2 error V with a 2x2 σ, and its SDP has a 1-qubit (4x4) Choi.
+        assert bound.method == "closed-form"
+        assert bound.certificate.v.shape == bound.certificate.sigma.shape == (2, 2)
+        ((choi, _sigma),) = diamond._reduced_gate_problems_batch([(CNOT, noise, rho)])
+        assert choi.shape == (4, 4)
 
     def test_cnot_with_genuine_two_qubit_noise(self):
         noise = two_qubit_depolarizing(0.05)
@@ -187,11 +191,14 @@ class TestStepRule:
 
     def test_degenerate_pure_predicate(self):
         """A pure ρ̂ with δ = 0 has no Slater point and never converges; the
-        true value is 0 (|+> is a fixed point of X)."""
+        true value is 0 (|+> is a fixed point of X).  The Eq. (2) SDP of the
+        gate's reduced problem, which bit flip no longer reaches through
+        ``gate_error_bound``."""
         config = SDPConfig()
-        bound = gate_error_bound(
-            HADAMARD, bit_flip(1e-3), pure_density(zero_state(1)), 0.0, config=config
+        ((choi, sigma),) = diamond._reduced_gate_problems_batch(
+            [(HADAMARD, bit_flip(1e-3), pure_density(zero_state(1)))]
         )
+        bound = rho_delta_diamond_norm(choi, sigma, 0.0, config=config)
         assert bound.method == "certified"
         assert not bound.converged
         assert bound.iterations <= config.max_iterations <= 600
@@ -217,7 +224,7 @@ class TestStepRule:
         result = analyze_program(
             circuit, NoiseModel.uniform_bit_flip(1e-3), config=AnalysisConfig(mps_width=16)
         )
-        assert result.error_bound == 0.05707535508329013
+        assert result.error_bound == 0.056455435111052304
 
     def test_seed7_reference_circuits_no_looser_than_admm(self):
         """All 24 seed-7 reference-cold circuits against the bounds the ADMM
@@ -260,7 +267,7 @@ class TestCapScaling:
     def test_thin_caps_stop_early_and_certify_unscaled(self, name):
         gate, noise, rho, delta = self._thin_caps()[name]
         (choi, sigma), = diamond._reduced_gate_problems_batch([(gate, noise, rho)])
-        bound = gate_error_bound(gate, noise, rho, delta)
+        bound = rho_delta_diamond_norm(choi, sigma, delta)
         assert bound.method == "certified"
         assert bound.iterations <= 15
         assert bound.value <= self.LIMITS[name]
@@ -295,9 +302,12 @@ class TestCapScaling:
             assert batched[index].certificate.y == alone.certificate.y
             assert np.array_equal(batched[index].certificate.z, alone.certificate.z)
 
-    def test_seed7_reference_circuits_lock_step_iterations(self, monkeypatch):
-        """The 24 seed-7 reference circuits hold their lock-step batches for
-        at most 400 iterations in total (589 before thin caps were scaled)."""
+    def test_seed7_reference_circuits_lock_step_iterations(
+        self, monkeypatch, sdp_for_every_gate
+    ):
+        """The 24 seed-7 reference circuits, solved by the Eq. (2) SDP, hold
+        their lock-step batches for at most 400 iterations in total (589
+        before thin caps were scaled)."""
         solve = diamond.admm_solve_packed_batch
         lock_step = []
 
@@ -369,7 +379,9 @@ class TestStackedQuantisation:
 
 
 class TestReducedProblemDedupe:
-    def test_duplicates_solve_once_and_match_solving_alone(self, monkeypatch):
+    def test_duplicates_solve_once_and_match_solving_alone(
+        self, monkeypatch, sdp_for_every_gate
+    ):
         """Requests that reduce to byte-identical problems reach the solver
         once; every bound equals the request solved on its own."""
         ket0 = pure_density(zero_state(1))
@@ -401,7 +413,9 @@ class TestReducedProblemDedupe:
             assert np.array_equal(b.certificate.z, a.certificate.z)
         assert batched[1] is batched[2] and batched[0] is batched[4]
 
-    def test_unconstrained_requests_solve_once_per_choi(self, monkeypatch):
+    def test_unconstrained_requests_solve_once_per_choi(
+        self, monkeypatch, sdp_for_every_gate
+    ):
         """A request with c <= 0 drops its constraint, so requests that share
         a Choi matrix reach the solver once whatever their σ, δ or gate; every
         bound equals the request solved on its own."""

@@ -150,8 +150,9 @@ class TestADMM:
         for vector in (result.x_vec, result.y, result.s_vec):
             assert np.isfinite(vector).all()
 
-    def test_no_slater_point_certificate_is_sound(self):
-        """The same problem through the analyzer's entry point: unconverged,
+    def test_no_slater_point_certificate_is_sound(self, sdp_for_every_gate):
+        """The same problem through the analyzer's entry point, with the
+        closed form that bounds bit flip switched off: unconverged,
         certified, and close to the true value 0 (|+> is a fixed point of X)."""
         bound = gate_error_bound(HADAMARD, bit_flip(1e-3), pure_density(zero_state(1)), 0.0)
         assert bound.method == "certified"
