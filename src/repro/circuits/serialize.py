@@ -76,8 +76,17 @@ def gate_to_json_dict(gate: Gate) -> dict:
     from ``(name, params)`` — this keeps payloads small and fingerprints
     independent of float-printing details for the common gate set.
     """
+    return _gate_dict(gate, {})
+
+
+def _gate_dict(gate: Gate, rebuilds: dict) -> dict:
+    """:func:`gate_to_json_dict`, with the library check memoised in ``rebuilds``."""
     payload: dict = {"name": gate.name, "params": [float(p) for p in gate.params]}
-    if not _library_rebuilds(gate):
+    key = (gate.name, gate.params, gate.num_qubits, gate.matrix.tobytes())
+    library = rebuilds.get(key)
+    if library is None:
+        library = rebuilds[key] = _library_rebuilds(gate)
+    if not library:
         payload["num_qubits"] = gate.num_qubits
         payload["matrix"] = matrix_to_json(gate.matrix)
     return payload
@@ -96,25 +105,34 @@ def gate_from_json_dict(payload: dict) -> Gate:
 
 
 def program_to_json_dict(program: Program | Circuit) -> dict:
-    """Canonical dict form of a program AST (or a circuit's AST)."""
+    """Canonical dict form of a program AST (or a circuit's AST).
+
+    The library check of :func:`gate_to_json_dict` runs once per distinct
+    gate of the program, not once per gate application; the memo lives only
+    for this call.
+    """
     if isinstance(program, Circuit):
         program = program.to_program()
+    return _program_dict(program, {})
+
+
+def _program_dict(program: Program, rebuilds: dict) -> dict:
     if isinstance(program, Skip):
         return {"kind": "skip"}
     if isinstance(program, GateOp):
         return {
             "kind": "gate",
-            "gate": gate_to_json_dict(program.gate),
+            "gate": _gate_dict(program.gate, rebuilds),
             "qubits": list(program.qubits),
         }
     if isinstance(program, Seq):
-        return {"kind": "seq", "parts": [program_to_json_dict(p) for p in program.parts]}
+        return {"kind": "seq", "parts": [_program_dict(p, rebuilds) for p in program.parts]}
     if isinstance(program, IfMeasure):
         return {
             "kind": "if",
             "qubit": program.qubit,
-            "then": program_to_json_dict(program.then_branch),
-            "else": program_to_json_dict(program.else_branch),
+            "then": _program_dict(program.then_branch, rebuilds),
+            "else": _program_dict(program.else_branch, rebuilds),
         }
     raise CircuitError(f"cannot serialize program node {type(program).__name__}")
 

@@ -23,11 +23,19 @@ Supported operations:
 Every contraction is an explicit chain of GEMMs (``@`` / ``np.tensordot``)
 in a fixed order, costing O(chi^3) per site with d = 2:
 
-* reduced density matrices move the center to the leftmost requested qubit,
-  so both outer environments are identities; a pair RDM then walks a
-  transfer matrix ``T[(s, t), c, d]`` (a batch of four chi x chi matrices)
-  across the sites between the two qubits, two GEMMs per site;
+* reduced density matrices run with the center inside the requested span,
+  so both outer environments are identities.  A pair moves the center only
+  when it lies outside the pair (to the nearer qubit); an adjacent pair is
+  the Gram of the two-site tensor theta, and a distant pair walks a transfer
+  matrix ``T[(s, t), c, d]`` (a batch of four chi x chi matrices) across the
+  sites between the two qubits, two GEMMs per site.  A single qubit whose
+  neighbour holds the center is read off that pair's Gram; any other single
+  qubit moves the center onto it;
 * inner products and norms walk a chi x chi environment the same way;
+* a two-site gate moves the center only when it lies outside the gate's
+  pair, and its SVD split puts the center on either site.  A distant gate's
+  inward routing swaps leave the center on the routed qubit, the gate and
+  the outward swaps leave it on the right, so routing takes no QR step;
 * gate application and the QR steps of ``move_center`` are one GEMM each.
   They multiply in the transposed operand layout of numpy's pairwise
   ``einsum`` (``right^T @ left^T``).  That keeps their floating-point sums
@@ -281,48 +289,71 @@ class MPS:
         self._tensors[site] = product.reshape(chi_left, chi_right, 2).transpose(0, 2, 1)
         return TruncationInfo.zero()
 
-    def apply_two_site_gate(self, matrix: np.ndarray, site: int) -> TruncationInfo:
+    def apply_two_site_gate(
+        self, matrix: np.ndarray, site: int, *, absorb: str = "right"
+    ) -> TruncationInfo:
         """Apply a 2-qubit gate to adjacent sites ``(site, site + 1)`` (Figure 11).
 
         The gate matrix is given in the usual ``|q_site q_{site+1}>`` ordering.
-        Returns the truncation record of the SVD split.
+        The orthogonality center may sit on either site; it is moved only when
+        it lies outside the pair.  ``absorb`` names the site that takes the
+        singular values and holds the center afterwards (``"right"``:
+        ``site + 1``, ``"left"``: ``site``).  Returns the truncation record of
+        the SVD split, which does not depend on ``absorb``.
         """
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.shape != (4, 4):
             raise MPSError(f"expected a 4x4 gate, got shape {matrix.shape}")
         if site < 0 or site + 1 >= self.num_sites:
             raise MPSError(f"two-site gate at {site} outside the chain")
-        self.move_center(site)
+        self._center_into(site, site + 1)
+        theta = self._theta(site)
+        _, chi_right, chi_left, _ = theta.shape
+        # (l r, s t) @ gate^T: one GEMM, transposed back to (l, a, b, r).
+        theta = theta.transpose(2, 1, 3, 0).reshape(-1, 4)
+        theta = (theta @ matrix.T).reshape(chi_left, chi_right, 2, 2).transpose(0, 2, 3, 1)
+        max_bond = self.max_bond if self.max_bond is not None else theta.shape[0] * 2
+        left, right, info = split_theta(theta, max_bond, absorb=absorb)
+        self._tensors[site] = left
+        self._tensors[site + 1] = right
+        self._center = site + 1 if absorb == "right" else site
+        return info
+
+    def _theta(self, site: int) -> np.ndarray:
+        """The two-site tensor of ``(site, site + 1)`` as ``theta[t, r, l, s]``."""
         left, right = self._tensors[site], self._tensors[site + 1]
         chi_left, _, bond = left.shape
-        chi_right = right.shape[2]
         # theta[t, r, l, s] = sum_a right[a, t, r] left[l, s, a]: one GEMM.
         right_t = right.transpose(1, 2, 0).reshape(-1, bond)
         left_t = left.transpose(2, 0, 1).reshape(bond, -1)
-        theta = right_t @ left_t
-        # (l r, s t) @ gate^T: one GEMM, transposed back to (l, a, b, r).
-        theta = theta.reshape(2, chi_right, chi_left, 2).transpose(2, 1, 3, 0).reshape(-1, 4)
-        theta = (theta @ matrix.T).reshape(chi_left, chi_right, 2, 2).transpose(0, 2, 3, 1)
-        max_bond = self.max_bond if self.max_bond is not None else theta.shape[0] * 2
-        left, right, info = split_theta(theta, max_bond)
-        self._tensors[site] = left
-        self._tensors[site + 1] = right
-        self._center = site + 1
-        return info
+        return (right_t @ left_t).reshape(2, right.shape[2], chi_left, 2)
 
-    def swap_sites(self, site: int) -> TruncationInfo:
-        """Swap the qubits at sites ``site`` and ``site + 1`` (may truncate)."""
-        return self.apply_two_site_gate(SWAP, site)
+    def _center_into(self, first: int, last: int) -> None:
+        """Move the center to the nearer of ``first``/``last`` if it lies outside them."""
+        if self._center < first:
+            self.move_center(first)
+        elif self._center > last:
+            self.move_center(last)
+
+    def swap_sites(self, site: int, *, absorb: str = "right") -> TruncationInfo:
+        """Swap the qubits at sites ``site`` and ``site + 1`` (may truncate).
+
+        ``absorb`` places the center as in :meth:`apply_two_site_gate`.
+        """
+        return self.apply_two_site_gate(SWAP, site, absorb=absorb)
 
     def apply_gate(self, matrix: np.ndarray, qubits: Sequence[int]) -> list[TruncationInfo]:
         """Apply a 1- or 2-qubit gate on arbitrary (possibly distant) qubits.
 
         Distant 2-qubit gates are routed with an internal swap network: the
         second operand is swapped next to the first, the gate is applied, and
-        the swaps are undone.  Every step's truncation is recorded; the list
-        of records is returned in application order.  Each routing swap
-        checks the job's deadline (:func:`repro.config.check_deadline`): at
-        wide bond dimension one routed gate can take half a second.
+        the swaps are undone.  The center travels with the routed qubit (the
+        inward swaps absorb to the left, the gate and the outward swaps to the
+        right), so once the center is on the first swap's pair routing takes
+        no QR step.  Every step's truncation is recorded; the list of records
+        is returned in application order.  Each routing swap checks the job's
+        deadline (:func:`repro.config.check_deadline`): at wide bond dimension
+        one routed gate can take half a second.
         """
         qubits = [int(q) for q in qubits]
         matrix = np.asarray(matrix, dtype=np.complex128)
@@ -344,7 +375,7 @@ class MPS:
         # Bring qubit at site b next to site a (to position a+1).
         for site in range(b - 1, a, -1):
             check_deadline()
-            records.append(self.swap_sites(site))
+            records.append(self.swap_sites(site, absorb="left"))
         records.append(self.apply_two_site_gate(matrix, a))
         # Undo the routing swaps.
         for site in range(a + 1, b):
@@ -395,20 +426,24 @@ class MPS:
         qubits = [int(q) for q in qubits]
         for q in qubits:
             self._check_site(q)
-        # Moving the orthogonality center to the leftmost requested site makes
-        # both environments identities, so the contraction below only touches
-        # the sites between the requested qubits.
-        self.move_center(min(qubits))
+        # Every contraction below runs with the orthogonality center inside
+        # the requested span, so both outer environments are identities.
         if len(qubits) == 1:
-            rho = self._rdm_single(qubits[0])
+            site = qubits[0]
+            if self._center == site + 1:
+                rho = self._rdm_adjacent(site).reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
+            elif self._center == site - 1:
+                rho = self._rdm_adjacent(site - 1).reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+            else:
+                self.move_center(site)
+                rho = self._rdm_single(site)
         elif len(qubits) == 2:
             if qubits[0] == qubits[1]:
                 raise MPSError("duplicate qubits in reduced density matrix request")
-            i, j = qubits
-            if i < j:
-                rho = self._rdm_pair(i, j)
-            else:
-                rho = self._rdm_pair(j, i)
+            i, j = sorted(qubits)
+            self._center_into(i, j)
+            rho = self._rdm_adjacent(i) if j == i + 1 else self._rdm_pair(i, j)
+            if qubits[0] > qubits[1]:
                 # Swap the tensor factors back into the requested order.
                 rho = rho.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
         else:
@@ -426,8 +461,17 @@ class MPS:
         matrix = tensor.transpose(1, 0, 2).reshape(2, -1)
         return matrix @ matrix.conj().T
 
+    def _rdm_adjacent(self, i: int) -> np.ndarray:
+        """rho[(s, u), (t, v)] of sites ``(i, i + 1)`` with the center on one of them.
+
+        The Gram ``M Mᴴ`` of the two-site tensor with ``M[(s, u), (l, r)]``:
+        one GEMM to form theta, then 16 chi^2 multiply-adds.
+        """
+        matrix = self._theta(i).transpose(3, 0, 2, 1).reshape(4, -1)
+        return matrix @ matrix.conj().T
+
     def _rdm_pair(self, i: int, j: int) -> np.ndarray:
-        """rho[(s, u), (t, v)] for ``i < j`` with the orthogonality center at ``i``.
+        """rho[(s, u), (t, v)] for ``i < j`` with the orthogonality center in ``[i, j]``.
 
         The transfer matrix ``T[(s, t), c, d]`` carries the open physical
         indices of site ``i`` (ket ``s``, bra ``t``) as a batch of four

@@ -73,7 +73,7 @@ class TruncationInfo:
 
 
 def split_theta(
-    theta: np.ndarray, max_bond: int, *, svd_cutoff: float = 1e-14
+    theta: np.ndarray, max_bond: int, *, svd_cutoff: float = 1e-14, absorb: str = "right"
 ) -> tuple[np.ndarray, np.ndarray, TruncationInfo]:
     """Split a two-site wavefunction with a truncated SVD.
 
@@ -83,12 +83,16 @@ def split_theta(
         max_bond: maximum bond dimension ``w`` to keep.
         svd_cutoff: singular values below this relative threshold are treated
             as numerically zero (they do not count as "available").
+        absorb: ``"right"`` or ``"left"``, the tensor that takes the singular
+            values and so becomes the orthogonality center.  The SVD and the
+            truncation record do not depend on it.
 
     Returns:
         ``(left_tensor, right_tensor, info)`` where ``left_tensor`` has shape
-        ``(chi_left, 2, k)`` and is left-isometric, ``right_tensor`` has shape
-        ``(k, 2, chi_right)`` and carries the singular values (renormalised so
-        the state's norm is preserved), and ``info`` records the truncation.
+        ``(chi_left, 2, k)``, ``right_tensor`` has shape ``(k, 2, chi_right)``
+        and ``info`` records the truncation.  The tensor named by ``absorb``
+        carries the singular values (renormalised so the state's norm is
+        preserved); the other is an isometry (left- or right-isometric).
     """
     chi_left, d1, d2, chi_right = theta.shape
     matrix = theta.reshape(chi_left * d1, d2 * chi_right)
@@ -114,8 +118,14 @@ def split_theta(
     # Renormalise so the truncated state keeps the original norm.
     s_kept = s_kept * np.sqrt(total_weight / kept_weight)
 
-    left = u[:, :kept].reshape(chi_left, d1, kept)
-    right = (s_kept[:, None] * vh[:kept, :]).reshape(kept, d2, chi_right)
+    if absorb == "right":
+        left = u[:, :kept].reshape(chi_left, d1, kept)
+        right = (s_kept[:, None] * vh[:kept, :]).reshape(kept, d2, chi_right)
+    elif absorb == "left":
+        left = (u[:, :kept] * s_kept).reshape(chi_left, d1, kept)
+        right = vh[:kept, :].reshape(kept, d2, chi_right)
+    else:
+        raise ValueError(f"absorb must be 'left' or 'right', got {absorb!r}")
     info = TruncationInfo(
         discarded_weight=discarded_weight,
         total_weight=total_weight,

@@ -18,6 +18,7 @@ from repro.engine.service import AnalysisService
 from repro.engine.spec import AnalysisJob
 from repro.errors import ResourceLimitExceeded
 from repro.noise import NoiseModel
+from repro.programs.library import benchmark_by_name
 
 FAST = AnalysisConfig(mps_width=4, sdp=SDPConfig(max_iterations=200, tolerance=1e-4))
 MODEL = NoiseModel.uniform_bit_flip(1e-3)
@@ -92,6 +93,8 @@ class TestEngineSharding:
         ]
 
     def test_budget_timeout_does_not_kill_the_sweep(self, monkeypatch):
+        # QAOA100 at width 16 takes about 0.5 s warm, 25x its budget, so it
+        # times out whether or not its pool worker starts cold.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         budgeted_config = AnalysisConfig(
             mps_width=16,
@@ -99,7 +102,7 @@ class TestEngineSharding:
             guard=ResourceGuard(max_seconds=0.02),
         )
         jobs = [
-            _job(random_circuit(5, 60, seed=3), config=budgeted_config, name="exploding"),
+            _job(benchmark_by_name("QAOA100").build(), config=budgeted_config, name="exploding"),
             *_small_jobs(),
         ]
         report = AnalysisEngine(workers=2).run(jobs)

@@ -33,7 +33,7 @@ from repro.circuits.serialize import (
     program_to_json_dict,
 )
 from repro.circuits.gates import Gate, custom_gate, h, rz
-from repro.circuits.program import GateOp
+from repro.circuits.program import GateOp, seq
 from repro.config import DEFAULT_BIT_FLIP_PROBABILITY, AnalysisConfig, ResourceGuard, SDPConfig
 from repro.engine import spec
 from repro.engine.spec import (
@@ -132,6 +132,30 @@ class TestProgramSerialization:
         assert gate_from_json_dict(gate_to_json_dict(gate)) is gate_from_json_dict({"name": "h"})
         assert _library_rebuilds(gate)
         assert not _library_rebuilds(Gate("h", 1, (), np.array([[0, 1], [1, 0]])))
+
+    def test_library_checked_once_per_distinct_gate(self, monkeypatch):
+        """One program's encoding rebuilds each distinct gate once; a gate
+        that shares a library name but not its matrix is still told apart."""
+        from repro.circuits import gates as gate_lib
+
+        fake_h = Gate("h", 1, (), np.array([[0, 1], [1, 0]]))
+        circuit = Circuit(2).h(0).h(1).cx(0, 1).h(0).rz(0.3, 1).rz(0.3, 0).rz(0.4, 0)
+        program = seq(circuit.to_program(), GateOp(fake_h, (1,)), GateOp(fake_h, (0,)))
+        expected = [gate_to_json_dict(op.gate) for op in program.operations()]
+        calls = []
+        rebuild = gate_lib.gate_by_name
+
+        def counting(name, *params):
+            calls.append((name, params))
+            return rebuild(name, *params)
+
+        monkeypatch.setattr(gate_lib, "gate_by_name", counting)
+        payload = program_to_json_dict(program)
+        assert len(calls) == 5  # h, cx, rz(0.3), rz(0.4) and the fake h
+        assert [part["gate"] for part in payload["parts"]] == expected
+        assert "matrix" in expected[-1] and "matrix" not in expected[0]
+        decoded = [op.gate for op in program_from_json_dict(payload).operations()]
+        assert np.array_equal(decoded[-1].matrix, fake_h.matrix)
 
     def test_malformed_payload_rejected(self):
         with pytest.raises(CircuitError):

@@ -139,6 +139,22 @@ class TestSplitTheta:
         assert np.array_equal(left, u.reshape(2, 2, 4))
         assert np.array_equal(right, (s[:, None] * vh).reshape(4, 2, 3))
 
+    def test_left_absorption_keeps_the_record_and_the_state(self):
+        rng = np.random.default_rng(8)
+        theta = rng.normal(size=(3, 2, 2, 4)) + 1j * rng.normal(size=(3, 2, 2, 4))
+        left_r, right_r, info_r = split_theta(theta, max_bond=3)
+        left_l, right_l, info_l = split_theta(theta, max_bond=3, absorb="left")
+        assert info_l == info_r and info_l.truncated
+        np.testing.assert_allclose(
+            np.einsum("lsk,ktr->lstr", left_l, right_l),
+            np.einsum("lsk,ktr->lstr", left_r, right_r),
+            atol=1e-12,
+        )
+        rows = right_l.reshape(3, -1)
+        np.testing.assert_allclose(rows @ rows.conj().T, np.eye(3), atol=1e-12)
+        with pytest.raises(ValueError):
+            split_theta(theta, max_bond=3, absorb="middle")
+
     def test_records_do_not_add(self):
         with pytest.raises(TypeError):
             TruncationInfo.zero() + TruncationInfo.zero()

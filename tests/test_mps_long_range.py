@@ -1,9 +1,11 @@
 """Long-range MPS contractions on 10-qubit states, checked against dense vectors.
 
 Every pair of qubits up to distance 9 is reduced in both operand orders,
-with the orthogonality center first moved to either end of the chain, so the
+with the orthogonality center first moved to every site of the chain, so the
 transfer-matrix walk between the two qubits runs over every length and from
-every starting canonical form.  At width 16 the evolved states are exact and
+every starting canonical form: centers outside the pair (moved to its nearer
+end), inside it (read in place), and on an adjacent pair or a single site's
+neighbour (the Gram of the two-site tensor).  At width 16 the evolved states are exact and
 are compared with dense simulation; at width 4 they are truncated and are
 compared with the dense vector of the same truncated MPS.
 """
@@ -45,17 +47,47 @@ def _dense_rdm(psi: np.ndarray, qubits: list[int]) -> np.ndarray:
 
 
 def _check_every_rdm(mps: MPS, psi: np.ndarray) -> None:
-    for end in (0, NUM_QUBITS - 1):
+    for center in range(NUM_QUBITS):
         for site in range(NUM_QUBITS):
-            mps.move_center(end)
+            mps.move_center(center)
             np.testing.assert_allclose(
                 mps.reduced_density_matrix([site]), _dense_rdm(psi, [site]), atol=1e-10
             )
         for i, j in itertools.permutations(range(NUM_QUBITS), 2):
-            mps.move_center(end)
+            mps.move_center(center)
             np.testing.assert_allclose(
                 mps.reduced_density_matrix([i, j]), _dense_rdm(psi, [i, j]), atol=1e-10
             )
+
+
+def _assert_mixed_canonical(mps: MPS) -> None:
+    """Left isometries left of the center, right isometries right of it."""
+    for site, tensor in enumerate(mps.tensors):
+        chi_left, _, chi_right = tensor.shape
+        if site < mps.center:
+            matrix = tensor.reshape(chi_left * 2, chi_right)
+            gram = matrix.conj().T @ matrix
+        elif site > mps.center:
+            matrix = tensor.reshape(chi_left, 2 * chi_right)
+            gram = matrix @ matrix.conj().T
+        else:
+            continue
+        np.testing.assert_allclose(gram, np.eye(gram.shape[0]), atol=1e-12)
+
+
+@pytest.fixture
+def qr_steps(monkeypatch):
+    """The sites of every QR step of ``move_center``, in call order."""
+    steps = []
+    for name in ("_qr_step_right", "_qr_step_left"):
+        step = getattr(MPS, name)
+
+        def counted(self, site, _step=step, _name=name):
+            steps.append((_name, site))
+            return _step(self, site)
+
+        monkeypatch.setattr(MPS, name, counted)
+    return steps
 
 
 @pytest.mark.parametrize("seed", EXACT_SEEDS)
@@ -104,6 +136,48 @@ def test_distant_and_reversed_gates_match_dense(qubits):
     )
 
 
+@pytest.mark.parametrize("width", [None, 4])
+def test_routed_and_reversed_gates_keep_the_mixed_canonical_form(width):
+    mps, _ = _evolve(2, width=width)
+    rng = np.random.default_rng(7)
+    for qubits in [(0, 9), (9, 0), (2, 7), (8, 1), (4, 5), (5, 4), (3, 4)]:
+        mps.apply_gate(random_unitary(4, rng=rng), list(qubits))
+        _assert_mixed_canonical(mps)
+        mps.reduced_density_matrix([qubits[0]])
+        _assert_mixed_canonical(mps)
+
+
+@pytest.mark.parametrize("center", [NUM_QUBITS - 2, NUM_QUBITS - 1])
+def test_routing_from_the_first_swap_takes_no_qr_step(center, qr_steps):
+    from repro.linalg import CNOT
+
+    mps, _ = _evolve(2, width=4)
+    mps.move_center(center)
+    qr_steps.clear()
+    records = mps.apply_gate(CNOT, [0, NUM_QUBITS - 1])
+    assert len(records) == 2 * NUM_QUBITS - 3
+    assert qr_steps == []
+    assert mps.center == NUM_QUBITS - 1
+
+
+def test_rdm_with_the_center_in_its_span_takes_no_qr_step(qr_steps):
+    mps, _ = _evolve(2, width=4)
+    for i, j in itertools.combinations(range(NUM_QUBITS), 2):
+        for center in range(i, j + 1):
+            mps.move_center(center)
+            qr_steps.clear()
+            mps.reduced_density_matrix([i, j])
+            mps.reduced_density_matrix([j, i])
+            assert qr_steps == [] and mps.center == center
+    for site in range(NUM_QUBITS):
+        for center in (site - 1, site, site + 1):
+            if 0 <= center < NUM_QUBITS:
+                mps.move_center(center)
+                qr_steps.clear()
+                mps.reduced_density_matrix([site])
+                assert qr_steps == [] and mps.center == center
+
+
 def test_budget_expiring_inside_a_routed_gate_raises_at_the_next_swap(monkeypatch):
     """A job budget that runs out while a distant gate is being routed ends
     the walk at the next routing swap, not after the whole gate."""
@@ -115,10 +189,10 @@ def test_budget_expiring_inside_a_routed_gate_raises_at_the_next_swap(monkeypatc
     swaps = []
     swap = MPS.swap_sites
 
-    def slow_swap(self, site):
+    def slow_swap(self, site, **kwargs):
         swaps.append(site)
         time.sleep(0.6)  # the first swap outlasts the whole budget
-        return swap(self, site)
+        return swap(self, site, **kwargs)
 
     monkeypatch.setattr(MPS, "swap_sites", slow_swap)
     with deadline(0.5):

@@ -224,7 +224,7 @@ class TestStepRule:
         result = analyze_program(
             circuit, NoiseModel.uniform_bit_flip(1e-3), config=AnalysisConfig(mps_width=16)
         )
-        assert result.error_bound == 0.056455435111052304
+        assert result.error_bound == 0.056454020982134645
 
     def test_seed7_reference_circuits_no_looser_than_admm(self):
         """All 24 seed-7 reference-cold circuits against the bounds the ADMM
