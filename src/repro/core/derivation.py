@@ -119,6 +119,12 @@ class Derivation:
         return rows
 
     def total_truncation(self) -> float:
+        """The δ the walk added after the nodes' predicates were read.
+
+        The swaps that route a noisy gate's operands run before its
+        predicate is read, so their truncation is in that gate's δ, not
+        here; the final δ of the analysis counts both.
+        """
         return sum(node.truncation_added for node in self.root.iter_nodes())
 
     def pretty(self) -> str:

@@ -78,7 +78,10 @@ class WalkGate:
     the gate and ``bound`` the certified bound of its quantised predicate,
     written by :meth:`BoundScheduler.prefill` — both None for a noiseless
     gate, which never asks for a predicate.  ``delta_before`` is also the
-    predicate distance.
+    predicate distance: for a noisy gate it is read after its operands are
+    routed, so it includes the routing swaps' truncation, and
+    ``truncation_added`` is what the walk added after that (for a noiseless
+    gate, the routing too).  ``delta_after`` is their sum, capped at 2.
     """
 
     op: GateOp
@@ -209,15 +212,19 @@ class BoundScheduler:
         check_deadline()
         channel = self.noise_model.channel_for(op.gate, op.qubits)
         predicate = None
+        if approximator is not None and channel is not None:
+            # Reading the predicate routes a distant pair, and the routing
+            # swaps' truncation is in its δ: δ must be read after it.
+            predicate = approximator.local_predicate(op.qubits)
+            if predicate.delta >= VACUOUS_DELTA:
+                approximator = None
         if approximator is None:
             if channel is not None:
                 predicate = trivial_local_predicate(len(op.qubits))
             delta_before = delta_after = VACUOUS_DELTA
             truncation_added = 0.0
         else:
-            delta_before = approximator.delta
-            if channel is not None:
-                predicate = approximator.local_predicate(op.qubits)
+            delta_before = predicate.delta if predicate is not None else approximator.delta
             truncation_added = approximator.apply_gate_op(op)
             delta_after = approximator.delta
         record = WalkGate(

@@ -8,6 +8,12 @@ stays the sound approximation bound of Theorem 5.1.  A measurement forks it
 (Section 5.2, "Supporting branches"); the scheduler's walk
 (:mod:`repro.core.scheduler`) drives it over whole programs.
 
+A distant 2-qubit gate is routed lazily: asking for its predicate swaps the
+operand on the lower site up next to its partner (it is never swapped
+back), adds the swaps' truncation to ``delta`` and reads ``rho'`` off the
+routed pair's two-site tensor, so the predicate's ``delta`` covers the
+routing.  Applying the gate then finds the pair adjacent and splits once.
+
 The approximator always evolves the *ideal* program: gate noise never enters
 here.  Noise is handled exclusively by the (ρ̂, δ)-diamond norm of the gates
 (Section 6); δ only accounts for the MPS truncation error.
@@ -25,6 +31,7 @@ from ..circuits.program import GateOp, Program
 from ..config import DEFAULT_MPS_WIDTH
 from ..errors import MPSError
 from .mps import MPS
+from .truncation import TruncationInfo
 
 __all__ = ["LocalPredicate", "MPSApproximator"]
 
@@ -36,7 +43,8 @@ class LocalPredicate:
     ``rho_local`` is the reduced density matrix of the approximate state on
     the gate's qubits (in gate operand order); ``delta`` is the accumulated
     trace-norm distance bound between the approximate global state and the
-    ideal global state at this point of the program.
+    ideal global state at this point of the program, the truncation of the
+    swaps that routed the gate's operands included.
     """
 
     rho_local: np.ndarray
@@ -109,8 +117,15 @@ class MPSApproximator:
 
     # -- predicates --------------------------------------------------------------
     def local_predicate(self, qubits: Sequence[int]) -> LocalPredicate:
-        """The ``(rho', delta)`` predicate for a gate acting on ``qubits``."""
+        """The ``(rho', delta)`` predicate for a gate acting on ``qubits``.
+
+        Two qubits are routed onto adjacent sites first (:meth:`MPS.route`);
+        the swaps' truncation enters ``delta`` before it is read, so the
+        returned ``delta`` is the distance after routing.
+        """
         qubits = tuple(int(q) for q in qubits)
+        if len(qubits) == 2:
+            self._accumulate(self._mps.route(qubits))
         rho = self._mps.reduced_density_matrix(qubits)
         return LocalPredicate(rho_local=rho, delta=self.delta, qubits=qubits)
 
@@ -120,8 +135,16 @@ class MPSApproximator:
         return self.apply_gate(op.gate.matrix, op.qubits)
 
     def apply_gate(self, matrix: np.ndarray, qubits: Sequence[int]) -> float:
-        """Apply a gate matrix to the MPS and accumulate its truncation error."""
+        """Apply a gate matrix to the MPS and accumulate its truncation error.
+
+        Returns the δ added, with the routing swaps of a pair that
+        :meth:`local_predicate` has not already routed.
+        """
         records = self._mps.apply_gate(np.asarray(matrix, dtype=np.complex128), list(qubits))
+        return self._accumulate(records)
+
+    def _accumulate(self, records: list[TruncationInfo]) -> float:
+        """Add the records' truncation to δ; returns the sum added."""
         added = 0.0
         for record in records:
             added += record.trace_norm_error

@@ -16,6 +16,7 @@ approximation bound returned by ``TN(rho0, P)`` (Theorem 5.1).
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import scipy.linalg
@@ -46,7 +47,7 @@ class TruncationInfo:
         if self.total_weight <= 0:
             return 0.0
         ratio = min(1.0, max(0.0, self.discarded_weight / self.total_weight))
-        return 2.0 * float(np.sqrt(ratio))
+        return 2.0 * math.sqrt(ratio)
 
     @property
     def fidelity(self) -> float:
@@ -73,7 +74,7 @@ class TruncationInfo:
 
 
 def split_theta(
-    theta: np.ndarray, max_bond: int, *, svd_cutoff: float = 1e-14, absorb: str = "right"
+    theta: np.ndarray, max_bond: int, *, svd_cutoff: float = 1e-14
 ) -> tuple[np.ndarray, np.ndarray, TruncationInfo]:
     """Split a two-site wavefunction with a truncated SVD.
 
@@ -83,16 +84,14 @@ def split_theta(
         max_bond: maximum bond dimension ``w`` to keep.
         svd_cutoff: singular values below this relative threshold are treated
             as numerically zero (they do not count as "available").
-        absorb: ``"right"`` or ``"left"``, the tensor that takes the singular
-            values and so becomes the orthogonality center.  The SVD and the
-            truncation record do not depend on it.
 
     Returns:
         ``(left_tensor, right_tensor, info)`` where ``left_tensor`` has shape
         ``(chi_left, 2, k)``, ``right_tensor`` has shape ``(k, 2, chi_right)``
-        and ``info`` records the truncation.  The tensor named by ``absorb``
-        carries the singular values (renormalised so the state's norm is
-        preserved); the other is an isometry (left- or right-isometric).
+        and ``info`` records the truncation.  The singular values
+        (renormalised so the state's norm is preserved) are absorbed into the
+        right tensor, which becomes the orthogonality center; the left
+        tensor is left-isometric.
     """
     chi_left, d1, d2, chi_right = theta.shape
     matrix = theta.reshape(chi_left * d1, d2 * chi_right)
@@ -103,7 +102,8 @@ def split_theta(
         # unit-norm inputs; the QR-iteration driver gesvd still succeeds.
         u, s, vh = scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
 
-    total_weight = float(np.sum(s**2))
+    weights = s * s
+    total_weight = float(weights.sum())
     if total_weight <= 0:
         raise ValueError("two-site wavefunction has zero norm")
     scale = s[0] if s[0] > 0 else 1.0
@@ -111,21 +111,15 @@ def split_theta(
     available = max(available, 1)
 
     kept = max(1, min(int(max_bond), available))
-    discarded_weight = float(np.sum(s[kept:] ** 2))
+    discarded_weight = float(weights[kept:].sum())
     kept_weight = total_weight - discarded_weight
 
     s_kept = s[:kept]
     # Renormalise so the truncated state keeps the original norm.
-    s_kept = s_kept * np.sqrt(total_weight / kept_weight)
+    s_kept = s_kept * math.sqrt(total_weight / kept_weight)
 
-    if absorb == "right":
-        left = u[:, :kept].reshape(chi_left, d1, kept)
-        right = (s_kept[:, None] * vh[:kept, :]).reshape(kept, d2, chi_right)
-    elif absorb == "left":
-        left = (u[:, :kept] * s_kept).reshape(chi_left, d1, kept)
-        right = vh[:kept, :].reshape(kept, d2, chi_right)
-    else:
-        raise ValueError(f"absorb must be 'left' or 'right', got {absorb!r}")
+    left = u[:, :kept].reshape(chi_left, d1, kept)
+    right = (s_kept[:, None] * vh[:kept, :]).reshape(kept, d2, chi_right)
     info = TruncationInfo(
         discarded_weight=discarded_weight,
         total_weight=total_weight,

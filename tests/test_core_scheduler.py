@@ -12,6 +12,7 @@ from repro.config import AnalysisConfig, SDPConfig
 from repro.core import scheduler as scheduler_module
 from repro.core.analyzer import GleipnirAnalyzer
 from repro.core.scheduler import BoundScheduler
+from repro.mps import MPS
 from repro.mps.approximator import MPSApproximator
 from repro.noise import NoiseModel, depolarizing
 from repro.programs.library import benchmark_by_name
@@ -124,6 +125,36 @@ class TestWalkRecords:
         assert h_record.delta_after == cx_record.delta_before == 0.0
         assert np.isclose(cx_record.delta_after, np.sqrt(2.0))
         assert cx_record.truncation_added == cx_record.delta_after
+
+
+class TestRoutedWalk:
+    """A noisy gate on a distant pair reads its predicate after routing: its
+    δ is the previous gate's δ plus the truncation of its routing swaps."""
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_delta_before_includes_the_routing_swaps(self, width, bit_flip_model):
+        circuit = random_circuit(6, 40, seed=4)
+        config = _config(mps_width=width)
+        walk = BoundScheduler(bit_flip_model, config).collect(circuit.to_program(), [0] * 6)
+        # Replay the walk's MPS calls and account δ independently.
+        replay = MPS.zero_state(6, max_bond=width)
+        previous, routed = 0.0, 0
+        for record in walk_gates(walk):
+            qubits = list(record.op.qubits)
+            swaps = 0.0
+            if len(qubits) == 2:
+                for info in replay.route(qubits):
+                    swaps += info.trace_norm_error
+            replay.reduced_density_matrix(qubits)
+            assert record.delta_before == min(2.0, previous + swaps)
+            if record.delta_before >= 2.0:
+                break
+            routed += swaps > 0.0
+            replay.apply_gate(record.op.gate.matrix, qubits)
+            previous = record.delta_after
+        assert routed > 0
+        result = GleipnirAnalyzer(bit_flip_model, config).analyze(circuit)
+        result.derivation.check()
 
 
 class TestSaturatedWalk:

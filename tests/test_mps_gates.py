@@ -59,15 +59,18 @@ class TestTwoQubitGates:
         mps = MPS.zero_state(4)
         mps.apply_single_qubit_gate(HADAMARD, 0)
         records = mps.apply_gate(CNOT, [0, 3])
-        assert len(records) > 1  # swaps + gate + swaps
+        assert len(records) == 3  # two swaps + gate
         state = mps.to_statevector()
         expected = simulate_statevector(Circuit(4).h(0).cx(0, 3))
         assert np.allclose(np.abs(state), np.abs(expected), atol=1e-10)
 
     def test_swap_sites(self):
+        """A swap moves the qubits, not the logical state."""
         mps = MPS.from_product_state("10")
         mps.swap_sites(0)
-        assert np.isclose(abs(mps.amplitude("01")), 1.0)
+        assert mps.layout == (1, 0)
+        assert np.isclose(abs(mps.amplitude("10")), 1.0)
+        assert np.isclose(abs(mps.tensors[1][0, 1, 0]), 1.0)  # qubit 0 is on site 1
 
     def test_bad_gate_requests(self):
         mps = MPS.zero_state(3)
@@ -138,22 +141,6 @@ class TestSplitTheta:
         u, s, vh = np.linalg.svd(theta.reshape(4, 6), full_matrices=False)
         assert np.array_equal(left, u.reshape(2, 2, 4))
         assert np.array_equal(right, (s[:, None] * vh).reshape(4, 2, 3))
-
-    def test_left_absorption_keeps_the_record_and_the_state(self):
-        rng = np.random.default_rng(8)
-        theta = rng.normal(size=(3, 2, 2, 4)) + 1j * rng.normal(size=(3, 2, 2, 4))
-        left_r, right_r, info_r = split_theta(theta, max_bond=3)
-        left_l, right_l, info_l = split_theta(theta, max_bond=3, absorb="left")
-        assert info_l == info_r and info_l.truncated
-        np.testing.assert_allclose(
-            np.einsum("lsk,ktr->lstr", left_l, right_l),
-            np.einsum("lsk,ktr->lstr", left_r, right_r),
-            atol=1e-12,
-        )
-        rows = right_l.reshape(3, -1)
-        np.testing.assert_allclose(rows @ rows.conj().T, np.eye(3), atol=1e-12)
-        with pytest.raises(ValueError):
-            split_theta(theta, max_bond=3, absorb="middle")
 
     def test_records_do_not_add(self):
         with pytest.raises(TypeError):

@@ -27,6 +27,7 @@ class TestReducedDensityMatrices:
 
     def test_pair_of_ghz(self):
         mps = MPS.from_statevector(ghz_state(3))
+        mps.route([0, 2])  # qubits on sites 0 and 2 must be adjacent to be reduced
         rho = mps.reduced_density_matrix([0, 2])
         expected = 0.5 * (pure_density(np.array([1, 0, 0, 0.0])) + pure_density(np.array([0, 0, 0, 1.0])))
         assert np.allclose(rho, expected, atol=1e-10)
@@ -43,6 +44,8 @@ class TestReducedDensityMatrices:
         mps = MPS.from_statevector(psi)
         dense = pure_density(psi)
         for qubits in ([2], [0, 3], [4, 1]):
+            if len(qubits) == 2:
+                mps.route(qubits)
             assert np.allclose(
                 mps.reduced_density_matrix(qubits),
                 reduced_density_matrix(dense, qubits),
@@ -57,6 +60,8 @@ class TestReducedDensityMatrices:
             mps.reduced_density_matrix([0, 1, 2])
         with pytest.raises(MPSError):
             mps.reduced_density_matrix([7])
+        with pytest.raises(MPSError):
+            mps.reduced_density_matrix([0, 2])  # not on adjacent sites
 
     def test_expectation_single(self):
         mps = MPS.from_product_state("1")
@@ -98,6 +103,7 @@ def test_rdm_matches_dense_simulation_through_circuits(seed):
     dense = pure_density(simulate_statevector(circuit))
     rng = np.random.default_rng(seed)
     a, b = rng.choice(4, size=2, replace=False)
+    mps.route([int(a), int(b)])
     assert np.allclose(
         mps.reduced_density_matrix([int(a), int(b)]),
         reduced_density_matrix(dense, [int(a), int(b)]),

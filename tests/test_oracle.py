@@ -71,6 +71,41 @@ def _unitary_program(seed: int) -> Circuit:
     return circuit
 
 
+#: The 2-qubit pairs of a 4-qubit chain at distance 2 or 3, in both operand orders.
+DISTANT_PAIRS = [(0, 2), (2, 0), (0, 3), (3, 0), (1, 3), (3, 1)]
+
+
+def _routed_program(seed: int) -> tuple[object, list[int]]:
+    """A 4-qubit program whose 2-qubit gates act only on distant pairs, so
+    the walk routes every one of them, forking on a measurement of qubit 0
+    after a gate has routed it from site 0 to site 2.
+
+    The routing gate's control, qubit 3, is still in its basis state, so
+    the fork is reached with no truncation, as in the other branching
+    family: the Meas rule adds min(δ, 1) to a fork's bound, which the
+    worst-case fold does not, so a fork behind a truncated entangling gate
+    can exceed the worst case whatever the routing does.  Both branches
+    route, and at width 1 they truncate.
+    """
+    rng = np.random.default_rng(seed)
+
+    def block(qubits, pairs) -> Circuit:
+        circuit = Circuit(4)
+        for qubit in qubits:
+            circuit.rx(float(rng.uniform(0, 2 * np.pi)), qubit)
+        for a, b in pairs:
+            circuit.cx(a, b)
+        return circuit
+
+    def branch() -> Circuit:
+        picks = rng.choice(len(DISTANT_PAIRS), size=3, replace=False)
+        return block(range(4), [DISTANT_PAIRS[i] for i in picks])
+
+    prefix = block(range(3), [(3, 0)])
+    program = seq(prefix.to_program(), IfMeasure(0, branch().to_program(), branch().to_program()))
+    return program, [int(b) for b in rng.integers(0, 2, size=4)]
+
+
 class TestNoiseOrdering:
     @pytest.mark.parametrize("noise_after_gate", [True, False])
     @pytest.mark.parametrize("bits", ["0", "1"])
@@ -103,6 +138,25 @@ class TestDifferentialOracle:
                     program, initial_bits=bits
                 )
                 assert exact <= result.error_bound <= worst, (width, program)
+
+    @pytest.mark.parametrize("noise_after_gate", [True, False], ids=["after", "before"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_routed_distant_pairs(self, family, noise_after_gate):
+        """Every predicate of a routed gate carries its swaps' truncation."""
+        model = _model(family, noise_after_gate)
+        for seed in range(2):
+            program, bits = _routed_program(50 + 10 * sorted(FAMILIES).index(family) + seed)
+            exact = exact_error(program, model, initial_bits=bits).value
+            worst = worst_case_bound(program, model).value
+            for width in MPS_WIDTHS:
+                result = GleipnirAnalyzer(model, AnalysisConfig(mps_width=width)).analyze(
+                    program, initial_bits=bits
+                )
+                # A routing swap's rounding-level truncation (about 1e-16)
+                # reaches the fork's δ, and (1 - δ)e + δ can round one ulp
+                # above the worst case's fold.
+                assert exact <= result.error_bound <= worst + 1e-12, (width, seed)
+                result.derivation.check()
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_same_named_unitaries(self, family):
